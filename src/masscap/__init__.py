@@ -32,12 +32,9 @@ from .frobenius import (
 from .numerics import (
     PowerTailFit,
     SampledCurve,
-    TailSpec,
     Tolerances,
     fit_power_tail,
     integrate_linear_system,
-    interpolate,
-    quad_tail,
 )
 from .schwarzschild import (
     CConstants,
@@ -93,7 +90,6 @@ __all__ = [
     "PowerTailFit",
     "QCurve",
     "SampledCurve",
-    "TailSpec",
     "Tolerances",
     "VerificationReport",
     "WarpProfile",
@@ -113,7 +109,6 @@ __all__ = [
     "horizon_W_bound",
     "indicial_roots",
     "integrate_linear_system",
-    "interpolate",
     "level_flow",
     "mass_functional_Fp",
     "masses",
@@ -124,7 +119,6 @@ __all__ = [
     "perfect_square_residual",
     "potential_ode",
     "q_limits",
-    "quad_tail",
     "radial_p_harmonic",
     "scalar_curvature",
     "series_coefficients",

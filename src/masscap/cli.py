@@ -411,8 +411,8 @@ def _check(name: str, value, tolerance, passed: bool, detail: str = "") -> dict:
 
 def _flat_case(pipe: _Pipeline, p: float, warp: WarpProfile) -> dict:
     tol = pipe.cfg.tol
-    Cp = capacity_Cp(warp, p, tol=tol)
-    _, adm = masses(warp, tol=tol)
+    Cp = capacity_Cp(warp, p)
+    _, adm = masses(warp)
     target = 4.0 * math.pi * ((3.0 - p) / (p - 1.0)) ** (p - 1.0)
     checks = [
         _check(
@@ -460,7 +460,7 @@ def _minimal_case(pipe: _Pipeline, p: float, tag: str, params: dict) -> dict:
         checks.append(_check("family_construction", None, None, False, str(exc)))
         return case
     try:
-        flow = level_flow(warp, p, n_t=cfg.n_t, tol=tol)
+        flow = level_flow(warp, p, n_t=cfg.n_t)
     except (ValueError, RuntimeError) as exc:
         checks.append(_check("level_flow", None, None, False, str(exc)))
         return case
@@ -642,13 +642,13 @@ def cmd_sweep(cfg: RunConfig) -> int:
         try:
             warp = pipe.family(tag, params)
             model = pipe.model(p)
-            Cp = capacity_Cp(warp, p, tol=cfg.tol)
-            _, adm = masses(warp, tol=cfg.tol)
+            Cp = capacity_Cp(warp, p)
+            _, adm = masses(warp)
             if not warp.minimal_boundary:
                 rows.append(base + [Cp, model.Kp, adm, None, None, None, None, "ok"])
                 continue
             dec, grow = pipe.triples(p)
-            flow = level_flow(warp, p, n_t=cfg.n_t, tol=cfg.tol)
+            flow = level_flow(warp, p, n_t=cfg.n_t)
             report = case_report(flow, model, dec, grow, cfg.tol)
             diag = report.diagnostics
             rows.append(

@@ -81,7 +81,8 @@ class ABCCoefficients:
     """The functions a, b, c of the pair system on the reference slice.
 
     Carries both sampled curves on the model grid (for export and plots)
-    and exact closures (for the integrator, which queries off-grid radii).
+    and an exact closure for the integrator, which queries off-grid radii:
+    abc_fn(r) returns (a, b, c, dr/dt) from one level_data evaluation.
     """
 
     p: float
@@ -89,7 +90,6 @@ class ABCCoefficients:
     b_curve: SampledCurve = field(repr=False)
     c_curve: SampledCurve = field(repr=False)
     abc_fn: Callable = field(repr=False)
-    drdt_fn: Callable = field(repr=False)
 
 
 def abc_curves(model: ModelGeometry) -> ABCCoefficients:
@@ -112,19 +112,15 @@ def abc_curves(model: ModelGeometry) -> ABCCoefficients:
         a = (ch * (d.dWdt / d.W) ** 2 - 1.0) / d.drdt
         b = -1.0 / ((p - 1.0) * s * d.drdt)
         c = 2.0 * (p - 2.0) / ((p - 1.0) * s * d.drdt) - (5.0 - p) / (2.0 * s * d.W) * d.dWdr
-        return a, b, c
+        return a, b, c, d.drdt
 
-    def drdt_fn(r):
-        return model.level_data(r).drdt
-
-    a, b, c = abc_fn(model.r_grid)
+    a, b, c, _ = abc_fn(model.r_grid)
     return ABCCoefficients(
         p=p,
         a_curve=SampledCurve(model.r_grid, a),
         b_curve=SampledCurve(model.r_grid, b),
         c_curve=SampledCurve(model.r_grid, c),
         abc_fn=abc_fn,
-        drdt_fn=drdt_fn,
     )
 
 
@@ -215,9 +211,8 @@ class CoefficientSolution:
 
 def _pair_rhs(coeffs: ABCCoefficients) -> Callable[[float], np.ndarray]:
     def rhs(r):
-        a, b, c = coeffs.abc_fn(r)
-        inv = 1.0 / coeffs.drdt_fn(r)
-        return np.array([[0.0, a, 0.0], [b, c, 0.0], [0.0, inv, 0.0]])
+        a, b, c, drdt = coeffs.abc_fn(r)
+        return np.array([[0.0, a, 0.0], [b, c, 0.0], [0.0, 1.0 / drdt, 0.0]])
 
     return rhs
 
@@ -295,8 +290,7 @@ def solve_decaying(
     f = SampledCurve(f.x, f.y * scale)
     if np.any(h.y <= 0.0):
         raise RuntimeError("decaying solution lost positivity of h")
-    a_grid, _, _ = coeffs.abc_fn(model.r_grid)
-    drdt = model.level_data(model.r_grid).drdt
+    a_grid, _, _, drdt = coeffs.abc_fn(model.r_grid)
     dgdt_plus_h = h.y * (1.0 + a_grid * drdt)
     if np.min(dgdt_plus_h) < -tol.slope_slack * float(np.max(np.abs(h.y))):
         raise RuntimeError("decaying solution violates dg/dt + h >= 0")
@@ -439,15 +433,14 @@ def system_residual(
     g = sol.g_curve.y
     h = sol.h_curve.y
     f = sol.f_curve.y
-    data = model.level_data(model.r_grid)
-    a, b, c = coeffs.abc_fn(model.r_grid)
+    a, b, c, drdt = coeffs.abc_fn(model.r_grid)
 
     dgdt = _native_t_derivative(g, model)
     dhdt = _native_t_derivative(h, model)
     dfdt = _native_t_derivative(f, model)
 
-    rhs_g = a * h * data.drdt
-    rhs_h = (b * g + c * h) * data.drdt
+    rhs_g = a * h * drdt
+    rhs_h = (b * g + c * h) * drdt
     worst = 0.0
     for fd, rhs in ((dgdt, rhs_g), (dhdt, rhs_h), (dfdt, h)):
         scale = float(np.max(np.abs(fd) + np.abs(rhs)))

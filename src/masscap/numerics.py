@@ -3,8 +3,8 @@
 Small, dependency-light building blocks used by every other module: a
 sampled-curve container with monotone interpolation, dense-output
 integration of linear ODE systems, per-interval Gauss-Legendre panels for
-cumulative integrals on fixed grids, semi-infinite quadrature with an
-algebraic tail, and least-squares power-law tail fits.
+cumulative integrals on fixed grids, least-squares power-law tail fits, and
+finite-difference stencils.
 
 All functions are pure and the containers are immutable once built, so
 everything here can be shared freely across the cells of a parameter sweep.
@@ -12,26 +12,22 @@ everything here can be shared freely across the cells of a parameter sweep.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "DEFAULT_TOL",
     "PowerTailFit",
     "SampledCurve",
-    "TailSpec",
     "Tolerances",
     "fit_power_tail",
     "integrate_linear_system",
-    "interpolate",
     "panel_integrals",
-    "quad_tail",
     "right_cumulative",
     "stencil_derivative",
 ]
@@ -41,7 +37,7 @@ __all__ = [
 class Tolerances:
     """Error budget shared by the whole pipeline.
 
-    ode_rel and quad_rel control the solvers, accept_rel is the relative
+    ode_rel controls the ODE solvers, accept_rel is the relative
     tolerance for comparisons against exact anchors, and slope_slack is the
     absolute slack allowed below zero in monotonicity certificates.
     accept_rel must dominate ode_rel so that integration error can never
@@ -49,12 +45,11 @@ class Tolerances:
     """
 
     ode_rel: float = 1e-10
-    quad_rel: float = 1e-10
     accept_rel: float = 1e-6
     slope_slack: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("ode_rel", "quad_rel", "accept_rel", "slope_slack"):
+        for name in ("ode_rel", "accept_rel", "slope_slack"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
@@ -63,26 +58,6 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
-
-
-@dataclass(frozen=True)
-class TailSpec:
-    """Algebraic tail description for semi-infinite quadrature.
-
-    Declares that the integrand behaves like c * x**(-exponent) * (1 + c1/x)
-    past `cutoff`. The prefactor c is never supplied; quad_tail reads it off
-    the integrand itself. exponent must exceed 1 or the integral diverges.
-    """
-
-    exponent: float
-    cutoff: float = 1e4
-    c1: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.exponent > 1.0:
-            raise ValueError("tail exponent must exceed 1 (integral diverges otherwise)")
-        if not self.cutoff > 0.0:
-            raise ValueError("tail cutoff must be positive")
 
 
 class SampledCurve:
@@ -143,11 +118,6 @@ class SampledCurve:
         if np.ndim(xq) == 0:
             return float(out)
         return out
-
-
-def interpolate(curve: SampledCurve, x):
-    """Evaluate a SampledCurve at x (alias for calling the curve)."""
-    return curve(x)
 
 
 def integrate_linear_system(
@@ -260,46 +230,6 @@ def right_cumulative(panels: np.ndarray, tail: float = 0.0) -> np.ndarray:
     out[-1] = tail
     out[:-1] = tail + np.cumsum(panels[::-1])[::-1]
     return out
-
-
-def quad_tail(
-    f: Callable[[float], float],
-    a: float,
-    tail: TailSpec,
-    tol: Tolerances | None = None,
-) -> float:
-    """Integral of f over [a, infinity): adaptive quadrature plus an
-    algebraic tail.
-
-    Adaptive quadrature covers [a, cutoff]; beyond it the integrand is
-    assumed to follow c * x**(-k) * (1 + c1/x) with k and c1 from `tail`,
-    and the prefactor c is read off f at the cutoff. The observed local
-    decay rate between cutoff and 2*cutoff is compared against k, so a
-    wrongly declared exponent raises instead of silently corrupting the
-    result.
-    """
-    tol = tol or DEFAULT_TOL
-    a = float(a)
-    R = max(a, tail.cutoff)
-    head = 0.0
-    if R > a:
-        head, _ = quad(f, a, R, epsabs=0.0, epsrel=tol.quad_rel, limit=400)
-    f1 = float(f(R))
-    f2 = float(f(2.0 * R))
-    if f1 == 0.0 and f2 == 0.0:
-        return head
-    if f1 == 0.0 or f2 == 0.0 or (f1 > 0.0) != (f2 > 0.0):
-        raise ValueError("integrand does not follow the declared algebraic tail")
-    k = tail.exponent
-    k_obs = math.log(abs(f1 / f2)) / math.log(2.0)
-    if abs(k_obs - k) > 0.1 + 2.0 * abs(tail.c1) / R:
-        raise ValueError(
-            f"observed tail decay rate {k_obs:.4f} is inconsistent with the "
-            f"declared exponent {k:.4f}"
-        )
-    c = f1 * R**k / (1.0 + tail.c1 / R)
-    tail_value = c * (R ** (1.0 - k) / (k - 1.0) + tail.c1 * R ** (-k) / k)
-    return head + tail_value
 
 
 class PowerTailFit(NamedTuple):

@@ -8,34 +8,32 @@ first-order reduction in closed form:
     u'(r) = -C * r**(-kappa) * (1 + 1/r)**(-beta),
     kappa = 2/(p-1),   beta = 2*(3-p)/(p-1),
 
-with C fixed by u(1) = 1. Everything this module exports - the level-set
-parameter t = (1-p) log u, the sphere-integrated gradient square W(t), the
-boundary capacity, and the two tail normalization constants - is derived
-from that quadrature. The mass-2 member is singled out because its boundary
-data (W(0), dW/dt(0)) and capacity are the sharp constants against which
-every other geometry is compared.
+with C fixed by u(1) = 1. The substitution x = 1/(1+r) turns the integral
+of u' into an incomplete beta function (DLMF 8.17): with
+sigma = (3-p)/(p-1),
+
+    u(r) = I_x(sigma, sigma) / I_1/2(sigma, sigma),   C = 2 / B(sigma, sigma),
+
+and u ~ (C/sigma) r**(-sigma) at infinity. Everything this module exports -
+the level-set parameter t = (1-p) log u, the sphere-integrated gradient
+square W(t), the boundary capacity, and the two tail normalization
+constants - is derived from these formulas. The mass-2 member is singled
+out because its boundary data (W(0), dW/dt(0)) and capacity are the sharp
+constants against which every other geometry is compared.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.special import beta as beta_fn
+from scipy.special import betainc
 
 from .frobenius import InfinitySingularODE
-from .numerics import (
-    DEFAULT_TOL,
-    SampledCurve,
-    TailSpec,
-    Tolerances,
-    fit_power_tail,
-    panel_integrals,
-    quad_tail,
-    right_cumulative,
-)
+from .numerics import DEFAULT_TOL, SampledCurve, Tolerances, fit_power_tail
 
 __all__ = [
     "DEFAULT_N_R",
@@ -70,46 +68,19 @@ def _exponents(p: float) -> tuple[float, float, float]:
     return s, kappa, beta
 
 
-def _du_integrand(p: float) -> Callable[[np.ndarray], np.ndarray]:
-    _, kappa, beta = _exponents(p)
+def _potential(p: float, r):
+    """u(r) = I_x(sigma, sigma) / I_1/2(sigma, sigma) with x = 1/(1+r).
 
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        return x**-kappa * (1.0 + 1.0 / x) ** -beta
-
-    return f
-
-
-def _tail_series(R: float, kappa: float, beta: float) -> float:
-    """integral_R^inf x^-kappa (1+1/x)^-beta dx by binomial expansion.
-
-    Converges like (1/R)^j; exact to machine precision for R >> 1.
+    Dividing by the computed I_1/2 rather than multiplying by 2 makes
+    u(1) == 1 exactly.
     """
-    total = 0.0
-    coeff = 1.0
-    for j in range(80):
-        if j > 0:
-            coeff *= -(beta + j - 1.0) / j
-        term = coeff * R ** (1.0 - kappa - j) / (kappa + j - 1.0)
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            return total
-    raise RuntimeError("tail series did not converge; outer radius too small")
+    sigma = (3.0 - p) / (p - 1.0)
+    return betainc(sigma, sigma, 1.0 / (1.0 + r)) / betainc(sigma, sigma, 0.5)
 
 
-def flux_constant(p: float, tol: Tolerances | None = None) -> float:
-    """Normalization constant C of the radial potential on the reference slice.
-
-    C = 1 / integral_1^inf r^-kappa (1+1/r)^-beta dr, so that u(1) = 1. The
-    integrand's conserved flux makes C**(p-1) proportional to the boundary
-    capacity. At p = 1.5 the integral is exactly 1/60.
-    """
-    p = _check_p(p)
-    tol = tol or DEFAULT_TOL
+def _du(p: float, C: float, r):
     _, kappa, beta = _exponents(p)
-    f = _du_integrand(p)
-    total = quad_tail(f, 1.0, TailSpec(exponent=kappa, cutoff=1e4, c1=-beta), tol=tol)
-    return 1.0 / total
+    return -C * r**-kappa * (1.0 + 1.0 / r) ** -beta
 
 
 class LevelData(NamedTuple):
@@ -123,10 +94,34 @@ class LevelData(NamedTuple):
     dWdt: np.ndarray
 
 
+def _level_data(p: float, C: float, r) -> LevelData:
+    _, kappa, beta = _exponents(p)
+    u = _potential(p, r)
+    du = _du(p, C, r)
+    W = 4.0 * math.pi * (p - 1.0) ** 2 * r**2 * (du / u) ** 2
+    dlog_du = -kappa / r + beta / (r**2 + r)
+    dWdr = 2.0 * W * (1.0 / r + dlog_du - du / u)
+    drdt = -u / ((p - 1.0) * du)
+    return LevelData(u=u, du=du, W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt)
+
+
+def flux_constant(p: float) -> float:
+    """Normalization constant C of the radial potential on the reference slice.
+
+    C = 1 / integral_1^inf r^-kappa (1+1/r)^-beta dr = 2 / B(sigma, sigma), so
+    that u(1) = 1. The integrand's conserved flux makes C**(p-1)
+    proportional to the boundary capacity. At p = 1.5 the integral is
+    exactly 1/60.
+    """
+    p = _check_p(p)
+    sigma = (3.0 - p) / (p - 1.0)
+    return 2.0 / float(beta_fn(sigma, sigma))
+
+
 class CConstants(NamedTuple):
     """Tail normalization constants of the reference potential.
 
-    c_fit is the leading coefficient of u ~ c_fit * r**(-(3-p)/(p-1));
+    c_fit = C/sigma is the leading coefficient of u ~ c_fit * r**(-(3-p)/(p-1));
     c_tilde is the exponential-map constant lim (r + (3-p)) e^(-t/(3-p)).
     exp_map_ratio compares c_tilde against c_fit**((p-1)/(3-p)) (exactly 1
     in exact arithmetic); closed_form_ratio compares c_fit against
@@ -144,8 +139,8 @@ class ModelGeometry:
     """The reference slice sampled on a geometric r-grid [1, R_max].
 
     Immutable after construction. Curves over r: u, du, t; curves over t:
-    r, W, dW/dt. The exact closed form of du and a log-log spline of u give
-    high-accuracy pointwise data off the grid via level_data().
+    r, W, dW/dt. The closed forms of u and du give pointwise data off the
+    grid via level_data(), as accurate as on the grid.
     """
 
     p: float
@@ -161,7 +156,6 @@ class ModelGeometry:
     c_fit: float = 0.0
     c_tilde: float = 0.0
     tol: Tolerances = field(default_factory=Tolerances, repr=False)
-    _logu_spline: CubicSpline = field(default=None, repr=False)
 
     @property
     def R_max(self) -> float:
@@ -172,32 +166,16 @@ class ModelGeometry:
         return float(self.t_of_r.y[-1])
 
     def u_at(self, r):
-        """Potential at arbitrary radii inside the grid (log-log spline)."""
-        r = np.asarray(r, dtype=float)
-        return np.exp(self._logu_spline(np.log(r)))
+        """Closed-form potential at arbitrary radii r >= 1."""
+        return _potential(self.p, np.asarray(r, dtype=float))
 
     def du_exact(self, r):
         """Closed-form radial derivative of the potential."""
-        r = np.asarray(r, dtype=float)
-        _, kappa, beta = _exponents(self.p)
-        return -self.flux_constant * r**-kappa * (1.0 + 1.0 / r) ** -beta
+        return _du(self.p, self.flux_constant, np.asarray(r, dtype=float))
 
     def level_data(self, r) -> LevelData:
-        """u, du, W, dW/dr, dr/dt, dW/dt at arbitrary radii inside the grid.
-
-        Everything except u itself is closed-form algebra, so the accuracy
-        off the grid matches the on-grid accuracy.
-        """
-        p = self.p
-        r = np.asarray(r, dtype=float)
-        _, kappa, beta = _exponents(p)
-        u = self.u_at(r)
-        du = self.du_exact(r)
-        W = 4.0 * math.pi * (p - 1.0) ** 2 * r**2 * (du / u) ** 2
-        dlog_du = -kappa / r + beta / (r**2 + r)
-        dWdr = 2.0 * W * (1.0 / r + dlog_du - du / u)
-        drdt = -u / ((p - 1.0) * du)
-        return LevelData(u=u, du=du, W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt)
+        """u, du, W, dW/dr, dr/dt, dW/dt at arbitrary radii r >= 1."""
+        return _level_data(self.p, self.flux_constant, np.asarray(r, dtype=float))
 
 
 def model_profile(
@@ -208,10 +186,9 @@ def model_profile(
 ) -> ModelGeometry:
     """Build the reference model on a geometric grid of n radii in [1, R_max].
 
-    The potential is the cumulative integral of its closed-form derivative,
-    accumulated from the far end (analytic tail beyond R_max) so that the
-    decaying tail keeps full relative precision. The grid normalization is
-    cross-checked against the adaptive quadrature of flux_constant.
+    u, du and C are the closed forms of the module docstring, evaluated on
+    the grid; the decaying tail keeps full relative precision because
+    betainc does.
     """
     p = _check_p(p)
     tol = tol or DEFAULT_TOL
@@ -219,38 +196,17 @@ def model_profile(
         raise ValueError("R_max must be at least 1e4 for the tail expansions to hold")
     if n < 64:
         raise ValueError("need at least 64 grid points")
-    s, kappa, beta = _exponents(p)
+    s = 3.0 - p
     sigma = s / (p - 1.0)
 
     r = np.geomspace(1.0, R_max, int(n))
-    f = _du_integrand(p)
-    panels = panel_integrals(f, r, npts=12)
-    integral = right_cumulative(panels, _tail_series(R_max, kappa, beta))
-
-    C = 1.0 / integral[0]
-    C_quad = flux_constant(p, tol=tol)
-    if abs(C - C_quad) > 1e-8 * abs(C):
-        raise RuntimeError(
-            f"grid normalization {C!r} disagrees with adaptive quadrature {C_quad!r}"
-        )
-
-    # x / x is exactly 1; x * (1/x) need not be, so u is not C * integral.
-    u = integral / integral[0]
-    du = -C * f(r)
-    t = (1.0 - p) * np.log(u)
-    t[0] = 0.0  # u[0] = integral[0] / integral[0] = 1, so t[0] is +-0; clear the sign
-
-    W = 4.0 * math.pi * (p - 1.0) ** 2 * r**2 * (du / u) ** 2
-    dlog_du = -kappa / r + beta / (r**2 + r)
-    dWdr = 2.0 * W * (1.0 / r + dlog_du - du / u)
-    drdt = -u / ((p - 1.0) * du)
-    dWdt = dWdr * drdt
+    C = flux_constant(p)
+    d = _level_data(p, C, r)
+    t = (1.0 - p) * np.log(d.u)
+    t[0] = 0.0  # u[0] is exactly 1, so t[0] is +-0; clear the sign
 
     Kp = 4.0 * math.pi * C ** (p - 1.0)
 
-    u_curve = SampledCurve(r, u)
-    fit_u = fit_power_tail(u_curve, -sigma)
-    c_fit = fit_u.c0
     exp_map = SampledCurve(r, (r + s) * np.exp(-t / s))
     c_tilde = fit_power_tail(exp_map, 0.0).c0
 
@@ -259,16 +215,15 @@ def model_profile(
         flux_constant=C,
         Kp=Kp,
         r_grid=r,
-        u_curve=u_curve,
-        du_curve=SampledCurve(r, du),
+        u_curve=SampledCurve(r, d.u),
+        du_curve=SampledCurve(r, d.du),
         t_of_r=SampledCurve(r, t),
         r_of_t=SampledCurve(t, r),
-        Ws_curve=SampledCurve(t, W),
-        dWs_curve=SampledCurve(t, dWdt),
-        c_fit=c_fit,
+        Ws_curve=SampledCurve(t, d.W),
+        dWs_curve=SampledCurve(t, d.dWdt),
+        c_fit=C / sigma,
         c_tilde=c_tilde,
         tol=tol,
-        _logu_spline=CubicSpline(np.log(r), np.log(u)),
     )
     return model
 

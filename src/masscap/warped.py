@@ -22,11 +22,10 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.special import beta, betainc
 
 from .numerics import (
-    DEFAULT_TOL,
     SampledCurve,
-    Tolerances,
     fit_power_tail,
     panel_integrals,
     right_cumulative,
@@ -303,27 +302,18 @@ def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
     """integral_{s_max}^inf phi^(-kappa) ds, using phi' = sqrt(1 - 2m/phi).
 
     Valid because every family is vacuum beyond its sample grid (bump
-    supports are confined by construction). Central-binomial expansion of
-    the inverse square root; converges geometrically in 2m/phi_max.
+    supports are confined by construction). ds = dphi / sqrt(1 - 2m/phi)
+    and x = 2m/phi turn the integral into (2m)^(1-kappa) B(x; kappa-1, 1/2)
+    at x = 2m/phi_max; for m = 0 it is phi_max^(1-kappa)/(kappa-1).
     """
-    total = 0.0
-    coeff = 1.0
-    x = 2.0 * m_end
-    for j in range(200):
-        if j > 0:
-            coeff *= (2.0 * j - 1.0) / (2.0 * j)
-        term = coeff * x**j * phi_max ** (1.0 - kappa - j) / (kappa - 1.0 + j)
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            return total
-    raise RuntimeError("capacity tail series did not converge")
+    a = kappa - 1.0
+    if m_end == 0.0:
+        return phi_max**-a / a
+    x = 2.0 * m_end / phi_max
+    return float((2.0 * m_end) ** -a * betainc(a, 0.5, x) * beta(a, 0.5))
 
 
-def radial_p_harmonic(
-    warp: WarpProfile,
-    p: float,
-    tol: Tolerances | None = None,
-) -> tuple[SampledCurve, SampledCurve, float]:
+def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, SampledCurve, float]:
     """Radial potential (u, du/ds, C) with u = 1 on the boundary, u -> 0.
 
     u' = -C phi**(-kappa) with kappa = 2/(p-1); the cumulative integral is
@@ -348,14 +338,14 @@ def radial_p_harmonic(
     return SampledCurve(warp.s_grid, u), SampledCurve(warp.s_grid, du), C
 
 
-def capacity_Cp(warp: WarpProfile, p: float, tol: Tolerances | None = None) -> float:
+def capacity_Cp(warp: WarpProfile, p: float) -> float:
     """Boundary p-capacity C_p = 4 pi C**(p-1).
 
     Agrees with the boundary flux 4 pi phi(0)^2 |u'(0)|^(p-1) by the
     conserved-flux identity, which is asserted.
     """
     p = _check_p(p)
-    _, du, C = radial_p_harmonic(warp, p, tol=tol)
+    _, du, C = radial_p_harmonic(warp, p)
     cap = 4.0 * math.pi * C ** (p - 1.0)
     boundary_flux = 4.0 * math.pi * warp.phi0**2 * abs(float(du.y[0])) ** (p - 1.0)
     if abs(boundary_flux - cap) > 1e-10 * cap:
@@ -363,7 +353,7 @@ def capacity_Cp(warp: WarpProfile, p: float, tol: Tolerances | None = None) -> f
     return cap
 
 
-def masses(warp: WarpProfile, tol: Tolerances | None = None) -> tuple[SampledCurve, float]:
+def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
     """(Hawking mass curve over s, total mass from its tail limit).
 
     The Hawking mass of the level spheres is (phi/2)(1 - phi'^2); its limit
@@ -416,7 +406,6 @@ def level_flow(
     warp: WarpProfile,
     p: float,
     n_t: int = DEFAULT_N_T,
-    tol: Tolerances | None = None,
 ) -> FlowProfile:
     """Reparametrize a geometry by the level sets of its radial potential.
 
@@ -430,14 +419,13 @@ def level_flow(
     (s = 0, phi = phi(0)) to tight absolute tolerance.
     """
     p = _check_p(p)
-    tol = tol or DEFAULT_TOL
     if not warp.minimal_boundary:
         raise ValueError("level-set reparametrization requires a minimal boundary sphere")
     if n_t < 16:
         raise ValueError("need at least 16 time samples")
 
     kappa = 2.0 / (p - 1.0)
-    u_curve, _, C = radial_p_harmonic(warp, p, tol=tol)
+    u_curve, _, C = radial_p_harmonic(warp, p)
     ln_C = math.log(C)
     u_end = float(u_curve.y[-1])
     t_max = (1.0 - p) * math.log(u_end)
@@ -487,7 +475,7 @@ def level_flow(
     hawking = 0.5 * phi_t * (1.0 - dphi_t**2)
     H_flux = 4.0 * math.pi * phi_t**2 * H * (p - 1.0) * np.abs(du_over_u)
 
-    _, adm = masses(warp, tol=tol)
+    _, adm = masses(warp)
     return FlowProfile(
         p=p,
         family_tag=warp.family_tag,

@@ -5,15 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from masscap import (
-    SampledCurve,
-    TailSpec,
-    Tolerances,
-    fit_power_tail,
-    integrate_linear_system,
-    interpolate,
-    quad_tail,
-)
+from masscap import SampledCurve, Tolerances, fit_power_tail, integrate_linear_system
 from masscap.numerics import panel_integrals, right_cumulative, stencil_derivative
 
 
@@ -22,7 +14,7 @@ class TestTolerances:
         tol = Tolerances()
         assert tol.accept_rel >= tol.ode_rel
 
-    @pytest.mark.parametrize("field", ["ode_rel", "quad_rel", "accept_rel", "slope_slack"])
+    @pytest.mark.parametrize("field", ["ode_rel", "accept_rel", "slope_slack"])
     def test_nonpositive_entries_rejected(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: 0.0})
@@ -58,10 +50,6 @@ class TestSampledCurve:
     def test_scalar_query_returns_float(self):
         curve = SampledCurve([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
         assert isinstance(curve(1.0), float)
-
-    def test_interpolate_alias(self):
-        curve = SampledCurve([0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
-        assert interpolate(curve, 1.0) == curve(1.0)
 
     @pytest.mark.parametrize(
         "x, y",
@@ -125,27 +113,6 @@ class TestPanelsAndTails:
         total = right_cumulative(panels, tail=1e-4)
         assert total[0] == pytest.approx(1.0, rel=1e-12)
         assert total[-1] == 1e-4
-
-    def test_quad_tail_power_law(self):
-        # int_2^inf x^-4 = 1/24.
-        value = quad_tail(lambda x: x**-4.0, 2.0, TailSpec(exponent=4.0))
-        assert value == pytest.approx(1.0 / 24.0, rel=1e-9)
-
-    def test_quad_tail_with_subleading_correction(self):
-        # int_1^inf x^2 (x+1)^-6 = 1/60; the integrand is x^-4 (1 + 1/x)^-6,
-        # so the declared tail needs c1 = -6.
-        value = quad_tail(lambda x: x**2 / (x + 1.0) ** 6, 1.0, TailSpec(exponent=4.0, c1=-6.0))
-        assert value == pytest.approx(1.0 / 60.0, rel=1e-9)
-
-    def test_quad_tail_rejects_wrong_exponent(self):
-        with pytest.raises(ValueError, match="inconsistent"):
-            quad_tail(lambda x: x**-3.0, 1.0, TailSpec(exponent=4.0))
-
-    def test_tail_spec_validation(self):
-        with pytest.raises(ValueError, match="exceed 1"):
-            TailSpec(exponent=1.0)
-        with pytest.raises(ValueError, match="cutoff"):
-            TailSpec(exponent=2.0, cutoff=0.0)
 
 
 class TestFitPowerTail:

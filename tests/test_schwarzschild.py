@@ -1,6 +1,7 @@
 """Unit tests for the reference slice (mass-2, isotropic coordinates)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from masscap import (
     model_profile,
     ws_boundary_data,
 )
+from masscap.numerics import panel_integrals, right_cumulative
 
 PI = math.pi
 
@@ -108,3 +110,43 @@ def test_profile_independent_of_outer_radius():
     probes = np.array([1.0, 10.0, 1.0e4])
     assert np.allclose(wide.u_at(probes), base.u_at(probes), rtol=1e-10)
     assert wide.Kp == pytest.approx(base.Kp, rel=1e-10)
+
+
+def _quadrature_reference(p, r):
+    """(u, C) from Gauss-Legendre panels on r plus the binomial tail series.
+
+    integral_R^inf x^-kappa (1+1/x)^-beta dx expands in powers of 1/R; the
+    series is exact to machine precision at R = 1e6.
+    """
+    kappa = 2.0 / (p - 1.0)
+    beta = 2.0 * (3.0 - p) / (p - 1.0)
+    panels = panel_integrals(lambda x: x**-kappa * (1.0 + 1.0 / x) ** -beta, r)
+    R = r[-1]
+    tail = 0.0
+    coeff = 1.0
+    for j in range(80):
+        if j > 0:
+            coeff *= -(beta + j - 1.0) / j
+        term = coeff * R ** (1.0 - kappa - j) / (kappa + j - 1.0)
+        tail += term
+        if abs(term) <= 1e-18 * abs(tail):
+            break
+    else:
+        raise AssertionError("tail series did not converge")
+    integral = right_cumulative(panels, tail)
+    return integral / integral[0], 1.0 / integral[0]
+
+
+@pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8, 1.95])
+def test_closed_form_matches_quadrature_reference(p):
+    model = model_profile(p)
+    u_ref, C_ref = _quadrature_reference(p, model.r_grid)
+    assert np.max(np.abs(model.u_curve.y / u_ref - 1.0)) <= 1e-13
+    assert flux_constant(p) == pytest.approx(C_ref, rel=1e-13)
+
+
+def test_low_edge_profile_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = model_profile(1.05)
+    assert model.u_curve.y[0] == 1.0

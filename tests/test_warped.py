@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import beta, betaincinv
 
 from masscap import (
     capacity_Cp,
@@ -157,6 +158,26 @@ class TestLevelFlow:
     def test_hawking_mass_constant_along_flow(self, lab):
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
         assert np.max(np.abs(flow.hawking.y - 2.0)) <= 1e-9
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize("m", [1.0, 2.0, 5.0])
+    def test_matches_exact_vacuum_flow(self, lab, m, p):
+        # On the vacuum slice ds = dphi / sqrt(1 - 2m/phi), and x = 2m/phi
+        # turns the potential into u = I_x(kappa-1, 1/2) (DLMF 8.17), so the
+        # flow is known in closed form: phi(t) = 2m / I^-1_u(kappa-1, 1/2).
+        flow = lab.flow(p, "schwarzschild", m=m)
+        kappa = 2.0 / (p - 1.0)
+        C = (2.0 * m) ** (kappa - 1.0) / beta(kappa - 1.0, 0.5)
+        u = np.exp(-flow.t_grid / (p - 1.0))
+        x = betaincinv(kappa - 1.0, 0.5, u)
+        phi = 2.0 * m / x
+        W = 4.0 * PI * (p - 1.0) ** 2 * C**2 * phi ** (2.0 - 2.0 * kappa) / u**2
+        slope = (2.0 - 2.0 * kappa) * np.sqrt(1.0 - x) * u * phi ** (kappa - 1.0) / ((p - 1.0) * C)
+        dWdt = W * (2.0 / (p - 1.0) + slope)
+        assert np.max(np.abs(flow.phi.y / phi - 1.0)) <= 1e-10
+        assert np.max(np.abs(flow.W.y / W - 1.0)) <= 1e-9
+        assert np.max(np.abs(flow.dWdt.y - dWdt)) <= 1e-9 * np.max(np.abs(dWdt))
+        assert flow.Cp == pytest.approx(4.0 * PI * C ** (p - 1.0), rel=1e-12)
 
 
 class TestWInequalityResidual:
