@@ -47,9 +47,11 @@ from .schwarzschild import (
     ws_boundary_data,
 )
 from .verify import (
+    CaseResult,
     QCurve,
     VerificationReport,
     case_report,
+    certify_case,
     constant_diagnostics,
     evaluate_Q,
     horizon_W_bound,
@@ -81,6 +83,7 @@ except PackageNotFoundError:  # running from a source tree without install
 __all__ = [
     "ABCCoefficients",
     "CConstants",
+    "CaseResult",
     "CoefficientSolution",
     "FlowProfile",
     "FrobeniusSolution",
@@ -97,6 +100,7 @@ __all__ = [
     "capacity_Cp",
     "capacity_Kp",
     "case_report",
+    "certify_case",
     "c_constants",
     "constant_diagnostics",
     "evaluate_Q",

@@ -6,7 +6,8 @@ Subcommands:
     coeffs  write the coefficient-triple curves and fit constants per p
     verify  run the certification pipeline per (p, family); emit a report
     sweep   one summary row per (p, family) into sweep.csv
-    suite   model + coeffs + sweep + verify in one invocation
+    suite   model + coeffs + verify + sweep on one pipeline, which
+            computes each (p, family) case once
 
 The run is described by a JSON config file (see DEFAULT_CONFIG for the
 schema and defaults; every key is optional). --p, --out and --tol override
@@ -27,7 +28,6 @@ import argparse
 import copy
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,19 +43,16 @@ from .coefficients import (
 )
 from .numerics import Tolerances
 from .schwarzschild import ModelGeometry, model_profile, ws_boundary_data
-from .verify import case_report, constant_diagnostics, evaluate_Q
+from .verify import CaseResult, VerificationReport, certify_case, constant_diagnostics
 from .warped import (
     DEFAULT_N_S,
     DEFAULT_N_T,
     DEFAULT_S_MAX,
     WarpProfile,
-    capacity_Cp,
     family_bumped,
     family_flat_exterior,
     family_schwarzschild,
     level_flow,
-    masses,
-    w_inequality_residual,
 )
 
 __all__ = ["ConfigError", "RunConfig", "main"]
@@ -189,6 +186,10 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     if not isinstance(families, list) or not families:
         raise ConfigError("families must be a non-empty list")
     fam_clean = tuple(_validate_family(entry) for entry in families)
+    slugs = [_slug(tag, params) for tag, params in fam_clean]
+    clashes = sorted({slug for slug in slugs if slugs.count(slug) > 1})
+    if clashes:
+        raise ConfigError(f"families share the output names {clashes}")
 
     grids = raw["grids"]
     R_max = _require_number(grids["R_max"], "grids.R_max")
@@ -281,26 +282,35 @@ def _slug(tag: str, params: dict) -> str:
 
 
 def _case_order(cfg: RunConfig):
-    cells = [
-        (p, tag, params)
-        for p in cfg.p_list
-        for tag, params in cfg.families
-    ]
+    cells = [(p, tag, params) for p in cfg.p_list for tag, params in cfg.families]
     return sorted(cells, key=lambda c: (c[0], c[1], json.dumps(c[2], sort_keys=True)))
 
 
 # ---------------------------------------------------------------------------
-# shared per-run caches
+# the run's shared pipeline
+
+
+def _pipeline_failure(exc: Exception) -> int:
+    print(f"masscap: {exc}", file=sys.stderr)
+    return 1
 
 
 class _Pipeline:
-    """Lazily built models, coefficient triples and families for one run."""
+    """One run's models, coefficient triples, families and case results.
+
+    Each is built at most once per run, so every subcommand of a suite sees
+    the same objects. Case results are kept light: a flow and its Q curves
+    live only while their case is computed.
+    """
 
     def __init__(self, cfg: RunConfig) -> None:
         self.cfg = cfg
         self._models: dict[float, ModelGeometry] = {}
         self._triples: dict[float, tuple[CoefficientSolution, CoefficientSolution]] = {}
-        self._warps: dict[str, WarpProfile] = {}
+        self._warps: dict[tuple, WarpProfile] = {}
+        self._cases: dict[tuple, CaseResult] = {}
+        # exponents of the minimal-boundary cases, whose triples the report covers
+        self.minimal_ps: set[float] = set()
 
     def model(self, p: float) -> ModelGeometry:
         if p not in self._models:
@@ -319,250 +329,51 @@ class _Pipeline:
         return self._triples[p]
 
     def family(self, tag: str, params: dict) -> WarpProfile:
-        key = _slug(tag, params)
+        key = (tag, tuple(sorted(params.items())))
         if key not in self._warps:
-            cfg = self.cfg
+            grid = {"s_max": self.cfg.s_max, "n": self.cfg.n_s}
             if tag == "schwarzschild":
-                warp = family_schwarzschild(params["m"], s_max=cfg.s_max, n=cfg.n_s)
+                self._warps[key] = family_schwarzschild(**params, **grid)
             elif tag == "bumped":
-                warp = family_bumped(
-                    params["m0"],
-                    params["eps"],
-                    s1=params.get("s1", 2.0),
-                    s2=params.get("s2", 6.0),
-                    s_max=cfg.s_max,
-                    n=cfg.n_s,
-                )
+                self._warps[key] = family_bumped(**params, **grid)
             else:
-                warp = family_flat_exterior(s_max=cfg.s_max, n=cfg.n_s)
-            self._warps[key] = warp
+                self._warps[key] = family_flat_exterior(**grid)
         return self._warps[key]
 
+    def case(self, p: float, tag: str, params: dict, write_curves: bool = False) -> CaseResult:
+        """The result of one case, certified on its first request.
 
-# ---------------------------------------------------------------------------
-# subcommands
+        With write_curves, that first request also writes the case's flow
+        and Q curves while the flow is alive.
+        """
+        key = (p, tag, tuple(sorted(params.items())))
+        if key not in self._cases:
+            self._cases[key] = self._certify(p, tag, params, write_curves).light()
+        return self._cases[key]
+
+    def _certify(self, p: float, tag: str, params: dict, write_curves: bool) -> CaseResult:
+        flow = dec = grow = None
+        stage = "family_construction"
+        try:
+            warp = self.family(tag, params)
+            stage = "reference_model"
+            model = self.model(p)
+            if warp.minimal_boundary:
+                dec, grow = self.triples(p)
+                self.minimal_ps.add(p)
+                stage = "level_flow"
+                flow = level_flow(warp, p, n_t=self.cfg.n_t)
+        except (ValueError, RuntimeError) as exc:
+            return CaseResult.failed(p, tag, params, stage, exc)
+        result = certify_case(warp, model, flow, dec, grow, self.cfg.tol)
+        if write_curves and flow is not None and result.report is not None:
+            _write_curves(self.cfg.csv_dir, p, _slug(tag, params), flow, result.report.curves)
+        return result
 
 
-def cmd_model(cfg: RunConfig) -> int:
-    pipe = _Pipeline(cfg)
-    const_rows = []
-    for p in sorted(cfg.p_list):
-        model = pipe.model(p)
-        _write_csv(
-            cfg.csv_dir / f"model-p={p!r}.csv",
-            ["r", "u", "du", "t", "W", "dWdt"],
-            zip(
-                model.r_grid,
-                model.u_curve.y,
-                model.du_curve.y,
-                model.t_of_r.y,
-                model.Ws_curve.y,
-                model.dWs_curve.y,
-            ),
-        )
-        W0, _ = ws_boundary_data(model)
-        const_rows.append(
-            (p, model.flux_constant, model.Kp, model.c_fit, model.c_tilde, W0)
-        )
-        print(f"model p={p!r}: Kp={float(model.Kp)!r} W0={float(W0)!r}")
+def _write_curves(csv_dir: Path, p: float, slug: str, flow, curves: dict) -> None:
     _write_csv(
-        cfg.csv_dir / "model-constants.csv",
-        ["p", "flux_constant", "Kp", "c_fit", "c_tilde", "W0"],
-        const_rows,
-    )
-    return 0
-
-
-def cmd_coeffs(cfg: RunConfig) -> int:
-    pipe = _Pipeline(cfg)
-    const_rows = []
-    for p in sorted(cfg.p_list):
-        model = pipe.model(p)
-        for sol in pipe.triples(p):
-            _write_csv(
-                cfg.csv_dir / f"coeffs-{sol.flavor}-p={p!r}.csv",
-                ["r", "t", "f", "g", "h"],
-                zip(
-                    sol.g_curve.x,
-                    sol.t_samples,
-                    sol.f_curve.y,
-                    sol.g_curve.y,
-                    sol.h_curve.y,
-                ),
-            )
-            f0, g0, h0 = sol.boundary_values()
-            Q0, dev = model_constancy(sol, model)
-            const_rows.append((p, sol.flavor, sol.c1, sol.q, f0, g0, h0, Q0, dev))
-            print(f"coeffs p={p!r} {sol.flavor}: Q0={float(Q0)!r} max_dev={float(dev)!r}")
-    _write_csv(
-        cfg.csv_dir / "coeff-constants.csv",
-        ["p", "flavor", "c1", "q", "f0", "g0", "h0", "Q0", "max_deviation"],
-        const_rows,
-    )
-    return 0
-
-
-def _check(name: str, value, tolerance, passed: bool, detail: str = "") -> dict:
-    entry = {"name": name, "value": value, "tolerance": tolerance, "passed": bool(passed)}
-    if detail:
-        entry["detail"] = detail
-    return entry
-
-
-def _flat_case(pipe: _Pipeline, p: float, warp: WarpProfile) -> dict:
-    tol = pipe.cfg.tol
-    Cp = capacity_Cp(warp, p)
-    _, adm = masses(warp)
-    target = 4.0 * math.pi * ((3.0 - p) / (p - 1.0)) ** (p - 1.0)
-    checks = [
-        _check(
-            "capacity_euclidean",
-            Cp,
-            tol.accept_rel * target,
-            abs(Cp - target) <= tol.accept_rel * target,
-        ),
-        _check("adm_zero", adm, tol.accept_rel, abs(adm) <= tol.accept_rel),
-    ]
-    return {
-        "p": p,
-        "family": warp.family_tag,
-        "params": {},
-        "margin": None,
-        "min_slope_Qstar": None,
-        "min_slope_Qgrow": None,
-        "equality": None,
-        "checks": checks,
-        "diagnostics": {"Cp": Cp, "adm": adm, "capacity_target": target},
-    }
-
-
-def _minimal_case(pipe: _Pipeline, p: float, tag: str, params: dict) -> dict:
-    cfg = pipe.cfg
-    tol = cfg.tol
-    case = {
-        "p": p,
-        "family": tag,
-        "params": params,
-        "margin": None,
-        "min_slope_Qstar": None,
-        "min_slope_Qgrow": None,
-        "equality": None,
-        "checks": [],
-        "diagnostics": {},
-    }
-    checks = case["checks"]
-
-    model = pipe.model(p)
-    dec, grow = pipe.triples(p)
-    try:
-        warp = pipe.family(tag, params)
-    except (ValueError, RuntimeError) as exc:
-        checks.append(_check("family_construction", None, None, False, str(exc)))
-        return case
-    try:
-        flow = level_flow(warp, p, n_t=cfg.n_t)
-    except (ValueError, RuntimeError) as exc:
-        checks.append(_check("level_flow", None, None, False, str(exc)))
-        return case
-    try:
-        report = case_report(flow, model, dec, grow, tol)
-    except (ValueError, RuntimeError) as exc:
-        checks.append(_check("hypotheses", None, None, False, str(exc)))
-        return case
-
-    diag = report.diagnostics
-    case["margin"] = report.penrose_margin
-    case["min_slope_Qstar"] = diag["min_slope_decaying"]
-    case["min_slope_Qgrow"] = diag["min_slope_growing"]
-    case["equality"] = report.equality_flag
-    case["diagnostics"] = diag
-
-    s = 3.0 - p
-    vacuum = tag == "schwarzschild" or (tag == "bumped" and params["eps"] == 0.0)
-    identity_scale = tol.accept_rel * 4.0 * math.pi * s**2
-    res_curve, gap = w_inequality_residual(flow)
-    res_min = float(res_curve.y.min())
-    W0_model = diag["horizon_W_gap"] + flow.W0
-
-    checks.append(
-        _check(
-            "monotone_decaying",
-            diag["min_slope_decaying"],
-            tol.slope_slack,
-            diag["min_slope_decaying"] >= -tol.slope_slack,
-        )
-    )
-    checks.append(
-        _check(
-            "monotone_growing",
-            diag["min_slope_growing"],
-            tol.slope_slack,
-            diag["min_slope_growing"] >= -tol.slope_slack,
-        )
-    )
-    checks.append(_check("w_identity_gap", gap, identity_scale, gap <= identity_scale))
-    checks.append(
-        _check(
-            "w_residual_floor",
-            res_min,
-            tol.slope_slack,
-            res_min >= -tol.slope_slack,
-        )
-    )
-    if vacuum:
-        res_max = float(np.max(np.abs(res_curve.y)))
-        checks.append(
-            _check(
-                "w_residual_vacuum",
-                res_max,
-                identity_scale,
-                res_max <= identity_scale,
-            )
-        )
-    checks.append(
-        _check(
-            "horizon_gradient_bound",
-            diag["horizon_W_gap"],
-            tol.accept_rel * W0_model,
-            diag["horizon_W_gap"] >= -tol.accept_rel * W0_model,
-        )
-    )
-    margin = report.penrose_margin
-    margin_scale = tol.accept_rel * max(flow.adm, 1.0)
-    if vacuum:
-        checks.append(
-            _check("penrose_sharp", margin, margin_scale, abs(margin) <= margin_scale)
-        )
-    else:
-        checks.append(_check("penrose_margin", margin, 0.0, margin > 0.0))
-    f_limit = diag["mass_functional_limit"]
-    f_target = diag["mass_functional_target"]
-    if vacuum:
-        passed = abs(f_limit - f_target) <= 10.0 * tol.accept_rel * max(f_target, 1.0)
-        checks.append(
-            _check("mass_limit", f_limit, 10.0 * tol.accept_rel * max(f_target, 1.0), passed)
-        )
-    else:
-        checks.append(
-            _check(
-                "mass_limit",
-                f_limit,
-                tol.accept_rel,
-                f_limit <= f_target + tol.accept_rel,
-            )
-        )
-    checks.append(
-        _check(
-            "equality_flag",
-            report.equality_flag,
-            None,
-            bool(report.equality_flag) == vacuum,
-        )
-    )
-
-    slug = _slug(tag, params)
-    _write_csv(
-        cfg.csv_dir / f"warped-p={p!r}-{slug}.csv",
+        csv_dir / f"warped-p={p!r}-{slug}.csv",
         ["s", "t", "phi", "u", "W", "dWdt", "H", "R", "hawking"],
         zip(
             flow.s_of_t.y,
@@ -576,50 +387,120 @@ def _minimal_case(pipe: _Pipeline, p: float, tag: str, params: dict) -> dict:
             flow.hawking.y,
         ),
     )
-    for sol in (dec, grow):
-        q = evaluate_Q(flow, sol)
-        _write_csv(
-            cfg.csv_dir / f"q-{sol.flavor}-p={p!r}-{slug}.csv",
-            ["t", "Q"],
-            zip(q.t, q.values),
-        )
-    return case
+    for flavor in ("decaying", "growing"):
+        q = curves[flavor]
+        _write_csv(csv_dir / f"q-{flavor}-p={p!r}-{slug}.csv", ["t", "Q"], zip(q.t, q.values))
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    pipe = _Pipeline(cfg)
+def _verdict_columns(result: CaseResult) -> list:
+    """[margin, min slope decaying, min slope growing, equality], None where absent."""
+    report = result.report or VerificationReport()
+    diag = report.diagnostics
+    return [
+        report.penrose_margin,
+        diag.get("min_slope_decaying"),
+        diag.get("min_slope_growing"),
+        report.equality_flag,
+    ]
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_model(pipe: _Pipeline) -> int:
+    cfg = pipe.cfg
+    const_rows = []
+    try:
+        for p in sorted(cfg.p_list):
+            model = pipe.model(p)
+            _write_csv(
+                cfg.csv_dir / f"model-p={p!r}.csv",
+                ["r", "u", "du", "t", "W", "dWdt"],
+                zip(
+                    model.r_grid,
+                    model.u_curve.y,
+                    model.du_curve.y,
+                    model.t_of_r.y,
+                    model.Ws_curve.y,
+                    model.dWs_curve.y,
+                ),
+            )
+            W0, _ = ws_boundary_data(model)
+            const_rows.append(
+                (p, model.flux_constant, model.Kp, model.c_fit, model.c_tilde, W0)
+            )
+            print(f"model p={p!r}: Kp={float(model.Kp)!r} W0={float(W0)!r}")
+    except (ValueError, RuntimeError) as exc:
+        return _pipeline_failure(exc)
+    _write_csv(
+        cfg.csv_dir / "model-constants.csv",
+        ["p", "flux_constant", "Kp", "c_fit", "c_tilde", "W0"],
+        const_rows,
+    )
+    return 0
+
+
+def cmd_coeffs(pipe: _Pipeline) -> int:
+    cfg = pipe.cfg
+    const_rows = []
+    try:
+        for p in sorted(cfg.p_list):
+            model = pipe.model(p)
+            for sol in pipe.triples(p):
+                _write_csv(
+                    cfg.csv_dir / f"coeffs-{sol.flavor}-p={p!r}.csv",
+                    ["r", "t", "f", "g", "h"],
+                    zip(
+                        sol.g_curve.x,
+                        sol.t_samples,
+                        sol.f_curve.y,
+                        sol.g_curve.y,
+                        sol.h_curve.y,
+                    ),
+                )
+                f0, g0, h0 = sol.boundary_values()
+                Q0, dev = model_constancy(sol, model)
+                const_rows.append((p, sol.flavor, sol.c1, sol.q, f0, g0, h0, Q0, dev))
+                print(f"coeffs p={p!r} {sol.flavor}: Q0={float(Q0)!r} max_dev={float(dev)!r}")
+    except (ValueError, RuntimeError) as exc:
+        return _pipeline_failure(exc)
+    _write_csv(
+        cfg.csv_dir / "coeff-constants.csv",
+        ["p", "flavor", "c1", "q", "f0", "g0", "h0", "Q0", "max_deviation"],
+        const_rows,
+    )
+    return 0
+
+
+def cmd_verify(pipe: _Pipeline) -> int:
+    cfg = pipe.cfg
     cases = []
     for p, tag, params in _case_order(cfg):
-        warp_kind = "flat" if tag == "flat" else "minimal"
-        if warp_kind == "flat":
-            try:
-                warp = pipe.family(tag, params)
-                case = _flat_case(pipe, p, warp)
-            except (ValueError, RuntimeError) as exc:
-                case = {
-                    "p": p,
-                    "family": tag,
-                    "params": params,
-                    "margin": None,
-                    "min_slope_Qstar": None,
-                    "min_slope_Qgrow": None,
-                    "equality": None,
-                    "checks": [_check("family_construction", None, None, False, str(exc))],
-                    "diagnostics": {},
-                }
-        else:
-            case = _minimal_case(pipe, p, tag, params)
-        cases.append(case)
-        ok = all(check["passed"] for check in case["checks"])
+        result = pipe.case(p, tag, params, write_curves=True)
+        margin, slope_dec, slope_grow, equality = _verdict_columns(result)
+        cases.append(
+            {
+                "p": p,
+                "family": tag,
+                "params": params,
+                "margin": margin,
+                "min_slope_Qstar": slope_dec,
+                "min_slope_Qgrow": slope_grow,
+                "equality": equality,
+                "checks": result.checks,
+                "diagnostics": result.report.diagnostics if result.report else {},
+            }
+        )
         print(
             f"verify p={p!r} {_slug(tag, params)}: "
-            f"{'pass' if ok else 'FAIL'} "
-            f"({sum(c['passed'] for c in case['checks'])}/{len(case['checks'])} checks)"
+            f"{'pass' if result.passed else 'FAIL'} "
+            f"({sum(c['passed'] for c in result.checks)}/{len(result.checks)} checks)"
         )
 
     model_diag = {
         repr(p): constant_diagnostics(pipe.model(p), *pipe.triples(p))
-        for p in sorted(pipe._triples)
+        for p in sorted(pipe.minimal_ps)
     }
     passed = all(check["passed"] for case in cases for check in case["checks"])
     report = {
@@ -633,67 +514,28 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    pipe = _Pipeline(cfg)
+def cmd_sweep(pipe: _Pipeline) -> int:
+    cfg = pipe.cfg
     rows = []
-    failed = False
     for p, tag, params in _case_order(cfg):
+        result = pipe.case(p, tag, params)
         base = [p, tag, json.dumps(params, sort_keys=True)]
-        try:
-            warp = pipe.family(tag, params)
-            model = pipe.model(p)
-            Cp = capacity_Cp(warp, p)
-            _, adm = masses(warp)
-            if not warp.minimal_boundary:
-                rows.append(base + [Cp, model.Kp, adm, None, None, None, None, "ok"])
-                continue
-            dec, grow = pipe.triples(p)
-            flow = level_flow(warp, p, n_t=cfg.n_t)
-            report = case_report(flow, model, dec, grow, cfg.tol)
-            diag = report.diagnostics
-            rows.append(
-                base
-                + [
-                    Cp,
-                    model.Kp,
-                    adm,
-                    report.penrose_margin,
-                    diag["min_slope_decaying"],
-                    diag["min_slope_growing"],
-                    report.equality_flag,
-                    "ok",
-                ]
-            )
-        except (ValueError, RuntimeError) as exc:
-            failed = True
-            message = " ".join(str(exc).split())
-            rows.append(base + [None] * 7 + [f"error: {message}"])
-    _write_csv(
-        cfg.csv_dir / "sweep.csv",
-        [
-            "p",
-            "tag",
-            "params",
-            "Cp",
-            "Kp",
-            "adm",
-            "margin",
-            "min_slope_dec",
-            "min_slope_grow",
-            "equality",
-            "status",
-        ],
-        rows,
-    )
+        if result.error is None:
+            Kp = pipe.model(p).Kp
+            rows.append(base + [result.Cp, Kp, result.adm] + _verdict_columns(result) + ["ok"])
+        else:
+            rows.append(base + [None] * 7 + [f"error: {' '.join(result.error.split())}"])
+    header = ["p", "tag", "params", "Cp", "Kp", "adm", "margin"]
+    header += ["min_slope_dec", "min_slope_grow", "equality", "status"]
+    _write_csv(cfg.csv_dir / "sweep.csv", header, rows)
     print(f"sweep: {len(rows)} rows -> {cfg.csv_dir / 'sweep.csv'}")
-    return 1 if failed else 0
+    return 0 if all(row[-1] == "ok" for row in rows) else 1
 
 
-def cmd_suite(cfg: RunConfig) -> int:
-    code = cmd_model(cfg)
-    code = max(code, cmd_coeffs(cfg))
-    code = max(code, cmd_sweep(cfg))
-    return max(code, cmd_verify(cfg))
+def cmd_suite(pipe: _Pipeline) -> int:
+    # verify runs before sweep so that it is the one that certifies each
+    # case and writes its curves; sweep then reads the kept results.
+    return max(cmd_model(pipe), cmd_coeffs(pipe), cmd_verify(pipe), cmd_sweep(pipe))
 
 
 _COMMANDS = {
@@ -738,10 +580,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"masscap: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command](_Pipeline(cfg))
     except OSError as exc:
-        print(f"masscap: {exc}", file=sys.stderr)
-        return 1
+        return _pipeline_failure(exc)
 
 
 if __name__ == "__main__":

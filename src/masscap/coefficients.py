@@ -378,18 +378,19 @@ def solve_growing(
     return _finish_solution(model, "growing", gs, hs, fs, tails, c1=c1, q=q)
 
 
-def _native_t_derivative(values: np.ndarray, model: ModelGeometry) -> np.ndarray:
+def _native_t_derivative(
+    values: np.ndarray, model: ModelGeometry, drdt: np.ndarray
+) -> np.ndarray:
     """d(values)/dt on the model's own grid, O(h^6) in log r.
 
     The sampled solution is differentiated where it lives: the geometric
     r-grid is uniform in log r, so a high-order stencil applies directly
     and no resampling spline caps the accuracy. The chain rule converts
-    through dt = (d log r) * r / (dr/dt).
+    through dt = (d log r) * r / (dr/dt), with dr/dt sampled on the grid.
     """
     x = np.log(model.r_grid)
     dvdx = stencil_derivative(values, float(x[1] - x[0]), order=6)
-    data = model.level_data(model.r_grid)
-    return dvdx * data.drdt / model.r_grid
+    return dvdx * drdt / model.r_grid
 
 
 def perfect_square_residual(
@@ -413,7 +414,7 @@ def perfect_square_residual(
     g = sol.g_curve.y
     h = sol.h_curve.y
     data = model.level_data(model.r_grid)
-    dhdt = _native_t_derivative(h, model)
+    dhdt = _native_t_derivative(h, model, data.drdt)
     res = g - 2.0 * (p - 2.0) * h + (p - 1.0) * s * dhdt + 2.0 * ch * h * data.dWdt / data.W
     return SampledCurve(sol.t_samples, res)
 
@@ -435,9 +436,9 @@ def system_residual(
     f = sol.f_curve.y
     a, b, c, drdt = coeffs.abc_fn(model.r_grid)
 
-    dgdt = _native_t_derivative(g, model)
-    dhdt = _native_t_derivative(h, model)
-    dfdt = _native_t_derivative(f, model)
+    dgdt = _native_t_derivative(g, model, drdt)
+    dhdt = _native_t_derivative(h, model, drdt)
+    dfdt = _native_t_derivative(f, model, drdt)
 
     rhs_g = a * h * drdt
     rhs_h = (b * g + c * h) * drdt

@@ -11,13 +11,14 @@ decaying triple's boundary identity, evaluates the exponentially weighted
 mass functional whose limit is 8 pi times the total mass, and reports the
 sharp capacity-to-mass margin with equality detection. Everything that the
 underlying inequalities do not actually pin down numerically is reported
-under `diagnostics` and never gates.
+under `diagnostics` and never gates. `certify_case` turns all of that into
+the named pass/fail checks of one (p, geometry) case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,12 +26,14 @@ from .coefficients import CoefficientSolution, growth_ode, model_constancy
 from .frobenius import series_coefficients
 from .numerics import DEFAULT_TOL, SampledCurve, Tolerances, fit_power_tail
 from .schwarzschild import ModelGeometry, c_constants
-from .warped import FlowProfile, w_inequality_residual
+from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
 
 __all__ = [
+    "CaseResult",
     "QCurve",
     "VerificationReport",
     "case_report",
+    "certify_case",
     "constant_diagnostics",
     "evaluate_Q",
     "horizon_W_bound",
@@ -65,6 +68,9 @@ class VerificationReport:
 
     Fields a given step does not produce stay None. diagnostics carries
     named numbers that are reported but never gate a pass/fail decision.
+    curves carries the sampled curves the step evaluated on the way (for
+    case_report: both Q curves and the W-inequality residual), so callers
+    reuse them instead of evaluating them again; they are never reported.
     """
 
     min_forward_slope: float | None = None
@@ -73,6 +79,7 @@ class VerificationReport:
     penrose_margin: float | None = None
     equality_flag: bool | None = None
     diagnostics: dict = field(default_factory=dict)
+    curves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def evaluate_Q(
@@ -341,7 +348,7 @@ def case_report(
     rg = monotonicity_report(qg, tol)
     pm = penrose_margin(flow, model, tol)
     _, f_limit = mass_functional_Fp(flow)
-    w_gap = w_inequality_residual(flow)[1]
+    w_residual, w_gap = w_inequality_residual(flow)
     bound_gap = horizon_W_bound(flow, dec, model)
     limit_dec = q_limits(qd, flow)
     limit_grow = q_limits(qg, flow)
@@ -373,4 +380,145 @@ def case_report(
         penrose_margin=pm.penrose_margin,
         equality_flag=bool(rd.equality_flag and rg.equality_flag and pm.equality_flag),
         diagnostics=diagnostics,
+        curves={"decaying": qd, "growing": qg, "w_residual": w_residual},
     )
+
+
+
+def _check(name: str, value, tolerance, passed: bool, detail: str = "") -> dict:
+    entry = {"name": name, "value": value, "tolerance": tolerance, "passed": bool(passed)}
+    if detail:
+        entry["detail"] = detail
+    return entry
+
+
+@dataclass(frozen=True)
+class CaseResult:
+    """The verdict on one geometry at one exponent.
+
+    checks are the named gates in a fixed order, each a dict with name,
+    value, tolerance, passed and, for a stage failure, detail. A case whose
+    computation stopped holds one failed check named after the stage, the
+    stage's message in error, and no report. A geometry without a minimal
+    boundary gets a report that holds only its diagnostics.
+    """
+
+    p: float
+    family: str
+    params: dict
+    Cp: float | None = None
+    adm: float | None = None
+    report: VerificationReport | None = None
+    checks: tuple[dict, ...] = ()
+    error: str | None = None
+
+    @property
+    def passed(self) -> bool:
+        return all(check["passed"] for check in self.checks)
+
+    @classmethod
+    def failed(
+        cls, p: float, family: str, params: dict, stage: str, exc: Exception
+    ) -> CaseResult:
+        """A case stopped at `stage` by `exc`: one failed check carrying its message."""
+        check = _check(stage, None, None, False, str(exc))
+        return cls(p, family, dict(params), checks=(check,), error=str(exc))
+
+    def light(self) -> CaseResult:
+        """This result without the report's sampled curves, cheap to keep."""
+        if self.report is None:
+            return self
+        return replace(self, report=replace(self.report, curves={}))
+
+
+def _gated_checks(
+    report: VerificationReport, flow: FlowProfile, vacuum: bool, tol: Tolerances
+) -> tuple[dict, ...]:
+    diag = report.diagnostics
+    acc, slack = tol.accept_rel, tol.slope_slack
+    slope_dec, slope_grow = diag["min_slope_decaying"], diag["min_slope_growing"]
+    gap, horizon_gap = diag["w_identity_gap"], diag["horizon_W_gap"]
+    res = report.curves["w_residual"].y
+    res_min = float(res.min())
+    identity_scale = acc * 4.0 * math.pi * (3.0 - flow.p) ** 2
+    horizon_scale = acc * (horizon_gap + flow.W0)
+    margin, margin_scale = report.penrose_margin, acc * max(flow.adm, 1.0)
+    f_limit, f_target = diag["mass_functional_limit"], diag["mass_functional_target"]
+
+    checks = [
+        _check("monotone_decaying", slope_dec, slack, slope_dec >= -slack),
+        _check("monotone_growing", slope_grow, slack, slope_grow >= -slack),
+        _check("w_identity_gap", gap, identity_scale, gap <= identity_scale),
+        _check("w_residual_floor", res_min, slack, res_min >= -slack),
+    ]
+    if vacuum:
+        res_max = float(np.max(np.abs(res)))
+        checks.append(
+            _check("w_residual_vacuum", res_max, identity_scale, res_max <= identity_scale)
+        )
+    horizon_ok = horizon_gap >= -horizon_scale
+    checks.append(_check("horizon_gradient_bound", horizon_gap, horizon_scale, horizon_ok))
+    if vacuum:
+        mass_scale = 10.0 * acc * max(f_target, 1.0)
+        checks += [
+            _check("penrose_sharp", margin, margin_scale, abs(margin) <= margin_scale),
+            _check("mass_limit", f_limit, mass_scale, abs(f_limit - f_target) <= mass_scale),
+        ]
+    else:
+        checks += [
+            _check("penrose_margin", margin, 0.0, margin > 0.0),
+            _check("mass_limit", f_limit, acc, f_limit <= f_target + acc),
+        ]
+    equality = report.equality_flag
+    checks.append(_check("equality_flag", equality, None, bool(equality) == vacuum))
+    return tuple(checks)
+
+
+def certify_case(
+    warp: WarpProfile,
+    model: ModelGeometry,
+    flow: FlowProfile | None = None,
+    dec: CoefficientSolution | None = None,
+    grow: CoefficientSolution | None = None,
+    tol: Tolerances | None = None,
+) -> CaseResult:
+    """Certify one geometry against the reference slice at p = model.p.
+
+    A geometry without a minimal boundary (the flat exterior) is checked
+    against the Euclidean capacity 4 pi ((3-p)/(p-1))**(p-1) and zero mass;
+    flow, dec and grow are not needed. One with a minimal boundary needs
+    its flow at p and both triples, and gets case_report plus the gated
+    checks: both monotonicities, the W-identity gap and residual floor, the
+    boundary gradient bound, the mass limit and the margin. The vacuum
+    members (Schwarzschild, bumps with eps = 0) must meet the equality case
+    sharply, every other geometry the strict margin without equality. A
+    failed hypothesis of the mass bound is the failed stage check
+    "hypotheses"; a failed flat capacity or mass the stage check "capacity".
+    """
+    tol = tol or model.tol
+    p, tag, params = model.p, warp.family_tag, dict(warp.params)
+    if not warp.minimal_boundary:
+        try:
+            Cp = capacity_Cp(warp, p)
+            _, adm = masses(warp)
+        except (ValueError, RuntimeError) as exc:
+            return CaseResult.failed(p, tag, params, "capacity", exc)
+        target = 4.0 * math.pi * ((3.0 - p) / (p - 1.0)) ** (p - 1.0)
+        cap_tol = tol.accept_rel * target
+        checks = (
+            _check("capacity_euclidean", Cp, cap_tol, abs(Cp - target) <= cap_tol),
+            _check("adm_zero", adm, tol.accept_rel, abs(adm) <= tol.accept_rel),
+        )
+        diag = {"Cp": Cp, "adm": adm, "capacity_target": target}
+        report = VerificationReport(diagnostics=diag)
+        return CaseResult(p, tag, params, Cp, adm, report, checks)
+
+    if flow is None or dec is None or grow is None:
+        raise ValueError("a minimal boundary needs its flow and both coefficient triples")
+    try:
+        report = case_report(flow, model, dec, grow, tol)
+    except (ValueError, RuntimeError) as exc:
+        return CaseResult.failed(p, tag, params, "hypotheses", exc)
+    vacuum = tag == "schwarzschild" or (tag == "bumped" and params["eps"] == 0.0)
+    checks = _gated_checks(report, flow, vacuum, tol)
+    return CaseResult(p, tag, params, flow.Cp, flow.adm, report, checks)

@@ -56,6 +56,13 @@ class TestModelCommand:
         assert (tmp_path / "model-p=1.8.csv").exists()
         assert not (tmp_path / "model-p=1.5.csv").exists()
 
+    @pytest.mark.parametrize("command", ["model", "coeffs"])
+    def test_pipeline_failure_exits_one(self, tmp_path, capsys, command):
+        # The reference profile cannot be built at p = 1.03 (tail fit).
+        assert main([command, "--p", "1.03", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("masscap: ") and "tail fit" in err
+
 
 class TestCoeffsCommand:
     def test_writes_both_flavors(self, tmp_path):
@@ -96,6 +103,20 @@ class TestVerifyCommand:
         failed = [c for c in by_family["bumped"]["checks"] if not c["passed"]]
         assert failed and failed[0]["name"] == "hypotheses"
         assert "curvature" in failed[0]["detail"]
+
+    def test_reference_model_failure_is_a_failed_check(self, tmp_path):
+        # At p = 1.03 the reference profile's tail fit fails; the run must
+        # still write its report, with the failure as the case's only check.
+        out = tmp_path / "out"
+        assert main(["verify", "--p", "1.03", "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["passed"] is False
+        [case] = report["cases"]
+        [check] = case["checks"]
+        assert check["name"] == "reference_model"
+        assert check["passed"] is False
+        assert "tail fit" in check["detail"]
+        assert report["model_diagnostics"] == {}
 
     def test_vacuum_case_writes_curves_and_passes(self, tmp_path):
         out = tmp_path / "out"
@@ -141,6 +162,36 @@ class TestSweepCommand:
         assert float(row["adm"]) == pytest.approx(0.0, abs=1e-10)
 
 
+class TestSuiteCommand:
+    @pytest.mark.parametrize(
+        "families",
+        [
+            [{"tag": "schwarzschild", "params": {"m": 2.0}}, {"tag": "flat", "params": {}}],
+            [{"tag": "flat", "params": {}}],
+        ],
+        ids=["schwarzschild-and-flat", "flat-only"],
+    )
+    def test_suite_equals_its_parts(self, tmp_path, families):
+        # With flat alone, coeffs builds triples that verify must not report:
+        # model_diagnostics covers the exponents of minimal-boundary cases.
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {"p_list": [1.5], "families": families, "grids": {"n_s": 256, "n_t": 1024}},
+        )
+        suite, parts = tmp_path / "suite", tmp_path / "parts"
+        suite_code = main(["suite", "--config", cfg, "--out", str(suite)])
+        codes = [
+            main([command, "--config", cfg, "--out", str(parts)])
+            for command in ("model", "coeffs", "sweep", "verify")
+        ]
+        assert suite_code == max(codes)
+        names = sorted(path.name for path in suite.iterdir())
+        assert names == sorted(path.name for path in parts.iterdir())
+        assert "report.json" in names and "sweep.csv" in names
+        for name in names:
+            assert (suite / name).read_bytes() == (parts / name).read_bytes(), name
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
         "payload",
@@ -154,6 +205,12 @@ class TestConfigErrors:
             {"grids": {"warp_factor": 2.0}},
             {"tolerances": {"accept_rel": -1.0}},
             {"mystery": True},
+            {
+                "families": [
+                    {"tag": "schwarzschild", "params": {"m": 2.0}},
+                    {"tag": "schwarzschild", "params": {"m": 2.0000001}},
+                ]
+            },
         ],
     )
     def test_bad_configs_exit_two(self, tmp_path, payload, capsys):

@@ -8,6 +8,7 @@ import pytest
 from masscap import (
     QCurve,
     case_report,
+    certify_case,
     constant_diagnostics,
     evaluate_Q,
     family_bumped,
@@ -152,3 +153,58 @@ class TestConstantDiagnostics:
         assert d["g_constant_measured"] == pytest.approx(-4.0 / s, rel=1e-6)
         assert d["g_plus_sh_measured"] == pytest.approx(d["g_plus_sh_resolved"], rel=1e-6)
         assert d["growing_Q0_measured"] == pytest.approx(d["growing_Q0_resolved"], rel=1e-6)
+
+
+class TestCertifyCase:
+    VACUUM_ONLY = {"w_residual_vacuum", "penrose_sharp"}
+
+    def _certify(self, lab, tag, flow=None, **params):
+        dec, grow = lab.triples(1.5)
+        if flow is None and tag != "flat":
+            flow = lab.flow(1.5, tag, **params)
+        return certify_case(lab.warp(tag, **params), lab.model(1.5), flow, dec, grow)
+
+    @staticmethod
+    def _names(result):
+        return {check["name"] for check in result.checks}
+
+    def test_vacuum_case_passes_every_check_with_equality(self, lab):
+        result = self._certify(lab, "schwarzschild", m=2.0)
+        assert result.passed and result.error is None
+        assert all(check["passed"] for check in result.checks)
+        assert result.report.equality_flag is True
+        assert self.VACUUM_ONLY <= self._names(result)
+        assert (result.p, result.family, result.params) == (1.5, "schwarzschild", {"m": 2.0})
+
+    def test_bumped_case_passes_with_strict_margin(self, lab):
+        result = self._certify(lab, "bumped", m0=1.0, eps=0.1)
+        assert result.passed
+        assert result.report.penrose_margin > 0.0
+        assert not self.VACUUM_ONLY & self._names(result)
+        assert "penrose_margin" in self._names(result)
+
+    def test_negative_curvature_is_the_one_failed_check(self, lab, negative_eps_flow):
+        result = self._certify(lab, "bumped", flow=negative_eps_flow, m0=1.0, eps=-0.05)
+        assert not result.passed
+        assert result.report is None
+        [check] = result.checks
+        assert check["name"] == "hypotheses" and not check["passed"]
+        assert "curvature" in check["detail"]
+        assert result.error == check["detail"]
+
+    def test_flat_case_meets_euclidean_capacity_and_zero_mass(self, lab):
+        result = self._certify(lab, "flat")
+        assert result.passed
+        assert [check["name"] for check in result.checks] == ["capacity_euclidean", "adm_zero"]
+        assert result.report.penrose_margin is None
+
+    def test_light_result_drops_only_the_curves(self, lab):
+        result = self._certify(lab, "schwarzschild", m=2.0)
+        assert set(result.report.curves) == {"decaying", "growing", "w_residual"}
+        light = result.light()
+        assert light.report.curves == {}
+        assert light == result
+
+    def test_minimal_boundary_needs_flow_and_triples(self, lab):
+        with pytest.raises(ValueError, match="minimal boundary"):
+            certify_case(lab.warp("schwarzschild", m=2.0), lab.model(1.5))
