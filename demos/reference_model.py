@@ -8,7 +8,7 @@ persist away from the special exponent.
 
 import math
 
-from masscap import c_constants, model_profile, ws_boundary_data
+from masscap import model_profile, ws_boundary_data
 
 PI = math.pi
 
@@ -44,14 +44,14 @@ def main():
         )
     print("  W(t) climbs from its boundary value to the plateau 4 pi (3-p)^2.")
 
-    print("\ntail normalizations at p = 1.5")
+    print("\ntail normalizations at p = 1.5 (sigma = (3-p)/(p-1) = 3)")
     print("=" * 60)
-    cc = c_constants(model)
-    print(f"  c_fit          = {cc.c_fit:.12g}  (leading coefficient of u)")
-    print(f"  c_tilde        = {cc.c_tilde:.12g}  (exponential-map constant)")
-    print(f"  exp map ratio  = {cc.exp_map_ratio:.12g}  (exactly 1 in exact arithmetic)")
-    print(f"  closed form    = {cc.closed_form_ratio:.12g}  (c_fit vs ((p-1)/(3-p))(K_p/4pi)^(1/(p-1)))")
-
+    tails = [
+        ("c_fit", model.c_fit, 20.0, "C/sigma, leading coefficient of u"),
+        ("c_tilde", model.c_tilde, 20.0 ** (1.0 / 3.0), "c_fit^(1/sigma), exponential map"),
+    ]
+    for name, value, exact, meaning in tails:
+        print(f"  {name:8s} = {value:.15g}   exact {exact:.15g}   ({meaning})")
 
 if __name__ == "__main__":
     main()

@@ -24,9 +24,7 @@ from .coefficients import (
 )
 from .frobenius import (
     FrobeniusSolution,
-    IndicialRoots,
     InfinitySingularODE,
-    indicial_roots,
     series_coefficients,
 )
 from .numerics import (
@@ -37,13 +35,10 @@ from .numerics import (
     integrate_linear_system,
 )
 from .schwarzschild import (
-    CConstants,
     ModelGeometry,
     capacity_Kp,
-    c_constants,
     flux_constant,
     model_profile,
-    potential_ode,
     ws_boundary_data,
 )
 from .verify import (
@@ -59,6 +54,7 @@ from .verify import (
     monotonicity_report,
     penrose_margin,
     q_limits,
+    reference_checks,
 )
 from .warped import (
     FlowProfile,
@@ -82,12 +78,10 @@ except PackageNotFoundError:  # running from a source tree without install
 
 __all__ = [
     "ABCCoefficients",
-    "CConstants",
     "CaseResult",
     "CoefficientSolution",
     "FlowProfile",
     "FrobeniusSolution",
-    "IndicialRoots",
     "InfinitySingularODE",
     "ModelGeometry",
     "PowerTailFit",
@@ -101,7 +95,6 @@ __all__ = [
     "capacity_Kp",
     "case_report",
     "certify_case",
-    "c_constants",
     "constant_diagnostics",
     "evaluate_Q",
     "family_bumped",
@@ -111,7 +104,6 @@ __all__ = [
     "flux_constant",
     "growth_ode",
     "horizon_W_bound",
-    "indicial_roots",
     "integrate_linear_system",
     "level_flow",
     "mass_functional_Fp",
@@ -121,9 +113,9 @@ __all__ = [
     "monotonicity_report",
     "penrose_margin",
     "perfect_square_residual",
-    "potential_ode",
     "q_limits",
     "radial_p_harmonic",
+    "reference_checks",
     "scalar_curvature",
     "series_coefficients",
     "solve_decaying",

@@ -43,7 +43,7 @@ from .coefficients import (
 )
 from .numerics import Tolerances
 from .schwarzschild import ModelGeometry, model_profile, ws_boundary_data
-from .verify import CaseResult, VerificationReport, certify_case, constant_diagnostics
+from .verify import CaseResult, VerificationReport, certify_case, reference_checks
 from .warped import (
     DEFAULT_N_S,
     DEFAULT_N_T,
@@ -324,7 +324,7 @@ class _Pipeline:
             model = self.model(p)
             self._triples[p] = (
                 solve_decaying(model, tol=self.cfg.tol),
-                solve_growing(model, tol=self.cfg.tol),
+                solve_growing(model),
             )
         return self._triples[p]
 
@@ -498,16 +498,21 @@ def cmd_verify(pipe: _Pipeline) -> int:
             f"({sum(c['passed'] for c in result.checks)}/{len(result.checks)} checks)"
         )
 
-    model_diag = {
-        repr(p): constant_diagnostics(pipe.model(p), *pipe.triples(p))
-        for p in sorted(pipe.minimal_ps)
-    }
-    passed = all(check["passed"] for case in cases for check in case["checks"])
+    reference = {}
+    for p in sorted(pipe.minimal_ps):
+        checks, diagnostics = reference_checks(pipe.model(p), *pipe.triples(p), cfg.tol)
+        reference[repr(p)] = {"checks": checks, "diagnostics": diagnostics}
+        n_passed = sum(check["passed"] for check in checks)
+        verdict = "pass" if n_passed == len(checks) else "FAIL"
+        print(f"reference p={p!r}: {verdict} ({n_passed}/{len(checks)} checks)")
+
+    entries = cases + list(reference.values())
+    passed = all(check["passed"] for entry in entries for check in entry["checks"])
     report = {
         "version": __version__,
         "passed": passed,
         "cases": cases,
-        "model_diagnostics": model_diag,
+        "reference": reference,
     }
     _write_report(cfg.report_path, report)
     print(f"report: {cfg.report_path} ({'pass' if passed else 'FAIL'})")

@@ -20,15 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "FrobeniusSolution",
-    "IndicialRoots",
     "InfinitySingularODE",
-    "indicial_roots",
     "series_coefficients",
 ]
 
@@ -86,55 +81,9 @@ class InfinitySingularODE:
             limit = min(limit, self.q_order - 2)
         return limit
 
-    def P(self, r):
-        """Evaluate the truncated expansion of P at r."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for j, c in enumerate(self.p_coeffs, start=1):
-            out += c * r ** (-float(j))
-        return out
-
-    def Q(self, r):
-        """Evaluate the truncated expansion of Q at r."""
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for j, c in enumerate(self.q_coeffs, start=2):
-            out += c * r ** (-float(j))
-        return out
-
     def indicial_value(self, b: float) -> float:
         """F(b) = b(b-1) + p1*b + q2."""
         return b * (b - 1.0) + self.p_at(1) * b + self.q_at(2)
-
-
-class IndicialRoots(NamedTuple):
-    larger: float
-    smaller: float
-
-    @property
-    def gap(self) -> float:
-        return self.larger - self.smaller
-
-    @property
-    def gap_is_integer(self) -> bool:
-        return abs(self.gap - round(self.gap)) <= _RESONANCE_ATOL
-
-
-def indicial_roots(ode: InfinitySingularODE) -> IndicialRoots:
-    """Both roots of the indicial polynomial, larger first.
-
-    Raises on a negative discriminant: complex roots mean oscillatory
-    asymptotics, which nothing downstream supports.
-    """
-    p1 = ode.p_at(1)
-    q2 = ode.q_at(2)
-    disc = (p1 - 1.0) ** 2 - 4.0 * q2
-    if disc < 0.0:
-        raise ValueError(f"complex indicial roots (discriminant {disc:g})")
-    root = math.sqrt(disc)
-    hi = 0.5 * (1.0 - p1 + root)
-    lo = 0.5 * (1.0 - p1 - root)
-    return IndicialRoots(hi, lo)
 
 
 @dataclass(frozen=True)
@@ -150,43 +99,6 @@ class FrobeniusSolution:
     root: float
     coefficients: tuple[float, ...] = field(default=())
     resonance_flag: bool = False
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-    def _series(self, r, shift: int):
-        # Horner evaluation in 1/r of sum_k a_k (root-k)_shift r^-k, where
-        # shift counts how many times the series has been differentiated.
-        r = np.asarray(r, dtype=float)
-        acc = np.zeros_like(r)
-        for k in range(self.order, 0, -1):
-            a = self.coefficients[k - 1]
-            fac = 1.0
-            for i in range(shift):
-                fac *= self.root - k - i
-            acc = (acc + a * fac) / r
-        fac0 = 1.0
-        for i in range(shift):
-            fac0 *= self.root - i
-        return fac0 + acc
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return r**self.root * self._series(r, 0)
-
-    def derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return r ** (self.root - 1.0) * self._series(r, 1)
-
-    def second_derivative(self, r):
-        r = np.asarray(r, dtype=float)
-        return r ** (self.root - 2.0) * self._series(r, 2)
-
-    def ode_residual(self, ode: InfinitySingularODE, r):
-        """y'' + P y' + Q y along the truncated series, for convergence checks."""
-        r = np.asarray(r, dtype=float)
-        return self.second_derivative(r) + ode.P(r) * self.derivative(r) + ode.Q(r) * self(r)
 
 
 def series_coefficients(

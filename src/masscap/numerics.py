@@ -37,27 +37,26 @@ __all__ = [
 class Tolerances:
     """Error budget shared by the whole pipeline.
 
-    ode_rel controls the ODE solvers, accept_rel is the relative
-    tolerance for comparisons against exact anchors, and slope_slack is the
-    absolute slack allowed below zero in monotonicity certificates.
-    accept_rel must dominate ode_rel so that integration error can never
-    masquerade as a genuine violation.
+    accept_rel is the relative tolerance for comparisons against exact
+    anchors, and slope_slack is the absolute slack allowed below zero in
+    monotonicity certificates. The ODE solvers run at fixed relative
+    tolerances of 1e-12, far below both.
     """
 
-    ode_rel: float = 1e-10
     accept_rel: float = 1e-6
     slope_slack: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("ode_rel", "accept_rel", "slope_slack"):
+        for name in ("accept_rel", "slope_slack"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and value > 0.0):
                 raise ValueError(f"{name} must be strictly positive, got {value!r}")
-        if self.accept_rel < self.ode_rel:
-            raise ValueError("accept_rel must be >= ode_rel")
 
 
 DEFAULT_TOL = Tolerances()
+
+# Relative tolerance of integrate_linear_system.
+_ODE_RTOL = 1e-12
 
 
 class SampledCurve:
@@ -126,8 +125,6 @@ def integrate_linear_system(
     span: tuple[float, float],
     direction: str = "forward",
     grid=None,
-    tol: Tolerances | None = None,
-    atol: float | None = None,
 ) -> list[SampledCurve]:
     """Integrate y' = A(x) y with dense output and sample it on a grid.
 
@@ -138,11 +135,10 @@ def integrate_linear_system(
     inside span, or a point count for an evenly spaced grid; default 257).
 
     The integrator is an explicit embedded Runge-Kutta pair of order 8(5)
-    with dense output. The relative tolerance is min(tol.ode_rel, 1e-12);
-    the absolute tolerance defaults to a small fraction of the seed scale so
-    that components passing through zero stay resolved.
+    with dense output. The relative tolerance is 1e-12; the absolute
+    tolerance is a small fraction of the seed scale so that components
+    passing through zero stay resolved.
     """
-    tol = tol or DEFAULT_TOL
     x_lo, x_hi = float(span[0]), float(span[1])
     if not x_lo < x_hi:
         raise ValueError("span must satisfy x_lo < x_hi")
@@ -165,9 +161,7 @@ def integrate_linear_system(
         if xs[0] < x_lo or xs[-1] > x_hi:
             raise ValueError("grid must lie inside the integration span")
 
-    rtol = min(tol.ode_rel, 1e-12)
-    if atol is None:
-        atol = max(float(np.max(np.abs(y0))), 1e-12) * rtol * 1e-3
+    atol = max(float(np.max(np.abs(y0))), 1e-12) * _ODE_RTOL * 1e-3
 
     def odefun(x, y):
         return np.asarray(rhs(x), dtype=float) @ y
@@ -177,7 +171,7 @@ def integrate_linear_system(
         (t0, t1),
         y0,
         method="DOP853",
-        rtol=rtol,
+        rtol=_ODE_RTOL,
         atol=atol,
         dense_output=True,
     )

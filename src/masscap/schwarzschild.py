@@ -14,17 +14,24 @@ sigma = (3-p)/(p-1),
 
     u(r) = I_x(sigma, sigma) / I_1/2(sigma, sigma),   C = 2 / B(sigma, sigma),
 
-and u ~ (C/sigma) r**(-sigma) at infinity. Everything this module exports -
-the level-set parameter t = (1-p) log u, the sphere-integrated gradient
-square W(t), the boundary capacity, and the two tail normalization
-constants - is derived from these formulas. The mass-2 member is singled
-out because its boundary data (W(0), dW/dt(0)) and capacity are the sharp
-constants against which every other geometry is compared.
+and u ~ c_fit r**(-sigma) at infinity with c_fit = C/sigma. Along the
+level-set parameter t = (1-p) log u this is the exponential map
+r ~ c_tilde e^(t/(3-p)) with c_tilde = c_fit**(1/sigma). Everything this
+module exports - t, the sphere-integrated gradient square W(t), the
+boundary capacity, and the two tail normalization constants - is derived
+from these formulas. The mass-2 member is singled out because its boundary
+data (W(0), dW/dt(0)) and capacity are the sharp constants against which
+every other geometry is compared.
+
+The grid keeps r**(-kappa) a normal double, which bounds R_max by
+DBL_MIN**(-1/kappa): about 4.9e7 at p = 1.05, and just below the default
+1e6 at p = 1.039.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,20 +39,16 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .frobenius import InfinitySingularODE
-from .numerics import DEFAULT_TOL, SampledCurve, Tolerances, fit_power_tail
+from .numerics import DEFAULT_TOL, SampledCurve, Tolerances
 
 __all__ = [
     "DEFAULT_N_R",
     "DEFAULT_R_MAX",
-    "CConstants",
     "LevelData",
     "ModelGeometry",
     "capacity_Kp",
-    "c_constants",
     "flux_constant",
     "model_profile",
-    "potential_ode",
     "ws_boundary_data",
 ]
 
@@ -118,22 +121,6 @@ def flux_constant(p: float) -> float:
     return 2.0 / float(beta_fn(sigma, sigma))
 
 
-class CConstants(NamedTuple):
-    """Tail normalization constants of the reference potential.
-
-    c_fit = C/sigma is the leading coefficient of u ~ c_fit * r**(-(3-p)/(p-1));
-    c_tilde is the exponential-map constant lim (r + (3-p)) e^(-t/(3-p)).
-    exp_map_ratio compares c_tilde against c_fit**((p-1)/(3-p)) (exactly 1
-    in exact arithmetic); closed_form_ratio compares c_fit against
-    ((p-1)/(3-p)) * (K_p/4pi)**(1/(p-1)).
-    """
-
-    c_fit: float
-    c_tilde: float
-    exp_map_ratio: float
-    closed_form_ratio: float
-
-
 @dataclass(frozen=True)
 class ModelGeometry:
     """The reference slice sampled on a geometric r-grid [1, R_max].
@@ -186,9 +173,11 @@ def model_profile(
 ) -> ModelGeometry:
     """Build the reference model on a geometric grid of n radii in [1, R_max].
 
-    u, du and C are the closed forms of the module docstring, evaluated on
-    the grid; the decaying tail keeps full relative precision because
-    betainc does.
+    u, du, C, c_fit and c_tilde are the closed forms of the module
+    docstring, evaluated on the grid; the decaying tail keeps full relative
+    precision because betainc does. Raises ValueError when R_max**(-kappa)
+    is not a normal double: there the profile loses precision and the
+    decaying coefficient solve stalls.
     """
     p = _check_p(p)
     tol = tol or DEFAULT_TOL
@@ -196,7 +185,15 @@ def model_profile(
         raise ValueError("R_max must be at least 1e4 for the tail expansions to hold")
     if n < 64:
         raise ValueError("need at least 64 grid points")
-    s = 3.0 - p
+    s, kappa, _ = _exponents(p)
+    if float(R_max) ** -kappa < sys.float_info.min:
+        limit = sys.float_info.min ** (-1.0 / kappa)
+        digits = 10.0 ** (math.floor(math.log10(limit)) - 2)
+        raise ValueError(
+            f"p = {p:g}: R_max**(-2/(p-1)) falls below the smallest normal double "
+            f"at R_max = {R_max:g}; the largest admissible R_max at this p is "
+            f"{math.floor(limit / digits) * digits:.3g}"
+        )
     sigma = s / (p - 1.0)
 
     r = np.geomspace(1.0, R_max, int(n))
@@ -206,9 +203,7 @@ def model_profile(
     t[0] = 0.0  # u[0] is exactly 1, so t[0] is +-0; clear the sign
 
     Kp = 4.0 * math.pi * C ** (p - 1.0)
-
-    exp_map = SampledCurve(r, (r + s) * np.exp(-t / s))
-    c_tilde = fit_power_tail(exp_map, 0.0).c0
+    c_fit = C / sigma
 
     model = ModelGeometry(
         p=p,
@@ -221,8 +216,8 @@ def model_profile(
         r_of_t=SampledCurve(t, r),
         Ws_curve=SampledCurve(t, d.W),
         dWs_curve=SampledCurve(t, d.dWdt),
-        c_fit=C / sigma,
-        c_tilde=c_tilde,
+        c_fit=c_fit,
+        c_tilde=c_fit ** (1.0 / sigma),
         tol=tol,
     )
     return model
@@ -262,41 +257,3 @@ def ws_boundary_data(model: ModelGeometry) -> tuple[float, float]:
             f"boundary slope {dW0!r} violates the minimal-boundary relation {expected!r}"
         )
     return W0, dW0
-
-
-def c_constants(model: ModelGeometry) -> CConstants:
-    """Tail normalization constants and their two consistency ratios.
-
-    exp_map_ratio should be 1 (it ties the power-law tail of u to the
-    exponential map r(t)); closed_form_ratio compares the fitted c against
-    ((p-1)/(3-p)) * (K_p/4pi)**(1/(p-1)) and is 1 when that closed form is
-    the right one. Both ratios are diagnostics for downstream reports.
-    """
-    p = model.p
-    s = 3.0 - p
-    exp_map_ratio = model.c_tilde / model.c_fit ** ((p - 1.0) / s)
-    closed_form = ((p - 1.0) / s) * (model.Kp / (4.0 * math.pi)) ** (1.0 / (p - 1.0))
-    return CConstants(
-        c_fit=model.c_fit,
-        c_tilde=model.c_tilde,
-        exp_map_ratio=exp_map_ratio,
-        closed_form_ratio=model.c_fit / closed_form,
-    )
-
-
-def potential_ode(p: float, nterms: int = 8) -> InfinitySingularODE:
-    """Expansion data at infinity for the radial potential equation.
-
-    The potential solves u'' + P(r) u' = 0 with
-    P(r) = (2/(p-1)) * (1/r - (3-p)/(r^2 + r)), whose descending expansion
-    has p1 = 2/(p-1) and alternating p_k = -(-1)^k * 2(3-p)/(p-1) for
-    k >= 2, exact to all orders. nterms bounds how many are materialized.
-    """
-    p = _check_p(p)
-    if nterms < 2:
-        raise ValueError("need at least two expansion orders")
-    s = 3.0 - p
-    coeffs = [2.0 / (p - 1.0)]
-    for k in range(2, nterms + 1):
-        coeffs.append(-((-1.0) ** k) * 2.0 * s / (p - 1.0))
-    return InfinitySingularODE(tuple(coeffs), (), p_order=nterms, q_order=None)

@@ -12,7 +12,9 @@ mass functional whose limit is 8 pi times the total mass, and reports the
 sharp capacity-to-mass margin with equality detection. Everything that the
 underlying inequalities do not actually pin down numerically is reported
 under `diagnostics` and never gates. `certify_case` turns all of that into
-the named pass/fail checks of one (p, geometry) case.
+the named pass/fail checks of one (p, geometry) case, and
+`reference_checks` gates the closed-form constants of the reference slice
+once per exponent.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import CoefficientSolution, growth_ode, model_constancy
-from .frobenius import series_coefficients
+from .coefficients import CoefficientSolution, model_constancy
 from .numerics import DEFAULT_TOL, SampledCurve, Tolerances, fit_power_tail
-from .schwarzschild import ModelGeometry, c_constants
+from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
 
 __all__ = [
@@ -41,6 +42,7 @@ __all__ = [
     "monotonicity_report",
     "penrose_margin",
     "q_limits",
+    "reference_checks",
 ]
 
 GROWTH_CAP = 20.0
@@ -272,57 +274,32 @@ def constant_diagnostics(
     dec: CoefficientSolution,
     grow: CoefficientSolution,
 ) -> dict:
-    """Measured values and closed-form candidates for the disputed constants.
+    """The constants of the reference slice that are measured from the solves.
 
-    Reported, never gated: the series constant of the growing solution, the
-    tail normalization of the reference potential, the limit of
-    g + (3-p) h for the growing triple, and the additive constant of the
-    growing-limit mass bound. Each entry carries the measured number next
-    to the candidate closed forms so reports make the discrepancies
-    visible.
+    The tail limits of g + r and g + (3-p) h for the growing triple, fitted
+    over the two decades below min(1e5, R_max), and each flavor's Q(0) with
+    the largest deviation of Q from it on the model grid. reference_checks
+    compares them with their closed forms.
     """
-    p = model.p
-    s = 3.0 - p
+    s = 3.0 - model.p
     r = model.r_grid
     stop = int(np.searchsorted(r, min(1.0e5, model.R_max), side="right"))
     window = 100.0
 
-    a1 = series_coefficients(growth_ode(p), root=1.0, n=1).coefficients[0]
     g_shift = SampledCurve(r[:stop], grow.g_curve.y[:stop] + r[:stop])
     g_const = fit_power_tail(g_shift, 0.0, window=window, max_residual=1.0).c0
     gsh = SampledCurve(r[:stop], grow.g_curve.y[:stop] + s * grow.h_curve.y[:stop])
     g_plus_sh = fit_power_tail(gsh, 0.0, window=window, max_residual=1.0).c0
 
-    cc = c_constants(model)
-    c_plain = (model.Kp / (4.0 * math.pi)) ** (1.0 / (p - 1.0))
-
     Q0_grow, dev_grow = model_constancy(grow, model)
     Q0_dec, dev_dec = model_constancy(dec, model)
-    pi = math.pi
-    q0_candidate_alt = (
-        16.0 * pi * s**2 * ((p - 1.0) / s) ** (-(p - 1.0) / s) - 4.0 * pi * (s**2 + 4.0)
-    )
     return {
-        "a1_recurrence": float(a1),
         "g_constant_measured": float(g_const),
-        "g_constant_candidate_4_over_s": -4.0 / s,
-        "g_constant_candidate_4_over_pm1": -4.0 / (p - 1.0),
-        "c_fit_measured": cc.c_fit,
-        "c_fit_candidate_plain": c_plain,
-        "c_fit_candidate_scaled": ((p - 1.0) / s) * c_plain,
-        "exp_map_ratio": cc.exp_map_ratio,
         "g_plus_sh_measured": float(g_plus_sh),
-        "g_plus_sh_candidate_a": -(s**2 + 4.0),
-        "g_plus_sh_candidate_b": -(s + 4.0 / s),
-        "g_plus_sh_resolved": s - 4.0 / s,
         "growing_Q0_measured": float(Q0_grow),
         "growing_Q0_deviation": float(dev_grow),
-        "growing_Q0_candidate_alt": q0_candidate_alt,
-        "growing_Q0_resolved": 8.0 * pi * s**3 + 16.0 * pi * s**2 - 16.0 * pi * s,
         "decaying_Q0_measured": float(Q0_dec),
         "decaying_Q0_deviation": float(dev_dec),
-        "bound_additive_candidate_alt": -4.0 * pi * (s**2 + 4.0),
-        "bound_additive_resolved": 8.0 * pi * s**3 - 16.0 * pi * s,
     }
 
 
@@ -382,7 +359,6 @@ def case_report(
         diagnostics=diagnostics,
         curves={"decaying": qd, "growing": qg, "w_residual": w_residual},
     )
-
 
 
 def _check(name: str, value, tolerance, passed: bool, detail: str = "") -> dict:
@@ -472,6 +448,61 @@ def _gated_checks(
     equality = report.equality_flag
     checks.append(_check("equality_flag", equality, None, bool(equality) == vacuum))
     return tuple(checks)
+
+
+def reference_checks(
+    model: ModelGeometry,
+    dec: CoefficientSolution,
+    grow: CoefficientSolution,
+    tol: Tolerances | None = None,
+) -> tuple[tuple[dict, ...], dict]:
+    """Gate the closed-form constants of the reference slice at p = model.p.
+
+    Both monotone combinations are exactly constant on the reference slice,
+    so every constant they carry has a closed form. With s = 3 - p:
+
+        growing_Q0        Q(0) = 8 pi s^3 + 16 pi s^2 - 16 pi s
+        growing_constant  max |Q - Q(0)| vanishes
+        decaying_zero     the decaying Q vanishes
+        g_limit           lim (g + r) = -4/s
+        g_plus_sh_limit   lim (g + s h) = s - 4/s
+
+    The tolerances are accept_rel times |Q(0)| for the first two and times
+    the decaying Q's largest term on the grid for the third. The last two
+    are tail fits and, like mass_limit, get 10 accept_rel max(1, |limit|).
+    Returns the checks and the measured values (constant_diagnostics).
+    """
+    tol = tol or model.tol
+    acc = tol.accept_rel
+    p = model.p
+    s = 3.0 - p
+    diag = constant_diagnostics(model, dec, grow)
+
+    q0_form = 8.0 * math.pi * s**3 + 16.0 * math.pi * s**2 - 16.0 * math.pi * s
+    q0, q0_tol = diag["growing_Q0_measured"], acc * abs(q0_form)
+    dev, dev_tol = diag["growing_Q0_deviation"], acc * abs(q0)
+    terms = np.array(
+        [
+            4.0 * math.pi * s**2 * dec.f_curve.y,
+            dec.g_curve.y * model.Ws_curve.y,
+            (p - 1.0) * s * dec.h_curve.y * model.dWs_curve.y,
+        ]
+    )
+    q_dec = float(np.max(np.abs(terms.sum(axis=0))))
+    dec_tol = acc * float(np.max(np.abs(terms)))
+    checks = [
+        _check("growing_Q0", q0, q0_tol, abs(q0 - q0_form) <= q0_tol),
+        _check("growing_constant", dev, dev_tol, dev <= dev_tol),
+        _check("decaying_zero", q_dec, dec_tol, q_dec <= dec_tol),
+    ]
+    limits = (
+        ("g_limit", diag["g_constant_measured"], -4.0 / s),
+        ("g_plus_sh_limit", diag["g_plus_sh_measured"], s - 4.0 / s),
+    )
+    for name, value, form in limits:
+        bound = 10.0 * acc * max(1.0, abs(form))
+        checks.append(_check(name, value, bound, abs(value - form) <= bound))
+    return tuple(checks), diag
 
 
 def certify_case(

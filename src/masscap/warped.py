@@ -223,7 +223,6 @@ def family_bumped(
     eps: float,
     s1: float = 2.0,
     s2: float = 6.0,
-    bump: Callable | None = None,
     s_max: float = DEFAULT_S_MAX,
     n: int = DEFAULT_N_S,
 ) -> WarpProfile:
@@ -241,7 +240,7 @@ def family_bumped(
         raise ValueError("bump support must satisfy 0 <= s1 < s2")
     if s2 > 0.5 * s_max:
         raise ValueError("bump support must end well inside the grid")
-    bump = bump or spline_bump(s1, s2)
+    bump = spline_bump(s1, s2)
 
     def accel(s, phi, dphi):
         return (1.0 - dphi**2) / (2.0 * phi) - (eps / (2.0 * phi)) * bump(s)

@@ -200,15 +200,28 @@ def test_criterion_11_euclidean_oracle(lab):
 
 
 def test_criterion_12_reported_diagnostics(lab):
+    q0_tol, limit_tol = 1e-6, 1e-5
+    worst_q0 = worst_limit = 0.0
     printed = []
-    finite = True
     for p in P_GRID:
+        s = 3.0 - p
         dec, grow = lab.triples(p)
         diag = constant_diagnostics(lab.model(p), dec, grow)
-        finite = finite and all(np.isfinite(v) for v in diag.values())
+        q0 = 8.0 * PI * s**3 + 16.0 * PI * s**2 - 16.0 * PI * s
+        worst_q0 = max(worst_q0, _rel(diag["growing_Q0_measured"], q0))
+        worst_limit = max(
+            worst_limit,
+            _rel(diag["g_constant_measured"], -4.0 / s),
+            _rel(diag["g_plus_sh_measured"], s - 4.0 / s),
+        )
         printed.append(f"  p={p}:")
         for key in sorted(diag):
             printed.append(f"    {key} = {diag[key]:.12g}")
-    _verdict(12, "constant diagnostics reported", finite, "all finite, values below")
+    ok = worst_q0 <= q0_tol and worst_limit <= limit_tol
+    detail = (
+        f"growing Q(0) worst rel {worst_q0:.2e} <= {q0_tol:g}, "
+        f"g and g + (3-p)h limits worst rel {worst_limit:.2e} <= {limit_tol:g}"
+    )
+    _verdict(12, "resolved constants", ok, detail)
     for line in printed:
         print(line)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import masscap
-from masscap.cli import main
+from masscap.cli import build_parser, main, make_config
 
 
 def _write_config(path, payload):
@@ -58,10 +58,10 @@ class TestModelCommand:
 
     @pytest.mark.parametrize("command", ["model", "coeffs"])
     def test_pipeline_failure_exits_one(self, tmp_path, capsys, command):
-        # The reference profile cannot be built at p = 1.03 (tail fit).
+        # The reference profile cannot be built at p = 1.03 on the default grid.
         assert main([command, "--p", "1.03", "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("masscap: ") and "tail fit" in err
+        assert err.startswith("masscap: p = 1.03: ") and "largest admissible R_max" in err
 
 
 class TestCoeffsCommand:
@@ -105,8 +105,8 @@ class TestVerifyCommand:
         assert "curvature" in failed[0]["detail"]
 
     def test_reference_model_failure_is_a_failed_check(self, tmp_path):
-        # At p = 1.03 the reference profile's tail fit fails; the run must
-        # still write its report, with the failure as the case's only check.
+        # At p = 1.03 the default R_max is refused; the run must still write
+        # its report, with the failure as the case's only check.
         out = tmp_path / "out"
         assert main(["verify", "--p", "1.03", "--out", str(out)]) == 1
         report = json.loads((out / "report.json").read_text())
@@ -115,8 +115,8 @@ class TestVerifyCommand:
         [check] = case["checks"]
         assert check["name"] == "reference_model"
         assert check["passed"] is False
-        assert "tail fit" in check["detail"]
-        assert report["model_diagnostics"] == {}
+        assert "p = 1.03" in check["detail"] and "largest admissible R_max" in check["detail"]
+        assert report["reference"] == {}
 
     def test_vacuum_case_writes_curves_and_passes(self, tmp_path):
         out = tmp_path / "out"
@@ -129,7 +129,9 @@ class TestVerifyCommand:
             assert header == ["t", "Q"]
         report = json.loads((out / "report.json").read_text())
         assert report["passed"] is True
-        assert "1.5" in report["model_diagnostics"]
+        assert list(report["reference"]) == ["1.5"]
+        checks = report["reference"]["1.5"]["checks"]
+        assert len(checks) == 5 and all(check["passed"] for check in checks)
 
 
 class TestSweepCommand:
@@ -164,16 +166,19 @@ class TestSweepCommand:
 
 class TestSuiteCommand:
     @pytest.mark.parametrize(
-        "families",
+        "families, reference",
         [
-            [{"tag": "schwarzschild", "params": {"m": 2.0}}, {"tag": "flat", "params": {}}],
-            [{"tag": "flat", "params": {}}],
+            (
+                [{"tag": "schwarzschild", "params": {"m": 2.0}}, {"tag": "flat", "params": {}}],
+                ["1.5"],
+            ),
+            ([{"tag": "flat", "params": {}}], []),
         ],
         ids=["schwarzschild-and-flat", "flat-only"],
     )
-    def test_suite_equals_its_parts(self, tmp_path, families):
+    def test_suite_equals_its_parts(self, tmp_path, families, reference):
         # With flat alone, coeffs builds triples that verify must not report:
-        # model_diagnostics covers the exponents of minimal-boundary cases.
+        # the reference checks cover the exponents of minimal-boundary cases.
         cfg = _write_config(
             tmp_path / "cfg.json",
             {"p_list": [1.5], "families": families, "grids": {"n_s": 256, "n_t": 1024}},
@@ -190,6 +195,7 @@ class TestSuiteCommand:
         assert "report.json" in names and "sweep.csv" in names
         for name in names:
             assert (suite / name).read_bytes() == (parts / name).read_bytes(), name
+        assert list(json.loads((suite / "report.json").read_text())["reference"]) == reference
 
 
 class TestConfigErrors:
@@ -211,6 +217,7 @@ class TestConfigErrors:
                     {"tag": "schwarzschild", "params": {"m": 2.0000001}},
                 ]
             },
+            {"tolerances": {"ode_rel": 1e-10}},
         ],
     )
     def test_bad_configs_exit_two(self, tmp_path, payload, capsys):
@@ -229,6 +236,11 @@ class TestConfigErrors:
 
     def test_p_flag_out_of_range_exits_two(self, tmp_path):
         assert main(["model", "--p", "3.0", "--out", str(tmp_path)]) == 2
+
+
+def test_tol_flag_accepts_tight_accept_rel():
+    cfg = make_config(build_parser().parse_args(["verify", "--tol", "1e-11"]))
+    assert cfg.tol.accept_rel == 1e-11
 
 
 def test_version_flag(capsys):

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from masscap import (
-    InfinitySingularODE,
-    indicial_roots,
-    series_coefficients,
-)
+from masscap import InfinitySingularODE, series_coefficients
 from masscap.coefficients import growth_ode
-from masscap.schwarzschild import potential_ode
+
+
+def potential_ode(p):
+    """u'' + P u' = 0 for the radial potential on the reference slice.
+
+    P(r) = (2/(p-1)) (1/r - (3-p)/(r^2 + r)) expands with p1 = 2/(p-1) and
+    p_k = -(-1)^k 2(3-p)/(p-1) for k >= 2, exact to every order; the first
+    eight are listed.
+    """
+    s = 3.0 - p
+    coeffs = [2.0 / (p - 1.0)] + [-((-1.0) ** k) * 2.0 * s / (p - 1.0) for k in range(2, 9)]
+    return InfinitySingularODE(tuple(coeffs), (), p_order=8)
 
 
 class TestInfinitySingularODE:
@@ -47,31 +54,24 @@ class TestInfinitySingularODE:
 class TestIndicialRoots:
     def test_quadratic_roots(self):
         # F(b) = b(b-1) + 3b = b(b+2): roots 0 and -2.
-        roots = indicial_roots(InfinitySingularODE((3.0,)))
-        assert roots.larger == pytest.approx(0.0, abs=1e-14)
-        assert roots.smaller == pytest.approx(-2.0, rel=1e-14)
-        assert roots.gap_is_integer
-
-    def test_complex_roots_rejected(self):
-        with pytest.raises(ValueError, match="complex"):
-            indicial_roots(InfinitySingularODE((0.0,), (1.0,)))
+        ode = InfinitySingularODE((3.0,))
+        assert ode.indicial_value(0.0) == 0.0
+        assert ode.indicial_value(-2.0) == 0.0
+        assert ode.indicial_value(1.0) == 3.0
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
     def test_potential_ode_roots(self, p):
         sigma = (3.0 - p) / (p - 1.0)
-        roots = indicial_roots(potential_ode(p))
-        assert roots.larger == pytest.approx(0.0, abs=1e-12)
-        assert roots.smaller == pytest.approx(-sigma, rel=1e-12)
+        ode = potential_ode(p)
+        assert ode.indicial_value(0.0) == 0.0
+        assert ode.indicial_value(-sigma) == pytest.approx(0.0, abs=1e-12 * sigma**2)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
     def test_growth_ode_roots(self, p):
         sigma = (3.0 - p) / (p - 1.0)
-        roots = indicial_roots(growth_ode(p))
-        assert roots.larger == pytest.approx(1.0, rel=1e-12)
-        assert roots.smaller == pytest.approx(-sigma, rel=1e-12)
-
-    def test_non_integer_gap_detected(self):
-        assert not indicial_roots(growth_ode(1.7)).gap_is_integer
+        ode = growth_ode(p)
+        assert ode.indicial_value(1.0) == pytest.approx(0.0, abs=1e-12 * sigma)
+        assert ode.indicial_value(-sigma) == pytest.approx(0.0, abs=1e-12 * sigma**2)
 
 
 class TestSeriesCoefficients:
@@ -137,19 +137,19 @@ class TestSeriesCoefficients:
 
 
 class TestFrobeniusSolutionEvaluation:
-    def test_known_series_values_and_derivatives(self):
-        from masscap import FrobeniusSolution
-
-        sol = FrobeniusSolution(root=-1.0, coefficients=(2.0,))
-        r = np.array([2.0, 5.0, 10.0])
-        assert np.allclose(sol(r), 1.0 / r + 2.0 / r**2, rtol=1e-14)
-        assert np.allclose(sol.derivative(r), -1.0 / r**2 - 4.0 / r**3, rtol=1e-14)
-        assert np.allclose(sol.second_derivative(r), 2.0 / r**3 + 12.0 / r**4, rtol=1e-14)
-
     def test_residual_shrinks_with_more_terms(self):
+        # y'' + P y' along the truncated series at r = 100: each pair of
+        # extra coefficients gains more than two orders of magnitude.
         ode = potential_ode(1.5)
-        res = [
-            abs(float(series_coefficients(ode, -3.0, n=n).ode_residual(ode, 100.0)))
-            for n in (1, 3, 5)
-        ]
+        r = 100.0
+
+        def residual(n):
+            sol = series_coefficients(ode, -3.0, n=n)
+            a = (1.0,) + sol.coefficients
+            y1 = sum(ak * (-3.0 - k) * r ** (-4.0 - k) for k, ak in enumerate(a))
+            y2 = sum(ak * (-3.0 - k) * (-4.0 - k) * r ** (-5.0 - k) for k, ak in enumerate(a))
+            P = sum(c * r ** -float(j) for j, c in enumerate(ode.p_coeffs, start=1))
+            return abs(y2 + P * y1)
+
+        res = [residual(n) for n in (1, 3, 5)]
         assert res[0] > 100.0 * res[1] > 100.0 * 100.0 * res[2]

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from masscap import (
-    c_constants,
+    SampledCurve,
     capacity_Kp,
+    fit_power_tail,
     flux_constant,
     model_profile,
     ws_boundary_data,
@@ -82,9 +83,13 @@ class TestProfileShape:
         assert capacity_Kp(model) == model.Kp
 
     def test_tail_normalization_ratios(self, lab, p):
-        cc = c_constants(lab.model(p))
-        assert cc.exp_map_ratio == pytest.approx(1.0, rel=1e-9)
-        assert cc.closed_form_ratio == pytest.approx(1.0, rel=1e-9)
+        # c_tilde is the closed form c_fit**((p-1)/(3-p)); the oracle is the
+        # limit of the exponential map (r + 3-p) e^(-t/(3-p)) fitted on the grid.
+        model = lab.model(p)
+        s = 3.0 - p
+        r, t = model.r_grid, model.t_of_r.y
+        fitted = fit_power_tail(SampledCurve(r, (r + s) * np.exp(-t / s)), 0.0).c0
+        assert model.c_tilde == pytest.approx(fitted, rel=1e-12)
 
 
 class TestValidation:
@@ -100,6 +105,18 @@ class TestValidation:
     def test_grid_size_floor(self):
         with pytest.raises(ValueError, match="grid points"):
             model_profile(1.5, n=10)
+
+    @pytest.mark.parametrize("p, R_max", [(1.03, 1e6), (1.038, 1e6), (1.05, 1e8)])
+    def test_subnormal_tail_refused(self, p, R_max):
+        # r**(-2/(p-1)) at R_max would fall below the smallest normal double,
+        # where the coefficient solves stall; the refusal names the limit.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"p = {p:g}: .*largest admissible R_max") as exc:
+                model_profile(p, R_max=R_max)
+        limit = float(str(exc.value).rsplit(" ", 1)[-1])
+        assert limit < R_max
+        model_profile(p, R_max=max(limit, 1e4), n=64)
 
 
 def test_profile_independent_of_outer_radius():

@@ -1,5 +1,6 @@
 """Unit tests for the certification layer."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from masscap import (
     QCurve,
+    SampledCurve,
     case_report,
     certify_case,
     constant_diagnostics,
@@ -18,6 +20,7 @@ from masscap import (
     monotonicity_report,
     penrose_margin,
     q_limits,
+    reference_checks,
 )
 from masscap.verify import GROWTH_CAP
 
@@ -148,11 +151,38 @@ class TestConstantDiagnostics:
         dec, grow = lab.triples(p)
         d = constant_diagnostics(lab.model(p), dec, grow)
         s = 3.0 - p
-        assert d["a1_recurrence"] == pytest.approx(4.0 / s, rel=1e-9)
-        assert d["exp_map_ratio"] == pytest.approx(1.0, rel=1e-9)
+        assert set(d) == {
+            "g_constant_measured",
+            "g_plus_sh_measured",
+            "growing_Q0_measured",
+            "growing_Q0_deviation",
+            "decaying_Q0_measured",
+            "decaying_Q0_deviation",
+        }
         assert d["g_constant_measured"] == pytest.approx(-4.0 / s, rel=1e-6)
-        assert d["g_plus_sh_measured"] == pytest.approx(d["g_plus_sh_resolved"], rel=1e-6)
-        assert d["growing_Q0_measured"] == pytest.approx(d["growing_Q0_resolved"], rel=1e-6)
+        assert d["g_plus_sh_measured"] == pytest.approx(s - 4.0 / s, rel=1e-6)
+        q0 = 8.0 * PI * s**3 + 16.0 * PI * s**2 - 16.0 * PI * s
+        assert d["growing_Q0_measured"] == pytest.approx(q0, rel=1e-6)
+
+
+class TestReferenceChecks:
+    NAMES = ["growing_Q0", "growing_constant", "decaying_zero", "g_limit", "g_plus_sh_limit"]
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    def test_all_checks_pass(self, lab, p):
+        dec, grow = lab.triples(p)
+        checks, diagnostics = reference_checks(lab.model(p), dec, grow)
+        assert [check["name"] for check in checks] == self.NAMES
+        assert all(check["passed"] for check in checks)
+        assert diagnostics == constant_diagnostics(lab.model(p), dec, grow)
+
+    def test_shifted_growing_f_fails_growing_Q0(self, lab):
+        dec, grow = lab.triples(1.5)
+        f = grow.f_curve
+        shifted = dataclasses.replace(grow, f_curve=SampledCurve(f.x, f.y + 1e-3))
+        checks, _ = reference_checks(lab.model(1.5), dec, shifted)
+        failed = [check["name"] for check in checks if not check["passed"]]
+        assert failed == ["growing_Q0"]
 
 
 class TestCertifyCase:
