@@ -12,9 +12,7 @@ with equality detection.
 from importlib.metadata import PackageNotFoundError, version
 
 from .coefficients import (
-    ABCCoefficients,
     CoefficientSolution,
-    abc_curves,
     growth_ode,
     model_constancy,
     perfect_square_residual,
@@ -77,7 +75,6 @@ except PackageNotFoundError:  # running from a source tree without install
     __version__ = "0.1.0"
 
 __all__ = [
-    "ABCCoefficients",
     "CaseResult",
     "CoefficientSolution",
     "FlowProfile",
@@ -90,7 +87,6 @@ __all__ = [
     "Tolerances",
     "VerificationReport",
     "WarpProfile",
-    "abc_curves",
     "capacity_Cp",
     "capacity_Kp",
     "case_report",

@@ -42,7 +42,13 @@ from .coefficients import (
     solve_growing,
 )
 from .numerics import Tolerances
-from .schwarzschild import ModelGeometry, model_profile, ws_boundary_data
+from .schwarzschild import (
+    DEFAULT_N_R,
+    DEFAULT_R_MAX,
+    ModelGeometry,
+    model_profile,
+    ws_boundary_data,
+)
 from .verify import CaseResult, VerificationReport, certify_case, reference_checks
 from .warped import (
     DEFAULT_N_S,
@@ -61,13 +67,14 @@ DEFAULT_CONFIG = {
     "p_list": [1.5],
     "families": [{"tag": "schwarzschild", "params": {"m": 2.0}}],
     "grids": {
-        "R_max": 1.0e6,
-        "n_points": 4096,
+        "R_max": DEFAULT_R_MAX,
+        "n_points": DEFAULT_N_R,
         "s_max": DEFAULT_S_MAX,
         "n_s": DEFAULT_N_S,
         "n_t": DEFAULT_N_T,
     },
-    "tolerances": {},
+    # slope_slack stays a library setting: Tolerances(slope_slack=...).
+    "tolerances": {"accept_rel": Tolerances().accept_rel},
     "outputs": {"csv_dir": "masscap_out", "report_path": None},
 }
 
@@ -202,11 +209,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     n_s = _require_int(grids["n_s"], "grids.n_s", 16)
     n_t = _require_int(grids["n_t"], "grids.n_t", 16)
 
-    if not isinstance(raw["tolerances"], dict):
-        raise ConfigError("tolerances must be an object")
     try:
         tol = Tolerances(**raw["tolerances"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad tolerances: {exc}") from exc
 
     outputs = raw["outputs"]
@@ -314,18 +319,14 @@ class _Pipeline:
 
     def model(self, p: float) -> ModelGeometry:
         if p not in self._models:
-            self._models[p] = model_profile(
-                p, R_max=self.cfg.R_max, n=self.cfg.n_points, tol=self.cfg.tol
-            )
+            cfg = self.cfg
+            self._models[p] = model_profile(p, R_max=cfg.R_max, n=cfg.n_points, tol=cfg.tol)
         return self._models[p]
 
     def triples(self, p: float) -> tuple[CoefficientSolution, CoefficientSolution]:
         if p not in self._triples:
             model = self.model(p)
-            self._triples[p] = (
-                solve_decaying(model, tol=self.cfg.tol),
-                solve_growing(model),
-            )
+            self._triples[p] = (solve_decaying(model), solve_growing(model))
         return self._triples[p]
 
     def family(self, tag: str, params: dict) -> WarpProfile:
@@ -365,7 +366,7 @@ class _Pipeline:
                 flow = level_flow(warp, p, n_t=self.cfg.n_t)
         except (ValueError, RuntimeError) as exc:
             return CaseResult.failed(p, tag, params, stage, exc)
-        result = certify_case(warp, model, flow, dec, grow, self.cfg.tol)
+        result = certify_case(warp, model, flow, dec, grow)
         if write_curves and flow is not None and result.report is not None:
             _write_curves(self.cfg.csv_dir, p, _slug(tag, params), flow, result.report.curves)
         return result
@@ -500,7 +501,7 @@ def cmd_verify(pipe: _Pipeline) -> int:
 
     reference = {}
     for p in sorted(pipe.minimal_ps):
-        checks, diagnostics = reference_checks(pipe.model(p), *pipe.triples(p), cfg.tol)
+        checks, diagnostics = reference_checks(pipe.model(p), *pipe.triples(p))
         reference[repr(p)] = {"checks": checks, "diagnostics": diagnostics}
         n_passed = sum(check["passed"] for check in checks)
         verdict = "pass" if n_passed == len(checks) else "FAIL"

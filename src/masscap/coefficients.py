@@ -16,7 +16,7 @@ with a, b, c assembled from the reference profile. Two solutions matter:
   seeded at the outer radius from its two-term descending series and
   integrated inward (its stable direction), and
 * the growing one, which grows linearly; it is integrated outward from
-  g = -1, h = eps at the boundary, then rescaled so that h ~ r/s + 1, with
+  g = -1, h = 0.01 at the boundary, then rescaled so that h ~ r/s + 1, with
   the additive constant of f fixed by the exponential-map normalization.
 
 On the reference slice both combinations are exactly constant (the decaying
@@ -37,7 +37,6 @@ from .frobenius import InfinitySingularODE, series_coefficients
 from .numerics import (
     PowerTailFit,
     SampledCurve,
-    Tolerances,
     fit_power_tail,
     integrate_linear_system,
     stencil_derivative,
@@ -45,9 +44,7 @@ from .numerics import (
 from .schwarzschild import ModelGeometry
 
 __all__ = [
-    "ABCCoefficients",
     "CoefficientSolution",
-    "abc_curves",
     "growth_ode",
     "model_constancy",
     "perfect_square_residual",
@@ -75,24 +72,8 @@ def growth_ode(p: float) -> InfinitySingularODE:
     return InfinitySingularODE((sigma, p2), (-sigma, q3), p_order=2, q_order=3)
 
 
-@dataclass(frozen=True)
-class ABCCoefficients:
-    """The functions a, b, c of the pair system on the reference slice.
-
-    Carries both sampled curves on the model grid (for export and plots)
-    and an exact closure for the integrator, which queries off-grid radii:
-    abc_fn(r) returns (a, b, c, dr/dt) from one level_data evaluation.
-    """
-
-    p: float
-    a_curve: SampledCurve = field(repr=False)
-    b_curve: SampledCurve = field(repr=False)
-    c_curve: SampledCurve = field(repr=False)
-    abc_fn: Callable = field(repr=False)
-
-
-def abc_curves(model: ModelGeometry) -> ABCCoefficients:
-    """Assemble a, b, c from the reference profile.
+def _abc(model: ModelGeometry, r):
+    """(a, b, c, dr/dt) of the pair system at radii r, from one level_data call.
 
     a = [ (p-1)(5-p)/4 * (dW/dt)^2 / W^2 - 1 ] / (dr/dt)
     b = -1 / ((p-1)(3-p) dr/dt)
@@ -105,22 +86,11 @@ def abc_curves(model: ModelGeometry) -> ABCCoefficients:
     p = model.p
     s = 3.0 - p
     ch = (p - 1.0) * (5.0 - p) / 4.0
-
-    def abc_fn(r):
-        d = model.level_data(r)
-        a = (ch * (d.dWdt / d.W) ** 2 - 1.0) / d.drdt
-        b = -1.0 / ((p - 1.0) * s * d.drdt)
-        c = 2.0 * (p - 2.0) / ((p - 1.0) * s * d.drdt) - (5.0 - p) / (2.0 * s * d.W) * d.dWdr
-        return a, b, c, d.drdt
-
-    a, b, c, _ = abc_fn(model.r_grid)
-    return ABCCoefficients(
-        p=p,
-        a_curve=SampledCurve(model.r_grid, a),
-        b_curve=SampledCurve(model.r_grid, b),
-        c_curve=SampledCurve(model.r_grid, c),
-        abc_fn=abc_fn,
-    )
+    d = model.level_data(r)
+    a = (ch * (d.dWdt / d.W) ** 2 - 1.0) / d.drdt
+    b = -1.0 / ((p - 1.0) * s * d.drdt)
+    c = 2.0 * (p - 2.0) / ((p - 1.0) * s * d.drdt) - (5.0 - p) / (2.0 * s * d.W) * d.dWdr
+    return a, b, c, d.drdt
 
 
 @dataclass(frozen=True)
@@ -208,9 +178,9 @@ class CoefficientSolution:
         return f, g, h
 
 
-def _pair_rhs(coeffs: ABCCoefficients) -> Callable[[float], np.ndarray]:
+def _pair_rhs(model: ModelGeometry) -> Callable[[float], np.ndarray]:
     def rhs(r):
-        a, b, c, drdt = coeffs.abc_fn(r)
+        a, b, c, drdt = _abc(model, r)
         return np.array([[0.0, a, 0.0], [b, c, 0.0], [0.0, 1.0 / drdt, 0.0]])
 
     return rhs
@@ -237,11 +207,12 @@ def _finish_solution(model, flavor, g, h, f, tails, c1=None, q=None) -> Coeffici
     )
 
 
-def solve_decaying(
-    model: ModelGeometry,
-    coeffs: ABCCoefficients | None = None,
-    tol: Tolerances | None = None,
-) -> CoefficientSolution:
+def _grid_error(model: ModelGeometry, exc: ValueError) -> ValueError:
+    """A solve's fit failure, prefixed with the exponent and the grid."""
+    return ValueError(f"p = {model.p:g}, R_max = {model.R_max:g}, n = {model.r_grid.size}: {exc}")
+
+
+def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     """The coefficient triple that vanishes at infinity.
 
     Seeded at R_max from the two-term descending series of the second-order
@@ -249,10 +220,10 @@ def solve_decaying(
     which is the stable direction for this flavor. f is included as a third
     component with its analytic tail value -R_max**(-sigma) as seed, so the
     whole triple comes out of one pass. Positivity of h and of dg/dt + h is
-    checked on the full grid before returning.
+    checked on the full grid before returning, the latter against
+    model.tol.slope_slack. A failed tail fit raises ValueError naming p and
+    the grid.
     """
-    tol = tol or model.tol
-    coeffs = coeffs or abc_curves(model)
     p = model.p
     s = 3.0 - p
     sigma = s / (p - 1.0)
@@ -266,14 +237,14 @@ def solve_decaying(
     b1p = series_coefficients(growth_ode(p), root=-sigma, n=1).coefficients[0]
     g_seed = 1.0 + b1p / R
     dg_seed = -sigma / R - (sigma + 1.0) * b1p / R**2
-    a_R = coeffs.abc_fn(R)[0]
+    a_R = _abc(model, R)[0]
     h_seed = float(dg_seed / a_R)
     if h_seed <= 0.0:
         raise RuntimeError("decaying seed produced h <= 0; orientation is broken")
     f_seed = -1.0
 
     g, h, f = integrate_linear_system(
-        _pair_rhs(coeffs),
+        _pair_rhs(model),
         [g_seed, h_seed, f_seed],
         (1.0, R),
         direction="backward",
@@ -284,88 +255,67 @@ def solve_decaying(
     f = SampledCurve(f.x, f.y * scale)
     if np.any(h.y <= 0.0):
         raise RuntimeError("decaying solution lost positivity of h")
-    a_grid, _, _, drdt = coeffs.abc_fn(model.r_grid)
+    a_grid, _, _, drdt = _abc(model, model.r_grid)
     dgdt_plus_h = h.y * (1.0 + a_grid * drdt)
-    if np.min(dgdt_plus_h) < -tol.slope_slack * float(np.max(np.abs(h.y))):
+    if np.min(dgdt_plus_h) < -model.tol.slope_slack * float(np.max(np.abs(h.y))):
         raise RuntimeError("decaying solution violates dg/dt + h >= 0")
 
-    tails = (
-        fit_power_tail(g, -sigma),
-        fit_power_tail(h, -sigma),
-        fit_power_tail(f, -sigma),
-    )
+    try:
+        tails = tuple(fit_power_tail(curve, -sigma) for curve in (g, h, f))
+    except ValueError as exc:
+        raise _grid_error(model, exc) from exc
     return _finish_solution(model, "decaying", g, h, f, tails)
 
 
-def solve_growing(
-    model: ModelGeometry,
-    coeffs: ABCCoefficients | None = None,
-    eps: float = 0.01,
-) -> CoefficientSolution:
+def solve_growing(model: ModelGeometry) -> CoefficientSolution:
     """The coefficient triple that grows linearly at infinity.
 
-    Integrated outward from g = -1, h = eps, f = 0 at the boundary; any
-    eps > 0 lands on the same ray up to the decaying admixture, which dies
-    off like r**(-1-sigma) relatively. The result is normalized by the
+    Integrated outward from g = -1, h = 0.01, f = 0 at the boundary; any
+    positive h(0) lands on the same ray up to the decaying admixture, which
+    dies off like r**(-1-sigma) relatively. The result is normalized by the
     fitted growth rate c1 (so that h ~ r/(3-p) + 1), and f is shifted by q
     so that f - c_tilde e^(t/(3-p)) -> 3-p, the exponential-map
-    normalization. If the growth-rate fit fails, eps is doubled and the
-    pass retried once.
+    normalization. A failed fit raises ValueError naming p and the grid.
     """
-    coeffs = coeffs or abc_curves(model)
     p = model.p
     s = 3.0 - p
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
-
     r = model.r_grid
     t = model.t_of_r.y
-    last_error = None
-    for attempt_eps in (eps, 2.0 * eps):
-        g, h, f = integrate_linear_system(
-            _pair_rhs(coeffs),
-            [-1.0, attempt_eps, 0.0],
-            (1.0, model.R_max),
-            direction="forward",
-            grid=r,
-        )
-        try:
-            fit_h = fit_power_tail(h, 1.0)
-            c1 = s * fit_h.c0
-            if c1 <= 0.0:
-                raise ValueError(f"fitted growth rate c1 = {c1:g} is not positive")
-            if abs(fit_h.c1 / s - 1.0) > 1e-3:
-                raise ValueError(
-                    f"subleading term of h ({fit_h.c1:g}) disagrees with 3-p = {s:g}"
-                )
-            break
-        except ValueError as exc:
-            last_error = exc
-    else:
-        raise RuntimeError(f"growing solve failed for eps and 2*eps: {last_error}")
-
+    g, h, f = integrate_linear_system(
+        _pair_rhs(model),
+        [-1.0, 0.01, 0.0],
+        (1.0, model.R_max),
+        direction="forward",
+        grid=r,
+    )
     if np.any(h.y <= 0.0) or np.any(g.y >= 0.0):
         raise RuntimeError("growing solution lost its sign pattern (h > 0, g < 0)")
 
-    gs = SampledCurve(r, g.y / c1)
-    hs = SampledCurve(r, h.y / c1)
-    f_scaled = f.y / c1
+    try:
+        fit_h = fit_power_tail(h, 1.0)
+        c1 = s * fit_h.c0
+        if c1 <= 0.0:
+            raise ValueError(f"fitted growth rate c1 = {c1:g} is not positive")
+        if abs(fit_h.c1 / s - 1.0) > 1e-3:
+            raise ValueError(f"subleading term of h ({fit_h.c1:g}) disagrees with 3-p = {s:g}")
 
-    # Additive normalization of f: fit the limit of c_tilde e^(t/s) - f over
-    # moderate radii, where the two O(r) terms have not yet lost precision
-    # to cancellation.
-    hi = min(1.0e5, model.R_max)
-    stop = int(np.searchsorted(r, hi, side="right"))
-    diff = model.c_tilde * np.exp(t[:stop] / s) - f_scaled[:stop]
-    L = fit_power_tail(SampledCurve(r[:stop], diff), 0.0, window=100.0).c0
-    q = s + L
-    fs = SampledCurve(r, f_scaled + q)
+        gs = SampledCurve(r, g.y / c1)
+        hs = SampledCurve(r, h.y / c1)
+        f_scaled = f.y / c1
 
-    tails = (
-        fit_power_tail(gs, 1.0),
-        fit_power_tail(hs, 1.0),
-        None,
-    )
+        # Additive normalization of f: fit the limit of c_tilde e^(t/s) - f
+        # over moderate radii, where the two O(r) terms have not yet lost
+        # precision to cancellation.
+        hi = min(1.0e5, model.R_max)
+        stop = int(np.searchsorted(r, hi, side="right"))
+        diff = model.c_tilde * np.exp(t[:stop] / s) - f_scaled[:stop]
+        L = fit_power_tail(SampledCurve(r[:stop], diff), 0.0, window=100.0).c0
+        q = s + L
+        fs = SampledCurve(r, f_scaled + q)
+
+        tails = (fit_power_tail(gs, 1.0), fit_power_tail(hs, 1.0), None)
+    except ValueError as exc:
+        raise _grid_error(model, exc) from exc
     return _finish_solution(model, "growing", gs, hs, fs, tails, c1=c1, q=q)
 
 
@@ -410,11 +360,7 @@ def perfect_square_residual(
     return SampledCurve(sol.t_samples, res)
 
 
-def system_residual(
-    sol: CoefficientSolution,
-    coeffs: ABCCoefficients,
-    model: ModelGeometry,
-) -> float:
+def system_residual(sol: CoefficientSolution, model: ModelGeometry) -> float:
     """Max normalized residual of the pair system plus the factorization
     relation, with all derivatives taken by finite differences.
 
@@ -425,7 +371,7 @@ def system_residual(
     g = sol.g_curve.y
     h = sol.h_curve.y
     f = sol.f_curve.y
-    a, b, c, drdt = coeffs.abc_fn(model.r_grid)
+    a, b, c, drdt = _abc(model, model.r_grid)
 
     dgdt = _native_t_derivative(g, model, drdt)
     dhdt = _native_t_derivative(h, model, drdt)

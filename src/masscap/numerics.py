@@ -21,7 +21,6 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 __all__ = [
-    "DEFAULT_TOL",
     "PowerTailFit",
     "SampledCurve",
     "Tolerances",
@@ -49,11 +48,11 @@ class Tolerances:
     def __post_init__(self) -> None:
         for name in ("accept_rel", "slope_slack"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0.0):
-                raise ValueError(f"{name} must be strictly positive, got {value!r}")
+            if isinstance(value, bool) or not (
+                isinstance(value, (int, float)) and 0.0 < value < float("inf")
+            ):
+                raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
 
-
-DEFAULT_TOL = Tolerances()
 
 # Relative tolerance of integrate_linear_system.
 _ODE_RTOL = 1e-12
@@ -62,15 +61,15 @@ _ODE_RTOL = 1e-12
 class SampledCurve:
     """Scalar samples y_i at strictly increasing abscissae x_i.
 
-    Calling the curve interpolates: piecewise linear for order 1, monotone
-    shape-preserving cubic (PCHIP) for order >= 2, so interpolation never
-    overshoots and reproduces the samples exactly at the nodes. Queries
-    outside the sampled range raise rather than extrapolate.
+    Calling the curve interpolates with the monotone shape-preserving cubic
+    (PCHIP), so interpolation never overshoots and reproduces the samples
+    exactly at the nodes. Queries outside the sampled range raise rather
+    than extrapolate.
     """
 
-    __slots__ = ("x", "y", "order", "_pchip")
+    __slots__ = ("x", "y", "_pchip")
 
-    def __init__(self, x, y, order: int = 3):
+    def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape:
@@ -81,21 +80,15 @@ class SampledCurve:
             raise ValueError("abscissae must be strictly increasing")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("curve samples must be finite")
-        if order < 1:
-            raise ValueError("interpolation order must be >= 1")
         self.x = x
         self.y = y
-        self.order = int(order)
         self._pchip = None
 
     def __len__(self) -> int:
         return self.x.size
 
     def __repr__(self) -> str:
-        return (
-            f"SampledCurve(n={self.x.size}, x=[{self.x[0]:g}, {self.x[-1]:g}], "
-            f"order={self.order})"
-        )
+        return f"SampledCurve(n={self.x.size}, x=[{self.x[0]:g}, {self.x[-1]:g}])"
 
     @property
     def span(self) -> tuple[float, float]:
@@ -108,12 +101,9 @@ class SampledCurve:
             raise ValueError(
                 f"query outside the sampled range [{lo:g}, {hi:g}]"
             )
-        if self.order == 1:
-            out = np.interp(q, self.x, self.y)
-        else:
-            if self._pchip is None:
-                self._pchip = PchipInterpolator(self.x, self.y, extrapolate=False)
-            out = self._pchip(q)
+        if self._pchip is None:
+            self._pchip = PchipInterpolator(self.x, self.y, extrapolate=False)
+        out = self._pchip(q)
         if np.ndim(xq) == 0:
             return float(out)
         return out
@@ -123,16 +113,16 @@ def integrate_linear_system(
     rhs: Callable[[float], np.ndarray],
     y0,
     span: tuple[float, float],
+    grid,
     direction: str = "forward",
-    grid=None,
 ) -> list[SampledCurve]:
     """Integrate y' = A(x) y with dense output and sample it on a grid.
 
     rhs maps a scalar x to the (n, n) system matrix A(x). span = (x_lo, x_hi)
     with x_lo < x_hi; direction picks which endpoint carries the data y0
     ("forward" starts at x_lo, "backward" at x_hi). The result is one
-    SampledCurve per component, sampled in increasing x on `grid` (an array
-    inside span, or a point count for an evenly spaced grid; default 257).
+    SampledCurve per component, sampled on `grid`, a strictly increasing
+    array inside span.
 
     The integrator is an explicit embedded Runge-Kutta pair of order 8(5)
     with dense output. The relative tolerance is 1e-12; the absolute
@@ -150,16 +140,11 @@ def integrate_linear_system(
     else:
         raise ValueError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
-    if grid is None:
-        grid = 257
-    if np.ndim(grid) == 0:
-        xs = np.linspace(x_lo, x_hi, int(grid))
-    else:
-        xs = np.asarray(grid, dtype=float)
-        if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0.0):
-            raise ValueError("grid must be a strictly increasing 1-d array")
-        if xs[0] < x_lo or xs[-1] > x_hi:
-            raise ValueError("grid must lie inside the integration span")
+    xs = np.asarray(grid, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or not np.all(np.diff(xs) > 0.0):
+        raise ValueError("grid must be a strictly increasing 1-d array")
+    if xs[0] < x_lo or xs[-1] > x_hi:
+        raise ValueError("grid must lie inside the integration span")
 
     atol = max(float(np.max(np.abs(y0))), 1e-12) * _ODE_RTOL * 1e-3
 
@@ -183,19 +168,12 @@ def integrate_linear_system(
     return [SampledCurve(xs, values[i]) for i in range(y0.size)]
 
 
-_GAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Nodes and weights of the 12-point Gauss-Legendre rule on [-1, 1].
+_GAUSS_NODES, _GAUSS_WEIGHTS = leggauss(12)
 
 
-def _gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    rule = _GAUSS_CACHE.get(npts)
-    if rule is None:
-        rule = leggauss(npts)
-        _GAUSS_CACHE[npts] = rule
-    return rule
-
-
-def panel_integrals(f: Callable[[np.ndarray], np.ndarray], grid, npts: int = 12) -> np.ndarray:
-    """Gauss-Legendre integral of f over each consecutive interval of grid.
+def panel_integrals(f: Callable[[np.ndarray], np.ndarray], grid) -> np.ndarray:
+    """12-point Gauss-Legendre integral of f over each consecutive interval of grid.
 
     f must accept a 1-d array. Returns len(grid) - 1 panel values; their
     cumulative sums reproduce the integral of f between any two grid points
@@ -204,12 +182,11 @@ def panel_integrals(f: Callable[[np.ndarray], np.ndarray], grid, npts: int = 12)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("grid must be a strictly increasing 1-d array")
-    xg, wg = _gauss_rule(npts)
     mid = 0.5 * (grid[:-1] + grid[1:])
     half = 0.5 * np.diff(grid)
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
+    nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
     vals = np.asarray(f(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    return (half[:, None] * wg[None, :] * vals).sum(axis=1)
+    return (half[:, None] * _GAUSS_WEIGHTS[None, :] * vals).sum(axis=1)
 
 
 def right_cumulative(panels: np.ndarray, tail: float = 0.0) -> np.ndarray:
@@ -241,16 +218,15 @@ def fit_power_tail(
     curve: SampledCurve,
     alpha: float,
     window: float = 10.0,
-    nuisance: bool = True,
     max_residual: float = 1e-3,
 ) -> PowerTailFit:
     """Least-squares fit of a curve tail to c0 * x**alpha * (1 + c1/x).
 
     The fit runs on the trailing window [x_max/window, x_max]. After
     dividing out x**alpha it solves for (c0, c0*c1) against the columns
-    [1, 1/x], plus a 1/x**2 nuisance column by default so the next expansion
-    order does not bias c1. A residual above max_residual (relative to c0)
-    means the declared alpha is wrong and raises.
+    [1, 1/x], plus a 1/x**2 column so that the next expansion order does not
+    bias c1. A residual above max_residual (relative to c0) means the
+    declared alpha is wrong and raises.
     """
     if window <= 1.0:
         raise ValueError("window must exceed 1")
@@ -260,10 +236,7 @@ def fit_power_tail(
         raise ValueError("not enough samples in the fit window")
     xs = x[mask]
     ys = y[mask] / xs**alpha
-    cols = [np.ones_like(xs), 1.0 / xs]
-    if nuisance:
-        cols.append(xs**-2.0)
-    design = np.column_stack(cols)
+    design = np.column_stack([np.ones_like(xs), 1.0 / xs, xs**-2.0])
     coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
     c0 = float(coef[0])
     scale = max(abs(c0), np.max(np.abs(ys)) * 1e-12, 1e-300)

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .numerics import DEFAULT_TOL, SampledCurve, Tolerances
+from .numerics import SampledCurve, Tolerances
 
 __all__ = [
     "DEFAULT_N_R",
@@ -177,10 +177,10 @@ def model_profile(
     docstring, evaluated on the grid; the decaying tail keeps full relative
     precision because betainc does. Raises ValueError when R_max**(-kappa)
     is not a normal double: there the profile loses precision and the
-    decaying coefficient solve stalls.
+    decaying coefficient solve stalls. tol (default Tolerances()) becomes
+    model.tol, the one error budget of every solve and check on this model.
     """
     p = _check_p(p)
-    tol = tol or DEFAULT_TOL
     if R_max < 1e4:
         raise ValueError("R_max must be at least 1e4 for the tail expansions to hold")
     if n < 64:
@@ -218,7 +218,7 @@ def model_profile(
         dWs_curve=SampledCurve(t, d.dWdt),
         c_fit=c_fit,
         c_tilde=c_fit ** (1.0 / sigma),
-        tol=tol,
+        tol=tol or Tolerances(),
     )
     return model
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coefficients import CoefficientSolution, model_constancy
-from .numerics import DEFAULT_TOL, SampledCurve, Tolerances, fit_power_tail
+from .numerics import SampledCurve, Tolerances, fit_power_tail
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
 
@@ -84,17 +84,12 @@ class VerificationReport:
     curves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def evaluate_Q(
-    flow: FlowProfile,
-    sol: CoefficientSolution,
-    growth_cap: float = GROWTH_CAP,
-    stride: int | None = None,
-) -> QCurve:
+def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> QCurve:
     """Assemble one monotone combination along a foreign geometry's flow.
 
     The coefficient triple is carried over by its t-parametrization (the
     shared level-set normalization makes t comparable across geometries).
-    The growing flavor is only evaluated where exp(t/(3-p)) <= growth_cap:
+    The growing flavor is only evaluated where exp(t/(3-p)) <= GROWTH_CAP:
     past that window its three terms, each growing exponentially, cancel to
     a remainder that double precision cannot resolve against the slope
     slack. Slope grids are decimated to ~4096 points for the same reason.
@@ -104,22 +99,21 @@ def evaluate_Q(
     p = flow.p
     s = 3.0 - p
     t = flow.t_grid
-    if stride is None:
-        stride = max(1, t.size // 4096)
+    stride = max(1, t.size // 4096)
     ts = t[::stride]
     W = flow.W.y[::stride]
     dWdt = flow.dWdt.y[::stride]
     if sol.flavor == "growing":
-        keep = np.exp(ts / s) <= growth_cap
+        keep = np.exp(ts / s) <= GROWTH_CAP
         if int(keep.sum()) < 16:
-            raise ValueError("growth window too small; raise growth_cap")
+            raise ValueError(f"fewer than 16 samples with exp(t/(3-p)) <= {GROWTH_CAP:g}")
         ts, W, dWdt = ts[keep], W[keep], dWdt[keep]
     f, g, h = sol.fgh_at_t(ts)
     Q = 4.0 * math.pi * s**2 * f + g * W + (p - 1.0) * s * h * dWdt
     return QCurve(flavor=sol.flavor, p=p, t=ts, values=Q)
 
 
-def monotonicity_report(q: QCurve, tol: Tolerances | None = None) -> VerificationReport:
+def monotonicity_report(q: QCurve, tol: Tolerances) -> VerificationReport:
     """Certify forward differences of Q against the slope slack.
 
     min_forward_slope is the smallest forward difference; max_violation is
@@ -127,7 +121,6 @@ def monotonicity_report(q: QCurve, tol: Tolerances | None = None) -> Verificatio
     flag is set when the whole curve stays within accept_rel of its initial
     value, scaled by the curve's own magnitude.
     """
-    tol = tol or DEFAULT_TOL
     d = np.diff(q.values)
     min_slope = float(np.min(d))
     violation = max(0.0, -(min_slope + tol.slope_slack))
@@ -230,20 +223,15 @@ def mass_functional_Fp(flow: FlowProfile) -> tuple[SampledCurve, float]:
     return SampledCurve(t, vals), float(coef[0])
 
 
-def penrose_margin(
-    flow: FlowProfile,
-    model: ModelGeometry,
-    tol: Tolerances | None = None,
-) -> VerificationReport:
+def penrose_margin(flow: FlowProfile, model: ModelGeometry) -> VerificationReport:
     """Sharp capacity-to-mass margin m - 2 (C_p/K_p)**(1/(3-p)).
 
     Verifies the hypotheses first: the scalar curvature must be nonnegative
     along the flow (the flow's existence already certifies the minimal
     boundary). The margin is nonnegative under those hypotheses, with
     equality exactly on the reference family; the equality flag fires when
-    the margin is below accept_rel relative to the mass scale.
+    the margin is below model.tol.accept_rel relative to the mass scale.
     """
-    tol = tol or model.tol
     if abs(flow.p - model.p) > 1e-12:
         raise ValueError("flow and reference model disagree on p")
     R = flow.R.y
@@ -259,7 +247,7 @@ def penrose_margin(
     scale = max(abs(flow.adm), 1.0)
     return VerificationReport(
         penrose_margin=margin,
-        equality_flag=bool(abs(margin) <= tol.accept_rel * scale),
+        equality_flag=bool(abs(margin) <= model.tol.accept_rel * scale),
         diagnostics={
             "Cp": flow.Cp,
             "Kp": model.Kp,
@@ -308,7 +296,6 @@ def case_report(
     model: ModelGeometry,
     dec: CoefficientSolution,
     grow: CoefficientSolution,
-    tol: Tolerances | None = None,
 ) -> VerificationReport:
     """Full certification of one geometry against the reference slice.
 
@@ -316,14 +303,14 @@ def case_report(
     mass functional limit, the differential-inequality residual gap, the
     limit estimates, and the sharp margin into one report. Raises when the
     hypotheses fail (nonnegative curvature, minimal boundary); numerical
-    check failures surface as nonzero max_violation instead.
+    check failures surface as nonzero max_violation instead. Every budget
+    is model.tol.
     """
-    tol = tol or model.tol
     qd = evaluate_Q(flow, dec)
     qg = evaluate_Q(flow, grow)
-    rd = monotonicity_report(qd, tol)
-    rg = monotonicity_report(qg, tol)
-    pm = penrose_margin(flow, model, tol)
+    rd = monotonicity_report(qd, model.tol)
+    rg = monotonicity_report(qg, model.tol)
+    pm = penrose_margin(flow, model)
     _, f_limit = mass_functional_Fp(flow)
     w_residual, w_gap = w_inequality_residual(flow)
     bound_gap = horizon_W_bound(flow, dec, model)
@@ -454,7 +441,6 @@ def reference_checks(
     model: ModelGeometry,
     dec: CoefficientSolution,
     grow: CoefficientSolution,
-    tol: Tolerances | None = None,
 ) -> tuple[tuple[dict, ...], dict]:
     """Gate the closed-form constants of the reference slice at p = model.p.
 
@@ -467,13 +453,13 @@ def reference_checks(
         g_limit           lim (g + r) = -4/s
         g_plus_sh_limit   lim (g + s h) = s - 4/s
 
-    The tolerances are accept_rel times |Q(0)| for the first two and times
-    the decaying Q's largest term on the grid for the third. The last two
-    are tail fits and, like mass_limit, get 10 accept_rel max(1, |limit|).
+    With accept_rel from model.tol, the tolerances are accept_rel times
+    |Q(0)| for the first two and times the decaying Q's largest term on the
+    grid for the third. The last two are tail fits and, like mass_limit,
+    get 10 accept_rel max(1, |limit|).
     Returns the checks and the measured values (constant_diagnostics).
     """
-    tol = tol or model.tol
-    acc = tol.accept_rel
+    acc = model.tol.accept_rel
     p = model.p
     s = 3.0 - p
     diag = constant_diagnostics(model, dec, grow)
@@ -511,7 +497,6 @@ def certify_case(
     flow: FlowProfile | None = None,
     dec: CoefficientSolution | None = None,
     grow: CoefficientSolution | None = None,
-    tol: Tolerances | None = None,
 ) -> CaseResult:
     """Certify one geometry against the reference slice at p = model.p.
 
@@ -525,8 +510,9 @@ def certify_case(
     sharply, every other geometry the strict margin without equality. A
     failed hypothesis of the mass bound is the failed stage check
     "hypotheses"; a failed flat capacity or mass the stage check "capacity".
+    Every tolerance derives from model.tol.
     """
-    tol = tol or model.tol
+    tol = model.tol
     p, tag, params = model.p, warp.family_tag, dict(warp.params)
     if not warp.minimal_boundary:
         try:
@@ -547,7 +533,7 @@ def certify_case(
     if flow is None or dec is None or grow is None:
         raise ValueError("a minimal boundary needs its flow and both coefficient triples")
     try:
-        report = case_report(flow, model, dec, grow, tol)
+        report = case_report(flow, model, dec, grow)
     except (ValueError, RuntimeError) as exc:
         return CaseResult.failed(p, tag, params, "hypotheses", exc)
     vacuum = tag == "schwarzschild" or (tag == "bumped" and params["eps"] == 0.0)

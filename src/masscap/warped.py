@@ -325,7 +325,7 @@ def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, Sample
     def integrand(x):
         return np.asarray(warp.phi_fn(x), dtype=float) ** -kappa
 
-    panels = panel_integrals(integrand, warp.s_grid, npts=12)
+    panels = panel_integrals(integrand, warp.s_grid)
     phi_max = float(warp.phi.y[-1])
     m_end = float(_hawking_values(warp)[-1])
     tail = _capacity_tail(phi_max, m_end, kappa)

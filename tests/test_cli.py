@@ -198,32 +198,45 @@ class TestSuiteCommand:
         assert list(json.loads((suite / "report.json").read_text())["reference"]) == reference
 
 
+BAD_CONFIGS = [
+    ({"p_list": []}, "p_list must be a non-empty list"),
+    ({"p_list": [2.5]}, "p must lie in (1, 2)"),
+    ({"families": [{"tag": "torus", "params": {}}]}, "unknown family tag 'torus'"),
+    ({"families": [{"tag": "bumped", "params": {"m0": 1.0}}]}, "missing params ['eps']"),
+    (
+        {"families": [{"tag": "schwarzschild", "params": {"m": 2.0, "spin": 1.0}}]},
+        "does not take params ['spin']",
+    ),
+    ({"grids": {"R_max": 10.0}}, "grids.R_max must be >= 1e4"),
+    ({"grids": {"warp_factor": 2.0}}, "unknown grids keys ['warp_factor']"),
+    ({"tolerances": {"accept_rel": -1.0}}, "strictly positive"),
+    ({"mystery": True}, "unknown config key 'mystery'"),
+    (
+        {
+            "families": [
+                {"tag": "schwarzschild", "params": {"m": 2.0}},
+                {"tag": "schwarzschild", "params": {"m": 2.0000001}},
+            ]
+        },
+        "families share the output names",
+    ),
+    ({"tolerances": {"ode_rel": 1e-10}}, "unknown tolerances keys ['ode_rel']"),
+    ({"tolerances": {"accept_rel": True}}, "strictly positive and finite"),
+    ({"tolerances": {"accept_rel": float("inf")}}, "strictly positive and finite"),
+    ({"tolerances": {"slope_slack": 1e-9}}, "unknown tolerances keys ['slope_slack']"),
+]
+
+
 class TestConfigErrors:
     @pytest.mark.parametrize(
-        "payload",
-        [
-            {"p_list": []},
-            {"p_list": [2.5]},
-            {"families": [{"tag": "torus", "params": {}}]},
-            {"families": [{"tag": "bumped", "params": {"m0": 1.0}}]},
-            {"families": [{"tag": "schwarzschild", "params": {"m": 2.0, "spin": 1.0}}]},
-            {"grids": {"R_max": 10.0}},
-            {"grids": {"warp_factor": 2.0}},
-            {"tolerances": {"accept_rel": -1.0}},
-            {"mystery": True},
-            {
-                "families": [
-                    {"tag": "schwarzschild", "params": {"m": 2.0}},
-                    {"tag": "schwarzschild", "params": {"m": 2.0000001}},
-                ]
-            },
-            {"tolerances": {"ode_rel": 1e-10}},
-        ],
+        "payload, message", BAD_CONFIGS, ids=[f"payload{i}" for i in range(len(BAD_CONFIGS))]
     )
-    def test_bad_configs_exit_two(self, tmp_path, payload, capsys):
+    def test_bad_configs_exit_two(self, tmp_path, payload, message, capsys):
         cfg = _write_config(tmp_path / "cfg.json", payload)
         assert main(["model", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        assert "masscap:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("masscap:")
+        assert message in err
 
     def test_invalid_json_exits_two(self, tmp_path):
         bad = tmp_path / "cfg.json"
@@ -236,6 +249,23 @@ class TestConfigErrors:
 
     def test_p_flag_out_of_range_exits_two(self, tmp_path):
         assert main(["model", "--p", "3.0", "--out", str(tmp_path)]) == 2
+
+    def test_infinite_tol_flag_exits_two(self, tmp_path, capsys):
+        assert main(["model", "--tol", "inf", "--out", str(tmp_path)]) == 2
+        assert "strictly positive and finite" in capsys.readouterr().err
+
+
+def test_tolerances_block_sets_accept_rel(tmp_path):
+    # The config block and --tol are one setting: both give the same gates.
+    cfg = _write_config(tmp_path / "cfg.json", {"tolerances": {"accept_rel": 1e-7}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "block")]) == 0
+    assert main(["verify", "--tol", "1e-7", "--out", str(tmp_path / "flag")]) == 0
+    tolerances = {}
+    for name in ("block", "flag"):
+        [case] = json.loads((tmp_path / name / "report.json").read_text())["cases"]
+        tolerances[name] = {check["name"]: check["tolerance"] for check in case["checks"]}
+    assert tolerances["block"] == tolerances["flag"]
+    assert tolerances["block"]["monotone_decaying"] == 1e-8
 
 
 def test_tol_flag_accepts_tight_accept_rel():

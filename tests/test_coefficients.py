@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from masscap import (
+    flux_constant,
     model_constancy,
+    model_profile,
     perfect_square_residual,
-    solve_growing,
+    solve_decaying,
     system_residual,
 )
-from masscap.coefficients import abc_curves, growth_ode
+from masscap.coefficients import growth_ode
 from masscap.frobenius import series_coefficients
 
 PI = math.pi
@@ -49,6 +51,35 @@ class TestDecayingFlavor:
         assert abs(Q0) <= 1e-8 * W0
         assert dev <= 1e-8 * W0
 
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    def test_f_matches_closed_form(self, lab, p):
+        # f = -sigma^2 (sigma+1)/(2C) [u (r-1)^2/r + (2/sigma) u + (r^2-1) u'/sigma],
+        # an exact oracle independent of the solve. Past r = 1e4 the bracket
+        # cancels, so only r <= 100 is compared; at p = 1.05 the solve is
+        # only good to about 3e-9.
+        model = lab.model(p)
+        dec, _ = lab.triples(p)
+        sigma = (3.0 - p) / (p - 1.0)
+        r = model.r_grid[model.r_grid <= 100.0]
+        u, du = model.u_at(r), model.du_exact(r)
+        bracket = u * (r - 1.0) ** 2 / r + (2.0 / sigma) * u + (r**2 - 1.0) * du / sigma
+        exact = -(sigma**2) * (sigma + 1.0) / (2.0 * flux_constant(p)) * bracket
+        assert np.max(np.abs(dec.f_curve.y[: r.size] / exact - 1.0)) <= 1e-9
+
+    def test_boundary_values_exact_at_three_halves(self, lab):
+        dec, _ = lab.triples(1.5)
+        exact = (-1.0 / 5.0, -44.0 / 125.0, 4.0 / 5.0)
+        for value, form in zip(dec.boundary_values(), exact):
+            assert value == pytest.approx(form, rel=1e-10)
+
+    @pytest.mark.parametrize("p, R_max, n", [(1.05, 1e4, 64), (1.04, 1e4, 256)])
+    def test_tail_fit_failure_names_p_and_grid(self, p, R_max, n):
+        model = model_profile(p, R_max=R_max, n=n)
+        prefix = f"p = {p:g}, R_max = {R_max:g}, n = {n}: tail fit residual"
+        with pytest.raises(ValueError, match=prefix) as info:
+            solve_decaying(model)
+        assert isinstance(info.value.__cause__, ValueError)
+
 
 class TestGrowingFlavor:
     def test_sign_pattern(self, lab):
@@ -77,25 +108,6 @@ class TestGrowingFlavor:
         assert dev <= 1e-8 * abs(Q0)
         assert Q0 == pytest.approx(8.0 * PI * s**3 + 16.0 * PI * s**2 - 16.0 * PI * s, rel=1e-6)
 
-    def test_seed_size_does_not_matter(self, lab):
-        # The growing flavor is defined modulo decaying admixture, so the
-        # invariants are the constant combination and the large-radius
-        # triple, not the boundary values.
-        model = lab.model(1.5)
-        _, base = lab.triples(1.5)
-        Q0_base, _ = model_constancy(base, model)
-        t_probe = float(model.t_of_r(1.0e4))
-        fgh_base = np.array(base.fgh_at_t(t_probe))
-        for eps in (0.005, 0.02):
-            alt = solve_growing(model, eps=eps)
-            Q0_alt, _ = model_constancy(alt, model)
-            assert Q0_alt == pytest.approx(Q0_base, rel=1e-8)
-            assert np.allclose(np.array(alt.fgh_at_t(t_probe)), fgh_base, rtol=1e-10)
-
-    def test_nonpositive_seed_rejected(self, lab):
-        with pytest.raises(ValueError, match="eps"):
-            solve_growing(lab.model(1.5), eps=0.0)
-
 
 class TestResiduals:
     @pytest.mark.parametrize("flavor_index", [0, 1], ids=["decaying", "growing"])
@@ -107,9 +119,8 @@ class TestResiduals:
 
     def test_system_residual_within_budget(self, lab):
         model = lab.model(1.5)
-        coeffs = abc_curves(model)
         for sol in lab.triples(1.5):
-            assert system_residual(sol, coeffs, model) <= 1e-6
+            assert system_residual(sol, model) <= 1e-6
 
 
 class TestEvaluationInterface:

@@ -9,14 +9,17 @@ import pytest
 from masscap import (
     QCurve,
     SampledCurve,
+    Tolerances,
     case_report,
     certify_case,
     constant_diagnostics,
     evaluate_Q,
     family_bumped,
+    family_schwarzschild,
     horizon_W_bound,
     level_flow,
     mass_functional_Fp,
+    model_profile,
     monotonicity_report,
     penrose_margin,
     q_limits,
@@ -56,17 +59,17 @@ class TestMonotonicityReport:
         return QCurve(flavor="growing", p=1.5, t=t, values=np.asarray(values, dtype=float))
 
     def test_increasing_curve_passes(self):
-        rep = monotonicity_report(self._q([0.0, 1.0, 2.0, 3.0]))
+        rep = monotonicity_report(self._q([0.0, 1.0, 2.0, 3.0]), Tolerances())
         assert rep.max_violation == 0.0
         assert not rep.equality_flag
 
     def test_constant_curve_sets_equality(self):
-        rep = monotonicity_report(self._q([5.0, 5.0, 5.0, 5.0]))
+        rep = monotonicity_report(self._q([5.0, 5.0, 5.0, 5.0]), Tolerances())
         assert rep.max_violation == 0.0
         assert rep.equality_flag
 
     def test_dip_is_flagged(self):
-        rep = monotonicity_report(self._q([0.0, 1.0, 0.5, 2.0]))
+        rep = monotonicity_report(self._q([0.0, 1.0, 0.5, 2.0]), Tolerances())
         assert rep.max_violation > 0.0
         assert rep.min_forward_slope == pytest.approx(-0.5)
 
@@ -238,3 +241,36 @@ class TestCertifyCase:
     def test_minimal_boundary_needs_flow_and_triples(self, lab):
         with pytest.raises(ValueError, match="minimal boundary"):
             certify_case(lab.warp("schwarzschild", m=2.0), lab.model(1.5))
+
+    @pytest.mark.parametrize("p", [1.5, 1.8])
+    def test_large_mass_with_proportional_domain(self, lab, p):
+        # The vacuum domain must reach s_max >= 125 m: mass_limit misses its
+        # 10 accept_rel bound at m = 50 with the default s_max = 5e3, while
+        # m = 100 on s_max = 2.5e4 passes every check.
+        warp = family_schwarzschild(100.0, s_max=2.5e4)
+        dec, grow = lab.triples(p)
+        flow = level_flow(warp, p)
+        result = certify_case(warp, lab.model(p), flow, dec, grow)
+        assert result.passed, [c["name"] for c in result.checks if not c["passed"]]
+
+
+class TestSingleTolerance:
+    def test_every_tolerance_derives_from_the_model(self, lab):
+        # One budget, carried by the model, sets every gate: each tolerance
+        # scales with it, and the slope ones equal slope_slack.
+        tight = model_profile(1.5, tol=Tolerances(accept_rel=1e-7, slope_slack=1e-9))
+        base = lab.model(1.5)
+        dec, grow = lab.triples(1.5)
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        warp = lab.warp("schwarzschild", m=2.0)
+        tight_checks = certify_case(warp, tight, flow, dec, grow).checks
+        base_checks = certify_case(warp, base, flow, dec, grow).checks
+        tight_checks += reference_checks(tight, dec, grow)[0]
+        base_checks += reference_checks(base, dec, grow)[0]
+        for check, ref in zip(tight_checks, base_checks, strict=True):
+            assert check["name"] == ref["name"]
+            if ref["tolerance"] is not None:
+                assert check["tolerance"] == pytest.approx(0.1 * ref["tolerance"], rel=1e-12)
+        slope_names = {"monotone_decaying", "monotone_growing", "w_residual_floor"}
+        slope = [check for check in tight_checks if check["name"] in slope_names]
+        assert len(slope) == 3 and all(check["tolerance"] == 1e-9 for check in slope)
