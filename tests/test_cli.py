@@ -6,12 +6,13 @@ own pipeline, so these tests lean on small configurations to stay fast.
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 import masscap
-from masscap.cli import build_parser, main, make_config
+from masscap.cli import _cell, _write_csv, build_parser, main, make_config
 
 
 def _write_config(path, payload):
@@ -118,20 +119,62 @@ class TestVerifyCommand:
         assert "p = 1.03" in check["detail"] and "largest admissible R_max" in check["detail"]
         assert report["reference"] == {}
 
-    def test_vacuum_case_writes_curves_and_passes(self, tmp_path):
-        out = tmp_path / "out"
+    @pytest.fixture(scope="class")
+    def vacuum_out(self, tmp_path_factory):
+        """Output of the default verify run: Schwarzschild m = 2 at p = 1.5."""
+        out = tmp_path_factory.mktemp("verify") / "out"
         assert main(["verify", "--out", str(out)]) == 0
-        header, rows = _read_csv(out / "warped-p=1.5-schwarzschild-m=2.csv")
+        return out
+
+    def test_vacuum_case_writes_curves_and_passes(self, vacuum_out):
+        header, rows = _read_csv(vacuum_out / "warped-p=1.5-schwarzschild-m=2.csv")
         assert header == ["s", "t", "phi", "u", "W", "dWdt", "H", "R", "hawking"]
         assert len(rows) == 32768
         for flavor in ("decaying", "growing"):
-            header, _ = _read_csv(out / f"q-{flavor}-p=1.5-schwarzschild-m=2.csv")
+            header, _ = _read_csv(vacuum_out / f"q-{flavor}-p=1.5-schwarzschild-m=2.csv")
             assert header == ["t", "Q"]
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((vacuum_out / "report.json").read_text())
         assert report["passed"] is True
         assert list(report["reference"]) == ["1.5"]
         checks = report["reference"]["1.5"]["checks"]
         assert len(checks) == 5 and all(check["passed"] for check in checks)
+
+    def test_flow_values_round_trip_exactly(self, vacuum_out, lab):
+        header, rows = _read_csv(vacuum_out / "warped-p=1.5-schwarzschild-m=2.csv")
+        column = header.index("W")
+        W_read = np.array([float(row[column]) for row in rows])
+        assert np.array_equal(W_read, lab.flow(1.5, "schwarzschild", m=2.0).W.y)
+
+
+class TestWriteCsv:
+    # Edge doubles of repr: nan, infinities, signed zero, the least
+    # subnormal, and exponent and plain forms.
+    TABLE = np.array(
+        [
+            [math.nan, math.inf, -math.inf, -0.0],
+            [5e-324, 1e16, 1e-5, 0.1],
+            [2.0, -2.0, 0.0, 1.0 / 3.0],
+        ]
+    )
+
+    def _reference(self, path, header, rows):
+        """The cell-by-cell writer: csv.writer over _cell strings."""
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# masscap {masscap.__version__}\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_cell(value) for value in row])
+
+    def test_number_rows_match_the_cell_writer_byte_for_byte(self, tmp_path):
+        header = ["a", "b", "c", "d"]
+        self._reference(tmp_path / "cells.csv", header, self.TABLE.tolist())
+        expected = (tmp_path / "cells.csv").read_bytes()
+        _write_csv(tmp_path / "array.csv", header, self.TABLE)
+        assert (tmp_path / "array.csv").read_bytes() == expected
+        # A one-shot iterator of rows, as a wrapper that counts rows passes.
+        _write_csv(tmp_path / "iter.csv", header, iter(self.TABLE))
+        assert (tmp_path / "iter.csv").read_bytes() == expected
 
 
 class TestSweepCommand:

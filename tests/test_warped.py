@@ -34,6 +34,21 @@ class TestSplineBump:
     def test_scalar_input_returns_float(self):
         assert isinstance(spline_bump(0.0, 1.0)(0.5), float)
 
+    def test_scalar_and_array_paths_agree_bit_for_bit(self):
+        # The ODE right-hand sides take the scalar branch, the sampled
+        # curvature the array branch: they must give the very same doubles.
+        s1, s2 = 2.0, 6.0
+        bump = spline_bump(s1, s2)
+        knots = [s1 + k * (s2 - s1) / 4.0 for k in range(5)]
+        s = np.concatenate((np.linspace(s1 - 1.0, s2 + 1.0, 20001), knots))
+        from_array = bump(s)
+        from_float = np.array([bump(float(x)) for x in s])
+        from_float64 = np.array([bump(np.float64(x)) for x in s])
+        assert np.array_equal(from_float.view(np.int64), from_array.view(np.int64))
+        assert np.array_equal(from_float64.view(np.int64), from_array.view(np.int64))
+        assert type(bump(np.float64(3.0))) is float
+        assert [bump(k) for k in knots] == [0.0, 0.25, 1.0, 0.25, 0.0]
+
     def test_smooth_at_the_support_edges(self):
         # C^2 matching: values and slopes tend to zero at both knots.
         bump = spline_bump(2.0, 6.0)
