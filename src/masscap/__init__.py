@@ -13,7 +13,6 @@ from importlib.metadata import PackageNotFoundError, version
 
 from .coefficients import (
     CoefficientSolution,
-    growth_ode,
     model_constancy,
     perfect_square_residual,
     solve_decaying,
@@ -98,7 +97,6 @@ __all__ = [
     "family_schwarzschild",
     "fit_power_tail",
     "flux_constant",
-    "growth_ode",
     "horizon_W_bound",
     "integrate_linear_system",
     "level_flow",

@@ -12,9 +12,8 @@ slice,
 
 with a, b, c assembled from the reference profile. Two solutions matter:
 
-* the decaying one, which vanishes at infinity like r**(-s/(p-1)); it is
-  seeded at the outer radius from its two-term descending series and
-  integrated inward (its stable direction), and
+* the decaying one, which vanishes at infinity like r**(-s/(p-1)); it has a
+  closed form in the incomplete beta function (see solve_decaying), and
 * the growing one, which grows linearly; it is integrated outward from
   g = -1, h = 0.01 at the boundary, then rescaled so that h ~ r/s + 1, with
   the additive constant of f fixed by the exponential-map normalization.
@@ -27,15 +26,15 @@ curvature they are monotone, which is what the verify module certifies.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.special import betainc, betaincinv
 
-from .frobenius import InfinitySingularODE, series_coefficients
 from .numerics import (
-    PowerTailFit,
     SampledCurve,
     fit_power_tail,
     integrate_linear_system,
@@ -45,31 +44,12 @@ from .schwarzschild import ModelGeometry
 
 __all__ = [
     "CoefficientSolution",
-    "growth_ode",
     "model_constancy",
     "perfect_square_residual",
     "solve_decaying",
     "solve_growing",
     "system_residual",
 ]
-
-
-def growth_ode(p: float) -> InfinitySingularODE:
-    """Expansion at infinity of the second-order reduction for g.
-
-    Eliminating h from the pair system leaves g'' + P(r) g' + Q(r) g = 0
-    with P = sigma/r + p2/r^2 + ..., Q = -sigma/r^2 + q3/r^3 + ...,
-    sigma = (3-p)/(p-1). Only the listed orders are exact (deeper ones
-    inherit the truncation of a, b, c), so series are limited to one
-    coefficient. The indicial roots are 1 (growing) and -sigma (decaying).
-    """
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"p must lie in (1, 2), got {p}")
-    s = 3.0 - p
-    sigma = s / (p - 1.0)
-    p2 = 5.0 - p - s**2 / (p - 1.0)
-    q3 = 2.0 * s**2 / (p - 1.0)
-    return InfinitySingularODE((sigma, p2), (-sigma, q3), p_order=2, q_order=3)
 
 
 def _abc(model: ModelGeometry, r):
@@ -98,10 +78,8 @@ class CoefficientSolution:
     """One flavor of the coefficient triple on the reference slice.
 
     Curves are sampled over r on the model grid; t_samples carries the
-    matching level-set parameter. Tail fits allow evaluation slightly past
-    the grid through the asymptotic forms; fgh_at_t is the interface the
-    verify module uses to carry the triple onto a foreign geometry's
-    t-range.
+    matching level-set parameter. fgh_at_t is the interface the verify
+    module uses to carry the triple onto a foreign geometry's t-range.
     """
 
     flavor: str
@@ -110,27 +88,13 @@ class CoefficientSolution:
     h_curve: SampledCurve = field(repr=False)
     f_curve: SampledCurve = field(repr=False)
     t_samples: np.ndarray = field(repr=False)
-    tail_g: PowerTailFit = field(repr=False)
-    tail_h: PowerTailFit = field(repr=False)
-    tail_f: PowerTailFit | None = field(repr=False, default=None)
     c1: float | None = None
     q: float | None = None
-    c_tilde: float = 0.0
-    _f_spline: CubicSpline = field(default=None, repr=False)
-    _g_spline: CubicSpline = field(default=None, repr=False)
-    _h_spline: CubicSpline = field(default=None, repr=False)
+    _fgh: Callable = field(default=None, repr=False, compare=False)
 
     @property
     def t_max(self) -> float:
         return float(self.t_samples[-1])
-
-    @property
-    def r_max(self) -> float:
-        return float(self.g_curve.x[-1])
-
-    @property
-    def s(self) -> float:
-        return 3.0 - self.p
 
     def boundary_values(self) -> tuple[float, float, float]:
         """(f, g, h) at t = 0."""
@@ -139,43 +103,14 @@ class CoefficientSolution:
     def fgh_at_t(self, t):
         """(f, g, h) at level-set parameters t >= 0.
 
-        Inside the sampled range this is cubic-spline interpolation in t.
-        Past it, the fitted asymptotic forms take over, with the radius
-        recovered from the exponential map r(t) ~ c_tilde e^(t/s) - s; they
-        are trusted for one extra decade of radius, beyond which the query
-        raises.
+        The decaying triple is evaluated in closed form at any t. The growing
+        one is cubic-spline interpolation in t over the sampled range, and a
+        query past t_max raises.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t_samples[0] - 1e-12):
             raise ValueError("t below the sampled range")
-        inside = t <= self.t_max
-        f = np.empty_like(t)
-        g = np.empty_like(t)
-        h = np.empty_like(t)
-        if np.any(inside):
-            ti = t[inside]
-            f[inside] = self._f_spline(ti)
-            g[inside] = self._g_spline(ti)
-            h[inside] = self._h_spline(ti)
-        if np.any(~inside):
-            te = t[~inside]
-            s = self.s
-            r = self.c_tilde * np.exp(te / s) - s
-            if np.any(r > 10.0 * self.r_max):
-                raise ValueError(
-                    "t beyond the validity of the asymptotic extension "
-                    f"(radius past 10 * {self.r_max:g})"
-                )
-            if self.flavor == "decaying":
-                sigma = s / (self.p - 1.0)
-                g[~inside] = self.tail_g.c0 * r**-sigma * (1.0 + self.tail_g.c1 / r)
-                h[~inside] = self.tail_h.c0 * r**-sigma * (1.0 + self.tail_h.c1 / r)
-                f[~inside] = self.tail_f.c0 * r**-sigma * (1.0 + self.tail_f.c1 / r)
-            else:
-                g[~inside] = self.tail_g.c0 * r * (1.0 + self.tail_g.c1 / r)
-                h[~inside] = self.tail_h.c0 * r * (1.0 + self.tail_h.c1 / r)
-                f[~inside] = self.c_tilde * np.exp(te / s) + s
-        return f, g, h
+        return self._fgh(t)
 
 
 def _pair_rhs(model: ModelGeometry) -> Callable[[float], np.ndarray]:
@@ -186,85 +121,111 @@ def _pair_rhs(model: ModelGeometry) -> Callable[[float], np.ndarray]:
     return rhs
 
 
-def _finish_solution(model, flavor, g, h, f, tails, c1=None, q=None) -> CoefficientSolution:
-    t = model.t_of_r.y.copy()
-    return CoefficientSolution(
-        flavor=flavor,
-        p=model.p,
-        g_curve=g,
-        h_curve=h,
-        f_curve=f,
-        t_samples=t,
-        tail_g=tails[0],
-        tail_h=tails[1],
-        tail_f=tails[2],
-        c1=c1,
-        q=q,
-        c_tilde=model.c_tilde,
-        _f_spline=CubicSpline(t, f.y),
-        _g_spline=CubicSpline(t, g.y),
-        _h_spline=CubicSpline(t, h.y),
-    )
-
-
 def _grid_error(model: ModelGeometry, exc: ValueError) -> ValueError:
     """A solve's fit failure, prefixed with the exponent and the grid."""
     return ValueError(f"p = {model.p:g}, R_max = {model.R_max:g}, n = {model.r_grid.size}: {exc}")
 
 
-def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
-    """The coefficient triple that vanishes at infinity.
+def _decaying_at_r(model: ModelGeometry, r):
+    """(f, g, h, a dr/dt) of the decaying triple at radii r, in closed form.
 
-    Seeded at R_max from the two-term descending series of the second-order
-    reduction (the + orientation, so that h > 0) and integrated inward,
-    which is the stable direction for this flavor. f is included as a third
-    component with its analytic tail value -R_max**(-sigma) as seed, so the
-    whole triple comes out of one pass. Positivity of h and of dg/dt + h is
-    checked on the full grid before returning, the latter against
-    model.tol.slope_slack. A failed tail fit raises ValueError naming p and
-    the grid.
+    With sigma = (3-p)/(p-1), x = 1/(1+r), k = -sigma^2 (sigma+1)/(2C) and
+    I_x the regularized incomplete beta function, let I0 = I_x(sigma, sigma)
+    / (2 I_1/2(sigma, sigma)) = u/2, I1 = I_x(sigma+1, sigma) / (2
+    I_1/2(sigma, sigma)) and D = I1 - 2x I0. Then
+
+        f = 2k/(x(1-x)) [ (1-2x) D + (2/sigma) x(1-x) I0 ],
+
+    which is k [u (r-1)^2/r + (2/sigma) u + (r^2-1) u'/sigma] rewritten with
+    I_x(a, b) - I_x(a+1, b) = x^a (1-x)^b / (a B(a, b)) (DLMF 8.17.20), so
+    that no O(r) terms cancel. h = f' dr/dt = A (u/u') K with K = 2D/x and
+    A = -k(r+1)/((p-1) r^2); dK/dr = 2 I1 gives dh/dr by the product rule,
+    and g = (dh/dr - c h)/b comes from the second equation of the pair
+    system. The last value is a dr/dt, for the dg/dt + h >= 0 check.
     """
     p = model.p
-    s = 3.0 - p
-    sigma = s / (p - 1.0)
-    R = model.R_max
+    sigma = (3.0 - p) / (p - 1.0)
+    k = -(sigma**2) * (sigma + 1.0) / (2.0 * model.flux_constant)
+    x = 1.0 / (1.0 + r)
+    norm = 2.0 * betainc(sigma, sigma, 0.5)
+    I0 = betainc(sigma, sigma, x) / norm
+    I1 = betainc(sigma + 1.0, sigma, x) / norm
+    D = I1 - 2.0 * x * I0
+    f = 2.0 * k / (x * (1.0 - x)) * ((1.0 - 2.0 * x) * D + (2.0 / sigma) * x * (1.0 - x) * I0)
 
-    scale = R**-sigma
-    # The system is linear, so integrate from a unit-normalized seed and
-    # rescale afterwards: the raw tail value R**-sigma can sit dozens of
-    # decades below the solver's absolute tolerance (54 at p = 1.2), where
-    # the outer portion of the pass would be pure noise.
-    b1p = series_coefficients(growth_ode(p), root=-sigma, n=1).coefficients[0]
-    g_seed = 1.0 + b1p / R
-    dg_seed = -sigma / R - (sigma + 1.0) * b1p / R**2
-    a_R = _abc(model, R)[0]
-    h_seed = float(dg_seed / a_R)
-    if h_seed <= 0.0:
-        raise RuntimeError("decaying seed produced h <= 0; orientation is broken")
-    f_seed = -1.0
+    a, b, c, drdt = _abc(model, r)
+    u_over_du = -(p - 1.0) * drdt
+    K = 2.0 * D / x
+    A = -k * (r + 1.0) / ((p - 1.0) * r**2)
+    dA = -A * (r + 2.0) / (r * (r + 1.0))
+    dlog_du = -(sigma + 1.0) / r + 2.0 * sigma / (r**2 + r)
+    h = A * u_over_du * K
+    dhdr = (dA * K + 2.0 * A * I1) * u_over_du + A * (1.0 - u_over_du * dlog_du) * K
+    g = (dhdr - c * h) / b
+    return f, g, h, a * drdt
 
-    g, h, f = integrate_linear_system(
-        _pair_rhs(model),
-        [g_seed, h_seed, f_seed],
-        (1.0, R),
-        direction="backward",
-        grid=model.r_grid,
-    )
-    g = SampledCurve(g.x, g.y * scale)
-    h = SampledCurve(h.x, h.y * scale)
-    f = SampledCurve(f.x, f.y * scale)
-    if np.any(h.y <= 0.0):
+
+def _decaying_at_t(model: ModelGeometry) -> Callable[[np.ndarray], tuple]:
+    """t -> (f, g, h) of the decaying triple, exact at any t >= 0.
+
+    The radius of a level set is x = betaincinv(sigma, sigma,
+    e^(-t/(p-1)) I_1/2(sigma, sigma)), r = 1/x - 1. Past the radius where
+    r**(-2/(p-1)) leaves the normal doubles (the bound model_profile puts on
+    R_max) the profile data underflow, and the triple, which decays like
+    e^(-t/(p-1)), is returned as 0.
+    """
+    p = model.p
+    sigma = (3.0 - p) / (p - 1.0)
+    half = betainc(sigma, sigma, 0.5)
+    x_min = 1.0 / (1.0 + sys.float_info.min ** (-(p - 1.0) / 2.0))
+
+    def fgh(t):
+        x = betaincinv(sigma, sigma, np.exp(-t.ravel() / (p - 1.0)) * half)
+        live = x > x_min
+        out = np.zeros((3, x.size))
+        out[:, live] = _decaying_at_r(model, 1.0 / x[live] - 1.0)[:3]
+        return tuple(row.reshape(t.shape) for row in out)
+
+    return fgh
+
+
+def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
+    """The coefficient triple that vanishes at infinity, in closed form.
+
+    Normalized by f ~ -r**(-sigma) and g ~ r**(-sigma) at infinity, and
+    evaluated exactly on the model grid and, through fgh_at_t, at any
+    t >= 0 (see _decaying_at_r for the formulas). Positivity of h and of
+    dg/dt + h is checked on the full grid before returning, the latter
+    against model.tol.slope_slack.
+    """
+    r = model.r_grid
+    f, g, h, a_drdt = _decaying_at_r(model, r)
+    if np.any(h <= 0.0):
         raise RuntimeError("decaying solution lost positivity of h")
-    a_grid, _, _, drdt = _abc(model, model.r_grid)
-    dgdt_plus_h = h.y * (1.0 + a_grid * drdt)
-    if np.min(dgdt_plus_h) < -model.tol.slope_slack * float(np.max(np.abs(h.y))):
+    if np.min(h * (1.0 + a_drdt)) < -model.tol.slope_slack * float(np.max(np.abs(h))):
         raise RuntimeError("decaying solution violates dg/dt + h >= 0")
+    return CoefficientSolution(
+        flavor="decaying",
+        p=model.p,
+        g_curve=SampledCurve(r, g),
+        h_curve=SampledCurve(r, h),
+        f_curve=SampledCurve(r, f),
+        t_samples=model.t_of_r.y.copy(),
+        _fgh=_decaying_at_t(model),
+    )
 
-    try:
-        tails = tuple(fit_power_tail(curve, -sigma) for curve in (g, h, f))
-    except ValueError as exc:
-        raise _grid_error(model, exc) from exc
-    return _finish_solution(model, "decaying", g, h, f, tails)
+
+def _spline_at_t(t_samples: np.ndarray, *curves: SampledCurve) -> Callable[[np.ndarray], tuple]:
+    """t -> cubic splines of the curves in t, refusing t past the samples."""
+    splines = [CubicSpline(t_samples, curve.y) for curve in curves]
+    t_max = t_samples[-1]
+
+    def values(t):
+        if np.any(t > t_max):
+            raise ValueError(f"t beyond the sampled range (t_max = {t_max:g})")
+        return tuple(spline(t) for spline in splines)
+
+    return values
 
 
 def solve_growing(model: ModelGeometry) -> CoefficientSolution:
@@ -275,7 +236,8 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
     dies off like r**(-1-sigma) relatively. The result is normalized by the
     fitted growth rate c1 (so that h ~ r/(3-p) + 1), and f is shifted by q
     so that f - c_tilde e^(t/(3-p)) -> 3-p, the exponential-map
-    normalization. A failed fit raises ValueError naming p and the grid.
+    normalization. fgh_at_t interpolates it inside the model's t-range only.
+    A failed fit raises ValueError naming p and the grid.
     """
     p = model.p
     s = 3.0 - p
@@ -312,11 +274,20 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
         L = fit_power_tail(SampledCurve(r[:stop], diff), 0.0, window=100.0).c0
         q = s + L
         fs = SampledCurve(r, f_scaled + q)
-
-        tails = (fit_power_tail(gs, 1.0), fit_power_tail(hs, 1.0), None)
     except ValueError as exc:
         raise _grid_error(model, exc) from exc
-    return _finish_solution(model, "growing", gs, hs, fs, tails, c1=c1, q=q)
+    t_samples = t.copy()
+    return CoefficientSolution(
+        flavor="growing",
+        p=p,
+        g_curve=gs,
+        h_curve=hs,
+        f_curve=fs,
+        t_samples=t_samples,
+        c1=c1,
+        q=q,
+        _fgh=_spline_at_t(t_samples, fs, gs, hs),
+    )
 
 
 def _native_t_derivative(

@@ -77,7 +77,6 @@ class VerificationReport:
 
     min_forward_slope: float | None = None
     max_violation: float | None = None
-    limit_estimate: float | None = None
     penrose_margin: float | None = None
     equality_flag: bool | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -340,7 +339,6 @@ def case_report(
     return VerificationReport(
         min_forward_slope=min(rd.min_forward_slope, rg.min_forward_slope),
         max_violation=max(rd.max_violation, rg.max_violation),
-        limit_estimate=limit_grow,
         penrose_margin=pm.penrose_margin,
         equality_flag=bool(rd.equality_flag and rg.equality_flag and pm.equality_flag),
         diagnostics=diagnostics,

@@ -26,7 +26,6 @@ from scipy.special import beta, betainc
 
 from .numerics import (
     SampledCurve,
-    fit_power_tail,
     panel_integrals,
     right_cumulative,
     stencil_derivative,
@@ -132,10 +131,10 @@ def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
 class WarpProfile:
     """A warped-product geometry, sampled and in closed/dense form.
 
-    phi_fn / dphi_fn evaluate the warping factor anywhere on [0, s_max] to
-    solver accuracy; accel_fn gives phi'' from the state (s, phi, phi'),
+    phi_fn evaluates the warping factor anywhere on [0, s_max] to solver
+    accuracy; accel_fn gives phi'' from the state (s, phi, phi'),
     which is what the level-set reparametrization integrates. The sampled
-    curves cover a log-like grid for export and fits.
+    curves cover a log-like grid for export and the capacity quadrature.
     """
 
     family_tag: str
@@ -146,9 +145,7 @@ class WarpProfile:
     dphi: SampledCurve = field(repr=False)
     ddphi: SampledCurve = field(repr=False)
     phi_fn: Callable = field(repr=False)
-    dphi_fn: Callable = field(repr=False)
     accel_fn: Callable = field(repr=False)
-    af_exponent: float = 1.0
     minimal_boundary: bool = True
 
     @property
@@ -199,9 +196,6 @@ def _solve_family(
     def phi_fn(x):
         return sol.sol(x)[0]
 
-    def dphi_fn(x):
-        return sol.sol(x)[1]
-
     return WarpProfile(
         family_tag=tag,
         params=params,
@@ -211,9 +205,7 @@ def _solve_family(
         dphi=SampledCurve(s, dphi_v),
         ddphi=SampledCurve(s, np.asarray(ddphi_v, dtype=float)),
         phi_fn=phi_fn,
-        dphi_fn=dphi_fn,
         accel_fn=accel,
-        af_exponent=1.0,
         minimal_boundary=True,
     )
 
@@ -290,9 +282,6 @@ def family_flat_exterior(
     def phi_fn(x):
         return 1.0 + np.asarray(x, dtype=float)
 
-    def dphi_fn(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
     def accel(s_, phi, dphi):
         return np.zeros_like(np.asarray(phi, dtype=float))
 
@@ -305,9 +294,7 @@ def family_flat_exterior(
         dphi=SampledCurve(s, np.ones_like(s)),
         ddphi=SampledCurve(s, np.zeros_like(s)),
         phi_fn=phi_fn,
-        dphi_fn=dphi_fn,
         accel_fn=accel,
-        af_exponent=math.inf,
         minimal_boundary=False,
     )
 
@@ -378,16 +365,15 @@ def capacity_Cp(warp: WarpProfile, p: float) -> float:
 
 
 def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
-    """(Hawking mass curve over s, total mass from its tail limit).
+    """(Hawking mass curve over s, total mass).
 
-    The Hawking mass of the level spheres is (phi/2)(1 - phi'^2); its limit
-    along the asymptotically flat end is the total mass. The limit comes
-    from a tail fit so that slowly decaying profiles raise instead of
-    returning a half-converged number.
+    The Hawking mass of the level spheres is (phi/2)(1 - phi'^2). The total
+    mass is its value at s_max, exact under the vacuum-end assumption that
+    _capacity_tail makes too: every family is vacuum beyond s2 <= s_max/2,
+    where the Hawking mass is constant.
     """
     hawk = SampledCurve(warp.s_grid, _hawking_values(warp))
-    fit = fit_power_tail(hawk, 0.0)
-    return hawk, float(fit.c0)
+    return hawk, float(hawk.y[-1])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,22 @@ import numpy as np
 import pytest
 
 from masscap import InfinitySingularODE, series_coefficients
-from masscap.coefficients import growth_ode
+
+
+def growth_ode(p):
+    """Expansion at infinity of the second-order reduction for g.
+
+    Eliminating h from the coefficient pair system leaves
+    g'' + P(r) g' + Q(r) g = 0 with P = sigma/r + p2/r^2 + ...,
+    Q = -sigma/r^2 + q3/r^3 + ..., sigma = (3-p)/(p-1); only these orders
+    are exact, so series are limited to one coefficient. The indicial roots
+    are 1 (growing) and -sigma (decaying).
+    """
+    s = 3.0 - p
+    sigma = s / (p - 1.0)
+    p2 = 5.0 - p - s**2 / (p - 1.0)
+    q3 = 2.0 * s**2 / (p - 1.0)
+    return InfinitySingularODE((sigma, p2), (-sigma, q3), p_order=2, q_order=3)
 
 
 def potential_ode(p):

@@ -24,6 +24,8 @@ from masscap import (
     penrose_margin,
     q_limits,
     reference_checks,
+    solve_decaying,
+    solve_growing,
 )
 from masscap.verify import GROWTH_CAP
 
@@ -252,6 +254,18 @@ class TestCertifyCase:
         flow = level_flow(warp, p)
         result = certify_case(warp, lab.model(p), flow, dec, grow)
         assert result.passed, [c["name"] for c in result.checks if not c["passed"]]
+
+    @pytest.mark.parametrize("m, R_max", [(0.05, 1e4), (5e-4, 1e6)])
+    def test_small_mass_flow_past_the_model_grid(self, m, R_max):
+        # A small mass carries the flow's t past the model's t_max (beyond
+        # 10 R_max in radius), where the decaying triple is still exact.
+        model = model_profile(1.5, R_max=R_max)
+        dec, grow = solve_decaying(model), solve_growing(model)
+        warp = family_schwarzschild(m)
+        flow = level_flow(warp, 1.5)
+        assert flow.t_max > dec.t_max
+        result = certify_case(warp, model, flow, dec, grow)
+        assert result.passed, [c for c in result.checks if not c["passed"]]
 
 
 class TestSingleTolerance:
