@@ -19,17 +19,11 @@ from .coefficients import (
     solve_growing,
     system_residual,
 )
-from .frobenius import (
-    FrobeniusSolution,
-    InfinitySingularODE,
-    series_coefficients,
-)
 from .numerics import (
     PowerTailFit,
     SampledCurve,
     Tolerances,
     fit_power_tail,
-    integrate_linear_system,
 )
 from .schwarzschild import (
     ModelGeometry,
@@ -77,8 +71,6 @@ __all__ = [
     "CaseResult",
     "CoefficientSolution",
     "FlowProfile",
-    "FrobeniusSolution",
-    "InfinitySingularODE",
     "ModelGeometry",
     "PowerTailFit",
     "QCurve",
@@ -98,7 +90,6 @@ __all__ = [
     "fit_power_tail",
     "flux_constant",
     "horizon_W_bound",
-    "integrate_linear_system",
     "level_flow",
     "mass_functional_Fp",
     "masses",
@@ -111,7 +102,6 @@ __all__ = [
     "radial_p_harmonic",
     "reference_checks",
     "scalar_curvature",
-    "series_coefficients",
     "solve_decaying",
     "solve_growing",
     "spline_bump",

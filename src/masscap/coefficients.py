@@ -14,9 +14,12 @@ with a, b, c assembled from the reference profile. Two solutions matter:
 
 * the decaying one, which vanishes at infinity like r**(-s/(p-1)); it has a
   closed form in the incomplete beta function (see solve_decaying), and
-* the growing one, which grows linearly; it is integrated outward from
-  g = -1, h = 0.01 at the boundary, then rescaled so that h ~ r/s + 1, with
-  the additive constant of f fixed by the exponential-map normalization.
+* the growing one, which grows linearly; with f = r + 1/r + 2s it is
+  elementary, and the boundary seed g = -1, h = 0.01 adds a multiple of the
+  decaying triple (see solve_growing).
+
+Both are evaluated in closed form, on the model grid and at any level-set
+parameter t whose radius the profile resolves.
 
 On the reference slice both combinations are exactly constant (the decaying
 one is identically zero); on a general geometry with nonnegative scalar
@@ -31,15 +34,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.special import beta as beta_fn
 from scipy.special import betainc, betaincinv
 
-from .numerics import (
-    SampledCurve,
-    fit_power_tail,
-    integrate_linear_system,
-    stencil_derivative,
-)
+from .numerics import SampledCurve, stencil_derivative
 from .schwarzschild import ModelGeometry
 
 __all__ = [
@@ -92,10 +90,6 @@ class CoefficientSolution:
     q: float | None = None
     _fgh: Callable = field(default=None, repr=False, compare=False)
 
-    @property
-    def t_max(self) -> float:
-        return float(self.t_samples[-1])
-
     def boundary_values(self) -> tuple[float, float, float]:
         """(f, g, h) at t = 0."""
         return float(self.f_curve.y[0]), float(self.g_curve.y[0]), float(self.h_curve.y[0])
@@ -103,9 +97,9 @@ class CoefficientSolution:
     def fgh_at_t(self, t):
         """(f, g, h) at level-set parameters t >= 0.
 
-        The decaying triple is evaluated in closed form at any t. The growing
-        one is cubic-spline interpolation in t over the sampled range, and a
-        query past t_max raises.
+        Both triples are evaluated in closed form at the exact radius of each
+        level set. Past the radius where the profile leaves the normal
+        doubles the decaying triple is 0 and the growing one raises.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < self.t_samples[0] - 1e-12):
@@ -113,17 +107,28 @@ class CoefficientSolution:
         return self._fgh(t)
 
 
-def _pair_rhs(model: ModelGeometry) -> Callable[[float], np.ndarray]:
-    def rhs(r):
-        a, b, c, drdt = _abc(model, r)
-        return np.array([[0.0, a, 0.0], [b, c, 0.0], [0.0, 1.0 / drdt, 0.0]])
+def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, live): the exact radii of the level sets t >= 0 that are live.
 
-    return rhs
-
-
-def _grid_error(model: ModelGeometry, exc: ValueError) -> ValueError:
-    """A solve's fit failure, prefixed with the exponent and the grid."""
-    return ValueError(f"p = {model.p:g}, R_max = {model.R_max:g}, n = {model.r_grid.size}: {exc}")
+    The radius of a level set is x = betaincinv(sigma, sigma,
+    e^(-t/(p-1)) I_1/2(sigma, sigma)), r = 1/x - 1. Below x = 1e-17, x comes
+    from x^sigma = sigma B(sigma, sigma) e^(-t/(p-1)) I_1/2(sigma, sigma),
+    taken in logarithms: there the O(x) term of I_x(sigma, sigma) (DLMF
+    8.17.8) is below an ulp, while betaincinv returns nan for small
+    arguments at some sigma (p = 1.27 to 1.57 with scipy 1.17). live marks
+    the t whose r**(-2/(p-1)) is a normal double (the bound model_profile
+    puts on R_max); past that radius the profile data underflow. r holds
+    the radii of the live t only.
+    """
+    p = model.p
+    sigma = (3.0 - p) / (p - 1.0)
+    half = betainc(sigma, sigma, 0.5)
+    x = betaincinv(sigma, sigma, np.exp(-t / (p - 1.0)) * half)
+    log_x = (math.log(sigma * beta_fn(sigma, sigma) * half) - t / (p - 1.0)) / sigma
+    tail = log_x < math.log(1e-17)
+    x[tail] = np.exp(log_x[tail])
+    live = x > 1.0 / (1.0 + sys.float_info.min ** (-(p - 1.0) / 2.0))
+    return 1.0 / x[live] - 1.0, live
 
 
 def _decaying_at_r(model: ModelGeometry, r):
@@ -168,22 +173,14 @@ def _decaying_at_r(model: ModelGeometry, r):
 def _decaying_at_t(model: ModelGeometry) -> Callable[[np.ndarray], tuple]:
     """t -> (f, g, h) of the decaying triple, exact at any t >= 0.
 
-    The radius of a level set is x = betaincinv(sigma, sigma,
-    e^(-t/(p-1)) I_1/2(sigma, sigma)), r = 1/x - 1. Past the radius where
-    r**(-2/(p-1)) leaves the normal doubles (the bound model_profile puts on
-    R_max) the profile data underflow, and the triple, which decays like
+    Past the live radii of _level_radii the triple, which decays like
     e^(-t/(p-1)), is returned as 0.
     """
-    p = model.p
-    sigma = (3.0 - p) / (p - 1.0)
-    half = betainc(sigma, sigma, 0.5)
-    x_min = 1.0 / (1.0 + sys.float_info.min ** (-(p - 1.0) / 2.0))
 
     def fgh(t):
-        x = betaincinv(sigma, sigma, np.exp(-t.ravel() / (p - 1.0)) * half)
-        live = x > x_min
-        out = np.zeros((3, x.size))
-        out[:, live] = _decaying_at_r(model, 1.0 / x[live] - 1.0)[:3]
+        r, live = _level_radii(model, t.ravel())
+        out = np.zeros((3, live.size))
+        out[:, live] = _decaying_at_r(model, r)[:3]
         return tuple(row.reshape(t.shape) for row in out)
 
     return fgh
@@ -215,78 +212,84 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     )
 
 
-def _spline_at_t(t_samples: np.ndarray, *curves: SampledCurve) -> Callable[[np.ndarray], tuple]:
-    """t -> cubic splines of the curves in t, refusing t past the samples."""
-    splines = [CubicSpline(t_samples, curve.y) for curve in curves]
-    t_max = t_samples[-1]
+def _growing_at_r(model: ModelGeometry, r):
+    """(f, g, h) of the growing triple without decaying admixture, at radii r.
 
-    def values(t):
-        if np.any(t > t_max):
-            raise ValueError(f"t beyond the sampled range (t_max = {t_max:g})")
-        return tuple(spline(t) for spline in splines)
-
-    return values
-
-
-def solve_growing(model: ModelGeometry) -> CoefficientSolution:
-    """The coefficient triple that grows linearly at infinity.
-
-    Integrated outward from g = -1, h = 0.01, f = 0 at the boundary; any
-    positive h(0) lands on the same ray up to the decaying admixture, which
-    dies off like r**(-1-sigma) relatively. The result is normalized by the
-    fitted growth rate c1 (so that h ~ r/(3-p) + 1), and f is shifted by q
-    so that f - c_tilde e^(t/(3-p)) -> 3-p, the exponential-map
-    normalization. fgh_at_t interpolates it inside the model's t-range only.
-    A failed fit raises ValueError naming p and the grid.
+    f = r + 1/r + 2s with s = 3-p, and h = f' dr/dt with f' = (r-1)(r+1)/r^2
+    written so that nothing cancels near r = 1. With
+    d(dr/dt)/dr = -(1 + (p-1) dr/dt u''/u')/(p-1), the product rule gives
+    dh/dr, and g = (dh/dr - c h)/b comes from the pair system. This is the
+    decaying r-form with u = 1, u' = 0; since dr/dt = r/s + 1 + O(1/r) and
+    c_tilde e^(t/s) = r + s + O(1/r), it already has h ~ r/s + 1 and
+    f - c_tilde e^(t/s) -> s.
     """
     p = model.p
     s = 3.0 - p
+    sigma = s / (p - 1.0)
+    _, b, c, drdt = _abc(model, r)
+    df = (r - 1.0) * (r + 1.0) / r**2
+    dlog_du = -(sigma + 1.0) / r + 2.0 * sigma / (r**2 + r)
+    d_drdt = -(1.0 + (p - 1.0) * drdt * dlog_du) / (p - 1.0)
+    h = df * drdt
+    dhdr = 2.0 / r**2 * (drdt / r) + df * d_drdt
+    return r + 1.0 / r + 2.0 * s, (dhdr - c * h) / b, h
+
+
+def _growing_at_t(model: ModelGeometry, beta: float) -> Callable[[np.ndarray], tuple]:
+    """t -> (f, g, h) of the growing triple plus beta times the decaying one.
+
+    Exact wherever the level-set radius is live (see _level_radii); past it
+    the growing values are unbounded and the query raises ValueError.
+    """
+
+    def fgh(t):
+        r, live = _level_radii(model, t.ravel())
+        if not np.all(live):
+            raise ValueError(
+                f"t = {float(np.max(t)):g} is past the radius where r**(-2/(p-1)) "
+                f"leaves the normal doubles at p = {model.p:g}"
+            )
+        grow, dec = _growing_at_r(model, r), _decaying_at_r(model, r)
+        return tuple((vg + beta * vd).reshape(t.shape) for vg, vd in zip(grow, dec))
+
+    return fgh
+
+
+def solve_growing(model: ModelGeometry) -> CoefficientSolution:
+    """The coefficient triple that grows linearly at infinity, in closed form.
+
+    It is the solution seeded with (g, h, f) = (-1, 0.01, 0) at the
+    boundary, rescaled by c1 so that h ~ r/(3-p) + 1 and shifted by q so
+    that f - c_tilde e^(t/(3-p)) -> 3-p. That solution is the triple of
+    _growing_at_r, which has this normalization already, plus beta times
+    the decaying one. The former's h vanishes at r = 1, so matching the seed
+    gives
+
+        c1 = -(1 + 0.01 g_dec(0)/h_dec(0)) / g_grow(0),
+        beta = 0.01/(c1 h_dec(0)),
+
+    and q = f(0). Nothing is fitted. The sign pattern h > 0, g < 0 is
+    checked on the grid; fgh_at_t is exact at any t whose radius is live
+    (see _level_radii).
+    """
     r = model.r_grid
-    t = model.t_of_r.y
-    g, h, f = integrate_linear_system(
-        _pair_rhs(model),
-        [-1.0, 0.01, 0.0],
-        (1.0, model.R_max),
-        direction="forward",
-        grid=r,
-    )
-    if np.any(h.y <= 0.0) or np.any(g.y >= 0.0):
+    f0, g0, h0 = _growing_at_r(model, r)
+    fd, gd, hd, _ = _decaying_at_r(model, r)
+    c1 = float(-(1.0 + 0.01 * gd[0] / hd[0]) / g0[0])
+    beta = float(0.01 / (c1 * hd[0]))
+    f, g, h = f0 + beta * fd, g0 + beta * gd, h0 + beta * hd
+    if np.any(h <= 0.0) or np.any(g >= 0.0):
         raise RuntimeError("growing solution lost its sign pattern (h > 0, g < 0)")
-
-    try:
-        fit_h = fit_power_tail(h, 1.0)
-        c1 = s * fit_h.c0
-        if c1 <= 0.0:
-            raise ValueError(f"fitted growth rate c1 = {c1:g} is not positive")
-        if abs(fit_h.c1 / s - 1.0) > 1e-3:
-            raise ValueError(f"subleading term of h ({fit_h.c1:g}) disagrees with 3-p = {s:g}")
-
-        gs = SampledCurve(r, g.y / c1)
-        hs = SampledCurve(r, h.y / c1)
-        f_scaled = f.y / c1
-
-        # Additive normalization of f: fit the limit of c_tilde e^(t/s) - f
-        # over moderate radii, where the two O(r) terms have not yet lost
-        # precision to cancellation.
-        hi = min(1.0e5, model.R_max)
-        stop = int(np.searchsorted(r, hi, side="right"))
-        diff = model.c_tilde * np.exp(t[:stop] / s) - f_scaled[:stop]
-        L = fit_power_tail(SampledCurve(r[:stop], diff), 0.0, window=100.0).c0
-        q = s + L
-        fs = SampledCurve(r, f_scaled + q)
-    except ValueError as exc:
-        raise _grid_error(model, exc) from exc
-    t_samples = t.copy()
     return CoefficientSolution(
         flavor="growing",
-        p=p,
-        g_curve=gs,
-        h_curve=hs,
-        f_curve=fs,
-        t_samples=t_samples,
+        p=model.p,
+        g_curve=SampledCurve(r, g),
+        h_curve=SampledCurve(r, h),
+        f_curve=SampledCurve(r, f),
+        t_samples=model.t_of_r.y.copy(),
         c1=c1,
-        q=q,
-        _fgh=_spline_at_t(t_samples, fs, gs, hs),
+        q=float(f[0]),
+        _fgh=_growing_at_t(model, beta),
     )
 
 
@@ -315,7 +318,7 @@ def perfect_square_residual(
 
         g - 2(p-2) h + (p-1)(3-p) dh/dt + 2 c_h h (dW/dt)/W = 0,
 
-    where dh/dt is taken by finite differences from the integrated solution
+    where dh/dt is taken by finite differences from the sampled solution
     (the coefficient construction satisfies it identically, so using the
     system's own right-hand side would check nothing). Returned sampled
     over t on the model grid.

@@ -176,8 +176,8 @@ def model_profile(
     u, du, C, c_fit and c_tilde are the closed forms of the module
     docstring, evaluated on the grid; the decaying tail keeps full relative
     precision because betainc does. Raises ValueError when R_max**(-kappa)
-    is not a normal double: there the profile loses precision and the
-    decaying coefficient solve stalls. tol (default Tolerances()) becomes
+    is not a normal double: past that radius u' and the level_data built
+    from it underflow. tol (default Tolerances()) becomes
     model.tol, the one error budget of every solve and check on this model.
     """
     p = _check_p(p)

@@ -1,25 +1,21 @@
 """Unit tests for the coefficient triples on the reference slice."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-import masscap.coefficients
 from masscap import (
-    InfinitySingularODE,
-    certify_case,
-    family_schwarzschild,
     fit_power_tail,
-    level_flow,
     model_constancy,
     model_profile,
     perfect_square_residual,
-    series_coefficients,
     solve_decaying,
     solve_growing,
     system_residual,
 )
+from masscap.frobenius import InfinitySingularODE, series_coefficients
 
 PI = math.pi
 ORACLE_P = (1.05, 1.2, 1.5, 1.8, 1.95)
@@ -30,33 +26,84 @@ def mp():
     return pytest.importorskip("mpmath")
 
 
-def exact_triple(mp, p, r):
-    """(f, g, h, t) of the decaying triple at radius r, at 50 digits.
+def exact_profile(mp, p, r):
+    """(u, u', dr/dt, W, dW/dt) of the reference slice at radius r.
 
-    The r-form as written, f = k [u (r-1)^2/r + (2/sigma) u + (r^2-1) u'/sigma]
-    with k = -sigma^2 (sigma+1)/(2C), and h = f' dr/dt with
-    f' = k (r+1)/r^2 [u (r-1) + u' r (r+1)/sigma]; g solves Q = 0. Both forms
-    cancel in double precision at large r, which 50 digits absorbs.
-    t = (1-p) log u is the level-set parameter of r.
+    Works at the caller's mpmath precision.
     """
-    with mp.workdps(50):
+    s = 3 - p
+    sigma = s / (p - 1)
+    C = 2 / mp.beta(sigma, sigma)
+    u = mp.betainc(sigma, sigma, 0, 1 / (1 + r), regularized=True) / mp.betainc(
+        sigma, sigma, 0, mp.mpf(1) / 2, regularized=True
+    )
+    du = -C * r ** (-2 / (p - 1)) * (1 + 1 / r) ** (-2 * sigma)
+    drdt = -u / ((p - 1) * du)
+    W = 4 * mp.pi * (p - 1) ** 2 * r**2 * (du / u) ** 2
+    dlog_du = -(sigma + 1) / r + 2 * sigma / (r**2 + r)
+    dWdt = 2 * W * (1 / r + dlog_du - du / u) * drdt
+    return u, du, drdt, W, dWdt
+
+
+def exact_triple(mp, p, r, flavor="decaying"):
+    """(f, g, h, t) of a coefficient triple at radius r, at 50 digits or more.
+
+    Decaying: the r-form as written, f = k [u (r-1)^2/r + (2/sigma) u +
+    (r^2-1) u'/sigma] with k = -sigma^2 (sigma+1)/(2C), and h = f' dr/dt with
+    f' = k (r+1)/r^2 [u (r-1) + u' r (r+1)/sigma]; g solves Q = 0.
+
+    Growing: f = r + 1/r + 2s and h = (1 - 1/r^2) dr/dt, plus beta times the
+    decaying (f, h), where c1 and beta reproduce the boundary seed
+    (g, h) = (-1, 0.01): c1 = -(1 + 0.01 g_dec(1)/h_dec(1)) / g_0(1) with
+    g_0(1) from Q at r = 1 (where h_0 = 0), beta = 0.01/(c1 h_dec(1)); g
+    solves Q = 8 pi s^3 + 16 pi s^2 - 16 pi s.
+
+    The decaying forms cancel to a part in r^2 at large r, so the working
+    precision is 50 digits plus two per decade of r. t = (1-p) log u is the
+    level-set parameter of r.
+    """
+    with mp.workdps(50 + 2 * max(0, int(math.log10(r)))):
         p, r = mp.mpf(p), mp.mpf(r)
         s = 3 - p
         sigma = s / (p - 1)
-        C = 2 / mp.beta(sigma, sigma)
-        k = -(sigma**2) * (sigma + 1) / (2 * C)
-        u = mp.betainc(sigma, sigma, 0, 1 / (1 + r), regularized=True) / mp.betainc(
-            sigma, sigma, 0, mp.mpf(1) / 2, regularized=True
-        )
-        du = -C * r ** (-2 / (p - 1)) * (1 + 1 / r) ** (-2 * sigma)
+        k = -(sigma**2) * (sigma + 1) * mp.beta(sigma, sigma) / 4
+        u, du, drdt, W, dWdt = exact_profile(mp, p, r)
         f = k * (u * (r - 1) ** 2 / r + (2 / sigma) * u + (r**2 - 1) * du / sigma)
-        drdt = -u / ((p - 1) * du)
         h = k * (r + 1) / r**2 * (u * (r - 1) + du * r * (r + 1) / sigma) * drdt
-        W = 4 * mp.pi * (p - 1) ** 2 * r**2 * (du / u) ** 2
-        dlog_du = -(sigma + 1) / r + 2 * sigma / (r**2 + r)
-        dWdt = 2 * W * (1 / r + dlog_du - du / u) * drdt
-        g = -(4 * mp.pi * s**2 * f + (p - 1) * s * h * dWdt) / W
+        Q = 0
+        if flavor == "growing":
+            f_dec, g_dec, h_dec, _ = exact_triple(mp, p, 1)
+            Q = 8 * mp.pi * s**3 + 16 * mp.pi * s**2 - 16 * mp.pi * s
+            g0 = (Q - 4 * mp.pi * s**2 * (2 + 2 * s)) / exact_profile(mp, p, mp.mpf(1))[3]
+            c1 = -(1 + g_dec / h_dec / 100) / g0
+            beta = 1 / (100 * c1 * h_dec)
+            f = r + 1 / r + 2 * s + beta * f
+            h = (1 - 1 / r**2) * drdt + beta * h
+        g = (Q - 4 * mp.pi * s**2 * f - (p - 1) * s * h * dWdt) / W
         return f, g, h, (1 - p) * mp.log(u)
+
+
+def check_grid_oracle(mp, sol, model, tol):
+    """f, g and h of sol against the oracle at 20 grid radii over [1, R_max]."""
+    index = np.unique(np.linspace(0, model.r_grid.size - 1, 20).astype(int))
+    for i in index:
+        exact = exact_triple(mp, model.p, model.r_grid[i], sol.flavor)
+        for curve, value in zip((sol.f_curve, sol.g_curve, sol.h_curve), exact):
+            assert abs(curve.y[i] / float(value) - 1.0) <= tol, (curve, model.r_grid[i])
+
+
+def check_oracle_beyond_the_grid(mp, sol, model, tol, far=()):
+    """fgh_at_t against the oracle inside the model's t-range and past it.
+
+    The level-set radius r(t) is exact, so the closed form holds at any t:
+    the radii run from 1.5 to 30 R_max, then on to the radii in far.
+    """
+    radii = (1.5, 40.0, 0.5 * model.R_max, 3.0 * model.R_max, 30.0 * model.R_max, *far)
+    exact = [exact_triple(mp, model.p, r, sol.flavor) for r in radii]
+    t = np.array([float(row[3]) for row in exact])
+    assert t[2] < model.t_max < t[3]
+    for value, column in zip(sol.fgh_at_t(t), zip(*exact)):
+        assert np.max(np.abs(value / np.array(column, dtype=float) - 1.0)) <= tol
 
 
 def growth_b1(p):
@@ -113,15 +160,8 @@ class TestDecayingFlavor:
 
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_f_matches_closed_form(self, lab, mp, p):
-        # f, g and h against the 50-digit oracle at 20 grid radii spanning
-        # [1, R_max].
         model = lab.model(p)
-        dec = solve_decaying(model)
-        index = np.unique(np.linspace(0, model.r_grid.size - 1, 20).astype(int))
-        for i in index:
-            exact = exact_triple(mp, p, model.r_grid[i])
-            for curve, value in zip((dec.f_curve, dec.g_curve, dec.h_curve), exact):
-                assert abs(curve.y[i] / float(value) - 1.0) <= 1e-10, (curve, model.r_grid[i])
+        check_grid_oracle(mp, solve_decaying(model), model, 1e-10)
 
     def test_boundary_values_exact_at_three_halves(self, lab):
         dec, _ = lab.triples(1.5)
@@ -137,19 +177,6 @@ class TestDecayingFlavor:
         W0 = float(model.Ws_curve.y[0])
         assert abs(model_constancy(dec, model)[1]) <= 1e-8 * W0
 
-    @pytest.mark.parametrize("p, R_max, n", [(1.05, 1e4, 64), (1.04, 1e4, 256)])
-    def test_tail_fit_failure_names_p_and_grid(self, monkeypatch, p, R_max, n):
-        # The growing triple's normalization fits are the only fits left.
-        def failing_fit(*args, **kwargs):
-            raise ValueError("tail fit residual 1 exceeds 0.001")
-
-        model = model_profile(p, R_max=R_max, n=n)
-        monkeypatch.setattr(masscap.coefficients, "fit_power_tail", failing_fit)
-        prefix = f"p = {p:g}, R_max = {R_max:g}, n = {n}: tail fit residual"
-        with pytest.raises(ValueError, match=prefix) as info:
-            solve_growing(model)
-        assert isinstance(info.value.__cause__, ValueError)
-
 
 class TestGrowingFlavor:
     def test_sign_pattern(self, lab):
@@ -157,6 +184,18 @@ class TestGrowingFlavor:
         assert np.all(grow.h_curve.y > 0.0)
         assert np.all(grow.g_curve.y < 0.0)
         assert grow.c1 > 0.0
+
+    def test_boundary_seed_at_three_halves(self, lab):
+        # The seed (g, h) = (-1, 0.01), rescaled by c1 = 0.9956 * 225/1536.
+        _, grow = lab.triples(1.5)
+        _, g0, h0 = grow.boundary_values()
+        assert h0 / g0 == pytest.approx(-0.01, rel=1e-14, abs=0.0)
+        assert grow.c1 == pytest.approx(0.14583984375, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_matches_closed_form(self, lab, mp, p):
+        model = lab.model(p)
+        check_grid_oracle(mp, solve_growing(model), model, 1e-12)
 
     def test_growth_normalization(self, lab):
         # h ~ r/(3-p) + 1 after the c1 rescale.
@@ -178,7 +217,7 @@ class TestGrowingFlavor:
         s = 3.0 - p
         Q0, dev = model_constancy(grow, model)
         assert dev <= 1e-8 * abs(Q0)
-        assert Q0 == pytest.approx(8.0 * PI * s**3 + 16.0 * PI * s**2 - 16.0 * PI * s, rel=1e-6)
+        assert Q0 == pytest.approx(8.0 * PI * s**3 + 16.0 * PI * s**2 - 16.0 * PI * s, rel=1e-13)
 
 
 class TestResiduals:
@@ -196,7 +235,7 @@ class TestResiduals:
 
 
 class TestEvaluationInterface:
-    def test_spline_reproduces_nodes(self, lab):
+    def test_fgh_at_t_reproduces_nodes(self, lab):
         dec, grow = lab.triples(1.5)
         for sol in (dec, grow):
             f, g, h = sol.fgh_at_t(sol.t_samples)
@@ -205,21 +244,23 @@ class TestEvaluationInterface:
             assert np.allclose(h, sol.h_curve.y, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
-    def test_decaying_matches_oracle_beyond_the_grid(self, mp, p):
-        # The level-set radius r(t) is exact, so the closed form holds at any
-        # t: inside the model's range and up to 30 R_max past it.
-        model = model_profile(p)
-        dec = solve_decaying(model)
-        radii = (1.5, 40.0, 0.5 * model.R_max, 3.0 * model.R_max, 30.0 * model.R_max)
-        exact = [exact_triple(mp, p, r) for r in radii]
-        t = np.array([float(row[3]) for row in exact])
-        assert t[2] < dec.t_max < t[3]
-        for value, column in zip(dec.fgh_at_t(t), zip(*exact)):
-            assert np.max(np.abs(value / np.array(column, dtype=float) - 1.0)) <= 1e-10
+    def test_decaying_matches_oracle_beyond_the_grid(self, lab, mp, p):
+        model = lab.model(p)
+        check_oracle_beyond_the_grid(mp, solve_decaying(model), model, 1e-10)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_growing_matches_oracle_beyond_the_grid(self, lab, mp, p):
+        # Up to 0.9 times the radius where r**(-2/(p-1)) leaves the normal
+        # doubles; that far out, at p = 1.5, betaincinv returns nan and the
+        # radius comes from the logarithmic branch of _level_radii.
+        model = lab.model(p)
+        far = 0.9 * sys.float_info.min ** (-(p - 1.0) / 2.0)
+        check_oracle_beyond_the_grid(mp, solve_growing(model), model, 1e-12, far=(far,))
 
     def test_decaying_is_finite_at_any_t(self, lab):
         dec, _ = lab.triples(1.5)
-        t = np.array([0.0, dec.t_max, 10.0 * dec.t_max, 1e3, 1e300])
+        t_max = lab.model(1.5).t_max
+        t = np.array([0.0, t_max, 10.0 * t_max, 1e3, 1e300])
         for values in dec.fgh_at_t(t):
             assert values.shape == t.shape and np.all(np.isfinite(values))
 
@@ -228,8 +269,10 @@ class TestEvaluationInterface:
         with pytest.raises(ValueError, match="below"):
             dec.fgh_at_t(-0.1)
 
-    def test_growing_raises_beyond_its_range(self, lab):
+    def test_growing_raises_past_the_normal_double_radius(self, lab):
+        # At p = 1.5, r**(-4) leaves the normal doubles at r = 8.2e76, where
+        # t = 264.15.
         _, grow = lab.triples(1.5)
-        assert np.all(np.isfinite(grow.fgh_at_t(grow.t_max)))
-        with pytest.raises(ValueError, match="beyond the sampled range"):
-            grow.fgh_at_t(np.array([1.0, grow.t_max + 1e-6]))
+        assert np.all(np.isfinite(grow.fgh_at_t(np.array([1.0, 264.0]))))
+        with pytest.raises(ValueError, match="leaves the normal doubles"):
+            grow.fgh_at_t(np.array([1.0, 264.3]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from masscap import InfinitySingularODE, series_coefficients
+from masscap.frobenius import InfinitySingularODE, series_coefficients
 
 
 def growth_ode(p):

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from masscap import SampledCurve, Tolerances, fit_power_tail, integrate_linear_system
-from masscap.numerics import panel_integrals, right_cumulative, stencil_derivative
+from masscap import SampledCurve, Tolerances, fit_power_tail
+from masscap.numerics import (
+    integrate_linear_system,
+    panel_integrals,
+    right_cumulative,
+    stencil_derivative,
+)
 
 
 class TestTolerances:

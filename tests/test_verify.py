@@ -263,7 +263,7 @@ class TestCertifyCase:
         dec, grow = solve_decaying(model), solve_growing(model)
         warp = family_schwarzschild(m)
         flow = level_flow(warp, 1.5)
-        assert flow.t_max > dec.t_max
+        assert flow.t_max > model.t_max
         result = certify_case(warp, model, flow, dec, grow)
         assert result.passed, [c for c in result.checks if not c["passed"]]
 
