@@ -85,6 +85,12 @@ _FAMILY_PARAMS = {
 }
 
 
+# A vacuum case's mass_limit error depends only on s_max/m and exceeds its
+# bound below s_max = 125 m (m = 50 on s_max = 5e3: 1.5e-5 against 1e-5 at
+# p = 1.5), so the config refuses Schwarzschild masses above s_max/125.
+_S_MAX_PER_MASS = 125.0
+
+
 class ConfigError(ValueError):
     """Malformed run configuration; maps to exit code 2."""
 
@@ -205,6 +211,12 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     s_max = _require_number(grids["s_max"], "grids.s_max")
     if s_max < 100.0:
         raise ConfigError(f"grids.s_max must be >= 100, got {s_max:g}")
+    for tag, params in fam_clean:
+        if tag == "schwarzschild" and params["m"] > s_max / _S_MAX_PER_MASS:
+            raise ConfigError(
+                f"schwarzschild mass m = {params['m']:g} needs grids.s_max >= "
+                f"{_S_MAX_PER_MASS:g} m = {_S_MAX_PER_MASS * params['m']:g}, got {s_max:g}"
+            )
     n_points = _require_int(grids["n_points"], "grids.n_points", 64)
     n_s = _require_int(grids["n_s"], "grids.n_s", 16)
     n_t = _require_int(grids["n_t"], "grids.n_t", 16)

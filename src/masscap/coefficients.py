@@ -165,7 +165,13 @@ def _decaying_at_r(model: ModelGeometry, r):
     dA = -A * (r + 2.0) / (r * (r + 1.0))
     dlog_du = -(sigma + 1.0) / r + 2.0 * sigma / (r**2 + r)
     h = A * u_over_du * K
-    dhdr = (dA * K + 2.0 * A * I1) * u_over_du + A * (1.0 - u_over_du * dlog_du) * K
+    # u/u' ~ r multiplies K and I1 first: the products dA K and A I1 alone
+    # go subnormal at radii where g is still a normal double.
+    dhdr = (
+        dA * (K * u_over_du)
+        + 2.0 * A * (I1 * u_over_du)
+        + A * (1.0 - u_over_du * dlog_du) * K
+    )
     g = (dhdr - c * h) / b
     return f, g, h, a * drdt
 

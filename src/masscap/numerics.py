@@ -1,7 +1,9 @@
 """Shared numerical primitives.
 
 Small, dependency-light building blocks used by every other module: a
-sampled-curve container with monotone interpolation, dense-output
+sampled-curve container with monotone interpolation, a DOP853 integrator
+stepped in plain floats for small systems (scipy's method and step control,
+one flat buffer of interpolants, vectorised dense output), dense-output
 integration of linear ODE systems, per-interval Gauss-Legendre panels for
 cumulative integrals on fixed grids, least-squares power-law tail fits, and
 finite-difference stencils.
@@ -12,18 +14,24 @@ everything here can be shared freely across the cells of a parameter sweep.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.interpolate import PchipInterpolator
 
 __all__ = [
+    "DenseSolution",
     "PowerTailFit",
     "SampledCurve",
     "Tolerances",
+    "dop853",
     "fit_power_tail",
     "integrate_linear_system",
     "panel_integrals",
@@ -107,6 +115,204 @@ class SampledCurve:
         if np.ndim(xq) == 0:
             return float(out)
         return out
+
+
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) as
+# scipy ships it, as plain floats: stage rows (c, a) of the 12-stage step,
+# the weights B and the 5th and 3rd order error weights E5 and E3 (13
+# entries, the last one for f at the new point), the three extra stages of
+# the dense output and the 4 x 16 interpolant matrix D.
+_DOP_STAGES = [
+    (float(_dop.C[s]), _dop.A[s, :s].tolist()) for s in range(1, _dop.N_STAGES)
+]
+_DOP_EXTRA = [
+    (float(_dop.C[s]), _dop.A[s, :s].tolist())
+    for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
+]
+_DOP_B = _dop.B.tolist()
+_DOP_E5 = _dop.E5.tolist()
+_DOP_E3 = _dop.E3.tolist()
+_DOP_D = _dop.D.tolist()
+_DOP_EXPONENT = -1.0 / 8.0  # -1/(order of the error estimator + 1)
+_DOP_SAFETY = 0.9
+_DOP_MIN_FACTOR = 0.2
+_DOP_MAX_FACTOR = 10.0
+# Horner rows of the interpolant of degree 7 in x = (t - t_old)/h.
+_DOP_ROWS = _dop.INTERPOLATOR_POWER
+
+
+def _rms(values) -> float:
+    return math.sqrt(sum(v * v for v in values) / len(values))
+
+
+class DenseSolution:
+    """The continuous solution of one dop853 run.
+
+    t holds the step ends in the direction of integration, steps the number
+    of accepted steps and nfev the number of right-hand-side evaluations.
+    sol(t) evaluates the interpolants at a scalar or an array of points.
+    """
+
+    __slots__ = ("t", "nfev", "steps", "_records", "_n")
+
+    def __init__(self, records: array, n: int, t_end: float, nfev: int):
+        width = 2 + (1 + _DOP_ROWS) * n  # t_old, h, y_old, 7 rows per component
+        self._records = np.frombuffer(records, dtype=float).reshape(-1, width)
+        self._n = n
+        self.t = np.append(self._records[:, 0], t_end)
+        self.steps = self._records.shape[0]
+        self.nfev = nfev
+
+    def sol(self, t) -> np.ndarray:
+        """State at t: shape (n,) for a scalar, (n, len(t)) for an array.
+
+        A point on a step end takes the step that ends there, the first
+        step takes the start, and points outside the span extrapolate the
+        nearest step, as scipy's OdeSolution does. Each component is summed
+        in scipy's Horner order, alternating factors x and 1 - x.
+        """
+        tq = np.asarray(t, dtype=float)
+        flat = tq.reshape(-1)
+        ends, last = self.t, self.steps - 1
+        if ends[-1] >= ends[0]:
+            seg = np.searchsorted(ends, flat, side="left") - 1
+        else:
+            seg = self.steps - np.searchsorted(ends[::-1], flat, side="right")
+        seg = np.clip(seg, 0, last)
+        rec = self._records
+        x = (flat - rec[seg, 0]) / rec[seg, 1]
+        x1 = 1.0 - x
+        n = self._n
+        out = np.empty((n, flat.size))
+        for i in range(n):
+            base = 2 + n + i * _DOP_ROWS
+            y = np.zeros(flat.size)
+            for j, k in enumerate(reversed(range(_DOP_ROWS))):
+                y += rec[seg, base + k]
+                y *= x1 if j % 2 else x
+            y += rec[seg, 2 + i]
+            out[i] = y
+        return out.reshape((n,) + tq.shape)
+
+
+def dop853(
+    fun: Callable[[float, list], Sequence[float]],
+    t_span: tuple[float, float],
+    y0,
+    *,
+    rtol: float,
+    atol: float,
+    max_step: float = math.inf,
+) -> DenseSolution:
+    """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
+
+    fun takes a float and a list of n floats and returns n floats. The
+    method is scipy's `solve_ivp(method="DOP853", dense_output=True)`,
+    stepped in plain floats for small systems, where numpy's per-call cost
+    would dominate: the same tableau, the Hairer II.4 initial step, the
+    error norm |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n) on the scale
+    atol + rtol max(|y|, |y_new|), safety 0.9, step factors in [0.2, 10],
+    no growth right after a rejection, and the 7th-degree interpolant of
+    each step. Each accepted step adds t_old, h, y_old and its 7 x n
+    interpolant rows to one flat buffer. Raises RuntimeError when the step
+    falls below 10 ulp of t.
+    """
+    t0, t_end = float(t_span[0]), float(t_span[1])
+    if t_end == t0:
+        raise ValueError("t_span must have nonzero length")
+    if not (rtol > 0.0 and atol > 0.0 and max_step > 0.0):
+        raise ValueError("rtol, atol and max_step must be positive")
+    direction = 1.0 if t_end > t0 else -1.0
+    y = [float(v) for v in y0]
+    n = len(y)
+
+    nfev = 2
+    f = fun(t0, y)
+    # Initial step (Hairer, Norsett & Wanner, II.4; scipy's select_initial_step).
+    interval = abs(t_end - t0)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / sc for v, sc in zip(y, scale)])
+    d1 = _rms([v / sc for v, sc in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0 * direction, [v + h0 * direction * dv for v, dv in zip(y, f)])
+    d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
+    h_abs = min(100.0 * h0, h1, interval, max_step)
+
+    records = array("d")
+    t = t0
+    while direction * (t - t_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"dop853: step size fell below 10 ulp of t = {t!r}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+
+            # K holds one column of stage derivatives per component.
+            K = [[v] for v in f]
+            for c, a in _DOP_STAGES:
+                ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
+                for col, v in zip(K, fun(t + c * h, ys)):
+                    col.append(v)
+            y_new = [v + h * sum(map(mul, col, _DOP_B)) for v, col in zip(y, K)]
+            f_new = fun(t + h, y_new)
+            for col, v in zip(K, f_new):
+                col.append(v)
+            nfev += _dop.N_STAGES
+
+            e5 = e3 = 0.0
+            for v, w, col in zip(y, y_new, K):
+                sc = atol + max(abs(v), abs(w)) * rtol
+                r5 = sum(map(mul, col, _DOP_E5)) / sc
+                r3 = sum(map(mul, col, _DOP_E3)) / sc
+                e5 += r5 * r5
+                e3 += r3 * r3
+            if e5 == 0.0 and e3 == 0.0:
+                error = 0.0
+            else:
+                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+
+            if error < 1.0:
+                if error == 0.0:
+                    factor = _DOP_MAX_FACTOR
+                else:
+                    factor = min(_DOP_MAX_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
+            rejected = True
+
+        for c, a in _DOP_EXTRA:
+            ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
+            for col, v in zip(K, fun(t + c * h, ys)):
+                col.append(v)
+        nfev += len(_DOP_EXTRA)
+
+        records.append(t)
+        records.append(h)
+        records.extend(y)
+        for v, w, col in zip(y, y_new, K):
+            dy = w - v
+            f_old, f_end = col[0], col[_dop.N_STAGES]
+            records.extend((dy, h * f_old - dy, 2.0 * dy - h * (f_end + f_old)))
+            records.extend([h * sum(map(mul, d, col)) for d in _DOP_D])
+        t, y, f = t_new, y_new, f_new
+    return DenseSolution(records, n, t, nfev)
 
 
 def integrate_linear_system(

@@ -300,10 +300,11 @@ def case_report(
 
     Merges both flavors' monotonicity, the boundary gradient bound, the
     mass functional limit, the differential-inequality residual gap, the
-    limit estimates, and the sharp margin into one report. Raises when the
-    hypotheses fail (nonnegative curvature, minimal boundary); numerical
-    check failures surface as nonzero max_violation instead. Every budget
-    is model.tol.
+    limit estimates, and the sharp margin into one report; the diagnostics
+    also carry the flow's solver counts (flow_nfev, flow_steps). Raises
+    when the hypotheses fail (nonnegative curvature, minimal boundary);
+    numerical check failures surface as nonzero max_violation instead.
+    Every budget is model.tol.
     """
     qd = evaluate_Q(flow, dec)
     qg = evaluate_Q(flow, grow)
@@ -335,6 +336,8 @@ def case_report(
         "w_identity_gap": w_gap,
         "horizon_W_gap": bound_gap,
         **pm.diagnostics,
+        "flow_nfev": flow.nfev,
+        "flow_steps": flow.steps,
     }
     return VerificationReport(
         min_forward_slope=min(rd.min_forward_slope, rg.min_forward_slope),

@@ -26,6 +26,7 @@ from scipy.special import beta, betainc
 
 from .numerics import (
     SampledCurve,
+    dop853,
     panel_integrals,
     right_cumulative,
     stencil_derivative,
@@ -59,10 +60,13 @@ _GEOM_RTOL = 1e-12
 # capped at t_max / _MIN_FLOW_STEPS. The dense output of an adaptive step is
 # a local polynomial whose error vanishes at the step endpoints, so
 # differentiated samples of it carry that sawtooth-shaped error divided by
-# the step size. The cap does not set the noise floor of the W-residual
-# check, though: on Schwarzschild m = 1.5 at p = 1.22, 2500, 5000 and 10000
-# steps all give a floor of -2.04e-8 to -2.06e-8, beyond the 1e-8 slack
-# that check allows.
+# the step size. The cap binds on every step of the flows measured (the
+# README's Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2, 1.5 and 1.8
+# take 2500 or 2501 steps and 15 right-hand sides per step, no rejection),
+# so it, not the 1e-12 tolerance, sets the cost of level_flow. It does not
+# set the noise floor of the W-residual check, though: on Schwarzschild
+# m = 1.5 at p = 1.22, 2500, 5000 and 10000 steps all give a floor of
+# -2.04e-8 to -2.06e-8, beyond the 1e-8 slack that check allows.
 _MIN_FLOW_STEPS = 2500
 
 
@@ -383,6 +387,8 @@ class FlowProfile:
     All curves share the uniform t_grid abscissa; t_of_s goes the other
     way. H_flux is the sphere integral of H |grad w| (with w = (1-p) log u),
     the quantity that couples the geometry to the monotone combinations.
+    nfev and steps count the right-hand sides and accepted steps of the
+    backward integration that produced the flow.
     """
 
     p: float
@@ -402,6 +408,8 @@ class FlowProfile:
     H_flux: SampledCurve = field(repr=False)
     Cp: float = 0.0
     adm: float = 0.0
+    nfev: int = 0
+    steps: int = 0
 
     @property
     def t_max(self) -> float:
@@ -425,8 +433,11 @@ def level_flow(
     integration is exponentially unstable because neighboring potentials
     diverge from each other at rate kappa/(3-p) per unit t, while backward
     the same rate is a contraction. ds/dt is evaluated in log space to
-    survive small p - 1. The landing point is checked to hit the boundary
-    (s = 0, phi = phi(0)) to tight absolute tolerance.
+    survive small p - 1. The integrator is numerics.dop853 (DOP853 at
+    rtol = atol = 1e-12, step at most t_max / 2500), whose interpolants are
+    sampled on the n_t-point t-grid in one pass; its nfev and steps are
+    kept on the FlowProfile. The landing point is checked to hit the
+    boundary (s = 0, phi = phi(0)) to tight absolute tolerance.
     """
     p = _check_p(p)
     if not warp.minimal_boundary:
@@ -450,18 +461,17 @@ def level_flow(
         ds_dt = math.exp(-t / (p - 1.0) + kappa * math.log(phi) - ln_C) / (p - 1.0)
         return [ds_dt, dphi * ds_dt, accel(s, phi, dphi) * ds_dt]
 
-    sol = solve_ivp(
-        rhs,
-        (t_max, 0.0),
-        [s_max, phi_max, dphi_max],
-        method="DOP853",
-        rtol=_GEOM_RTOL,
-        atol=_GEOM_RTOL,
-        dense_output=True,
-        max_step=t_max / _MIN_FLOW_STEPS,
-    )
-    if not sol.success:
-        raise RuntimeError(f"level-set reparametrization failed: {sol.message}")
+    try:
+        sol = dop853(
+            rhs,
+            (t_max, 0.0),
+            [s_max, phi_max, dphi_max],
+            rtol=_GEOM_RTOL,
+            atol=_GEOM_RTOL,
+            max_step=t_max / _MIN_FLOW_STEPS,
+        )
+    except RuntimeError as exc:
+        raise RuntimeError(f"level-set reparametrization failed: {exc}") from exc
     s0, phi0, _ = sol.sol(0.0)
     if abs(s0) > 1e-6 or abs(phi0 - warp.phi0) > 1e-8 * warp.phi0:
         raise RuntimeError(
@@ -504,6 +514,8 @@ def level_flow(
         H_flux=SampledCurve(t, H_flux),
         Cp=4.0 * math.pi * C ** (p - 1.0),
         adm=adm,
+        nfev=sol.nfev,
+        steps=sol.steps,
     )
 
 

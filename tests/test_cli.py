@@ -267,6 +267,10 @@ BAD_CONFIGS = [
     ({"tolerances": {"accept_rel": True}}, "strictly positive and finite"),
     ({"tolerances": {"accept_rel": float("inf")}}, "strictly positive and finite"),
     ({"tolerances": {"slope_slack": 1e-9}}, "unknown tolerances keys ['slope_slack']"),
+    (
+        {"families": [{"tag": "schwarzschild", "params": {"m": 50.0}}]},
+        "schwarzschild mass m = 50 needs grids.s_max >= 125 m = 6250, got 5000",
+    ),
 ]
 
 

@@ -246,7 +246,8 @@ class TestEvaluationInterface:
     @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
     def test_decaying_matches_oracle_beyond_the_grid(self, lab, mp, p):
         model = lab.model(p)
-        check_oracle_beyond_the_grid(mp, solve_decaying(model), model, 1e-10)
+        far = 0.9 * sys.float_info.min ** (-(p - 1.0) / 2.0)
+        check_oracle_beyond_the_grid(mp, solve_decaying(model), model, 1e-10, far=(far,))
 
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_growing_matches_oracle_beyond_the_grid(self, lab, mp, p):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from masscap import SampledCurve, Tolerances, fit_power_tail
 from masscap.numerics import (
+    dop853,
     integrate_linear_system,
     panel_integrals,
     right_cumulative,
@@ -112,6 +114,67 @@ class TestIntegrateLinearSystem:
     def test_empty_span_rejected(self):
         with pytest.raises(ValueError, match="span"):
             integrate_linear_system(lambda x: np.array([[0.0]]), [1.0], (1.0, 1.0), [1.0, 2.0])
+
+
+def _relaxation(sign):
+    """y' = -50 (y - cos t) run forward (sign 1), or mirrored in t (sign -1)."""
+
+    def fun(t, y):
+        return [-50.0 * sign * (y[0] - math.cos(t))]
+
+    return fun
+
+
+def _relaxation_exact(t):
+    return (2500.0 * np.cos(t) + 50.0 * np.sin(t) - 2500.0 * np.exp(-50.0 * t)) / 2501.0
+
+
+def _pendulum(t, y):
+    return [y[1], -math.sin(y[0])]
+
+
+class TestDop853:
+    @pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
+    def test_capped_steps_match_scipy(self, span):
+        # max_step binds on every step, as in level_flow: the step ends are
+        # the same floats as scipy's, with the same evaluation count.
+        args = {"rtol": 1e-12, "atol": 1e-12, "max_step": 10.0 / 400}
+        ours = dop853(_pendulum, span, [1.0, 0.0], **args)
+        ref = solve_ivp(_pendulum, span, [1.0, 0.0], method="DOP853", dense_output=True, **args)
+        assert np.array_equal(ours.t, ref.t)
+        assert ours.steps == ref.t.size - 1 and ours.nfev == ref.nfev
+        assert ours.nfev == 15 * ours.steps + 2
+        t = np.linspace(0.0, 10.0, 1001)
+        assert np.max(np.abs(ours.sol(t) - ref.sol(t))) <= 1e-13
+        assert np.array_equal(ours.sol(span[0]), [1.0, 0.0])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_rejected_steps_match_scipy(self, sign):
+        # Without a cap the controller rejects steps here (scipy: 356 steps,
+        # 5390 evaluations, more than 15 per step); backward is the mirror
+        # image in t, which is just as stable.
+        span = (0.0, 2.0 * sign)
+        fun = _relaxation(sign)
+        ours = dop853(fun, span, [0.0], rtol=1e-12, atol=1e-12)
+        ref = solve_ivp(
+            fun, span, [0.0], method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True
+        )
+        assert ours.steps == ref.t.size - 1
+        assert ours.nfev == ref.nfev > 15 * ours.steps + 2
+        t = np.linspace(*span, 1001)
+        (y,) = ours.sol(t)
+        assert np.max(np.abs(y - _relaxation_exact(sign * t))) <= 2e-11
+
+    def test_scalar_query_returns_the_state(self):
+        ours = dop853(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
+        y = ours.sol(1.0)
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(_relaxation_exact(1.0), abs=2e-11)
+
+    def test_too_small_step_raises(self):
+        # y' = y^2 from y(0) = 1 blows up at t = 1.
+        with pytest.raises(RuntimeError, match="10 ulp"):
+            dop853(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], rtol=1e-12, atol=1e-12)
 
 
 class TestPanelsAndTails:

@@ -174,6 +174,18 @@ class TestLevelFlow:
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
         assert np.max(np.abs(flow.hawking.y - 2.0)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "tag, params", [("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})]
+    )
+    def test_step_cap_sets_the_cost(self, lab, tag, params):
+        # The cap t_max / 2500 binds on every step, so none is rejected: two
+        # evaluations pick the first step, then each step costs 12 and 3
+        # more for its interpolant. The last step is either the 2500th or
+        # a sliver after it.
+        flow = lab.flow(1.5, tag, **params)
+        assert flow.steps in (2500, 2501)
+        assert flow.nfev == 15 * flow.steps + 2
+
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
     @pytest.mark.parametrize("m", [1.0, 2.0, 5.0])
     def test_matches_exact_vacuum_flow(self, lab, m, p):
