@@ -3,7 +3,7 @@
 Subcommands:
 
     model   write the reference-slice curves and constants per p
-    coeffs  write the coefficient-triple curves and fit constants per p
+    coeffs  write the coefficient-triple curves and closed-form constants per p
     verify  run the certification pipeline per (p, family); emit a report
     sweep   one summary row per (p, family) into sweep.csv
     suite   model + coeffs + verify + sweep on one pipeline, which
@@ -590,10 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     helps = {
         "model": "write reference-slice curves and constants",
-        "coeffs": "write coefficient-triple curves and fit constants",
+        "coeffs": "write coefficient-triple curves and closed-form constants",
         "verify": "run all certification checks and write the report",
         "sweep": "write one summary row per (p, family)",
-        "suite": "model + coeffs + sweep + verify",
+        "suite": "model + coeffs + verify + sweep",
     }
     for name, help_text in helps.items():
         sp = sub.add_parser(name, help=help_text)

@@ -1,12 +1,12 @@
 """Shared numerical primitives.
 
 Small, dependency-light building blocks used by every other module: a
-sampled-curve container with monotone interpolation, a DOP853 integrator
-stepped in plain floats for small systems (scipy's method and step control,
-one flat buffer of interpolants, vectorised dense output), dense-output
-integration of linear ODE systems, per-interval Gauss-Legendre panels for
-cumulative integrals on fixed grids, least-squares power-law tail fits, and
-finite-difference stencils.
+sampled-curve container with monotone interpolation, a DOP853 integrator in
+plain floats for small systems (scipy's method and step control, a
+straight-line step generated from scipy's tableau, one flat buffer of
+interpolants, vectorised dense output), dense-output integration of linear
+ODE systems, per-interval Gauss-Legendre panels for cumulative integrals on
+fixed grids, least-squares power-law tail fits, and finite-difference stencils.
 
 All functions are pure and the containers are immutable once built, so
 everything here can be shared freely across the cells of a parameter sweep.
@@ -14,10 +14,11 @@ everything here can be shared freely across the cells of a parameter sweep.
 
 from __future__ import annotations
 
+import functools
+import linecache
 import math
 from array import array
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -117,28 +118,73 @@ class SampledCurve:
         return out
 
 
-# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) as
-# scipy ships it, as plain floats: stage rows (c, a) of the 12-stage step,
-# the weights B and the 5th and 3rd order error weights E5 and E3 (13
-# entries, the last one for f at the new point), the three extra stages of
-# the dense output and the 4 x 16 interpolant matrix D.
-_DOP_STAGES = [
-    (float(_dop.C[s]), _dop.A[s, :s].tolist()) for s in range(1, _dop.N_STAGES)
-]
-_DOP_EXTRA = [
-    (float(_dop.C[s]), _dop.A[s, :s].tolist())
-    for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
-]
-_DOP_B = _dop.B.tolist()
-_DOP_E5 = _dop.E5.tolist()
-_DOP_E3 = _dop.E3.tolist()
-_DOP_D = _dop.D.tolist()
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) with
+# scipy's tableau and step control.
 _DOP_EXPONENT = -1.0 / 8.0  # -1/(order of the error estimator + 1)
 _DOP_SAFETY = 0.9
 _DOP_MIN_FACTOR = 0.2
 _DOP_MAX_FACTOR = 10.0
+_DOP_EXTRA = _dop.N_STAGES_EXTENDED - _dop.N_STAGES - 1  # dense-output stages
 # Horner rows of the interpolant of degree 7 in x = (t - t_old)/h.
 _DOP_ROWS = _dop.INTERPOLATOR_POWER
+
+
+def _dop_names(prefix: str, n: int) -> str:
+    return "".join(f"{prefix}{i}, " for i in range(n))
+
+
+def _dop_sum(coefs, i: int) -> str:
+    """Source of the sum of k{j}_{i} * coefs[j], left to right, zero terms dropped."""
+    terms = [f"k{j}_{i} * {c!r}" for j, c in enumerate(coefs.tolist()) if c != 0.0]
+    return "(" + " + ".join(terms) + ")"
+
+
+def _dop_stage(s: int, n: int) -> str:
+    ys = ", ".join(f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n))
+    return f"    {_dop_names(f'k{s}_', n)}= fun(t + {_dop.C[s].item()!r} * h, [{ys}])"
+
+
+@functools.cache
+def _dop_kernel(n: int):
+    """The DOP853 step for n components as straight-line code, compiled once.
+
+    attempt(fun, t, h, y, f) returns y_new, f_new, the unscaled E5 and E3
+    sums and the stages k0..k12; record(fun, t, h, y, y_new, ks) adds the 3
+    dense-output stages and returns the step's row of the interpolant
+    buffer. Coefficients are scipy's exact reprs, exactly-zero terms are
+    dropped, sums run left to right. linecache holds the source for tracebacks.
+    """
+    last = _dop.N_STAGES  # stage k{last} is f at the new point
+    ys, ks = _dop_names("y", n), "".join(_dop_names(f"k{s}_", n) for s in range(last + 1))
+    rows = "".join(
+        f"dy{i}, h * k0_{i} - dy{i}, 2.0 * dy{i} - h * (k{last}_{i} + k0_{i}), "
+        + "".join(f"h * {_dop_sum(d, i)}, " for d in _dop.D)
+        for i in range(n)
+    )
+    lines = [
+        "def attempt(fun, t, h, y, f):",
+        f"    {ys}= y",
+        f"    {_dop_names('k0_', n)}= f",
+        *(_dop_stage(s, n) for s in range(1, last)),
+        f"    y_new = [{', '.join(f'y{i} + h * {_dop_sum(_dop.B, i)}' for i in range(n))}]",
+        f"    {_dop_names(f'k{last}_', n)}= f_new = fun(t + h, y_new)",
+        f"    e5 = [{', '.join(_dop_sum(_dop.E5, i) for i in range(n))}]",
+        f"    e3 = [{', '.join(_dop_sum(_dop.E3, i) for i in range(n))}]",
+        f"    return y_new, f_new, e5, e3, ({ks})",
+        "def record(fun, t, h, y, y_new, ks):",
+        f"    {ys}= y",
+        f"    {_dop_names('w', n)}= y_new",
+        f"    {ks}= ks",
+        *(_dop_stage(s, n) for s in range(last + 1, _dop.N_STAGES_EXTENDED)),
+        *(f"    dy{i} = w{i} - y{i}" for i in range(n)),
+        f"    return (t, h, {ys}{rows})",
+    ]
+    source = "\n".join(lines) + "\n"
+    filename = f"<masscap.numerics dop853 n={n}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["attempt"], namespace["record"]
 
 
 def _rms(values) -> float:
@@ -216,6 +262,11 @@ def dop853(
     each step. Each accepted step adds t_old, h, y_old and its 7 x n
     interpolant rows to one flat buffer. Raises RuntimeError when the step
     falls below 10 ulp of t.
+
+    The stages are the straight-line code of _dop_kernel(n): the order of
+    every sum is fixed in the source, not left to builtin sum(), which
+    CPython 3.12 made compensated. Tested on CPython 3.11 only, bit for bit
+    against an oracle that sums each stage with sum().
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end == t0:
@@ -243,6 +294,7 @@ def dop853(
         h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
     h_abs = min(100.0 * h0, h1, interval, max_step)
 
+    attempt, record = _dop_kernel(n)
     records = array("d")
     t = t0
     while direction * (t - t_end) < 0.0:
@@ -261,23 +313,13 @@ def dop853(
             h = t_new - t
             h_abs = abs(h)
 
-            # K holds one column of stage derivatives per component.
-            K = [[v] for v in f]
-            for c, a in _DOP_STAGES:
-                ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
-                for col, v in zip(K, fun(t + c * h, ys)):
-                    col.append(v)
-            y_new = [v + h * sum(map(mul, col, _DOP_B)) for v, col in zip(y, K)]
-            f_new = fun(t + h, y_new)
-            for col, v in zip(K, f_new):
-                col.append(v)
+            y_new, f_new, e5_sums, e3_sums, ks = attempt(fun, t, h, y, f)
             nfev += _dop.N_STAGES
-
             e5 = e3 = 0.0
-            for v, w, col in zip(y, y_new, K):
+            for v, w, s5, s3 in zip(y, y_new, e5_sums, e3_sums):
                 sc = atol + max(abs(v), abs(w)) * rtol
-                r5 = sum(map(mul, col, _DOP_E5)) / sc
-                r3 = sum(map(mul, col, _DOP_E3)) / sc
+                r5 = s5 / sc
+                r3 = s3 / sc
                 e5 += r5 * r5
                 e3 += r3 * r3
             if e5 == 0.0 and e3 == 0.0:
@@ -297,20 +339,8 @@ def dop853(
             h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
             rejected = True
 
-        for c, a in _DOP_EXTRA:
-            ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
-            for col, v in zip(K, fun(t + c * h, ys)):
-                col.append(v)
-        nfev += len(_DOP_EXTRA)
-
-        records.append(t)
-        records.append(h)
-        records.extend(y)
-        for v, w, col in zip(y, y_new, K):
-            dy = w - v
-            f_old, f_end = col[0], col[_dop.N_STAGES]
-            records.extend((dy, h * f_old - dy, 2.0 * dy - h * (f_end + f_old)))
-            records.extend([h * sum(map(mul, d, col)) for d in _DOP_D])
+        records.extend(record(fun, t, h, y, y_new, ks))
+        nfev += _DOP_EXTRA
         t, y, f = t_new, y_new, f_new
     return DenseSolution(records, n, t, nfev)
 

@@ -325,3 +325,11 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert masscap.__version__ in capsys.readouterr().out
+
+
+def test_help_names_what_the_subcommands_do():
+    # cmd_suite runs verify before sweep, and the triples have no fitted constants.
+    text = " ".join(build_parser().format_help().split())
+    assert "suite model + coeffs + verify + sweep" in text
+    assert "coeffs write coefficient-triple curves and closed-form constants" in text
+    assert "fit constants" not in text

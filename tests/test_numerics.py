@@ -1,13 +1,21 @@
 """Unit tests for the shared numerics toolbox."""
 
+import linecache
 import math
+import traceback
+from array import array
+from operator import mul
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from masscap import SampledCurve, Tolerances, fit_power_tail
+from masscap import SampledCurve, Tolerances, fit_power_tail, family_bumped, level_flow
+from masscap import warped
 from masscap.numerics import (
+    DenseSolution,
+    _dop_kernel,
     dop853,
     integrate_linear_system,
     panel_integrals,
@@ -133,6 +141,107 @@ def _pendulum(t, y):
     return [y[1], -math.sin(y[0])]
 
 
+def _rms(values):
+    return math.sqrt(sum(v * v for v in values) / len(values))
+
+
+def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
+    """The stage-loop DOP853 that the generated kernel replaced: the oracle.
+
+    Each stage, each weight row and each interpolant row is a builtin sum()
+    of map(mul) over the stage column of one component. On CPython 3.11
+    that sum runs left to right in plain doubles, which is what the
+    generated straight-line step writes out.
+    """
+    stages = [(float(_dop.C[s]), _dop.A[s, :s].tolist()) for s in range(1, _dop.N_STAGES)]
+    extra = [
+        (float(_dop.C[s]), _dop.A[s, :s].tolist())
+        for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
+    ]
+    weights, err5, err3, rows = _dop.B.tolist(), _dop.E5.tolist(), _dop.E3.tolist(), _dop.D.tolist()
+    t0, t_end = float(t_span[0]), float(t_span[1])
+    direction = 1.0 if t_end > t0 else -1.0
+    y = [float(v) for v in y0]
+    n = len(y)
+    nfev = 2
+    f = fun(t0, y)
+    interval = abs(t_end - t0)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / sc for v, sc in zip(y, scale)])
+    d1 = _rms([v / sc for v, sc in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0 * direction, [v + h0 * direction * dv for v, dv in zip(y, f)])
+    d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    h_abs = min(100.0 * h0, h1, interval, max_step)
+
+    records = array("d")
+    t = t0
+    while direction * (t - t_end) < 0.0:
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise RuntimeError(f"step size fell below 10 ulp of t = {t!r}")
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            K = [[v] for v in f]
+            for c, a in stages:
+                ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
+                for col, v in zip(K, fun(t + c * h, ys)):
+                    col.append(v)
+            y_new = [v + h * sum(map(mul, col, weights)) for v, col in zip(y, K)]
+            f_new = fun(t + h, y_new)
+            for col, v in zip(K, f_new):
+                col.append(v)
+            nfev += _dop.N_STAGES
+            e5 = e3 = 0.0
+            for v, w, col in zip(y, y_new, K):
+                sc = atol + max(abs(v), abs(w)) * rtol
+                r5 = sum(map(mul, col, err5)) / sc
+                r3 = sum(map(mul, col, err3)) / sc
+                e5 += r5 * r5
+                e3 += r3 * r3
+            if e5 == 0.0 and e3 == 0.0:
+                error = 0.0
+            else:
+                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            if error < 1.0:
+                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error ** (-1.0 / 8.0))
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * error ** (-1.0 / 8.0))
+            rejected = True
+        for c, a in extra:
+            ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
+            for col, v in zip(K, fun(t + c * h, ys)):
+                col.append(v)
+        nfev += len(extra)
+        records.append(t)
+        records.append(h)
+        records.extend(y)
+        for v, w, col in zip(y, y_new, K):
+            dy = w - v
+            f_old, f_end = col[0], col[_dop.N_STAGES]
+            records.extend((dy, h * f_old - dy, 2.0 * dy - h * (f_end + f_old)))
+            records.extend([h * sum(map(mul, d, col)) for d in rows])
+        t, y, f = t_new, y_new, f_new
+    return DenseSolution(records, n, t, nfev)
+
+
 class TestDop853:
     @pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
     def test_capped_steps_match_scipy(self, span):
@@ -175,6 +284,63 @@ class TestDop853:
         # y' = y^2 from y(0) = 1 blows up at t = 1.
         with pytest.raises(RuntimeError, match="10 ulp"):
             dop853(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _assert_same_run(fun, span, y0, **args):
+        ours = dop853(fun, span, y0, **args)
+        ref = _loop_dop853(fun, span, y0, **args)
+        assert np.array_equal(ours._records, ref._records)
+        assert np.array_equal(ours.t, ref.t)
+        assert (ours.nfev, ours.steps) == (ref.nfev, ref.steps)
+        return ours
+
+    @pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
+    def test_capped_run_is_bit_identical_to_the_loops(self, span):
+        self._assert_same_run(
+            _pendulum, span, [1.0, 0.0], rtol=1e-12, atol=1e-12, max_step=10.0 / 400
+        )
+
+    def test_rejections_are_bit_identical_to_the_loops(self):
+        ours = self._assert_same_run(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
+        assert ours.nfev > 15 * ours.steps + 2
+
+    def test_uncapped_pendulum_is_bit_identical_to_the_loops(self):
+        ours = self._assert_same_run(_pendulum, (0.0, 50.0), [2.0, 0.0], rtol=1e-12, atol=1e-12)
+        assert ours.nfev > 15 * ours.steps + 2
+
+    def test_level_flow_is_bit_identical_to_the_loops(self, monkeypatch):
+        calls = []
+
+        def spy(fun, span, y0, **args):
+            calls.append((fun, span, y0, args))
+            return dop853(fun, span, y0, **args)
+
+        monkeypatch.setattr(warped, "dop853", spy)
+        level_flow(family_bumped(1.0, 0.1, 2.0, 6.0), 1.5)
+        ((fun, span, y0, args),) = calls
+        assert len(y0) == 3
+        self._assert_same_run(fun, span, y0, **args)
+
+    def test_kernel_is_built_once_per_size(self):
+        assert _dop_kernel(3) is _dop_kernel(3)
+        assert _dop_kernel(1) is not _dop_kernel(2)
+
+    def test_traceback_shows_the_generated_line(self):
+        count = 0
+
+        def fun(t, y):
+            nonlocal count
+            count += 1
+            if count == 5:
+                raise ValueError("fifth call")
+            return _pendulum(t, y)
+
+        with pytest.raises(ValueError, match="fifth call") as info:
+            dop853(fun, (0.0, 1.0), [1.0, 0.0], rtol=1e-12, atol=1e-12)
+        frames = traceback.extract_tb(info.tb)
+        (kernel,) = [fr for fr in frames if fr.filename == "<masscap.numerics dop853 n=2>"]
+        assert kernel.line.startswith("k")
+        assert linecache.getline(kernel.filename, kernel.lineno).strip() == kernel.line
 
 
 class TestPanelsAndTails:
