@@ -17,7 +17,6 @@ from .coefficients import (
     perfect_square_residual,
     solve_decaying,
     solve_growing,
-    system_residual,
 )
 from .numerics import (
     PowerTailFit,
@@ -27,7 +26,6 @@ from .numerics import (
 )
 from .schwarzschild import (
     ModelGeometry,
-    capacity_Kp,
     flux_constant,
     model_profile,
     ws_boundary_data,
@@ -79,7 +77,6 @@ __all__ = [
     "VerificationReport",
     "WarpProfile",
     "capacity_Cp",
-    "capacity_Kp",
     "case_report",
     "certify_case",
     "constant_diagnostics",
@@ -105,7 +102,6 @@ __all__ = [
     "solve_decaying",
     "solve_growing",
     "spline_bump",
-    "system_residual",
     "w_inequality_residual",
     "ws_boundary_data",
 ]

@@ -46,7 +46,6 @@ __all__ = [
     "perfect_square_residual",
     "solve_decaying",
     "solve_growing",
-    "system_residual",
 ]
 
 
@@ -338,35 +337,6 @@ def perfect_square_residual(
     dhdt = _native_t_derivative(h, model, data.drdt)
     res = g - 2.0 * (p - 2.0) * h + (p - 1.0) * s * dhdt + 2.0 * ch * h * data.dWdt / data.W
     return SampledCurve(sol.t_samples, res)
-
-
-def system_residual(sol: CoefficientSolution, model: ModelGeometry) -> float:
-    """Max normalized residual of the pair system plus the factorization
-    relation, with all derivatives taken by finite differences.
-
-    Each equation's residual is normalized by the largest magnitude its
-    terms reach on the grid, so the result is a dimensionless defect
-    comparable against Tolerances.accept_rel.
-    """
-    g = sol.g_curve.y
-    h = sol.h_curve.y
-    f = sol.f_curve.y
-    a, b, c, drdt = _abc(model, model.r_grid)
-
-    dgdt = _native_t_derivative(g, model, drdt)
-    dhdt = _native_t_derivative(h, model, drdt)
-    dfdt = _native_t_derivative(f, model, drdt)
-
-    rhs_g = a * h * drdt
-    rhs_h = (b * g + c * h) * drdt
-    worst = 0.0
-    for fd, rhs in ((dgdt, rhs_g), (dhdt, rhs_h), (dfdt, h)):
-        scale = float(np.max(np.abs(fd) + np.abs(rhs)))
-        worst = max(worst, float(np.max(np.abs(fd - rhs))) / scale)
-
-    square = perfect_square_residual(sol, model)
-    worst = max(worst, float(np.max(np.abs(square.y))) / float(np.max(np.abs(g))))
-    return worst
 
 
 def model_constancy(sol: CoefficientSolution, model: ModelGeometry) -> tuple[float, float]:

@@ -1,7 +1,7 @@
 """Shared numerical primitives.
 
 Small, dependency-light building blocks used by every other module: a
-sampled-curve container with monotone interpolation, a DOP853 integrator in
+validated container of curve samples, a DOP853 integrator in
 plain floats for small systems (scipy's method and step control, a
 straight-line step generated from scipy's tableau, one flat buffer of
 interpolants, vectorised dense output), dense-output integration of linear
@@ -25,7 +25,6 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "DenseSolution",
@@ -70,13 +69,12 @@ _ODE_RTOL = 1e-12
 class SampledCurve:
     """Scalar samples y_i at strictly increasing abscissae x_i.
 
-    Calling the curve interpolates with the monotone shape-preserving cubic
-    (PCHIP), so interpolation never overshoots and reproduces the samples
-    exactly at the nodes. Queries outside the sampled range raise rather
-    than extrapolate.
+    Both are 1-d float arrays of equal length, at least two samples, all
+    finite. The package reads the samples themselves; nothing here
+    evaluates a curve between its nodes.
     """
 
-    __slots__ = ("x", "y", "_pchip")
+    __slots__ = ("x", "y")
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=float)
@@ -91,31 +89,9 @@ class SampledCurve:
             raise ValueError("curve samples must be finite")
         self.x = x
         self.y = y
-        self._pchip = None
-
-    def __len__(self) -> int:
-        return self.x.size
 
     def __repr__(self) -> str:
         return f"SampledCurve(n={self.x.size}, x=[{self.x[0]:g}, {self.x[-1]:g}])"
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.x[0]), float(self.x[-1])
-
-    def __call__(self, xq):
-        q = np.asarray(xq, dtype=float)
-        lo, hi = self.x[0], self.x[-1]
-        if np.any(q < lo) or np.any(q > hi):
-            raise ValueError(
-                f"query outside the sampled range [{lo:g}, {hi:g}]"
-            )
-        if self._pchip is None:
-            self._pchip = PchipInterpolator(self.x, self.y, extrapolate=False)
-        out = self._pchip(q)
-        if np.ndim(xq) == 0:
-            return float(out)
-        return out
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) with

@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_R_MAX",
     "LevelData",
     "ModelGeometry",
-    "capacity_Kp",
     "flux_constant",
     "model_profile",
     "ws_boundary_data",
@@ -126,7 +125,7 @@ class ModelGeometry:
     """The reference slice sampled on a geometric r-grid [1, R_max].
 
     Immutable after construction. Curves over r: u, du, t; curves over t:
-    r, W, dW/dt. The closed forms of u and du give pointwise data off the
+    W, dW/dt. The closed forms of u and du give pointwise data off the
     grid via level_data(), as accurate as on the grid.
     """
 
@@ -137,7 +136,6 @@ class ModelGeometry:
     u_curve: SampledCurve = field(repr=False)
     du_curve: SampledCurve = field(repr=False)
     t_of_r: SampledCurve = field(repr=False)
-    r_of_t: SampledCurve = field(repr=False)
     Ws_curve: SampledCurve = field(repr=False)
     dWs_curve: SampledCurve = field(repr=False)
     c_fit: float = 0.0
@@ -155,10 +153,6 @@ class ModelGeometry:
     def u_at(self, r):
         """Closed-form potential at arbitrary radii r >= 1."""
         return _potential(self.p, np.asarray(r, dtype=float))
-
-    def du_exact(self, r):
-        """Closed-form radial derivative of the potential."""
-        return _du(self.p, self.flux_constant, np.asarray(r, dtype=float))
 
     def level_data(self, r) -> LevelData:
         """u, du, W, dW/dr, dr/dt, dW/dt at arbitrary radii r >= 1."""
@@ -213,7 +207,6 @@ def model_profile(
         u_curve=SampledCurve(r, d.u),
         du_curve=SampledCurve(r, d.du),
         t_of_r=SampledCurve(r, t),
-        r_of_t=SampledCurve(t, r),
         Ws_curve=SampledCurve(t, d.W),
         dWs_curve=SampledCurve(t, d.dWdt),
         c_fit=c_fit,
@@ -221,26 +214,6 @@ def model_profile(
         tol=tol or Tolerances(),
     )
     return model
-
-
-def capacity_Kp(model: ModelGeometry) -> float:
-    """Boundary p-capacity of the reference slice, K_p = 4 pi C**(p-1).
-
-    Cross-checked against the direct surface integral of |grad u|^(p-1) in
-    the metric (1+1/r)^4 delta over a sample of level spheres; the conserved
-    flux makes that integral radius-independent.
-    """
-    p = model.p
-    tol = model.tol
-    sample = np.geomspace(1.0, model.R_max, 9)
-    du = np.abs(model.du_exact(sample))
-    rho = 1.0 + 1.0 / sample
-    # |grad u| = |u'| / rho^2 and the area element is rho^4 r^2 dOmega.
-    direct = 4.0 * math.pi * sample**2 * rho ** (6.0 - 2.0 * p) * du ** (p - 1.0)
-    dev = np.max(np.abs(direct - model.Kp)) / model.Kp
-    if dev > tol.accept_rel:
-        raise RuntimeError(f"flux integral varies across spheres (relative spread {dev:.3e})")
-    return model.Kp
 
 
 def ws_boundary_data(model: ModelGeometry) -> tuple[float, float]:

@@ -76,7 +76,6 @@ class VerificationReport:
     """
 
     min_forward_slope: float | None = None
-    max_violation: float | None = None
     penrose_margin: float | None = None
     equality_flag: bool | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -113,21 +112,18 @@ def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> QCurve:
 
 
 def monotonicity_report(q: QCurve, tol: Tolerances) -> VerificationReport:
-    """Certify forward differences of Q against the slope slack.
+    """Smallest forward difference of Q and the equality flag.
 
-    min_forward_slope is the smallest forward difference; max_violation is
-    how far it dips below -slope_slack (zero when compliant). The equality
-    flag is set when the whole curve stays within accept_rel of its initial
-    value, scaled by the curve's own magnitude.
+    certify_case gates min_forward_slope against -slope_slack. The
+    equality flag is set when the whole curve stays within accept_rel of
+    its initial value, scaled by the curve's own magnitude.
     """
     d = np.diff(q.values)
     min_slope = float(np.min(d))
-    violation = max(0.0, -(min_slope + tol.slope_slack))
     deviation = float(np.max(np.abs(q.values - q.values[0])))
     scale = max(1.0, abs(float(q.values[0])), float(np.max(np.abs(q.values))))
     return VerificationReport(
         min_forward_slope=min_slope,
-        max_violation=violation,
         equality_flag=bool(deviation <= tol.accept_rel * scale),
         diagnostics={
             "flavor": q.flavor,
@@ -147,7 +143,8 @@ def q_limits(q: QCurve, flow: FlowProfile) -> float:
     """
     p = flow.p
     s = 3.0 - p
-    x = np.asarray(flow.phi(q.t), dtype=float)
+    # evaluate_Q samples q.t from flow.t_grid, so every q.t is a grid node.
+    x = flow.phi.y[np.searchsorted(flow.t_grid, q.t)]
     mask = x >= x[-1] / 10.0
     if int(mask.sum()) < 8:
         raise ValueError("not enough samples in the limit window")
@@ -222,6 +219,10 @@ def mass_functional_Fp(flow: FlowProfile) -> tuple[SampledCurve, float]:
     return SampledCurve(t, vals), float(coef[0])
 
 
+class _HypothesisViolation(ValueError):
+    """The geometry violates a hypothesis of the mass bound."""
+
+
 def penrose_margin(flow: FlowProfile, model: ModelGeometry) -> VerificationReport:
     """Sharp capacity-to-mass margin m - 2 (C_p/K_p)**(1/(3-p)).
 
@@ -236,7 +237,7 @@ def penrose_margin(flow: FlowProfile, model: ModelGeometry) -> VerificationRepor
     R = flow.R.y
     floor = -1e-9 * max(1.0, float(np.max(np.abs(R))))
     if float(np.min(R)) < floor:
-        raise ValueError(
+        raise _HypothesisViolation(
             f"scalar curvature dips to {float(np.min(R)):g}; "
             "hypotheses of the mass bound are violated"
         )
@@ -302,15 +303,16 @@ def case_report(
     mass functional limit, the differential-inequality residual gap, the
     limit estimates, and the sharp margin into one report; the diagnostics
     also carry the flow's solver counts (flow_nfev, flow_steps). Raises
-    when the hypotheses fail (nonnegative curvature, minimal boundary);
-    numerical check failures surface as nonzero max_violation instead.
-    Every budget is model.tol.
+    ValueError when the scalar curvature dips negative, a hypothesis of the
+    mass bound; that check runs first, so it is the error reported at any
+    grid. Numerical check failures surface in the report's slopes and gaps,
+    which certify_case gates. Every budget is model.tol.
     """
+    pm = penrose_margin(flow, model)
     qd = evaluate_Q(flow, dec)
     qg = evaluate_Q(flow, grow)
     rd = monotonicity_report(qd, model.tol)
     rg = monotonicity_report(qg, model.tol)
-    pm = penrose_margin(flow, model)
     _, f_limit = mass_functional_Fp(flow)
     w_residual, w_gap = w_inequality_residual(flow)
     bound_gap = horizon_W_bound(flow, dec, model)
@@ -341,7 +343,6 @@ def case_report(
     }
     return VerificationReport(
         min_forward_slope=min(rd.min_forward_slope, rg.min_forward_slope),
-        max_violation=max(rd.max_violation, rg.max_violation),
         penrose_margin=pm.penrose_margin,
         equality_flag=bool(rd.equality_flag and rg.equality_flag and pm.equality_flag),
         diagnostics=diagnostics,
@@ -510,7 +511,9 @@ def certify_case(
     members (Schwarzschild, bumps with eps = 0) must meet the equality case
     sharply, every other geometry the strict margin without equality. A
     failed hypothesis of the mass bound is the failed stage check
-    "hypotheses"; a failed flat capacity or mass the stage check "capacity".
+    "hypotheses", any other error of case_report the stage check
+    "case_report", and a failed flat capacity or mass the stage check
+    "capacity".
     Every tolerance derives from model.tol.
     """
     tol = model.tol
@@ -535,8 +538,10 @@ def certify_case(
         raise ValueError("a minimal boundary needs its flow and both coefficient triples")
     try:
         report = case_report(flow, model, dec, grow)
-    except (ValueError, RuntimeError) as exc:
+    except _HypothesisViolation as exc:
         return CaseResult.failed(p, tag, params, "hypotheses", exc)
+    except (ValueError, RuntimeError) as exc:
+        return CaseResult.failed(p, tag, params, "case_report", exc)
     vacuum = tag == "schwarzschild" or (tag == "bumped" and params["eps"] == 0.0)
     checks = _gated_checks(report, flow, vacuum, tol)
     return CaseResult(p, tag, params, flow.Cp, flow.adm, report, checks)

@@ -384,9 +384,9 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
 class FlowProfile:
     """A geometry reparametrized by the level-set parameter t = (1-p) log u.
 
-    All curves share the uniform t_grid abscissa; t_of_s goes the other
-    way. H_flux is the sphere integral of H |grad w| (with w = (1-p) log u),
-    the quantity that couples the geometry to the monotone combinations.
+    All curves share the uniform t_grid abscissa. H_flux is the sphere
+    integral of H |grad w| (with w = (1-p) log u), the quantity that
+    couples the geometry to the monotone combinations.
     nfev and steps count the right-hand sides and accepted steps of the
     backward integration that produced the flow.
     """
@@ -396,10 +396,8 @@ class FlowProfile:
     params: dict
     t_grid: np.ndarray = field(repr=False)
     s_of_t: SampledCurve = field(repr=False)
-    t_of_s: SampledCurve = field(repr=False)
     phi: SampledCurve = field(repr=False)
     u: SampledCurve = field(repr=False)
-    du: SampledCurve = field(repr=False)
     W: SampledCurve = field(repr=False)
     dWdt: SampledCurve = field(repr=False)
     H: SampledCurve = field(repr=False)
@@ -481,10 +479,11 @@ def level_flow(
     t = np.linspace(0.0, t_max, int(n_t))
     s_t, phi_t, dphi_t = sol.sol(t)
     s_t[0] = 0.0
+    if np.any(np.diff(s_t) <= 0.0):
+        raise RuntimeError("level-set reparametrization: s(t) is not strictly increasing")
 
     du_over_u = -np.exp(ln_C - kappa * np.log(phi_t) + t / (p - 1.0))
     u_t = np.exp(-t / (p - 1.0))
-    du_t = u_t * du_over_u
     W = 4.0 * math.pi * (p - 1.0) ** 2 * (phi_t * du_over_u) ** 2
     dWds_over_W = 2.0 * ((1.0 - kappa) * dphi_t / phi_t - du_over_u)
     dtds = (1.0 - p) * du_over_u
@@ -502,10 +501,8 @@ def level_flow(
         params=dict(warp.params),
         t_grid=t,
         s_of_t=SampledCurve(t, s_t),
-        t_of_s=SampledCurve(s_t, t),
         phi=SampledCurve(t, phi_t),
         u=SampledCurve(t, u_t),
-        du=SampledCurve(t, du_t),
         W=SampledCurve(t, W),
         dWdt=SampledCurve(t, dWdt),
         H=SampledCurve(t, H),

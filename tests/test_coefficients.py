@@ -13,7 +13,6 @@ from masscap import (
     perfect_square_residual,
     solve_decaying,
     solve_growing,
-    system_residual,
 )
 from masscap.frobenius import InfinitySingularODE, series_coefficients
 
@@ -227,11 +226,6 @@ class TestResiduals:
         sol = lab.triples(1.5)[flavor_index]
         res = perfect_square_residual(sol, model)
         assert float(np.max(np.abs(res.y))) <= 1e-6 * float(np.max(np.abs(sol.g_curve.y)))
-
-    def test_system_residual_within_budget(self, lab):
-        model = lab.model(1.5)
-        for sol in lab.triples(1.5):
-            assert system_residual(sol, model) <= 1e-6
 
 
 class TestEvaluationInterface:

@@ -8,7 +8,6 @@ import pytest
 
 from masscap import (
     SampledCurve,
-    capacity_Kp,
     fit_power_tail,
     flux_constant,
     model_profile,
@@ -28,7 +27,6 @@ class TestClosedFormAnchors:
     def test_boundary_derivative(self, lab):
         model = lab.model(1.5)
         assert float(model.du_curve.y[0]) == pytest.approx(-15.0 / 16.0, rel=1e-12)
-        assert model.du_exact(1.0) == pytest.approx(-15.0 / 16.0, rel=1e-12)
 
     def test_capacity(self, lab):
         assert lab.model(1.5).Kp == pytest.approx(4.0 * PI * math.sqrt(60.0), rel=1e-12)
@@ -52,12 +50,6 @@ class TestProfileShape:
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0.0)
 
-    def test_radius_map_round_trip(self, lab, p):
-        model = lab.model(p)
-        probes = np.array([1.0, 3.7, 1.0e3, 9.0e5])
-        back = model.r_of_t(model.t_of_r(probes))
-        assert np.allclose(back, probes, rtol=1e-8)
-
     def test_spline_potential_matches_grid(self, lab, p):
         model = lab.model(p)
         assert np.allclose(model.u_at(model.r_grid), model.u_curve.y, rtol=1e-12)
@@ -79,8 +71,15 @@ class TestProfileShape:
         assert dW0 == pytest.approx(2.0 / (p - 1.0) * W0, rel=1e-9)
 
     def test_flux_integral_radius_independent(self, lab, p):
+        # The surface integral of |grad u|^(p-1) over level spheres in the
+        # metric (1+1/r)^4 delta, with |grad u| = |u'|/rho^2 and area element
+        # rho^4 r^2 dOmega, is the conserved flux K_p on every sphere.
         model = lab.model(p)
-        assert capacity_Kp(model) == model.Kp
+        sample = np.geomspace(1.0, model.R_max, 9)
+        du = np.abs(model.level_data(sample).du)
+        rho = 1.0 + 1.0 / sample
+        direct = 4.0 * PI * sample**2 * rho ** (6.0 - 2.0 * p) * du ** (p - 1.0)
+        assert np.max(np.abs(direct - model.Kp)) <= model.tol.accept_rel * model.Kp
 
     def test_tail_normalization_ratios(self, lab, p):
         # c_tilde is the closed form c_fit**((p-1)/(3-p)); the oracle is the

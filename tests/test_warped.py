@@ -1,6 +1,7 @@
 """Unit tests for warped-product geometries and their level-set flows."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from masscap import (
     spline_bump,
     w_inequality_residual,
 )
+from masscap import warped
 
 PI = math.pi
 
@@ -160,9 +162,30 @@ class TestLevelFlow:
         assert abs(float(flow.H_flux.y[0])) <= 1e-9
 
     def test_arclength_round_trip(self, lab):
+        # The backward pass runs from the outer end s_max to the boundary
+        # s = 0, with s(t) strictly increasing in between.
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
-        probes = np.array([0.0, 1.0, 100.0, 4000.0])
-        assert np.max(np.abs(flow.s_of_t(flow.t_of_s(probes)) - probes)) <= 1e-8
+        s = flow.s_of_t.y
+        assert s[0] == 0.0 and s[-1] == pytest.approx(lab.warp("schwarzschild", m=2.0).s_max)
+        assert np.all(np.diff(s) > 0.0)
+
+    def test_non_monotone_arclength_is_refused(self, lab, monkeypatch):
+        real = warped.dop853
+
+        def dipped(*args, **kwargs):
+            sol = real(*args, **kwargs)
+
+            def sample(t):
+                out = sol.sol(t)
+                if np.ndim(t):
+                    out[0, 40] = out[0, 38]  # s dips between nodes 39 and 40
+                return out
+
+            return SimpleNamespace(sol=sample, nfev=sol.nfev, steps=sol.steps)
+
+        monkeypatch.setattr(warped, "dop853", dipped)
+        with pytest.raises(RuntimeError, match=r"s\(t\) is not strictly increasing"):
+            level_flow(lab.warp("schwarzschild", m=2.0), 1.5, n_t=64)
 
     def test_matches_reference_slice_at_mass_two(self, lab):
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
