@@ -18,12 +18,7 @@ from .coefficients import (
     solve_decaying,
     solve_growing,
 )
-from .numerics import (
-    PowerTailFit,
-    SampledCurve,
-    Tolerances,
-    fit_power_tail,
-)
+from .numerics import SampledCurve, Tolerances
 from .schwarzschild import (
     ModelGeometry,
     flux_constant,
@@ -70,7 +65,6 @@ __all__ = [
     "CoefficientSolution",
     "FlowProfile",
     "ModelGeometry",
-    "PowerTailFit",
     "QCurve",
     "SampledCurve",
     "Tolerances",
@@ -84,7 +78,6 @@ __all__ = [
     "family_bumped",
     "family_flat_exterior",
     "family_schwarzschild",
-    "fit_power_tail",
     "flux_constant",
     "horizon_W_bound",
     "level_flow",

@@ -6,7 +6,10 @@ plain floats for small systems (scipy's method and step control, a
 straight-line step generated from scipy's tableau, one flat buffer of
 interpolants, vectorised dense output), dense-output integration of linear
 ODE systems, per-interval Gauss-Legendre panels for cumulative integrals on
-fixed grids, least-squares power-law tail fits, and finite-difference stencils.
+fixed grids, and finite-difference stencils. The least-squares power-law
+tail fit fit_power_tail has no caller in the package (verify fits its
+limits itself); like frobenius.py it is kept while the benchmark's tracer
+names it.
 
 All functions are pure and the containers are immutable once built, so
 everything here can be shared freely across the cells of a parameter sweep.
@@ -60,6 +63,14 @@ class Tolerances:
                 isinstance(value, (int, float)) and 0.0 < value < float("inf")
             ):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
+
+
+def _check_p(p: float) -> float:
+    """p as a float, refused unless it lies in the open interval (1, 2)."""
+    p = float(p)
+    if not 1.0 < p < 2.0:
+        raise ValueError(f"p must lie in (1, 2), got {p}")
+    return p
 
 
 # Relative tolerance of integrate_linear_system.

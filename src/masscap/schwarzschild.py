@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .numerics import SampledCurve, Tolerances
+from .numerics import SampledCurve, Tolerances, _check_p
 
 __all__ = [
     "DEFAULT_N_R",
@@ -53,13 +53,6 @@ __all__ = [
 
 DEFAULT_R_MAX = 1.0e6
 DEFAULT_N_R = 4096
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"p must lie in (1, 2), got {p}")
-    return p
 
 
 def _exponents(p: float) -> tuple[float, float, float]:
@@ -149,10 +142,6 @@ class ModelGeometry:
     @property
     def t_max(self) -> float:
         return float(self.t_of_r.y[-1])
-
-    def u_at(self, r):
-        """Closed-form potential at arbitrary radii r >= 1."""
-        return _potential(self.p, np.asarray(r, dtype=float))
 
     def level_data(self, r) -> LevelData:
         """u, du, W, dW/dr, dr/dt, dW/dt at arbitrary radii r >= 1."""

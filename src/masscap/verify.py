@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coefficients import CoefficientSolution, model_constancy
-from .numerics import SampledCurve, Tolerances, fit_power_tail
+from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
 
@@ -125,12 +125,25 @@ def monotonicity_report(q: QCurve, tol: Tolerances) -> VerificationReport:
     return VerificationReport(
         min_forward_slope=min_slope,
         equality_flag=bool(deviation <= tol.accept_rel * scale),
-        diagnostics={
-            "flavor": q.flavor,
-            "Q0": float(q.values[0]),
-            "max_deviation_from_Q0": deviation,
-        },
+        diagnostics={"Q0": float(q.values[0])},
     )
+
+
+def _tail_limit(
+    x: np.ndarray, y: np.ndarray, powers: tuple[float, float], window: float = 10.0
+) -> float:
+    """Constant term of the least-squares fit y ~ c0 + c1 x**-a + c2 x**-b.
+
+    The fit runs over the top of the x range, x >= x[-1]/window, with
+    (a, b) = powers, and needs at least 8 samples there.
+    """
+    mask = x >= x[-1] / window
+    if np.count_nonzero(mask) < 8:
+        raise ValueError("not enough samples in the limit window")
+    xs = x[mask]
+    design = np.column_stack([np.ones_like(xs)] + [xs**-k for k in powers])
+    coef, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
+    return float(coef[0])
 
 
 def q_limits(q: QCurve, flow: FlowProfile) -> float:
@@ -142,20 +155,12 @@ def q_limits(q: QCurve, flow: FlowProfile) -> float:
     top decade of available radii.
     """
     p = flow.p
-    s = 3.0 - p
     # evaluate_Q samples q.t from flow.t_grid, so every q.t is a grid node.
     x = flow.phi.y[np.searchsorted(flow.t_grid, q.t)]
-    mask = x >= x[-1] / 10.0
-    if int(mask.sum()) < 8:
-        raise ValueError("not enough samples in the limit window")
-    xs, ys = x[mask], q.values[mask]
     if q.flavor == "decaying":
-        sigma = s / (p - 1.0)
-        design = np.column_stack([np.ones_like(xs), xs**-sigma, xs ** -(sigma + 1.0)])
-    else:
-        design = np.column_stack([np.ones_like(xs), 1.0 / xs, xs**-2.0])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return float(coef[0])
+        sigma = (3.0 - p) / (p - 1.0)
+        return _tail_limit(x, q.values, (sigma, sigma + 1.0))
+    return _tail_limit(x, q.values, (1.0, 2.0))
 
 
 def horizon_W_bound(
@@ -211,12 +216,7 @@ def mass_functional_Fp(flow: FlowProfile) -> tuple[SampledCurve, float]:
     vals = pref * np.exp(t / s) * (
         4.0 * math.pi * s - flow.H_flux.y + flow.W.y / s
     )
-    phi = flow.phi.y
-    mask = phi > phi[-1] / 10.0
-    xs, ys = phi[mask], vals[mask]
-    design = np.column_stack([np.ones_like(xs), 1.0 / xs, xs**-2.0])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return SampledCurve(t, vals), float(coef[0])
+    return SampledCurve(t, vals), _tail_limit(flow.phi.y, vals, (1.0, 2.0))
 
 
 class _HypothesisViolation(ValueError):
@@ -272,18 +272,15 @@ def constant_diagnostics(
     s = 3.0 - model.p
     r = model.r_grid
     stop = int(np.searchsorted(r, min(1.0e5, model.R_max), side="right"))
-    window = 100.0
-
-    g_shift = SampledCurve(r[:stop], grow.g_curve.y[:stop] + r[:stop])
-    g_const = fit_power_tail(g_shift, 0.0, window=window, max_residual=1.0).c0
-    gsh = SampledCurve(r[:stop], grow.g_curve.y[:stop] + s * grow.h_curve.y[:stop])
-    g_plus_sh = fit_power_tail(gsh, 0.0, window=window, max_residual=1.0).c0
+    r, g, h = r[:stop], grow.g_curve.y[:stop], grow.h_curve.y[:stop]
+    g_const = _tail_limit(r, g + r, (1.0, 2.0), window=100.0)
+    g_plus_sh = _tail_limit(r, g + s * h, (1.0, 2.0), window=100.0)
 
     Q0_grow, dev_grow = model_constancy(grow, model)
     Q0_dec, dev_dec = model_constancy(dec, model)
     return {
-        "g_constant_measured": float(g_const),
-        "g_plus_sh_measured": float(g_plus_sh),
+        "g_constant_measured": g_const,
+        "g_plus_sh_measured": g_plus_sh,
         "growing_Q0_measured": float(Q0_grow),
         "growing_Q0_deviation": float(dev_grow),
         "decaying_Q0_measured": float(Q0_dec),

@@ -26,6 +26,7 @@ from scipy.special import beta, betainc
 
 from .numerics import (
     SampledCurve,
+    _check_p,
     dop853,
     panel_integrals,
     right_cumulative,
@@ -68,13 +69,6 @@ _GEOM_RTOL = 1e-12
 # m = 1.5 at p = 1.22, 2500, 5000 and 10000 steps all give a floor of
 # -2.04e-8 to -2.06e-8, beyond the 1e-8 slack that check allows.
 _MIN_FLOW_STEPS = 2500
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not 1.0 < p < 2.0:
-        raise ValueError(f"p must lie in (1, 2), got {p}")
-    return p
 
 
 def _bump_edge(v):

@@ -13,11 +13,11 @@ import numpy as np
 from masscap import (
     capacity_Cp,
     constant_diagnostics,
-    fit_power_tail,
     masses,
     perfect_square_residual,
     w_inequality_residual,
 )
+from masscap.numerics import fit_power_tail
 from conftest import BUMP_EPSILONS, P_GRID, SCHWARZSCHILD_MASSES
 
 PI = math.pi

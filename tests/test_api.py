@@ -11,7 +11,6 @@ PUBLIC_NAMES = [
     "CoefficientSolution",
     "FlowProfile",
     "ModelGeometry",
-    "PowerTailFit",
     "QCurve",
     "SampledCurve",
     "Tolerances",
@@ -25,7 +24,6 @@ PUBLIC_NAMES = [
     "family_bumped",
     "family_flat_exterior",
     "family_schwarzschild",
-    "fit_power_tail",
     "flux_constant",
     "horizon_W_bound",
     "level_flow",
@@ -49,7 +47,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 38
+    assert len(PUBLIC_NAMES) == 36
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

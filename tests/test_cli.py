@@ -207,6 +207,26 @@ class TestSweepCommand:
         assert float(row["adm"]) == pytest.approx(0.0, abs=1e-10)
 
 
+    def test_failed_case_is_an_error_row(self, tmp_path):
+        # A bump reaching toward the outer end of the grid is refused while
+        # the family is built; the other case still gets its ok row.
+        families = [
+            {"tag": "schwarzschild", "params": {"m": 2.0}},
+            {"tag": "bumped", "params": {"m0": 1.0, "eps": 0.1, "s1": 2.0, "s2": 4000.0}},
+        ]
+        cfg = _write_config(tmp_path / "cfg.json", {"p_list": [1.5], "families": families})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        header, rows = _read_csv(out / "sweep.csv")
+        status = {row[1]: row[-1] for row in rows}
+        assert status == {
+            "schwarzschild": "ok",
+            "bumped": "error: bump support must end well inside the grid",
+        }
+        [bumped] = [dict(zip(header, row)) for row in rows if row[1] == "bumped"]
+        assert all(bumped[name] == "" for name in header[3:-1])
+
+
 class TestSuiteCommand:
     @pytest.mark.parametrize(
         "families, reference",

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from masscap import (
-    fit_power_tail,
     model_constancy,
     model_profile,
     perfect_square_residual,
@@ -15,6 +14,7 @@ from masscap import (
     solve_growing,
 )
 from masscap.frobenius import InfinitySingularODE, series_coefficients
+from masscap.numerics import fit_power_tail
 
 PI = math.pi
 ORACLE_P = (1.05, 1.2, 1.5, 1.8, 1.95)

@@ -11,12 +11,13 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
-from masscap import SampledCurve, Tolerances, fit_power_tail, family_bumped, level_flow
+from masscap import SampledCurve, Tolerances, family_bumped, level_flow
 from masscap import warped
 from masscap.numerics import (
     DenseSolution,
     _dop_kernel,
     dop853,
+    fit_power_tail,
     integrate_linear_system,
     panel_integrals,
     right_cumulative,

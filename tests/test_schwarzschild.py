@@ -8,12 +8,11 @@ import pytest
 
 from masscap import (
     SampledCurve,
-    fit_power_tail,
     flux_constant,
     model_profile,
     ws_boundary_data,
 )
-from masscap.numerics import panel_integrals, right_cumulative
+from masscap.numerics import fit_power_tail, panel_integrals, right_cumulative
 
 PI = math.pi
 
@@ -52,7 +51,7 @@ class TestProfileShape:
 
     def test_spline_potential_matches_grid(self, lab, p):
         model = lab.model(p)
-        assert np.allclose(model.u_at(model.r_grid), model.u_curve.y, rtol=1e-12)
+        assert np.allclose(model.level_data(model.r_grid).u, model.u_curve.y, rtol=1e-12)
 
     def test_level_data_matches_sampled_W(self, lab, p):
         model = lab.model(p)
@@ -124,7 +123,7 @@ def test_profile_independent_of_outer_radius():
     base = model_profile(1.5)
     wide = model_profile(1.5, R_max=2.0e6)
     probes = np.array([1.0, 10.0, 1.0e4])
-    assert np.allclose(wide.u_at(probes), base.u_at(probes), rtol=1e-10)
+    assert np.allclose(wide.level_data(probes).u, base.level_data(probes).u, rtol=1e-10)
     assert wide.Kp == pytest.approx(base.Kp, rel=1e-10)
 
 

@@ -27,7 +27,7 @@ from masscap import (
     solve_decaying,
     solve_growing,
 )
-from masscap.verify import GROWTH_CAP
+from masscap.verify import GROWTH_CAP, _tail_limit
 
 PI = math.pi
 
@@ -111,10 +111,36 @@ class TestLimitsAndBounds:
         assert np.all(np.isfinite(curve.y))
         assert limit == pytest.approx(16.0 * PI, rel=1e-6)
 
+    def test_mass_functional_needs_eight_samples_in_its_window(self, lab):
+        # On the coarsest accepted t-grid the top decade of radii holds 5
+        # samples, too few for a three-term fit.
+        flow = level_flow(lab.warp("schwarzschild", m=2.0), 1.5, n_t=16)
+        assert int(np.sum(flow.phi.y >= flow.phi.y[-1] / 10.0)) == 5
+        with pytest.raises(ValueError, match="not enough samples in the limit window"):
+            mass_functional_Fp(flow)
+
     def test_growing_flavor_required_for_horizon_bound(self, lab):
         _, grow = lab.triples(1.5)
         with pytest.raises(ValueError, match="decaying"):
             horizon_W_bound(lab.flow(1.5, "schwarzschild", m=2.0), grow, lab.model(1.5))
+
+
+class TestTailLimit:
+    def test_recovers_the_constant_of_its_basis(self):
+        x = np.geomspace(1.0, 1.0e4, 200)
+        y = 3.0 - 2.0 * x**-0.5 + 7.0 * x**-1.5
+        assert _tail_limit(x, y, (0.5, 1.5)) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n_window, window", [(7, 10.0), (8, 10.0), (7, 100.0)])
+    def test_needs_eight_samples_in_the_window(self, n_window, window):
+        # n_window samples in [x_max/window, x_max], the rest far below it.
+        x = np.concatenate([np.linspace(1.0, 2.0, 5), np.geomspace(1e4 / window, 1e4, n_window)])
+        y = 1.0 + 1.0 / x
+        if n_window < 8:
+            with pytest.raises(ValueError, match="not enough samples in the limit window"):
+                _tail_limit(x, y, (1.0, 2.0), window=window)
+        else:
+            assert _tail_limit(x, y, (1.0, 2.0), window=window) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestHypothesisChecks:

@@ -1,5 +1,6 @@
 """Unit tests for warped-product geometries and their level-set flows."""
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -8,6 +9,7 @@ import pytest
 from scipy.special import beta, betaincinv
 
 from masscap import (
+    SampledCurve,
     capacity_Cp,
     family_bumped,
     family_flat_exterior,
@@ -186,6 +188,16 @@ class TestLevelFlow:
         monkeypatch.setattr(warped, "dop853", dipped)
         with pytest.raises(RuntimeError, match=r"s\(t\) is not strictly increasing"):
             level_flow(lab.warp("schwarzschild", m=2.0), 1.5, n_t=64)
+
+    def test_missed_boundary_is_refused(self, lab):
+        # A boundary radius off by one part in a million is not where the
+        # backward pass from the outer end lands.
+        warp = lab.warp("schwarzschild", m=2.0)
+        phi = warp.phi.y.copy()
+        phi[0] *= 1.0 + 1e-6
+        moved = dataclasses.replace(warp, phi=SampledCurve(warp.phi.x, phi))
+        with pytest.raises(RuntimeError, match="backward pass missed the boundary"):
+            level_flow(moved, 1.5, n_t=64)
 
     def test_matches_reference_slice_at_mass_two(self, lab):
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
