@@ -327,15 +327,17 @@ class _Pipeline:
 
     Each is built at most once per run, so every subcommand of a suite sees
     the same objects. Case results are kept light: a flow and its Q curves
-    live only while their case is computed.
+    live only while their case is certified, and with write_curves they are
+    written then.
     """
 
-    def __init__(self, cfg: RunConfig) -> None:
+    def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
         self.cfg = cfg
+        self.write_curves = write_curves
         self._models: dict[float, ModelGeometry] = {}
         self._triples: dict[float, tuple[CoefficientSolution, CoefficientSolution]] = {}
         self._warps: dict[tuple, WarpProfile] = {}
-        self._cases: dict[tuple, CaseResult] = {}
+        self._cases: list[tuple[float, str, dict, CaseResult]] | None = None
         # exponents of the minimal-boundary cases, whose triples the report covers
         self.minimal_ps: set[float] = set()
 
@@ -363,18 +365,16 @@ class _Pipeline:
                 self._warps[key] = family_flat_exterior(**grid)
         return self._warps[key]
 
-    def case(self, p: float, tag: str, params: dict, write_curves: bool = False) -> CaseResult:
-        """The result of one case, certified on its first request.
+    def cases(self) -> list[tuple[float, str, dict, CaseResult]]:
+        """(p, tag, params, result) per case in _case_order, certified on the first call."""
+        if self._cases is None:
+            self._cases = [
+                (p, tag, params, self._certify(p, tag, params).light())
+                for p, tag, params in _case_order(self.cfg)
+            ]
+        return self._cases
 
-        With write_curves, that first request also writes the case's flow
-        and Q curves while the flow is alive.
-        """
-        key = (p, tag, tuple(sorted(params.items())))
-        if key not in self._cases:
-            self._cases[key] = self._certify(p, tag, params, write_curves).light()
-        return self._cases[key]
-
-    def _certify(self, p: float, tag: str, params: dict, write_curves: bool) -> CaseResult:
+    def _certify(self, p: float, tag: str, params: dict) -> CaseResult:
         flow = dec = grow = None
         stage = "family_construction"
         try:
@@ -389,7 +389,7 @@ class _Pipeline:
         except (ValueError, RuntimeError) as exc:
             return CaseResult.failed(p, tag, params, stage, exc)
         result = certify_case(warp, model, flow, dec, grow)
-        if write_curves and flow is not None and result.report is not None:
+        if self.write_curves and flow is not None and result.report is not None:
             _write_curves(self.cfg.csv_dir, p, _slug(tag, params), flow, result.report.curves)
         return result
 
@@ -503,8 +503,7 @@ def cmd_coeffs(pipe: _Pipeline) -> int:
 def cmd_verify(pipe: _Pipeline) -> int:
     cfg = pipe.cfg
     cases = []
-    for p, tag, params in _case_order(cfg):
-        result = pipe.case(p, tag, params, write_curves=True)
+    for p, tag, params, result in pipe.cases():
         margin, slope_dec, slope_grow, equality = _verdict_columns(result)
         cases.append(
             {
@@ -546,27 +545,31 @@ def cmd_verify(pipe: _Pipeline) -> int:
     return 0 if passed else 1
 
 
+def _sweep_status(result: CaseResult) -> str:
+    """ok, fail: <failed check names>, or error: <the stopped stage's message>."""
+    if result.report is None:
+        return f"error: {' '.join(result.checks[0]['detail'].split())}"
+    failed = [check["name"] for check in result.checks if not check["passed"]]
+    return f"fail: {' '.join(failed)}" if failed else "ok"
+
+
 def cmd_sweep(pipe: _Pipeline) -> int:
     cfg = pipe.cfg
     rows = []
-    for p, tag, params in _case_order(cfg):
-        result = pipe.case(p, tag, params)
-        base = [p, tag, json.dumps(params, sort_keys=True)]
-        if result.error is None:
-            Kp = pipe.model(p).Kp
-            rows.append(base + [result.Cp, Kp, result.adm] + _verdict_columns(result) + ["ok"])
+    for p, tag, params, result in pipe.cases():
+        if result.report is None:
+            columns = [None] * 7
         else:
-            rows.append(base + [None] * 7 + [f"error: {' '.join(result.error.split())}"])
+            columns = [result.Cp, pipe.model(p).Kp, result.adm] + _verdict_columns(result)
+        rows.append([p, tag, json.dumps(params, sort_keys=True), *columns, _sweep_status(result)])
     header = ["p", "tag", "params", "Cp", "Kp", "adm", "margin"]
     header += ["min_slope_dec", "min_slope_grow", "equality", "status"]
     _write_csv(cfg.csv_dir / "sweep.csv", header, rows)
     print(f"sweep: {len(rows)} rows -> {cfg.csv_dir / 'sweep.csv'}")
-    return 0 if all(row[-1] == "ok" for row in rows) else 1
+    return 0 if all(result.passed for *_, result in pipe.cases()) else 1
 
 
 def cmd_suite(pipe: _Pipeline) -> int:
-    # verify runs before sweep so that it is the one that certifies each
-    # case and writes its curves; sweep then reads the kept results.
     return max(cmd_model(pipe), cmd_coeffs(pipe), cmd_verify(pipe), cmd_sweep(pipe))
 
 
@@ -612,7 +615,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"masscap: {exc}", file=sys.stderr)
         return 2
     try:
-        return _COMMANDS[args.command](_Pipeline(cfg))
+        pipe = _Pipeline(cfg, write_curves=args.command in ("verify", "suite"))
+        return _COMMANDS[args.command](pipe)
     except OSError as exc:
         return _pipeline_failure(exc)
 

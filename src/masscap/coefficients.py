@@ -339,6 +339,16 @@ def perfect_square_residual(
     return SampledCurve(sol.t_samples, res)
 
 
+def _q_terms(p: float, f, g, h, W, dWdt) -> tuple:
+    """The three terms of Q = 4 pi (3-p)^2 f + g W + (p-1)(3-p) h dW/dt.
+
+    Callers add them left to right; reference_checks also reads them one by
+    one, to scale the decaying Q against its largest term.
+    """
+    s = 3.0 - p
+    return 4.0 * math.pi * s**2 * f, g * W, (p - 1.0) * s * h * dWdt
+
+
 def model_constancy(sol: CoefficientSolution, model: ModelGeometry) -> tuple[float, float]:
     """(Q(0), max deviation of Q from Q(0)) on the reference slice.
 
@@ -346,14 +356,9 @@ def model_constancy(sol: CoefficientSolution, model: ModelGeometry) -> tuple[flo
     nonzero constant. Deviations measure the end-to-end numerical quality
     of the profile, the coefficient solve, and the normalizations at once.
     """
-    p = sol.p
-    s = 3.0 - p
-    W = model.Ws_curve.y
-    dWdt = model.dWs_curve.y
-    Q = (
-        4.0 * math.pi * s**2 * sol.f_curve.y
-        + sol.g_curve.y * W
-        + (p - 1.0) * s * sol.h_curve.y * dWdt
+    f_term, g_term, h_term = _q_terms(
+        sol.p, sol.f_curve.y, sol.g_curve.y, sol.h_curve.y, model.Ws_curve.y, model.dWs_curve.y
     )
+    Q = f_term + g_term + h_term
     Q0 = float(Q[0])
     return Q0, float(np.max(np.abs(Q - Q0)))

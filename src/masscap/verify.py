@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import CoefficientSolution, model_constancy
+from .coefficients import CoefficientSolution, _q_terms, model_constancy
 from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
@@ -53,7 +53,6 @@ class QCurve:
     """A monotone combination sampled along a flow's t-grid."""
 
     flavor: str
-    p: float
     t: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
 
@@ -106,9 +105,8 @@ def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> QCurve:
         if int(keep.sum()) < 16:
             raise ValueError(f"fewer than 16 samples with exp(t/(3-p)) <= {GROWTH_CAP:g}")
         ts, W, dWdt = ts[keep], W[keep], dWdt[keep]
-    f, g, h = sol.fgh_at_t(ts)
-    Q = 4.0 * math.pi * s**2 * f + g * W + (p - 1.0) * s * h * dWdt
-    return QCurve(flavor=sol.flavor, p=p, t=ts, values=Q)
+    f_term, g_term, h_term = _q_terms(p, *sol.fgh_at_t(ts), W, dWdt)
+    return QCurve(flavor=sol.flavor, t=ts, values=f_term + g_term + h_term)
 
 
 def monotonicity_report(q: QCurve, tol: Tolerances) -> VerificationReport:
@@ -360,9 +358,10 @@ class CaseResult:
 
     checks are the named gates in a fixed order, each a dict with name,
     value, tolerance, passed and, for a stage failure, detail. A case whose
-    computation stopped holds one failed check named after the stage, the
-    stage's message in error, and no report. A geometry without a minimal
-    boundary gets a report that holds only its diagnostics.
+    computation stopped has no report and holds one failed check, named
+    after the stage, whose detail is the stage's message. A geometry
+    without a minimal boundary gets a report that holds only its
+    diagnostics.
     """
 
     p: float
@@ -372,7 +371,6 @@ class CaseResult:
     adm: float | None = None
     report: VerificationReport | None = None
     checks: tuple[dict, ...] = ()
-    error: str | None = None
 
     @property
     def passed(self) -> bool:
@@ -384,7 +382,7 @@ class CaseResult:
     ) -> CaseResult:
         """A case stopped at `stage` by `exc`: one failed check carrying its message."""
         check = _check(stage, None, None, False, str(exc))
-        return cls(p, family, dict(params), checks=(check,), error=str(exc))
+        return cls(p, family, dict(params), checks=(check,))
 
     def light(self) -> CaseResult:
         """This result without the report's sampled curves, cheap to keep."""
@@ -466,15 +464,11 @@ def reference_checks(
     q0_form = 8.0 * math.pi * s**3 + 16.0 * math.pi * s**2 - 16.0 * math.pi * s
     q0, q0_tol = diag["growing_Q0_measured"], acc * abs(q0_form)
     dev, dev_tol = diag["growing_Q0_deviation"], acc * abs(q0)
-    terms = np.array(
-        [
-            4.0 * math.pi * s**2 * dec.f_curve.y,
-            dec.g_curve.y * model.Ws_curve.y,
-            (p - 1.0) * s * dec.h_curve.y * model.dWs_curve.y,
-        ]
+    terms = _q_terms(
+        p, dec.f_curve.y, dec.g_curve.y, dec.h_curve.y, model.Ws_curve.y, model.dWs_curve.y
     )
-    q_dec = float(np.max(np.abs(terms.sum(axis=0))))
-    dec_tol = acc * float(np.max(np.abs(terms)))
+    q_dec = float(np.max(np.abs(terms[0] + terms[1] + terms[2])))
+    dec_tol = acc * max(float(np.max(np.abs(term))) for term in terms)
     checks = [
         _check("growing_Q0", q0, q0_tol, abs(q0 - q0_form) <= q0_tol),
         _check("growing_constant", dev, dev_tol, dev <= dev_tol),

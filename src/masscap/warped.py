@@ -130,9 +130,10 @@ class WarpProfile:
     """A warped-product geometry, sampled and in closed/dense form.
 
     phi_fn evaluates the warping factor anywhere on [0, s_max] to solver
-    accuracy; accel_fn gives phi'' from the state (s, phi, phi'),
-    which is what the level-set reparametrization integrates. The sampled
-    curves cover a log-like grid for export and the capacity quadrature.
+    accuracy; accel_fn gives phi'' from the state (s, phi, phi'), scalar or
+    array, which is what the level-set reparametrization integrates and
+    scalar_curvature reads. The sampled curves phi and phi' cover a
+    log-like grid for export and the capacity quadrature.
     """
 
     family_tag: str
@@ -141,7 +142,6 @@ class WarpProfile:
     s_grid: np.ndarray = field(repr=False)
     phi: SampledCurve = field(repr=False)
     dphi: SampledCurve = field(repr=False)
-    ddphi: SampledCurve = field(repr=False)
     phi_fn: Callable = field(repr=False)
     accel_fn: Callable = field(repr=False)
     minimal_boundary: bool = True
@@ -189,7 +189,6 @@ def _solve_family(
         raise RuntimeError("warping factor lost positivity")
     if np.max(dphi_v) >= 1.0:
         raise ValueError("phi' reached 1; curvature perturbation too strong for this family")
-    ddphi_v = accel(s, phi_v, dphi_v)
 
     def phi_fn(x):
         return sol.sol(x)[0]
@@ -201,7 +200,6 @@ def _solve_family(
         s_grid=s,
         phi=SampledCurve(s, phi_v),
         dphi=SampledCurve(s, dphi_v),
-        ddphi=SampledCurve(s, np.asarray(ddphi_v, dtype=float)),
         phi_fn=phi_fn,
         accel_fn=accel,
         minimal_boundary=True,
@@ -290,21 +288,26 @@ def family_flat_exterior(
         s_grid=s,
         phi=SampledCurve(s, phi_v),
         dphi=SampledCurve(s, np.ones_like(s)),
-        ddphi=SampledCurve(s, np.zeros_like(s)),
         phi_fn=phi_fn,
         accel_fn=accel,
         minimal_boundary=False,
     )
 
 
+def _hawking(phi: np.ndarray, dphi: np.ndarray) -> np.ndarray:
+    """Hawking mass (phi/2)(1 - phi'^2) of the level spheres."""
+    return 0.5 * phi * (1.0 - dphi**2)
+
+
+def _curvature(phi: np.ndarray, dphi: np.ndarray, ddphi: np.ndarray) -> np.ndarray:
+    """Scalar curvature R = 2(1 - phi'^2)/phi^2 - 4 phi''/phi."""
+    return 2.0 * (1.0 - dphi**2) / phi**2 - 4.0 * ddphi / phi
+
+
 def scalar_curvature(warp: WarpProfile) -> SampledCurve:
-    """R = 2(1 - phi'^2)/phi^2 - 4 phi''/phi on the sample grid."""
-    phi, dphi, ddphi = warp.phi.y, warp.dphi.y, warp.ddphi.y
-    return SampledCurve(warp.s_grid, 2.0 * (1.0 - dphi**2) / phi**2 - 4.0 * ddphi / phi)
-
-
-def _hawking_values(warp: WarpProfile) -> np.ndarray:
-    return 0.5 * warp.phi.y * (1.0 - warp.dphi.y ** 2)
+    """R on the sample grid, with phi'' from the family's accel_fn."""
+    phi, dphi = warp.phi.y, warp.dphi.y
+    return SampledCurve(warp.s_grid, _curvature(phi, dphi, warp.accel_fn(warp.s_grid, phi, dphi)))
 
 
 def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
@@ -322,12 +325,12 @@ def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
     return float((2.0 * m_end) ** -a * betainc(a, 0.5, x) * beta(a, 0.5))
 
 
-def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, SampledCurve, float]:
-    """Radial potential (u, du/ds, C) with u = 1 on the boundary, u -> 0.
+def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]:
+    """Radial potential u with u = 1 on the boundary, u -> 0, and its C.
 
     u' = -C phi**(-kappa) with kappa = 2/(p-1); the cumulative integral is
     accumulated from the analytic tail inward so the decaying end keeps
-    full relative precision.
+    full relative precision. Returns (u over the s-grid, C).
     """
     p = _check_p(p)
     kappa = 2.0 / (p - 1.0)
@@ -337,29 +340,24 @@ def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, Sample
 
     panels = panel_integrals(integrand, warp.s_grid)
     phi_max = float(warp.phi.y[-1])
-    m_end = float(_hawking_values(warp)[-1])
+    m_end = float(_hawking(warp.phi.y, warp.dphi.y)[-1])
     tail = _capacity_tail(phi_max, m_end, kappa)
     integral = right_cumulative(panels, tail)
-    C = 1.0 / integral[0]
     # x / x is exactly 1; x * (1/x) need not be, so u is not C * integral.
     u = integral / integral[0]
-    du = -C * warp.phi.y ** -kappa
-    return SampledCurve(warp.s_grid, u), SampledCurve(warp.s_grid, du), C
+    return SampledCurve(warp.s_grid, u), 1.0 / integral[0]
 
 
 def capacity_Cp(warp: WarpProfile, p: float) -> float:
-    """Boundary p-capacity C_p = 4 pi C**(p-1).
+    """Boundary p-capacity C_p = 4 pi C**(p-1), with C from radial_p_harmonic.
 
-    Agrees with the boundary flux 4 pi phi(0)^2 |u'(0)|^(p-1) by the
-    conserved-flux identity, which is asserted.
+    This is the conserved flux 4 pi phi^2 |u'|^(p-1) of the potential
+    through every level sphere: u' = -C phi**(-2/(p-1)) makes it
+    4 pi C**(p-1) by construction.
     """
     p = _check_p(p)
-    _, du, C = radial_p_harmonic(warp, p)
-    cap = 4.0 * math.pi * C ** (p - 1.0)
-    boundary_flux = 4.0 * math.pi * warp.phi0**2 * abs(float(du.y[0])) ** (p - 1.0)
-    if abs(boundary_flux - cap) > 1e-10 * cap:
-        raise RuntimeError("boundary flux disagrees with the capacity normalization")
-    return cap
+    _, C = radial_p_harmonic(warp, p)
+    return 4.0 * math.pi * C ** (p - 1.0)
 
 
 def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
@@ -370,7 +368,7 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
     _capacity_tail makes too: every family is vacuum beyond s2 <= s_max/2,
     where the Hawking mass is constant.
     """
-    hawk = SampledCurve(warp.s_grid, _hawking_values(warp))
+    hawk = SampledCurve(warp.s_grid, _hawking(warp.phi.y, warp.dphi.y))
     return hawk, float(hawk.y[-1])
 
 
@@ -438,7 +436,7 @@ def level_flow(
         raise ValueError("need at least 16 time samples")
 
     kappa = 2.0 / (p - 1.0)
-    u_curve, _, C = radial_p_harmonic(warp, p)
+    u_curve, C = radial_p_harmonic(warp, p)
     ln_C = math.log(C)
     u_end = float(u_curve.y[-1])
     t_max = (1.0 - p) * math.log(u_end)
@@ -483,9 +481,6 @@ def level_flow(
     dtds = (1.0 - p) * du_over_u
     dWdt = W * dWds_over_W / dtds
     H = 2.0 * dphi_t / phi_t
-    ddphi_t = np.asarray(accel(s_t, phi_t, dphi_t), dtype=float)
-    R = 2.0 * (1.0 - dphi_t**2) / phi_t**2 - 4.0 * ddphi_t / phi_t
-    hawking = 0.5 * phi_t * (1.0 - dphi_t**2)
     H_flux = 4.0 * math.pi * phi_t**2 * H * (p - 1.0) * np.abs(du_over_u)
 
     _, adm = masses(warp)
@@ -500,8 +495,8 @@ def level_flow(
         W=SampledCurve(t, W),
         dWdt=SampledCurve(t, dWdt),
         H=SampledCurve(t, H),
-        R=SampledCurve(t, R),
-        hawking=SampledCurve(t, hawking),
+        R=SampledCurve(t, _curvature(phi_t, dphi_t, accel(s_t, phi_t, dphi_t))),
+        hawking=SampledCurve(t, _hawking(phi_t, dphi_t)),
         H_flux=SampledCurve(t, H_flux),
         Cp=4.0 * math.pi * C ** (p - 1.0),
         adm=adm,

@@ -1,10 +1,13 @@
 """The package's public surface: its names and what importing it loads."""
 
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 import masscap
+
+ROOT = Path(__file__).resolve().parents[1]
 
 PUBLIC_NAMES = [
     "CaseResult",
@@ -64,3 +67,17 @@ def test_import_does_not_load_scipy_interpolate():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # perfbench's tracer wraps each (module, dotted attribute) pair by name,
+    # so a package name it lists must not disappear unnoticed.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import TARGETS
+
+    assert TARGETS
+    for module_name, dotted, _, _ in TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in dotted.split("."):
+            assert hasattr(owner, part), f"{module_name}.{dotted}"
+            owner = getattr(owner, part)

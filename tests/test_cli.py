@@ -227,6 +227,34 @@ class TestSweepCommand:
         assert all(bumped[name] == "" for name in header[3:-1])
 
 
+class TestSweepVerdict:
+    """sweep's status and exit code are the verdict verify writes."""
+
+    def test_sweep_names_the_checks_verify_fails(self, tmp_path):
+        # accept_rel = 1e-12 is below what the vacuum case reaches.
+        args = ["--p", "1.5", "--tol", "1e-12"]
+        assert main(["verify", *args, "--out", str(tmp_path / "verify")]) == 1
+        assert main(["sweep", *args, "--out", str(tmp_path / "sweep")]) == 1
+        [case] = json.loads((tmp_path / "verify" / "report.json").read_text())["cases"]
+        failed = [check["name"] for check in case["checks"] if not check["passed"]]
+        assert failed
+        header, [row] = _read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert row[header.index("status")] == "fail: " + " ".join(failed)
+
+    def test_readme_config_sweeps_ok(self, tmp_path):
+        families = [
+            {"tag": "schwarzschild", "params": {"m": 2.0}},
+            {"tag": "bumped", "params": {"m0": 1.0, "eps": 0.1, "s1": 2.0, "s2": 6.0}},
+            {"tag": "flat", "params": {}},
+        ]
+        cfg = _write_config(
+            tmp_path / "cfg.json", {"p_list": [1.2, 1.5, 1.8], "families": families}
+        )
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, rows = _read_csv(tmp_path / "out" / "sweep.csv")
+        assert [row[-1] for row in rows] == ["ok"] * 9
+
+
 class TestSuiteCommand:
     @pytest.mark.parametrize(
         "families, reference",
@@ -348,7 +376,7 @@ def test_version_flag(capsys):
 
 
 def test_help_names_what_the_subcommands_do():
-    # cmd_suite runs verify before sweep, and the triples have no fitted constants.
+    # The triples have no fitted constants.
     text = " ".join(build_parser().format_help().split())
     assert "suite model + coeffs + verify + sweep" in text
     assert "coeffs write coefficient-triple curves and closed-form constants" in text

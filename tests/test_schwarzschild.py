@@ -8,8 +8,11 @@ import pytest
 
 from masscap import (
     SampledCurve,
+    constant_diagnostics,
     flux_constant,
     model_profile,
+    solve_decaying,
+    solve_growing,
     ws_boundary_data,
 )
 from masscap.numerics import fit_power_tail, panel_integrals, right_cumulative
@@ -49,7 +52,7 @@ class TestProfileShape:
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0.0)
 
-    def test_spline_potential_matches_grid(self, lab, p):
+    def test_level_data_potential_matches_grid(self, lab, p):
         model = lab.model(p)
         assert np.allclose(model.level_data(model.r_grid).u, model.u_curve.y, rtol=1e-12)
 
@@ -118,13 +121,18 @@ class TestValidation:
 
 
 def test_profile_independent_of_outer_radius():
-    # Doubling R_max moves the seed of the cumulative integral; interior
-    # values must not notice beyond the tail-expansion error.
-    base = model_profile(1.5)
-    wide = model_profile(1.5, R_max=2.0e6)
-    probes = np.array([1.0, 10.0, 1.0e4])
-    assert np.allclose(wide.level_data(probes).u, base.level_data(probes).u, rtol=1e-10)
-    assert wide.Kp == pytest.approx(base.Kp, rel=1e-10)
+    # Doubling R_max moves every node of the geometric grid. The t range
+    # must grow by (3-p) log 2, since t ~ (3-p) log r up to O(1/r), and the
+    # limits fitted from the sampled growing triple must not notice.
+    base, wide = model_profile(1.5), model_profile(1.5, R_max=2.0e6)
+    assert wide.R_max == 2.0e6
+    assert wide.t_max - base.t_max == pytest.approx(1.5 * math.log(2.0), rel=1e-5)
+    base_diag, wide_diag = (
+        constant_diagnostics(model, solve_decaying(model), solve_growing(model))
+        for model in (base, wide)
+    )
+    for key in ("g_constant_measured", "g_plus_sh_measured"):
+        assert wide_diag[key] == pytest.approx(base_diag[key], rel=1e-10)
 
 
 def _quadrature_reference(p, r):
