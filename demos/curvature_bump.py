@@ -4,7 +4,9 @@ The bumped family modifies the vacuum warping equation by a C^2 bump so
 that the scalar curvature is exactly 2 eps bump(s) / phi^2. Along the
 level-set flow, the second-order quantity built from W(t) equals
 2 pi (3-p)^2 R phi^2 identically: zero in vacuum, a positive lump where
-the bump lives. This script runs the flow and prints both sides.
+the bump lives. W' and W'' are taken from the flow's own state, so the two
+sides agree to rounding, and the residual's floor certifies R >= 0 along
+the flow. This script runs the flow and prints both sides.
 """
 
 import math
@@ -30,7 +32,7 @@ def show(tag, warp, p):
     print(f"    residual range  [{np.min(res.y):+.3e}, {np.max(res.y):+.3e}]")
     print(f"    target range    [{np.min(target):+.3e}, {np.max(target):+.3e}]")
     print(f"    identity gap    {gap:.3e}  (tolerance band {band:.3e})")
-    print(f"    min residual    {np.min(res.y):+.3e}  (floor -1e-8)")
+    print(f"    min residual    {np.min(res.y):+.3e}  (gate: >= -1e-8)")
 
 
 def main():

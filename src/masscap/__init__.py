@@ -27,7 +27,6 @@ from .schwarzschild import (
 )
 from .verify import (
     CaseResult,
-    QCurve,
     VerificationReport,
     case_report,
     certify_case,
@@ -65,7 +64,6 @@ __all__ = [
     "CoefficientSolution",
     "FlowProfile",
     "ModelGeometry",
-    "QCurve",
     "SampledCurve",
     "Tolerances",
     "VerificationReport",

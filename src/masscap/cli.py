@@ -49,7 +49,7 @@ from .schwarzschild import (
     model_profile,
     ws_boundary_data,
 )
-from .verify import CaseResult, VerificationReport, certify_case, reference_checks
+from .verify import CaseResult, certify_case, reference_checks
 from .warped import (
     DEFAULT_N_S,
     DEFAULT_N_T,
@@ -415,20 +415,8 @@ def _write_curves(csv_dir: Path, p: float, slug: str, flow, curves: dict) -> Non
         _write_csv(
             csv_dir / f"q-{flavor}-p={p!r}-{slug}.csv",
             ["t", "Q"],
-            np.column_stack((q.t, q.values)),
+            np.column_stack((q.x, q.y)),
         )
-
-
-def _verdict_columns(result: CaseResult) -> list:
-    """[margin, min slope decaying, min slope growing, equality], None where absent."""
-    report = result.report or VerificationReport()
-    diag = report.diagnostics
-    return [
-        report.penrose_margin,
-        diag.get("min_slope_decaying"),
-        diag.get("min_slope_growing"),
-        report.equality_flag,
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +468,7 @@ def cmd_coeffs(pipe: _Pipeline) -> int:
                     ["r", "t", "f", "g", "h"],
                     np.column_stack((
                         sol.g_curve.x,
-                        sol.t_samples,
+                        model.t_of_r.y,
                         sol.f_curve.y,
                         sol.g_curve.y,
                         sol.h_curve.y,
@@ -504,16 +492,11 @@ def cmd_verify(pipe: _Pipeline) -> int:
     cfg = pipe.cfg
     cases = []
     for p, tag, params, result in pipe.cases():
-        margin, slope_dec, slope_grow, equality = _verdict_columns(result)
         cases.append(
             {
                 "p": p,
                 "family": tag,
                 "params": params,
-                "margin": margin,
-                "min_slope_Qstar": slope_dec,
-                "min_slope_Qgrow": slope_grow,
-                "equality": equality,
                 "checks": result.checks,
                 "diagnostics": result.report.diagnostics if result.report else {},
             }
@@ -557,10 +540,15 @@ def cmd_sweep(pipe: _Pipeline) -> int:
     cfg = pipe.cfg
     rows = []
     for p, tag, params, result in pipe.cases():
-        if result.report is None:
+        report = result.report
+        if report is None:
             columns = [None] * 7
         else:
-            columns = [result.Cp, pipe.model(p).Kp, result.adm] + _verdict_columns(result)
+            diag = report.diagnostics
+            columns = [
+                diag["Cp"], pipe.model(p).Kp, diag["adm"], report.penrose_margin,
+                diag.get("min_slope_decaying"), diag.get("min_slope_growing"), report.equality_flag,
+            ]
         rows.append([p, tag, json.dumps(params, sort_keys=True), *columns, _sweep_status(result)])
     header = ["p", "tag", "params", "Cp", "Kp", "adm", "margin"]
     header += ["min_slope_dec", "min_slope_grow", "equality", "status"]

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.special import beta as beta_fn
@@ -74,20 +73,25 @@ def _abc(model: ModelGeometry, r):
 class CoefficientSolution:
     """One flavor of the coefficient triple on the reference slice.
 
-    Curves are sampled over r on the model grid; t_samples carries the
-    matching level-set parameter. fgh_at_t is the interface the verify
-    module uses to carry the triple onto a foreign geometry's t-range.
+    Curves are sampled over r on the model grid, whose level-set parameters
+    are model.t_of_r.y. beta is the multiple of the decaying triple in the
+    growing one (0 for the decaying flavor). fgh_at_t is the interface the
+    verify module uses to carry the triple onto a foreign geometry's
+    t-range.
     """
 
     flavor: str
-    p: float
+    model: ModelGeometry = field(repr=False)
     g_curve: SampledCurve = field(repr=False)
     h_curve: SampledCurve = field(repr=False)
     f_curve: SampledCurve = field(repr=False)
-    t_samples: np.ndarray = field(repr=False)
+    beta: float = 0.0
     c1: float | None = None
     q: float | None = None
-    _fgh: Callable = field(default=None, repr=False, compare=False)
+
+    @property
+    def p(self) -> float:
+        return self.model.p
 
     def boundary_values(self) -> tuple[float, float, float]:
         """(f, g, h) at t = 0."""
@@ -97,13 +101,27 @@ class CoefficientSolution:
         """(f, g, h) at level-set parameters t >= 0.
 
         Both triples are evaluated in closed form at the exact radius of each
-        level set. Past the radius where the profile leaves the normal
-        doubles the decaying triple is 0 and the growing one raises.
+        level set (_level_radii): the decaying one by _decaying_at_r, the
+        growing one by _growing_at_r plus beta times the decaying one. Past
+        the radius where the profile leaves the normal doubles the decaying
+        triple, which decays like e^(-t/(p-1)), is 0 and the growing one
+        raises ValueError.
         """
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t_samples[0] - 1e-12):
+        if np.any(t < -1e-12):
             raise ValueError("t below the sampled range")
-        return self._fgh(t)
+        model = self.model
+        r, live = _level_radii(model, t.ravel())
+        if self.flavor == "growing" and not np.all(live):
+            raise ValueError(
+                f"t = {float(np.max(t)):g} is past the radius where r**(-2/(p-1)) "
+                f"leaves the normal doubles at p = {model.p:g}"
+            )
+        out = np.zeros((3, live.size))
+        out[:, live] = _decaying_at_r(model, r)[:3]
+        if self.flavor == "growing":
+            out = np.array(_growing_at_r(model, r)) + self.beta * out
+        return tuple(row.reshape(t.shape) for row in out)
 
 
 def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,22 +193,6 @@ def _decaying_at_r(model: ModelGeometry, r):
     return f, g, h, a * drdt
 
 
-def _decaying_at_t(model: ModelGeometry) -> Callable[[np.ndarray], tuple]:
-    """t -> (f, g, h) of the decaying triple, exact at any t >= 0.
-
-    Past the live radii of _level_radii the triple, which decays like
-    e^(-t/(p-1)), is returned as 0.
-    """
-
-    def fgh(t):
-        r, live = _level_radii(model, t.ravel())
-        out = np.zeros((3, live.size))
-        out[:, live] = _decaying_at_r(model, r)[:3]
-        return tuple(row.reshape(t.shape) for row in out)
-
-    return fgh
-
-
 def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     """The coefficient triple that vanishes at infinity, in closed form.
 
@@ -208,12 +210,10 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
         raise RuntimeError("decaying solution violates dg/dt + h >= 0")
     return CoefficientSolution(
         flavor="decaying",
-        p=model.p,
+        model=model,
         g_curve=SampledCurve(r, g),
         h_curve=SampledCurve(r, h),
         f_curve=SampledCurve(r, f),
-        t_samples=model.t_of_r.y.copy(),
-        _fgh=_decaying_at_t(model),
     )
 
 
@@ -238,26 +238,6 @@ def _growing_at_r(model: ModelGeometry, r):
     h = df * drdt
     dhdr = 2.0 / r**2 * (drdt / r) + df * d_drdt
     return r + 1.0 / r + 2.0 * s, (dhdr - c * h) / b, h
-
-
-def _growing_at_t(model: ModelGeometry, beta: float) -> Callable[[np.ndarray], tuple]:
-    """t -> (f, g, h) of the growing triple plus beta times the decaying one.
-
-    Exact wherever the level-set radius is live (see _level_radii); past it
-    the growing values are unbounded and the query raises ValueError.
-    """
-
-    def fgh(t):
-        r, live = _level_radii(model, t.ravel())
-        if not np.all(live):
-            raise ValueError(
-                f"t = {float(np.max(t)):g} is past the radius where r**(-2/(p-1)) "
-                f"leaves the normal doubles at p = {model.p:g}"
-            )
-        grow, dec = _growing_at_r(model, r), _decaying_at_r(model, r)
-        return tuple((vg + beta * vd).reshape(t.shape) for vg, vd in zip(grow, dec))
-
-    return fgh
 
 
 def solve_growing(model: ModelGeometry) -> CoefficientSolution:
@@ -287,14 +267,13 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
         raise RuntimeError("growing solution lost its sign pattern (h > 0, g < 0)")
     return CoefficientSolution(
         flavor="growing",
-        p=model.p,
+        model=model,
         g_curve=SampledCurve(r, g),
         h_curve=SampledCurve(r, h),
         f_curve=SampledCurve(r, f),
-        t_samples=model.t_of_r.y.copy(),
+        beta=beta,
         c1=c1,
         q=float(f[0]),
-        _fgh=_growing_at_t(model, beta),
     )
 
 
@@ -336,7 +315,7 @@ def perfect_square_residual(
     data = model.level_data(model.r_grid)
     dhdt = _native_t_derivative(h, model, data.drdt)
     res = g - 2.0 * (p - 2.0) * h + (p - 1.0) * s * dhdt + 2.0 * ch * h * data.dWdt / data.W
-    return SampledCurve(sol.t_samples, res)
+    return SampledCurve(model.t_of_r.y, res)
 
 
 def _q_terms(p: float, f, g, h, W, dWdt) -> tuple:

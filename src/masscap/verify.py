@@ -28,10 +28,10 @@ from .coefficients import CoefficientSolution, _q_terms, model_constancy
 from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
+from .warped import _w_residual_floor_fd
 
 __all__ = [
     "CaseResult",
-    "QCurve",
     "VerificationReport",
     "case_report",
     "certify_case",
@@ -49,29 +49,16 @@ GROWTH_CAP = 20.0
 
 
 @dataclass(frozen=True)
-class QCurve:
-    """A monotone combination sampled along a flow's t-grid."""
-
-    flavor: str
-    t: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.flavor not in ("decaying", "growing"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.t.ndim != 1 or self.t.shape != self.values.shape or self.t.size < 3:
-            raise ValueError("QCurve needs matching 1-d t and value arrays")
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one certification step (or a merged case).
 
     Fields a given step does not produce stay None. diagnostics carries
-    named numbers that are reported but never gate a pass/fail decision.
+    named numbers that are reported but never gate a pass/fail decision;
+    for a case they are its only copy of C_p, the mass and the slopes.
     curves carries the sampled curves the step evaluated on the way (for
-    case_report: both Q curves and the W-inequality residual), so callers
-    reuse them instead of evaluating them again; they are never reported.
+    case_report: both Q curves, keyed by flavor, and the W-inequality
+    residual), so callers reuse them instead of evaluating them again; they
+    are never reported.
     """
 
     min_forward_slope: float | None = None
@@ -81,7 +68,7 @@ class VerificationReport:
     curves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> QCurve:
+def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> SampledCurve:
     """Assemble one monotone combination along a foreign geometry's flow.
 
     The coefficient triple is carried over by its t-parametrization (the
@@ -90,6 +77,7 @@ def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> QCurve:
     past that window its three terms, each growing exponentially, cancel to
     a remainder that double precision cannot resolve against the slope
     slack. Slope grids are decimated to ~4096 points for the same reason.
+    Returns Q sampled over those t, all of them nodes of flow.t_grid.
     """
     if abs(flow.p - sol.p) > 1e-12:
         raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sol.p}")
@@ -106,24 +94,24 @@ def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> QCurve:
             raise ValueError(f"fewer than 16 samples with exp(t/(3-p)) <= {GROWTH_CAP:g}")
         ts, W, dWdt = ts[keep], W[keep], dWdt[keep]
     f_term, g_term, h_term = _q_terms(p, *sol.fgh_at_t(ts), W, dWdt)
-    return QCurve(flavor=sol.flavor, t=ts, values=f_term + g_term + h_term)
+    return SampledCurve(ts, f_term + g_term + h_term)
 
 
-def monotonicity_report(q: QCurve, tol: Tolerances) -> VerificationReport:
+def monotonicity_report(q: SampledCurve, tol: Tolerances) -> VerificationReport:
     """Smallest forward difference of Q and the equality flag.
 
     certify_case gates min_forward_slope against -slope_slack. The
     equality flag is set when the whole curve stays within accept_rel of
     its initial value, scaled by the curve's own magnitude.
     """
-    d = np.diff(q.values)
-    min_slope = float(np.min(d))
-    deviation = float(np.max(np.abs(q.values - q.values[0])))
-    scale = max(1.0, abs(float(q.values[0])), float(np.max(np.abs(q.values))))
+    Q = q.y
+    min_slope = float(np.min(np.diff(Q)))
+    deviation = float(np.max(np.abs(Q - Q[0])))
+    scale = max(1.0, abs(float(Q[0])), float(np.max(np.abs(Q))))
     return VerificationReport(
         min_forward_slope=min_slope,
         equality_flag=bool(deviation <= tol.accept_rel * scale),
-        diagnostics={"Q0": float(q.values[0])},
+        diagnostics={"Q0": float(Q[0])},
     )
 
 
@@ -144,8 +132,8 @@ def _tail_limit(
     return float(coef[0])
 
 
-def q_limits(q: QCurve, flow: FlowProfile) -> float:
-    """Tail-limit estimate of a monotone combination along its flow.
+def q_limits(q: SampledCurve, flow: FlowProfile, flavor: str) -> float:
+    """Tail-limit estimate of a monotone combination of the given flavor.
 
     The fit runs against the sphere radius phi: the decaying flavor decays
     like phi**(-(3-p)/(p-1)) toward zero, the growing one approaches its
@@ -153,12 +141,14 @@ def q_limits(q: QCurve, flow: FlowProfile) -> float:
     top decade of available radii.
     """
     p = flow.p
-    # evaluate_Q samples q.t from flow.t_grid, so every q.t is a grid node.
-    x = flow.phi.y[np.searchsorted(flow.t_grid, q.t)]
-    if q.flavor == "decaying":
-        sigma = (3.0 - p) / (p - 1.0)
-        return _tail_limit(x, q.values, (sigma, sigma + 1.0))
-    return _tail_limit(x, q.values, (1.0, 2.0))
+    # evaluate_Q samples q.x from flow.t_grid, so every q.x is a grid node.
+    x = flow.phi.y[np.searchsorted(flow.t_grid, q.x)]
+    if flavor == "growing":
+        return _tail_limit(x, q.y, (1.0, 2.0))
+    if flavor != "decaying":
+        raise ValueError(f"unknown flavor {flavor!r}")
+    sigma = (3.0 - p) / (p - 1.0)
+    return _tail_limit(x, q.y, (sigma, sigma + 1.0))
 
 
 def horizon_W_bound(
@@ -297,7 +287,8 @@ def case_report(
     Merges both flavors' monotonicity, the boundary gradient bound, the
     mass functional limit, the differential-inequality residual gap, the
     limit estimates, and the sharp margin into one report; the diagnostics
-    also carry the flow's solver counts (flow_nfev, flow_steps). Raises
+    also carry the flow's solver counts (flow_nfev, flow_steps) and the
+    residual floor with a finite-difference W'' (w_residual_floor_fd). Raises
     ValueError when the scalar curvature dips negative, a hypothesis of the
     mass bound; that check runs first, so it is the error reported at any
     grid. Numerical check failures surface in the report's slopes and gaps,
@@ -311,8 +302,8 @@ def case_report(
     _, f_limit = mass_functional_Fp(flow)
     w_residual, w_gap = w_inequality_residual(flow)
     bound_gap = horizon_W_bound(flow, dec, model)
-    limit_dec = q_limits(qd, flow)
-    limit_grow = q_limits(qg, flow)
+    limit_dec = q_limits(qd, flow, "decaying")
+    limit_grow = q_limits(qg, flow, "growing")
 
     s = 3.0 - flow.p
     bound_value = (
@@ -331,6 +322,7 @@ def case_report(
         "mass_functional_limit": f_limit,
         "mass_functional_target": 8.0 * math.pi * flow.adm,
         "w_identity_gap": w_gap,
+        "w_residual_floor_fd": _w_residual_floor_fd(flow),
         "horizon_W_gap": bound_gap,
         **pm.diagnostics,
         "flow_nfev": flow.nfev,
@@ -361,14 +353,12 @@ class CaseResult:
     computation stopped has no report and holds one failed check, named
     after the stage, whose detail is the stage's message. A geometry
     without a minimal boundary gets a report that holds only its
-    diagnostics.
+    diagnostics. C_p and the mass are report.diagnostics["Cp"] and ["adm"].
     """
 
     p: float
     family: str
     params: dict
-    Cp: float | None = None
-    adm: float | None = None
     report: VerificationReport | None = None
     checks: tuple[dict, ...] = ()
 
@@ -499,10 +489,10 @@ def certify_case(
     its flow at p and both triples, and gets case_report plus the gated
     checks: both monotonicities, the W-identity gap and residual floor, the
     boundary gradient bound, the mass limit and the margin. The vacuum
-    members (Schwarzschild, bumps with eps = 0) must meet the equality case
-    sharply, every other geometry the strict margin without equality. A
-    failed hypothesis of the mass bound is the failed stage check
-    "hypotheses", any other error of case_report the stage check
+    members (warp.vacuum: Schwarzschild, bumps with eps = 0) must meet the
+    equality case sharply, every other geometry the strict margin without
+    equality. A failed hypothesis of the mass bound is the failed stage
+    check "hypotheses", any other error of case_report the stage check
     "case_report", and a failed flat capacity or mass the stage check
     "capacity".
     Every tolerance derives from model.tol.
@@ -522,8 +512,7 @@ def certify_case(
             _check("adm_zero", adm, tol.accept_rel, abs(adm) <= tol.accept_rel),
         )
         diag = {"Cp": Cp, "adm": adm, "capacity_target": target}
-        report = VerificationReport(diagnostics=diag)
-        return CaseResult(p, tag, params, Cp, adm, report, checks)
+        return CaseResult(p, tag, params, VerificationReport(diagnostics=diag), checks)
 
     if flow is None or dec is None or grow is None:
         raise ValueError("a minimal boundary needs its flow and both coefficient triples")
@@ -533,6 +522,5 @@ def certify_case(
         return CaseResult.failed(p, tag, params, "hypotheses", exc)
     except (ValueError, RuntimeError) as exc:
         return CaseResult.failed(p, tag, params, "case_report", exc)
-    vacuum = tag == "schwarzschild" or (tag == "bumped" and params["eps"] == 0.0)
-    checks = _gated_checks(report, flow, vacuum, tol)
-    return CaseResult(p, tag, params, flow.Cp, flow.adm, report, checks)
+    checks = _gated_checks(report, flow, warp.vacuum, tol)
+    return CaseResult(p, tag, params, report, checks)

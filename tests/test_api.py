@@ -14,7 +14,6 @@ PUBLIC_NAMES = [
     "CoefficientSolution",
     "FlowProfile",
     "ModelGeometry",
-    "QCurve",
     "SampledCurve",
     "Tolerances",
     "VerificationReport",
@@ -50,7 +49,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 36
+    assert len(PUBLIC_NAMES) == 35
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

@@ -97,10 +97,15 @@ class TestVerifyCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["version"] == masscap.__version__
         assert report["passed"] is False
+        # A case holds its checks and diagnostics once, for a finished and a
+        # stopped case alike.
+        for case in report["cases"]:
+            assert set(case) == {"p", "family", "params", "checks", "diagnostics"}
         by_family = {case["family"]: case for case in report["cases"]}
         schw = by_family["schwarzschild"]
         assert all(check["passed"] for check in schw["checks"])
-        assert schw["equality"] is True
+        equality = next(c for c in schw["checks"] if c["name"] == "equality_flag")
+        assert equality["value"] is True
         failed = [c for c in by_family["bumped"]["checks"] if not c["passed"]]
         assert failed and failed[0]["name"] == "hypotheses"
         assert "curvature" in failed[0]["detail"]

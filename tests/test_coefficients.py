@@ -206,7 +206,7 @@ class TestGrowingFlavor:
     def test_f_exponential_map_normalization(self, lab):
         model = lab.model(1.5)
         _, grow = lab.triples(1.5)
-        far = grow.f_curve.y[-1] - model.c_tilde * math.exp(grow.t_samples[-1] / 1.5)
+        far = grow.f_curve.y[-1] - model.c_tilde * math.exp(model.t_of_r.y[-1] / 1.5)
         assert far == pytest.approx(1.5, rel=1e-5)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
@@ -232,7 +232,7 @@ class TestEvaluationInterface:
     def test_fgh_at_t_reproduces_nodes(self, lab):
         dec, grow = lab.triples(1.5)
         for sol in (dec, grow):
-            f, g, h = sol.fgh_at_t(sol.t_samples)
+            f, g, h = sol.fgh_at_t(sol.model.t_of_r.y)
             assert np.allclose(f, sol.f_curve.y, rtol=1e-12)
             assert np.allclose(g, sol.g_curve.y, rtol=1e-12)
             assert np.allclose(h, sol.h_curve.y, rtol=1e-12)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from masscap import (
-    QCurve,
     SampledCurve,
     Tolerances,
     case_report,
@@ -41,13 +40,13 @@ class TestEvaluateQ:
     def test_growing_window_respects_cap(self, lab):
         _, grow = lab.triples(1.5)
         q = evaluate_Q(lab.flow(1.5, "schwarzschild", m=2.0), grow)
-        assert float(np.max(np.exp(q.t / 1.5))) <= GROWTH_CAP
-        assert q.t.size >= 16
+        assert float(np.max(np.exp(q.x / 1.5))) <= GROWTH_CAP
+        assert q.x.size >= 16
 
     def test_decaying_covers_decimated_grid(self, lab):
         dec, _ = lab.triples(1.5)
         q = evaluate_Q(lab.flow(1.5, "schwarzschild", m=2.0), dec)
-        assert q.t.size == 4096
+        assert q.x.size == 4096
 
     def test_p_mismatch_rejected(self, lab):
         dec, _ = lab.triples(1.5)
@@ -58,7 +57,7 @@ class TestEvaluateQ:
 class TestMonotonicityReport:
     def _q(self, values):
         t = np.linspace(0.0, 1.0, len(values))
-        return QCurve(flavor="growing", t=t, values=np.asarray(values, dtype=float))
+        return SampledCurve(t, values)
 
     def test_increasing_curve_passes(self):
         rep = monotonicity_report(self._q([0.0, 1.0, 2.0, 3.0]), Tolerances())
@@ -74,18 +73,12 @@ class TestMonotonicityReport:
         rep = monotonicity_report(self._q([0.0, 1.0, 0.5, 2.0]), Tolerances())
         assert rep.min_forward_slope == pytest.approx(-0.5)
 
-    def test_qcurve_validation(self):
-        with pytest.raises(ValueError, match="flavor"):
-            QCurve(flavor="sideways", t=np.zeros(3), values=np.zeros(3))
-        with pytest.raises(ValueError, match="1-d"):
-            QCurve(flavor="growing", t=np.zeros(3), values=np.zeros(4))
-
 
 class TestLimitsAndBounds:
     def test_decaying_limit_vanishes(self, lab):
         dec, _ = lab.triples(1.5)
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
-        assert abs(q_limits(evaluate_Q(flow, dec), flow)) <= 1e-9
+        assert abs(q_limits(evaluate_Q(flow, dec), flow, "decaying")) <= 1e-9
 
     def test_growing_limit_meets_resolved_bound_on_vacuum(self, lab):
         d = lab.report(1.5, "schwarzschild", m=2.0).diagnostics
@@ -236,6 +229,15 @@ class TestCertifyCase:
         assert self.VACUUM_ONLY <= self._names(result)
         assert (result.p, result.family, result.params) == (1.5, "schwarzschild", {"m": 2.0})
 
+    def test_vacuum_is_read_from_the_geometry_not_its_tag(self, lab):
+        warp = dataclasses.replace(lab.warp("schwarzschild", m=2.0), family_tag="renamed")
+        dec, grow = lab.triples(1.5)
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        result = certify_case(warp, lab.model(1.5), flow, dec, grow)
+        assert result.family == "renamed"
+        assert self.VACUUM_ONLY <= self._names(result)
+        assert result.passed, [c["name"] for c in result.checks if not c["passed"]]
+
     def test_bumped_case_passes_with_strict_margin(self, lab):
         result = self._certify(lab, "bumped", m0=1.0, eps=0.1)
         assert result.passed
@@ -294,6 +296,29 @@ class TestCertifyCase:
         flow = level_flow(warp, p)
         result = certify_case(warp, lab.model(p), flow, dec, grow)
         assert result.passed, [c["name"] for c in result.checks if not c["passed"]]
+
+    @pytest.mark.parametrize(
+        "p, warp_args",
+        [
+            (1.05, ("schwarzschild", {"m": 0.5})),
+            (1.1, ("schwarzschild", {"m": 0.5})),
+            (1.15, ("schwarzschild", {"m": 2.0})),
+            (1.22, ("schwarzschild", {"m": 1.5})),
+            (1.3, ("schwarzschild", {"m": 5.0})),
+            (1.35, ("schwarzschild", {"m": 1.5})),
+            (1.29, ("bumped", {"m0": 1.5, "eps": 0.2, "s1": 2.5, "s2": 7.0})),
+        ],
+    )
+    def test_residual_floor_holds_near_p_one(self, lab, p, warp_args):
+        # A finite-difference W'' put these cases below the floor's 1e-8
+        # slack (down to -2.3e-6 at p = 1.05); W'' from the flow's state
+        # leaves rounding only.
+        warp = lab.warp(warp_args[0], **warp_args[1])
+        dec, grow = lab.triples(p)
+        result = certify_case(warp, lab.model(p), level_flow(warp, p), dec, grow)
+        assert result.passed, [c for c in result.checks if not c["passed"]]
+        [floor] = [c["value"] for c in result.checks if c["name"] == "w_residual_floor"]
+        assert floor >= -1e-11
 
     @pytest.mark.parametrize("m, R_max", [(0.05, 1e4), (5e-4, 1e6)])
     def test_small_mass_flow_past_the_model_grid(self, m, R_max):

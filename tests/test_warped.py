@@ -6,11 +6,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.special import beta, betaincinv
 
 from masscap import (
     SampledCurve,
     capacity_Cp,
+    certify_case,
     family_bumped,
     family_flat_exterior,
     family_schwarzschild,
@@ -103,6 +105,34 @@ class TestBumpedFamily:
         assert np.max(np.abs(inner - 1.0)) <= 1e-9
         assert np.ptp(outer) <= 1e-8
         assert adm > 1.0
+
+    def test_landing_case_of_a_knot_split_solve(self, lab):
+        # The bump's third derivative jumps at its five knots; one solve
+        # across them put the Hawking mass 1.2e-8 low and the backward flow
+        # then missed the boundary. The reference restarts at each knot at
+        # a tighter tolerance.
+        m0, eps, s1, s2, p = 0.7926, 0.1981, 1.7239, 6.1877, 1.7
+        warp = family_bumped(m0, eps, s1, s2)
+        dec, grow = lab.triples(p)
+        result = certify_case(warp, lab.model(p), level_flow(warp, p), dec, grow)
+        assert result.passed, [c for c in result.checks if not c["passed"]]
+
+        bump = spline_bump(s1, s2)
+
+        def rhs(s, y):
+            return [y[1], (1.0 - y[1] ** 2) / (2.0 * y[0]) - eps / (2.0 * y[0]) * bump(s)]
+
+        bounds = [0.0] + [s1 + k * (s2 - s1) / 4.0 for k in range(5)] + [warp.s_max]
+        y = [2.0 * m0, 0.0]
+        for a, b in zip(bounds, bounds[1:]):
+            y = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-13, atol=1e-13).y[:, -1]
+        _, adm = masses(warp)
+        assert adm == pytest.approx(0.5 * y[0] * (1.0 - y[1] ** 2), rel=1e-11)
+
+    def test_bump_from_the_boundary_builds(self):
+        warp = family_bumped(1.0, 0.1, 0.0, 6.0)
+        assert warp.phi0 == 2.0
+        assert masses(warp)[1] > 1.0
 
     def test_negative_eps_dips_below_zero(self):
         warp = family_bumped(1.0, -0.05)
