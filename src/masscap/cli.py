@@ -17,6 +17,8 @@ Outputs are byte-deterministic for a fixed config and package version:
 floats are written with repr (IEEE-754 round-trip), rows are ordered by
 (p, family tag, params), nothing records wall-clock time, and every file
 embeds the version (CSV as a leading '#' comment line, JSON as a key).
+verify, sweep and suite certify the (p, family) cases in forked worker
+processes, one per core; the files are the same bytes as a one-worker run.
 
 Exit codes: 0 when every gating check passes, 1 on check or pipeline
 failure, 2 on malformed configuration or usage.
@@ -25,10 +27,14 @@ failure, 2 on malformed configuration or usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -326,9 +332,10 @@ class _Pipeline:
     """One run's models, coefficient triples, families and case results.
 
     Each is built at most once per run, so every subcommand of a suite sees
-    the same objects. Case results are kept light: a flow and its Q curves
-    live only while their case is certified, and with write_curves they are
-    written then.
+    the same objects. Cases are certified in forked worker processes when
+    there is more than one core (see cases); a flow and its Q curves live
+    only in the process that certifies their case, are written there with
+    write_curves, and never come back: case results are kept light.
     """
 
     def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
@@ -366,15 +373,48 @@ class _Pipeline:
         return self._warps[key]
 
     def cases(self) -> list[tuple[float, str, dict, CaseResult]]:
-        """(p, tag, params, result) per case in _case_order, certified on the first call."""
+        """(p, tag, params, result) per case in _case_order, certified on the first call.
+
+        With min(os.cpu_count(), number of cases) > 1 workers and the fork
+        start method, the cases run in a process pool; otherwise here, one
+        after another. Results come back in _case_order either way.
+        """
         if self._cases is None:
-            self._cases = [
-                (p, tag, params, self._certify(p, tag, params).light())
-                for p, tag, params in _case_order(self.cfg)
-            ]
+            order = _case_order(self.cfg)
+            workers = min(os.cpu_count() or 1, len(order))
+            if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+                outcomes = self._certify_forked(order, workers)
+            else:
+                outcomes = [self._certify(*case) for case in order]
+            self._cases = [(*case, result) for case, (result, _) in zip(order, outcomes)]
+            self.minimal_ps = {case[0] for case, (_, minimal) in zip(order, outcomes) if minimal}
         return self._cases
 
-    def _certify(self, p: float, tag: str, params: dict) -> CaseResult:
+    def _certify_forked(self, order: list, workers: int) -> list[tuple[CaseResult, bool]]:
+        """_certify over `order` in `workers` forked processes.
+
+        The families, models and triples are built here first, so the
+        workers inherit them, with this pipeline, instead of each building
+        its own; only the cases and the light results are pickled. A build
+        that fails is left to the worker, which fails again and names the
+        stage. Fork, not spawn: a spawned worker would import numpy and
+        scipy again, and the run starts no thread that a fork could break.
+        """
+        for p, tag, params in order:
+            with contextlib.suppress(ValueError, RuntimeError):
+                warp = self.family(tag, params)
+                self.model(p)
+                if warp.minimal_boundary:
+                    self.triples(p)
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(
+            workers, mp_context=fork, initializer=_adopt, initargs=(self,)
+        ) as pool:
+            return list(pool.map(_certify_in_worker, order))
+
+    def _certify(self, p: float, tag: str, params: dict) -> tuple[CaseResult, bool]:
+        """The light result of one case, and whether it has a minimal boundary
+        whose triples were built (the exponents the report's reference covers)."""
         flow = dec = grow = None
         stage = "family_construction"
         try:
@@ -383,15 +423,27 @@ class _Pipeline:
             model = self.model(p)
             if warp.minimal_boundary:
                 dec, grow = self.triples(p)
-                self.minimal_ps.add(p)
                 stage = "level_flow"
                 flow = level_flow(warp, p, n_t=self.cfg.n_t)
         except (ValueError, RuntimeError) as exc:
-            return CaseResult.failed(p, tag, params, stage, exc)
+            return CaseResult.failed(p, tag, params, stage, exc), dec is not None
         result = certify_case(warp, model, flow, dec, grow)
         if self.write_curves and flow is not None and result.report is not None:
             _write_curves(self.cfg.csv_dir, p, _slug(tag, params), flow, result.report.curves)
-        return result
+        return result.light(), dec is not None
+
+
+# In a forked worker, the pipeline it certifies cases of; None elsewhere.
+_worker_pipe: _Pipeline | None = None
+
+
+def _adopt(pipe: _Pipeline) -> None:
+    global _worker_pipe
+    _worker_pipe = pipe
+
+
+def _certify_in_worker(case: tuple[float, str, dict]) -> tuple[CaseResult, bool]:
+    return _worker_pipe._certify(*case)
 
 
 def _write_curves(csv_dir: Path, p: float, slug: str, flow, curves: dict) -> None:

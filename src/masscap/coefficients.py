@@ -277,6 +277,16 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
     )
 
 
+def _same_model(model: ModelGeometry, *sols: CoefficientSolution) -> None:
+    """Raise ValueError unless every triple was solved on this very model."""
+    for sol in sols:
+        if sol.model is not model:
+            raise ValueError(
+                f"the {sol.flavor} triple was solved on another reference model "
+                f"(p = {sol.p:g}) than the one given (p = {model.p:g})"
+            )
+
+
 def _native_t_derivative(
     values: np.ndarray, model: ModelGeometry, drdt: np.ndarray
 ) -> np.ndarray:
@@ -307,6 +317,7 @@ def perfect_square_residual(
     system's own right-hand side would check nothing). Returned sampled
     over t on the model grid.
     """
+    _same_model(model, sol)
     p = sol.p
     s = 3.0 - p
     ch = (p - 1.0) * (5.0 - p) / 4.0
@@ -335,6 +346,7 @@ def model_constancy(sol: CoefficientSolution, model: ModelGeometry) -> tuple[flo
     nonzero constant. Deviations measure the end-to-end numerical quality
     of the profile, the coefficient solve, and the normalizations at once.
     """
+    _same_model(model, sol)
     f_term, g_term, h_term = _q_terms(
         sol.p, sol.f_curve.y, sol.g_curve.y, sol.h_curve.y, model.Ws_curve.y, model.dWs_curve.y
     )

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import CoefficientSolution, _q_terms, model_constancy
+from .coefficients import CoefficientSolution, _q_terms, _same_model, model_constancy
 from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
@@ -164,6 +164,7 @@ def horizon_W_bound(
     reference profile are asserted before the difference is returned. A
     nonnegative return is the boundary case of the decaying monotonicity.
     """
+    _same_model(model, dec)
     if dec.flavor != "decaying":
         raise ValueError("horizon bound needs the decaying flavor")
     p = model.p
@@ -257,6 +258,7 @@ def constant_diagnostics(
     the largest deviation of Q from it on the model grid. reference_checks
     compares them with their closed forms.
     """
+    _same_model(model, dec, grow)
     s = 3.0 - model.p
     r = model.r_grid
     stop = int(np.searchsorted(r, min(1.0e5, model.R_max), side="right"))
@@ -294,6 +296,7 @@ def case_report(
     grid. Numerical check failures surface in the report's slopes and gaps,
     which certify_case gates. Every budget is model.tol.
     """
+    _same_model(model, dec, grow)
     pm = penrose_margin(flow, model)
     qd = evaluate_Q(flow, dec)
     qg = evaluate_Q(flow, grow)
@@ -446,6 +449,7 @@ def reference_checks(
     get 10 accept_rel max(1, |limit|).
     Returns the checks and the measured values (constant_diagnostics).
     """
+    _same_model(model, dec, grow)
     acc = model.tol.accept_rel
     p = model.p
     s = 3.0 - p
@@ -494,7 +498,8 @@ def certify_case(
     equality. A failed hypothesis of the mass bound is the failed stage
     check "hypotheses", any other error of case_report the stage check
     "case_report", and a failed flat capacity or mass the stage check
-    "capacity".
+    "capacity". Triples solved on another model than `model` raise
+    ValueError, as in every function that takes both.
     Every tolerance derives from model.tol.
     """
     tol = model.tol
@@ -516,6 +521,7 @@ def certify_case(
 
     if flow is None or dec is None or grow is None:
         raise ValueError("a minimal boundary needs its flow and both coefficient triples")
+    _same_model(model, dec, grow)
     try:
         report = case_report(flow, model, dec, grow)
     except _HypothesisViolation as exc:

@@ -58,17 +58,12 @@ DEFAULT_N_T = 32768
 _GEOM_RTOL = 1e-12
 
 # Minimum number of integrator steps across the level-set flow: the step is
-# capped at t_max / _MIN_FLOW_STEPS. The dense output of an adaptive step is
-# a local polynomial whose error vanishes at the step endpoints, so
-# differentiated samples of it carry that sawtooth-shaped error divided by
-# the step size. The cap binds on every step of the flows measured (the
-# README's Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2, 1.5 and 1.8
-# take 2500 or 2501 steps and 15 right-hand sides per step, no rejection),
-# so it, not the 1e-12 tolerance, sets the cost of level_flow. It does not
-# set the noise of a finite-difference W'' either: on Schwarzschild m = 1.5
-# at p = 1.22, 2500, 5000 and 10000 steps all give a stencil floor of
-# -2.04e-8 to -2.06e-8. The gated W-residual takes W'' from the state
-# instead, which leaves rounding only (-3.2e-13 there).
+# capped at t_max / _MIN_FLOW_STEPS. The cap binds on every step of the
+# README's flows (Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2, 1.5
+# and 1.8 take 2500 or 2501 steps of 15 right-hand sides each, none
+# rejected), so it, not the 1e-12 tolerance, sets the cost of level_flow.
+# It stays at 2500: every sampled flow value depends on it, and no check yet
+# measures what a coarser cap would cost in accuracy.
 _MIN_FLOW_STEPS = 2500
 
 

@@ -5,6 +5,7 @@ own pipeline, so these tests lean on small configurations to stay fast.
 """
 
 import csv
+import hashlib
 import json
 import math
 
@@ -292,6 +293,77 @@ class TestSuiteCommand:
         for name in names:
             assert (suite / name).read_bytes() == (parts / name).read_bytes(), name
         assert list(json.loads((suite / "report.json").read_text())["reference"]) == reference
+
+
+class TestWorkerPool:
+    """verify, sweep and suite certify their cases in forked workers."""
+
+    def _run(self, monkeypatch, workers, args):
+        monkeypatch.setattr(masscap.cli.os, "cpu_count", lambda: workers)
+        return main(args)
+
+    def test_pool_writes_the_bytes_of_a_serial_run(self, tmp_path, monkeypatch):
+        # The README's exponents and families plus p = 1.03, whose reference
+        # model the default R_max refuses: those cases stop at
+        # reference_model, and model and coeffs exit 1. Coarse grids keep the
+        # two runs fast and run the same code. Three workers whatever the
+        # machine, then one.
+        families = [
+            {"tag": "schwarzschild", "params": {"m": 2.0}},
+            {"tag": "bumped", "params": {"m0": 1.0, "eps": 0.1, "s1": 2.0, "s2": 6.0}},
+            {"tag": "flat", "params": {}},
+        ]
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {
+                "p_list": [1.2, 1.5, 1.8, 1.03],
+                "families": families,
+                "grids": {"n_s": 256, "n_t": 1024},
+            },
+        )
+        digests, codes = {}, {}
+        for workers in (3, 1):
+            out = tmp_path / f"out{workers}"
+            codes[workers] = self._run(
+                monkeypatch, workers, ["suite", "--config", cfg, "--out", str(out)]
+            )
+            digests[workers] = {
+                path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in out.iterdir()
+            }
+        assert codes[3] == codes[1] == 1
+        assert digests[3] == digests[1]
+        assert {"report.json", "sweep.csv"} <= set(digests[3])
+        report = json.loads((tmp_path / "out3" / "report.json").read_text())
+        refused = [case for case in report["cases"] if case["p"] == 1.03]
+        assert [case["checks"][0]["name"] for case in refused] == ["reference_model"] * 3
+        assert list(report["reference"]) == ["1.2", "1.5", "1.8"]
+
+    def test_a_worker_oserror_ends_the_run_cleanly(self, tmp_path, monkeypatch, capfd):
+        # The output directory is a regular file: the first write, a flow's
+        # table, fails in a worker and must end the run as it does in-process.
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {
+                "p_list": [1.5],
+                "families": [
+                    {"tag": "schwarzschild", "params": {"m": 2.0}},
+                    {"tag": "bumped", "params": {"m0": 1.0, "eps": 0.1}},
+                ],
+                "grids": {"n_s": 256, "n_t": 1024},
+            },
+        )
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outputs = {}
+        for workers in (2, 1):
+            code = self._run(monkeypatch, workers, ["verify", "--config", cfg, "--out", str(blocker)])
+            outputs[workers] = (code, *capfd.readouterr())
+        assert outputs[2] == outputs[1]
+        code, out, err = outputs[2]
+        assert code == 1 and out == ""
+        assert err.startswith("masscap: ") and str(blocker) in err
+        assert "Traceback" not in err
 
 
 BAD_CONFIGS = [

@@ -18,9 +18,11 @@ from masscap import (
     horizon_W_bound,
     level_flow,
     mass_functional_Fp,
+    model_constancy,
     model_profile,
     monotonicity_report,
     penrose_margin,
+    perfect_square_residual,
     q_limits,
     reference_checks,
     solve_decaying,
@@ -337,15 +339,17 @@ class TestSingleTolerance:
     def test_every_tolerance_derives_from_the_model(self, lab):
         # One budget, carried by the model, sets every gate: each tolerance
         # scales with it, and the slope ones equal slope_slack.
+        # Triples belong to the model they were solved on, so each model
+        # gets its own.
         tight = model_profile(1.5, tol=Tolerances(accept_rel=1e-7, slope_slack=1e-9))
+        tight_triples = solve_decaying(tight), solve_growing(tight)
         base = lab.model(1.5)
-        dec, grow = lab.triples(1.5)
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
         warp = lab.warp("schwarzschild", m=2.0)
-        tight_checks = certify_case(warp, tight, flow, dec, grow).checks
-        base_checks = certify_case(warp, base, flow, dec, grow).checks
-        tight_checks += reference_checks(tight, dec, grow)[0]
-        base_checks += reference_checks(base, dec, grow)[0]
+        tight_checks = certify_case(warp, tight, flow, *tight_triples).checks
+        base_checks = certify_case(warp, base, flow, *lab.triples(1.5)).checks
+        tight_checks += reference_checks(tight, *tight_triples)[0]
+        base_checks += reference_checks(base, *lab.triples(1.5))[0]
         for check, ref in zip(tight_checks, base_checks, strict=True):
             assert check["name"] == ref["name"]
             if ref["tolerance"] is not None:
@@ -353,3 +357,33 @@ class TestSingleTolerance:
         slope_names = {"monotone_decaying", "monotone_growing", "w_residual_floor"}
         slope = [check for check in tight_checks if check["name"] in slope_names]
         assert len(slope) == 3 and all(check["tolerance"] == 1e-9 for check in slope)
+
+
+class TestTriplesBelongToTheirModel:
+    def test_triples_of_another_model_are_refused(self, lab):
+        # model_constancy(solve_growing(model_profile(1.5)), model_profile(1.8))
+        # once returned Q(0) = 118.96 with a deviation of 1.0e7.
+        model = lab.model(1.8)
+        dec, grow = lab.triples(1.5)
+        flow = lab.flow(1.8, "schwarzschild", m=2.0)
+        warp = lab.warp("schwarzschild", m=2.0)
+        calls = [
+            lambda: model_constancy(grow, model),
+            lambda: perfect_square_residual(dec, model),
+            lambda: horizon_W_bound(flow, dec, model),
+            lambda: constant_diagnostics(model, dec, grow),
+            lambda: reference_checks(model, dec, grow),
+            lambda: case_report(flow, model, dec, grow),
+            lambda: certify_case(warp, model, flow, dec, grow),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="another reference model"):
+                call()
+
+    def test_one_foreign_triple_is_enough(self, lab):
+        # An equal exponent does not make two models one.
+        model = lab.model(1.5)
+        dec, _ = lab.triples(1.5)
+        foreign = solve_growing(model_profile(1.5))
+        with pytest.raises(ValueError, match="growing triple was solved on another"):
+            constant_diagnostics(model, dec, foreign)
