@@ -11,6 +11,12 @@ tail fit fit_power_tail has no caller in the package (verify fits its
 limits itself); like frobenius.py it is kept while the benchmark's tracer
 names it.
 
+The tableau is read from scipy's dop853_coefficients.py by file path, so
+importing this module never runs scipy.integrate's package __init__ (which
+loads scipy.optimize, scipy.sparse.linalg and scipy.linalg). Only
+integrate_linear_system, which no module of the package calls, imports
+solve_ivp, inside its body.
+
 All functions are pure and the containers are immutable once built, so
 everything here can be shared freely across the cells of a parameter sweep.
 """
@@ -18,16 +24,17 @@ everything here can be shared freely across the cells of a parameter sweep.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import linecache
 import math
 from array import array
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+import scipy
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop
 
 __all__ = [
     "DenseSolution",
@@ -105,6 +112,24 @@ class SampledCurve:
         return f"SampledCurve(n={self.x.size}, x=[{self.x[0]:g}, {self.x[-1]:g}])"
 
 
+def _load_tableau(path: Path):
+    """Execute scipy's DOP853 coefficient file at path as a standalone module.
+
+    The file imports only numpy. Loading it by path skips
+    scipy/integrate/__init__.py; the constants themselves are never copied.
+    """
+    if not path.is_file():
+        raise ImportError(f"scipy's DOP853 tableau is not at {path}")
+    spec = importlib.util.spec_from_file_location("masscap._dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_dop = _load_tableau(
+    Path(scipy.__file__).parent / "integrate" / "_ivp" / "dop853_coefficients.py"
+)
+
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.5 and II.10) with
 # scipy's tableau and step control.
 _DOP_EXPONENT = -1.0 / 8.0  # -1/(order of the error estimator + 1)
@@ -179,22 +204,36 @@ def _rms(values) -> float:
 
 
 class DenseSolution:
-    """The continuous solution of one dop853 run.
+    """The continuous solution of one dop853 run, or of runs joined end to end.
 
     t holds the step ends in the direction of integration, steps the number
-    of accepted steps and nfev the number of right-hand-side evaluations.
+    of accepted steps, nfev the number of right-hand-side evaluations and
+    y_end the state the last step reached (its y_new, not an interpolant).
     sol(t) evaluates the interpolants at a scalar or an array of points.
     """
 
-    __slots__ = ("t", "nfev", "steps", "_records", "_n")
+    __slots__ = ("t", "nfev", "steps", "y_end", "_records", "_n")
 
-    def __init__(self, records: array, n: int, t_end: float, nfev: int):
+    def __init__(self, records, n: int, t_end: float, nfev: int, y_end: Sequence[float]):
         width = 2 + (1 + _DOP_ROWS) * n  # t_old, h, y_old, 7 rows per component
         self._records = np.frombuffer(records, dtype=float).reshape(-1, width)
         self._n = n
         self.t = np.append(self._records[:, 0], t_end)
         self.steps = self._records.shape[0]
         self.nfev = nfev
+        self.y_end = list(y_end)
+
+    @classmethod
+    def join(cls, pieces: Sequence[DenseSolution]) -> DenseSolution:
+        """One solution from runs that each start where the previous one ended.
+
+        The steps, nfev and interpolants are those of the pieces, in order;
+        a point on a joint takes the step that ends there.
+        """
+        last = pieces[-1]
+        records = np.concatenate([piece._records for piece in pieces])
+        nfev = sum(piece.nfev for piece in pieces)
+        return cls(records, last._n, float(last.t[-1]), nfev, last.y_end)
 
     def sol(self, t) -> np.ndarray:
         """State at t: shape (n,) for a scalar, (n, len(t)) for an array.
@@ -247,8 +286,11 @@ def dop853(
     atol + rtol max(|y|, |y_new|), safety 0.9, step factors in [0.2, 10],
     no growth right after a rejection, and the 7th-degree interpolant of
     each step. Each accepted step adds t_old, h, y_old and its 7 x n
-    interpolant rows to one flat buffer. Raises RuntimeError when the step
-    falls below 10 ulp of t.
+    interpolant rows to one flat buffer; the result also keeps the last
+    step's y_new as y_end, from which a following run can restart (the
+    warping factor is solved this way, one run per piece between the knots
+    of its right-hand side). Raises RuntimeError when the step falls below
+    10 ulp of t.
 
     The stages are the straight-line code of _dop_kernel(n): the order of
     every sum is fixed in the source, not left to builtin sum(), which
@@ -329,7 +371,7 @@ def dop853(
         records.extend(record(fun, t, h, y, y_new, ks))
         nfev += _DOP_EXTRA
         t, y, f = t_new, y_new, f_new
-    return DenseSolution(records, n, t, nfev)
+    return DenseSolution(records, n, t, nfev, y)
 
 
 def integrate_linear_system(
@@ -368,6 +410,8 @@ def integrate_linear_system(
         raise ValueError("grid must be a strictly increasing 1-d array")
     if xs[0] < x_lo or xs[-1] > x_hi:
         raise ValueError("grid must lie inside the integration span")
+
+    from scipy.integrate import solve_ivp
 
     atol = max(float(np.max(np.abs(y0))), 1e-12) * _ODE_RTOL * 1e-3
 
@@ -515,3 +559,14 @@ def stencil_derivative(y: np.ndarray, h: float, order: int = 4) -> np.ndarray:
         d[i] = np.dot(head, y[:width]) / h
         d[-1 - i] = -np.dot(head, y[-width:][::-1]) / h
     return d
+
+
+def __getattr__(name: str):
+    # PEP 562: perfbench's tracer still lists numerics.solve_ivp, so the name
+    # resolves, and scipy.integrate loads, only when something asks for it.
+    # This goes away with ROADMAP direction 1's retarget of the tracer.
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

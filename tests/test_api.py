@@ -1,9 +1,12 @@
 """The package's public surface: its names and what importing it loads."""
 
 import importlib
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import masscap
 
@@ -66,6 +69,61 @@ def test_import_does_not_load_scipy_interpolate():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+# Run in a fresh interpreter: the library's family -> level_flow ->
+# case_report path and a CLI suite on the README's families (coarse grids),
+# then print which of the heavy scipy subpackages got loaded.
+_LOADED_PROBE = """
+import json, sys, tempfile
+from pathlib import Path
+sys.path.insert(0, {src!r})
+import masscap, masscap.cli
+model = masscap.model_profile(1.5)
+dec, grow = masscap.solve_decaying(model), masscap.solve_growing(model)
+flow = masscap.level_flow(masscap.family_bumped(1.0, 0.1, n=256), 1.5, n_t=1024)
+masscap.case_report(flow, model, dec, grow)
+with tempfile.TemporaryDirectory() as tmp:
+    cfg = Path(tmp) / "cfg.json"
+    cfg.write_text(json.dumps({{
+        "p_list": [1.2, 1.5, 1.8],
+        "families": [
+            {{"tag": "schwarzschild", "params": {{"m": 2.0}}}},
+            {{"tag": "bumped", "params": {{"m0": 1.0, "eps": 0.1, "s1": 2.0, "s2": 6.0}}}},
+            {{"tag": "flat", "params": {{}}}},
+        ],
+        "grids": {{"n_s": 256, "n_t": 1024}},
+    }}))
+    code = masscap.cli.main(["suite", "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+print(json.dumps([code, [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules]]))
+"""
+
+
+def test_run_never_loads_scipy_integrate():
+    # The warping factor and the flow both step on numerics.dop853, whose
+    # tableau is read by path: scipy.integrate (which loads scipy.optimize)
+    # is not imported late either, it is never imported.
+    src = str(Path(masscap.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE.format(src=src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert code == 0
+    assert loaded == []
+
+
+def test_tracer_names_resolve_on_demand():
+    # numerics.solve_ivp and warped.solve_ivp exist only for the benchmark's
+    # tracer (module __getattr__); other missing names still raise.
+    from masscap import numerics, warped
+
+    for module in (numerics, warped):
+        assert module.solve_ivp.__name__ == "solve_ivp"
+        with pytest.raises(AttributeError, match=module.__name__):
+            module.no_such_name
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):

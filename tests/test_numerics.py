@@ -12,10 +12,11 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 from masscap import SampledCurve, Tolerances, family_bumped, level_flow
-from masscap import warped
+from masscap import numerics, warped
 from masscap.numerics import (
     DenseSolution,
     _dop_kernel,
+    _load_tableau,
     dop853,
     fit_power_tail,
     integrate_linear_system,
@@ -218,7 +219,25 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
             records.extend((dy, h * f_old - dy, 2.0 * dy - h * (f_end + f_old)))
             records.extend([h * sum(map(mul, d, col)) for d in rows])
         t, y, f = t_new, y_new, f_new
-    return DenseSolution(records, n, t, nfev)
+    return DenseSolution(records, n, t, nfev, y)
+
+
+class TestTableau:
+    def test_file_loaded_tableau_is_scipys(self):
+        # numerics reads dop853_coefficients.py by path, skipping
+        # scipy.integrate's __init__; the arrays must be scipy's own.
+        assert numerics._dop is not _dop
+        for name in ("A", "B", "C", "D", "E3", "E5"):
+            ours, ref = getattr(numerics._dop, name), getattr(_dop, name)
+            assert ours.dtype == ref.dtype and np.array_equal(ours, ref), name
+        for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+            assert getattr(numerics._dop, name) == getattr(_dop, name), name
+
+    def test_moved_file_fails_with_its_path(self, tmp_path):
+        path = tmp_path / "integrate" / "_ivp" / "dop853_coefficients.py"
+        with pytest.raises(ImportError, match="DOP853 tableau") as info:
+            _load_tableau(path)
+        assert str(path) in str(info.value)
 
 
 class TestDop853:
@@ -271,6 +290,7 @@ class TestDop853:
         assert np.array_equal(ours._records, ref._records)
         assert np.array_equal(ours.t, ref.t)
         assert (ours.nfev, ours.steps) == (ref.nfev, ref.steps)
+        assert ours.y_end == ref.y_end
         return ours
 
     @pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
@@ -288,6 +308,8 @@ class TestDop853:
         assert ours.nfev > 15 * ours.steps + 2
 
     def test_level_flow_is_bit_identical_to_the_loops(self, monkeypatch):
+        # The family's own solve runs dop853 too: build it before the spy.
+        warp = family_bumped(1.0, 0.1, 2.0, 6.0)
         calls = []
 
         def spy(fun, span, y0, **args):
@@ -295,10 +317,24 @@ class TestDop853:
             return dop853(fun, span, y0, **args)
 
         monkeypatch.setattr(warped, "dop853", spy)
-        level_flow(family_bumped(1.0, 0.1, 2.0, 6.0), 1.5)
+        level_flow(warp, 1.5)
         ((fun, span, y0, args),) = calls
         assert len(y0) == 3
         self._assert_same_run(fun, span, y0, **args)
+
+    def test_joined_runs_continue_each_other(self):
+        args = {"rtol": 1e-12, "atol": 1e-12}
+        first = dop853(_pendulum, (0.0, 4.0), [1.0, 0.0], **args)
+        second = dop853(_pendulum, (4.0, 10.0), first.y_end, **args)
+        both = DenseSolution.join([first, second])
+        assert both.steps == first.steps + second.steps
+        assert both.nfev == first.nfev + second.nfev
+        assert both.y_end == second.y_end
+        assert np.array_equal(both.t, np.concatenate((first.t, second.t[1:])))
+        # A point on the joint takes the step that ends there.
+        assert np.array_equal(both.sol(4.0), first.sol(4.0))
+        t = np.linspace(4.0, 10.0, 101)
+        assert np.array_equal(both.sol(t)[:, 1:], second.sol(t)[:, 1:])
 
     def test_kernel_is_built_once_per_size(self):
         assert _dop_kernel(3) is _dop_kernel(3)

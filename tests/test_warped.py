@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 from scipy.special import beta, betaincinv
 
 from masscap import (
@@ -24,6 +24,7 @@ from masscap import (
     w_inequality_residual,
 )
 from masscap import warped
+from masscap.numerics import dop853
 
 PI = math.pi
 
@@ -63,6 +64,44 @@ class TestSplineBump:
         assert bump(6.0 - eps) < 1e-11
 
 
+class TestFamilySolve:
+    @pytest.mark.parametrize(
+        "build, pieces",
+        [
+            (lambda: family_schwarzschild(2.0), 1),
+            (lambda: family_bumped(1.0, 0.1, 2.0, 6.0), 6),
+        ],
+        ids=["schwarzschild", "bumped"],
+    )
+    def test_pieces_match_scipy(self, monkeypatch, build, pieces):
+        # One dop853 run per piece between the knots: each takes scipy's
+        # steps and evaluations, and the joined solution is scipy's up to
+        # rounding.
+        runs = []
+
+        def spy(fun, span, y0, **args):
+            sol = dop853(fun, span, y0, **args)
+            runs.append((fun, span, list(y0), args, sol))
+            return sol
+
+        monkeypatch.setattr(warped, "dop853", spy)
+        warp = build()
+        assert len(runs) == pieces
+        ts, interpolants = [0.0], []
+        for fun, span, y0, args, sol in runs:
+            assert args == {"rtol": 1e-12, "atol": 1e-12}
+            ref = solve_ivp(fun, span, y0, method="DOP853", dense_output=True, **args)
+            assert sol.steps == ref.t.size - 1 and sol.nfev == ref.nfev
+            assert np.max(np.abs(np.asarray(sol.y_end) - ref.y[:, -1])) <= 1e-14 * ref.y[0, -1]
+            ts.extend(ref.sol.ts[1:])
+            interpolants.extend(ref.sol.interpolants)
+        assert warp.steps == sum(run[-1].steps for run in runs)
+        assert warp.nfev == sum(run[-1].nfev for run in runs)
+        phi, dphi = OdeSolution(ts, interpolants)(warp.s_grid)
+        assert np.max(np.abs(warp.phi.y / phi - 1.0)) <= 1e-14
+        assert np.max(np.abs(warp.dphi.y - dphi)) <= 2e-15
+
+
 class TestSchwarzschildFamily:
     def test_boundary_is_a_minimal_sphere(self, lab):
         warp = lab.warp("schwarzschild", m=2.0)
@@ -88,6 +127,12 @@ class TestSchwarzschildFamily:
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValueError, match="mass"):
             family_schwarzschild(0.0)
+
+    def test_overflow_fails_as_an_integration_error(self):
+        # phi(0) = 2e-300 sends phi' past sqrt(max float): the plain-float
+        # step overflows, which must surface as the solve's RuntimeError.
+        with pytest.raises(RuntimeError, match="warping-factor integration failed"):
+            family_schwarzschild(1e-300)
 
 
 class TestBumpedFamily:
