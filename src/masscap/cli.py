@@ -200,6 +200,9 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         if not 1.0 < p < 2.0:
             raise ConfigError(f"p must lie in (1, 2), got {p}")
         p_clean.append(p)
+    repeats = sorted({p for p in p_clean if p_clean.count(p) > 1})
+    if repeats:
+        raise ConfigError(f"p_list repeats the exponents {repeats}")
 
     families = raw["families"]
     if not isinstance(families, list) or not families:

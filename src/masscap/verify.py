@@ -27,8 +27,7 @@ import numpy as np
 from .coefficients import CoefficientSolution, _q_terms, _same_model, model_constancy
 from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
-from .warped import FlowProfile, WarpProfile, capacity_Cp, masses, w_inequality_residual
-from .warped import _w_residual_floor_fd
+from .warped import FlowProfile, WarpProfile, _w_residual_floor_fd, capacity_Cp, masses
 
 __all__ = [
     "CaseResult",
@@ -56,9 +55,8 @@ class VerificationReport:
     named numbers that are reported but never gate a pass/fail decision;
     for a case they are its only copy of C_p, the mass and the slopes.
     curves carries the sampled curves the step evaluated on the way (for
-    case_report: both Q curves, keyed by flavor, and the W-inequality
-    residual), so callers reuse them instead of evaluating them again; they
-    are never reported.
+    case_report: both Q curves, keyed by flavor), so callers reuse them
+    instead of evaluating them again; they are never reported.
     """
 
     min_forward_slope: float | None = None
@@ -217,20 +215,25 @@ def penrose_margin(flow: FlowProfile, model: ModelGeometry) -> VerificationRepor
 
     Verifies the hypotheses first: the scalar curvature must be nonnegative
     along the flow (the flow's existence already certifies the minimal
-    boundary). The margin is nonnegative under those hypotheses, with
-    equality exactly on the reference family; the equality flag fires when
-    the margin is below model.tol.accept_rel relative to the mass scale.
+    boundary). This is the certifier's one check of R >= 0: every sample
+    keeps R >= -min(1e-9 max(1, max|R|), slope_slack / (2 pi (3-p)^2 phi^2)),
+    the tighter of R's rounding and a W-inequality residual 2 pi (3-p)^2
+    R phi^2 of -slope_slack. The margin is nonnegative under those
+    hypotheses, with equality exactly on the reference family; the equality
+    flag fires when the margin is below model.tol.accept_rel relative to
+    the mass scale.
     """
     if abs(flow.p - model.p) > 1e-12:
         raise ValueError("flow and reference model disagree on p")
+    s = 3.0 - model.p
     R = flow.R.y
-    floor = -1e-9 * max(1.0, float(np.max(np.abs(R))))
-    if float(np.min(R)) < floor:
+    residual_floor = model.tol.slope_slack / (2.0 * math.pi * s**2 * flow.phi.y**2)
+    floor = np.minimum(1e-9 * max(1.0, float(np.max(np.abs(R)))), residual_floor)
+    if np.any(R < -floor):
         raise _HypothesisViolation(
             f"scalar curvature dips to {float(np.min(R)):g}; "
             "hypotheses of the mass bound are violated"
         )
-    s = 3.0 - model.p
     capacity_radius = 2.0 * (flow.Cp / model.Kp) ** (1.0 / s)
     margin = flow.adm - capacity_radius
     scale = max(abs(flow.adm), 1.0)
@@ -287,14 +290,14 @@ def case_report(
     """Full certification of one geometry against the reference slice.
 
     Merges both flavors' monotonicity, the boundary gradient bound, the
-    mass functional limit, the differential-inequality residual gap, the
-    limit estimates, and the sharp margin into one report; the diagnostics
-    also carry the flow's solver counts (flow_nfev, flow_steps) and the
-    residual floor with a finite-difference W'' (w_residual_floor_fd). Raises
-    ValueError when the scalar curvature dips negative, a hypothesis of the
-    mass bound; that check runs first, so it is the error reported at any
-    grid. Numerical check failures surface in the report's slopes and gaps,
-    which certify_case gates. Every budget is model.tol.
+    mass functional limit, the limit estimates, and the sharp margin into
+    one report; the diagnostics also carry the flow's solver counts
+    (flow_nfev, flow_steps) and the W-inequality residual floor with a
+    finite-difference W'' (w_residual_floor_fd). Raises ValueError when the
+    scalar curvature dips negative, a hypothesis of the mass bound
+    (penrose_margin); that check runs first, so it is the error reported at
+    any grid. Numerical check failures surface in the report's slopes and
+    gaps, which certify_case gates. Every budget is model.tol.
     """
     _same_model(model, dec, grow)
     pm = penrose_margin(flow, model)
@@ -303,7 +306,6 @@ def case_report(
     rd = monotonicity_report(qd, model.tol)
     rg = monotonicity_report(qg, model.tol)
     _, f_limit = mass_functional_Fp(flow)
-    w_residual, w_gap = w_inequality_residual(flow)
     bound_gap = horizon_W_bound(flow, dec, model)
     limit_dec = q_limits(qd, flow, "decaying")
     limit_grow = q_limits(qg, flow, "growing")
@@ -324,7 +326,6 @@ def case_report(
         "growing_limit_bound_resolved": bound_value,
         "mass_functional_limit": f_limit,
         "mass_functional_target": 8.0 * math.pi * flow.adm,
-        "w_identity_gap": w_gap,
         "w_residual_floor_fd": _w_residual_floor_fd(flow),
         "horizon_W_gap": bound_gap,
         **pm.diagnostics,
@@ -336,7 +337,7 @@ def case_report(
         penrose_margin=pm.penrose_margin,
         equality_flag=bool(rd.equality_flag and rg.equality_flag and pm.equality_flag),
         diagnostics=diagnostics,
-        curves={"decaying": qd, "growing": qg, "w_residual": w_residual},
+        curves={"decaying": qd, "growing": qg},
     )
 
 
@@ -390,10 +391,7 @@ def _gated_checks(
     diag = report.diagnostics
     acc, slack = tol.accept_rel, tol.slope_slack
     slope_dec, slope_grow = diag["min_slope_decaying"], diag["min_slope_growing"]
-    gap, horizon_gap = diag["w_identity_gap"], diag["horizon_W_gap"]
-    res = report.curves["w_residual"].y
-    res_min = float(res.min())
-    identity_scale = acc * 4.0 * math.pi * (3.0 - flow.p) ** 2
+    horizon_gap = diag["horizon_W_gap"]
     horizon_scale = acc * (horizon_gap + flow.W0)
     margin, margin_scale = report.penrose_margin, acc * max(flow.adm, 1.0)
     f_limit, f_target = diag["mass_functional_limit"], diag["mass_functional_target"]
@@ -401,16 +399,8 @@ def _gated_checks(
     checks = [
         _check("monotone_decaying", slope_dec, slack, slope_dec >= -slack),
         _check("monotone_growing", slope_grow, slack, slope_grow >= -slack),
-        _check("w_identity_gap", gap, identity_scale, gap <= identity_scale),
-        _check("w_residual_floor", res_min, slack, res_min >= -slack),
+        _check("horizon_gradient_bound", horizon_gap, horizon_scale, horizon_gap >= -horizon_scale),
     ]
-    if vacuum:
-        res_max = float(np.max(np.abs(res)))
-        checks.append(
-            _check("w_residual_vacuum", res_max, identity_scale, res_max <= identity_scale)
-        )
-    horizon_ok = horizon_gap >= -horizon_scale
-    checks.append(_check("horizon_gradient_bound", horizon_gap, horizon_scale, horizon_ok))
     if vacuum:
         mass_scale = 10.0 * acc * max(f_target, 1.0)
         checks += [
@@ -491,15 +481,15 @@ def certify_case(
     against the Euclidean capacity 4 pi ((3-p)/(p-1))**(p-1) and zero mass;
     flow, dec and grow are not needed. One with a minimal boundary needs
     its flow at p and both triples, and gets case_report plus the gated
-    checks: both monotonicities, the W-identity gap and residual floor, the
-    boundary gradient bound, the mass limit and the margin. The vacuum
-    members (warp.vacuum: Schwarzschild, bumps with eps = 0) must meet the
-    equality case sharply, every other geometry the strict margin without
-    equality. A failed hypothesis of the mass bound is the failed stage
-    check "hypotheses", any other error of case_report the stage check
-    "case_report", and a failed flat capacity or mass the stage check
-    "capacity". Triples solved on another model than `model` raise
-    ValueError, as in every function that takes both.
+    checks: both monotonicities, the boundary gradient bound, the mass
+    limit, the margin and the equality flag (R >= 0 is a hypothesis, checked
+    by penrose_margin). The vacuum members (warp.vacuum: Schwarzschild,
+    bumps with eps = 0) must meet the equality case sharply, every other
+    geometry the strict margin without equality. A failed hypothesis of the
+    mass bound is the failed stage check "hypotheses", any other error of
+    case_report the stage check "case_report", and a failed flat capacity
+    or mass the stage check "capacity". Triples solved on another model
+    than `model` raise ValueError, as in every function that takes both.
     Every tolerance derives from model.tol.
     """
     tol = model.tol

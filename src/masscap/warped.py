@@ -17,6 +17,7 @@ is solved backward from the outer radius, where it is a contraction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -351,7 +352,8 @@ def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]
 
     u' = -C phi**(-kappa) with kappa = 2/(p-1); the cumulative integral is
     accumulated from the analytic tail inward so the decaying end keeps
-    full relative precision. Returns (u over the s-grid, C).
+    full relative precision. Returns (u over the s-grid, C). Raises
+    ValueError when u(s_max) underflows a normal double (p near 1).
     """
     p = _check_p(p)
     kappa = 2.0 / (p - 1.0)
@@ -364,6 +366,8 @@ def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]
     m_end = float(_hawking(warp.phi.y, warp.dphi.y)[-1])
     tail = _capacity_tail(phi_max, m_end, kappa)
     integral = right_cumulative(panels, tail)
+    if not (integral[0] > 0.0 and integral[-1] / integral[0] >= sys.float_info.min):
+        raise ValueError(f"p = {p:g}: u(s_max) underflows at s_max = {warp.s_max:g}")
     # x / x is exactly 1; x * (1/x) need not be, so u is not C * integral.
     u = integral / integral[0]
     return SampledCurve(warp.s_grid, u), 1.0 / integral[0]
@@ -560,9 +564,9 @@ def w_inequality_residual(flow: FlowProfile) -> tuple[SampledCurve, float]:
     which on these geometries equals 2 pi (3-p)^2 R phi^2 identically, so
     it is nonnegative exactly when the scalar curvature is. W' and W'' are
     the flow's dWdt and d2Wdt2, both closed forms in the state (s, phi,
-    phi', phi''), so the identity holds up to rounding and the residual's
-    floor certifies R >= 0 along the flow; the accuracy of the sampled
-    curves is what the Q-monotonicity gates measure.
+    phi', phi''), so the identity is exact algebra (a test reduces it
+    symbolically) and the gap reads rounding only. So no gate reads this
+    residual: verify.penrose_margin checks R >= 0 directly.
     Returns the residual curve and the max gap against the exact identity.
     """
     res = _w_residual(flow, flow.d2Wdt2.y)
@@ -577,7 +581,7 @@ def _w_residual_floor_fd(flow: FlowProfile) -> float:
     A diagnostic of how smooth the sampled W' is: the per-step error of the
     state enters W' through q ~ phi**(-kappa), amplified by about
     kappa/(p-1) and divided by the grid step, so at p near 1 this floor
-    reaches far below the gated one (about -2e-6 at p = 1.05).
+    reaches far below the closed-form one (about -2e-6 at p = 1.05).
     """
     t = flow.t_grid
     return float(np.min(_w_residual(flow, stencil_derivative(flow.dWdt.y, t[1] - t[0]))))

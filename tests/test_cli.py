@@ -396,6 +396,9 @@ BAD_CONFIGS = [
         {"families": [{"tag": "schwarzschild", "params": {"m": 50.0}}]},
         "schwarzschild mass m = 50 needs grids.s_max >= 125 m = 6250, got 5000",
     ),
+    # A repeated p would certify its cases twice, and two workers would
+    # write the same warped-* and q-* files at once.
+    ({"p_list": [1.5, 1.2, 1.5]}, "p_list repeats the exponents [1.5]"),
 ]
 
 

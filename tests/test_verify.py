@@ -27,6 +27,7 @@ from masscap import (
     reference_checks,
     solve_decaying,
     solve_growing,
+    w_inequality_residual,
 )
 from masscap.verify import GROWTH_CAP, _tail_limit
 
@@ -211,7 +212,8 @@ class TestReferenceChecks:
 
 
 class TestCertifyCase:
-    VACUUM_ONLY = {"w_residual_vacuum", "penrose_sharp"}
+    VACUUM_ONLY = {"penrose_sharp"}
+    SHARED = ["monotone_decaying", "monotone_growing", "horizon_gradient_bound"]
 
     def _certify(self, lab, tag, flow=None, **params):
         dec, grow = lab.triples(1.5)
@@ -228,7 +230,9 @@ class TestCertifyCase:
         assert result.passed and result.report is not None
         assert all(check["passed"] for check in result.checks)
         assert result.report.equality_flag is True
-        assert self.VACUUM_ONLY <= self._names(result)
+        assert [check["name"] for check in result.checks] == self.SHARED + [
+            "penrose_sharp", "mass_limit", "equality_flag"
+        ]
         assert (result.p, result.family, result.params) == (1.5, "schwarzschild", {"m": 2.0})
 
     def test_vacuum_is_read_from_the_geometry_not_its_tag(self, lab):
@@ -244,8 +248,9 @@ class TestCertifyCase:
         result = self._certify(lab, "bumped", m0=1.0, eps=0.1)
         assert result.passed
         assert result.report.penrose_margin > 0.0
-        assert not self.VACUUM_ONLY & self._names(result)
-        assert "penrose_margin" in self._names(result)
+        assert [check["name"] for check in result.checks] == self.SHARED + [
+            "penrose_margin", "mass_limit", "equality_flag"
+        ]
 
     def test_negative_curvature_is_the_one_failed_check(self, lab, negative_eps_flow):
         result = self._certify(lab, "bumped", flow=negative_eps_flow, m0=1.0, eps=-0.05)
@@ -254,6 +259,21 @@ class TestCertifyCase:
         [check] = result.checks
         assert check["name"] == "hypotheses" and not check["passed"]
         assert "curvature" in check["detail"]
+
+    def test_residual_slack_bounds_the_curvature_at_every_sample(self, lab):
+        # R >= 0 enters only through the W inequality, whose residual is
+        # 2 pi (3-p)^2 R phi^2. At the outermost sample a residual of
+        # -2 slope_slack is R = -5.7e-17, far above -1e-9 max|R|, yet it
+        # must fail the hypothesis.
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        slack = lab.model(1.5).tol.slope_slack
+        R = flow.R.y.copy()
+        R[-1] = -2.0 * slack / (2.0 * math.pi * 1.5**2 * flow.phi.y[-1] ** 2)
+        assert R[-1] > -1e-9 * max(1.0, float(np.max(np.abs(R))))
+        edited = dataclasses.replace(flow, R=SampledCurve(flow.t_grid, R))
+        result = self._certify(lab, "schwarzschild", flow=edited, m=2.0)
+        [check] = result.checks
+        assert check["name"] == "hypotheses" and "scalar curvature" in check["detail"]
 
     def test_coarse_grid_is_a_case_report_failure(self, lab):
         # The coarsest accepted t-grid leaves the growing window too few
@@ -279,7 +299,7 @@ class TestCertifyCase:
 
     def test_light_result_drops_only_the_curves(self, lab):
         result = self._certify(lab, "schwarzschild", m=2.0)
-        assert set(result.report.curves) == {"decaying", "growing", "w_residual"}
+        assert set(result.report.curves) == {"decaying", "growing"}
         light = result.light()
         assert light.report.curves == {}
         assert light == result
@@ -312,15 +332,16 @@ class TestCertifyCase:
         ],
     )
     def test_residual_floor_holds_near_p_one(self, lab, p, warp_args):
-        # A finite-difference W'' put these cases below the floor's 1e-8
+        # A finite-difference W'' put these cases below the residual's 1e-8
         # slack (down to -2.3e-6 at p = 1.05); W'' from the flow's state
         # leaves rounding only.
         warp = lab.warp(warp_args[0], **warp_args[1])
         dec, grow = lab.triples(p)
-        result = certify_case(warp, lab.model(p), level_flow(warp, p), dec, grow)
+        flow = level_flow(warp, p)
+        result = certify_case(warp, lab.model(p), flow, dec, grow)
         assert result.passed, [c for c in result.checks if not c["passed"]]
-        [floor] = [c["value"] for c in result.checks if c["name"] == "w_residual_floor"]
-        assert floor >= -1e-11
+        res, _ = w_inequality_residual(flow)
+        assert float(np.min(res.y)) >= -1e-11
 
     @pytest.mark.parametrize("m, R_max", [(0.05, 1e4), (5e-4, 1e6)])
     def test_small_mass_flow_past_the_model_grid(self, m, R_max):
@@ -354,9 +375,9 @@ class TestSingleTolerance:
             assert check["name"] == ref["name"]
             if ref["tolerance"] is not None:
                 assert check["tolerance"] == pytest.approx(0.1 * ref["tolerance"], rel=1e-12)
-        slope_names = {"monotone_decaying", "monotone_growing", "w_residual_floor"}
+        slope_names = {"monotone_decaying", "monotone_growing"}
         slope = [check for check in tight_checks if check["name"] in slope_names]
-        assert len(slope) == 3 and all(check["tolerance"] == 1e-9 for check in slope)
+        assert len(slope) == 2 and all(check["tolerance"] == 1e-9 for check in slope)
 
 
 class TestTriplesBelongToTheirModel:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +226,17 @@ class TestRadialPotential:
             assert u.y[-1] < 1e-2
 
 
+    @pytest.mark.parametrize("p", [1.02, 1.001])
+    def test_underflow_near_p_one_names_p_and_s_max(self, lab, p):
+        # phi**(-2/(p-1)) underflows on the default domain: at s_max for
+        # p = 1.02, and already at the boundary for p = 1.001.
+        warp = lab.warp("schwarzschild", m=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"p = {p:g}: .* at s_max = 5000"):
+                level_flow(warp, p)
+
+
 class TestLevelFlow:
     def test_level_parameter_conventions(self, lab):
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
@@ -317,6 +329,36 @@ class TestLevelFlow:
 
 
 class TestWInequalityResidual:
+    def test_identity_is_exact_in_the_flow_state(self, lab):
+        # level_flow's W, W' and W'' for free phi, phi', phi'' and q = u'/u:
+        # the residual minus 2 pi (3-p)^2 R phi^2 cancels to 0 as algebra,
+        # and the same expressions reproduce the flow's sampled W' and W''.
+        import sympy as sp
+
+        p = sp.Symbol("p", positive=True)
+        phi, dphi, ddphi, q = sp.symbols("phi dphi ddphi q", nonzero=True)
+        kappa = 2 / (p - 1)
+        W = 4 * sp.pi * (p - 1) ** 2 * (phi * q) ** 2
+        L = 2 * ((1 - kappa) * dphi / phi - q) / ((1 - p) * q)
+        Lt = 2 * (1 - kappa) / ((1 - p) ** 2 * q) * (
+            ddphi + (kappa - 1) * dphi**2 / phi + dphi * q
+        ) / (phi * q)
+        dW, d2W = W * L, W * (L**2 + Lt)
+        res = (p - 1) * (3 - p) * d2W - W + 4 * sp.pi * (3 - p) ** 2 - 2 * (2 - p) * dW
+        res -= (p - 1) * (5 - p) / 4 * dW**2 / W
+        R = 2 * (1 - dphi**2) / phi**2 - 4 * ddphi / phi
+        assert sp.cancel(res - 2 * sp.pi * (3 - p) ** 2 * R * phi**2) == 0
+
+        warp = lab.warp("bumped", m0=1.0, eps=0.1)
+        flow = lab.flow(1.5, "bumped", m0=1.0, eps=0.1)
+        i = np.arange(0, flow.t_grid.size, 997)
+        ph, dph = flow.phi.y[i], flow.H.y[i] * flow.phi.y[i] / 2.0
+        state = (ph, dph, warp.accel_fn(flow.s_of_t.y[i], ph, dph))
+        qs = -np.sqrt(flow.W.y[i] / (4.0 * PI)) / (0.5 * ph)  # W = 4 pi (p-1)^2 (phi q)^2
+        for expr, sampled in ((dW, flow.dWdt.y[i]), (d2W, flow.d2Wdt2.y[i])):
+            f = sp.lambdify((phi, dphi, ddphi, q), expr.subs(p, sp.Rational(3, 2)), "numpy")
+            assert np.allclose(f(*state, qs), sampled, rtol=1e-10, atol=0.0)
+
     def test_vacuum_residual_is_numerically_zero(self, lab):
         res, _ = w_inequality_residual(lab.flow(1.5, "schwarzschild", m=2.0))
         assert float(np.max(np.abs(res.y))) <= 1e-7
