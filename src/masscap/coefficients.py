@@ -19,7 +19,9 @@ with a, b, c assembled from the reference profile. Two solutions matter:
   decaying triple (see solve_growing).
 
 Both are evaluated in closed form, on the model grid and at any level-set
-parameter t whose radius the profile resolves.
+parameter t whose radius the profile resolves. On the grid they read the
+level data and the beta ratio I1 that the model keeps, and evaluate no
+special function.
 
 On the reference slice both combinations are exactly constant (the decaying
 one is identically zero); on a general geometry with nonnegative scalar
@@ -37,7 +39,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc, betaincinv
 
 from .numerics import SampledCurve, stencil_derivative
-from .schwarzschild import ModelGeometry
+from .schwarzschild import LevelData, ModelGeometry, _beta_ratio_I1
 
 __all__ = [
     "CoefficientSolution",
@@ -48,8 +50,8 @@ __all__ = [
 ]
 
 
-def _abc(model: ModelGeometry, r):
-    """(a, b, c, dr/dt) of the pair system at radii r, from one level_data call.
+def _abc(p: float, d: LevelData):
+    """(a, b, c, dr/dt) of the pair system from the level data d at some radii.
 
     a = [ (p-1)(5-p)/4 * (dW/dt)^2 / W^2 - 1 ] / (dr/dt)
     b = -1 / ((p-1)(3-p) dr/dt)
@@ -59,17 +61,15 @@ def _abc(model: ModelGeometry, r):
     first-order conditions that make Q constant on the reference slice, and
     a + (dr/dt)^-1 >= 0 pointwise (the perfect-square mechanism).
     """
-    p = model.p
     s = 3.0 - p
     ch = (p - 1.0) * (5.0 - p) / 4.0
-    d = model.level_data(r)
     a = (ch * (d.dWdt / d.W) ** 2 - 1.0) / d.drdt
     b = -1.0 / ((p - 1.0) * s * d.drdt)
     c = 2.0 * (p - 2.0) / ((p - 1.0) * s * d.drdt) - (5.0 - p) / (2.0 * s * d.W) * d.dWdr
     return a, b, c, d.drdt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSolution:
     """One flavor of the coefficient triple on the reference slice.
 
@@ -117,10 +117,11 @@ class CoefficientSolution:
                 f"t = {float(np.max(t)):g} is past the radius where r**(-2/(p-1)) "
                 f"leaves the normal doubles at p = {model.p:g}"
             )
+        d = model.level_data(r)
         out = np.zeros((3, live.size))
-        out[:, live] = _decaying_at_r(model, r)[:3]
+        out[:, live] = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]
         if self.flavor == "growing":
-            out = np.array(_growing_at_r(model, r)) + self.beta * out
+            out = np.array(_growing_at_r(model.p, r, d)) + self.beta * out
         return tuple(row.reshape(t.shape) for row in out)
 
 
@@ -148,7 +149,7 @@ def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.nd
     return 1.0 / x[live] - 1.0, live
 
 
-def _decaying_at_r(model: ModelGeometry, r):
+def _decaying_at_r(model: ModelGeometry, r, d: LevelData, I1):
     """(f, g, h, a dr/dt) of the decaying triple at radii r, in closed form.
 
     With sigma = (3-p)/(p-1), x = 1/(1+r), k = -sigma^2 (sigma+1)/(2C) and
@@ -164,18 +165,18 @@ def _decaying_at_r(model: ModelGeometry, r):
     A = -k(r+1)/((p-1) r^2); dK/dr = 2 I1 gives dh/dr by the product rule,
     and g = (dh/dr - c h)/b comes from the second equation of the pair
     system. The last value is a dr/dt, for the dg/dt + h >= 0 check.
+    d is the level data at r and I1 its ratio there (_beta_ratio_I1); I0 is
+    taken as d.u/2, bit for bit the quotient above.
     """
     p = model.p
     sigma = (3.0 - p) / (p - 1.0)
     k = -(sigma**2) * (sigma + 1.0) / (2.0 * model.flux_constant)
     x = 1.0 / (1.0 + r)
-    norm = 2.0 * betainc(sigma, sigma, 0.5)
-    I0 = betainc(sigma, sigma, x) / norm
-    I1 = betainc(sigma + 1.0, sigma, x) / norm
+    I0 = d.u / 2.0
     D = I1 - 2.0 * x * I0
     f = 2.0 * k / (x * (1.0 - x)) * ((1.0 - 2.0 * x) * D + (2.0 / sigma) * x * (1.0 - x) * I0)
 
-    a, b, c, drdt = _abc(model, r)
+    a, b, c, drdt = _abc(p, d)
     u_over_du = -(p - 1.0) * drdt
     K = 2.0 * D / x
     A = -k * (r + 1.0) / ((p - 1.0) * r**2)
@@ -203,7 +204,7 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     against model.tol.slope_slack.
     """
     r = model.r_grid
-    f, g, h, a_drdt = _decaying_at_r(model, r)
+    f, g, h, a_drdt = _decaying_at_r(model, r, model.grid_data, model.grid_I1)
     if np.any(h <= 0.0):
         raise RuntimeError("decaying solution lost positivity of h")
     if np.min(h * (1.0 + a_drdt)) < -model.tol.slope_slack * float(np.max(np.abs(h))):
@@ -217,7 +218,7 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     )
 
 
-def _growing_at_r(model: ModelGeometry, r):
+def _growing_at_r(p: float, r, d: LevelData):
     """(f, g, h) of the growing triple without decaying admixture, at radii r.
 
     f = r + 1/r + 2s with s = 3-p, and h = f' dr/dt with f' = (r-1)(r+1)/r^2
@@ -226,12 +227,11 @@ def _growing_at_r(model: ModelGeometry, r):
     dh/dr, and g = (dh/dr - c h)/b comes from the pair system. This is the
     decaying r-form with u = 1, u' = 0; since dr/dt = r/s + 1 + O(1/r) and
     c_tilde e^(t/s) = r + s + O(1/r), it already has h ~ r/s + 1 and
-    f - c_tilde e^(t/s) -> s.
+    f - c_tilde e^(t/s) -> s. d is the level data at r.
     """
-    p = model.p
     s = 3.0 - p
     sigma = s / (p - 1.0)
-    _, b, c, drdt = _abc(model, r)
+    _, b, c, drdt = _abc(p, d)
     df = (r - 1.0) * (r + 1.0) / r**2
     dlog_du = -(sigma + 1.0) / r + 2.0 * sigma / (r**2 + r)
     d_drdt = -(1.0 + (p - 1.0) * drdt * dlog_du) / (p - 1.0)
@@ -253,13 +253,13 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
         c1 = -(1 + 0.01 g_dec(0)/h_dec(0)) / g_grow(0),
         beta = 0.01/(c1 h_dec(0)),
 
-    and q = f(0). Nothing is fitted. The sign pattern h > 0, g < 0 is
-    checked on the grid; fgh_at_t is exact at any t whose radius is live
-    (see _level_radii).
+    and q = f(0). Nothing is fitted, and both triples come from the model's
+    grid_data and grid_I1. The sign pattern h > 0, g < 0 is checked on the
+    grid; fgh_at_t is exact at any t whose radius is live (see _level_radii).
     """
-    r = model.r_grid
-    f0, g0, h0 = _growing_at_r(model, r)
-    fd, gd, hd, _ = _decaying_at_r(model, r)
+    r, d = model.r_grid, model.grid_data
+    f0, g0, h0 = _growing_at_r(model.p, r, d)
+    fd, gd, hd, _ = _decaying_at_r(model, r, d, model.grid_I1)
     c1 = float(-(1.0 + 0.01 * gd[0] / hd[0]) / g0[0])
     beta = float(0.01 / (c1 * hd[0]))
     f, g, h = f0 + beta * fd, g0 + beta * gd, h0 + beta * hd
@@ -323,7 +323,7 @@ def perfect_square_residual(
     ch = (p - 1.0) * (5.0 - p) / 4.0
     g = sol.g_curve.y
     h = sol.h_curve.y
-    data = model.level_data(model.r_grid)
+    data = model.grid_data
     dhdt = _native_t_derivative(h, model, data.drdt)
     res = g - 2.0 * (p - 2.0) * h + (p - 1.0) * s * dhdt + 2.0 * ch * h * data.dWdt / data.W
     return SampledCurve(model.t_of_r.y, res)

@@ -100,6 +100,12 @@ def _level_data(p: float, C: float, r) -> LevelData:
     return LevelData(u=u, du=du, W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt)
 
 
+def _beta_ratio_I1(p: float, r):
+    """I1 = I_x(sigma+1, sigma) / (2 I_1/2(sigma, sigma)) at x = 1/(1+r)."""
+    sigma = (3.0 - p) / (p - 1.0)
+    return betainc(sigma + 1.0, sigma, 1.0 / (1.0 + r)) / (2.0 * betainc(sigma, sigma, 0.5))
+
+
 def flux_constant(p: float) -> float:
     """Normalization constant C of the radial potential on the reference slice.
 
@@ -113,13 +119,16 @@ def flux_constant(p: float) -> float:
     return 2.0 / float(beta_fn(sigma, sigma))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelGeometry:
     """The reference slice sampled on a geometric r-grid [1, R_max].
 
-    Immutable after construction. Curves over r: u, du, t; curves over t:
-    W, dW/dt. The closed forms of u and du give pointwise data off the
-    grid via level_data(), as accurate as on the grid.
+    Immutable after construction; compared and hashed by identity. Curves
+    over r: u, du, t; curves over t: W, dW/dt. grid_data (level data) and
+    grid_I1 (_beta_ratio_I1) on r_grid are the one grid evaluation of the
+    slice's special functions, which the coefficient solves read. The
+    closed forms of u and du give pointwise data off the grid via
+    level_data(), as accurate as on the grid.
     """
 
     p: float
@@ -131,6 +140,8 @@ class ModelGeometry:
     t_of_r: SampledCurve = field(repr=False)
     Ws_curve: SampledCurve = field(repr=False)
     dWs_curve: SampledCurve = field(repr=False)
+    grid_data: LevelData = field(repr=False)
+    grid_I1: np.ndarray = field(repr=False)
     c_fit: float = 0.0
     c_tilde: float = 0.0
     tol: Tolerances = field(default_factory=Tolerances, repr=False)
@@ -156,12 +167,13 @@ def model_profile(
 ) -> ModelGeometry:
     """Build the reference model on a geometric grid of n radii in [1, R_max].
 
-    u, du, C, c_fit and c_tilde are the closed forms of the module
-    docstring, evaluated on the grid; the decaying tail keeps full relative
-    precision because betainc does. Raises ValueError when R_max**(-kappa)
-    is not a normal double: past that radius u' and the level_data built
-    from it underflow. tol (default Tolerances()) becomes
-    model.tol, the one error budget of every solve and check on this model.
+    u, du, C, c_fit, c_tilde, the level data and I1 are the closed forms of
+    the module docstring and of _beta_ratio_I1, evaluated once on the grid;
+    the decaying tail keeps full relative precision because betainc does.
+    Raises ValueError when R_max**(-kappa) is not a normal double: past that
+    radius u' and the level_data built from it underflow. tol (default
+    Tolerances()) becomes model.tol, the one error budget of every solve and
+    check on this model.
     """
     p = _check_p(p)
     if R_max < 1e4:
@@ -198,6 +210,8 @@ def model_profile(
         t_of_r=SampledCurve(r, t),
         Ws_curve=SampledCurve(t, d.W),
         dWs_curve=SampledCurve(t, d.dWdt),
+        grid_data=d,
+        grid_I1=_beta_ratio_I1(p, r),
         c_fit=c_fit,
         c_tilde=c_fit ** (1.0 / sigma),
         tol=tol or Tolerances(),

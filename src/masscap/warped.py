@@ -123,7 +123,7 @@ def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
     return bump
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WarpProfile:
     """A warped-product geometry, sampled and in closed/dense form.
 
@@ -347,6 +347,19 @@ def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
     return float((2.0 * m_end) ** -a * betainc(a, 0.5, x) * beta(a, 0.5))
 
 
+def _flux_integral(warp: WarpProfile, p: float) -> np.ndarray:
+    """integral_s^inf phi**(-2/(p-1)) ds on the s-grid; 1/C at s = 0."""
+    kappa = 2.0 / (p - 1.0)
+
+    def integrand(x):
+        return np.asarray(warp.phi_fn(x), dtype=float) ** -kappa
+
+    panels = panel_integrals(integrand, warp.s_grid)
+    phi_max = float(warp.phi.y[-1])
+    m_end = float(_hawking(warp.phi.y, warp.dphi.y)[-1])
+    return right_cumulative(panels, _capacity_tail(phi_max, m_end, kappa))
+
+
 def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]:
     """Radial potential u with u = 1 on the boundary, u -> 0, and its C.
 
@@ -356,16 +369,7 @@ def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]
     ValueError when u(s_max) underflows a normal double (p near 1).
     """
     p = _check_p(p)
-    kappa = 2.0 / (p - 1.0)
-
-    def integrand(x):
-        return np.asarray(warp.phi_fn(x), dtype=float) ** -kappa
-
-    panels = panel_integrals(integrand, warp.s_grid)
-    phi_max = float(warp.phi.y[-1])
-    m_end = float(_hawking(warp.phi.y, warp.dphi.y)[-1])
-    tail = _capacity_tail(phi_max, m_end, kappa)
-    integral = right_cumulative(panels, tail)
+    integral = _flux_integral(warp, p)
     if not (integral[0] > 0.0 and integral[-1] / integral[0] >= sys.float_info.min):
         raise ValueError(f"p = {p:g}: u(s_max) underflows at s_max = {warp.s_max:g}")
     # x / x is exactly 1; x * (1/x) need not be, so u is not C * integral.
@@ -374,15 +378,18 @@ def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]
 
 
 def capacity_Cp(warp: WarpProfile, p: float) -> float:
-    """Boundary p-capacity C_p = 4 pi C**(p-1), with C from radial_p_harmonic.
+    """Boundary p-capacity C_p = 4 pi C**(p-1), with C = 1/_flux_integral(0).
 
     This is the conserved flux 4 pi phi^2 |u'|^(p-1) of the potential
     through every level sphere: u' = -C phi**(-2/(p-1)) makes it
-    4 pi C**(p-1) by construction.
+    4 pi C**(p-1) by construction. Near p = 1 it stays finite where
+    radial_p_harmonic refuses, and raises ValueError when 1/C underflows.
     """
     p = _check_p(p)
-    _, C = radial_p_harmonic(warp, p)
-    return 4.0 * math.pi * C ** (p - 1.0)
+    head = _flux_integral(warp, p)[0]
+    if not head >= sys.float_info.min:
+        raise ValueError(f"p = {p:g}: the capacity integral underflows at the boundary")
+    return 4.0 * math.pi * (1.0 / head) ** (p - 1.0)
 
 
 def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
@@ -397,7 +404,7 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
     return hawk, float(hawk.y[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowProfile:
     """A geometry reparametrized by the level-set parameter t = (1-p) log u.
 

@@ -1,5 +1,6 @@
 """The package's public surface: its names and what importing it loads."""
 
+import dataclasses
 import importlib
 import json
 import subprocess
@@ -57,6 +58,17 @@ def test_public_names_are_pinned():
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(masscap, name) is not None
+
+
+def test_array_holding_profiles_compare_and_hash_by_identity(lab):
+    model = lab.model(1.5)
+    dec, grow = lab.triples(1.5)
+    warp, flow = lab.warp("schwarzschild", m=2.0), lab.flow(1.5, "schwarzschild", m=2.0)
+    profiles = (model, dec, grow, warp, flow)
+    for profile in profiles:
+        assert profile == profile
+        assert profile != dataclasses.replace(profile)
+    assert len(set(profiles)) == len(profiles)
 
 
 def test_import_does_not_load_scipy_interpolate():

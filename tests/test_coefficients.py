@@ -1,18 +1,23 @@
 """Unit tests for the coefficient triples on the reference slice."""
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from masscap import (
+    constant_diagnostics,
     model_constancy,
     model_profile,
     perfect_square_residual,
+    reference_checks,
     solve_decaying,
     solve_growing,
 )
+from masscap.coefficients import _level_radii
 from masscap.frobenius import InfinitySingularODE, series_coefficients
 from masscap.numerics import fit_power_tail
 
@@ -271,3 +276,62 @@ class TestEvaluationInterface:
         assert np.all(np.isfinite(grow.fgh_at_t(np.array([1.0, 264.0]))))
         with pytest.raises(ValueError, match="leaves the normal doubles"):
             grow.fgh_at_t(np.array([1.0, 264.3]))
+
+
+class TestGridData:
+    """The reference slice's special functions run once per model, on its grid."""
+
+    def test_two_grid_sized_betainc_calls_per_model(self, monkeypatch):
+        import masscap.coefficients
+        import masscap.schwarzschild
+
+        n = 512
+        grid_calls = []
+        for module in (masscap.schwarzschild, masscap.coefficients):
+            original = module.betainc
+
+            def spy(a, b, x, _original=original):
+                if np.size(x) == n:
+                    grid_calls.append((a, b))
+                return _original(a, b, x)
+
+            monkeypatch.setattr(module, "betainc", spy)
+        model = model_profile(1.5, n=n)
+        dec, grow = solve_decaying(model), solve_growing(model)
+        constant_diagnostics(model, dec, grow)
+        for sol in (dec, grow):
+            perfect_square_residual(sol, model)
+        reference_checks(model, dec, grow)
+        assert len(grid_calls) == 2
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_kept_grid_data_matches_a_fresh_evaluation_bit_for_bit(self, lab, p):
+        model = lab.model(p)
+        dec, grow = lab.triples(p)
+        sigma = (3.0 - p) / (p - 1.0)
+        r = model.r_grid.copy()
+        norm = 2.0 * betainc(sigma, sigma, 0.5)
+        fresh_I1 = betainc(sigma + 1.0, sigma, 1.0 / (1.0 + r)) / norm
+        fresh = dataclasses.replace(model, grid_data=model.level_data(r), grid_I1=fresh_I1)
+        fresh_dec, fresh_grow = solve_decaying(fresh), solve_growing(fresh)
+        for kept, new in ((dec, fresh_dec), (grow, fresh_grow)):
+            for name in ("f_curve", "g_curve", "h_curve"):
+                assert np.array_equal(getattr(kept, name).y, getattr(new, name).y)
+            assert (kept.beta, kept.c1, kept.q) == (new.beta, new.c1, new.q)
+        assert constant_diagnostics(model, dec, grow) == constant_diagnostics(
+            fresh, fresh_dec, fresh_grow
+        )
+        assert reference_checks(model, dec, grow) == reference_checks(fresh, fresh_dec, fresh_grow)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_first_beta_ratio_is_half_the_potential_bit_for_bit(self, lab, p):
+        # On the grid and at the level-set radii that fgh_at_t evaluates,
+        # out to where r**(-2/(p-1)) leaves the normal doubles.
+        model = lab.model(p)
+        sigma = (3.0 - p) / (p - 1.0)
+        far = sys.float_info.min ** (-(p - 1.0) / 2.0)
+        r, live = _level_radii(model, np.linspace(0.0, 1.1 * (3.0 - p) * math.log(far), 4000))
+        assert not np.all(live)
+        for radii in (model.r_grid, r):
+            I0 = betainc(sigma, sigma, 1.0 / (1.0 + radii)) / (2.0 * betainc(sigma, sigma, 0.5))
+            assert np.array_equal(I0, model.level_data(radii).u / 2.0)

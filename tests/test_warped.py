@@ -225,6 +225,22 @@ class TestRadialPotential:
             assert C > 0.0
             assert u.y[-1] < 1e-2
 
+    def test_capacity_near_p_one_matches_its_closed_forms(self, lab):
+        # At p = 1.02, u(s_max) underflows (see the next test), yet C_p
+        # needs only the boundary value of the flux integral.
+        p = 1.02
+        kappa = 2.0 / (p - 1.0)
+        flat = 4.0 * math.pi * (kappa - 1.0) ** (p - 1.0)
+        assert capacity_Cp(lab.warp("flat"), p) == pytest.approx(flat, rel=1e-12)
+        m = 2.0
+        vacuum = 4.0 * math.pi * ((2.0 * m) ** (kappa - 1.0) / beta(kappa - 1.0, 0.5)) ** (p - 1.0)
+        assert capacity_Cp(lab.warp("schwarzschild", m=m), p) == pytest.approx(vacuum, rel=1e-12)
+        with pytest.raises(ValueError, match="underflows"):
+            radial_p_harmonic(lab.warp("flat"), p)
+        # At p = 1.001, phi(0)**(-2/(p-1)) = 4**(-2000) underflows too.
+        with pytest.raises(ValueError, match="capacity integral underflows"):
+            capacity_Cp(lab.warp("schwarzschild", m=m), 1.001)
+
 
     @pytest.mark.parametrize("p", [1.02, 1.001])
     def test_underflow_near_p_one_names_p_and_s_max(self, lab, p):
