@@ -17,8 +17,10 @@ Outputs are byte-deterministic for a fixed config and package version:
 floats are written with repr (IEEE-754 round-trip), rows are ordered by
 (p, family tag, params), nothing records wall-clock time, and every file
 embeds the version (CSV as a leading '#' comment line, JSON as a key).
-verify, sweep and suite certify the (p, family) cases in forked worker
-processes, one per core; the files are the same bytes as a one-worker run.
+verify, sweep and suite build every family, reference model and triple
+pair once, then certify the (p, family) cases with one function, in forked
+worker processes (one per core) or, with one worker, in this process; the
+files are the same bytes either way.
 
 Exit codes: 0 when every gating check passes, 1 on check or pipeline
 failure, 2 on malformed configuration or usage.
@@ -47,7 +49,8 @@ from .coefficients import (
     solve_decaying,
     solve_growing,
 )
-from .numerics import Tolerances
+from . import warped
+from .numerics import Tolerances, _check_p
 from .schwarzschild import (
     DEFAULT_N_R,
     DEFAULT_R_MAX,
@@ -56,16 +59,7 @@ from .schwarzschild import (
     ws_boundary_data,
 )
 from .verify import CaseResult, certify_case, reference_checks
-from .warped import (
-    DEFAULT_N_S,
-    DEFAULT_N_T,
-    DEFAULT_S_MAX,
-    WarpProfile,
-    family_bumped,
-    family_flat_exterior,
-    family_schwarzschild,
-    level_flow,
-)
+from .warped import DEFAULT_N_S, DEFAULT_N_T, DEFAULT_S_MAX, WarpProfile, level_flow
 
 __all__ = ["ConfigError", "RunConfig", "main"]
 
@@ -84,16 +78,20 @@ DEFAULT_CONFIG = {
     "outputs": {"csv_dir": "masscap_out", "report_path": None},
 }
 
-_FAMILY_PARAMS = {
-    "schwarzschild": ({"m"}, {"m"}),
-    "bumped": ({"m0", "eps"}, {"m0", "eps", "s1", "s2"}),
-    "flat": (set(), set()),
+# tag -> (constructor in masscap.warped, required params, allowed params).
+# The constructor is looked up by name when a family is built, so a wrapper
+# put on the module attribute (perfbench's tracer) sees the call.
+_FAMILIES = {
+    "schwarzschild": ("family_schwarzschild", {"m"}, {"m"}),
+    "bumped": ("family_bumped", {"m0", "eps"}, {"m0", "eps", "s1", "s2"}),
+    "flat": ("family_flat_exterior", set(), set()),
 }
 
 
 # A vacuum case's mass_limit error depends only on s_max/m and exceeds its
 # bound below s_max = 125 m (m = 50 on s_max = 5e3: 1.5e-5 against 1e-5 at
-# p = 1.5), so the config refuses Schwarzschild masses above s_max/125.
+# p = 1.5), so the config refuses a vacuum member (Schwarzschild m, or
+# bumped m0 with eps = 0) whose mass exceeds s_max/125.
 _S_MAX_PER_MASS = 125.0
 
 
@@ -118,8 +116,11 @@ class RunConfig:
 
 
 def _require_number(value, what: str) -> float:
+    """value as a float; JSON's NaN and Infinity, and ints past the doubles, are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{what} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -138,11 +139,9 @@ def _validate_family(entry) -> tuple[str, dict]:
     if unknown:
         raise ConfigError(f"unknown family keys {sorted(unknown)}")
     tag = entry["tag"]
-    if tag not in _FAMILY_PARAMS:
-        raise ConfigError(
-            f"unknown family tag {tag!r}; known: {sorted(_FAMILY_PARAMS)}"
-        )
-    required, allowed = _FAMILY_PARAMS[tag]
+    if tag not in _FAMILIES:
+        raise ConfigError(f"unknown family tag {tag!r}; known: {sorted(_FAMILIES)}")
+    _, required, allowed = _FAMILIES[tag]
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"family params must be an object, got {params!r}")
@@ -194,12 +193,12 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     p_list = raw["p_list"]
     if not isinstance(p_list, list) or not p_list:
         raise ConfigError("p_list must be a non-empty list")
-    p_clean = []
-    for p in p_list:
-        p = _require_number(p, "p")
-        if not 1.0 < p < 2.0:
-            raise ConfigError(f"p must lie in (1, 2), got {p}")
-        p_clean.append(p)
+    p_clean = [_require_number(p, "p") for p in p_list]
+    for p in p_clean:
+        try:
+            _check_p(p)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     repeats = sorted({p for p in p_clean if p_clean.count(p) > 1})
     if repeats:
         raise ConfigError(f"p_list repeats the exponents {repeats}")
@@ -221,10 +220,11 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     if s_max < 100.0:
         raise ConfigError(f"grids.s_max must be >= 100, got {s_max:g}")
     for tag, params in fam_clean:
-        if tag == "schwarzschild" and params["m"] > s_max / _S_MAX_PER_MASS:
+        key = {"schwarzschild": "m", "bumped": "m0"}.get(tag)
+        if key and params.get("eps", 0.0) == 0.0 and params[key] > s_max / _S_MAX_PER_MASS:
             raise ConfigError(
-                f"schwarzschild mass m = {params['m']:g} needs grids.s_max >= "
-                f"{_S_MAX_PER_MASS:g} m = {_S_MAX_PER_MASS * params['m']:g}, got {s_max:g}"
+                f"{tag} mass {key} = {params[key]:g} needs grids.s_max >= "
+                f"{_S_MAX_PER_MASS:g} {key} = {_S_MAX_PER_MASS * params[key]:g}, got {s_max:g}"
             )
     n_points = _require_int(grids["n_points"], "grids.n_points", 64)
     n_s = _require_int(grids["n_s"], "grids.n_s", 16)
@@ -335,10 +335,10 @@ class _Pipeline:
     """One run's models, coefficient triples, families and case results.
 
     Each is built at most once per run, so every subcommand of a suite sees
-    the same objects. Cases are certified in forked worker processes when
-    there is more than one core (see cases); a flow and its Q curves live
-    only in the process that certifies their case, are written there with
-    write_curves, and never come back: case results are kept light.
+    the same objects. cases builds them all here, then certifies each case
+    with _certify, in this process or in forked workers; a flow and its Q
+    curves live only in the process that certifies their case, are written
+    there with write_curves, and never come back: case results are light.
     """
 
     def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
@@ -366,58 +366,47 @@ class _Pipeline:
     def family(self, tag: str, params: dict) -> WarpProfile:
         key = (tag, tuple(sorted(params.items())))
         if key not in self._warps:
-            grid = {"s_max": self.cfg.s_max, "n": self.cfg.n_s}
-            if tag == "schwarzschild":
-                self._warps[key] = family_schwarzschild(**params, **grid)
-            elif tag == "bumped":
-                self._warps[key] = family_bumped(**params, **grid)
-            else:
-                self._warps[key] = family_flat_exterior(**grid)
+            build = getattr(warped, _FAMILIES[tag][0])
+            self._warps[key] = build(**params, s_max=self.cfg.s_max, n=self.cfg.n_s)
         return self._warps[key]
 
     def cases(self) -> list[tuple[float, str, dict, CaseResult]]:
         """(p, tag, params, result) per case in _case_order, certified on the first call.
 
-        With min(os.cpu_count(), number of cases) > 1 workers and the fork
-        start method, the cases run in a process pool; otherwise here, one
-        after another. Results come back in _case_order either way.
+        Every family, model and triple pair is built here first, whatever
+        the worker count, and minimal_ps records the exponents whose
+        minimal-boundary cases got their triples. A build that fails is
+        left to _certify, which fails again and names the stage. Then
+        _certify runs per case: with min(os.cpu_count(), number of cases)
+        > 1 and the fork start method, in a process pool whose workers
+        inherit this pipeline (only the cases and the light results are
+        pickled); otherwise here, one after another. Fork, not spawn: a
+        spawned worker would import numpy and scipy again, and the run
+        starts no thread that a fork could break.
         """
         if self._cases is None:
             order = _case_order(self.cfg)
+            for p, tag, params in order:
+                with contextlib.suppress(ValueError, RuntimeError):
+                    if self.family(tag, params).minimal_boundary:
+                        self.triples(p)
+                        self.minimal_ps.add(p)
+                    else:
+                        self.model(p)
             workers = min(os.cpu_count() or 1, len(order))
             if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-                outcomes = self._certify_forked(order, workers)
+                fork = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(
+                    workers, mp_context=fork, initializer=_adopt, initargs=(self,)
+                ) as pool:
+                    results = list(pool.map(_certify_in_worker, order))
             else:
-                outcomes = [self._certify(*case) for case in order]
-            self._cases = [(*case, result) for case, (result, _) in zip(order, outcomes)]
-            self.minimal_ps = {case[0] for case, (_, minimal) in zip(order, outcomes) if minimal}
+                results = [self._certify(*case) for case in order]
+            self._cases = [(*case, result) for case, result in zip(order, results)]
         return self._cases
 
-    def _certify_forked(self, order: list, workers: int) -> list[tuple[CaseResult, bool]]:
-        """_certify over `order` in `workers` forked processes.
-
-        The families, models and triples are built here first, so the
-        workers inherit them, with this pipeline, instead of each building
-        its own; only the cases and the light results are pickled. A build
-        that fails is left to the worker, which fails again and names the
-        stage. Fork, not spawn: a spawned worker would import numpy and
-        scipy again, and the run starts no thread that a fork could break.
-        """
-        for p, tag, params in order:
-            with contextlib.suppress(ValueError, RuntimeError):
-                warp = self.family(tag, params)
-                self.model(p)
-                if warp.minimal_boundary:
-                    self.triples(p)
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(
-            workers, mp_context=fork, initializer=_adopt, initargs=(self,)
-        ) as pool:
-            return list(pool.map(_certify_in_worker, order))
-
-    def _certify(self, p: float, tag: str, params: dict) -> tuple[CaseResult, bool]:
-        """The light result of one case, and whether it has a minimal boundary
-        whose triples were built (the exponents the report's reference covers)."""
+    def _certify(self, p: float, tag: str, params: dict) -> CaseResult:
+        """The light result of one case."""
         flow = dec = grow = None
         stage = "family_construction"
         try:
@@ -429,11 +418,11 @@ class _Pipeline:
                 stage = "level_flow"
                 flow = level_flow(warp, p, n_t=self.cfg.n_t)
         except (ValueError, RuntimeError) as exc:
-            return CaseResult.failed(p, tag, params, stage, exc), dec is not None
+            return CaseResult.failed(p, tag, params, stage, exc)
         result = certify_case(warp, model, flow, dec, grow)
         if self.write_curves and flow is not None and result.report is not None:
             _write_curves(self.cfg.csv_dir, p, _slug(tag, params), flow, result.report.curves)
-        return result.light(), dec is not None
+        return result.light()
 
 
 # In a forked worker, the pipeline it certifies cases of; None elsewhere.
@@ -445,7 +434,7 @@ def _adopt(pipe: _Pipeline) -> None:
     _worker_pipe = pipe
 
 
-def _certify_in_worker(case: tuple[float, str, dict]) -> tuple[CaseResult, bool]:
+def _certify_in_worker(case: tuple[float, str, dict]) -> CaseResult:
     return _worker_pipe._certify(*case)
 
 

@@ -289,8 +289,9 @@ def dop853(
     interpolant rows to one flat buffer; the result also keeps the last
     step's y_new as y_end, from which a following run can restart (the
     warping factor is solved this way, one run per piece between the knots
-    of its right-hand side). Raises RuntimeError when the step falls below
-    10 ulp of t.
+    of its right-hand side). Raises ValueError for a non-finite t_span or
+    y0, and RuntimeError when the step falls below 10 ulp of t or is not a
+    number (a NaN derivative).
 
     The stages are the straight-line code of _dop_kernel(n): the order of
     every sum is fixed in the source, not left to builtin sum(), which
@@ -298,12 +299,16 @@ def dop853(
     against an oracle that sums each stage with sum().
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t_end)):
+        raise ValueError(f"t_span must be finite, got ({t0!r}, {t_end!r})")
     if t_end == t0:
         raise ValueError("t_span must have nonzero length")
     if not (rtol > 0.0 and atol > 0.0 and max_step > 0.0):
         raise ValueError("rtol, atol and max_step must be positive")
     direction = 1.0 if t_end > t0 else -1.0
     y = [float(v) for v in y0]
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"y0 must be finite, got {y!r}")
     n = len(y)
 
     nfev = 2
@@ -334,8 +339,10 @@ def dop853(
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
-                raise RuntimeError(f"dop853: step size fell below 10 ulp of t = {t!r}")
+            if not h_abs >= min_step:
+                raise RuntimeError(
+                    f"dop853: step size {h_abs!r} is not a number or below 10 ulp of t = {t!r}"
+                )
             t_new = t + h_abs * direction
             if direction * (t_new - t_end) > 0.0:
                 t_new = t_end

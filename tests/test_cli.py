@@ -261,18 +261,21 @@ class TestSweepVerdict:
         assert [row[-1] for row in rows] == ["ok"] * 9
 
 
+_SUITE_FAMILIES = pytest.mark.parametrize(
+    "families, reference",
+    [
+        (
+            [{"tag": "schwarzschild", "params": {"m": 2.0}}, {"tag": "flat", "params": {}}],
+            ["1.5"],
+        ),
+        ([{"tag": "flat", "params": {}}], []),
+    ],
+    ids=["schwarzschild-and-flat", "flat-only"],
+)
+
+
 class TestSuiteCommand:
-    @pytest.mark.parametrize(
-        "families, reference",
-        [
-            (
-                [{"tag": "schwarzschild", "params": {"m": 2.0}}, {"tag": "flat", "params": {}}],
-                ["1.5"],
-            ),
-            ([{"tag": "flat", "params": {}}], []),
-        ],
-        ids=["schwarzschild-and-flat", "flat-only"],
-    )
+    @_SUITE_FAMILIES
     def test_suite_equals_its_parts(self, tmp_path, families, reference):
         # With flat alone, coeffs builds triples that verify must not report:
         # the reference checks cover the exponents of minimal-boundary cases.
@@ -293,6 +296,15 @@ class TestSuiteCommand:
         for name in names:
             assert (suite / name).read_bytes() == (parts / name).read_bytes(), name
         assert list(json.loads((suite / "report.json").read_text())["reference"]) == reference
+
+    @_SUITE_FAMILIES
+    def test_suite_equals_its_parts_on_one_worker(
+        self, tmp_path, monkeypatch, families, reference
+    ):
+        # The reference exponents come from the build before the cases are
+        # certified, on the in-process path as on the pool's.
+        monkeypatch.setattr(masscap.cli.os, "cpu_count", lambda: 1)
+        self.test_suite_equals_its_parts(tmp_path, families, reference)
 
 
 class TestWorkerPool:
@@ -399,6 +411,20 @@ BAD_CONFIGS = [
     # A repeated p would certify its cases twice, and two workers would
     # write the same warped-* and q-* files at once.
     ({"p_list": [1.5, 1.2, 1.5]}, "p_list repeats the exponents [1.5]"),
+    # JSON reads Infinity and NaN. As a grid bound or a family parameter they
+    # make the solvers loop or fail late, so the config refuses them.
+    ({"grids": {"s_max": math.inf}}, "grids.s_max must be a finite number, got inf"),
+    (
+        {"families": [{"tag": "bumped", "params": {"m0": 1.0, "eps": math.nan}}]},
+        "bumped.eps must be a finite number, got nan",
+    ),
+    ({"grids": {"s_max": math.nan}}, "grids.s_max must be a finite number, got nan"),
+    ({"grids": {"R_max": math.inf}}, "grids.R_max must be a finite number, got inf"),
+    # A bump of height zero is the Schwarzschild slice of mass m0.
+    (
+        {"families": [{"tag": "bumped", "params": {"m0": 50.0, "eps": 0.0}}]},
+        "bumped mass m0 = 50 needs grids.s_max >= 125 m0 = 6250, got 5000",
+    ),
 ]
 
 

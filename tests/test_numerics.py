@@ -2,15 +2,19 @@
 
 import linecache
 import math
+import subprocess
+import sys
 import traceback
 from array import array
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
+import masscap
 from masscap import SampledCurve, Tolerances, family_bumped, level_flow
 from masscap import numerics, warped
 from masscap.numerics import (
@@ -282,6 +286,39 @@ class TestDop853:
         # y' = y^2 from y(0) = 1 blows up at t = 1.
         with pytest.raises(RuntimeError, match="10 ulp"):
             dop853(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            # eps = NaN makes the first step NaN, which a test `h < min_step` never stops.
+            ("masscap.family_bumped(1.0, math.nan)", "RuntimeError: warping-factor"),
+            ("masscap.family_schwarzschild(2.0, s_max=math.inf)", "ValueError: t_span must be"),
+            (
+                "masscap.numerics.dop853(lambda t, y: [math.nan], (0.0, 1.0), [1.0], "
+                "rtol=1e-9, atol=1e-9)",
+                "RuntimeError: dop853: step size nan is not a number",
+            ),
+            (
+                "masscap.numerics.dop853(lambda t, y: y, (0.0, 1.0), [math.inf], "
+                "rtol=1e-9, atol=1e-9)",
+                "ValueError: y0 must be finite",
+            ),
+        ],
+        ids=["bumped-nan-eps", "schwarzschild-inf-s_max", "nan-derivative", "inf-y0"],
+    )
+    def test_non_finite_input_raises(self, call, error):
+        # In a fresh interpreter with a timeout, so a run that loops forever
+        # fails this test instead of hanging the suite.
+        src = str(Path(masscap.__file__).resolve().parents[1])
+        probe = (
+            f"import math, sys; sys.path.insert(0, {src!r}); import masscap\n"
+            f"try:\n    {call}\nexcept Exception as exc:\n"
+            "    print(f'{type(exc).__name__}: {exc}')"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+        )
+        assert out.stdout.startswith(error)
 
     @staticmethod
     def _assert_same_run(fun, span, y0, **args):
