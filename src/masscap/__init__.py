@@ -14,7 +14,6 @@ from importlib.metadata import PackageNotFoundError, version
 from .coefficients import (
     CoefficientSolution,
     model_constancy,
-    perfect_square_residual,
     solve_decaying,
     solve_growing,
 )
@@ -51,7 +50,6 @@ from .warped import (
     radial_p_harmonic,
     scalar_curvature,
     spline_bump,
-    w_inequality_residual,
 )
 
 try:
@@ -85,7 +83,6 @@ __all__ = [
     "model_profile",
     "monotonicity_report",
     "penrose_margin",
-    "perfect_square_residual",
     "q_limits",
     "radial_p_harmonic",
     "reference_checks",
@@ -93,6 +90,5 @@ __all__ = [
     "solve_decaying",
     "solve_growing",
     "spline_bump",
-    "w_inequality_residual",
     "ws_boundary_data",
 ]

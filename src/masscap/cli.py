@@ -335,40 +335,38 @@ class _Pipeline:
     """One run's models, coefficient triples, families and case results.
 
     Each is built at most once per run, so every subcommand of a suite sees
-    the same objects. cases builds them all here, then certifies each case
-    with _certify, in this process or in forked workers; a flow and its Q
-    curves live only in the process that certifies their case, are written
-    there with write_curves, and never come back: case results are light.
+    the same objects; a build that raised keeps its exception, which every
+    later request raises again. cases builds them all here, then certifies
+    each case with _certify, in this process or in forked workers; a flow
+    and its Q curves live only in the process that certifies their case,
+    are written there with write_curves, and never come back: case results
+    are light.
     """
 
     def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
         self.cfg = cfg
         self.write_curves = write_curves
-        self._models: dict[float, ModelGeometry] = {}
-        self._triples: dict[float, tuple[CoefficientSolution, CoefficientSolution]] = {}
-        self._warps: dict[tuple, WarpProfile] = {}
+        # each holds the built object, or the exception its build raised
+        self._models: dict[float, ModelGeometry | Exception] = {}
+        self._triples: dict[float, tuple[CoefficientSolution, ...] | Exception] = {}
+        self._warps: dict[tuple, WarpProfile | Exception] = {}
         self._cases: list[tuple[float, str, dict, CaseResult]] | None = None
         # exponents of the minimal-boundary cases, whose triples the report covers
         self.minimal_ps: set[float] = set()
 
     def model(self, p: float) -> ModelGeometry:
-        if p not in self._models:
-            cfg = self.cfg
-            self._models[p] = model_profile(p, R_max=cfg.R_max, n=cfg.n_points, tol=cfg.tol)
-        return self._models[p]
+        cfg = self.cfg
+        return _once(
+            self._models, p, model_profile, p, R_max=cfg.R_max, n=cfg.n_points, tol=cfg.tol
+        )
 
     def triples(self, p: float) -> tuple[CoefficientSolution, CoefficientSolution]:
-        if p not in self._triples:
-            model = self.model(p)
-            self._triples[p] = (solve_decaying(model), solve_growing(model))
-        return self._triples[p]
+        model = self.model(p)
+        return _once(self._triples, p, lambda: (solve_decaying(model), solve_growing(model)))
 
     def family(self, tag: str, params: dict) -> WarpProfile:
-        key = (tag, tuple(sorted(params.items())))
-        if key not in self._warps:
-            build = getattr(warped, _FAMILIES[tag][0])
-            self._warps[key] = build(**params, s_max=self.cfg.s_max, n=self.cfg.n_s)
-        return self._warps[key]
+        key, build = (tag, tuple(sorted(params.items()))), getattr(warped, _FAMILIES[tag][0])
+        return _once(self._warps, key, build, **params, s_max=self.cfg.s_max, n=self.cfg.n_s)
 
     def cases(self) -> list[tuple[float, str, dict, CaseResult]]:
         """(p, tag, params, result) per case in _case_order, certified on the first call.
@@ -376,8 +374,8 @@ class _Pipeline:
         Every family, model and triple pair is built here first, whatever
         the worker count, and minimal_ps records the exponents whose
         minimal-boundary cases got their triples. A build that fails is
-        left to _certify, which fails again and names the stage. Then
-        _certify runs per case: with min(os.cpu_count(), number of cases)
+        left to _certify, which gets its kept exception and names the stage.
+        Then _certify runs per case: with min(os.cpu_count(), number of cases)
         > 1 and the fork start method, in a process pool whose workers
         inherit this pipeline (only the cases and the light results are
         pickled); otherwise here, one after another. Fork, not spawn: a
@@ -423,6 +421,19 @@ class _Pipeline:
         if self.write_curves and flow is not None and result.report is not None:
             _write_curves(self.cfg.csv_dir, p, _slug(tag, params), flow, result.report.curves)
         return result.light()
+
+
+def _once(cache: dict, key, build, /, *args, **kwargs):
+    """cache[key] = build(*args, **kwargs) on the first request; a failed build raises again."""
+    if key not in cache:
+        try:
+            cache[key] = build(*args, **kwargs)
+        except (ValueError, RuntimeError) as exc:
+            cache[key] = exc
+    value = cache[key]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 # In a forked worker, the pipeline it certifies cases of; None elsewhere.

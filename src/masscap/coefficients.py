@@ -38,13 +38,12 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc, betaincinv
 
-from .numerics import SampledCurve, stencil_derivative
+from .numerics import SampledCurve
 from .schwarzschild import LevelData, ModelGeometry, _beta_ratio_I1
 
 __all__ = [
     "CoefficientSolution",
     "model_constancy",
-    "perfect_square_residual",
     "solve_decaying",
     "solve_growing",
 ]
@@ -285,48 +284,6 @@ def _same_model(model: ModelGeometry, *sols: CoefficientSolution) -> None:
                 f"the {sol.flavor} triple was solved on another reference model "
                 f"(p = {sol.p:g}) than the one given (p = {model.p:g})"
             )
-
-
-def _native_t_derivative(
-    values: np.ndarray, model: ModelGeometry, drdt: np.ndarray
-) -> np.ndarray:
-    """d(values)/dt on the model's own grid, O(h^6) in log r.
-
-    The sampled solution is differentiated where it lives: the geometric
-    r-grid is uniform in log r, so a high-order stencil applies directly
-    and no resampling spline caps the accuracy. The chain rule converts
-    through dt = (d log r) * r / (dr/dt), with dr/dt sampled on the grid.
-    """
-    x = np.log(model.r_grid)
-    dvdx = stencil_derivative(values, float(x[1] - x[0]), order=6)
-    return dvdx * drdt / model.r_grid
-
-
-def perfect_square_residual(
-    sol: CoefficientSolution,
-    model: ModelGeometry,
-) -> SampledCurve:
-    """Residual of the factorization relation that makes dQ/dt a square.
-
-    The relation reads, with c_h = (p-1)(5-p)/4,
-
-        g - 2(p-2) h + (p-1)(3-p) dh/dt + 2 c_h h (dW/dt)/W = 0,
-
-    where dh/dt is taken by finite differences from the sampled solution
-    (the coefficient construction satisfies it identically, so using the
-    system's own right-hand side would check nothing). Returned sampled
-    over t on the model grid.
-    """
-    _same_model(model, sol)
-    p = sol.p
-    s = 3.0 - p
-    ch = (p - 1.0) * (5.0 - p) / 4.0
-    g = sol.g_curve.y
-    h = sol.h_curve.y
-    data = model.grid_data
-    dhdt = _native_t_derivative(h, model, data.drdt)
-    res = g - 2.0 * (p - 2.0) * h + (p - 1.0) * s * dhdt + 2.0 * ch * h * data.dWdt / data.W
-    return SampledCurve(model.t_of_r.y, res)
 
 
 def _q_terms(p: float, f, g, h, W, dWdt) -> tuple:

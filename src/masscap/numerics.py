@@ -5,11 +5,11 @@ validated container of curve samples, a DOP853 integrator in
 plain floats for small systems (scipy's method and step control, a
 straight-line step generated from scipy's tableau, one flat buffer of
 interpolants, vectorised dense output), dense-output integration of linear
-ODE systems, per-interval Gauss-Legendre panels for cumulative integrals on
-fixed grids, and finite-difference stencils. The least-squares power-law
-tail fit fit_power_tail has no caller in the package (verify fits its
-limits itself); like frobenius.py it is kept while the benchmark's tracer
-names it.
+ODE systems, and per-interval Gauss-Legendre panels for cumulative
+integrals on fixed grids. The least-squares power-law tail fit
+fit_power_tail has no caller in the package (verify fits its limits
+itself); like frobenius.py it is kept while the benchmark's tracer names
+it.
 
 The tableau is read from scipy's dop853_coefficients.py by file path, so
 importing this module never runs scipy.integrate's package __init__ (which
@@ -46,7 +46,6 @@ __all__ = [
     "integrate_linear_system",
     "panel_integrals",
     "right_cumulative",
-    "stencil_derivative",
 ]
 
 
@@ -78,6 +77,13 @@ def _check_p(p: float) -> float:
     if not 1.0 < p < 2.0:
         raise ValueError(f"p must lie in (1, 2), got {p}")
     return p
+
+
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first of the keyword values that is not finite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 # Relative tolerance of integrate_linear_system.
@@ -522,50 +528,6 @@ def fit_power_tail(
         )
     c1 = float(coef[1] / c0) if c0 != 0.0 else 0.0
     return PowerTailFit(c0, c1, residual)
-
-
-def _fd_weights(offsets: np.ndarray) -> np.ndarray:
-    """First-derivative weights for integer sample offsets (unit spacing).
-
-    Solves the Vandermonde moment system sum_j w_j o_j^k = k! [k == 1];
-    exact for polynomials up to degree len(offsets) - 1.
-    """
-    o = np.asarray(offsets, dtype=float)
-    n = o.size
-    rhs = np.zeros(n)
-    rhs[1] = 1.0
-    return np.linalg.solve(np.vander(o, n, increasing=True).T, rhs)
-
-
-def stencil_derivative(y: np.ndarray, h: float, order: int = 4) -> np.ndarray:
-    """First derivative of uniformly spaced samples, O(h^order).
-
-    Centered (order + 1)-point stencil in the interior, one-sided stencils
-    of the same width near the edges. order must be even.
-    """
-    y = np.asarray(y, dtype=float)
-    if order < 2 or order % 2:
-        raise ValueError("order must be a positive even integer")
-    width = order + 1
-    half = order // 2
-    if y.size < width:
-        raise ValueError(f"need at least {width} samples")
-    if not h > 0.0:
-        raise ValueError("spacing must be positive")
-    d = np.empty_like(y)
-    if order == 4:
-        d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
-    else:
-        centered = _fd_weights(np.arange(-half, half + 1))
-        acc = np.zeros(y.size - 2 * half)
-        for j, w in enumerate(centered):
-            acc += w * y[j : j + acc.size]
-        d[half:-half] = acc / h
-    for i in range(half):
-        head = _fd_weights(np.arange(width) - i)
-        d[i] = np.dot(head, y[:width]) / h
-        d[-1 - i] = -np.dot(head, y[-width:][::-1]) / h
-    return d
 
 
 def __getattr__(name: str):

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .numerics import SampledCurve, Tolerances, _check_p
+from .numerics import SampledCurve, Tolerances, _check_finite, _check_p
 
 __all__ = [
     "DEFAULT_N_R",
@@ -176,6 +176,7 @@ def model_profile(
     check on this model.
     """
     p = _check_p(p)
+    _check_finite(R_max=R_max)
     if R_max < 1e4:
         raise ValueError("R_max must be at least 1e4 for the tail expansions to hold")
     if n < 64:

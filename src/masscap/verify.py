@@ -27,7 +27,7 @@ import numpy as np
 from .coefficients import CoefficientSolution, _q_terms, _same_model, model_constancy
 from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
-from .warped import FlowProfile, WarpProfile, _w_residual_floor_fd, capacity_Cp, masses
+from .warped import FlowProfile, WarpProfile, capacity_Cp, masses
 
 __all__ = [
     "CaseResult",
@@ -292,12 +292,11 @@ def case_report(
     Merges both flavors' monotonicity, the boundary gradient bound, the
     mass functional limit, the limit estimates, and the sharp margin into
     one report; the diagnostics also carry the flow's solver counts
-    (flow_nfev, flow_steps) and the W-inequality residual floor with a
-    finite-difference W'' (w_residual_floor_fd). Raises ValueError when the
-    scalar curvature dips negative, a hypothesis of the mass bound
-    (penrose_margin); that check runs first, so it is the error reported at
-    any grid. Numerical check failures surface in the report's slopes and
-    gaps, which certify_case gates. Every budget is model.tol.
+    (flow_nfev, flow_steps). Raises ValueError when the scalar curvature
+    dips negative, a hypothesis of the mass bound (penrose_margin); that
+    check runs first, so it is the error reported at any grid. Numerical
+    check failures surface in the report's slopes and gaps, which
+    certify_case gates. Every budget is model.tol.
     """
     _same_model(model, dec, grow)
     pm = penrose_margin(flow, model)
@@ -326,7 +325,6 @@ def case_report(
         "growing_limit_bound_resolved": bound_value,
         "mass_functional_limit": f_limit,
         "mass_functional_target": 8.0 * math.pi * flow.adm,
-        "w_residual_floor_fd": _w_residual_floor_fd(flow),
         "horizon_W_gap": bound_gap,
         **pm.diagnostics,
         "flow_nfev": flow.nfev,

@@ -27,11 +27,11 @@ from scipy.special import beta, betainc
 from .numerics import (
     DenseSolution,
     SampledCurve,
+    _check_finite,
     _check_p,
     dop853,
     panel_integrals,
     right_cumulative,
-    stencil_derivative,
 )
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "radial_p_harmonic",
     "scalar_curvature",
     "spline_bump",
-    "w_inequality_residual",
 ]
 
 DEFAULT_S_MAX = 5.0e3
@@ -237,6 +236,7 @@ def family_schwarzschild(
     curvature vanishes identically and the Hawking mass is exactly m on
     every sphere.
     """
+    _check_finite(m=m, s_max=s_max)
     if not m > 0.0:
         raise ValueError("mass must be positive")
 
@@ -267,6 +267,7 @@ def family_bumped(
     bump support the geometry is vacuum again with a larger Hawking mass.
     The forward solve is split at the bump's knots.
     """
+    _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
     if not m0 > 0.0:
         raise ValueError("base mass must be positive")
     if not 0.0 <= s1 < s2:
@@ -293,6 +294,7 @@ def family_flat_exterior(
     level-set reparametrization refuses it; capacities and masses remain
     available and serve as exact anchors.
     """
+    _check_finite(s_max=s_max)
     s = _expm1_grid(1.0, s_max, n)
     phi_v = 1.0 + s
 
@@ -408,11 +410,11 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
 class FlowProfile:
     """A geometry reparametrized by the level-set parameter t = (1-p) log u.
 
-    All curves share the uniform t_grid abscissa. dWdt and d2Wdt2 are the
-    t-derivatives of W taken from the state (s, phi, phi', phi'') in closed
-    form, not by differencing samples. H_flux is the sphere integral of
-    H |grad w| (with w = (1-p) log u), the quantity that couples the
-    geometry to the monotone combinations.
+    All curves share the uniform t_grid abscissa. dWdt is the t-derivative
+    of W taken from the state (s, phi, phi') in closed form, not by
+    differencing samples. H_flux is the sphere integral of H |grad w| (with
+    w = (1-p) log u), the quantity that couples the geometry to the
+    monotone combinations.
     nfev and steps count the right-hand sides and accepted steps of the
     backward integration that produced the flow.
     """
@@ -424,7 +426,6 @@ class FlowProfile:
     u: SampledCurve = field(repr=False)
     W: SampledCurve = field(repr=False)
     dWdt: SampledCurve = field(repr=False)
-    d2Wdt2: SampledCurve = field(repr=False)
     H: SampledCurve = field(repr=False)
     R: SampledCurve = field(repr=False)
     hawking: SampledCurve = field(repr=False)
@@ -513,16 +514,7 @@ def level_flow(
     dWds_over_W = 2.0 * ((1.0 - kappa) * dphi_t / phi_t - du_over_u)
     dtds = (1.0 - p) * du_over_u
     dWdt = W * dWds_over_W / dtds
-    # W'' = W (L^2 + L') with L = W'/W = 2(Z - 1)/(1 - p), Z = (1 - kappa)
-    # phi'/(phi q) and q = du_over_u. Since dq/ds = -kappa q phi'/phi - q^2
-    # and dt/ds = (1 - p) q, L' = 2(1 - kappa)/((1 - p)^2 q) (phi''/(phi q)
-    # + (kappa - 1) phi'^2/(phi^2 q) + phi'/phi).
     ddphi_t = accel(s_t, phi_t, dphi_t)
-    d2Wdt2 = W * (
-        (dWds_over_W / dtds) ** 2
-        + 2.0 * (1.0 - kappa) / ((1.0 - p) ** 2 * du_over_u)
-        * (ddphi_t + (kappa - 1.0) * dphi_t**2 / phi_t + dphi_t * du_over_u) / (phi_t * du_over_u)
-    )
     H = 2.0 * dphi_t / phi_t
     H_flux = 4.0 * math.pi * phi_t**2 * H * (p - 1.0) * np.abs(du_over_u)
 
@@ -535,7 +527,6 @@ def level_flow(
         u=SampledCurve(t, u_t),
         W=SampledCurve(t, W),
         dWdt=SampledCurve(t, dWdt),
-        d2Wdt2=SampledCurve(t, d2Wdt2),
         H=SampledCurve(t, H),
         R=SampledCurve(t, _curvature(phi_t, dphi_t, ddphi_t)),
         hawking=SampledCurve(t, _hawking(phi_t, dphi_t)),
@@ -545,53 +536,6 @@ def level_flow(
         nfev=sol.nfev,
         steps=sol.steps,
     )
-
-
-def _w_residual(flow: FlowProfile, W2: np.ndarray) -> np.ndarray:
-    """The residual of w_inequality_residual, with W'' given as W2."""
-    p = flow.p
-    s3 = 3.0 - p
-    W = flow.W.y
-    dW = flow.dWdt.y
-    return (
-        (p - 1.0) * s3 * W2
-        - W
-        + 4.0 * math.pi * s3**2
-        - 2.0 * (2.0 - p) * dW
-        - (p - 1.0) * (5.0 - p) / 4.0 * dW**2 / W
-    )
-
-
-def w_inequality_residual(flow: FlowProfile) -> tuple[SampledCurve, float]:
-    """Residual of the differential inequality satisfied by W(t).
-
-    res = (p-1)(3-p) W'' - W + 4 pi (3-p)^2 - 2(2-p) W'
-          - ((p-1)(5-p)/4) (W')^2 / W,
-
-    which on these geometries equals 2 pi (3-p)^2 R phi^2 identically, so
-    it is nonnegative exactly when the scalar curvature is. W' and W'' are
-    the flow's dWdt and d2Wdt2, both closed forms in the state (s, phi,
-    phi', phi''), so the identity is exact algebra (a test reduces it
-    symbolically) and the gap reads rounding only. So no gate reads this
-    residual: verify.penrose_margin checks R >= 0 directly.
-    Returns the residual curve and the max gap against the exact identity.
-    """
-    res = _w_residual(flow, flow.d2Wdt2.y)
-    target = 2.0 * math.pi * (3.0 - flow.p) ** 2 * flow.R.y * flow.phi.y**2
-    gap = float(np.max(np.abs(res - target)))
-    return SampledCurve(flow.t_grid, res), gap
-
-
-def _w_residual_floor_fd(flow: FlowProfile) -> float:
-    """Smallest residual with W'' by a five-point stencil of the sampled W'.
-
-    A diagnostic of how smooth the sampled W' is: the per-step error of the
-    state enters W' through q ~ phi**(-kappa), amplified by about
-    kappa/(p-1) and divided by the grid step, so at p near 1 this floor
-    reaches far below the closed-form one (about -2e-6 at p = 1.05).
-    """
-    t = flow.t_grid
-    return float(np.min(_w_residual(flow, stencil_derivative(flow.dWdt.y, t[1] - t[0]))))
 
 
 def __getattr__(name: str):

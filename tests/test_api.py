@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "model_profile",
     "monotonicity_report",
     "penrose_margin",
-    "perfect_square_residual",
     "q_limits",
     "radial_p_harmonic",
     "reference_checks",
@@ -47,13 +46,12 @@ PUBLIC_NAMES = [
     "solve_decaying",
     "solve_growing",
     "spline_bump",
-    "w_inequality_residual",
     "ws_boundary_data",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 33
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

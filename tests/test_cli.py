@@ -104,6 +104,15 @@ class TestVerifyCommand:
             assert set(case) == {"p", "family", "params", "checks", "diagnostics"}
         by_family = {case["family"]: case for case in report["cases"]}
         schw = by_family["schwarzschild"]
+        # The README lists these keys; a key removed here must not return.
+        assert set(schw["diagnostics"]) == {
+            "Cp", "Kp", "adm", "capacity_radius",
+            "min_slope_decaying", "min_slope_growing", "Q0_decaying", "Q0_growing",
+            "limit_decaying", "limit_growing", "growing_limit_bound_resolved",
+            "mass_functional_limit", "mass_functional_target", "horizon_W_gap",
+            "flow_nfev", "flow_steps",
+        }
+        assert by_family["bumped"]["diagnostics"] == {}
         assert all(check["passed"] for check in schw["checks"])
         equality = next(c for c in schw["checks"] if c["name"] == "equality_flag")
         assert equality["value"] is True
@@ -310,6 +319,12 @@ class TestSuiteCommand:
 class TestWorkerPool:
     """verify, sweep and suite certify their cases in forked workers."""
 
+    README_FAMILIES = [
+        {"tag": "schwarzschild", "params": {"m": 2.0}},
+        {"tag": "bumped", "params": {"m0": 1.0, "eps": 0.1, "s1": 2.0, "s2": 6.0}},
+        {"tag": "flat", "params": {}},
+    ]
+
     def _run(self, monkeypatch, workers, args):
         monkeypatch.setattr(masscap.cli.os, "cpu_count", lambda: workers)
         return main(args)
@@ -320,16 +335,11 @@ class TestWorkerPool:
         # reference_model, and model and coeffs exit 1. Coarse grids keep the
         # two runs fast and run the same code. Three workers whatever the
         # machine, then one.
-        families = [
-            {"tag": "schwarzschild", "params": {"m": 2.0}},
-            {"tag": "bumped", "params": {"m0": 1.0, "eps": 0.1, "s1": 2.0, "s2": 6.0}},
-            {"tag": "flat", "params": {}},
-        ]
         cfg = _write_config(
             tmp_path / "cfg.json",
             {
                 "p_list": [1.2, 1.5, 1.8, 1.03],
-                "families": families,
+                "families": self.README_FAMILIES,
                 "grids": {"n_s": 256, "n_t": 1024},
             },
         )
@@ -350,6 +360,31 @@ class TestWorkerPool:
         refused = [case for case in report["cases"] if case["p"] == 1.03]
         assert [case["checks"][0]["name"] for case in refused] == ["reference_model"] * 3
         assert list(report["reference"]) == ["1.2", "1.5", "1.8"]
+
+    def test_a_failing_build_runs_once(self, tmp_path, monkeypatch):
+        # The default R_max is refused at p = 1.03. The pipeline keeps that
+        # exception, so the three cases cost one model_profile call (not one
+        # in the build before the cases plus one per case), and each still
+        # fails stage reference_model with the same message.
+        calls = []
+        original = masscap.cli.model_profile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(masscap.cli, "model_profile", counting)
+        cfg = _write_config(
+            tmp_path / "cfg.json", {"p_list": [1.03], "families": self.README_FAMILIES}
+        )
+        out = tmp_path / "out"
+        assert self._run(monkeypatch, 1, ["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert len(calls) == 1
+        report = json.loads((out / "report.json").read_text())
+        checks = [check for case in report["cases"] for check in case["checks"]]
+        assert [check["name"] for check in checks] == ["reference_model"] * 3
+        assert len({check["detail"] for check in checks}) == 1
+        assert "largest admissible R_max" in checks[0]["detail"]
 
     def test_a_worker_oserror_ends_the_run_cleanly(self, tmp_path, monkeypatch, capfd):
         # The output directory is a regular file: the first write, a flow's

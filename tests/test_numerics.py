@@ -26,7 +26,6 @@ from masscap.numerics import (
     integrate_linear_system,
     panel_integrals,
     right_cumulative,
-    stencil_derivative,
 )
 
 
@@ -42,6 +41,33 @@ class TestTolerances:
         # True would pass as 1 (a 100 % budget) and inf would pass every gate.
         with pytest.raises(ValueError, match="strictly positive and finite"):
             Tolerances(**{field: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("R_max", lambda v: masscap.model_profile(1.5, R_max=v)),
+        ("m", lambda v: masscap.family_schwarzschild(v)),
+        ("s_max", lambda v: masscap.family_schwarzschild(2.0, s_max=v)),
+        ("m0", lambda v: masscap.family_bumped(v, 0.1)),
+        ("eps", lambda v: masscap.family_bumped(1.0, v)),
+        ("s1", lambda v: masscap.family_bumped(1.0, 0.1, s1=v)),
+        ("s2", lambda v: masscap.family_bumped(1.0, 0.1, s2=v)),
+        ("s_max", lambda v: masscap.family_bumped(1.0, 0.1, s_max=v)),
+        ("s_max", lambda v: masscap.family_flat_exterior(s_max=v)),
+    ],
+    ids=[
+        "model-R_max", "schw-m", "schw-s_max", "bump-m0", "bump-eps", "bump-s1", "bump-s2",
+        "bump-s_max", "flat-s_max",
+    ],
+)
+def test_non_finite_parameters_are_refused_by_name(name, build, value):
+    # Unchecked, each fails in a later layer with a message that names
+    # neither the parameter nor the value ("abscissae must be strictly
+    # increasing", "y0 must be finite", a NaN step, "t_span must be finite").
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        build(value)
 
 
 class TestSampledCurve:
@@ -290,9 +316,16 @@ class TestDop853:
     @pytest.mark.parametrize(
         "call, error",
         [
-            # eps = NaN makes the first step NaN, which a test `h < min_step` never stops.
-            ("masscap.family_bumped(1.0, math.nan)", "RuntimeError: warping-factor"),
-            ("masscap.family_schwarzschild(2.0, s_max=math.inf)", "ValueError: t_span must be"),
+            # The families refuse a non-finite parameter by name before they
+            # integrate; dop853 refuses non-finite input and a NaN step,
+            # which a test `h < min_step` never stops.
+            ("masscap.family_bumped(1.0, math.nan)", "ValueError: eps must be finite"),
+            ("masscap.family_schwarzschild(2.0, s_max=math.inf)", "ValueError: s_max must be"),
+            (
+                "masscap.numerics.dop853(lambda t, y: y, (0.0, math.inf), [1.0], "
+                "rtol=1e-9, atol=1e-9)",
+                "ValueError: t_span must be finite",
+            ),
             (
                 "masscap.numerics.dop853(lambda t, y: [math.nan], (0.0, 1.0), [1.0], "
                 "rtol=1e-9, atol=1e-9)",
@@ -304,7 +337,7 @@ class TestDop853:
                 "ValueError: y0 must be finite",
             ),
         ],
-        ids=["bumped-nan-eps", "schwarzschild-inf-s_max", "nan-derivative", "inf-y0"],
+        ids=["bumped-nan-eps", "schwarzschild-inf-s_max", "inf-t_span", "nan-derivative", "inf-y0"],
     )
     def test_non_finite_input_raises(self, call, error):
         # In a fresh interpreter with a timeout, so a run that loops forever
@@ -426,38 +459,3 @@ class TestFitPowerTail:
         y = x**-1.0 * (1.0 + 2.0 / x + 40.0 / x**2)
         fit = fit_power_tail(SampledCurve(x, y), -1.0, max_residual=1.0)
         assert fit.c1 == pytest.approx(2.0, rel=1e-6)
-
-
-class TestStencilDerivative:
-    @pytest.mark.parametrize("order", [4, 6])
-    def test_convergence_rate(self, order):
-        # Grids stay coarse so the order-6 edge stencils sit well above the
-        # roundoff floor of the finite differences.
-        errs = []
-        for n in (16, 32):
-            x = np.linspace(0.0, 1.0, n + 1)
-            d = stencil_derivative(np.sin(x), x[1] - x[0], order=order)
-            errs.append(np.max(np.abs(d - np.cos(x))))
-        rate = math.log2(errs[0] / errs[1])
-        assert rate > order - 0.5
-
-    @pytest.mark.parametrize("order", [4, 6])
-    def test_exact_on_matching_polynomial(self, order):
-        # An (order+1)-point stencil differentiates degree-order polynomials
-        # exactly, interior and edges alike.
-        x = np.linspace(-1.0, 1.0, 31)
-        y = x**order
-        d = stencil_derivative(y, x[1] - x[0], order=order)
-        assert np.allclose(d, order * x ** (order - 1), atol=1e-10)
-
-    def test_odd_order_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            stencil_derivative(np.zeros(16), 0.1, order=3)
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError, match="samples"):
-            stencil_derivative(np.zeros(4), 0.1, order=4)
-
-    def test_nonpositive_spacing_rejected(self):
-        with pytest.raises(ValueError, match="spacing"):
-            stencil_derivative(np.zeros(16), 0.0)

@@ -22,14 +22,13 @@ from masscap import (
     model_profile,
     monotonicity_report,
     penrose_margin,
-    perfect_square_residual,
     q_limits,
     reference_checks,
     solve_decaying,
     solve_growing,
-    w_inequality_residual,
 )
 from masscap.verify import GROWTH_CAP, _tail_limit
+from conftest import curvature_term
 
 PI = math.pi
 
@@ -332,16 +331,16 @@ class TestCertifyCase:
         ],
     )
     def test_residual_floor_holds_near_p_one(self, lab, p, warp_args):
-        # A finite-difference W'' put these cases below the residual's 1e-8
-        # slack (down to -2.3e-6 at p = 1.05); W'' from the flow's state
-        # leaves rounding only.
+        # A finite-difference W'' once put these cases below the residual's
+        # 1e-8 slack (down to -2.3e-6 at p = 1.05). The residual is the
+        # curvature term 2 pi (3-p)^2 R phi^2 (test_warped.py proves the
+        # identity), which on these flows reads rounding only.
         warp = lab.warp(warp_args[0], **warp_args[1])
         dec, grow = lab.triples(p)
         flow = level_flow(warp, p)
         result = certify_case(warp, lab.model(p), flow, dec, grow)
         assert result.passed, [c for c in result.checks if not c["passed"]]
-        res, _ = w_inequality_residual(flow)
-        assert float(np.min(res.y)) >= -1e-11
+        assert float(np.min(curvature_term(flow))) >= -1e-11
 
     @pytest.mark.parametrize("m, R_max", [(0.05, 1e4), (5e-4, 1e6)])
     def test_small_mass_flow_past_the_model_grid(self, m, R_max):
@@ -390,7 +389,6 @@ class TestTriplesBelongToTheirModel:
         warp = lab.warp("schwarzschild", m=2.0)
         calls = [
             lambda: model_constancy(grow, model),
-            lambda: perfect_square_residual(dec, model),
             lambda: horizon_W_bound(flow, dec, model),
             lambda: constant_diagnostics(model, dec, grow),
             lambda: reference_checks(model, dec, grow),
@@ -408,3 +406,26 @@ class TestTriplesBelongToTheirModel:
         foreign = solve_growing(model_profile(1.5))
         with pytest.raises(ValueError, match="growing triple was solved on another"):
             constant_diagnostics(model, dec, foreign)
+
+
+class TestWeakBump:
+    """A bump's margin is about eps/2; equality is decided at accept_rel max(adm, 1)."""
+
+    @staticmethod
+    def _certify(lab, eps):
+        warp, flow = lab.warp("bumped", m0=1.0, eps=eps), lab.flow(1.5, "bumped", m0=1.0, eps=eps)
+        return certify_case(warp, lab.model(1.5), flow, *lab.triples(1.5))
+
+    def test_smallest_documented_bump_passes(self, lab):
+        result = self._certify(lab, 2e-6)
+        assert result.passed, [c for c in result.checks if not c["passed"]]
+        assert result.report.penrose_margin == pytest.approx(1.0e-6, rel=1e-2)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="its margin 5.0e-7 is below the equality flag's tolerance 1e-6, so "
+        "equality_flag fails (ROADMAP direction 8)",
+    )
+    def test_bump_at_the_equality_tolerance_passes(self, lab):
+        result = self._certify(lab, 1e-6)
+        assert result.passed, [c["name"] for c in result.checks if not c["passed"]]
