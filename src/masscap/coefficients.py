@@ -74,9 +74,9 @@ class CoefficientSolution:
 
     Curves are sampled over r on the model grid, whose level-set parameters
     are model.t_of_r.y. beta is the multiple of the decaying triple in the
-    growing one (0 for the decaying flavor). fgh_at_t is the interface the
-    verify module uses to carry the triple onto a foreign geometry's
-    t-range.
+    growing one (0 for the decaying flavor). at_t is the interface the
+    verify module uses to carry the triple, and the slice's W, onto a
+    foreign geometry's t-range.
     """
 
     flavor: str
@@ -96,32 +96,34 @@ class CoefficientSolution:
         """(f, g, h) at t = 0."""
         return float(self.f_curve.y[0]), float(self.g_curve.y[0]), float(self.h_curve.y[0])
 
-    def fgh_at_t(self, t):
-        """(f, g, h) at level-set parameters t >= 0.
+    @property
+    def Q0(self) -> float:
+        """Q on the reference slice: 8 pi s^3 + 16 pi s^2 - 16 pi s (s = 3 - p), 0 if decaying."""
+        s = 3.0 - self.p
+        growing = 8.0 * math.pi * s**3 + 16.0 * math.pi * s**2 - 16.0 * math.pi * s
+        return growing if self.flavor == "growing" else 0.0
 
-        Both triples are evaluated in closed form at the exact radius of each
-        level set (_level_radii): the decaying one by _decaying_at_r, the
-        growing one by _growing_at_r plus beta times the decaying one. Past
-        the radius where the profile leaves the normal doubles the decaying
-        triple, which decays like e^(-t/(p-1)), is 0 and the growing one
-        raises ValueError.
+    def at_t(self, t) -> tuple:
+        """(live, f, g, h, W_s, dW_s/dt) at the level-set parameters t >= 0.
+
+        Closed forms at the exact radius of each level set (_level_radii),
+        from one model.level_data call: the decaying triple by
+        _decaying_at_r, the growing one by _growing_at_r plus beta times the
+        decaying one, and the reference slice's W and dW/dt. live marks the
+        t whose radius is live; the five arrays hold those t only, which for
+        increasing t are a prefix.
         """
-        t = np.asarray(t, dtype=float)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < -1e-12):
             raise ValueError("t below the sampled range")
         model = self.model
-        r, live = _level_radii(model, t.ravel())
-        if self.flavor == "growing" and not np.all(live):
-            raise ValueError(
-                f"t = {float(np.max(t)):g} is past the radius where r**(-2/(p-1)) "
-                f"leaves the normal doubles at p = {model.p:g}"
-            )
+        r, live = _level_radii(model, t)
         d = model.level_data(r)
-        out = np.zeros((3, live.size))
-        out[:, live] = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]
+        f, g, h = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]
         if self.flavor == "growing":
-            out = np.array(_growing_at_r(model.p, r, d)) + self.beta * out
-        return tuple(row.reshape(t.shape) for row in out)
+            f0, g0, h0 = _growing_at_r(model.p, r, d)
+            f, g, h = f0 + self.beta * f, g0 + self.beta * g, h0 + self.beta * h
+        return live, f, g, h, d.W, d.dWdt
 
 
 def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +199,8 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     """The coefficient triple that vanishes at infinity, in closed form.
 
     Normalized by f ~ -r**(-sigma) and g ~ r**(-sigma) at infinity, and
-    evaluated exactly on the model grid and, through fgh_at_t, at any
-    t >= 0 (see _decaying_at_r for the formulas). Positivity of h and of
+    evaluated exactly on the model grid and, through at_t, at any
+    live t >= 0 (see _decaying_at_r for the formulas). Positivity of h and of
     dg/dt + h is checked on the full grid before returning, the latter
     against model.tol.slope_slack.
     """
@@ -254,7 +256,7 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
 
     and q = f(0). Nothing is fitted, and both triples come from the model's
     grid_data and grid_I1. The sign pattern h > 0, g < 0 is checked on the
-    grid; fgh_at_t is exact at any t whose radius is live (see _level_radii).
+    grid; at_t is exact at any t whose radius is live (see _level_radii).
     """
     r, d = model.r_grid, model.grid_data
     f0, g0, h0 = _growing_at_r(model.p, r, d)

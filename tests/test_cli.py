@@ -109,7 +109,7 @@ class TestVerifyCommand:
             "Cp", "Kp", "adm", "capacity_radius",
             "min_slope_decaying", "min_slope_growing", "Q0_decaying", "Q0_growing",
             "limit_decaying", "limit_growing", "growing_limit_bound_resolved",
-            "mass_functional_limit", "mass_functional_target", "horizon_W_gap",
+            "growing_coverage", "mass_functional_limit", "mass_functional_target", "horizon_W_gap",
             "flow_nfev", "flow_steps",
         }
         assert by_family["bumped"]["diagnostics"] == {}

@@ -96,7 +96,7 @@ def check_grid_oracle(mp, sol, model, tol):
 
 
 def check_oracle_beyond_the_grid(mp, sol, model, tol, far=()):
-    """fgh_at_t against the oracle inside the model's t-range and past it.
+    """at_t's f, g, h against the oracle inside the model's t-range and past it.
 
     The level-set radius r(t) is exact, so the closed form holds at any t:
     the radii run from 1.5 to 30 R_max, then on to the radii in far.
@@ -105,7 +105,9 @@ def check_oracle_beyond_the_grid(mp, sol, model, tol, far=()):
     exact = [exact_triple(mp, model.p, r, sol.flavor) for r in radii]
     t = np.array([float(row[3]) for row in exact])
     assert t[2] < model.t_max < t[3]
-    for value, column in zip(sol.fgh_at_t(t), zip(*exact)):
+    live, *values = sol.at_t(t)
+    assert np.all(live)
+    for value, column in zip(values[:3], zip(*exact)):
         assert np.max(np.abs(value / np.array(column, dtype=float) - 1.0)) <= tol
 
 
@@ -244,19 +246,23 @@ class TestResiduals:
                     _, _, drdt, W, dWdt = exact_profile(mp, mp.mpf(p), r_mp)
                     dhdt = float((h_up - h_down) / (2 * step) * drdt)
                     dlogW = float(dWdt / W)
-                _, g, h = (float(value) for value in sol.fgh_at_t(float(t)))
+                _, _, g, h, _, _ = (float(value[0]) for value in sol.at_t(float(t)))
                 terms = (g, -2.0 * (p - 2.0) * h, (p - 1.0) * s * dhdt, 2.0 * ch * h * dlogW)
                 assert abs(sum(terms)) <= 1e-12 * max(abs(term) for term in terms), (p, r)
 
 
 class TestEvaluationInterface:
-    def test_fgh_at_t_reproduces_nodes(self, lab):
+    def test_at_t_reproduces_nodes(self, lab):
         dec, grow = lab.triples(1.5)
+        model = lab.model(1.5)
         for sol in (dec, grow):
-            f, g, h = sol.fgh_at_t(sol.model.t_of_r.y)
+            live, f, g, h, Ws, dWs = sol.at_t(model.t_of_r.y)
+            assert np.all(live)
             assert np.allclose(f, sol.f_curve.y, rtol=1e-12)
             assert np.allclose(g, sol.g_curve.y, rtol=1e-12)
             assert np.allclose(h, sol.h_curve.y, rtol=1e-12)
+            assert np.allclose(Ws, model.Ws_curve.y, rtol=1e-12)
+            assert np.allclose(dWs, model.dWs_curve.y, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
     def test_decaying_matches_oracle_beyond_the_grid(self, lab, mp, p):
@@ -274,24 +280,27 @@ class TestEvaluationInterface:
         check_oracle_beyond_the_grid(mp, solve_growing(model), model, 1e-12, far=(far,))
 
     def test_decaying_is_finite_at_any_t(self, lab):
+        # The values cover the live t, a prefix of increasing t.
         dec, _ = lab.triples(1.5)
         t_max = lab.model(1.5).t_max
         t = np.array([0.0, t_max, 10.0 * t_max, 1e3, 1e300])
-        for values in dec.fgh_at_t(t):
-            assert values.shape == t.shape and np.all(np.isfinite(values))
+        live, *values = dec.at_t(t)
+        assert live.tolist() == [True, True, True, False, False]
+        for value in values:
+            assert value.shape == (3,) and np.all(np.isfinite(value))
 
     def test_negative_t_rejected(self, lab):
         dec, _ = lab.triples(1.5)
         with pytest.raises(ValueError, match="below"):
-            dec.fgh_at_t(-0.1)
+            dec.at_t(-0.1)
 
-    def test_growing_raises_past_the_normal_double_radius(self, lab):
+    def test_live_ends_at_the_normal_double_radius(self, lab):
         # At p = 1.5, r**(-4) leaves the normal doubles at r = 8.2e76, where
         # t = 264.15.
         _, grow = lab.triples(1.5)
-        assert np.all(np.isfinite(grow.fgh_at_t(np.array([1.0, 264.0]))))
-        with pytest.raises(ValueError, match="leaves the normal doubles"):
-            grow.fgh_at_t(np.array([1.0, 264.3]))
+        live, *values = grow.at_t(np.array([1.0, 264.0, 264.3]))
+        assert live.tolist() == [True, True, False]
+        assert all(value.shape == (2,) and np.all(np.isfinite(value)) for value in values)
 
 
 class TestGridData:
@@ -339,7 +348,7 @@ class TestGridData:
 
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_first_beta_ratio_is_half_the_potential_bit_for_bit(self, lab, p):
-        # On the grid and at the level-set radii that fgh_at_t evaluates,
+        # On the grid and at the level-set radii that at_t evaluates,
         # out to where r**(-2/(p-1)) leaves the normal doubles.
         model = lab.model(p)
         sigma = (3.0 - p) / (p - 1.0)
