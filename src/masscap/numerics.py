@@ -27,6 +27,7 @@ import functools
 import importlib.util
 import linecache
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,8 +83,19 @@ def _check_p(p: float) -> float:
 def _check_finite(**values: float) -> None:
     """Raise ValueError naming the first of the keyword values that is not finite."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the largest double
+            finite = False
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_int(**values: int) -> None:
+    """Raise ValueError naming the first of the keyword values that is not an integer."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 # Relative tolerance of integrate_linear_system.

@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .numerics import SampledCurve, Tolerances, _check_finite, _check_p
+from .numerics import SampledCurve, Tolerances, _check_finite, _check_int, _check_p
 
 __all__ = [
     "DEFAULT_N_R",
@@ -177,6 +177,7 @@ def model_profile(
     """
     p = _check_p(p)
     _check_finite(R_max=R_max)
+    _check_int(n=n)
     if R_max < 1e4:
         raise ValueError("R_max must be at least 1e4 for the tail expansions to hold")
     if n < 64:
@@ -192,7 +193,7 @@ def model_profile(
         )
     sigma = s / (p - 1.0)
 
-    r = np.geomspace(1.0, R_max, int(n))
+    r = np.geomspace(1.0, R_max, n)
     C = flux_constant(p)
     d = _level_data(p, C, r)
     t = (1.0 - p) * np.log(d.u)

@@ -5,16 +5,18 @@ reference slice, this module assembles the monotone combinations
 
     Q(t) = 4 pi (3-p)^2 f + g W + (p-1)(3-p) h dW/dt,
 
-certifies their forward differences against the slope slack, estimates
-their limits, checks the boundary inequality W(0) <= W_s(0) through the
-decaying triple's boundary identity, evaluates the exponentially weighted
-mass functional whose limit is 8 pi times the total mass, and reports the
-sharp capacity-to-mass margin with equality detection. Everything that the
-underlying inequalities do not actually pin down numerically is reported
-under `diagnostics` and never gates. `certify_case` turns all of that into
-the named pass/fail checks of one (p, geometry) case, and
-`reference_checks` gates the closed-form constants of the reference slice
-once per exponent.
+as their constant value Q0 on the reference slice plus the terms in which
+the flow's W and dW/dt differ from the slice's at the same t. It certifies
+their forward differences against the slope slack wherever rounding leaves
+that slack resolvable, estimates their limits, checks the boundary
+inequality W(0) <= W_s(0) through the decaying triple's boundary identity,
+evaluates the exponentially weighted mass functional whose limit is 8 pi
+times the total mass, and reports the sharp capacity-to-mass margin with
+equality detection. Everything that the underlying inequalities do not
+actually pin down numerically is reported under `diagnostics` and never
+gates. `certify_case` turns all of that into the named pass/fail checks of
+one (p, geometry) case, and `reference_checks` gates the closed-form
+constants of the reference slice once per exponent.
 """
 
 from __future__ import annotations
@@ -133,7 +135,8 @@ def q_limits(q: SampledCurve, flow: FlowProfile, flavor: str) -> float:
     The fit runs against the sphere radius phi: the decaying flavor decays
     like phi**(-(3-p)/(p-1)) toward zero, the growing one approaches its
     limit with O(1/phi) corrections. Both use a three-term basis over the
-    top decade of available radii.
+    top decade of the radii that q covers, i.e. of evaluate_Q's gated
+    window: the whole decimated flow unless rounding cuts it short.
     """
     p = flow.p
     # evaluate_Q samples q.x from flow.t_grid, so every q.x is a grid node.

@@ -28,6 +28,7 @@ from .numerics import (
     DenseSolution,
     SampledCurve,
     _check_finite,
+    _check_int,
     _check_p,
     dop853,
     panel_integrals,
@@ -157,7 +158,7 @@ class WarpProfile:
 
 def _expm1_grid(scale: float, s_max: float, n: int) -> np.ndarray:
     """n points on [0, s_max], spaced like a geometric grid shifted to 0."""
-    theta = np.linspace(0.0, math.log1p(s_max / scale), int(n))
+    theta = np.linspace(0.0, math.log1p(s_max / scale), n)
     s = scale * np.expm1(theta)
     s[0] = 0.0
     s[-1] = s_max
@@ -237,6 +238,7 @@ def family_schwarzschild(
     every sphere.
     """
     _check_finite(m=m, s_max=s_max)
+    _check_int(n=n)
     if not m > 0.0:
         raise ValueError("mass must be positive")
 
@@ -268,6 +270,7 @@ def family_bumped(
     The forward solve is split at the bump's knots.
     """
     _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
+    _check_int(n=n)
     if not m0 > 0.0:
         raise ValueError("base mass must be positive")
     if not 0.0 <= s1 < s2:
@@ -295,6 +298,7 @@ def family_flat_exterior(
     available and serve as exact anchors.
     """
     _check_finite(s_max=s_max)
+    _check_int(n=n)
     s = _expm1_grid(1.0, s_max, n)
     phi_v = 1.0 + s
 
@@ -466,6 +470,7 @@ def level_flow(
     p = _check_p(p)
     if not warp.minimal_boundary:
         raise ValueError("level-set reparametrization requires a minimal boundary sphere")
+    _check_int(n_t=n_t)
     if n_t < 16:
         raise ValueError("need at least 16 time samples")
 
@@ -502,7 +507,7 @@ def level_flow(
             f"backward pass missed the boundary (s(0) = {s0:g}, phi(0) = {phi0:g})"
         )
 
-    t = np.linspace(0.0, t_max, int(n_t))
+    t = np.linspace(0.0, t_max, n_t)
     s_t, phi_t, dphi_t = sol.sol(t)
     s_t[0] = 0.0
     if np.any(np.diff(s_t) <= 0.0):

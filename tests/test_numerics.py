@@ -43,7 +43,7 @@ class TestTolerances:
             Tolerances(**{field: value})
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "huge-int"])
 @pytest.mark.parametrize(
     "name, build",
     [
@@ -65,9 +65,35 @@ class TestTolerances:
 def test_non_finite_parameters_are_refused_by_name(name, build, value):
     # Unchecked, each fails in a later layer with a message that names
     # neither the parameter nor the value ("abscissae must be strictly
-    # increasing", "y0 must be finite", a NaN step, "t_span must be finite").
+    # increasing", "y0 must be finite", a NaN step, "t_span must be finite");
+    # an int past the largest double made math.isfinite raise OverflowError.
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
         build(value)
+
+
+@pytest.mark.parametrize(
+    "value", [100.5, 100.0, math.nan, math.inf, True], ids=["half", "float", "nan", "inf", "bool"]
+)
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("n", lambda lab, v: masscap.model_profile(1.5, n=v)),
+        ("n", lambda lab, v: masscap.family_schwarzschild(2.0, n=v)),
+        ("n", lambda lab, v: masscap.family_bumped(1.0, 0.1, n=v)),
+        ("n", lambda lab, v: masscap.family_flat_exterior(n=v)),
+        ("n_t", lambda lab, v: level_flow(lab.warp("schwarzschild", m=2.0), 1.5, n_t=v)),
+    ],
+    ids=["model", "schw", "bump", "flat", "flow"],
+)
+def test_non_integer_grid_sizes_are_refused_by_name(lab, name, build, value):
+    # Unchecked, 100.5 ran on 100 samples without a word, nan failed with
+    # "cannot convert float NaN to integer" and inf with OverflowError.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        build(lab, value)
+
+
+def test_integer_grid_sizes_of_numpy_are_accepted():
+    assert masscap.family_flat_exterior(n=np.int64(64)).s_grid.size == 64
 
 
 class TestSampledCurve:

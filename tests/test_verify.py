@@ -370,6 +370,50 @@ class TestCertifyCase:
         assert result.passed, [c for c in result.checks if not c["passed"]]
 
 
+class TestGrowingWindow:
+    """The growing Q is gated where its rounding stays below slope_slack."""
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize(
+        "tag, params", [("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})]
+    )
+    def test_readme_families_are_gated_over_the_whole_flow(self, lab, p, tag, params):
+        # Every decimated sample, the last of them 7 nodes short of t_max.
+        rep = lab.report(p, tag, **params)
+        flow = lab.flow(p, tag, **params)
+        assert np.array_equal(rep.curves["growing"].x, flow.t_grid[::8])
+        assert rep.diagnostics["growing_coverage"] == pytest.approx(32760 / 32767, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, m, s_max", [(1.05, 0.5, 1e5), (1.2, 0.5, 1e5), (1.5, 0.5, 1e5), (1.2, 0.05, 5e3)]
+    )
+    def test_small_vacuum_cases_pass_on_a_shorter_window(self, lab, p, m, s_max):
+        # Gated over every live sample, these read growing slopes down to
+        # -1.6e-8 and -7.7e-9, below the slack: near t = 21 at p = 1.2,
+        # |g| W is 1.6e7, so its rounding alone is about 3.6e-9. The window
+        # stops where 64 eps of the terms reaches slope_slack (measured
+        # coverage 0.71 to 0.78).
+        warp = family_schwarzschild(m, s_max=s_max)
+        flow = level_flow(warp, p)
+        result = certify_case(warp, lab.model(p), flow, *lab.triples(p))
+        assert result.passed, [c for c in result.checks if not c["passed"]]
+        assert 0.5 < result.report.diagnostics["growing_coverage"] < 0.9
+
+    @pytest.mark.parametrize("eps", [-0.01, -1e-4])
+    def test_far_negative_bump_fails_monotone_growing(self, lab, eps):
+        # R < 0 only on s in [100, 140], beyond exp(t/(3-p)) = 20 where the
+        # growing Q once stopped. With R replaced by |R| the case gets past
+        # the hypothesis check; there its growing Q drops by 0.131 and
+        # 1.31e-3 in one decimated step.
+        warp = lab.warp("bumped", m0=1.0, eps=eps, s1=100.0, s2=140.0)
+        flow = lab.flow(1.5, "bumped", m0=1.0, eps=eps, s1=100.0, s2=140.0)
+        flow = dataclasses.replace(flow, R=SampledCurve(flow.t_grid, np.abs(flow.R.y)))
+        result = certify_case(warp, lab.model(1.5), flow, *lab.triples(1.5))
+        failed = {check["name"] for check in result.checks if not check["passed"]}
+        assert "monotone_growing" in failed
+        assert result.report.diagnostics["min_slope_growing"] < -abs(eps)
+
+
 class TestSingleTolerance:
     def test_every_tolerance_derives_from_the_model(self, lab):
         # One budget, carried by the model, sets every gate: each tolerance

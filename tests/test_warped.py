@@ -24,6 +24,7 @@ from masscap import (
     spline_bump,
 )
 from masscap import warped
+from masscap.coefficients import _level_radii
 from masscap.numerics import dop853
 from conftest import curvature_term, perfect_square_remainder, w_identity
 
@@ -306,6 +307,25 @@ class TestLevelFlow:
         model = lab.model(1.5)
         assert flow.W0 == pytest.approx(float(model.Ws_curve.y[0]), rel=1e-9)
         assert flow.Cp == pytest.approx(model.Kp, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("m", [0.5, 2.0, 10.0])
+    def test_every_vacuum_flow_is_the_reference_slice(self, lab, m, p):
+        # Rescaling leaves u and t alone and scales phi, so at every t the
+        # flow of mass m is the reference slice (isotropic coordinates, mass
+        # 2) at the level-set radius r(t): phi = (m/2) r (1 + 1/r)^2, and W
+        # and dW/dt are the slice's, the W_s and dW_s/dt that evaluate_Q
+        # subtracts. Worst measured: 6.4e-12, 2.4e-10 and 4.0e-11, all at
+        # p = 1.1, m = 0.5.
+        model = lab.model(p)
+        flow = level_flow(lab.warp("schwarzschild", m=m), p, n_t=1024)
+        r, live = _level_radii(model, flow.t_grid)
+        assert np.all(live)
+        d = model.level_data(r)
+        phi = 0.5 * m * r * (1.0 + 1.0 / r) ** 2
+        assert np.max(np.abs(flow.phi.y / phi - 1.0)) <= 1e-11
+        assert np.max(np.abs(flow.W.y / d.W - 1.0)) <= 1e-9
+        assert np.max(np.abs(flow.dWdt.y - d.dWdt)) <= 1e-10 * np.max(np.abs(d.dWdt))
 
     def test_hawking_mass_constant_along_flow(self, lab):
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
