@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import json
 import multiprocessing
 import os
@@ -351,6 +352,8 @@ class _Pipeline:
         self._triples: dict[float, tuple[CoefficientSolution, ...] | Exception] = {}
         self._warps: dict[tuple, WarpProfile | Exception] = {}
         self._cases: list[tuple[float, str, dict, CaseResult]] | None = None
+        # (case, a callable that returns its result) per case, once certifying
+        self._pending: list[tuple[tuple, object]] | None = None
         # exponents of the minimal-boundary cases, whose triples the report covers
         self.minimal_ps: set[float] = set()
 
@@ -368,39 +371,55 @@ class _Pipeline:
         key, build = (tag, tuple(sorted(params.items()))), getattr(warped, _FAMILIES[tag][0])
         return _once(self._warps, key, build, **params, s_max=self.cfg.s_max, n=self.cfg.n_s)
 
-    def cases(self) -> list[tuple[float, str, dict, CaseResult]]:
-        """(p, tag, params, result) per case in _case_order, certified on the first call.
+    @contextlib.contextmanager
+    def certifying(self):
+        """Start certifying every case; cases() collects them inside the block.
 
         Every family, model and triple pair is built here first, whatever
         the worker count, and minimal_ps records the exponents whose
         minimal-boundary cases got their triples. A build that fails is
         left to _certify, which gets its kept exception and names the stage.
-        Then _certify runs per case: with min(os.cpu_count(), number of cases)
-        > 1 and the fork start method, in a process pool whose workers
+        Then, with min(os.cpu_count(), number of cases) > 1 and the fork
+        start method, every case goes to a process pool whose workers
         inherit this pipeline (only the cases and the light results are
-        pickled); otherwise here, one after another. Fork, not spawn: a
-        spawned worker would import numpy and scipy again, and the run
-        starts no thread that a fork could break.
+        pickled) and run _certify while the block runs; otherwise cases()
+        runs _certify here, one case after another. Leaving the block, by
+        any path, cancels the cases not yet started and waits for the
+        workers to exit. Fork, not spawn: a spawned worker would import
+        numpy and scipy again, and the run starts no thread before the fork.
+        A block inside another is the outer block's.
         """
+        if self._pending is not None:
+            yield
+            return
+        order = _case_order(self.cfg)
+        for p, tag, params in order:
+            with contextlib.suppress(ValueError, RuntimeError):
+                if self.family(tag, params).minimal_boundary:
+                    self.triples(p)
+                    self.minimal_ps.add(p)
+                else:
+                    self.model(p)
+        workers = min(os.cpu_count() or 1, len(order))
+        if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+            self._pending = [(case, functools.partial(self._certify, *case)) for case in order]
+            yield
+            return
+        fork = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_adopt, initargs=(self,))
+        try:
+            self._pending = [
+                (case, pool.submit(_certify_in_worker, case).result) for case in order
+            ]
+            yield
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def cases(self) -> list[tuple[float, str, dict, CaseResult]]:
+        """(p, tag, params, result) per case in _case_order, certified on the first call."""
         if self._cases is None:
-            order = _case_order(self.cfg)
-            for p, tag, params in order:
-                with contextlib.suppress(ValueError, RuntimeError):
-                    if self.family(tag, params).minimal_boundary:
-                        self.triples(p)
-                        self.minimal_ps.add(p)
-                    else:
-                        self.model(p)
-            workers = min(os.cpu_count() or 1, len(order))
-            if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-                fork = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(
-                    workers, mp_context=fork, initializer=_adopt, initargs=(self,)
-                ) as pool:
-                    results = list(pool.map(_certify_in_worker, order))
-            else:
-                results = [self._certify(*case) for case in order]
-            self._cases = [(*case, result) for case, result in zip(order, results)]
+            with self.certifying():
+                self._cases = [(*case, result()) for case, result in self._pending]
         return self._cases
 
     def _certify(self, p: float, tag: str, params: dict) -> CaseResult:
@@ -613,7 +632,9 @@ def cmd_sweep(pipe: _Pipeline) -> int:
 
 
 def cmd_suite(pipe: _Pipeline) -> int:
-    return max(cmd_model(pipe), cmd_coeffs(pipe), cmd_verify(pipe), cmd_sweep(pipe))
+    """The four subcommands; the cases are certified while model and coeffs write."""
+    with pipe.certifying():
+        return max(cmd_model(pipe), cmd_coeffs(pipe), cmd_verify(pipe), cmd_sweep(pipe))
 
 
 _COMMANDS = {

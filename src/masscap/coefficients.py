@@ -113,17 +113,29 @@ class CoefficientSolution:
         t whose radius is live; the five arrays hold those t only, which for
         increasing t are a prefix.
         """
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < -1e-12):
-            raise ValueError("t below the sampled range")
-        model = self.model
-        r, live = _level_radii(model, t)
-        d = model.level_data(r)
-        f, g, h = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]
-        if self.flavor == "growing":
-            f0, g0, h0 = _growing_at_r(model.p, r, d)
-            f, g, h = f0 + self.beta * f, g0 + self.beta * g, h0 + self.beta * h
-        return live, f, g, h, d.W, d.dWdt
+        live, Ws, dWs, [(f, g, h)] = _at_t(t, self)
+        return live, f, g, h, Ws, dWs
+
+
+def _at_t(t, *sols: CoefficientSolution) -> tuple:
+    """(live, W_s, dW_s/dt, [(f, g, h) per sol]): at_t of triples of one model.
+
+    They share one radii, level_data and decaying evaluation at t.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t < -1e-12):
+        raise ValueError("t below the sampled range")
+    model = sols[0].model
+    _same_model(model, *sols)
+    r, live = _level_radii(model, t)
+    d = model.level_data(r)
+    dec = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]
+    triples = [
+        tuple(x0 + sol.beta * x for x0, x in zip(_growing_at_r(model.p, r, d), dec))
+        if sol.flavor == "growing" else dec
+        for sol in sols
+    ]
+    return live, d.W, d.dWdt, triples
 
 
 def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import CoefficientSolution, _q_terms, _same_model, model_constancy
+from .coefficients import CoefficientSolution, _at_t, _q_terms, _same_model, model_constancy
 from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses
@@ -81,17 +81,25 @@ def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> SampledCurve:
     forward differences read on vacuum flows, stays within slope_slack. The
     t are flow.t_grid decimated to ~4096 points.
     """
-    if abs(flow.p - sol.p) > 1e-12:
-        raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sol.p}")
+    return _evaluate_Qs(flow, sol)[0]
+
+
+def _evaluate_Qs(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCurve]:
+    """evaluate_Q per triple of one model, from one shared _at_t evaluation."""
+    if abs(flow.p - sols[0].p) > 1e-12:
+        raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sols[0].p}")
     c = (flow.p - 1.0) * (3.0 - flow.p)
     stride = max(1, flow.t_grid.size // 4096)
     t = flow.t_grid[::stride]
-    live, _, g, h, Ws, dWs = sol.at_t(t)
+    live, Ws, dWs, triples = _at_t(t, *sols)
     W, dWdt = flow.W.y[::stride][live], flow.dWdt.y[::stride][live]
-    floor = 64.0 * np.finfo(float).eps * (np.abs(g) * W + c * np.abs(h * dWdt))
-    n = int(np.argmax(np.append(floor, np.inf) > sol.model.tol.slope_slack))
-    Q = sol.Q0 + g * (W - Ws) + c * h * (dWdt - dWs)
-    return SampledCurve(t[:n], Q[:n])
+    curves = []
+    for sol, (_, g, h) in zip(sols, triples):
+        floor = 64.0 * np.finfo(float).eps * (np.abs(g) * W + c * np.abs(h * dWdt))
+        n = int(np.argmax(np.append(floor, np.inf) > sol.model.tol.slope_slack))
+        Q = sol.Q0 + g * (W - Ws) + c * h * (dWdt - dWs)
+        curves.append(SampledCurve(t[:n], Q[:n]))
+    return curves
 
 
 def monotonicity_report(q: SampledCurve, tol: Tolerances) -> VerificationReport:
@@ -300,8 +308,7 @@ def case_report(
     """
     _same_model(model, dec, grow)
     pm = penrose_margin(flow, model)
-    qd = evaluate_Q(flow, dec)
-    qg = evaluate_Q(flow, grow)
+    qd, qg = _evaluate_Qs(flow, dec, grow)
     rd = monotonicity_report(qd, model.tol)
     rg = monotonicity_report(qg, model.tol)
     _, f_limit = mass_functional_Fp(flow)
