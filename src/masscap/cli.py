@@ -20,7 +20,8 @@ embeds the version (CSV as a leading '#' comment line, JSON as a key).
 verify, sweep and suite build every family, reference model and triple
 pair once, then certify the (p, family) cases with one function, in forked
 worker processes (one per core) or, with one worker, in this process; the
-files are the same bytes either way.
+files are the same bytes either way. suite starts the workers before the
+main process writes the model and coeffs tables, so both run at once.
 
 Exit codes: 0 when every gating check passes, 1 on check or pipeline
 failure, 2 on malformed configuration or usage.
@@ -337,11 +338,11 @@ class _Pipeline:
 
     Each is built at most once per run, so every subcommand of a suite sees
     the same objects; a build that raised keeps its exception, which every
-    later request raises again. cases builds them all here, then certifies
-    each case with _certify, in this process or in forked workers; a flow
-    and its Q curves live only in the process that certifies their case,
-    are written there with write_curves, and never come back: case results
-    are light.
+    later request raises again. certifying builds them all, then starts
+    _certify on each case in forked workers, or leaves it to cases() in this
+    process; a flow and its Q curves live only in the process that certifies
+    their case, are written there with write_curves, and never come back:
+    case results are light.
     """
 
     def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
@@ -352,8 +353,7 @@ class _Pipeline:
         self._triples: dict[float, tuple[CoefficientSolution, ...] | Exception] = {}
         self._warps: dict[tuple, WarpProfile | Exception] = {}
         self._cases: list[tuple[float, str, dict, CaseResult]] | None = None
-        # (case, a callable that returns its result) per case, once certifying
-        self._pending: list[tuple[tuple, object]] | None = None
+        self._pending: list[tuple[tuple, object]] | None = None  # (case, its result's getter)
         # exponents of the minimal-boundary cases, whose triples the report covers
         self.minimal_ps: set[float] = set()
 
@@ -373,21 +373,17 @@ class _Pipeline:
 
     @contextlib.contextmanager
     def certifying(self):
-        """Start certifying every case; cases() collects them inside the block.
+        """Build every family, model and triple pair, then start the cases.
 
-        Every family, model and triple pair is built here first, whatever
-        the worker count, and minimal_ps records the exponents whose
-        minimal-boundary cases got their triples. A build that fails is
-        left to _certify, which gets its kept exception and names the stage.
-        Then, with min(os.cpu_count(), number of cases) > 1 and the fork
-        start method, every case goes to a process pool whose workers
-        inherit this pipeline (only the cases and the light results are
-        pickled) and run _certify while the block runs; otherwise cases()
-        runs _certify here, one case after another. Leaving the block, by
-        any path, cancels the cases not yet started and waits for the
-        workers to exit. Fork, not spawn: a spawned worker would import
-        numpy and scipy again, and the run starts no thread before the fork.
-        A block inside another is the outer block's.
+        minimal_ps records the exponents whose minimal-boundary cases got
+        their triples; a failed build is left to _certify, which gets its
+        kept exception. With min(os.cpu_count(), number of cases) > 1 and
+        fork, the cases go to a pool of forked workers that inherit this
+        pipeline (only cases and light results are pickled; spawn would
+        import numpy and scipy again) and certify while the block runs;
+        otherwise cases() certifies them here. Leaving the block by any path
+        cancels the cases not started and waits for the workers. A nested
+        block is the outer one's.
         """
         if self._pending is not None:
             yield
@@ -408,9 +404,7 @@ class _Pipeline:
         fork = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_adopt, initargs=(self,))
         try:
-            self._pending = [
-                (case, pool.submit(_certify_in_worker, case).result) for case in order
-            ]
+            self._pending = [(case, pool.submit(_certify_in_worker, case).result) for case in order]
             yield
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

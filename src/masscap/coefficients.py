@@ -118,15 +118,11 @@ class CoefficientSolution:
 
 
 def _at_t(t, *sols: CoefficientSolution) -> tuple:
-    """(live, W_s, dW_s/dt, [(f, g, h) per sol]): at_t of triples of one model.
-
-    They share one radii, level_data and decaying evaluation at t.
-    """
+    """(live, W_s, dW_s/dt, [(f, g, h) per sol]): at_t of triples of one model, sharing r."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < -1e-12):
         raise ValueError("t below the sampled range")
     model = sols[0].model
-    _same_model(model, *sols)
     r, live = _level_radii(model, t)
     d = model.level_data(r)
     dec = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]

@@ -79,7 +79,7 @@ def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> SampledCurve:
     no O(r) terms cancel. Q is kept over the longest prefix of live t where
     64 eps (|g| W + (p-1)(3-p) |h dW/dt|), which bounds the rounding that its
     forward differences read on vacuum flows, stays within slope_slack. The
-    t are flow.t_grid decimated to ~4096 points.
+    t are flow.t_grid decimated to ~4096 points, ending at t_max.
     """
     return _evaluate_Qs(flow, sol)[0]
 
@@ -89,14 +89,21 @@ def _evaluate_Qs(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledC
     if abs(flow.p - sols[0].p) > 1e-12:
         raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sols[0].p}")
     c = (flow.p - 1.0) * (3.0 - flow.p)
-    stride = max(1, flow.t_grid.size // 4096)
-    t = flow.t_grid[::stride]
+    n_t = flow.t_grid.size
+    nodes = np.r_[0 : n_t - 1 : max(1, n_t // 4096), n_t - 1]
+    t = flow.t_grid[nodes]
     live, Ws, dWs, triples = _at_t(t, *sols)
-    W, dWdt = flow.W.y[::stride][live], flow.dWdt.y[::stride][live]
+    W, dWdt = flow.W.y[nodes][live], flow.dWdt.y[nodes][live]
     curves = []
     for sol, (_, g, h) in zip(sols, triples):
+        slack = sol.model.tol.slope_slack
         floor = 64.0 * np.finfo(float).eps * (np.abs(g) * W + c * np.abs(h * dWdt))
-        n = int(np.argmax(np.append(floor, np.inf) > sol.model.tol.slope_slack))
+        n = int(np.argmax(np.append(floor, np.inf) > slack))
+        if n < 2:
+            raise ValueError(
+                f"the gated window of the {sol.flavor} Q holds {n} of {t.size} samples: "
+                f"64 eps of its terms exceeds slope_slack = {slack:g} from t = {t[n]:.6g}"
+            )
         Q = sol.Q0 + g * (W - Ws) + c * h * (dWdt - dWs)
         curves.append(SampledCurve(t[:n], Q[:n]))
     return curves

@@ -8,6 +8,7 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -354,6 +355,7 @@ class TestWorkerPool:
                 for path in out.iterdir()
             }
         assert codes[3] == codes[1] == 1
+        assert multiprocessing.active_children() == []
         assert digests[3] == digests[1]
         assert {"report.json", "sweep.csv"} <= set(digests[3])
         report = json.loads((tmp_path / "out3" / "report.json").read_text())
@@ -405,6 +407,28 @@ class TestWorkerPool:
         outputs = {}
         for workers in (2, 1):
             code = self._run(monkeypatch, workers, ["verify", "--config", cfg, "--out", str(blocker)])
+            outputs[workers] = (code, *capfd.readouterr())
+        assert outputs[2] == outputs[1]
+        code, out, err = outputs[2]
+        assert code == 1 and out == ""
+        assert err.startswith("masscap: ") and str(blocker) in err
+        assert "Traceback" not in err
+
+    def test_no_worker_outlives_a_failed_suite(self, tmp_path, monkeypatch, capfd):
+        # suite starts the pool before it writes the model tables; the first
+        # of those writes fails in the main process, with the workers busy.
+        # Leaving the run must cancel the cases not started and wait for the
+        # workers, and print what the in-process run prints.
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {"p_list": [1.5], "families": self.README_FAMILIES, "grids": {"n_s": 256, "n_t": 1024}},
+        )
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outputs = {}
+        for workers in (2, 1):
+            code = self._run(monkeypatch, workers, ["suite", "--config", cfg, "--out", str(blocker)])
+            assert multiprocessing.active_children() == []
             outputs[workers] = (code, *capfd.readouterr())
         assert outputs[2] == outputs[1]
         code, out, err = outputs[2]

@@ -45,13 +45,14 @@ class TestEvaluateQ:
         _, grow = lab.triples(1.5)
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
         q = evaluate_Q(flow, grow)
-        assert q.x.size == 4096
-        assert np.array_equal(q.x, flow.t_grid[::8])
+        # Every 8th node and the last one, t_max.
+        assert q.x.size == 4097
+        assert np.array_equal(q.x, np.append(flow.t_grid[::8], flow.t_max))
 
     def test_decaying_covers_decimated_grid(self, lab):
         dec, _ = lab.triples(1.5)
         q = evaluate_Q(lab.flow(1.5, "schwarzschild", m=2.0), dec)
-        assert q.x.size == 4096
+        assert q.x.size == 4097
 
     def test_p_mismatch_rejected(self, lab):
         dec, _ = lab.triples(1.5)
@@ -378,11 +379,11 @@ class TestGrowingWindow:
         "tag, params", [("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})]
     )
     def test_readme_families_are_gated_over_the_whole_flow(self, lab, p, tag, params):
-        # Every decimated sample, the last of them 7 nodes short of t_max.
+        # Every decimated sample, the last of them t_max itself.
         rep = lab.report(p, tag, **params)
         flow = lab.flow(p, tag, **params)
-        assert np.array_equal(rep.curves["growing"].x, flow.t_grid[::8])
-        assert rep.diagnostics["growing_coverage"] == pytest.approx(32760 / 32767, rel=1e-12)
+        assert np.array_equal(rep.curves["growing"].x, np.append(flow.t_grid[::8], flow.t_max))
+        assert rep.diagnostics["growing_coverage"] == 1.0
 
     @pytest.mark.parametrize(
         "p, m, s_max", [(1.05, 0.5, 1e5), (1.2, 0.5, 1e5), (1.5, 0.5, 1e5), (1.2, 0.05, 5e3)]
@@ -398,6 +399,24 @@ class TestGrowingWindow:
         result = certify_case(warp, lab.model(p), flow, *lab.triples(p))
         assert result.passed, [c for c in result.checks if not c["passed"]]
         assert 0.5 < result.report.diagnostics["growing_coverage"] < 0.9
+
+    def test_an_empty_window_is_named(self, lab):
+        # At slope_slack = 1e-13, 64 eps of either Q's terms exceeds the
+        # slack already at t = 0 on Schwarzschild m = 2, so neither window
+        # holds the two samples a curve needs. The case fails at case_report
+        # with the first flavour's window and the slack named.
+        model = model_profile(1.5, tol=Tolerances(slope_slack=1e-13))
+        dec, grow = solve_decaying(model), solve_growing(model)
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        result = certify_case(lab.warp("schwarzschild", m=2.0), model, flow, dec, grow)
+        [check] = result.checks
+        assert check["name"] == "case_report"
+        assert check["detail"] == (
+            "the gated window of the decaying Q holds 0 of 4097 samples: "
+            "64 eps of its terms exceeds slope_slack = 1e-13 from t = 0"
+        )
+        with pytest.raises(ValueError, match=r"growing Q holds 0 of 4097 .* slope_slack = 1e-13"):
+            evaluate_Q(flow, grow)
 
     @pytest.mark.parametrize("eps", [-0.01, -1e-4])
     def test_far_negative_bump_fails_monotone_growing(self, lab, eps):
