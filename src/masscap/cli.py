@@ -380,10 +380,11 @@ class _Pipeline:
         kept exception. With min(os.cpu_count(), number of cases) > 1 and
         fork, the cases go to a pool of forked workers that inherit this
         pipeline (only cases and light results are pickled; spawn would
-        import numpy and scipy again) and certify while the block runs;
-        otherwise cases() certifies them here. Leaving the block by any path
-        cancels the cases not started and waits for the workers. A nested
-        block is the outer one's.
+        import numpy and scipy again, and the pool forks them all at its
+        first submit, before it starts its own thread) and certify while the
+        block runs; otherwise cases() certifies them here. Leaving the block
+        by any path cancels the cases not started and waits for the workers.
+        A nested block is the outer one's.
         """
         if self._pending is not None:
             yield
