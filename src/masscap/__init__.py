@@ -33,7 +33,6 @@ from .verify import (
     evaluate_Q,
     horizon_W_bound,
     mass_functional_Fp,
-    monotonicity_report,
     penrose_margin,
     q_limits,
     reference_checks,
@@ -81,7 +80,6 @@ __all__ = [
     "masses",
     "model_constancy",
     "model_profile",
-    "monotonicity_report",
     "penrose_margin",
     "q_limits",
     "radial_p_harmonic",

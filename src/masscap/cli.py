@@ -92,8 +92,9 @@ _FAMILIES = {
 
 # A vacuum case's mass_limit error depends only on s_max/m and exceeds its
 # bound below s_max = 125 m (m = 50 on s_max = 5e3: 1.5e-5 against 1e-5 at
-# p = 1.5), so the config refuses a vacuum member (Schwarzschild m, or
-# bumped m0 with eps = 0) whose mass exceeds s_max/125.
+# p = 1.5). A bump's end is vacuum too, and bumps with m0 near s_max/125
+# use about as much of the bound, so the config refuses a Schwarzschild m or
+# a bumped m0 above s_max/125, whatever the bump's height.
 _S_MAX_PER_MASS = 125.0
 
 
@@ -223,7 +224,7 @@ def make_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"grids.s_max must be >= 100, got {s_max:g}")
     for tag, params in fam_clean:
         key = {"schwarzschild": "m", "bumped": "m0"}.get(tag)
-        if key and params.get("eps", 0.0) == 0.0 and params[key] > s_max / _S_MAX_PER_MASS:
+        if key and params[key] > s_max / _S_MAX_PER_MASS:
             raise ConfigError(
                 f"{tag} mass {key} = {params[key]:g} needs grids.s_max >= "
                 f"{_S_MAX_PER_MASS:g} {key} = {_S_MAX_PER_MASS * params[key]:g}, got {s_max:g}"
@@ -294,23 +295,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
                 writer.writerow([_cell(value) for value in row])
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(key): _jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(value) for value in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
-
-
 def _write_report(path: Path, report: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    # numpy scalars (np.bool_, np.integer) as their Python values.
+    text = json.dumps(report, indent=2, sort_keys=True, default=np.generic.item)
     path.write_text(text + "\n")
 
 

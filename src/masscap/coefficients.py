@@ -43,6 +43,7 @@ from .schwarzschild import LevelData, ModelGeometry, _beta_ratio_I1
 
 __all__ = [
     "CoefficientSolution",
+    "at_t",
     "model_constancy",
     "solve_decaying",
     "solve_growing",
@@ -74,9 +75,9 @@ class CoefficientSolution:
 
     Curves are sampled over r on the model grid, whose level-set parameters
     are model.t_of_r.y. beta is the multiple of the decaying triple in the
-    growing one (0 for the decaying flavor). at_t is the interface the
-    verify module uses to carry the triple, and the slice's W, onto a
-    foreign geometry's t-range.
+    growing one (0 for the decaying flavor). The module function at_t is
+    the interface the verify module uses to carry triples, and the slice's
+    W, onto a foreign geometry's t-range.
     """
 
     flavor: str
@@ -103,26 +104,23 @@ class CoefficientSolution:
         growing = 8.0 * math.pi * s**3 + 16.0 * math.pi * s**2 - 16.0 * math.pi * s
         return growing if self.flavor == "growing" else 0.0
 
-    def at_t(self, t) -> tuple:
-        """(live, f, g, h, W_s, dW_s/dt) at the level-set parameters t >= 0.
 
-        Closed forms at the exact radius of each level set (_level_radii),
-        from one model.level_data call: the decaying triple by
-        _decaying_at_r, the growing one by _growing_at_r plus beta times the
-        decaying one, and the reference slice's W and dW/dt. live marks the
-        t whose radius is live; the five arrays hold those t only, which for
-        increasing t are a prefix.
-        """
-        live, Ws, dWs, [(f, g, h)] = _at_t(t, self)
-        return live, f, g, h, Ws, dWs
+def at_t(t, *sols: CoefficientSolution) -> tuple:
+    """(live, W_s, dW_s/dt, [(f, g, h) per sol]) at the level-set parameters t >= 0.
 
-
-def _at_t(t, *sols: CoefficientSolution) -> tuple:
-    """(live, W_s, dW_s/dt, [(f, g, h) per sol]): at_t of triples of one model, sharing r."""
+    The triples must share one model (ValueError otherwise), whose radii
+    and level data they then share. Closed forms at the exact radius of
+    each level set (_level_radii), from one model.level_data call: the
+    decaying triple by _decaying_at_r, the growing one by _growing_at_r plus
+    beta times the decaying one, and the reference slice's W and dW/dt.
+    live marks the t whose radius is live; the arrays hold those t only,
+    which for increasing t are a prefix.
+    """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < -1e-12):
         raise ValueError("t below the sampled range")
     model = sols[0].model
+    _same_model(model, *sols)
     r, live = _level_radii(model, t)
     d = model.level_data(r)
     dec = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coefficients import CoefficientSolution, _at_t, _q_terms, _same_model, model_constancy
+from .coefficients import CoefficientSolution, _q_terms, _same_model, at_t, model_constancy
 from .numerics import SampledCurve, Tolerances
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses
@@ -40,7 +40,6 @@ __all__ = [
     "evaluate_Q",
     "horizon_W_bound",
     "mass_functional_Fp",
-    "monotonicity_report",
     "penrose_margin",
     "q_limits",
     "reference_checks",
@@ -66,33 +65,29 @@ class VerificationReport:
     curves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def evaluate_Q(flow: FlowProfile, sol: CoefficientSolution) -> SampledCurve:
-    """Assemble one monotone combination along a foreign geometry's flow.
+def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCurve]:
+    """Assemble the monotone combinations of triples of one model along a flow.
 
-    The coefficient triple is carried over by its t-parametrization (the
+    Returns one Q curve per triple, all from one at_t evaluation at the
+    flow's t. Each triple is carried over by its t-parametrization (the
     shared level-set normalization makes t comparable across geometries).
     On the reference slice Q is the constant sol.Q0, so along the flow
 
         Q = Q0 + g (W - W_s) + (p-1)(3-p) h (dW/dt - dW_s/dt),
 
-    with g, h, W_s and dW_s/dt at the flow's t (sol.at_t): f drops out, and
-    no O(r) terms cancel. Q is kept over the longest prefix of live t where
+    with g, h, W_s and dW_s/dt at the flow's t: f drops out, and no O(r)
+    terms cancel. Each Q is kept over the longest prefix of live t where
     64 eps (|g| W + (p-1)(3-p) |h dW/dt|), which bounds the rounding that its
     forward differences read on vacuum flows, stays within slope_slack. The
     t are flow.t_grid decimated to ~4096 points, ending at t_max.
     """
-    return _evaluate_Qs(flow, sol)[0]
-
-
-def _evaluate_Qs(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCurve]:
-    """evaluate_Q per triple of one model, from one shared _at_t evaluation."""
     if abs(flow.p - sols[0].p) > 1e-12:
         raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sols[0].p}")
     c = (flow.p - 1.0) * (3.0 - flow.p)
     n_t = flow.t_grid.size
     nodes = np.r_[0 : n_t - 1 : max(1, n_t // 4096), n_t - 1]
     t = flow.t_grid[nodes]
-    live, Ws, dWs, triples = _at_t(t, *sols)
+    live, Ws, dWs, triples = at_t(t, *sols)
     W, dWdt = flow.W.y[nodes][live], flow.dWdt.y[nodes][live]
     curves = []
     for sol, (_, g, h) in zip(sols, triples):
@@ -109,22 +104,16 @@ def _evaluate_Qs(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledC
     return curves
 
 
-def monotonicity_report(q: SampledCurve, tol: Tolerances) -> VerificationReport:
-    """Smallest forward difference of Q and the equality flag.
+def _monotonicity(Q: np.ndarray, accept_rel: float) -> tuple[float, bool]:
+    """(smallest forward difference of Q, equality flag).
 
-    certify_case gates min_forward_slope against -slope_slack. The
-    equality flag is set when the whole curve stays within accept_rel of
-    its initial value, scaled by the curve's own magnitude.
+    certify_case gates the slope against -slope_slack. The flag is set when
+    the whole curve stays within accept_rel of its initial value, scaled by
+    the curve's own magnitude.
     """
-    Q = q.y
-    min_slope = float(np.min(np.diff(Q)))
     deviation = float(np.max(np.abs(Q - Q[0])))
     scale = max(1.0, abs(float(Q[0])), float(np.max(np.abs(Q))))
-    return VerificationReport(
-        min_forward_slope=min_slope,
-        equality_flag=bool(deviation <= tol.accept_rel * scale),
-        diagnostics={"Q0": float(Q[0])},
-    )
+    return float(np.min(np.diff(Q))), bool(deviation <= accept_rel * scale)
 
 
 def _tail_limit(
@@ -315,13 +304,18 @@ def case_report(
     """
     _same_model(model, dec, grow)
     pm = penrose_margin(flow, model)
-    qd, qg = _evaluate_Qs(flow, dec, grow)
-    rd = monotonicity_report(qd, model.tol)
-    rg = monotonicity_report(qg, model.tol)
+    curves = dict(zip(("decaying", "growing"), evaluate_Q(flow, dec, grow)))
     _, f_limit = mass_functional_Fp(flow)
     bound_gap = horizon_W_bound(flow, dec, model)
-    limit_dec = q_limits(qd, flow, "decaying")
-    limit_grow = q_limits(qg, flow, "growing")
+
+    diagnostics = {}
+    equality = pm.equality_flag
+    for flavor, q in curves.items():
+        slope, flat = _monotonicity(q.y, model.tol.accept_rel)
+        diagnostics[f"min_slope_{flavor}"] = slope
+        diagnostics[f"Q0_{flavor}"] = float(q.y[0])
+        diagnostics[f"limit_{flavor}"] = q_limits(q, flow, flavor)
+        equality = equality and flat
 
     s = 3.0 - flow.p
     bound_value = (
@@ -329,14 +323,8 @@ def case_report(
         + 8.0 * math.pi * s**3
         - 16.0 * math.pi * s
     )
-    diagnostics = {
-        "min_slope_decaying": rd.min_forward_slope,
-        "min_slope_growing": rg.min_forward_slope,
-        "Q0_decaying": rd.diagnostics["Q0"],
-        "Q0_growing": rg.diagnostics["Q0"],
-        "limit_decaying": limit_dec,
-        "limit_growing": limit_grow,
-        "growing_coverage": float(qg.x[-1]) / flow.t_max,
+    diagnostics.update({
+        "growing_coverage": float(curves["growing"].x[-1]) / flow.t_max,
         "growing_limit_bound_resolved": bound_value,
         "mass_functional_limit": f_limit,
         "mass_functional_target": 8.0 * math.pi * flow.adm,
@@ -344,13 +332,13 @@ def case_report(
         **pm.diagnostics,
         "flow_nfev": flow.nfev,
         "flow_steps": flow.steps,
-    }
+    })
     return VerificationReport(
-        min_forward_slope=min(rd.min_forward_slope, rg.min_forward_slope),
+        min_forward_slope=min(diagnostics["min_slope_decaying"], diagnostics["min_slope_growing"]),
         penrose_margin=pm.penrose_margin,
-        equality_flag=bool(rd.equality_flag and rg.equality_flag and pm.equality_flag),
+        equality_flag=bool(equality),
         diagnostics=diagnostics,
-        curves={"decaying": qd, "growing": qg},
+        curves=curves,
     )
 
 
@@ -407,27 +395,23 @@ def _gated_checks(
     horizon_gap = diag["horizon_W_gap"]
     horizon_scale = acc * (horizon_gap + flow.W0)
     margin, margin_scale = report.penrose_margin, acc * max(flow.adm, 1.0)
+    if vacuum:
+        margin_check = _check("penrose_sharp", margin, margin_scale, abs(margin) <= margin_scale)
+    else:
+        margin_check = _check("penrose_margin", margin, 0.0, margin > 0.0)
+    # Every family is vacuum beyond s2 <= s_max/2, so F tends to 8 pi adm on
+    # each (masses); a fit window that reaches into a bump misses it.
     f_limit, f_target = diag["mass_functional_limit"], diag["mass_functional_target"]
-
-    checks = [
+    mass_scale = 10.0 * acc * max(f_target, 1.0)
+    equality = report.equality_flag
+    return (
         _check("monotone_decaying", slope_dec, slack, slope_dec >= -slack),
         _check("monotone_growing", slope_grow, slack, slope_grow >= -slack),
         _check("horizon_gradient_bound", horizon_gap, horizon_scale, horizon_gap >= -horizon_scale),
-    ]
-    if vacuum:
-        mass_scale = 10.0 * acc * max(f_target, 1.0)
-        checks += [
-            _check("penrose_sharp", margin, margin_scale, abs(margin) <= margin_scale),
-            _check("mass_limit", f_limit, mass_scale, abs(f_limit - f_target) <= mass_scale),
-        ]
-    else:
-        checks += [
-            _check("penrose_margin", margin, 0.0, margin > 0.0),
-            _check("mass_limit", f_limit, acc, f_limit <= f_target + acc),
-        ]
-    equality = report.equality_flag
-    checks.append(_check("equality_flag", equality, None, bool(equality) == vacuum))
-    return tuple(checks)
+        margin_check,
+        _check("mass_limit", f_limit, mass_scale, abs(f_limit - f_target) <= mass_scale),
+        _check("equality_flag", equality, None, bool(equality) == vacuum),
+    )
 
 
 def reference_checks(
@@ -498,7 +482,9 @@ def certify_case(
     limit, the margin and the equality flag (R >= 0 is a hypothesis, checked
     by penrose_margin). The vacuum members (warp.vacuum: Schwarzschild,
     bumps with eps = 0) must meet the equality case sharply, every other
-    geometry the strict margin without equality. A failed hypothesis of the
+    geometry the strict margin without equality. Every one must meet
+    |F - 8 pi adm| <= 10 accept_rel max(8 pi adm, 1) for the mass functional's
+    limit F (mass_limit), since each end is vacuum. A failed hypothesis of the
     mass bound is the failed stage check "hypotheses", any other error of
     case_report the stage check "case_report", and a failed flat capacity
     or mass the stage check "capacity". Triples solved on another model

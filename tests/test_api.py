@@ -37,7 +37,6 @@ PUBLIC_NAMES = [
     "masses",
     "model_constancy",
     "model_profile",
-    "monotonicity_report",
     "penrose_margin",
     "q_limits",
     "radial_p_harmonic",
@@ -51,7 +50,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 33
+    assert len(PUBLIC_NAMES) == 32
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
@@ -148,3 +147,19 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
         for part in dotted.split("."):
             assert hasattr(owner, part), f"{module_name}.{dotted}"
             owner = getattr(owner, part)
+
+
+def test_case_report_shares_one_radii_pass(lab, monkeypatch):
+    # Both Q curves come from one evaluate_Q call and one level_data pass,
+    # as the benchmark's tracer counts them.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import Tracer, per_layer
+
+    flow = lab.flow(1.5, "bumped", m0=1.0, eps=0.1)
+    model, (dec, grow) = lab.model(1.5), lab.triples(1.5)
+    with Tracer() as tracer:
+        masscap.case_report(flow, model, dec, grow)
+    counts = per_layer(tracer.spans, tracer.root_leaves)
+    assert counts["verify.case_report.calls"] == 1
+    assert counts["verify.evaluate_Q.calls"] == 1
+    assert counts["schwarzschild.level_data.calls"] == 1

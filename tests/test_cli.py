@@ -484,6 +484,11 @@ BAD_CONFIGS = [
         {"families": [{"tag": "bumped", "params": {"m0": 50.0, "eps": 0.0}}]},
         "bumped mass m0 = 50 needs grids.s_max >= 125 m0 = 6250, got 5000",
     ),
+    # So is a bump's end beyond s2, which mass_limit reads as vacuum.
+    (
+        {"families": [{"tag": "bumped", "params": {"m0": 50.0, "eps": 0.1}}]},
+        "bumped mass m0 = 50 needs grids.s_max >= 125 m0 = 6250, got 5000",
+    ),
 ]
 
 

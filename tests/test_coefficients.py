@@ -16,7 +16,7 @@ from masscap import (
     solve_decaying,
     solve_growing,
 )
-from masscap.coefficients import _level_radii
+from masscap.coefficients import _level_radii, at_t
 from masscap.frobenius import InfinitySingularODE, series_coefficients
 from masscap.numerics import fit_power_tail
 
@@ -105,9 +105,9 @@ def check_oracle_beyond_the_grid(mp, sol, model, tol, far=()):
     exact = [exact_triple(mp, model.p, r, sol.flavor) for r in radii]
     t = np.array([float(row[3]) for row in exact])
     assert t[2] < model.t_max < t[3]
-    live, *values = sol.at_t(t)
+    live, _, _, [values] = at_t(t, sol)
     assert np.all(live)
-    for value, column in zip(values[:3], zip(*exact)):
+    for value, column in zip(values, zip(*exact)):
         assert np.max(np.abs(value / np.array(column, dtype=float) - 1.0)) <= tol
 
 
@@ -246,7 +246,8 @@ class TestResiduals:
                     _, _, drdt, W, dWdt = exact_profile(mp, mp.mpf(p), r_mp)
                     dhdt = float((h_up - h_down) / (2 * step) * drdt)
                     dlogW = float(dWdt / W)
-                _, _, g, h, _, _ = (float(value[0]) for value in sol.at_t(float(t)))
+                _, _, _, [(_, g, h)] = at_t(float(t), sol)
+                g, h = float(g[0]), float(h[0])
                 terms = (g, -2.0 * (p - 2.0) * h, (p - 1.0) * s * dhdt, 2.0 * ch * h * dlogW)
                 assert abs(sum(terms)) <= 1e-12 * max(abs(term) for term in terms), (p, r)
 
@@ -255,14 +256,14 @@ class TestEvaluationInterface:
     def test_at_t_reproduces_nodes(self, lab):
         dec, grow = lab.triples(1.5)
         model = lab.model(1.5)
-        for sol in (dec, grow):
-            live, f, g, h, Ws, dWs = sol.at_t(model.t_of_r.y)
-            assert np.all(live)
+        live, Ws, dWs, triples = at_t(model.t_of_r.y, dec, grow)
+        assert np.all(live)
+        assert np.allclose(Ws, model.Ws_curve.y, rtol=1e-12)
+        assert np.allclose(dWs, model.dWs_curve.y, rtol=1e-12)
+        for sol, (f, g, h) in zip((dec, grow), triples, strict=True):
             assert np.allclose(f, sol.f_curve.y, rtol=1e-12)
             assert np.allclose(g, sol.g_curve.y, rtol=1e-12)
             assert np.allclose(h, sol.h_curve.y, rtol=1e-12)
-            assert np.allclose(Ws, model.Ws_curve.y, rtol=1e-12)
-            assert np.allclose(dWs, model.dWs_curve.y, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
     def test_decaying_matches_oracle_beyond_the_grid(self, lab, mp, p):
@@ -284,22 +285,23 @@ class TestEvaluationInterface:
         dec, _ = lab.triples(1.5)
         t_max = lab.model(1.5).t_max
         t = np.array([0.0, t_max, 10.0 * t_max, 1e3, 1e300])
-        live, *values = dec.at_t(t)
+        live, Ws, dWs, [triple] = at_t(t, dec)
         assert live.tolist() == [True, True, True, False, False]
-        for value in values:
+        for value in (Ws, dWs, *triple):
             assert value.shape == (3,) and np.all(np.isfinite(value))
 
     def test_negative_t_rejected(self, lab):
         dec, _ = lab.triples(1.5)
         with pytest.raises(ValueError, match="below"):
-            dec.at_t(-0.1)
+            at_t(-0.1, dec)
 
     def test_live_ends_at_the_normal_double_radius(self, lab):
         # At p = 1.5, r**(-4) leaves the normal doubles at r = 8.2e76, where
         # t = 264.15.
         _, grow = lab.triples(1.5)
-        live, *values = grow.at_t(np.array([1.0, 264.0, 264.3]))
+        live, Ws, dWs, [triple] = at_t(np.array([1.0, 264.0, 264.3]), grow)
         assert live.tolist() == [True, True, False]
+        values = (Ws, dWs, *triple)
         assert all(value.shape == (2,) and np.all(np.isfinite(value)) for value in values)
 
 

@@ -20,14 +20,13 @@ from masscap import (
     mass_functional_Fp,
     model_constancy,
     model_profile,
-    monotonicity_report,
     penrose_margin,
     q_limits,
     reference_checks,
     solve_decaying,
     solve_growing,
 )
-from masscap.verify import _tail_limit
+from masscap.verify import _monotonicity, _tail_limit
 from conftest import curvature_term
 
 PI = math.pi
@@ -44,15 +43,25 @@ class TestEvaluateQ:
         # flow's t_max; subtracting the reference slice resolves all of it.
         _, grow = lab.triples(1.5)
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
-        q = evaluate_Q(flow, grow)
+        [q] = evaluate_Q(flow, grow)
         # Every 8th node and the last one, t_max.
         assert q.x.size == 4097
         assert np.array_equal(q.x, np.append(flow.t_grid[::8], flow.t_max))
 
     def test_decaying_covers_decimated_grid(self, lab):
         dec, _ = lab.triples(1.5)
-        q = evaluate_Q(lab.flow(1.5, "schwarzschild", m=2.0), dec)
+        [q] = evaluate_Q(lab.flow(1.5, "schwarzschild", m=2.0), dec)
         assert q.x.size == 4097
+
+    def test_one_call_gives_each_triple_its_own_curve(self, lab):
+        # Both triples share the radii of one evaluation; each curve is the
+        # one a call with its triple alone gives, bit for bit.
+        dec, grow = lab.triples(1.5)
+        flow = lab.flow(1.5, "bumped", m0=1.0, eps=0.1)
+        both = evaluate_Q(flow, dec, grow)
+        for q, sol in zip(both, (dec, grow), strict=True):
+            [alone] = evaluate_Q(flow, sol)
+            assert np.array_equal(q.x, alone.x) and np.array_equal(q.y, alone.y)
 
     def test_p_mismatch_rejected(self, lab):
         dec, _ = lab.triples(1.5)
@@ -61,30 +70,31 @@ class TestEvaluateQ:
 
 
 class TestMonotonicityReport:
-    def _q(self, values):
-        t = np.linspace(0.0, 1.0, len(values))
-        return SampledCurve(t, values)
+    """The slope and equality flag that case_report reports per flavour."""
+
+    ACCEPT_REL = Tolerances().accept_rel
 
     def test_increasing_curve_passes(self):
-        rep = monotonicity_report(self._q([0.0, 1.0, 2.0, 3.0]), Tolerances())
-        assert rep.min_forward_slope >= 0.0
-        assert not rep.equality_flag
+        slope, flat = _monotonicity(np.array([0.0, 1.0, 2.0, 3.0]), self.ACCEPT_REL)
+        assert slope >= 0.0
+        assert not flat
 
     def test_constant_curve_sets_equality(self):
-        rep = monotonicity_report(self._q([5.0, 5.0, 5.0, 5.0]), Tolerances())
-        assert rep.min_forward_slope >= 0.0
-        assert rep.equality_flag
+        slope, flat = _monotonicity(np.array([5.0, 5.0, 5.0, 5.0]), self.ACCEPT_REL)
+        assert slope >= 0.0
+        assert flat
 
     def test_dip_is_flagged(self):
-        rep = monotonicity_report(self._q([0.0, 1.0, 0.5, 2.0]), Tolerances())
-        assert rep.min_forward_slope == pytest.approx(-0.5)
+        slope, _ = _monotonicity(np.array([0.0, 1.0, 0.5, 2.0]), self.ACCEPT_REL)
+        assert slope == pytest.approx(-0.5)
 
 
 class TestLimitsAndBounds:
     def test_decaying_limit_vanishes(self, lab):
         dec, _ = lab.triples(1.5)
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
-        assert abs(q_limits(evaluate_Q(flow, dec), flow, "decaying")) <= 1e-9
+        [q] = evaluate_Q(flow, dec)
+        assert abs(q_limits(q, flow, "decaying")) <= 1e-9
 
     def test_growing_limit_meets_resolved_bound_on_vacuum(self, lab):
         # Every family's end is vacuum, a bump's beyond s2, so its growing
@@ -319,6 +329,17 @@ class TestCertifyCase:
         assert light.report.curves == {}
         assert light == result
 
+    def test_mass_limit_is_two_sided(self, lab):
+        # Every end is vacuum beyond s2, so F tends to 8 pi adm on a bump
+        # too. The fit runs over phi >= phi_max/10: ending at
+        # phi(s2) = 0.098 phi_max, the bump on [0, 500] misses 8 pi adm by
+        # -2.4e-5, 0.0094 of the bound; the one on [0, 1000] reaches into
+        # the window and misses it by -42.9 (9 %), which a one-sided
+        # F <= 8 pi adm + accept_rel passed.
+        for s2, failed in ((500.0, []), (1000.0, ["mass_limit"])):
+            result = self._certify(lab, "bumped", m0=1.0, eps=0.1, s1=0.0, s2=s2)
+            assert [c["name"] for c in result.checks if not c["passed"]] == failed, s2
+
     def test_minimal_boundary_needs_flow_and_triples(self, lab):
         with pytest.raises(ValueError, match="minimal boundary"):
             certify_case(lab.warp("schwarzschild", m=2.0), lab.model(1.5))
@@ -482,8 +503,14 @@ class TestTriplesBelongToTheirModel:
         model = lab.model(1.5)
         dec, _ = lab.triples(1.5)
         foreign = solve_growing(model_profile(1.5))
-        with pytest.raises(ValueError, match="growing triple was solved on another"):
-            constant_diagnostics(model, dec, foreign)
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        calls = [
+            lambda: constant_diagnostics(model, dec, foreign),
+            lambda: evaluate_Q(flow, dec, foreign),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="growing triple was solved on another"):
+                call()
 
 
 class TestWeakBump:
