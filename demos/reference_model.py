@@ -8,7 +8,7 @@ persist away from the special exponent.
 
 import math
 
-from masscap import model_profile, ws_boundary_data
+from masscap import model_profile
 
 PI = math.pi
 
@@ -27,9 +27,10 @@ def main():
         rel = abs(value - exact) / abs(exact)
         print(f"  {name:16s} = {value:.15g}   exact {exact:.15g}   rel err {rel:.1e}")
 
-    W0, dW0 = ws_boundary_data(model)
+    W0, dW0 = float(model.Ws_curve.y[0]), float(model.dWs_curve.y[0])
     print(f"\n  minimal boundary forces dW/dt(0) = 2/(p-1) W(0):")
     print(f"  dW/dt(0) = {dW0:.12g}, 4 W(0) = {4.0 * W0:.12g}")
+    print(f"  residual dW/dt(0)/(4 W(0)) - 1 = {dW0 / (4.0 * W0) - 1.0:.1e}")
 
     print("\nbehaviour across p")
     print("=" * 60)

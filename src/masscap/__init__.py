@@ -22,7 +22,6 @@ from .schwarzschild import (
     ModelGeometry,
     flux_constant,
     model_profile,
-    ws_boundary_data,
 )
 from .verify import (
     CaseResult,
@@ -31,7 +30,6 @@ from .verify import (
     certify_case,
     constant_diagnostics,
     evaluate_Q,
-    horizon_W_bound,
     mass_functional_Fp,
     penrose_margin,
     q_limits,
@@ -74,7 +72,6 @@ __all__ = [
     "family_flat_exterior",
     "family_schwarzschild",
     "flux_constant",
-    "horizon_W_bound",
     "level_flow",
     "mass_functional_Fp",
     "masses",
@@ -88,5 +85,4 @@ __all__ = [
     "solve_decaying",
     "solve_growing",
     "spline_bump",
-    "ws_boundary_data",
 ]

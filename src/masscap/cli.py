@@ -58,7 +58,6 @@ from .schwarzschild import (
     DEFAULT_R_MAX,
     ModelGeometry,
     model_profile,
-    ws_boundary_data,
 )
 from .verify import CaseResult, certify_case, reference_checks
 from .warped import DEFAULT_N_S, DEFAULT_N_T, DEFAULT_S_MAX, WarpProfile, level_flow
@@ -498,11 +497,11 @@ def cmd_model(pipe: _Pipeline) -> int:
                     model.dWs_curve.y,
                 )),
             )
-            W0, _ = ws_boundary_data(model)
+            W0 = float(model.Ws_curve.y[0])
             const_rows.append(
                 (p, model.flux_constant, model.Kp, model.c_fit, model.c_tilde, W0)
             )
-            print(f"model p={p!r}: Kp={float(model.Kp)!r} W0={float(W0)!r}")
+            print(f"model p={p!r}: Kp={float(model.Kp)!r} W0={W0!r}")
     except (ValueError, RuntimeError) as exc:
         return _pipeline_failure(exc)
     _write_csv(

@@ -10,7 +10,12 @@ slice,
 
     dg/dr = a(r) h,    dh/dr = b(r) g + c(r) h,    df/dt = h,
 
-with a, b, c assembled from the reference profile. Two solutions matter:
+with b, c assembled from the reference profile (_bc) and
+
+    a = [ (p-1)(5-p)/4 * (dW/dt)^2 / W^2 - 1 ] / (dr/dt),
+
+so that a + (dr/dt)^-1 >= 0 pointwise (the perfect-square mechanism):
+dg/dt + h = (p-1)(5-p)/4 h (dW/dt / W)^2. Two solutions matter:
 
 * the decaying one, which vanishes at infinity like r**(-s/(p-1)); it has a
   closed form in the incomplete beta function (see solve_decaying), and
@@ -50,23 +55,20 @@ __all__ = [
 ]
 
 
-def _abc(p: float, d: LevelData):
-    """(a, b, c, dr/dt) of the pair system from the level data d at some radii.
+def _bc(p: float, d: LevelData):
+    """(b, c, dr/dt) of the pair system from the level data d at some radii.
 
-    a = [ (p-1)(5-p)/4 * (dW/dt)^2 / W^2 - 1 ] / (dr/dt)
     b = -1 / ((p-1)(3-p) dr/dt)
     c = 2(p-2) / ((p-1)(3-p) dr/dt) - (5-p)/(2(3-p)W) * dW/dr
 
-    With these choices the pair system is the radial form of the coupled
-    first-order conditions that make Q constant on the reference slice, and
-    a + (dr/dt)^-1 >= 0 pointwise (the perfect-square mechanism).
+    Both triples take g = (dh/dr - c h)/b from the second equation, so the
+    first one, dg/dr = a h, is what makes Q constant on the reference slice
+    (growing_constant and decaying_zero gate it).
     """
     s = 3.0 - p
-    ch = (p - 1.0) * (5.0 - p) / 4.0
-    a = (ch * (d.dWdt / d.W) ** 2 - 1.0) / d.drdt
     b = -1.0 / ((p - 1.0) * s * d.drdt)
     c = 2.0 * (p - 2.0) / ((p - 1.0) * s * d.drdt) - (5.0 - p) / (2.0 * s * d.W) * d.dWdr
-    return a, b, c, d.drdt
+    return b, c, d.drdt
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,7 +125,7 @@ def at_t(t, *sols: CoefficientSolution) -> tuple:
     _same_model(model, *sols)
     r, live = _level_radii(model, t)
     d = model.level_data(r)
-    dec = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))[:3]
+    dec = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))
     triples = [
         tuple(x0 + sol.beta * x for x0, x in zip(_growing_at_r(model.p, r, d), dec))
         if sol.flavor == "growing" else dec
@@ -157,7 +159,7 @@ def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _decaying_at_r(model: ModelGeometry, r, d: LevelData, I1):
-    """(f, g, h, a dr/dt) of the decaying triple at radii r, in closed form.
+    """(f, g, h) of the decaying triple at radii r, in closed form.
 
     With sigma = (3-p)/(p-1), x = 1/(1+r), k = -sigma^2 (sigma+1)/(2C) and
     I_x the regularized incomplete beta function, let I0 = I_x(sigma, sigma)
@@ -171,7 +173,7 @@ def _decaying_at_r(model: ModelGeometry, r, d: LevelData, I1):
     that no O(r) terms cancel. h = f' dr/dt = A (u/u') K with K = 2D/x and
     A = -k(r+1)/((p-1) r^2); dK/dr = 2 I1 gives dh/dr by the product rule,
     and g = (dh/dr - c h)/b comes from the second equation of the pair
-    system. The last value is a dr/dt, for the dg/dt + h >= 0 check.
+    system.
     d is the level data at r and I1 its ratio there (_beta_ratio_I1); I0 is
     taken as d.u/2, bit for bit the quotient above.
     """
@@ -183,7 +185,7 @@ def _decaying_at_r(model: ModelGeometry, r, d: LevelData, I1):
     D = I1 - 2.0 * x * I0
     f = 2.0 * k / (x * (1.0 - x)) * ((1.0 - 2.0 * x) * D + (2.0 / sigma) * x * (1.0 - x) * I0)
 
-    a, b, c, drdt = _abc(p, d)
+    b, c, drdt = _bc(p, d)
     u_over_du = -(p - 1.0) * drdt
     K = 2.0 * D / x
     A = -k * (r + 1.0) / ((p - 1.0) * r**2)
@@ -198,7 +200,7 @@ def _decaying_at_r(model: ModelGeometry, r, d: LevelData, I1):
         + A * (1.0 - u_over_du * dlog_du) * K
     )
     g = (dhdr - c * h) / b
-    return f, g, h, a * drdt
+    return f, g, h
 
 
 def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
@@ -206,16 +208,14 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
 
     Normalized by f ~ -r**(-sigma) and g ~ r**(-sigma) at infinity, and
     evaluated exactly on the model grid and, through at_t, at any
-    live t >= 0 (see _decaying_at_r for the formulas). Positivity of h and of
-    dg/dt + h is checked on the full grid before returning, the latter
-    against model.tol.slope_slack.
+    live t >= 0 (see _decaying_at_r for the formulas). Positivity of h is
+    checked on the full grid before returning; with it dg/dt + h, which is
+    (p-1)(5-p)/4 h (dW/dt / W)^2 by the pair system, is positive too.
     """
     r = model.r_grid
-    f, g, h, a_drdt = _decaying_at_r(model, r, model.grid_data, model.grid_I1)
+    f, g, h = _decaying_at_r(model, r, model.grid_data, model.grid_I1)
     if np.any(h <= 0.0):
         raise RuntimeError("decaying solution lost positivity of h")
-    if np.min(h * (1.0 + a_drdt)) < -model.tol.slope_slack * float(np.max(np.abs(h))):
-        raise RuntimeError("decaying solution violates dg/dt + h >= 0")
     return CoefficientSolution(
         flavor="decaying",
         model=model,
@@ -238,7 +238,7 @@ def _growing_at_r(p: float, r, d: LevelData):
     """
     s = 3.0 - p
     sigma = s / (p - 1.0)
-    _, b, c, drdt = _abc(p, d)
+    b, c, drdt = _bc(p, d)
     df = (r - 1.0) * (r + 1.0) / r**2
     dlog_du = -(sigma + 1.0) / r + 2.0 * sigma / (r**2 + r)
     d_drdt = -(1.0 + (p - 1.0) * drdt * dlog_du) / (p - 1.0)
@@ -266,7 +266,7 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
     """
     r, d = model.r_grid, model.grid_data
     f0, g0, h0 = _growing_at_r(model.p, r, d)
-    fd, gd, hd, _ = _decaying_at_r(model, r, d, model.grid_I1)
+    fd, gd, hd = _decaying_at_r(model, r, d, model.grid_I1)
     c1 = float(-(1.0 + 0.01 * gd[0] / hd[0]) / g0[0])
     beta = float(0.01 / (c1 * hd[0]))
     f, g, h = f0 + beta * fd, g0 + beta * gd, h0 + beta * hd

@@ -48,7 +48,6 @@ __all__ = [
     "ModelGeometry",
     "flux_constant",
     "model_profile",
-    "ws_boundary_data",
 ]
 
 DEFAULT_R_MAX = 1.0e6
@@ -128,7 +127,10 @@ class ModelGeometry:
     grid_I1 (_beta_ratio_I1) on r_grid are the one grid evaluation of the
     slice's special functions, which the coefficient solves read. The
     closed forms of u and du give pointwise data off the grid via
-    level_data(), as accurate as on the grid.
+    level_data(), as accurate as on the grid. The boundary data are
+    Ws_curve.y[0] and dWs_curve.y[0]; since u(1) = 1, the minimal boundary
+    gives dW_s/dt(0) = 2 W_s(0)/(p-1) by construction
+    (tests/test_schwarzschild.py::test_minimal_boundary_relation).
     """
 
     p: float
@@ -219,19 +221,3 @@ def model_profile(
         tol=tol or Tolerances(),
     )
     return model
-
-
-def ws_boundary_data(model: ModelGeometry) -> tuple[float, float]:
-    """(W(0), dW/dt(0)) on the reference slice.
-
-    The boundary sphere is minimal, which forces dW/dt(0) = 2/(p-1) * W(0);
-    that relation is asserted before returning.
-    """
-    W0 = float(model.Ws_curve.y[0])
-    dW0 = float(model.dWs_curve.y[0])
-    expected = 2.0 / (model.p - 1.0) * W0
-    if abs(dW0 - expected) > model.tol.accept_rel * abs(expected):
-        raise RuntimeError(
-            f"boundary slope {dW0!r} violates the minimal-boundary relation {expected!r}"
-        )
-    return W0, dW0

@@ -9,7 +9,7 @@ as their constant value Q0 on the reference slice plus the terms in which
 the flow's W and dW/dt differ from the slice's at the same t. It certifies
 their forward differences against the slope slack wherever rounding leaves
 that slack resolvable, estimates their limits, checks the boundary
-inequality W(0) <= W_s(0) through the decaying triple's boundary identity,
+inequality W(0) <= W_s(0) with W_s(0) read from the reference model,
 evaluates the exponentially weighted mass functional whose limit is 8 pi
 times the total mass, and reports the sharp capacity-to-mass margin with
 equality detection. Everything that the underlying inequalities do not
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coefficients import CoefficientSolution, _q_terms, _same_model, at_t, model_constancy
-from .numerics import SampledCurve, Tolerances
+from .numerics import SampledCurve
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses
 
@@ -38,7 +38,6 @@ __all__ = [
     "certify_case",
     "constant_diagnostics",
     "evaluate_Q",
-    "horizon_W_bound",
     "mass_functional_Fp",
     "penrose_margin",
     "q_limits",
@@ -153,41 +152,6 @@ def q_limits(q: SampledCurve, flow: FlowProfile, flavor: str) -> float:
     return _tail_limit(x, q.y, (sigma, sigma + 1.0))
 
 
-def horizon_W_bound(
-    flow: FlowProfile,
-    dec: CoefficientSolution,
-    model: ModelGeometry,
-) -> float:
-    """W_s(0) - W(0): the boundary gradient bound from the decaying triple.
-
-    W_s(0) is reconstructed as -4 pi (3-p)^2 f(0) / (g(0) + 2(3-p) h(0)),
-    the identity that the decaying triple's boundary data satisfies; the
-    sign certificates (f(0) < 0, denominator > 0) and agreement with the
-    reference profile are asserted before the difference is returned. A
-    nonnegative return is the boundary case of the decaying monotonicity.
-    """
-    _same_model(model, dec)
-    if dec.flavor != "decaying":
-        raise ValueError("horizon bound needs the decaying flavor")
-    p = model.p
-    s = 3.0 - p
-    f0, g0, h0 = dec.boundary_values()
-    denom = g0 + 2.0 * s * h0
-    if not (f0 < 0.0 and denom > 0.0):
-        raise RuntimeError(
-            f"sign certificates failed at the boundary (f(0) = {f0:g}, "
-            f"g(0) + 2(3-p)h(0) = {denom:g})"
-        )
-    Ws0 = -4.0 * math.pi * s**2 * f0 / denom
-    Ws0_model = float(model.Ws_curve.y[0])
-    if abs(Ws0 - Ws0_model) > model.tol.accept_rel * Ws0_model:
-        raise RuntimeError(
-            f"boundary identity value {Ws0!r} disagrees with the reference "
-            f"profile {Ws0_model!r}"
-        )
-    return Ws0 - flow.W0
-
-
 def mass_functional_Fp(flow: FlowProfile) -> tuple[SampledCurve, float]:
     """The exponentially weighted mass functional and its tail limit.
 
@@ -296,9 +260,12 @@ def case_report(
     Merges both flavors' monotonicity, the boundary gradient bound, the
     mass functional limit, the limit estimates, and the sharp margin into
     one report; the diagnostics also carry the flow's solver counts
-    (flow_nfev, flow_steps). Raises ValueError when the scalar curvature
-    dips negative, a hypothesis of the mass bound (penrose_margin); that
-    check runs first, so it is the error reported at any grid. Numerical
+    (flow_nfev, flow_steps). The bound's horizon_W_gap is W_s(0) - W(0),
+    with W_s(0) read from the model: the t = 0 end of the decaying
+    monotonicity, whose Q vanishes on the slice (reference_checks gates it
+    as decaying_zero). Raises ValueError when the scalar curvature dips
+    negative, a hypothesis of the mass bound (penrose_margin); that check
+    runs first, so it is the error reported at any grid. Numerical
     check failures surface in the report's slopes and gaps, which
     certify_case gates. Every budget is model.tol.
     """
@@ -306,7 +273,6 @@ def case_report(
     pm = penrose_margin(flow, model)
     curves = dict(zip(("decaying", "growing"), evaluate_Q(flow, dec, grow)))
     _, f_limit = mass_functional_Fp(flow)
-    bound_gap = horizon_W_bound(flow, dec, model)
 
     diagnostics = {}
     equality = pm.equality_flag
@@ -328,7 +294,7 @@ def case_report(
         "growing_limit_bound_resolved": bound_value,
         "mass_functional_limit": f_limit,
         "mass_functional_target": 8.0 * math.pi * flow.adm,
-        "horizon_W_gap": bound_gap,
+        "horizon_W_gap": float(model.Ws_curve.y[0]) - flow.W0,
         **pm.diagnostics,
         "flow_nfev": flow.nfev,
         "flow_steps": flow.steps,
@@ -387,13 +353,13 @@ class CaseResult:
 
 
 def _gated_checks(
-    report: VerificationReport, flow: FlowProfile, vacuum: bool, tol: Tolerances
+    report: VerificationReport, flow: FlowProfile, vacuum: bool, model: ModelGeometry
 ) -> tuple[dict, ...]:
     diag = report.diagnostics
-    acc, slack = tol.accept_rel, tol.slope_slack
+    acc, slack = model.tol.accept_rel, model.tol.slope_slack
     slope_dec, slope_grow = diag["min_slope_decaying"], diag["min_slope_growing"]
     horizon_gap = diag["horizon_W_gap"]
-    horizon_scale = acc * (horizon_gap + flow.W0)
+    horizon_scale = acc * float(model.Ws_curve.y[0])
     margin, margin_scale = report.penrose_margin, acc * max(flow.adm, 1.0)
     if vacuum:
         margin_check = _check("penrose_sharp", margin, margin_scale, abs(margin) <= margin_scale)
@@ -517,5 +483,5 @@ def certify_case(
         return CaseResult.failed(p, tag, params, "hypotheses", exc)
     except (ValueError, RuntimeError) as exc:
         return CaseResult.failed(p, tag, params, "case_report", exc)
-    checks = _gated_checks(report, flow, warp.vacuum, tol)
+    checks = _gated_checks(report, flow, warp.vacuum, model)
     return CaseResult(p, tag, params, report, checks)

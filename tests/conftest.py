@@ -22,7 +22,7 @@ from masscap import (
     solve_decaying,
     solve_growing,
 )
-from masscap.coefficients import _abc
+from masscap.coefficients import _bc
 
 P_GRID = (1.2, 1.5, 1.8)
 SCHWARZSCHILD_MASSES = (1.0, 2.0, 5.0)
@@ -33,7 +33,7 @@ def perfect_square_remainder():
     """The relation that makes dQ/dt a perfect square, reduced by sympy.
 
     g - 2(p-2) h + (p-1)(3-p) dh/dt + 2 c_h h W'/W with c_h = (p-1)(5-p)/4,
-    where dh/dt = (b g + c h) dr/dt with coefficients._abc's b and c, as
+    where dh/dt = (b g + c h) dr/dt with coefficients._bc's b and c, as
     both triples take g. Free symbols p, W, dW/dr, dr/dt, g and h; the
     result is 0 exactly when the relation holds as algebra.
     """
@@ -42,11 +42,11 @@ def perfect_square_remainder():
     p = sp.Symbol("p", positive=True)
     W, dWdr, drdt, g, h = sp.symbols("W dWdr drdt g h", nonzero=True)
     d = SimpleNamespace(W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt)
-    _, b, c, _ = _abc(p, d)
+    b, c, _ = _bc(p, d)
     ch = (p - 1) * (5 - p) / 4
     res = g - 2 * (p - 2) * h + (p - 1) * (3 - p) * (b * g + c * h) * drdt
     res += 2 * ch * h * d.dWdt / W
-    # _abc writes its constants as floats; each is an exact binary fraction,
+    # _bc writes its constants as floats; each is an exact binary fraction,
     # so rational=True keeps the expression exact.
     return sp.cancel(sp.nsimplify(res, rational=True))
 

@@ -31,7 +31,6 @@ PUBLIC_NAMES = [
     "family_flat_exterior",
     "family_schwarzschild",
     "flux_constant",
-    "horizon_W_bound",
     "level_flow",
     "mass_functional_Fp",
     "masses",
@@ -45,12 +44,11 @@ PUBLIC_NAMES = [
     "solve_decaying",
     "solve_growing",
     "spline_bump",
-    "ws_boundary_data",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 32
+    assert len(PUBLIC_NAMES) == 30
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

@@ -251,6 +251,31 @@ class TestResiduals:
                 terms = (g, -2.0 * (p - 2.0) * h, (p - 1.0) * s * dhdt, 2.0 * ch * h * dlogW)
                 assert abs(sum(terms)) <= 1e-12 * max(abs(term) for term in terms), (p, r)
 
+    @pytest.mark.parametrize("flavor_index", [0, 1], ids=["decaying", "growing"])
+    def test_first_pair_equation(self, lab, mp, flavor_index):
+        # dg/dr = a h with a = (c_h (dW/dt / W)^2 - 1)/(dr/dt), that is
+        # dg/dt + h = c_h h (dW/dt / W)^2 >= 0. The code takes g from the
+        # second equation only, so here dg/dt is the derivative of the
+        # oracle's g (which solves Q = const) and h is the code's.
+        for p in (1.2, 1.5, 1.8):
+            sol = lab.triples(p)[flavor_index]
+            ch = (p - 1.0) * (5.0 - p) / 4.0
+            for r in (1.5, 40.0, 1e3, 1e5):
+                with mp.workdps(50):
+                    r_mp = mp.mpf(r)
+                    step = r_mp * mp.mpf(10) ** -20
+                    t = exact_triple(mp, p, r_mp, sol.flavor)[3]
+                    g_up = exact_triple(mp, p, r_mp + step, sol.flavor)[1]
+                    g_down = exact_triple(mp, p, r_mp - step, sol.flavor)[1]
+                    _, _, drdt, W, dWdt = exact_profile(mp, mp.mpf(p), r_mp)
+                    dgdt = float((g_up - g_down) / (2 * step) * drdt)
+                    dlogW = float(dWdt / W)
+                _, _, _, [(_, _, h)] = at_t(float(t), sol)
+                h = float(h[0])
+                residual = dgdt + h - ch * h * dlogW**2
+                assert abs(residual) <= 1e-12 * max(abs(dgdt), abs(h)), (p, r)
+                assert dgdt + h > 0.0, (p, r)
+
 
 class TestEvaluationInterface:
     def test_at_t_reproduces_nodes(self, lab):

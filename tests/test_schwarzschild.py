@@ -13,7 +13,6 @@ from masscap import (
     model_profile,
     solve_decaying,
     solve_growing,
-    ws_boundary_data,
 )
 from masscap.numerics import fit_power_tail, panel_integrals, right_cumulative
 
@@ -34,7 +33,8 @@ class TestClosedFormAnchors:
         assert lab.model(1.5).Kp == pytest.approx(4.0 * PI * math.sqrt(60.0), rel=1e-12)
 
     def test_boundary_W(self, lab):
-        W0, dW0 = ws_boundary_data(lab.model(1.5))
+        model = lab.model(1.5)
+        W0, dW0 = float(model.Ws_curve.y[0]), float(model.dWs_curve.y[0])
         assert W0 == pytest.approx(PI * (15.0 / 16.0) ** 2, rel=1e-12)
         assert dW0 == pytest.approx(4.0 * W0, rel=1e-10)
 
@@ -69,7 +69,9 @@ class TestProfileShape:
         assert float(lab.model(p).Ws_curve.y[-1]) == pytest.approx(W_inf, rel=1e-5)
 
     def test_minimal_boundary_relation(self, lab, p):
-        W0, dW0 = ws_boundary_data(lab.model(p))
+        # Holds by construction (u(1) = 1); model_profile does not re-check it.
+        model = lab.model(p)
+        W0, dW0 = float(model.Ws_curve.y[0]), float(model.dWs_curve.y[0])
         assert dW0 == pytest.approx(2.0 / (p - 1.0) * W0, rel=1e-9)
 
     def test_flux_integral_radius_independent(self, lab, p):

@@ -15,7 +15,6 @@ from masscap import (
     evaluate_Q,
     family_bumped,
     family_schwarzschild,
-    horizon_W_bound,
     level_flow,
     mass_functional_Fp,
     model_constancy,
@@ -114,16 +113,12 @@ class TestLimitsAndBounds:
     def test_horizon_gap_scale_invariant_on_vacuum(self, lab):
         # W(0) depends only on the conformal class of the end, not the mass,
         # so the boundary gradient bound is tight for every member.
-        model = lab.model(1.5)
-        dec, _ = lab.triples(1.5)
         for mass in (1.0, 2.0, 5.0):
-            gap = horizon_W_bound(lab.flow(1.5, "schwarzschild", m=mass), dec, model)
+            gap = lab.report(1.5, "schwarzschild", m=mass).diagnostics["horizon_W_gap"]
             assert abs(gap) <= 1e-9
 
     def test_horizon_gap_positive_off_vacuum(self, lab):
-        model = lab.model(1.5)
-        dec, _ = lab.triples(1.5)
-        gap = horizon_W_bound(lab.flow(1.5, "bumped", m0=1.0, eps=0.1), dec, model)
+        gap = lab.report(1.5, "bumped", m0=1.0, eps=0.1).diagnostics["horizon_W_gap"]
         assert gap > 1e-3
 
     def test_mass_functional_limit_on_vacuum(self, lab):
@@ -138,11 +133,6 @@ class TestLimitsAndBounds:
         assert int(np.sum(flow.phi.y >= flow.phi.y[-1] / 10.0)) == 5
         with pytest.raises(ValueError, match="not enough samples in the limit window"):
             mass_functional_Fp(flow)
-
-    def test_growing_flavor_required_for_horizon_bound(self, lab):
-        _, grow = lab.triples(1.5)
-        with pytest.raises(ValueError, match="decaying"):
-            horizon_W_bound(lab.flow(1.5, "schwarzschild", m=2.0), grow, lab.model(1.5))
 
 
 class TestTailLimit:
@@ -340,6 +330,20 @@ class TestCertifyCase:
             result = self._certify(lab, "bumped", m0=1.0, eps=0.1, s1=0.0, s2=s2)
             assert [c["name"] for c in result.checks if not c["passed"]] == failed, s2
 
+    def test_horizon_gate_reads_the_model_boundary(self, lab):
+        # W_s(0) is the model's own sample, so the gap and its tolerance are
+        # exact; a W_s(0) rebuilt from the decaying triple is off by ~4e-16.
+        model = lab.model(1.5)
+        Ws0 = model.Ws_curve.y[0]
+        for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})):
+            flow = lab.flow(1.5, tag, **params)
+            result = self._certify(lab, tag, **params)
+            [check] = [c for c in result.checks if c["name"] == "horizon_gradient_bound"]
+            gap = float(Ws0) - flow.W0
+            assert result.report.diagnostics["horizon_W_gap"] == gap, tag
+            assert check["value"] == gap, tag
+            assert check["tolerance"] == model.tol.accept_rel * Ws0, tag
+
     def test_minimal_boundary_needs_flow_and_triples(self, lab):
         with pytest.raises(ValueError, match="minimal boundary"):
             certify_case(lab.warp("schwarzschild", m=2.0), lab.model(1.5))
@@ -488,7 +492,6 @@ class TestTriplesBelongToTheirModel:
         warp = lab.warp("schwarzschild", m=2.0)
         calls = [
             lambda: model_constancy(grow, model),
-            lambda: horizon_W_bound(flow, dec, model),
             lambda: constant_diagnostics(model, dec, grow),
             lambda: reference_checks(model, dec, grow),
             lambda: case_report(flow, model, dec, grow),

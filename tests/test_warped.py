@@ -17,6 +17,7 @@ from masscap import (
     family_bumped,
     family_flat_exterior,
     family_schwarzschild,
+    flux_constant,
     level_flow,
     masses,
     radial_p_harmonic,
@@ -241,6 +242,29 @@ class TestRadialPotential:
         # At p = 1.001, phi(0)**(-2/(p-1)) = 4**(-2000) underflows too.
         with pytest.raises(ValueError, match="capacity integral underflows"):
             capacity_Cp(lab.warp("schwarzschild", m=m), 1.001)
+
+    def test_capacity_radius_tends_to_the_area_radius(self, lab):
+        # As p -> 1 the capacity radius 2 (C_p/K_p)^(1/(3-p)) tends to the
+        # area radius phi0/2 of the boundary, the Riemannian Penrose end of
+        # the mass bound. model_profile refuses at p = 1.02, so K_p is
+        # 4 pi C^(p-1) from the flux constant alone. The sign of the gap is
+        # not asserted: no theorem for it is cited.
+        def gap(warp, p):
+            Kp = 4.0 * math.pi * flux_constant(p) ** (p - 1.0)
+            return 2.0 * (capacity_Cp(warp, p) / Kp) ** (1.0 / (3.0 - p)) - 0.5 * warp.phi0
+
+        warps = (
+            lab.warp("schwarzschild", m=2.0),
+            lab.warp("bumped", m0=1.0, eps=0.1, s1=2.0, s2=6.0),
+            lab.warp("bumped", m0=0.5, eps=1.0, s1=1.0, s2=4.0),
+        )
+        for warp in warps:
+            assert abs(gap(warp, 1.02)) <= 1e-12 * 0.5 * warp.phi0, warp.params
+        # A bump that touches the boundary: 1.0e-3 at p = 1.2 down to 4.5e-6.
+        touching = lab.warp("bumped", m0=1.0, eps=0.1, s1=0.0, s2=3.0)
+        gaps = [abs(gap(touching, p)) for p in (1.2, 1.1, 1.05, 1.03, 1.02)]
+        assert all(later < earlier for earlier, later in zip(gaps, gaps[1:])), gaps
+        assert gaps[-1] < 1e-5
 
 
     @pytest.mark.parametrize("p", [1.02, 1.001])
