@@ -30,9 +30,7 @@ from .verify import (
     certify_case,
     constant_diagnostics,
     evaluate_Q,
-    mass_functional_Fp,
     penrose_margin,
-    q_limits,
     reference_checks,
 )
 from .warped import (
@@ -73,12 +71,10 @@ __all__ = [
     "family_schwarzschild",
     "flux_constant",
     "level_flow",
-    "mass_functional_Fp",
     "masses",
     "model_constancy",
     "model_profile",
     "penrose_margin",
-    "q_limits",
     "radial_p_harmonic",
     "reference_checks",
     "scalar_curvature",

@@ -89,14 +89,6 @@ _FAMILIES = {
 }
 
 
-# A vacuum case's mass_limit error depends only on s_max/m and exceeds its
-# bound below s_max = 125 m (m = 50 on s_max = 5e3: 1.5e-5 against 1e-5 at
-# p = 1.5). A bump's end is vacuum too, and bumps with m0 near s_max/125
-# use about as much of the bound, so the config refuses a Schwarzschild m or
-# a bumped m0 above s_max/125, whatever the bump's height.
-_S_MAX_PER_MASS = 125.0
-
-
 class ConfigError(ValueError):
     """Malformed run configuration; maps to exit code 2."""
 
@@ -221,13 +213,6 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     s_max = _require_number(grids["s_max"], "grids.s_max")
     if s_max < 100.0:
         raise ConfigError(f"grids.s_max must be >= 100, got {s_max:g}")
-    for tag, params in fam_clean:
-        key = {"schwarzschild": "m", "bumped": "m0"}.get(tag)
-        if key and params[key] > s_max / _S_MAX_PER_MASS:
-            raise ConfigError(
-                f"{tag} mass {key} = {params[key]:g} needs grids.s_max >= "
-                f"{_S_MAX_PER_MASS:g} {key} = {_S_MAX_PER_MASS * params[key]:g}, got {s_max:g}"
-            )
     n_points = _require_int(grids["n_points"], "grids.n_points", 64)
     n_s = _require_int(grids["n_s"], "grids.n_s", 16)
     n_t = _require_int(grids["n_t"], "grids.n_t", 16)

@@ -142,15 +142,19 @@ def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.nd
     from x^sigma = sigma B(sigma, sigma) e^(-t/(p-1)) I_1/2(sigma, sigma),
     taken in logarithms: there the O(x) term of I_x(sigma, sigma) (DLMF
     8.17.8) is below an ulp, while betaincinv returns nan for small
-    arguments at some sigma (p = 1.27 to 1.57 with scipy 1.17). live marks
-    the t whose r**(-2/(p-1)) is a normal double (the bound model_profile
-    puts on R_max); past that radius the profile data underflow. r holds
-    the radii of the live t only.
+    arguments at some sigma (p = 1.27 to 1.57 with scipy 1.17). At t = 0,
+    x is 1/2 by construction (u(1) = 1): betaincinv misses it by up to
+    4.9e-8 at some p (p = 1.911 with scipy 1.17), while at t > 0 it is
+    exact to a few ulps.
+    live marks the t whose r**(-2/(p-1)) is a normal double (the bound
+    model_profile puts on R_max); past that radius the profile data
+    underflow. r holds the radii of the live t only. Reads only model.p.
     """
     p = model.p
     sigma = (3.0 - p) / (p - 1.0)
     half = betainc(sigma, sigma, 0.5)
     x = betaincinv(sigma, sigma, np.exp(-t / (p - 1.0)) * half)
+    x[t == 0.0] = 0.5
     log_x = (math.log(sigma * beta_fn(sigma, sigma) * half) - t / (p - 1.0)) / sigma
     tail = log_x < math.log(1e-17)
     x[tail] = np.exp(log_x[tail])

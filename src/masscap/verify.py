@@ -1,4 +1,4 @@
-"""Certification layer: monotonicity, limits, and the sharp mass bound.
+"""Certification layer: monotonicity, the vacuum end, and the sharp mass bound.
 
 Given a geometry's level-set flow and the coefficient triples from the
 reference slice, this module assembles the monotone combinations
@@ -8,11 +8,12 @@ reference slice, this module assembles the monotone combinations
 as their constant value Q0 on the reference slice plus the terms in which
 the flow's W and dW/dt differ from the slice's at the same t. It certifies
 their forward differences against the slope slack wherever rounding leaves
-that slack resolvable, estimates their limits, checks the boundary
-inequality W(0) <= W_s(0) with W_s(0) read from the reference model,
-evaluates the exponentially weighted mass functional whose limit is 8 pi
-times the total mass, and reports the sharp capacity-to-mass margin with
-equality detection. Everything that the underlying inequalities do not
+that slack resolvable, checks the boundary inequality W(0) <= W_s(0) with
+W_s(0) read from the reference model, checks pointwise that the flow's
+vacuum end is the reference slice shifted in t (which pins the mass and
+the capacity, and with them every limit of the case in closed form), and
+reports the sharp capacity-to-mass margin with equality detection.
+Everything that the underlying inequalities do not
 actually pin down numerically is reported under `diagnostics` and never
 gates. `certify_case` turns all of that into the named pass/fail checks of
 one (p, geometry) case, and `reference_checks` gates the closed-form
@@ -25,8 +26,16 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import betaln
 
-from .coefficients import CoefficientSolution, _q_terms, _same_model, at_t, model_constancy
+from .coefficients import (
+    CoefficientSolution,
+    _level_radii,
+    _q_terms,
+    _same_model,
+    at_t,
+    model_constancy,
+)
 from .numerics import SampledCurve
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses
@@ -38,9 +47,7 @@ __all__ = [
     "certify_case",
     "constant_diagnostics",
     "evaluate_Q",
-    "mass_functional_Fp",
     "penrose_margin",
-    "q_limits",
     "reference_checks",
 ]
 
@@ -64,6 +71,12 @@ class VerificationReport:
     curves: dict = field(default_factory=dict, repr=False, compare=False)
 
 
+def _nodes(flow: FlowProfile) -> np.ndarray:
+    """Indices of flow.t_grid decimated to ~4096 points, ending at t_max."""
+    n_t = flow.t_grid.size
+    return np.r_[0 : n_t - 1 : max(1, n_t // 4096), n_t - 1]
+
+
 def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCurve]:
     """Assemble the monotone combinations of triples of one model along a flow.
 
@@ -83,8 +96,7 @@ def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCur
     if abs(flow.p - sols[0].p) > 1e-12:
         raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sols[0].p}")
     c = (flow.p - 1.0) * (3.0 - flow.p)
-    n_t = flow.t_grid.size
-    nodes = np.r_[0 : n_t - 1 : max(1, n_t // 4096), n_t - 1]
+    nodes = _nodes(flow)
     t = flow.t_grid[nodes]
     live, Ws, dWs, triples = at_t(t, *sols)
     W, dWdt = flow.W.y[nodes][live], flow.dWdt.y[nodes][live]
@@ -132,48 +144,6 @@ def _tail_limit(
     return float(coef[0])
 
 
-def q_limits(q: SampledCurve, flow: FlowProfile, flavor: str) -> float:
-    """Tail-limit estimate of a monotone combination of the given flavor.
-
-    The fit runs against the sphere radius phi: the decaying flavor decays
-    like phi**(-(3-p)/(p-1)) toward zero, the growing one approaches its
-    limit with O(1/phi) corrections. Both use a three-term basis over the
-    top decade of the radii that q covers, i.e. of evaluate_Q's gated
-    window: the whole decimated flow unless rounding cuts it short.
-    """
-    p = flow.p
-    # evaluate_Q samples q.x from flow.t_grid, so every q.x is a grid node.
-    x = flow.phi.y[np.searchsorted(flow.t_grid, q.x)]
-    if flavor == "growing":
-        return _tail_limit(x, q.y, (1.0, 2.0))
-    if flavor != "decaying":
-        raise ValueError(f"unknown flavor {flavor!r}")
-    sigma = (3.0 - p) / (p - 1.0)
-    return _tail_limit(x, q.y, (sigma, sigma + 1.0))
-
-
-def mass_functional_Fp(flow: FlowProfile) -> tuple[SampledCurve, float]:
-    """The exponentially weighted mass functional and its tail limit.
-
-    F(t) = (1/(3-p)) ((p-1) c_p / (3-p))**((p-1)/(3-p)) e^(t/(3-p))
-           * (4 pi (3-p) - H_flux + W/(3-p)),
-
-    with c_p the capacity-normalized tail constant (C_p/4pi)**(1/(p-1)).
-    Its limit equals 8 pi times the total mass on vacuum ends and is
-    bounded by it in general; the limit estimate uses a three-term fit in
-    1/phi over the top decade of radii.
-    """
-    p = flow.p
-    s = 3.0 - p
-    cp = (flow.Cp / (4.0 * math.pi)) ** (1.0 / (p - 1.0))
-    pref = (1.0 / s) * ((p - 1.0) * cp / s) ** ((p - 1.0) / s)
-    t = flow.t_grid
-    vals = pref * np.exp(t / s) * (
-        4.0 * math.pi * s - flow.H_flux.y + flow.W.y / s
-    )
-    return SampledCurve(t, vals), _tail_limit(flow.phi.y, vals, (1.0, 2.0))
-
-
 class _HypothesisViolation(ValueError):
     """The geometry violates a hypothesis of the mass bound."""
 
@@ -217,6 +187,32 @@ def penrose_margin(flow: FlowProfile, model: ModelGeometry) -> VerificationRepor
     )
 
 
+def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> float:
+    """Largest |W - W_s(t + delta)| / W_s(t + delta) over the flow's vacuum end.
+
+    Beyond end_s the geometry is the Schwarzschild slice of mass adm, whose
+    own potential u_M has u_M' = -C_M phi^(-kappa), kappa = 2/(p-1), with
+    C_M = (2 adm)^(kappa-1) / B(kappa-1, 1/2) (the beta function of
+    warped._capacity_tail). Flux conservation makes u = (C/C_M) u_M there,
+    and W, which depends only on phi and u'/u, is scale-invariant, so
+    W(t) = W_s(t + delta) with delta = (p-1) ln(C/C_M) and C^(p-1) =
+    C_p/(4 pi). Read at evaluate_Q's t-nodes with s >= end_s whose shifted
+    radius is live. A wrong adm or C_p moves delta, so this reads them
+    pointwise; on vacuum ends it is rounding (about 1e-11).
+    """
+    p = flow.p
+    nodes = _nodes(flow)
+    nodes = nodes[flow.s_of_t.y[nodes] >= end_s]
+    kappa = 2.0 / (p - 1.0)
+    ln_CM = (kappa - 1.0) * math.log(2.0 * flow.adm) - betaln(kappa - 1.0, 0.5)
+    delta = math.log(flow.Cp / (4.0 * math.pi)) - (p - 1.0) * ln_CM
+    r, live = _level_radii(model, flow.t_grid[nodes] + delta)
+    if not np.any(live):
+        raise ValueError(f"no flow sample with s >= {end_s:g} has a live shifted radius")
+    Ws = model.level_data(r).W
+    return float(np.max(np.abs(flow.W.y[nodes][live] - Ws) / Ws))
+
+
 def constant_diagnostics(
     model: ModelGeometry,
     dec: CoefficientSolution,
@@ -257,10 +253,13 @@ def case_report(
 ) -> VerificationReport:
     """Full certification of one geometry against the reference slice.
 
-    Merges both flavors' monotonicity, the boundary gradient bound, the
-    mass functional limit, the limit estimates, and the sharp margin into
-    one report; the diagnostics also carry the flow's solver counts
-    (flow_nfev, flow_steps). The bound's horizon_W_gap is W_s(0) - W(0),
+    Merges both flavors' monotonicity, the boundary gradient bound and the
+    sharp margin into one report; the diagnostics also carry the growing
+    Q's limit in closed form, growing_limit_bound_resolved (the vacuum end
+    makes it L = 8 pi s^2 (K_p/C_p)^(1/s) adm + 8 pi s^3 - 16 pi s, s = 3-p,
+    which Q0_growing meets on vacuum and stays below otherwise), and the
+    flow's solver counts (flow_nfev, flow_steps). The bound's
+    horizon_W_gap is W_s(0) - W(0),
     with W_s(0) read from the model: the t = 0 end of the decaying
     monotonicity, whose Q vanishes on the slice (reference_checks gates it
     as decaying_zero). Raises ValueError when the scalar curvature dips
@@ -272,7 +271,6 @@ def case_report(
     _same_model(model, dec, grow)
     pm = penrose_margin(flow, model)
     curves = dict(zip(("decaying", "growing"), evaluate_Q(flow, dec, grow)))
-    _, f_limit = mass_functional_Fp(flow)
 
     diagnostics = {}
     equality = pm.equality_flag
@@ -280,7 +278,6 @@ def case_report(
         slope, flat = _monotonicity(q.y, model.tol.accept_rel)
         diagnostics[f"min_slope_{flavor}"] = slope
         diagnostics[f"Q0_{flavor}"] = float(q.y[0])
-        diagnostics[f"limit_{flavor}"] = q_limits(q, flow, flavor)
         equality = equality and flat
 
     s = 3.0 - flow.p
@@ -292,8 +289,6 @@ def case_report(
     diagnostics.update({
         "growing_coverage": float(curves["growing"].x[-1]) / flow.t_max,
         "growing_limit_bound_resolved": bound_value,
-        "mass_functional_limit": f_limit,
-        "mass_functional_target": 8.0 * math.pi * flow.adm,
         "horizon_W_gap": float(model.Ws_curve.y[0]) - flow.W0,
         **pm.diagnostics,
         "flow_nfev": flow.nfev,
@@ -353,29 +348,26 @@ class CaseResult:
 
 
 def _gated_checks(
-    report: VerificationReport, flow: FlowProfile, vacuum: bool, model: ModelGeometry
+    report: VerificationReport, end_error: float, vacuum: bool, model: ModelGeometry
 ) -> tuple[dict, ...]:
+    """The six checks of a minimal-boundary case; end_error is _end_error's."""
     diag = report.diagnostics
     acc, slack = model.tol.accept_rel, model.tol.slope_slack
     slope_dec, slope_grow = diag["min_slope_decaying"], diag["min_slope_growing"]
     horizon_gap = diag["horizon_W_gap"]
     horizon_scale = acc * float(model.Ws_curve.y[0])
-    margin, margin_scale = report.penrose_margin, acc * max(flow.adm, 1.0)
+    margin, margin_scale = report.penrose_margin, acc * max(diag["adm"], 1.0)
     if vacuum:
         margin_check = _check("penrose_sharp", margin, margin_scale, abs(margin) <= margin_scale)
     else:
         margin_check = _check("penrose_margin", margin, 0.0, margin > 0.0)
-    # Every family is vacuum beyond s2 <= s_max/2, so F tends to 8 pi adm on
-    # each (masses); a fit window that reaches into a bump misses it.
-    f_limit, f_target = diag["mass_functional_limit"], diag["mass_functional_target"]
-    mass_scale = 10.0 * acc * max(f_target, 1.0)
     equality = report.equality_flag
     return (
         _check("monotone_decaying", slope_dec, slack, slope_dec >= -slack),
         _check("monotone_growing", slope_grow, slack, slope_grow >= -slack),
         _check("horizon_gradient_bound", horizon_gap, horizon_scale, horizon_gap >= -horizon_scale),
         margin_check,
-        _check("mass_limit", f_limit, mass_scale, abs(f_limit - f_target) <= mass_scale),
+        _check("end_is_reference", end_error, acc, end_error <= acc),
         _check("equality_flag", equality, None, bool(equality) == vacuum),
     )
 
@@ -398,8 +390,8 @@ def reference_checks(
 
     With accept_rel from model.tol, the tolerances are accept_rel times
     |Q(0)| for the first two and times the decaying Q's largest term on the
-    grid for the third. The last two are tail fits and, like mass_limit,
-    get 10 accept_rel max(1, |limit|).
+    grid for the third. The last two are tail fits and get
+    10 accept_rel max(1, |limit|).
     Returns the checks and the measured values (constant_diagnostics).
     """
     _same_model(model, dec, grow)
@@ -444,15 +436,17 @@ def certify_case(
     against the Euclidean capacity 4 pi ((3-p)/(p-1))**(p-1) and zero mass;
     flow, dec and grow are not needed. One with a minimal boundary needs
     its flow at p and both triples, and gets case_report plus the gated
-    checks: both monotonicities, the boundary gradient bound, the mass
-    limit, the margin and the equality flag (R >= 0 is a hypothesis, checked
+    checks: both monotonicities, the boundary gradient bound, the margin,
+    the vacuum end and the equality flag (R >= 0 is a hypothesis, checked
     by penrose_margin). The vacuum members (warp.vacuum: Schwarzschild,
     bumps with eps = 0) must meet the equality case sharply, every other
-    geometry the strict margin without equality. Every one must meet
-    |F - 8 pi adm| <= 10 accept_rel max(8 pi adm, 1) for the mass functional's
-    limit F (mass_limit), since each end is vacuum. A failed hypothesis of the
-    mass bound is the failed stage check "hypotheses", any other error of
-    case_report the stage check "case_report", and a failed flat capacity
+    geometry the strict margin without equality. Every one must have a
+    vacuum end, beyond warp.end_s, that is the reference slice shifted in
+    t to within accept_rel (end_is_reference, _end_error): that pins its
+    adm and C_p, and with them every limit of the case. A failed hypothesis
+    of the mass bound is the failed stage check "hypotheses", any other
+    error of case_report or of the end gate the stage check "case_report",
+    and a failed flat capacity
     or mass the stage check "capacity". Triples solved on another model
     than `model` raise ValueError, as in every function that takes both.
     Every tolerance derives from model.tol.
@@ -479,9 +473,10 @@ def certify_case(
     _same_model(model, dec, grow)
     try:
         report = case_report(flow, model, dec, grow)
+        end_error = _end_error(flow, model, warp.end_s)
     except _HypothesisViolation as exc:
         return CaseResult.failed(p, tag, params, "hypotheses", exc)
     except (ValueError, RuntimeError) as exc:
         return CaseResult.failed(p, tag, params, "case_report", exc)
-    checks = _gated_checks(report, flow, warp.vacuum, model)
+    checks = _gated_checks(report, end_error, warp.vacuum, model)
     return CaseResult(p, tag, params, report, checks)

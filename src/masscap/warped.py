@@ -133,7 +133,10 @@ class WarpProfile:
     scalar_curvature reads. The sampled curves phi and phi' cover a
     log-like grid for export and the capacity quadrature. vacuum marks
     the members with R = 0 everywhere, which must meet the equality case
-    of the mass bound. nfev and steps count the right-hand sides and
+    of the mass bound. end_s is where the vacuum end begins: beyond it,
+    up to infinity, phi is the Schwarzschild slice of the total mass
+    (s2 <= s_max/2 for a bump, 0 for Schwarzschild and the flat exterior).
+    nfev and steps count the right-hand sides and
     accepted steps of the forward solve, summed over its pieces (0 for a
     closed-form family).
     """
@@ -147,6 +150,7 @@ class WarpProfile:
     phi_fn: Callable = field(repr=False)
     accel_fn: Callable = field(repr=False)
     vacuum: bool
+    end_s: float = 0.0
     minimal_boundary: bool = True
     nfev: int = 0
     steps: int = 0
@@ -174,6 +178,7 @@ def _solve_family(
     s_max: float,
     n: int,
     knots=(),
+    end_s: float = 0.0,
 ) -> WarpProfile:
     """Integrate phi'' = accel forward from the minimal boundary phi(0) = phi0.
 
@@ -220,6 +225,7 @@ def _solve_family(
         phi_fn=phi_fn,
         accel_fn=accel,
         vacuum=vacuum,
+        end_s=float(end_s),
         nfev=dense.nfev,
         steps=dense.steps,
     )
@@ -284,7 +290,7 @@ def family_bumped(
 
     params = {"m0": float(m0), "eps": float(eps), "s1": float(s1), "s2": float(s2)}
     knots = [s1 + k * (s2 - s1) / 4.0 for k in range(5)]
-    return _solve_family("bumped", params, 2.0 * m0, accel, float(eps) == 0.0, s_max, n, knots)
+    return _solve_family("bumped", params, 2.0 * m0, accel, float(eps) == 0.0, s_max, n, knots, s2)
 
 
 def family_flat_exterior(
@@ -341,8 +347,9 @@ def scalar_curvature(warp: WarpProfile) -> SampledCurve:
 def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
     """integral_{s_max}^inf phi^(-kappa) ds, using phi' = sqrt(1 - 2m/phi).
 
-    Valid because every family is vacuum beyond its sample grid (bump
-    supports are confined by construction). ds = dphi / sqrt(1 - 2m/phi)
+    Valid because every family is vacuum beyond warp.end_s <= s_max/2,
+    which certify_case's end_is_reference gate checks pointwise along the
+    flow. ds = dphi / sqrt(1 - 2m/phi)
     and x = 2m/phi turn the integral into (2m)^(1-kappa) B(x; kappa-1, 1/2)
     at x = 2m/phi_max; for m = 0 it is phi_max^(1-kappa)/(kappa-1).
     """
@@ -403,8 +410,10 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
 
     The Hawking mass of the level spheres is (phi/2)(1 - phi'^2). The total
     mass is its value at s_max, exact under the vacuum-end assumption that
-    _capacity_tail makes too: every family is vacuum beyond s2 <= s_max/2,
-    where the Hawking mass is constant.
+    _capacity_tail makes too: every family is vacuum beyond
+    warp.end_s <= s_max/2, where the Hawking mass is constant.
+    certify_case's end_is_reference gate reads that mass, with C_p,
+    against the reference slice along the whole end.
     """
     hawk = SampledCurve(warp.s_grid, _hawking(warp.phi.y, warp.dphi.y))
     return hawk, float(hawk.y[-1])

@@ -12,6 +12,7 @@ import numpy as np
 
 from masscap import capacity_Cp, constant_diagnostics, masses, model_constancy
 from masscap.numerics import fit_power_tail
+from masscap.verify import _end_error
 from conftest import (
     BUMP_EPSILONS,
     P_GRID,
@@ -181,19 +182,15 @@ def test_criterion_09_sharp_mass_bound(lab):
     _verdict(9, "sharp capacity-to-mass bound", ok, f"worst |margin|/m {worst:.2e}, bumped > 0: {margins_ok}")
 
 
-def test_criterion_10_mass_functional_limit(lab):
-    rel_tol = 1e-5
+def test_criterion_10_end_is_reference(lab):
+    # Beyond its end_s every geometry is Schwarzschild of mass adm, so its W
+    # is the reference slice's at a shifted t, the shift fixed by adm and C_p.
+    tol = 1e-9
     worst = 0.0
-    bounded = True
     for p, tag, params in _nonflat_cases():
-        d = lab.report(p, tag, **params).diagnostics
-        limit, target = d["mass_functional_limit"], d["mass_functional_target"]
-        if tag == "schwarzschild":
-            worst = max(worst, _rel(limit, target))
-        else:
-            bounded = bounded and limit <= target + 1e-6
-    ok = worst <= rel_tol and bounded
-    _verdict(10, "mass functional limit", ok, f"worst rel {worst:.2e}, tol {rel_tol:g}, bounded {bounded}")
+        flow, end_s = lab.flow(p, tag, **params), lab.warp(tag, **params).end_s
+        worst = max(worst, _end_error(flow, lab.model(p), end_s))
+    _verdict(10, "vacuum end is the shifted reference slice", worst <= tol, f"worst rel {worst:.2e}, tol {tol:g}")
 
 
 def test_criterion_11_euclidean_oracle(lab):

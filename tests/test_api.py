@@ -32,12 +32,10 @@ PUBLIC_NAMES = [
     "family_schwarzschild",
     "flux_constant",
     "level_flow",
-    "mass_functional_Fp",
     "masses",
     "model_constancy",
     "model_profile",
     "penrose_margin",
-    "q_limits",
     "radial_p_harmonic",
     "reference_checks",
     "scalar_curvature",
@@ -48,7 +46,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 30
+    assert len(PUBLIC_NAMES) == 28
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

@@ -109,8 +109,7 @@ class TestVerifyCommand:
         assert set(schw["diagnostics"]) == {
             "Cp", "Kp", "adm", "capacity_radius",
             "min_slope_decaying", "min_slope_growing", "Q0_decaying", "Q0_growing",
-            "limit_decaying", "limit_growing", "growing_limit_bound_resolved",
-            "growing_coverage", "mass_functional_limit", "mass_functional_target", "horizon_W_gap",
+            "growing_limit_bound_resolved", "growing_coverage", "horizon_W_gap",
             "flow_nfev", "flow_steps",
         }
         assert by_family["bumped"]["diagnostics"] == {}
@@ -120,6 +119,35 @@ class TestVerifyCommand:
         failed = [c for c in by_family["bumped"]["checks"] if not c["passed"]]
         assert failed and failed[0]["name"] == "hypotheses"
         assert "curvature" in failed[0]["detail"]
+
+    def test_large_mass_needs_no_larger_domain(self, tmp_path):
+        # Schwarzschild m = 50 on the default s_max = 5e3 passes every check.
+        # The config once refused it (s_max >= 125 m) to protect a tail fit.
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {"p_list": [1.5], "families": [{"tag": "schwarzschild", "params": {"m": 50.0}}]},
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        [case] = json.loads((out / "report.json").read_text())["cases"]
+        assert [check["name"] for check in case["checks"]][4] == "end_is_reference"
+
+    def test_mass_beyond_the_domain_is_a_family_failure(self, tmp_path):
+        # m = 1e6 on s_max = 100 is refused by the family itself, by name.
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {
+                "p_list": [1.5],
+                "families": [{"tag": "schwarzschild", "params": {"m": 1.0e6}}],
+                "grids": {"s_max": 100.0},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        [case] = json.loads((out / "report.json").read_text())["cases"]
+        [check] = case["checks"]
+        assert check["name"] == "family_construction" and not check["passed"]
+        assert check["detail"] == "first integral of the vacuum equation violated"
 
     def test_reference_model_failure_is_a_failed_check(self, tmp_path):
         # At p = 1.03 the default R_max is refused; the run must still write
@@ -463,10 +491,7 @@ BAD_CONFIGS = [
     ({"tolerances": {"accept_rel": True}}, "strictly positive and finite"),
     ({"tolerances": {"accept_rel": float("inf")}}, "strictly positive and finite"),
     ({"tolerances": {"slope_slack": 1e-9}}, "unknown tolerances keys ['slope_slack']"),
-    (
-        {"families": [{"tag": "schwarzschild", "params": {"m": 50.0}}]},
-        "schwarzschild mass m = 50 needs grids.s_max >= 125 m = 6250, got 5000",
-    ),
+    ({"grids": {"s_max": 50.0}}, "grids.s_max must be >= 100, got 50"),
     # A repeated p would certify its cases twice, and two workers would
     # write the same warped-* and q-* files at once.
     ({"p_list": [1.5, 1.2, 1.5]}, "p_list repeats the exponents [1.5]"),
@@ -479,16 +504,11 @@ BAD_CONFIGS = [
     ),
     ({"grids": {"s_max": math.nan}}, "grids.s_max must be a finite number, got nan"),
     ({"grids": {"R_max": math.inf}}, "grids.R_max must be a finite number, got inf"),
-    # A bump of height zero is the Schwarzschild slice of mass m0.
     (
-        {"families": [{"tag": "bumped", "params": {"m0": 50.0, "eps": 0.0}}]},
-        "bumped mass m0 = 50 needs grids.s_max >= 125 m0 = 6250, got 5000",
+        {"families": [{"tag": "schwarzschild", "params": {"m": 0.0}}]},
+        "schwarzschild.m must be positive",
     ),
-    # So is a bump's end beyond s2, which mass_limit reads as vacuum.
-    (
-        {"families": [{"tag": "bumped", "params": {"m0": 50.0, "eps": 0.1}}]},
-        "bumped mass m0 = 50 needs grids.s_max >= 125 m0 = 6250, got 5000",
-    ),
+    ({"grids": {"n_t": 8}}, "grids.n_t must be >= 16, got 8"),
 ]
 
 

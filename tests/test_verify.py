@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
@@ -16,16 +17,14 @@ from masscap import (
     family_bumped,
     family_schwarzschild,
     level_flow,
-    mass_functional_Fp,
     model_constancy,
     model_profile,
     penrose_margin,
-    q_limits,
     reference_checks,
     solve_decaying,
     solve_growing,
 )
-from masscap.verify import _monotonicity, _tail_limit
+from masscap.verify import _end_error, _monotonicity, _tail_limit
 from conftest import curvature_term
 
 PI = math.pi
@@ -89,26 +88,20 @@ class TestMonotonicityReport:
 
 
 class TestLimitsAndBounds:
-    def test_decaying_limit_vanishes(self, lab):
-        dec, _ = lab.triples(1.5)
-        flow = lab.flow(1.5, "schwarzschild", m=2.0)
-        [q] = evaluate_Q(flow, dec)
-        assert abs(q_limits(q, flow, "decaying")) <= 1e-9
-
-    def test_growing_limit_meets_resolved_bound_on_vacuum(self, lab):
-        # Every family's end is vacuum, a bump's beyond s2, so its growing
-        # limit has the closed form too. Fitted over exp(t/(3-p)) <= 20 only,
-        # the two bumps missed it by -0.93 % and -41 %; over the whole flow
-        # each meets it to about 1e-10.
-        cases = [
-            ("schwarzschild", {"m": 2.0}),
-            ("bumped", {"m0": 1.0, "eps": 0.1, "s1": 2.0, "s2": 6.0}),
-            ("bumped", {"m0": 1.0, "eps": 0.1, "s1": 100.0, "s2": 140.0}),
-        ]
-        for tag, params in cases:
-            d = lab.report(1.5, tag, **params).diagnostics
-            bound = d["growing_limit_bound_resolved"]
-            assert d["limit_growing"] == pytest.approx(bound, rel=1e-8), (tag, params)
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    def test_growing_Q0_is_at_most_its_limit(self, lab, p):
+        # The paper's chain: the monotone growing Q starts at most at its
+        # limit, which the vacuum end gives in closed form
+        # (growing_limit_bound_resolved). On vacuum Q is constant, so the
+        # two meet; a bump leaves a gap far above the rounding.
+        acc = lab.model(p).tol.accept_rel
+        for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})):
+            d = lab.report(p, tag, **params).diagnostics
+            q0, limit = d["Q0_growing"], d["growing_limit_bound_resolved"]
+            if tag == "schwarzschild":
+                assert abs(limit - q0) <= acc * abs(limit), (p, tag)
+            else:
+                assert limit - q0 > 1e-3, (p, tag)
 
     def test_horizon_gap_scale_invariant_on_vacuum(self, lab):
         # W(0) depends only on the conformal class of the end, not the mass,
@@ -120,19 +113,6 @@ class TestLimitsAndBounds:
     def test_horizon_gap_positive_off_vacuum(self, lab):
         gap = lab.report(1.5, "bumped", m0=1.0, eps=0.1).diagnostics["horizon_W_gap"]
         assert gap > 1e-3
-
-    def test_mass_functional_limit_on_vacuum(self, lab):
-        curve, limit = mass_functional_Fp(lab.flow(1.5, "schwarzschild", m=2.0))
-        assert np.all(np.isfinite(curve.y))
-        assert limit == pytest.approx(16.0 * PI, rel=1e-6)
-
-    def test_mass_functional_needs_eight_samples_in_its_window(self, lab):
-        # On the coarsest accepted t-grid the top decade of radii holds 5
-        # samples, too few for a three-term fit.
-        flow = level_flow(lab.warp("schwarzschild", m=2.0), 1.5, n_t=16)
-        assert int(np.sum(flow.phi.y >= flow.phi.y[-1] / 10.0)) == 5
-        with pytest.raises(ValueError, match="not enough samples in the limit window"):
-            mass_functional_Fp(flow)
 
 
 class TestTailLimit:
@@ -180,9 +160,6 @@ class TestCaseReport:
         assert not rep.equality_flag
         assert rep.penrose_margin > 0.01
         assert rep.min_forward_slope >= -1e-8
-        assert rep.diagnostics["mass_functional_limit"] <= (
-            rep.diagnostics["mass_functional_target"] + 1e-6
-        )
 
 
 class TestConstantDiagnostics:
@@ -245,7 +222,7 @@ class TestCertifyCase:
         assert all(check["passed"] for check in result.checks)
         assert result.report.equality_flag is True
         assert [check["name"] for check in result.checks] == self.SHARED + [
-            "penrose_sharp", "mass_limit", "equality_flag"
+            "penrose_sharp", "end_is_reference", "equality_flag"
         ]
         assert (result.p, result.family, result.params) == (1.5, "schwarzschild", {"m": 2.0})
 
@@ -263,7 +240,7 @@ class TestCertifyCase:
         assert result.passed
         assert result.report.penrose_margin > 0.0
         assert [check["name"] for check in result.checks] == self.SHARED + [
-            "penrose_margin", "mass_limit", "equality_flag"
+            "penrose_margin", "end_is_reference", "equality_flag"
         ]
 
     def test_negative_curvature_is_the_one_failed_check(self, lab, negative_eps_flow):
@@ -289,15 +266,16 @@ class TestCertifyCase:
         [check] = result.checks
         assert check["name"] == "hypotheses" and "scalar curvature" in check["detail"]
 
-    def test_coarse_grid_is_a_case_report_failure(self, lab):
-        # The coarsest accepted t-grid leaves the tail fits too few samples
-        # in the top decade of radii: the computation fails, not a
-        # hypothesis of the bound.
+    def test_coarse_grid_passes_every_check(self, lab):
+        # No check fits a tail any more: on the coarsest accepted t-grid
+        # every one of the 16 samples is gated, and the vacuum end still
+        # reads rounding only.
         flow = level_flow(lab.warp("schwarzschild", m=2.0), 1.5, n_t=16)
         result = self._certify(lab, "schwarzschild", flow=flow, m=2.0)
-        [check] = result.checks
-        assert check["name"] == "case_report" and not check["passed"]
-        assert check["detail"] == "not enough samples in the limit window"
+        assert result.passed, [c for c in result.checks if not c["passed"]]
+        assert result.report.curves["growing"].x.size == 16
+        [end] = [c for c in result.checks if c["name"] == "end_is_reference"]
+        assert end["value"] <= 1e-10
 
     def test_violated_hypothesis_wins_on_a_coarse_grid(self, lab):
         flow = level_flow(lab.warp("bumped", m0=1.0, eps=-0.1), 1.5, n_t=16)
@@ -320,15 +298,24 @@ class TestCertifyCase:
         assert light == result
 
     def test_mass_limit_is_two_sided(self, lab):
-        # Every end is vacuum beyond s2, so F tends to 8 pi adm on a bump
-        # too. The fit runs over phi >= phi_max/10: ending at
-        # phi(s2) = 0.098 phi_max, the bump on [0, 500] misses 8 pi adm by
-        # -2.4e-5, 0.0094 of the bound; the one on [0, 1000] reaches into
-        # the window and misses it by -42.9 (9 %), which a one-sided
-        # F <= 8 pi adm + accept_rel passed.
-        for s2, failed in ((500.0, []), (1000.0, ["mass_limit"])):
-            result = self._certify(lab, "bumped", m0=1.0, eps=0.1, s1=0.0, s2=s2)
-            assert [c["name"] for c in result.checks if not c["passed"]] == failed, s2
+        # The mass enters the end gate through the shift of the reference
+        # slice, so an adm too large or too small fails it alike. How finely
+        # the gate reads adm depends on where the end begins: 1e-5 moves
+        # the README bump's end (s2 = 6) by 4.5e-6 but the ends beyond
+        # s2 = 500 and 1000 by 3.2e-7 and 3.1e-7, so those get 1e-4. The
+        # bump on [0, 1000] ends at phi(s2) = 0.20 phi_max, where a tail fit
+        # of the mass functional over phi >= phi_max/10 once missed 8 pi adm
+        # by 9 %; pointwise, its end is the slice to rounding.
+        for s1, s2, rel in ((2.0, 6.0, 1e-5), (0.0, 500.0, 1e-4), (0.0, 1000.0, 1e-4)):
+            params = {"m0": 1.0, "eps": 0.1, "s1": s1, "s2": s2}
+            flow = lab.flow(1.5, "bumped", **params)
+            result = self._certify(lab, "bumped", flow=flow, **params)
+            assert result.passed, (s2, [c for c in result.checks if not c["passed"]])
+            for scale in (1.0 + rel, 1.0 - rel):
+                wrong = dataclasses.replace(flow, adm=flow.adm * scale)
+                result = self._certify(lab, "bumped", flow=wrong, **params)
+                failed = [c["name"] for c in result.checks if not c["passed"]]
+                assert failed == ["end_is_reference"], (s2, scale)
 
     def test_horizon_gate_reads_the_model_boundary(self, lab):
         # W_s(0) is the model's own sample, so the gap and its tolerance are
@@ -350,14 +337,15 @@ class TestCertifyCase:
 
     @pytest.mark.parametrize("p", [1.5, 1.8])
     def test_large_mass_with_proportional_domain(self, lab, p):
-        # The vacuum domain must reach s_max >= 125 m: mass_limit misses its
-        # 10 accept_rel bound at m = 50 with the default s_max = 5e3, while
-        # m = 100 on s_max = 2.5e4 passes every check.
-        warp = family_schwarzschild(100.0, s_max=2.5e4)
+        # The domain need not grow with the mass: m = 50 and m = 1000 on the
+        # default s_max = 5e3 pass every check, as m = 100 on s_max = 2.5e4
+        # does. A tail fit of the mass functional once failed every
+        # m > s_max/125 (m = 50: 1.5e-5 against its 1e-5 bound at p = 1.5).
         dec, grow = lab.triples(p)
-        flow = level_flow(warp, p)
-        result = certify_case(warp, lab.model(p), flow, dec, grow)
-        assert result.passed, [c["name"] for c in result.checks if not c["passed"]]
+        for m, s_max in ((50.0, 5e3), (1000.0, 5e3), (100.0, 2.5e4)):
+            warp = family_schwarzschild(m, s_max=s_max)
+            result = certify_case(warp, lab.model(p), level_flow(warp, p), dec, grow)
+            assert result.passed, (m, [c["name"] for c in result.checks if not c["passed"]])
 
     @pytest.mark.parametrize(
         "p, warp_args",
@@ -394,6 +382,94 @@ class TestCertifyCase:
         assert flow.t_max > model.t_max
         result = certify_case(warp, model, flow, dec, grow)
         assert result.passed, [c for c in result.checks if not c["passed"]]
+
+
+class TestEndIsReference:
+    """Beyond warp.end_s every flow is the reference slice shifted in t."""
+
+    README = [
+        (p, tag, params)
+        for p in (1.2, 1.5, 1.8)
+        for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1}))
+    ]
+
+    @staticmethod
+    def _failed(lab, p, tag, flow, params):
+        result = certify_case(lab.warp(tag, **params), lab.model(p), flow, *lab.triples(p))
+        return [check["name"] for check in result.checks if not check["passed"]]
+
+    @pytest.mark.parametrize("key", ["adm", "Cp"])
+    def test_a_wrong_mass_or_capacity_fails_the_gate(self, lab, key):
+        # Scaled by 1 + 1e-5, adm or C_p fails the gate on every README
+        # case. At 1e-6 the vacuum ends still fail, while a bump's end
+        # reads 2.8e-7 to 5.9e-7, below accept_rel.
+        for p, tag, params in self.README:
+            flow = lab.flow(p, tag, **params)
+            for rel in (1e-5, 1e-6):
+                wrong = dataclasses.replace(flow, **{key: getattr(flow, key) * (1.0 + rel)})
+                failed = "end_is_reference" in self._failed(lab, p, tag, wrong, params)
+                assert failed == (rel == 1e-5 or tag == "schwarzschild"), (p, tag, rel)
+                if not failed:
+                    error = _end_error(wrong, lab.model(p), lab.warp(tag, **params).end_s)
+                    assert 2e-7 < error < 1e-6, (p, tag)
+
+    def test_strong_bump_passes(self, lab):
+        # adm = 3.6 m0 puts s_max below 125 adm, where a tail fit of the
+        # mass functional once missed 8 pi adm by 3.6e-2.
+        params = {"m0": 15.5704, "eps": 0.9867, "s1": 59.5744, "s2": 350.2776}
+        flow = lab.flow(1.64, "bumped", **params)
+        assert self._failed(lab, 1.64, "bumped", flow, params) == []
+
+    @pytest.mark.parametrize("p", [1.756, 1.911])
+    def test_equality_case_at_exponents_with_an_inexact_boundary_inverse(self, lab, p):
+        # There betaincinv put the level set t = 0 off r = 1 (by 4.9e-8 at
+        # p = 1.911), and the growing Q's first difference read -1.35e-6.
+        flow = lab.flow(p, "schwarzschild", m=2.0)
+        assert self._failed(lab, p, "schwarzschild", flow, {"m": 2.0}) == []
+
+
+def _domain_cases(seed: str, n: int) -> list:
+    """n seeded cases over the tested domain, Schwarzschild and bumps in turn.
+
+    p is drawn to three decimals in [1.05, 1.95]; m log-uniform in
+    [0.05, 1000]; a bump's m0 log-uniform in [0.1, 200], eps in [0, 1],
+    s1 in [0, 5 m0] and s2 - s1 in [0.5, 20 m0], redrawn until
+    s2 <= s_max/2 on the default s_max.
+    """
+    rng = random.Random(seed)
+
+    def log_uniform(lo, hi):
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    cases = []
+    for i in range(n):
+        p = round(rng.uniform(1.05, 1.95), 3)
+        if i % 2 == 0:
+            cases.append((p, "schwarzschild", {"m": log_uniform(0.05, 1000.0)}))
+            continue
+        while True:
+            m0 = log_uniform(0.1, 200.0)
+            s1 = rng.uniform(0.0, 5.0 * m0)
+            s2 = s1 + rng.uniform(0.5, 20.0 * m0)
+            if s2 <= 2.5e3:
+                break
+        cases.append((p, "bumped", {"m0": m0, "eps": rng.uniform(0.0, 1.0), "s1": s1, "s2": s2}))
+    return cases
+
+
+def test_domain_sweep_passes_every_check():
+    # Round exponents hid the t = 0 defect; a seeded draw over the whole
+    # domain does not. Each case builds its own model at its own p.
+    failures = []
+    for p, tag, params in _domain_cases("domain", 16):
+        model = model_profile(p)
+        warp = family_schwarzschild(**params) if tag == "schwarzschild" else family_bumped(**params)
+        result = certify_case(
+            warp, model, level_flow(warp, p), solve_decaying(model), solve_growing(model)
+        )
+        if not result.passed:
+            failures.append((p, tag, params, [c["name"] for c in result.checks if not c["passed"]]))
+    assert failures == []
 
 
 class TestGrowingWindow:

@@ -149,7 +149,8 @@ class TestBumpedFamily:
         warp = lab.warp("bumped", m0=1.0, eps=0.1)
         hawk, adm = masses(warp)
         inner = hawk.y[warp.s_grid <= 2.0]
-        outer = hawk.y[warp.s_grid >= 6.0]
+        outer = hawk.y[warp.s_grid >= warp.end_s]
+        assert (warp.end_s, lab.warp("schwarzschild", m=2.0).end_s) == (6.0, 0.0)
         assert np.max(np.abs(inner - 1.0)) <= 1e-9
         assert np.ptp(outer) <= 1e-8
         assert adm > 1.0
