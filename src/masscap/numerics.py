@@ -2,9 +2,10 @@
 
 Small, dependency-light building blocks used by every other module: a
 validated container of curve samples, a DOP853 integrator in
-plain floats for small systems (scipy's method and step control, a
-straight-line step generated from scipy's tableau, one flat buffer of
-interpolants, vectorised dense output), dense-output integration of linear
+plain floats for small systems (scipy's method and step control, one
+straight-line step generated from scipy's tableau that also measures its
+error, interpolants assembled by numpy once per run from the raw steps,
+vectorised dense output), dense-output integration of linear
 ODE systems, and per-interval Gauss-Legendre panels for cumulative
 integrals on fixed grids. The least-squares power-law tail fit
 fit_power_tail has no caller in the package (verify fits its limits
@@ -178,43 +179,86 @@ def _dop_stage(s: int, n: int) -> str:
 def _dop_kernel(n: int):
     """The DOP853 step for n components as straight-line code, compiled once.
 
-    attempt(fun, t, h, y, f) returns y_new, f_new, the unscaled E5 and E3
-    sums and the stages k0..k12; record(fun, t, h, y, y_new, ks) adds the 3
-    dense-output stages and returns the step's row of the interpolant
-    buffer. Coefficients are scipy's exact reprs, exactly-zero terms are
-    dropped, sums run left to right. linecache holds the source for tracebacks.
+    step(fun, t, h, y, f, rtol, atol) runs the 12 stages of one attempt,
+    f being fun at (t, y), and returns error, y_new, f_new, row. error is
+    the scaled error norm of dop853, summed component by component as one
+    expression; max(a, b) is written b if b > a else a, builtin max's rule.
+    Only when error < 1.0 does it run the 3 dense-output stages; row is
+    then the raw step t, h, y, y_new, k0 .. k15 (stage by stage, each
+    stage's n components in order), which _interpolants turns into the
+    interpolant rows, and None otherwise. Coefficients are scipy's exact
+    reprs, exactly-zero terms are dropped, sums run left to right.
+    linecache holds the source for tracebacks.
     """
     last = _dop.N_STAGES  # stage k{last} is f at the new point
-    ys, ks = _dop_names("y", n), "".join(_dop_names(f"k{s}_", n) for s in range(last + 1))
-    rows = "".join(
-        f"dy{i}, h * k0_{i} - dy{i}, 2.0 * dy{i} - h * (k{last}_{i} + k0_{i}), "
-        + "".join(f"h * {_dop_sum(d, i)}, " for d in _dop.D)
-        for i in range(n)
-    )
+    ys, ws = _dop_names("y", n), _dop_names("w", n)
+    ks = "".join(_dop_names(f"k{s}_", n) for s in range(_dop.N_STAGES_EXTENDED))
+    norm = []
+    for i in range(n):
+        norm += [
+            f"    a{i} = abs(y{i})",
+            f"    b{i} = abs(w{i})",
+            f"    sc{i} = atol + (b{i} if b{i} > a{i} else a{i}) * rtol",
+            f"    r5_{i} = {_dop_sum(_dop.E5, i)} / sc{i}",
+            f"    r3_{i} = {_dop_sum(_dop.E3, i)} / sc{i}",
+        ]
+    # No leading 0.0 + (the oracle's loop starts there): r * r is never -0.0,
+    # so 0.0 + r * r is r * r bit for bit.
+    e5 = " + ".join(f"r5_{i} * r5_{i}" for i in range(n))
+    e3 = " + ".join(f"r3_{i} * r3_{i}" for i in range(n))
     lines = [
-        "def attempt(fun, t, h, y, f):",
+        "def step(fun, t, h, y, f, rtol, atol):",
         f"    {ys}= y",
         f"    {_dop_names('k0_', n)}= f",
         *(_dop_stage(s, n) for s in range(1, last)),
-        f"    y_new = [{', '.join(f'y{i} + h * {_dop_sum(_dop.B, i)}' for i in range(n))}]",
+        f"    {ws}= y_new = [{', '.join(f'y{i} + h * {_dop_sum(_dop.B, i)}' for i in range(n))}]",
         f"    {_dop_names(f'k{last}_', n)}= f_new = fun(t + h, y_new)",
-        f"    e5 = [{', '.join(_dop_sum(_dop.E5, i) for i in range(n))}]",
-        f"    e3 = [{', '.join(_dop_sum(_dop.E3, i) for i in range(n))}]",
-        f"    return y_new, f_new, e5, e3, ({ks})",
-        "def record(fun, t, h, y, y_new, ks):",
-        f"    {ys}= y",
-        f"    {_dop_names('w', n)}= y_new",
-        f"    {ks}= ks",
+        *norm,
+        f"    e5 = {e5}",
+        f"    e3 = {e3}",
+        "    if e5 == 0.0 and e3 == 0.0:",
+        "        error = 0.0",
+        "    else:",
+        f"        error = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+        "    if not error < 1.0:",
+        "        return error, y_new, f_new, None",
         *(_dop_stage(s, n) for s in range(last + 1, _dop.N_STAGES_EXTENDED)),
-        *(f"    dy{i} = w{i} - y{i}" for i in range(n)),
-        f"    return (t, h, {ys}{rows})",
+        f"    return error, y_new, f_new, (t, h, {ys}{ws}{ks})",
     ]
     source = "\n".join(lines) + "\n"
     filename = f"<masscap.numerics dop853 n={n}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
+    namespace = {"sqrt": math.sqrt}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["attempt"], namespace["record"]
+    return namespace["step"]
+
+
+def _interpolants(raw, n: int) -> np.ndarray:
+    """DenseSolution's records from the raw rows of _dop_kernel(n)'s step.
+
+    One row per step: t_old, h, y_old and, per component, the 7 Horner rows
+    dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4 rows
+    of D. Every row is the elementwise form of the sum the step would have
+    written out, in the same order with the same zero terms dropped, so the
+    doubles are the same.
+    """
+    stages = _dop.N_STAGES_EXTENDED
+    raw = np.frombuffer(raw, dtype=float).reshape(-1, 2 + (2 + stages) * n)
+    h = raw[:, 1:2]
+    dy = raw[:, 2 + n : 2 + 2 * n] - raw[:, 2 : 2 + n]
+    k = raw[:, 2 + 2 * n :].reshape(-1, stages, n)
+    f_old, f_new = k[:, 0], k[:, _dop.N_STAGES]
+    rows = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
+    for d in _dop.D.tolist():
+        (j, c), *rest = [(j, c) for j, c in enumerate(d) if c != 0.0]
+        acc = k[:, j] * c
+        for j, c in rest:
+            acc = acc + k[:, j] * c
+        rows.append(h * acc)
+    records = np.empty((raw.shape[0], 2 + (1 + _DOP_ROWS) * n))
+    records[:, : 2 + n] = raw[:, : 2 + n]
+    records[:, 2 + n :] = np.stack(rows, axis=-1).reshape(raw.shape[0], _DOP_ROWS * n)
+    return records
 
 
 def _rms(values) -> float:
@@ -227,7 +271,9 @@ class DenseSolution:
     t holds the step ends in the direction of integration, steps the number
     of accepted steps, nfev the number of right-hand-side evaluations and
     y_end the state the last step reached (its y_new, not an interpolant).
-    sol(t) evaluates the interpolants at a scalar or an array of points.
+    records holds one row per step: t_old, h, y_old and the 7 interpolant
+    rows of each component. sol(t) evaluates the interpolants at a scalar
+    or an array of points.
     """
 
     __slots__ = ("t", "nfev", "steps", "y_end", "_records", "_n")
@@ -269,8 +315,8 @@ class DenseSolution:
         else:
             seg = self.steps - np.searchsorted(ends[::-1], flat, side="right")
         seg = np.clip(seg, 0, last)
-        rec = self._records
-        x = (flat - rec[seg, 0]) / rec[seg, 1]
+        cols = np.ascontiguousarray(self._records.T)  # one contiguous row per column
+        x = (flat - cols[0].take(seg)) / cols[1].take(seg)
         x1 = 1.0 - x
         n = self._n
         out = np.empty((n, flat.size))
@@ -278,9 +324,9 @@ class DenseSolution:
             base = 2 + n + i * _DOP_ROWS
             y = np.zeros(flat.size)
             for j, k in enumerate(reversed(range(_DOP_ROWS))):
-                y += rec[seg, base + k]
+                y += cols[base + k].take(seg)
                 y *= x1 if j % 2 else x
-            y += rec[seg, 2 + i]
+            y += cols[2 + i].take(seg)
             out[i] = y
         return out.reshape((n,) + tq.shape)
 
@@ -303,18 +349,22 @@ def dop853(
     error norm |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n) on the scale
     atol + rtol max(|y|, |y_new|), safety 0.9, step factors in [0.2, 10],
     no growth right after a rejection, and the 7th-degree interpolant of
-    each step. Each accepted step adds t_old, h, y_old and its 7 x n
-    interpolant rows to one flat buffer; the result also keeps the last
+    each step. Each accepted step adds its raw row (t_old, h, y_old, y_new
+    and the 16 stages) to one flat buffer, and after the last step one
+    numpy pass, _interpolants, turns the rows into the 7 x n interpolant
+    rows of each step, the doubles the step would have summed itself. The
+    buffer is freed when the run returns. The result also keeps the last
     step's y_new as y_end, from which a following run can restart (the
     warping factor is solved this way, one run per piece between the knots
     of its right-hand side). Raises ValueError for a non-finite t_span or
     y0, and RuntimeError when the step falls below 10 ulp of t or is not a
     number (a NaN derivative).
 
-    The stages are the straight-line code of _dop_kernel(n): the order of
-    every sum is fixed in the source, not left to builtin sum(), which
-    CPython 3.12 made compensated. Tested on CPython 3.11 only, bit for bit
-    against an oracle that sums each stage with sum().
+    Each attempt is one call of the straight-line code of _dop_kernel(n),
+    stages, error norm and, on acceptance, the 3 dense-output stages: the
+    order of every sum is fixed in the source, not left to builtin sum(),
+    which CPython 3.12 made compensated. Tested on CPython 3.11 only, bit
+    for bit against an oracle that sums each stage with sum().
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -346,8 +396,8 @@ def dop853(
         h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
     h_abs = min(100.0 * h0, h1, interval, max_step)
 
-    attempt, record = _dop_kernel(n)
-    records = array("d")
+    step = _dop_kernel(n)
+    raw = array("d")
     t = t0
     while direction * (t - t_end) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -367,20 +417,8 @@ def dop853(
             h = t_new - t
             h_abs = abs(h)
 
-            y_new, f_new, e5_sums, e3_sums, ks = attempt(fun, t, h, y, f)
+            error, y_new, f_new, row = step(fun, t, h, y, f, rtol, atol)
             nfev += _dop.N_STAGES
-            e5 = e3 = 0.0
-            for v, w, s5, s3 in zip(y, y_new, e5_sums, e3_sums):
-                sc = atol + max(abs(v), abs(w)) * rtol
-                r5 = s5 / sc
-                r3 = s3 / sc
-                e5 += r5 * r5
-                e3 += r3 * r3
-            if e5 == 0.0 and e3 == 0.0:
-                error = 0.0
-            else:
-                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
-
             if error < 1.0:
                 if error == 0.0:
                     factor = _DOP_MAX_FACTOR
@@ -393,10 +431,10 @@ def dop853(
             h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
             rejected = True
 
-        records.extend(record(fun, t, h, y, y_new, ks))
+        raw.extend(row)
         nfev += _DOP_EXTRA
         t, y, f = t_new, y_new, f_new
-    return DenseSolution(records, n, t, nfev, y)
+    return DenseSolution(_interpolants(raw, n), n, t, nfev, y)
 
 
 def integrate_linear_system(

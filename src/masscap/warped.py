@@ -86,11 +86,11 @@ def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
     continuous; the third derivative jumps at the five knots
     s1 + k (s2 - s1)/4, where family_bumped restarts its solve.
 
-    A scalar argument (the ODE right-hand sides pass one per call) takes a
-    plain-float branch and returns a float; an array is evaluated piecewise
-    under masks. Both paths evaluate the same product-only expressions (no
-    `**`, whose array and libm results may differ by an ulp), so they agree
-    bit for bit.
+    A scalar argument (family_bumped's right-hand side passes one per call
+    inside (s1, s2), and skips the call outside) takes a plain-float
+    branch and returns a float; an array is evaluated piecewise under masks.
+    Both paths evaluate the same product-only expressions (no `**`, whose
+    array and libm results may differ by an ulp), so they agree bit for bit.
     """
     if not s2 > s1:
         raise ValueError("bump support needs s2 > s1")
@@ -273,7 +273,10 @@ def family_bumped(
     dipping negative for eps < 0 (allowed here on purpose, so that the
     verification layer has hypothesis violations to detect). Outside the
     bump support the geometry is vacuum again with a larger Hawking mass.
-    The forward solve is split at the bump's knots.
+    The forward solve is split at the bump's knots. accel, the right-hand
+    side that the solves call, multiplies by 0.0 in place of bump(s) for a
+    float s outside (s1, s2), where bump(s) is exactly 0.0, so it returns
+    the same doubles without the call; an array s always goes through bump.
     """
     _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
     _check_int(n=n)
@@ -286,6 +289,10 @@ def family_bumped(
     bump = spline_bump(s1, s2)
 
     def accel(s, phi, dphi):
+        if isinstance(s, float) and (s <= s1 or s >= s2):
+            # bump(s) is exactly 0.0 here: x = (s - s1)/width is <= 0 or,
+            # width = (s2 - s1)/4 being exact, >= 4. Same expression, no call.
+            return (1.0 - dphi**2) / (2.0 * phi) - (eps / (2.0 * phi)) * 0.0
         return (1.0 - dphi**2) / (2.0 * phi) - (eps / (2.0 * phi)) * bump(s)
 
     params = {"m0": float(m0), "eps": float(eps), "s1": float(s1), "s2": float(s2)}
@@ -425,11 +432,8 @@ class FlowProfile:
 
     All curves share the uniform t_grid abscissa. dWdt is the t-derivative
     of W taken from the state (s, phi, phi') in closed form, not by
-    differencing samples. H_flux is the sphere integral of H |grad w| (with
-    w = (1-p) log u), the quantity that couples the geometry to the
-    monotone combinations.
-    nfev and steps count the right-hand sides and accepted steps of the
-    backward integration that produced the flow.
+    differencing samples. nfev and steps count the right-hand sides and
+    accepted steps of the backward integration that produced the flow.
     """
 
     p: float
@@ -442,7 +446,6 @@ class FlowProfile:
     H: SampledCurve = field(repr=False)
     R: SampledCurve = field(repr=False)
     hawking: SampledCurve = field(repr=False)
-    H_flux: SampledCurve = field(repr=False)
     Cp: float = 0.0
     adm: float = 0.0
     nfev: int = 0
@@ -494,9 +497,11 @@ def level_flow(
     dphi_max = float(warp.dphi.y[-1])
     accel = warp.accel_fn
 
+    pm1, exp, log = p - 1.0, math.exp, math.log
+
     def rhs(t, y):
         s, phi, dphi = y
-        ds_dt = math.exp(-t / (p - 1.0) + kappa * math.log(phi) - ln_C) / (p - 1.0)
+        ds_dt = exp(-t / pm1 + kappa * log(phi) - ln_C) / pm1
         return [ds_dt, dphi * ds_dt, accel(s, phi, dphi) * ds_dt]
 
     try:
@@ -530,7 +535,6 @@ def level_flow(
     dWdt = W * dWds_over_W / dtds
     ddphi_t = accel(s_t, phi_t, dphi_t)
     H = 2.0 * dphi_t / phi_t
-    H_flux = 4.0 * math.pi * phi_t**2 * H * (p - 1.0) * np.abs(du_over_u)
 
     _, adm = masses(warp)
     return FlowProfile(
@@ -544,7 +548,6 @@ def level_flow(
         H=SampledCurve(t, H),
         R=SampledCurve(t, _curvature(phi_t, dphi_t, ddphi_t)),
         hawking=SampledCurve(t, _hawking(phi_t, dphi_t)),
-        H_flux=SampledCurve(t, H_flux),
         Cp=4.0 * math.pi * C ** (p - 1.0),
         adm=adm,
         nfev=sol.nfev,

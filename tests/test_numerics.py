@@ -432,6 +432,19 @@ class TestDop853:
         t = np.linspace(4.0, 10.0, 101)
         assert np.array_equal(both.sol(t)[:, 1:], second.sol(t)[:, 1:])
 
+    def test_array_query_is_the_pointwise_query(self):
+        # An array query gathers its steps' rows in one pass; it must give
+        # each point the doubles of a scalar query, step ends, joints and
+        # points outside the span included.
+        args = {"rtol": 1e-12, "atol": 1e-12}
+        capped = dop853(_pendulum, (10.0, 0.0), [1.0, 0.0], max_step=10.0 / 400, **args)
+        first = dop853(_pendulum, (0.0, 4.0), [1.0, 0.0], **args)
+        joined = DenseSolution.join([first, dop853(_pendulum, (4.0, 10.0), first.y_end, **args)])
+        for sol in (capped, joined):
+            t = np.concatenate((np.linspace(-1.0, 11.0, 1201), sol.t))
+            pointwise = np.stack([sol.sol(float(x)) for x in t], axis=1)
+            assert np.array_equal(sol.sol(t).view(np.int64), pointwise.view(np.int64))
+
     def test_kernel_is_built_once_per_size(self):
         assert _dop_kernel(3) is _dop_kernel(3)
         assert _dop_kernel(1) is not _dop_kernel(2)
