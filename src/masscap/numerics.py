@@ -3,9 +3,10 @@
 Small, dependency-light building blocks used by every other module: a
 validated container of curve samples, a DOP853 integrator in
 plain floats for small systems (scipy's method and step control, one
-straight-line step generated from scipy's tableau that also measures its
-error, interpolants assembled by numpy once per run from the raw steps,
-vectorised dense output), dense-output integration of linear
+straight-line step generated from scipy's tableau per right-hand side,
+written once as source text (Rhs) and inlined in each stage, that also
+measures its error, interpolants assembled by numpy once per run from the
+raw steps, vectorised dense output), dense-output integration of linear
 ODE systems, and per-interval Gauss-Legendre panels for cumulative
 integrals on fixed grids. The least-squares power-law tail fit
 fit_power_tail has no caller in the package (verify fits its limits
@@ -24,11 +25,14 @@ everything here can be shared freely across the cells of a parameter sweep.
 
 from __future__ import annotations
 
+import ast
+import builtins
 import functools
 import importlib.util
 import linecache
 import math
 import numbers
+import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +45,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "DenseSolution",
     "PowerTailFit",
+    "Rhs",
     "SampledCurve",
     "Tolerances",
     "dop853",
@@ -160,6 +165,65 @@ _DOP_EXTRA = _dop.N_STAGES_EXTENDED - _dop.N_STAGES - 1  # dense-output stages
 _DOP_ROWS = _dop.INTERPOLATOR_POWER
 
 
+def _exec(source: str, kind: str, name: str) -> dict:
+    """Run generated source; its file name is unique to it and linecache serves it.
+
+    The namespace holds the math module's public names, which right-hand-side
+    texts and the step read as globals.
+    """
+    filename = f"<masscap.numerics {kind} {name} {zlib.crc32(source.encode()):08x}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@functools.cache
+def _rhs_function(text: str):
+    """The function that a right-hand-side text defines, compiled once."""
+    (node,) = ast.parse(text).body
+    return _exec(text, "rhs", node.name)[node.name]
+
+
+def _call_text(n: int) -> str:
+    """The right-hand-side text of a plain callable fun(t, y) of n components."""
+    ys = ", ".join(f"y{i}" for i in range(n))
+    return f"def call(t, {ys}, *, fun):\n    return fun(t, [{ys}])\n"
+
+
+class Rhs:
+    """An ODE right-hand side y' = f(t, y), written once as source text.
+
+    text is the source of one function `def name(t, y0, ..., *, c0, ...)`:
+    its positional parameters are the time and the n state components, its
+    keyword-only ones the constants of a run, which are given here by
+    keyword and kept as the tuple consts in the text's order. The body is
+    statements ending in its one `return`, of a tuple of n values or of one
+    expression that unpacks to n values. Besides what it binds,
+    the text reads only the math module's names (exp, log, ...) and the
+    builtins.
+
+    Calling rhs(t, y) runs the function the text defines. dop853 pastes the
+    text into its generated step in place of that call (_dop_kernel), so the
+    step and a call evaluate the same expressions on the same doubles.
+    """
+
+    __slots__ = ("text", "consts", "_call")
+
+    def __init__(self, text: str, **consts):
+        function = _rhs_function(text)
+        code = function.__code__
+        names = code.co_varnames[code.co_argcount : code.co_argcount + code.co_kwonlyargcount]
+        if sorted(consts) != sorted(names):
+            raise TypeError(f"{code.co_name} takes the constants {names}, got {tuple(consts)}")
+        self.text = text
+        self.consts = tuple(consts[name] for name in names)
+        self._call = functools.partial(function, **consts)
+
+    def __call__(self, t: float, y) -> Sequence[float]:
+        return self._call(t, *y)
+
+
 def _dop_names(prefix: str, n: int) -> str:
     return "".join(f"{prefix}{i}, " for i in range(n))
 
@@ -170,26 +234,75 @@ def _dop_sum(coefs, i: int) -> str:
     return "(" + " + ".join(terms) + ")"
 
 
-def _dop_stage(s: int, n: int) -> str:
-    ys = ", ".join(f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n))
-    return f"    {_dop_names(f'k{s}_', n)}= fun(t + {_dop.C[s].item()!r} * h, [{ys}])"
+class _Inlined(NamedTuple):
+    """A right-hand-side text taken apart for pasting into the step (_inline)."""
+
+    name: str
+    params: list  # the time, then the state components; None where never read
+    consts: list
+    body: list  # the source of each statement before the return
+    returned: str  # the returned expression, which unpacks to n values
+
+
+def _inline(text: str) -> _Inlined:
+    """Take a right-hand-side text apart, its names renamed apart from the step's.
+
+    Every name the text binds, and every name it reads that is neither a
+    math name nor a builtin, becomes r_<name>; no name of the step starts
+    with r_. A parameter that the text never reads is not bound at all, so
+    the step does not sum its stage value (the Schwarzschild flow's s).
+    """
+    (node,) = ast.parse(text).body
+    params = [a.arg for a in node.args.args]
+    consts = [a.arg for a in node.args.kwonlyargs]
+    names = [x for x in ast.walk(node) if isinstance(x, ast.Name)]
+    bound = {*params, *consts, *(x.id for x in names if isinstance(x.ctx, ast.Store))}
+    for x in names:
+        if x.id in bound or not (x.id in vars(math) or hasattr(builtins, x.id)):
+            x.id = "r_" + x.id
+    *body, ret = node.body
+    read = {x.id for x in names if isinstance(x.ctx, ast.Load)}
+    return _Inlined(
+        node.name,
+        ["r_" + x if "r_" + x in read else None for x in params],
+        ["r_" + x for x in consts],
+        [ast.unparse(stmt) for stmt in body],
+        ast.unparse(ret.value),
+    )
+
+
+def _dop_stage(rhs: _Inlined, s: int, t: str, state: list) -> list:
+    """Lines of stage s: the text at time t and state, its values in k{s}_0, k{s}_1, ...
+
+    A returned tuple of up to 3 values is unpacked without building it
+    (CPython 3.11's compiler), so no stage of a flow builds a sequence.
+    """
+    lines = [f"{x} = {v}" for x, v in zip(rhs.params, [t, *state]) if x] + rhs.body
+    lines.append(f"{_dop_names(f'k{s}_', len(state))}= {rhs.returned}")
+    return ["    " + line for stmt in lines for line in stmt.splitlines()]
 
 
 @functools.cache
-def _dop_kernel(n: int):
-    """The DOP853 step for n components as straight-line code, compiled once.
+def _dop_kernel(text: str):
+    """The DOP853 step of one right-hand-side text (Rhs) as straight-line code, compiled once.
 
-    step(fun, t, h, y, f, rtol, atol) runs the 12 stages of one attempt,
-    f being fun at (t, y), and returns error, y_new, f_new, row. error is
-    the scaled error norm of dop853, summed component by component as one
-    expression; max(a, b) is written b if b > a else a, builtin max's rule.
-    Only when error < 1.0 does it run the 3 dense-output stages; row is
-    then the raw step t, h, y, y_new, k0 .. k15 (stage by stage, each
-    stage's n components in order), which _interpolants turns into the
-    interpolant rows, and None otherwise. Coefficients are scipy's exact
-    reprs, exactly-zero terms are dropped, sums run left to right.
-    linecache holds the source for tracebacks.
+    step(consts, t, h, y, f, rtol, atol) runs the 12 stages of one attempt,
+    f being the right-hand side at (t, y) and consts an Rhs's constants,
+    and returns error, y_new, f_new, row. Each stage is the text itself in
+    place of a call: the stage's time and state are bound to the text's
+    parameters, its statements follow, and its return values are the
+    stage's components (_inline renames the text's names apart from the
+    step's). error is the scaled error norm of dop853, summed component by
+    component as one expression; max(a, b) is written b if b > a else a,
+    builtin max's rule. Only when error < 1.0 does it run the 3
+    dense-output stages; row is then the raw step t, h, y, y_new, k0 .. k15
+    (stage by stage, each stage's n components in order), which
+    _interpolants turns into the interpolant rows, and None otherwise.
+    Coefficients are scipy's exact reprs, exactly-zero terms are dropped,
+    sums run left to right. linecache holds the source for tracebacks.
     """
+    rhs = _inline(text)
+    n = len(rhs.params) - 1
     last = _dop.N_STAGES  # stage k{last} is f at the new point
     ys, ws = _dop_names("y", n), _dop_names("w", n)
     ks = "".join(_dop_names(f"k{s}_", n) for s in range(_dop.N_STAGES_EXTENDED))
@@ -206,13 +319,28 @@ def _dop_kernel(n: int):
     # so 0.0 + r * r is r * r bit for bit.
     e5 = " + ".join(f"r5_{i} * r5_{i}" for i in range(n))
     e3 = " + ".join(f"r3_{i} * r3_{i}" for i in range(n))
+
+    def tableau(stages):  # stages at t + c h, from y plus h times their sums
+        return [
+            line
+            for s in stages
+            for line in _dop_stage(
+                rhs,
+                s,
+                f"t + {_dop.C[s].item()!r} * h",
+                [f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n)],
+            )
+        ]
+
     lines = [
-        "def step(fun, t, h, y, f, rtol, atol):",
+        "def step(consts, t, h, y, f, rtol, atol):",
+        *([f"    {''.join(f'{x}, ' for x in rhs.consts)}= consts"] if rhs.consts else []),
         f"    {ys}= y",
         f"    {_dop_names('k0_', n)}= f",
-        *(_dop_stage(s, n) for s in range(1, last)),
+        *tableau(range(1, last)),
         f"    {ws}= y_new = [{', '.join(f'y{i} + h * {_dop_sum(_dop.B, i)}' for i in range(n))}]",
-        f"    {_dop_names(f'k{last}_', n)}= f_new = fun(t + h, y_new)",
+        *_dop_stage(rhs, last, "t + h", [f"w{i}" for i in range(n)]),
+        f"    f_new = ({_dop_names(f'k{last}_', n)})",
         *norm,
         f"    e5 = {e5}",
         f"    e3 = {e3}",
@@ -222,19 +350,14 @@ def _dop_kernel(n: int):
         f"        error = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n})",
         "    if not error < 1.0:",
         "        return error, y_new, f_new, None",
-        *(_dop_stage(s, n) for s in range(last + 1, _dop.N_STAGES_EXTENDED)),
+        *tableau(range(last + 1, _dop.N_STAGES_EXTENDED)),
         f"    return error, y_new, f_new, (t, h, {ys}{ws}{ks})",
     ]
-    source = "\n".join(lines) + "\n"
-    filename = f"<masscap.numerics dop853 n={n}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["step"]
+    return _exec("\n".join(lines) + "\n", "dop853", rhs.name)["step"]
 
 
 def _interpolants(raw, n: int) -> np.ndarray:
-    """DenseSolution's records from the raw rows of _dop_kernel(n)'s step.
+    """DenseSolution's records from the raw rows of a _dop_kernel step of n components.
 
     One row per step: t_old, h, y_old and, per component, the 7 Horner rows
     dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4 rows
@@ -332,7 +455,7 @@ class DenseSolution:
 
 
 def dop853(
-    fun: Callable[[float, list], Sequence[float]],
+    fun: Rhs | Callable[[float, list], Sequence[float]],
     t_span: tuple[float, float],
     y0,
     *,
@@ -342,7 +465,9 @@ def dop853(
 ) -> DenseSolution:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
 
-    fun takes a float and a list of n floats and returns n floats. The
+    fun is an Rhs, whose text the step runs inlined, or a plain callable
+    that takes a float and a list of n floats and returns n floats, which
+    is run as the Rhs whose text calls it (one text per n). The
     method is scipy's `solve_ivp(method="DOP853", dense_output=True)`,
     stepped in plain floats for small systems, where numpy's per-call cost
     would dominate: the same tableau, the Hairer II.4 initial step, the
@@ -360,11 +485,14 @@ def dop853(
     y0, and RuntimeError when the step falls below 10 ulp of t or is not a
     number (a NaN derivative).
 
-    Each attempt is one call of the straight-line code of _dop_kernel(n),
-    stages, error norm and, on acceptance, the 3 dense-output stages: the
+    Each attempt is one call of the straight-line code of
+    _dop_kernel(fun.text), generated once per right-hand-side text with
+    that text inlined in each of its 15 stages and fun.consts passed in:
+    stages, error norm and, on acceptance, the 3 dense-output stages. The
     order of every sum is fixed in the source, not left to builtin sum(),
-    which CPython 3.12 made compensated. Tested on CPython 3.11 only, bit
-    for bit against an oracle that sums each stage with sum().
+    which CPython 3.12 made compensated. The two calls of the initial step
+    call fun. Tested on CPython 3.11 only, bit for bit against an oracle
+    that calls fun and sums each stage with sum().
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -378,6 +506,8 @@ def dop853(
     if not all(map(math.isfinite, y)):
         raise ValueError(f"y0 must be finite, got {y!r}")
     n = len(y)
+    if not isinstance(fun, Rhs):
+        fun = Rhs(_call_text(n), fun=fun)
 
     nfev = 2
     f = fun(t0, y)
@@ -396,7 +526,7 @@ def dop853(
         h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
     h_abs = min(100.0 * h0, h1, interval, max_step)
 
-    step = _dop_kernel(n)
+    step, consts = _dop_kernel(fun.text), fun.consts
     raw = array("d")
     t = t0
     while direction * (t - t_end) < 0.0:
@@ -417,7 +547,7 @@ def dop853(
             h = t_new - t
             h_abs = abs(h)
 
-            error, y_new, f_new, row = step(fun, t, h, y, f, rtol, atol)
+            error, y_new, f_new, row = step(consts, t, h, y, f, rtol, atol)
             nfev += _dop.N_STAGES
             if error < 1.0:
                 if error == 0.0:

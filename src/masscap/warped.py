@@ -26,10 +26,12 @@ from scipy.special import beta, betainc
 
 from .numerics import (
     DenseSolution,
+    Rhs,
     SampledCurve,
     _check_finite,
     _check_int,
     _check_p,
+    _rhs_function,
     dop853,
     panel_integrals,
     right_cumulative,
@@ -68,6 +70,61 @@ _GEOM_RTOL = 1e-12
 _MIN_FLOW_STEPS = 2500
 
 
+# phi'' of the vacuum slices as a function of (s, phi, phi'): every family's
+# accel starts with it.
+_VACUUM = "(1.0 - dphi**2) / (2.0 * phi)"
+
+# The right-hand sides, written once as text (numerics.Rhs): {accel} is the
+# family's scalar phi'', {consts} its constants. dop853 pastes each text into
+# its generated step; a call of the Rhs runs the same text.
+_FAMILY_TEXT = """\
+def family(s, phi, dphi{consts}):
+    return dphi, {accel}
+"""
+_FLOW_TEXT = """\
+def flow(t, s, phi, dphi, *, pm1, kappa, ln_C{consts}):
+    ds_dt = exp(-t / pm1 + kappa * log(phi) - ln_C) / pm1
+    return ds_dt, dphi * ds_dt, ({accel}) * ds_dt
+"""
+
+
+class _Accel:
+    """A family's phi'' from the state (s, phi, phi'), scalar or array.
+
+    scalar is its text for a float s: an expression in s, phi, dphi and the
+    names of consts. The right-hand sides of the family's solve and of
+    level_flow paste it into their own texts, and a call with a float s
+    runs it. array is the expression for any other s.
+    """
+
+    __slots__ = ("scalar", "consts", "_names", "_scalar", "_array")
+
+    def __init__(self, scalar: str, array: str, **consts):
+        self.scalar, self.consts = scalar, consts
+        self._names = "".join(f", {name}" for name in consts)
+        self._scalar, self._array = (
+            _rhs_function(f"def accel(s, phi, dphi{self._keyword_only()}):\n    return {text}\n")
+            for text in (scalar, array)
+        )
+
+    def _keyword_only(self) -> str:
+        return f", *{self._names}" if self._names else ""
+
+    def __call__(self, s, phi, dphi):
+        accel = self._scalar if isinstance(s, float) else self._array
+        return accel(s, phi, dphi, **self.consts)
+
+    def family_rhs(self) -> Rhs:
+        """The right-hand side (phi', phi'') of the forward solve in s."""
+        text = _FAMILY_TEXT.format(consts=self._keyword_only(), accel=self.scalar)
+        return Rhs(text, **self.consts)
+
+    def flow_rhs(self, p: float, kappa: float, ln_C: float) -> Rhs:
+        """The right-hand side d(s, phi, phi')/dt of level_flow."""
+        text = _FLOW_TEXT.format(consts=self._names, accel=self.scalar)
+        return Rhs(text, pm1=p - 1.0, kappa=kappa, ln_C=ln_C, **self.consts)
+
+
 def _bump_edge(v):
     """Outer B-spline piece v^3/6; v is the distance to the nearer end knot."""
     return v * v * v / 6.0
@@ -86,9 +143,10 @@ def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
     continuous; the third derivative jumps at the five knots
     s1 + k (s2 - s1)/4, where family_bumped restarts its solve.
 
-    A scalar argument (family_bumped's right-hand side passes one per call
-    inside (s1, s2), and skips the call outside) takes a plain-float
-    branch and returns a float; an array is evaluated piecewise under masks.
+    A scalar argument (the right-hand-side texts of family_bumped's solve
+    and of level_flow pass one per call inside (s1, s2), and skip the call
+    outside) takes a plain-float branch and returns a float; an array is
+    evaluated piecewise under masks.
     Both paths evaluate the same product-only expressions (no `**`, whose
     array and libm results may differ by an ulp), so they agree bit for bit.
     """
@@ -182,17 +240,17 @@ def _solve_family(
 ) -> WarpProfile:
     """Integrate phi'' = accel forward from the minimal boundary phi(0) = phi0.
 
-    accel may be non-smooth at the knots: each piece between them gets its
-    own numerics.dop853 run (DOP853 at rtol = atol = 1e-12), so that no step
-    straddles a knot (Hairer, Norsett & Wanner, Solving ODEs I, II.6). Each
-    piece starts from the state the previous one's last step reached, and
-    the pieces join into one DenseSolution, whose sol is phi_fn and whose
-    nfev and steps the profile keeps.
+    The right-hand side (phi', phi'') is the text _FAMILY_TEXT with accel's
+    scalar text pasted in (accel.family_rhs), which dop853's step runs
+    inlined. accel may be non-smooth at the knots: each piece between them
+    gets its own numerics.dop853 run (DOP853 at rtol = atol = 1e-12), so
+    that no step straddles a knot (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6). Each piece starts from the state the previous one's last step
+    reached, and the pieces join into one DenseSolution, whose sol is
+    phi_fn and whose nfev and steps the profile keeps.
     """
 
-    def rhs(s, y):
-        return [y[1], accel(s, y[0], y[1])]
-
+    rhs = accel.family_rhs()
     bounds = [0.0] + [k for k in knots if 0.0 < k < s_max] + [float(s_max)]
     y0, pieces = [phi0, 0.0], []
     for a, b in zip(bounds, bounds[1:]):
@@ -248,9 +306,7 @@ def family_schwarzschild(
     if not m > 0.0:
         raise ValueError("mass must be positive")
 
-    def accel(s, phi, dphi):
-        return (1.0 - dphi**2) / (2.0 * phi)
-
+    accel = _Accel(_VACUUM, _VACUUM)
     warp = _solve_family("schwarzschild", {"m": float(m)}, 2.0 * m, accel, True, s_max, n)
     first_integral = np.sqrt(1.0 - 2.0 * m / warp.phi.y[1:])
     if np.max(np.abs(warp.dphi.y[1:] - first_integral)) > 1e-9:
@@ -273,10 +329,12 @@ def family_bumped(
     dipping negative for eps < 0 (allowed here on purpose, so that the
     verification layer has hypothesis violations to detect). Outside the
     bump support the geometry is vacuum again with a larger Hawking mass.
-    The forward solve is split at the bump's knots. accel, the right-hand
-    side that the solves call, multiplies by 0.0 in place of bump(s) for a
-    float s outside (s1, s2), where bump(s) is exactly 0.0, so it returns
-    the same doubles without the call; an array s always goes through bump.
+    The forward solve is split at the bump's knots. phi'' is written once
+    as text, which the right-hand sides of the solve and of level_flow
+    paste in and which accel_fn runs for a float s: it multiplies by 0.0
+    in place of bump(s) for s outside (s1, s2), where bump(s) is exactly
+    0.0, so it gives the same doubles without the call. accel_fn's array
+    path always goes through bump.
     """
     _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
     _check_int(n=n)
@@ -286,15 +344,17 @@ def family_bumped(
         raise ValueError("bump support must satisfy 0 <= s1 < s2")
     if s2 > 0.5 * s_max:
         raise ValueError("bump support must end well inside the grid")
-    bump = spline_bump(s1, s2)
-
-    def accel(s, phi, dphi):
-        if isinstance(s, float) and (s <= s1 or s >= s2):
-            # bump(s) is exactly 0.0 here: x = (s - s1)/width is <= 0 or,
-            # width = (s2 - s1)/4 being exact, >= 4. Same expression, no call.
-            return (1.0 - dphi**2) / (2.0 * phi) - (eps / (2.0 * phi)) * 0.0
-        return (1.0 - dphi**2) / (2.0 * phi) - (eps / (2.0 * phi)) * bump(s)
-
+    # Outside (s1, s2) bump(s) is exactly 0.0: x = (s - s1)/width is <= 0
+    # or, width = (s2 - s1)/4 being exact, >= 4. The scalar text multiplies
+    # by 0.0 there in place of the call.
+    accel = _Accel(
+        _VACUUM + " - (eps / (2.0 * phi)) * (bump(s) if s1 < s < s2 else 0.0)",
+        _VACUUM + " - (eps / (2.0 * phi)) * bump(s)",
+        eps=eps,
+        s1=s1,
+        s2=s2,
+        bump=spline_bump(s1, s2),
+    )
     params = {"m0": float(m0), "eps": float(eps), "s1": float(s1), "s2": float(s2)}
     knots = [s1 + k * (s2 - s1) / 4.0 for k in range(5)]
     return _solve_family("bumped", params, 2.0 * m0, accel, float(eps) == 0.0, s_max, n, knots, s2)
@@ -476,7 +536,10 @@ def level_flow(
     survive small p - 1. The integrator is numerics.dop853 (DOP853 at
     rtol = atol = 1e-12, step at most t_max / 2500), whose interpolants are
     sampled on the n_t-point t-grid in one pass; its nfev and steps are
-    kept on the FlowProfile. The landing point is checked to hit the
+    kept on the FlowProfile. The right-hand side is the text _FLOW_TEXT with
+    the family's scalar phi'' pasted in (accel_fn.flow_rhs), which dop853's
+    step runs inlined; p - 1, kappa, ln C and the family's constants are
+    passed to it per run. The landing point is checked to hit the
     boundary (s = 0, phi = phi(0)) to tight absolute tolerance.
     """
     p = _check_p(p)
@@ -497,16 +560,9 @@ def level_flow(
     dphi_max = float(warp.dphi.y[-1])
     accel = warp.accel_fn
 
-    pm1, exp, log = p - 1.0, math.exp, math.log
-
-    def rhs(t, y):
-        s, phi, dphi = y
-        ds_dt = exp(-t / pm1 + kappa * log(phi) - ln_C) / pm1
-        return [ds_dt, dphi * ds_dt, accel(s, phi, dphi) * ds_dt]
-
     try:
         sol = dop853(
-            rhs,
+            accel.flow_rhs(p, kappa, ln_C),
             (t_max, 0.0),
             [s_max, phi_max, dphi_max],
             rtol=_GEOM_RTOL,

@@ -15,10 +15,12 @@ from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 
 import masscap
-from masscap import SampledCurve, Tolerances, family_bumped, level_flow
+from masscap import SampledCurve, Tolerances, family_bumped, family_schwarzschild, level_flow
 from masscap import numerics, warped
 from masscap.numerics import (
     DenseSolution,
+    Rhs,
+    _call_text,
     _dop_kernel,
     _load_tableau,
     dop853,
@@ -403,9 +405,21 @@ class TestDop853:
         ours = self._assert_same_run(_pendulum, (0.0, 50.0), [2.0, 0.0], rtol=1e-12, atol=1e-12)
         assert ours.nfev > 15 * ours.steps + 2
 
-    def test_level_flow_is_bit_identical_to_the_loops(self, monkeypatch):
-        # The family's own solve runs dop853 too: build it before the spy.
-        warp = family_bumped(1.0, 0.1, 2.0, 6.0)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: family_schwarzschild(2.0),
+            lambda: family_bumped(1.0, 0.1, 2.0, 6.0),
+            # case_report refuses this bump (R < 0), after its flow has run.
+            lambda: family_bumped(0.8, -0.06, 1.5, 5.5),
+        ],
+        ids=["schwarzschild", "bumped", "refused-bump"],
+    )
+    def test_level_flow_is_bit_identical_to_the_loops(self, monkeypatch, build):
+        # The step runs the flow's right-hand-side text inlined, the loops
+        # call it. The family's own solve runs dop853 too: build it before
+        # the spy.
+        warp = build()
         calls = []
 
         def spy(fun, span, y0, **args):
@@ -445,9 +459,34 @@ class TestDop853:
             pointwise = np.stack([sol.sol(float(x)) for x in t], axis=1)
             assert np.array_equal(sol.sol(t).view(np.int64), pointwise.view(np.int64))
 
-    def test_kernel_is_built_once_per_size(self):
-        assert _dop_kernel(3) is _dop_kernel(3)
-        assert _dop_kernel(1) is not _dop_kernel(2)
+    def test_kernel_is_built_once_per_right_hand_side(self, lab):
+        # The step is generated per right-hand-side text, with the text
+        # inlined; the constants of a run are arguments of the step.
+        schw = lab.warp("schwarzschild", m=2.0).accel_fn
+        bump = lab.warp("bumped", m0=1.0, eps=0.1).accel_fn
+        first, second = schw.flow_rhs(1.5, 4.0, 0.5), schw.flow_rhs(1.2, 10.0, -1.0)
+        assert first.text == second.text and first.consts != second.consts
+        assert _dop_kernel(first.text) is _dop_kernel(second.text)
+        # A plain callable is the text that calls it: one per state size.
+        assert _dop_kernel(_call_text(3)) is _dop_kernel(_call_text(3))
+        texts = [
+            first.text,
+            bump.flow_rhs(1.5, 4.0, 0.5).text,
+            schw.family_rhs().text,
+            bump.family_rhs().text,
+            _call_text(1),
+            _call_text(2),
+        ]
+        kernels = [_dop_kernel(text) for text in texts]
+        assert len(set(kernels)) == len(set(texts)) == 6
+        assert len({kernel.__code__.co_filename for kernel in kernels}) == 6
+
+    def test_rhs_runs_its_text_with_exactly_its_constants(self):
+        text = "def decay(t, y0, y1, *, rate):\n    return -rate * y0, y1\n"
+        assert Rhs(text, rate=2.0)(0.0, [3.0, 1.0]) == (-6.0, 1.0)
+        for consts in ({}, {"rate": 2.0, "extra": 1.0}):
+            with pytest.raises(TypeError, match="takes the constants"):
+                Rhs(text, **consts)
 
     def test_traceback_shows_the_generated_line(self):
         count = 0
@@ -462,8 +501,21 @@ class TestDop853:
         with pytest.raises(ValueError, match="fifth call") as info:
             dop853(fun, (0.0, 1.0), [1.0, 0.0], rtol=1e-12, atol=1e-12)
         frames = traceback.extract_tb(info.tb)
-        (kernel,) = [fr for fr in frames if fr.filename == "<masscap.numerics dop853 n=2>"]
+        step = _dop_kernel(_call_text(2)).__code__.co_filename
+        (kernel,) = [fr for fr in frames if fr.filename == step]
         assert kernel.line.startswith("k")
+        assert linecache.getline(kernel.filename, kernel.lineno).strip() == kernel.line
+
+        # Raised inside an inlined text: y' = sqrt(1 - t) past t = 1, where
+        # a stage takes the root of a negative number.
+        rhs = Rhs("def root(t, y0, *, t_end):\n    return (sqrt(t_end - t),)\n", t_end=1.0)
+        with pytest.raises(ValueError, match="math domain error") as info:
+            dop853(rhs, (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
+        frames = traceback.extract_tb(info.tb)
+        step = _dop_kernel(rhs.text).__code__.co_filename
+        (kernel,) = [fr for fr in frames if fr.filename == step]
+        assert step.startswith("<masscap.numerics dop853 root ")
+        assert kernel.line.endswith("= (sqrt(r_t_end - r_t),)")
         assert linecache.getline(kernel.filename, kernel.lineno).strip() == kernel.line
 
 

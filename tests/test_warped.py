@@ -28,6 +28,7 @@ from masscap import warped
 from masscap.coefficients import _level_radii
 from masscap.numerics import dop853
 from conftest import curvature_term, perfect_square_remainder, w_identity
+from test_numerics import _loop_dop853
 
 PI = math.pi
 
@@ -77,9 +78,10 @@ class TestFamilySolve:
         ids=["schwarzschild", "bumped"],
     )
     def test_pieces_match_scipy(self, monkeypatch, build, pieces):
-        # One dop853 run per piece between the knots: each takes scipy's
-        # steps and evaluations, and the joined solution is scipy's up to
-        # rounding.
+        # One dop853 run per piece between the knots: each is the stage
+        # loops' run bit for bit (the step runs the family's right-hand-side
+        # text inlined, the loops call it) and takes scipy's steps and
+        # evaluations, and the joined solution is scipy's up to rounding.
         runs = []
 
         def spy(fun, span, y0, **args):
@@ -93,6 +95,10 @@ class TestFamilySolve:
         ts, interpolants = [0.0], []
         for fun, span, y0, args, sol in runs:
             assert args == {"rtol": 1e-12, "atol": 1e-12}
+            loops = _loop_dop853(fun, span, y0, **args)
+            assert np.array_equal(sol._records, loops._records)
+            assert np.array_equal(sol.t, loops.t)
+            assert (sol.nfev, sol.steps, sol.y_end) == (loops.nfev, loops.steps, loops.y_end)
             ref = solve_ivp(fun, span, y0, method="DOP853", dense_output=True, **args)
             assert sol.steps == ref.t.size - 1 and sol.nfev == ref.nfev
             assert np.max(np.abs(np.asarray(sol.y_end) - ref.y[:, -1])) <= 1e-14 * ref.y[0, -1]
