@@ -2,11 +2,12 @@
 
 Small, dependency-light building blocks used by every other module: a
 validated container of curve samples, a DOP853 integrator in
-plain floats for small systems (scipy's method and step control, one
-straight-line step generated from scipy's tableau per right-hand side,
-written once as source text (Rhs) and inlined in each stage, that also
-measures its error, interpolants assembled by numpy once per run from the
-raw steps, vectorised dense output), dense-output integration of linear
+plain floats for small systems (scipy's method and step control; each run
+is one call of code generated from scipy's tableau per right-hand side,
+written once as source text (Rhs) and inlined in each stage, that holds
+the step loop, the step control and the packing of each accepted step's
+raw row; interpolants assembled by numpy once per run from the raw rows,
+vectorised dense output), dense-output integration of linear
 ODE systems, and per-interval Gauss-Legendre panels for cumulative
 integrals on fixed grids. The least-squares power-law tail fit
 fit_power_tail has no caller in the package (verify fits its limits
@@ -33,7 +34,6 @@ import linecache
 import math
 import numbers
 import zlib
-from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -169,7 +169,7 @@ def _exec(source: str, kind: str, name: str) -> dict:
     """Run generated source; its file name is unique to it and linecache serves it.
 
     The namespace holds the math module's public names, which right-hand-side
-    texts and the step read as globals.
+    texts and the generated run read as globals.
     """
     filename = f"<masscap.numerics {kind} {name} {zlib.crc32(source.encode()):08x}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -204,8 +204,8 @@ class Rhs:
     builtins.
 
     Calling rhs(t, y) runs the function the text defines. dop853 pastes the
-    text into its generated step in place of that call (_dop_kernel), so the
-    step and a call evaluate the same expressions on the same doubles.
+    text into its generated run in place of that call (_dop_kernel), so the
+    run and a call evaluate the same expressions on the same doubles.
     """
 
     __slots__ = ("text", "consts", "_call")
@@ -235,7 +235,7 @@ def _dop_sum(coefs, i: int) -> str:
 
 
 class _Inlined(NamedTuple):
-    """A right-hand-side text taken apart for pasting into the step (_inline)."""
+    """A right-hand-side text taken apart for pasting into the run (_inline)."""
 
     name: str
     params: list  # the time, then the state components; None where never read
@@ -245,12 +245,12 @@ class _Inlined(NamedTuple):
 
 
 def _inline(text: str) -> _Inlined:
-    """Take a right-hand-side text apart, its names renamed apart from the step's.
+    """Take a right-hand-side text apart, its names renamed apart from the run's.
 
     Every name the text binds, and every name it reads that is neither a
-    math name nor a builtin, becomes r_<name>; no name of the step starts
+    math name nor a builtin, becomes r_<name>; no name of the run starts
     with r_. A parameter that the text never reads is not bound at all, so
-    the step does not sum its stage value (the Schwarzschild flow's s).
+    the run does not sum its stage value (the Schwarzschild flow's s).
     """
     (node,) = ast.parse(text).body
     params = [a.arg for a in node.args.args]
@@ -279,46 +279,40 @@ def _dop_stage(rhs: _Inlined, s: int, t: str, state: list) -> list:
     """
     lines = [f"{x} = {v}" for x, v in zip(rhs.params, [t, *state]) if x] + rhs.body
     lines.append(f"{_dop_names(f'k{s}_', len(state))}= {rhs.returned}")
-    return ["    " + line for stmt in lines for line in stmt.splitlines()]
+    return [line for stmt in lines for line in stmt.splitlines()]
+
+
+def _block(depth: int, lines: list) -> str:
+    return "\n".join(" " * depth + line for line in lines)
 
 
 @functools.cache
 def _dop_kernel(text: str):
-    """The DOP853 step of one right-hand-side text (Rhs) as straight-line code, compiled once.
+    """A whole DOP853 run of one right-hand-side text (Rhs) as generated code, compiled once.
 
-    step(consts, t, h, y, f, rtol, atol) runs the 12 stages of one attempt,
-    f being the right-hand side at (t, y) and consts an Rhs's constants,
-    and returns error, y_new, f_new, row. Each stage is the text itself in
-    place of a call: the stage's time and state are bound to the text's
-    parameters, its statements follow, and its return values are the
-    stage's components (_inline renames the text's names apart from the
-    step's). error is the scaled error norm of dop853, summed component by
-    component as one expression; max(a, b) is written b if b > a else a,
-    builtin max's rule. Only when error < 1.0 does it run the 3
-    dense-output stages; row is then the raw step t, h, y, y_new, k0 .. k15
-    (stage by stage, each stage's n components in order), which
-    _interpolants turns into the interpolant rows, and None otherwise.
-    Coefficients are scipy's exact reprs, exactly-zero terms are dropped,
-    sums run left to right. linecache holds the source for tracebacks.
+    run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step)
+    starts from the state y at t, f being the right-hand side there, consts
+    an Rhs's constants and h_abs the initial step, and returns t_end, the
+    number of right-hand sides it evaluated, the last state and the raw
+    rows. It is dop853's step loop with scipy's step control, whose
+    constants are written by repr. Each of the 12 stages of an attempt is
+    the text itself in place of a call (its time and state bound to its
+    parameters, its statements, its return values as the stage's
+    components; _inline renames its names apart from the run's, which are
+    none of math's names or the builtins). The scaled error norm is one
+    expression, max(a, b) written b if b > a else a, builtin max's rule.
+    An accepted step runs the 3 dense-output stages and appends its raw row
+    t, h, y, y_new, k0 .. k15 (each stage's n components in order), packed
+    by one struct, to the array("d") that _interpolants reads. State and
+    stages stay locals from step to step. Coefficients are scipy's exact
+    reprs, exactly-zero terms are dropped, sums run left to right.
+    linecache holds the source for tracebacks.
     """
     rhs = _inline(text)
     n = len(rhs.params) - 1
     last = _dop.N_STAGES  # stage k{last} is f at the new point
     ys, ws = _dop_names("y", n), _dop_names("w", n)
     ks = "".join(_dop_names(f"k{s}_", n) for s in range(_dop.N_STAGES_EXTENDED))
-    norm = []
-    for i in range(n):
-        norm += [
-            f"    a{i} = abs(y{i})",
-            f"    b{i} = abs(w{i})",
-            f"    sc{i} = atol + (b{i} if b{i} > a{i} else a{i}) * rtol",
-            f"    r5_{i} = {_dop_sum(_dop.E5, i)} / sc{i}",
-            f"    r3_{i} = {_dop_sum(_dop.E3, i)} / sc{i}",
-        ]
-    # No leading 0.0 + (the oracle's loop starts there): r * r is never -0.0,
-    # so 0.0 + r * r is r * r bit for bit.
-    e5 = " + ".join(f"r5_{i} * r5_{i}" for i in range(n))
-    e3 = " + ".join(f"r3_{i} * r3_{i}" for i in range(n))
 
     def tableau(stages):  # stages at t + c h, from y plus h times their sums
         return [
@@ -332,32 +326,87 @@ def _dop_kernel(text: str):
             )
         ]
 
-    lines = [
-        "def step(consts, t, h, y, f, rtol, atol):",
-        *([f"    {''.join(f'{x}, ' for x in rhs.consts)}= consts"] if rhs.consts else []),
-        f"    {ys}= y",
-        f"    {_dop_names('k0_', n)}= f",
-        *tableau(range(1, last)),
-        f"    {ws}= y_new = [{', '.join(f'y{i} + h * {_dop_sum(_dop.B, i)}' for i in range(n))}]",
-        *_dop_stage(rhs, last, "t + h", [f"w{i}" for i in range(n)]),
-        f"    f_new = ({_dop_names(f'k{last}_', n)})",
-        *norm,
-        f"    e5 = {e5}",
-        f"    e3 = {e3}",
-        "    if e5 == 0.0 and e3 == 0.0:",
-        "        error = 0.0",
-        "    else:",
-        f"        error = abs(h) * e5 / sqrt((e5 + 0.01 * e3) * {n})",
-        "    if not error < 1.0:",
-        "        return error, y_new, f_new, None",
-        *tableau(range(last + 1, _dop.N_STAGES_EXTENDED)),
-        f"    return error, y_new, f_new, (t, h, {ys}{ws}{ks})",
-    ]
-    return _exec("\n".join(lines) + "\n", "dop853", rhs.name)["step"]
+    attempt = tableau(range(1, last))
+    attempt += [f"w{i} = y{i} + h * {_dop_sum(_dop.B, i)}" for i in range(n)]
+    attempt += _dop_stage(rhs, last, "t + h", [f"w{i}" for i in range(n)])
+    for i in range(n):
+        attempt += [
+            f"a{i} = abs(y{i})",
+            f"b{i} = abs(w{i})",
+            f"sc{i} = atol + (b{i} if b{i} > a{i} else a{i}) * rtol",
+            f"r5_{i} = {_dop_sum(_dop.E5, i)} / sc{i}",
+            f"r3_{i} = {_dop_sum(_dop.E3, i)} / sc{i}",
+        ]
+    # No leading 0.0 + (the oracle's loop starts there): r * r is never -0.0,
+    # so 0.0 + r * r is r * r bit for bit.
+    e5 = " + ".join(f"r5_{i} * r5_{i}" for i in range(n))
+    e3 = " + ".join(f"r3_{i} * r3_{i}" for i in range(n))
+    proposed = f"{_DOP_SAFETY!r} * error ** {_DOP_EXPONENT!r}"
+    source = f"""\
+from array import array
+from struct import Struct
+pack = Struct("{2 + (2 + _dop.N_STAGES_EXTENDED) * n}d").pack
+def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
+    ({"".join(f"{x}, " for x in rhs.consts)}) = consts
+    ({ys}) = y
+    ({_dop_names("k0_", n)}) = f
+    raw = array("d")
+    put = raw.frombytes
+    nfev = 0
+    while direction * (t - t_end) < 0.0:
+        min_step = 10.0 * abs(nextafter(t, direction * inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                raise RuntimeError(
+                    f"dop853: step size {{h_abs!r}} is not a number or below 10 ulp of t = {{t!r}}"
+                )
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0.0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+{_block(12, attempt)}
+            e5 = {e5}
+            e3 = {e3}
+            if e5 == 0.0 and e3 == 0.0:
+                error = 0.0
+            else:
+                error = h_abs * e5 / sqrt((e5 + 0.01 * e3) * {n})
+            nfev += {_dop.N_STAGES}
+            if error < 1.0:
+                if error == 0.0:
+                    factor = {_DOP_MAX_FACTOR!r}
+                else:
+                    factor = min({_DOP_MAX_FACTOR!r}, {proposed})
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max({_DOP_MIN_FACTOR!r}, {proposed})
+            rejected = True
+{_block(8, tableau(range(last + 1, _dop.N_STAGES_EXTENDED)))}
+        nfev += {_DOP_EXTRA}
+        put(pack(t, h, {ys}{ws}{ks}))
+        t = t_new
+{_block(8, [f"y{i} = w{i}" for i in range(n)] + [f"k0_{i} = k{last}_{i}" for i in range(n)])}
+    return t, nfev, [{ys}], raw
+"""
+    run = _exec(source, "dop853", rhs.name)["run"]
+    # CPython 3.11 specializes a function's bytecode at its 8th call; loops
+    # do not count, and a whole run is one call. Runs over an empty span
+    # (the loop never starts) make the first real run a specialized one.
+    for _ in range(8):
+        run((None,) * len(rhs.consts), 0.0, 0.0, 1.0, 0.0, (0.0,) * n, (0.0,) * n, 0.0, 0.0, 0.0)
+    return run
 
 
 def _interpolants(raw, n: int) -> np.ndarray:
-    """DenseSolution's records from the raw rows of a _dop_kernel step of n components.
+    """DenseSolution's records from the raw rows of a _dop_kernel run of n components.
 
     One row per step: t_old, h, y_old and, per component, the 7 Horner rows
     dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4 rows
@@ -474,8 +523,8 @@ def dop853(
     error norm |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n) on the scale
     atol + rtol max(|y|, |y_new|), safety 0.9, step factors in [0.2, 10],
     no growth right after a rejection, and the 7th-degree interpolant of
-    each step. Each accepted step adds its raw row (t_old, h, y_old, y_new
-    and the 16 stages) to one flat buffer, and after the last step one
+    each step. Each accepted step packs its raw row (t_old, h, y_old, y_new
+    and the 16 stages) into one flat buffer, and after the last step one
     numpy pass, _interpolants, turns the rows into the 7 x n interpolant
     rows of each step, the doubles the step would have summed itself. The
     buffer is freed when the run returns. The result also keeps the last
@@ -485,14 +534,15 @@ def dop853(
     y0, and RuntimeError when the step falls below 10 ulp of t or is not a
     number (a NaN derivative).
 
-    Each attempt is one call of the straight-line code of
-    _dop_kernel(fun.text), generated once per right-hand-side text with
-    that text inlined in each of its 15 stages and fun.consts passed in:
-    stages, error norm and, on acceptance, the 3 dense-output stages. The
-    order of every sum is fixed in the source, not left to builtin sum(),
-    which CPython 3.12 made compensated. The two calls of the initial step
-    call fun. Tested on CPython 3.11 only, bit for bit against an oracle
-    that calls fun and sums each stage with sum().
+    Here the initial step is chosen, with two calls of fun; everything
+    after it is one call of _dop_kernel(fun.text), generated once per
+    right-hand-side text with that text inlined in each of its 15 stages
+    and fun.consts passed in: the step loop, the step control, stages,
+    error norm and, on acceptance, the 3 dense-output stages and the
+    packing of the raw row. The order of every sum is fixed in the source,
+    not left to builtin sum(), which CPython 3.12 made compensated. Tested
+    on CPython 3.11 only, bit for bit against an oracle that calls fun and
+    sums each stage with sum().
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
@@ -509,7 +559,6 @@ def dop853(
     if not isinstance(fun, Rhs):
         fun = Rhs(_call_text(n), fun=fun)
 
-    nfev = 2
     f = fun(t0, y)
     # Initial step (Hairer, Norsett & Wanner, II.4; scipy's select_initial_step).
     interval = abs(t_end - t0)
@@ -526,45 +575,10 @@ def dop853(
         h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
     h_abs = min(100.0 * h0, h1, interval, max_step)
 
-    step, consts = _dop_kernel(fun.text), fun.consts
-    raw = array("d")
-    t = t0
-    while direction * (t - t_end) < 0.0:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise RuntimeError(
-                    f"dop853: step size {h_abs!r} is not a number or below 10 ulp of t = {t!r}"
-                )
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0.0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-
-            error, y_new, f_new, row = step(consts, t, h, y, f, rtol, atol)
-            nfev += _dop.N_STAGES
-            if error < 1.0:
-                if error == 0.0:
-                    factor = _DOP_MAX_FACTOR
-                else:
-                    factor = min(_DOP_MAX_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(_DOP_MIN_FACTOR, _DOP_SAFETY * error**_DOP_EXPONENT)
-            rejected = True
-
-        raw.extend(row)
-        nfev += _DOP_EXTRA
-        t, y, f = t_new, y_new, f_new
-    return DenseSolution(_interpolants(raw, n), n, t, nfev, y)
+    run = _dop_kernel(fun.text)
+    t, nfev, y, raw = run(fun.consts, t0, t_end, direction, h_abs, y, f, rtol, atol, max_step)
+    # fun ran twice for the initial step.
+    return DenseSolution(_interpolants(raw, n), n, t, 2 + nfev, y)
 
 
 def integrate_linear_system(

@@ -135,6 +135,20 @@ def _bump_middle(v):
     return (-3.0 * v * v * v + 3.0 * v * v + 3.0 * v + 1.0) / 6.0
 
 
+# The bump for a float s, as an expression in s, s1 and width = (s2 - s1)/4:
+# the array path's products in its order, on x = (s - s1)/width, and 0.0
+# outside 0 < x < 4. spline_bump runs it, family_bumped's scalar text pastes it.
+_BUMP = (
+    "(1.5 * (x * x * x / 6.0) if 0.0 < (x := (s - s1) / width) < 1.0"
+    " else 1.5 * ((-3.0 * (v := x - 1.0) * v * v + 3.0 * v * v + 3.0 * v + 1.0) / 6.0)"
+    " if 1.0 <= x < 2.0"
+    " else 1.5 * ((-3.0 * (v := 3.0 - x) * v * v + 3.0 * v * v + 3.0 * v + 1.0) / 6.0)"
+    " if 2.0 <= x < 3.0"
+    " else 1.5 * ((v := 4.0 - x) * v * v / 6.0) if 3.0 <= x < 4.0"
+    " else 0.0)"
+)
+
+
 def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
     """C^2 cubic bump supported on [s1, s2] with peak value 1.
 
@@ -143,29 +157,20 @@ def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
     continuous; the third derivative jumps at the five knots
     s1 + k (s2 - s1)/4, where family_bumped restarts its solve.
 
-    A scalar argument (the right-hand-side texts of family_bumped's solve
-    and of level_flow pass one per call inside (s1, s2), and skip the call
-    outside) takes a plain-float branch and returns a float; an array is
-    evaluated piecewise under masks.
-    Both paths evaluate the same product-only expressions (no `**`, whose
-    array and libm results may differ by an ulp), so they agree bit for bit.
+    A scalar argument runs the text _BUMP, which family_bumped's scalar
+    phi'' also pastes in, and returns a float; an array is evaluated
+    piecewise under masks. Both paths evaluate the same product-only
+    expressions (no `**`, whose array and libm results may differ by an
+    ulp), so they agree bit for bit.
     """
     if not s2 > s1:
         raise ValueError("bump support needs s2 > s1")
     width = (s2 - s1) / 4.0
+    scalar = _rhs_function(f"def bump(s, *, s1, width):\n    return {_BUMP}\n")
 
     def bump(s):
         if isinstance(s, float) or np.ndim(s) == 0:
-            x = (float(s) - s1) / width
-            if 0.0 < x < 1.0:
-                return 1.5 * _bump_edge(x)
-            if 1.0 <= x < 2.0:
-                return 1.5 * _bump_middle(x - 1.0)
-            if 2.0 <= x < 3.0:
-                return 1.5 * _bump_middle(3.0 - x)
-            if 3.0 <= x < 4.0:
-                return 1.5 * _bump_edge(4.0 - x)
-            return 0.0
+            return scalar(float(s), s1=s1, width=width)
         x = (np.asarray(s, dtype=float) - s1) / width
         out = np.zeros_like(x)
         m = (x > 0.0) & (x < 1.0)
@@ -331,10 +336,10 @@ def family_bumped(
     bump support the geometry is vacuum again with a larger Hawking mass.
     The forward solve is split at the bump's knots. phi'' is written once
     as text, which the right-hand sides of the solve and of level_flow
-    paste in and which accel_fn runs for a float s: it multiplies by 0.0
-    in place of bump(s) for s outside (s1, s2), where bump(s) is exactly
-    0.0, so it gives the same doubles without the call. accel_fn's array
-    path always goes through bump.
+    paste in and which accel_fn runs for a float s: in place of bump(s)
+    it has spline_bump's scalar text _BUMP inside (s1, s2) and 0.0
+    outside, where bump(s) is exactly 0.0, so it gives bump's doubles
+    without calling it. accel_fn's array path always goes through bump.
     """
     _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
     _check_int(n=n)
@@ -346,13 +351,14 @@ def family_bumped(
         raise ValueError("bump support must end well inside the grid")
     # Outside (s1, s2) bump(s) is exactly 0.0: x = (s - s1)/width is <= 0
     # or, width = (s2 - s1)/4 being exact, >= 4. The scalar text multiplies
-    # by 0.0 there in place of the call.
+    # by 0.0 there.
     accel = _Accel(
-        _VACUUM + " - (eps / (2.0 * phi)) * (bump(s) if s1 < s < s2 else 0.0)",
+        _VACUUM + f" - (eps / (2.0 * phi)) * ({_BUMP} if s1 < s < s2 else 0.0)",
         _VACUUM + " - (eps / (2.0 * phi)) * bump(s)",
         eps=eps,
         s1=s1,
         s2=s2,
+        width=(s2 - s1) / 4.0,
         bump=spline_bump(s1, s2),
     )
     params = {"m0": float(m0), "eps": float(eps), "s1": float(s1), "s2": float(s2)}

@@ -1,5 +1,7 @@
 """Unit tests for the shared numerics toolbox."""
 
+import ast
+import dis
 import linecache
 import math
 import subprocess
@@ -404,6 +406,64 @@ class TestDop853:
     def test_uncapped_pendulum_is_bit_identical_to_the_loops(self):
         ours = self._assert_same_run(_pendulum, (0.0, 50.0), [2.0, 0.0], rtol=1e-12, atol=1e-12)
         assert ours.nfev > 15 * ours.steps + 2
+
+    @pytest.mark.parametrize("plain", [False, True], ids=["rhs", "callable"])
+    def test_four_components_are_bit_identical_to_the_loops(self, plain):
+        # CPython 3.11 unpacks up to 3 returned values without building a
+        # tuple; 4 take the other path of the generated stages.
+        text = "def four(t, x, v, z, u, *, rate):\n    return v, -sin(x), -rate * (z - cos(t)), z - u\n"
+        y0, args = [1.0, 0.0, 0.0, 0.5], {"rtol": 1e-12, "atol": 1e-12}
+        slow, fast = Rhs(text, rate=1.0), Rhs(text, rate=50.0)
+        if plain:  # bound methods are no Rhs: dop853 runs the text that calls them
+            slow, fast = slow.__call__, fast.__call__
+        capped = self._assert_same_run(slow, (10.0, 0.0), y0, max_step=10.0 / 400, **args)
+        assert capped.nfev == 15 * capped.steps + 2
+        ours = self._assert_same_run(fast, (0.0, 2.0), y0, **args)
+        assert ours.nfev > 15 * ours.steps + 2
+
+    def test_a_run_is_one_generated_call(self, monkeypatch, lab):
+        # Step control and raw rows live in the generated code: dop853 calls
+        # it once per run, however many steps and rejections the run takes.
+        calls, kernel = [], numerics._dop_kernel
+
+        def spy(text):
+            run = kernel(text)
+
+            def counted(*args):
+                calls.append(text)
+                return run(*args)
+
+            return counted
+
+        warp = lab.warp("bumped", m0=1.0, eps=0.1)
+        monkeypatch.setattr(numerics, "_dop_kernel", spy)
+        rejected = dop853(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
+        assert rejected.nfev > 15 * rejected.steps + 2 and len(calls) == 1
+        flow = level_flow(warp, 1.5)
+        assert flow.steps >= 2500 and len(calls) == 2
+        assert calls[1] == warp.accel_fn.flow_rhs(1.5, 0.0, 0.0).text
+
+    def test_kernel_is_specialized_before_its_first_run(self):
+        # CPython 3.11 specializes a function's bytecode at its 8th call, and
+        # a whole run is one call: unwarmed, each kernel's first seven runs
+        # would execute generic bytecode.
+        run = _dop_kernel("def warm(t, y0, *, rate):\n    return (-rate * y0,)\n")
+        plain = [x.opname for x in dis.get_instructions(run)]
+        assert [x.opname for x in dis.get_instructions(run, adaptive=True)] != plain
+
+    def test_no_generated_source_calls_sum(self, lab):
+        # Bit identity rests on the order written in the source; CPython
+        # 3.12's builtin sum() is compensated and would change the doubles.
+        texts = [_call_text(n) for n in (1, 2, 3, 4)]
+        for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})):
+            accel = lab.warp(tag, **params).accel_fn
+            texts += [accel.family_rhs().text, accel.flow_rhs(1.5, 4.0, 0.5).text]
+        functions = [f for text in texts for f in (_dop_kernel(text), numerics._rhs_function(text))]
+        for function in functions:
+            lines = linecache.getlines(function.__code__.co_filename)
+            assert lines, function.__code__.co_filename
+            names = {x.id for x in ast.walk(ast.parse("".join(lines))) if isinstance(x, ast.Name)}
+            assert "sum" not in names, function.__code__.co_filename
 
     @pytest.mark.parametrize(
         "build",
