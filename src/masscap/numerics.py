@@ -1,18 +1,23 @@
 """Shared numerical primitives.
 
 Small, dependency-light building blocks used by every other module: a
-validated container of curve samples, a DOP853 integrator in
-plain floats for small systems (scipy's method and step control; each run
-is one call of code generated from scipy's tableau per right-hand side,
-written once as source text (Rhs) and inlined in each stage, that holds
-the step loop, the step control and the packing of each accepted step's
-raw row; interpolants assembled by numpy once per run from the raw rows,
-vectorised dense output), dense-output integration of linear
-ODE systems, and per-interval Gauss-Legendre panels for cumulative
-integrals on fixed grids. The least-squares power-law tail fit
-fit_power_tail has no caller in the package (verify fits its limits
-itself); like frobenius.py it is kept while the benchmark's tracer names
-it.
+validated container of curve samples, a DOP853 integrator in plain floats
+for small systems, dense-output integration of linear ODE systems, and
+per-interval Gauss-Legendre panels for cumulative integrals on fixed grids.
+
+dop853 has scipy's method and step control. Each right-hand side is
+written once as source text (Rhs). A run is one call of code generated
+from scipy's tableau per text, with the text inlined in each stage: the
+step loop, the step control and the packing of each accepted step's raw
+row. After it, one generated numpy call evaluates the 3 dense-output
+stages of all steps with the text's array twin inlined, and numpy
+assembles the interpolants from both (vectorised dense output). The array
+twin of a text (_twin) evaluates it on numpy arrays with the doubles the
+text gives each element.
+
+The least-squares power-law tail fit fit_power_tail has no caller in the
+package (verify fits its limits itself); like frobenius.py it is kept
+while the benchmark's tracer names it.
 
 The tableau is read from scipy's dop853_coefficients.py by file path, so
 importing this module never runs scipy.integrate's package __init__ (which
@@ -33,6 +38,7 @@ import importlib.util
 import linecache
 import math
 import numbers
+import operator
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,15 +171,48 @@ _DOP_EXTRA = _dop.N_STAGES_EXTENDED - _dop.N_STAGES - 1  # dense-output stages
 _DOP_ROWS = _dop.INTERPOLATOR_POWER
 
 
+def _dop_row(n: int) -> int:
+    """Doubles in a raw row of n components: t, h, y, y_new and the stages k0 .. k12."""
+    return 2 + (3 + _dop.N_STAGES) * n
+
+
+def _each(f, *args):
+    """f on each element of the broadcast arguments, passed as Python numbers.
+
+    Where f returns a sequence of values per element, the result unpacks
+    to one array per value.
+    """
+    columns = [np.atleast_1d(a).tolist() for a in np.broadcast_arrays(*args)]
+    return np.array(list(map(f, *columns)), dtype=float).T
+
+
+def _div(a, b):
+    """a / b, raising ZeroDivisionError, as float division does, where b holds a zero."""
+    if not np.all(b):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
+# The globals of generated code: the math module's public names, which
+# right-hand-side texts read, and the helpers of their array twins (_twin).
+_GLOBALS = {k: v for k, v in vars(math).items() if not k.startswith("_")} | {
+    "_each": _each,
+    "_div": _div,
+    "_pow": operator.pow,
+    "_where": np.where,
+    "_quiet": np.errstate(all="ignore"),
+}
+
+
 def _exec(source: str, kind: str, name: str) -> dict:
     """Run generated source; its file name is unique to it and linecache serves it.
 
-    The namespace holds the math module's public names, which right-hand-side
-    texts and the generated run read as globals.
+    The namespace starts as _GLOBALS, which right-hand-side texts, their
+    array twins and the generated runs read.
     """
     filename = f"<masscap.numerics {kind} {name} {zlib.crc32(source.encode()):08x}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+    namespace = dict(_GLOBALS)
     exec(compile(source, filename, "exec"), namespace)
     return namespace
 
@@ -205,7 +244,9 @@ class Rhs:
 
     Calling rhs(t, y) runs the function the text defines. dop853 pastes the
     text into its generated run in place of that call (_dop_kernel), so the
-    run and a call evaluate the same expressions on the same doubles.
+    run and a call evaluate the same expressions on the same doubles. After
+    the run it pastes the text's array twin (_twin) into one call that
+    evaluates the 3 dense-output stages of all steps at once (_dop_dense).
     """
 
     __slots__ = ("text", "consts", "_call")
@@ -222,6 +263,95 @@ class Rhs:
 
     def __call__(self, t: float, y) -> Sequence[float]:
         return self._call(t, *y)
+
+
+def _call(name: str, *args) -> ast.Call:
+    return ast.Call(ast.Name(name, ast.Load()), list(args), [])
+
+
+class _Twin(ast.NodeTransformer):
+    """The rewriting of a right-hand-side text into its array twin (_twin)."""
+
+    temps = 0
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if not node.keywords and not any(isinstance(a, (ast.List, ast.Tuple)) for a in node.args):
+            return _call("_each", node.func, *node.args)
+        # A display or keyword argument: call per element a lambda of its leaves.
+        leaves = []
+
+        def leaf(x):
+            leaves.append(x)
+            return ast.Name(f"_e{len(leaves) - 1}", ast.Load())
+
+        args = [
+            type(a)([leaf(x) for x in a.elts], ast.Load())
+            if isinstance(a, (ast.List, ast.Tuple))
+            else leaf(a)
+            for a in node.args
+        ]
+        keywords = [ast.keyword(k.arg, leaf(k.value)) for k in node.keywords]
+        params = [ast.arg(f"_e{i}") for i in range(len(leaves))]
+        signature = ast.arguments([], params, None, [], [], None, [])
+        return _call("_each", ast.Lambda(signature, ast.Call(node.func, args, keywords)), *leaves)
+
+    def visit_BinOp(self, node):
+        self.generic_visit(node)
+        if isinstance(node.op, ast.Pow):
+            return _call("_each", ast.Name("_pow", ast.Load()), node.left, node.right)
+        if isinstance(node.op, ast.Div) and not (
+            isinstance(node.right, ast.Constant) and node.right.value
+        ):
+            return _call("_div", node.left, node.right)
+        return node
+
+    def visit_IfExp(self, node):
+        self.generic_visit(node)
+        return _call("_where", node.test, node.body, node.orelse)
+
+    def visit_Compare(self, node):
+        self.generic_visit(node)
+        left, pairs = node.left, []
+        for i, (op, right) in enumerate(zip(node.ops, node.comparators)):
+            pairs.append(ast.Compare(left, [op], [right]))
+            left = right
+            if i + 1 == len(node.ops) or isinstance(right, (ast.Name, ast.Constant)):
+                continue
+            if not isinstance(right, ast.NamedExpr):  # bind the middle operand once
+                self.temps += 1
+                right = pairs[-1].comparators[0] = ast.NamedExpr(
+                    ast.Name(f"_m{self.temps}", ast.Store()), right
+                )
+            left = ast.Name(right.target.id, ast.Load())
+        return functools.reduce(lambda a, b: ast.BinOp(a, ast.BitAnd(), b), pairs)
+
+
+@functools.cache
+def _twin(text: str) -> str:
+    """The array twin of a right-hand-side text: the same function for numpy arrays.
+
+    Given arrays (or floats) for its parameters, it returns per element the
+    doubles the text returns for that element's floats:
+    - arithmetic and comparisons run in numpy, in the text's order, which
+      is IEEE arithmetic on the same doubles;
+    - every call and every `**` runs per element through the scalar
+      function (_each, on Python floats), so libm gives the same bits as in
+      the text (numpy's exp and square are not libm's exp and pow);
+    - `a if c else b` is np.where(c, a, b), both sides evaluated on every
+      element, so a side that raises for an element it does not select
+      raises here and not in the text;
+    - a chained comparison is the & of its pairs, each middle operand
+      evaluated once, and a walrus binds in the text's order;
+    - a division by an array or a name raises ZeroDivisionError where the
+      divisor holds a zero, as float division does.
+    The function runs under np.errstate(all="ignore"), so no numpy warning
+    escapes where the text would have given inf or nan silently.
+    """
+    (node,) = ast.parse(text).body
+    node = _Twin().visit(node)
+    node.decorator_list = [ast.Name("_quiet", ast.Load())]
+    return ast.unparse(node) + "\n"
 
 
 def _dop_names(prefix: str, n: int) -> str:
@@ -247,19 +377,23 @@ class _Inlined(NamedTuple):
 def _inline(text: str) -> _Inlined:
     """Take a right-hand-side text apart, its names renamed apart from the run's.
 
-    Every name the text binds, and every name it reads that is neither a
-    math name nor a builtin, becomes r_<name>; no name of the run starts
-    with r_. A parameter that the text never reads is not bound at all, so
-    the run does not sum its stage value (the Schwarzschild flow's s).
+    Every name the text binds (its lambdas' parameters too), and every name
+    it reads that is neither in _GLOBALS nor a builtin, becomes r_<name>;
+    no name of the run starts with r_. A parameter that the text never
+    reads is not bound at all, so the run does not sum its stage value (the
+    Schwarzschild flow's s).
     """
     (node,) = ast.parse(text).body
     params = [a.arg for a in node.args.args]
     consts = [a.arg for a in node.args.kwonlyargs]
     names = [x for x in ast.walk(node) if isinstance(x, ast.Name)]
-    bound = {*params, *consts, *(x.id for x in names if isinstance(x.ctx, ast.Store))}
+    args = [x for x in ast.walk(node) if isinstance(x, ast.arg)]
+    bound = {*(x.arg for x in args), *(x.id for x in names if isinstance(x.ctx, ast.Store))}
     for x in names:
-        if x.id in bound or not (x.id in vars(math) or hasattr(builtins, x.id)):
+        if x.id in bound or not (x.id in _GLOBALS or hasattr(builtins, x.id)):
             x.id = "r_" + x.id
+    for x in args:
+        x.arg = "r_" + x.arg
     *body, ret = node.body
     read = {x.id for x in names if isinstance(x.ctx, ast.Load)}
     return _Inlined(
@@ -282,6 +416,21 @@ def _dop_stage(rhs: _Inlined, s: int, t: str, state: list) -> list:
     return [line for stmt in lines for line in stmt.splitlines()]
 
 
+def _dop_tableau(rhs: _Inlined, stages) -> list:
+    """Lines of the given stages at t + c h, from y plus h times their sums."""
+    n = len(rhs.params) - 1
+    return [
+        line
+        for s in stages
+        for line in _dop_stage(
+            rhs,
+            s,
+            f"t + {_dop.C[s].item()!r} * h",
+            [f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n)],
+        )
+    ]
+
+
 def _block(depth: int, lines: list) -> str:
     return "\n".join(" " * depth + line for line in lines)
 
@@ -299,34 +448,23 @@ def _dop_kernel(text: str):
     the text itself in place of a call (its time and state bound to its
     parameters, its statements, its return values as the stage's
     components; _inline renames its names apart from the run's, which are
-    none of math's names or the builtins). The scaled error norm is one
-    expression, max(a, b) written b if b > a else a, builtin max's rule.
-    An accepted step runs the 3 dense-output stages and appends its raw row
-    t, h, y, y_new, k0 .. k15 (each stage's n components in order), packed
-    by one struct, to the array("d") that _interpolants reads. State and
-    stages stay locals from step to step. Coefficients are scipy's exact
-    reprs, exactly-zero terms are dropped, sums run left to right.
-    linecache holds the source for tracebacks.
+    none of the names in _GLOBALS or the builtins). The scaled error norm
+    is one expression, max(a, b) written b if b > a else a, builtin max's
+    rule. An accepted step appends its raw row t, h, y, y_new, k0 .. k12
+    (each stage's n components in order; _dop_row(n) doubles), packed by
+    one struct, to the array("d") that _dop_dense and _interpolants read.
+    The 3 dense-output stages, which steer neither the error norm nor the
+    step, are not run here; their evaluations are counted in nfev.
+    State and stages stay locals from step to step. Coefficients are
+    scipy's exact reprs, exactly-zero terms are dropped, sums run left to
+    right. linecache holds the source for tracebacks.
     """
     rhs = _inline(text)
     n = len(rhs.params) - 1
     last = _dop.N_STAGES  # stage k{last} is f at the new point
     ys, ws = _dop_names("y", n), _dop_names("w", n)
-    ks = "".join(_dop_names(f"k{s}_", n) for s in range(_dop.N_STAGES_EXTENDED))
-
-    def tableau(stages):  # stages at t + c h, from y plus h times their sums
-        return [
-            line
-            for s in stages
-            for line in _dop_stage(
-                rhs,
-                s,
-                f"t + {_dop.C[s].item()!r} * h",
-                [f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n)],
-            )
-        ]
-
-    attempt = tableau(range(1, last))
+    ks = "".join(_dop_names(f"k{s}_", n) for s in range(last + 1))
+    attempt = _dop_tableau(rhs, range(1, last))
     attempt += [f"w{i} = y{i} + h * {_dop_sum(_dop.B, i)}" for i in range(n)]
     attempt += _dop_stage(rhs, last, "t + h", [f"w{i}" for i in range(n)])
     for i in range(n):
@@ -345,7 +483,7 @@ def _dop_kernel(text: str):
     source = f"""\
 from array import array
 from struct import Struct
-pack = Struct("{2 + (2 + _dop.N_STAGES_EXTENDED) * n}d").pack
+pack = Struct("{_dop_row(n)}d").pack
 def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
     ({"".join(f"{x}, " for x in rhs.consts)}) = consts
     ({ys}) = y
@@ -389,7 +527,6 @@ def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
                 break
             h_abs *= max({_DOP_MIN_FACTOR!r}, {proposed})
             rejected = True
-{_block(8, tableau(range(last + 1, _dop.N_STAGES_EXTENDED)))}
         nfev += {_DOP_EXTRA}
         put(pack(t, h, {ys}{ws}{ks}))
         t = t_new
@@ -405,27 +542,61 @@ def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
     return run
 
 
-def _interpolants(raw, n: int) -> np.ndarray:
-    """DenseSolution's records from the raw rows of a _dop_kernel run of n components.
+@functools.cache
+def _dop_dense(text: str):
+    """The 3 dense-output stages of a _dop_kernel run, for all its steps in one generated call.
 
-    One row per step: t_old, h, y_old and, per component, the 7 Horner rows
-    dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4 rows
-    of D. Every row is the elementwise form of the sum the step would have
-    written out, in the same order with the same zero terms dropped, so the
-    doubles are the same.
+    dense(consts, raw, out) takes the run's raw rows as a (steps,
+    _dop_row(n)) array and writes k13, k14 and k15 of every step into out,
+    of shape (steps, 3, n). Each column of raw is one name, a strided view;
+    each stage is the step's own code (_dop_tableau) on those columns, with
+    the array twin of the text (_twin) inlined in place of the text, so
+    every element is the double the step would have computed. It runs under
+    np.errstate(all="ignore"), as the twin does. linecache holds the source.
     """
-    stages = _dop.N_STAGES_EXTENDED
-    raw = np.frombuffer(raw, dtype=float).reshape(-1, 2 + (2 + stages) * n)
+    rhs = _inline(_twin(text))
+    n = len(rhs.params) - 1
+    first = _dop.N_STAGES + 1  # the first dense-output stage
+    columns = "t, h, " + _dop_names("y", n) + _dop_names("w", n)
+    columns += "".join(_dop_names(f"k{s}_", n) for s in range(first))
+    stages = range(first, _dop.N_STAGES_EXTENDED)
+    lines = _dop_tableau(rhs, stages)
+    lines += [f"out[:, {s - first}, {i}] = k{s}_{i}" for s in stages for i in range(n)]
+    source = f"""\
+@_quiet
+def dense(consts, raw, out):
+    ({"".join(f"{x}, " for x in rhs.consts)}) = consts
+    ({columns}) = raw.T
+{_block(4, lines)}
+"""
+    return _exec(source, "dense", rhs.name)["dense"]
+
+
+def _interpolants(raw: np.ndarray, dense: np.ndarray, n: int) -> np.ndarray:
+    """DenseSolution's records from a run's raw rows and its dense-output stages.
+
+    raw holds the rows of a _dop_kernel run of n components, dense the
+    stages k13 .. k15 that _dop_dense wrote. One record per step: t_old, h,
+    y_old and, per component, the 7 Horner rows dy, h f_old - dy,
+    2 dy - h (f_new + f_old) and h (D . k) for the 4 rows of D. Every row
+    is the elementwise form of the sum the step would have written out, in
+    the same order with the same zero terms dropped, so the doubles are the
+    same.
+    """
     h = raw[:, 1:2]
     dy = raw[:, 2 + n : 2 + 2 * n] - raw[:, 2 : 2 + n]
-    k = raw[:, 2 + 2 * n :].reshape(-1, stages, n)
+    k = raw[:, 2 + 2 * n :].reshape(-1, _dop.N_STAGES + 1, n)
     f_old, f_new = k[:, 0], k[:, _dop.N_STAGES]
     rows = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
+
+    def stage(j):
+        return k[:, j] if j <= _dop.N_STAGES else dense[:, j - _dop.N_STAGES - 1]
+
     for d in _dop.D.tolist():
         (j, c), *rest = [(j, c) for j, c in enumerate(d) if c != 0.0]
-        acc = k[:, j] * c
+        acc = stage(j) * c
         for j, c in rest:
-            acc = acc + k[:, j] * c
+            acc = acc + stage(j) * c
         rows.append(h * acc)
     records = np.empty((raw.shape[0], 2 + (1 + _DOP_ROWS) * n))
     records[:, : 2 + n] = raw[:, : 2 + n]
@@ -524,10 +695,16 @@ def dop853(
     atol + rtol max(|y|, |y_new|), safety 0.9, step factors in [0.2, 10],
     no growth right after a rejection, and the 7th-degree interpolant of
     each step. Each accepted step packs its raw row (t_old, h, y_old, y_new
-    and the 16 stages) into one flat buffer, and after the last step one
-    numpy pass, _interpolants, turns the rows into the 7 x n interpolant
-    rows of each step, the doubles the step would have summed itself. The
-    buffer is freed when the run returns. The result also keeps the last
+    and the 13 stages that steer the step) into one flat buffer. After the
+    last step one call of _dop_dense(fun.text) evaluates the 3 dense-output
+    stages of all steps on the buffer's columns, with the text's array twin
+    inlined, and one numpy pass, _interpolants, turns the rows and those
+    stages into the 7 x n interpolant rows of each step, the doubles the
+    step would have summed itself. An error raised in a dense-output stage
+    (a plain callable's, or a math domain error of the text) therefore
+    surfaces after the step loop, and a plain callable sees its dense-output
+    calls after all its step calls. The buffer is freed when the run
+    returns. The result also keeps the last
     step's y_new as y_end, from which a following run can restart (the
     warping factor is solved this way, one run per piece between the knots
     of its right-hand side). Raises ValueError for a non-finite t_span or
@@ -538,8 +715,8 @@ def dop853(
     after it is one call of _dop_kernel(fun.text), generated once per
     right-hand-side text with that text inlined in each of its 15 stages
     and fun.consts passed in: the step loop, the step control, stages,
-    error norm and, on acceptance, the 3 dense-output stages and the
-    packing of the raw row. The order of every sum is fixed in the source,
+    error norm and, on acceptance, the packing of the raw row; then one
+    call of _dop_dense(fun.text). The order of every sum is fixed in the source,
     not left to builtin sum(), which CPython 3.12 made compensated. Tested
     on CPython 3.11 only, bit for bit against an oracle that calls fun and
     sums each stage with sum().
@@ -577,8 +754,11 @@ def dop853(
 
     run = _dop_kernel(fun.text)
     t, nfev, y, raw = run(fun.consts, t0, t_end, direction, h_abs, y, f, rtol, atol, max_step)
+    raw = np.frombuffer(raw, dtype=float).reshape(-1, _dop_row(n))
+    dense = np.empty((raw.shape[0], _DOP_EXTRA, n))
+    _dop_dense(fun.text)(fun.consts, raw, dense)
     # fun ran twice for the initial step.
-    return DenseSolution(_interpolants(raw, n), n, t, 2 + nfev, y)
+    return DenseSolution(_interpolants(raw, dense, n), n, t, 2 + nfev, y)
 
 
 def integrate_linear_system(

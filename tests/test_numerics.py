@@ -2,11 +2,13 @@
 
 import ast
 import dis
+import inspect
 import linecache
 import math
 import subprocess
 import sys
 import traceback
+import warnings
 from array import array
 from operator import mul
 from pathlib import Path
@@ -443,6 +445,42 @@ class TestDop853:
         assert flow.steps >= 2500 and len(calls) == 2
         assert calls[1] == warp.accel_fn.flow_rhs(1.5, 0.0, 0.0).text
 
+    def test_run_leaves_the_dense_stages_to_one_array_call(self, monkeypatch, lab):
+        # k13 .. k15 feed only the interpolant: the generated run holds none
+        # of them but counts their evaluations, its raw rows are t, h, y,
+        # y_new and k0 .. k12, and dop853 evaluates the dense stages of all
+        # steps in one call of the text's array twin after the run.
+        rows, dense_calls, kernel, dense = [], [], numerics._dop_kernel, numerics._dop_dense
+
+        def spy_kernel(text):
+            run = kernel(text)
+
+            def recorded(*args):
+                out = run(*args)
+                rows.append(len(out[3]))
+                return out
+
+            return recorded
+
+        def spy_dense(text):
+            dense_calls.append(text)
+            return dense(text)
+
+        monkeypatch.setattr(numerics, "_dop_kernel", spy_kernel)
+        monkeypatch.setattr(numerics, "_dop_dense", spy_dense)
+        rejected = dop853(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
+        assert rejected.nfev > 15 * rejected.steps + 2
+        assert rows == [rejected.steps * (2 + 15 * 1)] and dense_calls == [_call_text(1)]
+        warp = lab.warp("bumped", m0=1.0, eps=0.1)
+        flow = level_flow(warp, 1.5)
+        assert rows[1] == flow.steps * (2 + 15 * 3) and flow.nfev == 15 * flow.steps + 2
+        assert dense_calls[1:] == [warp.accel_fn.flow_rhs(1.5, 0.0, 0.0).text]
+        for text in dense_calls:
+            source = "".join(linecache.getlines(kernel(text).__code__.co_filename))
+            names = {x.id for x in ast.walk(ast.parse(source)) if isinstance(x, ast.Name)}
+            assert not {x for x in names if x.startswith(("k13_", "k14_", "k15_"))}
+            assert {"k12_0", "k0_0"} <= names
+
     def test_kernel_is_specialized_before_its_first_run(self):
         # CPython 3.11 specializes a function's bytecode at its 8th call, and
         # a whole run is one call: unwarmed, each kernel's first seven runs
@@ -458,8 +496,17 @@ class TestDop853:
         for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})):
             accel = lab.warp(tag, **params).accel_fn
             texts += [accel.family_rhs().text, accel.flow_rhs(1.5, 4.0, 0.5).text]
-        functions = [f for text in texts for f in (_dop_kernel(text), numerics._rhs_function(text))]
-        for function in functions:
+        functions = [
+            f
+            for text in texts
+            for f in (
+                _dop_kernel(text),
+                numerics._rhs_function(text),
+                numerics._dop_dense(text),
+                numerics._rhs_function(numerics._twin(text)),
+            )
+        ]
+        for function in map(inspect.unwrap, functions):
             lines = linecache.getlines(function.__code__.co_filename)
             assert lines, function.__code__.co_filename
             names = {x.id for x in ast.walk(ast.parse("".join(lines))) if isinstance(x, ast.Name)}
@@ -578,6 +625,98 @@ class TestDop853:
         assert kernel.line.endswith("= (sqrt(r_t_end - r_t),)")
         assert linecache.getline(kernel.filename, kernel.lineno).strip() == kernel.line
 
+
+def _assert_twin_is_its_text(text, consts, columns):
+    """The array twin of text returns, per element, the scalar function's doubles.
+
+    columns holds one 1-d array per positional parameter. An element where
+    the scalar function raises must raise the same in the twin, alone; the
+    others are evaluated in one array call, where no numpy warning may
+    escape.
+    """
+    scalar = numerics._rhs_function(text)
+    twin = numerics._rhs_function(numerics._twin(text))
+    kept, want = [], []
+    for i, args in enumerate(zip(*(c.tolist() for c in columns))):
+        try:
+            want.append(scalar(*args, **consts))
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                twin(*(c[i : i + 1] for c in columns), **consts)
+        else:
+            kept.append(i)
+    assert len(kept) > len(columns[0]) // 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = twin(*(c[kept] for c in columns), **consts)
+    got = np.stack(np.broadcast_arrays(*got)) if isinstance(got, tuple) else np.asarray(got)
+    want = np.array(want, dtype=float).T
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _draws(rng, lo, hi, size, special=(math.nan, math.inf, -math.inf, 0.0)):
+    """Seeded uniform draws on [lo, hi] with the special values spliced in."""
+    x = rng.uniform(lo, hi, size)
+    x[rng.choice(size, 4 * len(special), replace=False)] = np.repeat(special, 4)
+    return x
+
+
+class TestArrayTwin:
+    @pytest.mark.parametrize("piece", ["family", "flow"])
+    @pytest.mark.parametrize(
+        "tag, params",
+        [("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1}),
+         ("bumped", {"m0": 0.8, "eps": -0.06, "s1": 1.5, "s2": 5.5})],
+        ids=["schwarzschild", "bumped", "refused-bump"],
+    )
+    def test_twins_of_the_package_texts(self, lab, tag, params, piece):
+        accel = lab.warp(tag, **params).accel_fn
+        rhs = accel.family_rhs() if piece == "family" else accel.flow_rhs(1.5, 4.0, 0.5)
+        rng = np.random.default_rng(20261019)
+        size = 4000
+        # s covers the bump's support and its knots; phi > 0 but for the
+        # specials, where log raises.
+        s = _draws(rng, -1.0, 9.0, size)
+        s[:7] = [1.5, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0]
+        s[7:9] = [math.nextafter(2.0, 0.0), math.nextafter(6.0, 9.0)]
+        state = [s, _draws(rng, 0.01, 50.0, size), _draws(rng, -1.5, 1.5, size)]
+        if piece == "flow":
+            state.insert(0, _draws(rng, -5.0, 60.0, size))
+        names = numerics._rhs_function(rhs.text).__code__.co_varnames
+        consts = dict(zip(names[len(state) :], rhs.consts))
+        _assert_twin_is_its_text(rhs.text, consts, state)
+
+    def test_twin_of_the_plain_callable_text(self):
+        rng = np.random.default_rng(7)
+        columns = [_draws(rng, -3.0, 3.0, 500) for _ in range(3)]
+        _assert_twin_is_its_text(_call_text(2), {"fun": _pendulum}, columns)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # ** and calls go through the scalar functions, libm's bits
+            "x ** 2.0 + abs(y) ** 0.5, exp(x) - log1p(abs(y)) ** -1",
+            # chained comparisons, a middle operand bound once, walrus order
+            "(1.0 if -1.0 < (z := x * y) <= 2.0 < z * z + 1.0 else z), z",
+            "(x if 0.0 <= x + y < 1.0 else -y), (w := x - y) * (w if w > 0.0 else 0.5 * w)",
+            # keyword and display arguments, a sequence per element
+            "hypot(*[x, y]), round(x * 1e3, ndigits=2) + atan2(y, t)",
+            "divmod(x, y)",
+        ],
+    )
+    def test_twin_rules(self, body):
+        text = f"def f(t, x, y):\n    return {body}\n"
+        rng = np.random.default_rng(3)
+        columns = [_draws(rng, -2.0, 2.0, 600) for _ in range(3)]
+        _assert_twin_is_its_text(text, {}, columns)
+
+    def test_twin_raises_where_the_text_divides_by_zero(self):
+        twin = numerics._rhs_function(numerics._twin("def f(t, x):\n    return (1.0 / x,)\n"))
+        assert twin(0.0, np.array([1.0, 4.0]))[0].tolist() == [1.0, 0.25]
+        for x in (0.0, -0.0):
+            with pytest.raises(ZeroDivisionError):
+                twin(0.0, np.array([1.0, x]))
 
 class TestPanelsAndTails:
     def test_cumulative_inverse_square(self):
