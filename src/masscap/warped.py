@@ -336,10 +336,11 @@ def family_bumped(
     bump support the geometry is vacuum again with a larger Hawking mass.
     The forward solve is split at the bump's knots. phi'' is written once
     as text, which the right-hand sides of the solve and of level_flow
-    paste in and which accel_fn runs for a float s: in place of bump(s)
-    it has spline_bump's scalar text _BUMP inside (s1, s2) and 0.0
-    outside, where bump(s) is exactly 0.0, so it gives bump's doubles
-    without calling it. accel_fn's array path always goes through bump.
+    paste in and which accel_fn runs for a float s: inside (s1, s2) it
+    has spline_bump's scalar text _BUMP in place of bump(s), and outside,
+    where bump(s) is exactly 0.0, it is the vacuum phi'' alone, so it
+    gives bump's doubles without calling it. accel_fn's array path always
+    goes through bump.
     """
     _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
     _check_int(n=n)
@@ -350,10 +351,11 @@ def family_bumped(
     if s2 > 0.5 * s_max:
         raise ValueError("bump support must end well inside the grid")
     # Outside (s1, s2) bump(s) is exactly 0.0: x = (s - s1)/width is <= 0
-    # or, width = (s2 - s1)/4 being exact, >= 4. The scalar text multiplies
-    # by 0.0 there.
+    # or, width = (s2 - s1)/4 being exact, >= 4. There the scalar text is
+    # the vacuum phi'' V itself, which is V - finite * 0.0 bit for bit: V is
+    # never -0.0, its numerator 1 - phi'^2 being +0.0 at worst and phi > 0.
     accel = _Accel(
-        _VACUUM + f" - (eps / (2.0 * phi)) * ({_BUMP} if s1 < s < s2 else 0.0)",
+        f"({_VACUUM} - (eps / (2.0 * phi)) * {_BUMP} if s1 < s < s2 else {_VACUUM})",
         _VACUUM + " - (eps / (2.0 * phi)) * bump(s)",
         eps=eps,
         s1=s1,
