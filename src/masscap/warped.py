@@ -71,8 +71,10 @@ _MIN_FLOW_STEPS = 2500
 
 
 # phi'' of the vacuum slices as a function of (s, phi, phi'): every family's
-# accel starts with it.
-_VACUUM = "(1.0 - dphi**2) / (2.0 * phi)"
+# accel starts with it. phi' is squared by a product, which is the same
+# double for a float and in numpy; phi'**2 is libm's pow for a float and
+# numpy's square for an array, and those differ on about 0.1 % of doubles.
+_VACUUM = "(1.0 - dphi * dphi) / (2.0 * phi)"
 
 # The right-hand sides, written once as text (numerics.Rhs): {accel} is the
 # family's scalar phi'', {consts} its constants. dop853 pastes each text into

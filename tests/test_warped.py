@@ -180,6 +180,33 @@ class TestBumpedFamily:
         assert np.array_equal(from_float.view(np.int64), from_array.view(np.int64))
         assert np.count_nonzero(spline_bump(s1, s2)(s)) == 5  # three knots, two neighbours
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: family_schwarzschild(2.0), lambda: family_bumped(1.0, 0.1, 2.0, 6.0),
+         lambda: family_bumped(0.8, -0.06, 1.5, 5.5)],
+        ids=["schwarzschild", "bumped", "refused-bump"],
+    )
+    def test_accel_paths_agree_on_many_points(self, build):
+        # The solves run accel_fn's scalar text, scalar_curvature and
+        # level_flow its array path: over 10^5 seeded states, the support's
+        # ends, the knots and their neighbours included, both give the same
+        # doubles. A square written phi'**2 failed here: libm's pow and
+        # numpy's square differ in the last bit on about 0.1 % of doubles.
+        warp = build()
+        s1, s2 = warp.params.get("s1", 2.0), warp.params.get("s2", 6.0)
+        knots = [s1 + k * (s2 - s1) / 4.0 for k in range(5)]
+        rng = np.random.default_rng(20261019)
+        size = 100_000
+        s = rng.uniform(-1.0, s2 + 2.0, size)
+        s[:15] = knots + [math.nextafter(x, d) for x in knots for d in (-math.inf, math.inf)]
+        phi = rng.uniform(0.05, 60.0, size)
+        dphi = rng.uniform(-1.0, 1.0, size)
+        from_array = warp.accel_fn(s, phi, dphi)
+        from_float = np.array(
+            [warp.accel_fn(*args) for args in zip(s.tolist(), phi.tolist(), dphi.tolist())]
+        )
+        assert np.array_equal(from_float.view(np.int64), from_array.view(np.int64))
+
     def test_landing_case_of_a_knot_split_solve(self, lab):
         # The bump's third derivative jumps at its five knots; one solve
         # across them put the Hawking mass 1.2e-8 low and the backward flow
