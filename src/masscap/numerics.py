@@ -7,13 +7,9 @@ per-interval Gauss-Legendre panels for cumulative integrals on fixed grids.
 
 dop853 has scipy's method and step control. Each right-hand side is
 written once as source text (Rhs). A run is one call of code generated
-from scipy's tableau per text, with the text inlined in each stage: the
-step loop, the step control and the packing of each accepted step's raw
-row. After it, one generated numpy call evaluates the 3 dense-output
-stages of all steps with the text's array twin inlined, and numpy
-assembles the interpolants from both (vectorised dense output). The array
-twin of a text (_twin) evaluates it on numpy arrays with the doubles the
-text gives each element.
+per text, with the text inlined in each stage, then one numpy call that
+evaluates the dense-output stages of all steps with the text's array twin
+(_twin) inlined; numpy assembles the interpolants from both.
 
 The least-squares power-law tail fit fit_power_tail has no caller in the
 package (verify fits its limits itself); like frobenius.py it is kept
@@ -171,37 +167,23 @@ _DOP_EXTRA = _dop.N_STAGES_EXTENDED - _dop.N_STAGES - 1  # dense-output stages
 _DOP_ROWS = _dop.INTERPOLATOR_POWER
 
 
-def _dop_row(n: int) -> int:
-    """Doubles in a raw row of n components: t, h, y, y_new and the stages k0 .. k12."""
-    return 2 + (3 + _dop.N_STAGES) * n
-
-
 def _each(f, *args):
-    """f on each element of the broadcast arguments, passed as Python numbers.
-
-    Where f returns a sequence of values per element, the result unpacks
-    to one array per value.
-    """
+    """f per element of the broadcast arguments, as Python numbers; a row per value f returns."""
     columns = [np.atleast_1d(a).tolist() for a in np.broadcast_arrays(*args)]
     return np.array(list(map(f, *columns)), dtype=float).T
 
 
 def _div(a, b):
-    """a / b, raising ZeroDivisionError, as float division does, where b holds a zero."""
-    if not np.all(b):
+    if not np.all(b):  # float division raises where numpy would give inf or nan
         raise ZeroDivisionError("float division by zero")
     return a / b
 
 
 # The globals of generated code: the math module's public names, which
 # right-hand-side texts read, and the helpers of their array twins (_twin).
-_GLOBALS = {k: v for k, v in vars(math).items() if not k.startswith("_")} | {
-    "_each": _each,
-    "_div": _div,
-    "_pow": operator.pow,
-    "_where": np.where,
-    "_quiet": np.errstate(all="ignore"),
-}
+_GLOBALS = {k: v for k, v in vars(math).items() if not k.startswith("_")}
+_GLOBALS |= dict(_each=_each, _div=_div, _pow=operator.pow, _where=np.where)
+_GLOBALS["_quiet"] = np.errstate(all="ignore")
 
 
 def _exec(source: str, kind: str, name: str) -> dict:
@@ -225,9 +207,9 @@ def _rhs_function(text: str):
 
 
 def _call_text(n: int) -> str:
-    """The right-hand-side text of a plain callable fun(t, y) of n components."""
+    """The right-hand-side text of a plain callable fun(t, y0, ..., y{n-1})."""
     ys = ", ".join(f"y{i}" for i in range(n))
-    return f"def call(t, {ys}, *, fun):\n    return fun(t, [{ys}])\n"
+    return f"def call(t, {ys}, *, fun):\n    return fun(t, {ys})\n"
 
 
 class Rhs:
@@ -270,39 +252,20 @@ def _call(name: str, *args) -> ast.Call:
 
 
 class _Twin(ast.NodeTransformer):
-    """The rewriting of a right-hand-side text into its array twin (_twin)."""
-
-    temps = 0
+    temps = 0  # middle operands of chained comparisons bound so far
 
     def visit_Call(self, node):
         self.generic_visit(node)
-        if not node.keywords and not any(isinstance(a, (ast.List, ast.Tuple)) for a in node.args):
-            return _call("_each", node.func, *node.args)
-        # A display or keyword argument: call per element a lambda of its leaves.
-        leaves = []
-
-        def leaf(x):
-            leaves.append(x)
-            return ast.Name(f"_e{len(leaves) - 1}", ast.Load())
-
-        args = [
-            type(a)([leaf(x) for x in a.elts], ast.Load())
-            if isinstance(a, (ast.List, ast.Tuple))
-            else leaf(a)
-            for a in node.args
-        ]
-        keywords = [ast.keyword(k.arg, leaf(k.value)) for k in node.keywords]
-        params = [ast.arg(f"_e{i}") for i in range(len(leaves))]
-        signature = ast.arguments([], params, None, [], [], None, [])
-        return _call("_each", ast.Lambda(signature, ast.Call(node.func, args, keywords)), *leaves)
+        if node.keywords:
+            raise ValueError(f"no array twin for keyword arguments: {ast.unparse(node)}")
+        return _call("_each", node.func, *node.args)
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
         if isinstance(node.op, ast.Pow):
             return _call("_each", ast.Name("_pow", ast.Load()), node.left, node.right)
-        if isinstance(node.op, ast.Div) and not (
-            isinstance(node.right, ast.Constant) and node.right.value
-        ):
+        constant = isinstance(node.right, ast.Constant) and node.right.value
+        if isinstance(node.op, ast.Div) and not constant:  # a nonzero literal needs no check
             return _call("_div", node.left, node.right)
         return node
 
@@ -313,40 +276,25 @@ class _Twin(ast.NodeTransformer):
     def visit_Compare(self, node):
         self.generic_visit(node)
         left, pairs = node.left, []
-        for i, (op, right) in enumerate(zip(node.ops, node.comparators)):
-            pairs.append(ast.Compare(left, [op], [right]))
-            left = right
-            if i + 1 == len(node.ops) or isinstance(right, (ast.Name, ast.Constant)):
-                continue
-            if not isinstance(right, ast.NamedExpr):  # bind the middle operand once
+        for op, right in zip(node.ops, node.comparators):
+            if right is not node.comparators[-1]:  # a middle operand is evaluated once
                 self.temps += 1
-                right = pairs[-1].comparators[0] = ast.NamedExpr(
-                    ast.Name(f"_m{self.temps}", ast.Store()), right
-                )
-            left = ast.Name(right.target.id, ast.Load())
+                right = ast.NamedExpr(ast.Name(f"_m{self.temps}", ast.Store()), right)
+            pairs.append(ast.Compare(left, [op], [right]))
+            left = getattr(right, "target", right)
         return functools.reduce(lambda a, b: ast.BinOp(a, ast.BitAnd(), b), pairs)
 
 
 @functools.cache
 def _twin(text: str) -> str:
-    """The array twin of a right-hand-side text: the same function for numpy arrays.
+    """The array twin of a right-hand-side text: per element, the text's doubles.
 
-    Given arrays (or floats) for its parameters, it returns per element the
-    doubles the text returns for that element's floats:
-    - arithmetic and comparisons run in numpy, in the text's order, which
-      is IEEE arithmetic on the same doubles;
-    - every call and every `**` runs per element through the scalar
-      function (_each, on Python floats), so libm gives the same bits as in
-      the text (numpy's exp and square are not libm's exp and pow);
-    - `a if c else b` is np.where(c, a, b), both sides evaluated on every
-      element, so a side that raises for an element it does not select
-      raises here and not in the text;
-    - a chained comparison is the & of its pairs, each middle operand
-      evaluated once, and a walrus binds in the text's order;
-    - a division by an array or a name raises ZeroDivisionError where the
-      divisor holds a zero, as float division does.
-    The function runs under np.errstate(all="ignore"), so no numpy warning
-    escapes where the text would have given inf or nan silently.
+    Arithmetic and comparisons run in numpy in the text's order (IEEE, as
+    on floats). Calls and `**` run per element through the scalar function
+    (_each): numpy's exp and square are not libm's exp and pow. `a if c
+    else b` is np.where, both sides evaluated (a side raises even where it
+    is not taken); a chained comparison is the & of its pairs. A division
+    by zero raises, as in the text; no numpy warning escapes (np.errstate).
     """
     (node,) = ast.parse(text).body
     node = _Twin().visit(node)
@@ -377,23 +325,19 @@ class _Inlined(NamedTuple):
 def _inline(text: str) -> _Inlined:
     """Take a right-hand-side text apart, its names renamed apart from the run's.
 
-    Every name the text binds (its lambdas' parameters too), and every name
-    it reads that is neither in _GLOBALS nor a builtin, becomes r_<name>;
-    no name of the run starts with r_. A parameter that the text never
-    reads is not bound at all, so the run does not sum its stage value (the
-    Schwarzschild flow's s).
+    Every name the text binds, and every name it reads that is neither in
+    _GLOBALS nor a builtin, becomes r_<name>; no name of the run starts
+    with r_. A parameter that the text never reads is not bound at all, so
+    the run does not sum its stage value (the Schwarzschild flow's s).
     """
     (node,) = ast.parse(text).body
     params = [a.arg for a in node.args.args]
     consts = [a.arg for a in node.args.kwonlyargs]
     names = [x for x in ast.walk(node) if isinstance(x, ast.Name)]
-    args = [x for x in ast.walk(node) if isinstance(x, ast.arg)]
-    bound = {*(x.arg for x in args), *(x.id for x in names if isinstance(x.ctx, ast.Store))}
+    bound = {*params, *consts, *(x.id for x in names if isinstance(x.ctx, ast.Store))}
     for x in names:
         if x.id in bound or not (x.id in _GLOBALS or hasattr(builtins, x.id)):
             x.id = "r_" + x.id
-    for x in args:
-        x.arg = "r_" + x.arg
     *body, ret = node.body
     read = {x.id for x in names if isinstance(x.ctx, ast.Load)}
     return _Inlined(
@@ -418,17 +362,11 @@ def _dop_stage(rhs: _Inlined, s: int, t: str, state: list) -> list:
 
 def _dop_tableau(rhs: _Inlined, stages) -> list:
     """Lines of the given stages at t + c h, from y plus h times their sums."""
-    n = len(rhs.params) - 1
-    return [
-        line
-        for s in stages
-        for line in _dop_stage(
-            rhs,
-            s,
-            f"t + {_dop.C[s].item()!r} * h",
-            [f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n)],
-        )
-    ]
+    n, lines = len(rhs.params) - 1, []
+    for s in stages:
+        state = [f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n)]
+        lines += _dop_stage(rhs, s, f"t + {_dop.C[s].item()!r} * h", state)
+    return lines
 
 
 def _block(depth: int, lines: list) -> str:
@@ -451,13 +389,12 @@ def _dop_kernel(text: str):
     none of the names in _GLOBALS or the builtins). The scaled error norm
     is one expression, max(a, b) written b if b > a else a, builtin max's
     rule. An accepted step appends its raw row t, h, y, y_new, k0 .. k12
-    (each stage's n components in order; _dop_row(n) doubles), packed by
-    one struct, to the array("d") that _dop_dense and _interpolants read.
-    The 3 dense-output stages, which steer neither the error norm nor the
-    step, are not run here; their evaluations are counted in nfev.
-    State and stages stay locals from step to step. Coefficients are
-    scipy's exact reprs, exactly-zero terms are dropped, sums run left to
-    right. linecache holds the source for tracebacks.
+    (each stage's n components in order), packed by one struct, to the
+    array("d") that _dop_dense and _interpolants read; the 3 dense-output
+    stages steer nothing here and are only counted in nfev. State and
+    stages stay locals from step to step. Coefficients are scipy's exact
+    reprs, exactly-zero terms are dropped, sums run left to right.
+    linecache holds the source for tracebacks.
     """
     rhs = _inline(text)
     n = len(rhs.params) - 1
@@ -483,7 +420,7 @@ def _dop_kernel(text: str):
     source = f"""\
 from array import array
 from struct import Struct
-pack = Struct("{_dop_row(n)}d").pack
+pack = Struct("{2 + (3 + last) * n}d").pack
 def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
     ({"".join(f"{x}, " for x in rhs.consts)}) = consts
     ({ys}) = y
@@ -544,15 +481,13 @@ def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
 
 @functools.cache
 def _dop_dense(text: str):
-    """The 3 dense-output stages of a _dop_kernel run, for all its steps in one generated call.
+    """The 3 dense-output stages of all steps of a _dop_kernel run, one generated call.
 
-    dense(consts, raw, out) takes the run's raw rows as a (steps,
-    _dop_row(n)) array and writes k13, k14 and k15 of every step into out,
-    of shape (steps, 3, n). Each column of raw is one name, a strided view;
-    each stage is the step's own code (_dop_tableau) on those columns, with
-    the array twin of the text (_twin) inlined in place of the text, so
-    every element is the double the step would have computed. It runs under
-    np.errstate(all="ignore"), as the twin does. linecache holds the source.
+    dense(consts, raw, out) names each column of the run's raw rows (a
+    strided view) and writes k13 .. k15 of every step into out, of shape
+    (steps, 3, n). Each stage is the step's own code (_dop_tableau) with
+    the text's array twin (_twin) inlined, so every element is the double
+    the step would have computed. linecache holds the source.
     """
     rhs = _inline(_twin(text))
     n = len(rhs.params) - 1
@@ -573,30 +508,25 @@ def dense(consts, raw, out):
 
 
 def _interpolants(raw: np.ndarray, dense: np.ndarray, n: int) -> np.ndarray:
-    """DenseSolution's records from a run's raw rows and its dense-output stages.
+    """DenseSolution's records from a _dop_kernel run's raw rows and _dop_dense's stages.
 
-    raw holds the rows of a _dop_kernel run of n components, dense the
-    stages k13 .. k15 that _dop_dense wrote. One record per step: t_old, h,
-    y_old and, per component, the 7 Horner rows dy, h f_old - dy,
-    2 dy - h (f_new + f_old) and h (D . k) for the 4 rows of D. Every row
-    is the elementwise form of the sum the step would have written out, in
-    the same order with the same zero terms dropped, so the doubles are the
-    same.
+    One row per step: t_old, h, y_old and, per component, the 7 Horner rows
+    dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4 rows
+    of D. Every row is the elementwise form of the sum the step would have
+    written out, in the same order with the same zero terms dropped, so the
+    doubles are the same.
     """
     h = raw[:, 1:2]
     dy = raw[:, 2 + n : 2 + 2 * n] - raw[:, 2 : 2 + n]
     k = raw[:, 2 + 2 * n :].reshape(-1, _dop.N_STAGES + 1, n)
-    f_old, f_new = k[:, 0], k[:, _dop.N_STAGES]
+    k = [*k.swapaxes(0, 1), *dense.swapaxes(0, 1)]  # k[j]: stage j of every step
+    f_old, f_new = k[0], k[_dop.N_STAGES]
     rows = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
-
-    def stage(j):
-        return k[:, j] if j <= _dop.N_STAGES else dense[:, j - _dop.N_STAGES - 1]
-
     for d in _dop.D.tolist():
         (j, c), *rest = [(j, c) for j, c in enumerate(d) if c != 0.0]
-        acc = stage(j) * c
+        acc = k[j] * c
         for j, c in rest:
-            acc = acc + stage(j) * c
+            acc = acc + k[j] * c
         rows.append(h * acc)
     records = np.empty((raw.shape[0], 2 + (1 + _DOP_ROWS) * n))
     records[:, : 2 + n] = raw[:, : 2 + n]
@@ -696,27 +626,23 @@ def dop853(
     no growth right after a rejection, and the 7th-degree interpolant of
     each step. Each accepted step packs its raw row (t_old, h, y_old, y_new
     and the 13 stages that steer the step) into one flat buffer. After the
-    last step one call of _dop_dense(fun.text) evaluates the 3 dense-output
-    stages of all steps on the buffer's columns, with the text's array twin
-    inlined, and one numpy pass, _interpolants, turns the rows and those
-    stages into the 7 x n interpolant rows of each step, the doubles the
-    step would have summed itself. An error raised in a dense-output stage
-    (a plain callable's, or a math domain error of the text) therefore
-    surfaces after the step loop, and a plain callable sees its dense-output
-    calls after all its step calls. The buffer is freed when the run
-    returns. The result also keeps the last
-    step's y_new as y_end, from which a following run can restart (the
-    warping factor is solved this way, one run per piece between the knots
-    of its right-hand side). Raises ValueError for a non-finite t_span or
-    y0, and RuntimeError when the step falls below 10 ulp of t or is not a
-    number (a NaN derivative).
+    last step one numpy call evaluates the 3 dense-output stages of all
+    steps, and one numpy pass, _interpolants, turns rows and stages into
+    the 7 x n interpolant rows of each step, the doubles the step would
+    have summed itself; so an error in a dense-output stage surfaces after
+    the step loop. The buffer is freed when the run returns. The result
+    also keeps the last step's y_new as y_end, from which a following run
+    can restart (the warping factor is solved this way, one run per piece
+    between the knots of its right-hand side). Raises ValueError for a non-
+    finite t_span or y0, and RuntimeError when the step falls below 10 ulp
+    of t or is not a number (a NaN derivative).
 
     Here the initial step is chosen, with two calls of fun; everything
     after it is one call of _dop_kernel(fun.text), generated once per
-    right-hand-side text with that text inlined in each of its 15 stages
-    and fun.consts passed in: the step loop, the step control, stages,
-    error norm and, on acceptance, the packing of the raw row; then one
-    call of _dop_dense(fun.text). The order of every sum is fixed in the source,
+    right-hand-side text with that text inlined in each of its 12 stages
+    and fun.consts passed in (the step loop, the step control, stages,
+    error norm and the packing of the raw row), then one call of
+    _dop_dense(fun.text). The order of every sum is fixed in the source,
     not left to builtin sum(), which CPython 3.12 made compensated. Tested
     on CPython 3.11 only, bit for bit against an oracle that calls fun and
     sums each stage with sum().
@@ -734,7 +660,8 @@ def dop853(
         raise ValueError(f"y0 must be finite, got {y!r}")
     n = len(y)
     if not isinstance(fun, Rhs):
-        fun = Rhs(_call_text(n), fun=fun)
+        call = fun
+        fun = Rhs(_call_text(n), fun=lambda t, *y: call(t, list(y)))
 
     f = fun(t0, y)
     # Initial step (Hairer, Norsett & Wanner, II.4; scipy's select_initial_step).
@@ -754,7 +681,7 @@ def dop853(
 
     run = _dop_kernel(fun.text)
     t, nfev, y, raw = run(fun.consts, t0, t_end, direction, h_abs, y, f, rtol, atol, max_step)
-    raw = np.frombuffer(raw, dtype=float).reshape(-1, _dop_row(n))
+    raw = np.frombuffer(raw, dtype=float).reshape(-1, 2 + (3 + _dop.N_STAGES) * n)
     dense = np.empty((raw.shape[0], _DOP_EXTRA, n))
     _dop_dense(fun.text)(fun.consts, raw, dense)
     # fun ran twice for the initial step.

@@ -687,10 +687,28 @@ class TestArrayTwin:
         consts = dict(zip(names[len(state) :], rhs.consts))
         _assert_twin_is_its_text(rhs.text, consts, state)
 
+    @pytest.mark.parametrize(
+        "tag, params",
+        [("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})],
+        ids=["schwarzschild", "bumped"],
+    )
+    def test_twins_of_the_accel_and_bump_texts(self, lab, tag, params):
+        # warped's phi'' and bump run these twins for arrays.
+        rng = np.random.default_rng(11)
+        s = _draws(rng, 1.0, 7.0, 3000)
+        s[:5] = [2.0, 3.0, 4.0, 5.0, 6.0]
+        accel = lab.warp(tag, **params).accel_fn
+        text = "".join(linecache.getlines(accel._scalar.__code__.co_filename))
+        state = [s, _draws(rng, 0.01, 50.0, 3000), _draws(rng, -1.5, 1.5, 3000)]
+        _assert_twin_is_its_text(text, accel.consts, state)
+        bump = f"def bump(s, *, s1, width):\n    return {warped._BUMP}\n"
+        _assert_twin_is_its_text(bump, {"s1": 2.0, "width": 1.0}, [s])
+
     def test_twin_of_the_plain_callable_text(self):
         rng = np.random.default_rng(7)
         columns = [_draws(rng, -3.0, 3.0, 500) for _ in range(3)]
-        _assert_twin_is_its_text(_call_text(2), {"fun": _pendulum}, columns)
+        fun = {"fun": lambda t, *y: _pendulum(t, list(y))}
+        _assert_twin_is_its_text(_call_text(2), fun, columns)
 
     @pytest.mark.parametrize(
         "body",
@@ -700,8 +718,8 @@ class TestArrayTwin:
             # chained comparisons, a middle operand bound once, walrus order
             "(1.0 if -1.0 < (z := x * y) <= 2.0 < z * z + 1.0 else z), z",
             "(x if 0.0 <= x + y < 1.0 else -y), (w := x - y) * (w if w > 0.0 else 0.5 * w)",
-            # keyword and display arguments, a sequence per element
-            "hypot(*[x, y]), round(x * 1e3, ndigits=2) + atan2(y, t)",
+            # a starred argument, a sequence per element
+            "hypot(*[x, y]), atan2(y, t)",
             "divmod(x, y)",
         ],
     )
@@ -717,6 +735,14 @@ class TestArrayTwin:
         for x in (0.0, -0.0):
             with pytest.raises(ZeroDivisionError):
                 twin(0.0, np.array([1.0, x]))
+        for text in ("def f(t, x):\n    return (x / 0.0,)\n", "def f(t, x):\n    return (x / 0,)\n"):
+            with pytest.raises(ZeroDivisionError):
+                numerics._rhs_function(numerics._twin(text))(0.0, np.array([1.0]))
+
+    def test_keyword_arguments_have_no_twin(self):
+        # Per element a keyword's value would need broadcasting too: refused.
+        with pytest.raises(ValueError, match="keyword arguments: round"):
+            numerics._twin("def f(t, x):\n    return (round(x, ndigits=2),)\n")
 
 class TestPanelsAndTails:
     def test_cumulative_inverse_square(self):
