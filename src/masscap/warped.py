@@ -32,6 +32,7 @@ from .numerics import (
     _check_int,
     _check_p,
     _rhs_function,
+    _twin,
     dop853,
     panel_integrals,
     right_cumulative,
@@ -96,18 +97,17 @@ class _Accel:
     scalar is its text for a float s: an expression in s, phi, dphi and the
     names of consts. The right-hand sides of the family's solve and of
     level_flow paste it into their own texts, and a call with a float s
-    runs it. array is the expression for any other s.
+    runs it. Any other s runs the text's array twin (numerics._twin), which
+    gives each element the scalar text's double.
     """
 
     __slots__ = ("scalar", "consts", "_names", "_scalar", "_array")
 
-    def __init__(self, scalar: str, array: str, **consts):
+    def __init__(self, scalar: str, **consts):
         self.scalar, self.consts = scalar, consts
         self._names = "".join(f", {name}" for name in consts)
-        self._scalar, self._array = (
-            _rhs_function(f"def accel(s, phi, dphi{self._keyword_only()}):\n    return {text}\n")
-            for text in (scalar, array)
-        )
+        text = f"def accel(s, phi, dphi{self._keyword_only()}):\n    return {scalar}\n"
+        self._scalar, self._array = _rhs_function(text), _rhs_function(_twin(text))
 
     def _keyword_only(self) -> str:
         return f", *{self._names}" if self._names else ""
@@ -127,19 +127,10 @@ class _Accel:
         return Rhs(text, pm1=p - 1.0, kappa=kappa, ln_C=ln_C, **self.consts)
 
 
-def _bump_edge(v):
-    """Outer B-spline piece v^3/6; v is the distance to the nearer end knot."""
-    return v * v * v / 6.0
-
-
-def _bump_middle(v):
-    """Inner B-spline piece (-3 v^3 + 3 v^2 + 3 v + 1)/6; v from its inner knot."""
-    return (-3.0 * v * v * v + 3.0 * v * v + 3.0 * v + 1.0) / 6.0
-
-
 # The bump for a float s, as an expression in s, s1 and width = (s2 - s1)/4:
-# the array path's products in its order, on x = (s - s1)/width, and 0.0
-# outside 0 < x < 4. spline_bump runs it, family_bumped's scalar text pastes it.
+# the uniform cubic B-spline's pieces as products on x = (s - s1)/width,
+# scaled by 1.5, and 0.0 outside 0 < x < 4. spline_bump runs it and its
+# array twin, family_bumped's scalar text pastes it.
 _BUMP = (
     "(1.5 * (x * x * x / 6.0) if 0.0 < (x := (s - s1) / width) < 1.0"
     " else 1.5 * ((-3.0 * (v := x - 1.0) * v * v + 3.0 * v * v + 3.0 * v + 1.0) / 6.0)"
@@ -160,30 +151,19 @@ def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
     s1 + k (s2 - s1)/4, where family_bumped restarts its solve.
 
     A scalar argument runs the text _BUMP, which family_bumped's scalar
-    phi'' also pastes in, and returns a float; an array is evaluated
-    piecewise under masks. Both paths evaluate the same product-only
-    expressions (no `**`, whose array and libm results may differ by an
-    ulp), so they agree bit for bit.
+    phi'' also pastes in, and returns a float; an array runs the text's
+    array twin (numerics._twin), so both agree bit for bit.
     """
     if not s2 > s1:
         raise ValueError("bump support needs s2 > s1")
     width = (s2 - s1) / 4.0
-    scalar = _rhs_function(f"def bump(s, *, s1, width):\n    return {_BUMP}\n")
+    text = f"def bump(s, *, s1, width):\n    return {_BUMP}\n"
+    scalar, array = _rhs_function(text), _rhs_function(_twin(text))
 
     def bump(s):
         if isinstance(s, float) or np.ndim(s) == 0:
             return scalar(float(s), s1=s1, width=width)
-        x = (np.asarray(s, dtype=float) - s1) / width
-        out = np.zeros_like(x)
-        m = (x > 0.0) & (x < 1.0)
-        out[m] = _bump_edge(x[m])
-        m = (x >= 1.0) & (x < 2.0)
-        out[m] = _bump_middle(x[m] - 1.0)
-        m = (x >= 2.0) & (x < 3.0)
-        out[m] = _bump_middle(3.0 - x[m])
-        m = (x >= 3.0) & (x < 4.0)
-        out[m] = _bump_edge(4.0 - x[m])
-        return 1.5 * out
+        return array(np.asarray(s, dtype=float), s1=s1, width=width)
 
     return bump
 
@@ -313,7 +293,7 @@ def family_schwarzschild(
     if not m > 0.0:
         raise ValueError("mass must be positive")
 
-    accel = _Accel(_VACUUM, _VACUUM)
+    accel = _Accel(_VACUUM)
     warp = _solve_family("schwarzschild", {"m": float(m)}, 2.0 * m, accel, True, s_max, n)
     first_integral = np.sqrt(1.0 - 2.0 * m / warp.phi.y[1:])
     if np.max(np.abs(warp.dphi.y[1:] - first_integral)) > 1e-9:
@@ -341,8 +321,8 @@ def family_bumped(
     paste in and which accel_fn runs for a float s: inside (s1, s2) it
     has spline_bump's scalar text _BUMP in place of bump(s), and outside,
     where bump(s) is exactly 0.0, it is the vacuum phi'' alone, so it
-    gives bump's doubles without calling it. accel_fn's array path always
-    goes through bump.
+    gives bump's doubles without calling it. accel_fn's array path is the
+    text's array twin, which gives the same doubles.
     """
     _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
     _check_int(n=n)
@@ -358,12 +338,10 @@ def family_bumped(
     # never -0.0, its numerator 1 - phi'^2 being +0.0 at worst and phi > 0.
     accel = _Accel(
         f"({_VACUUM} - (eps / (2.0 * phi)) * {_BUMP} if s1 < s < s2 else {_VACUUM})",
-        _VACUUM + " - (eps / (2.0 * phi)) * bump(s)",
         eps=eps,
         s1=s1,
         s2=s2,
         width=(s2 - s1) / 4.0,
-        bump=spline_bump(s1, s2),
     )
     params = {"m0": float(m0), "eps": float(eps), "s1": float(s1), "s2": float(s2)}
     knots = [s1 + k * (s2 - s1) / 4.0 for k in range(5)]

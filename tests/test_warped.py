@@ -163,9 +163,9 @@ class TestBumpedFamily:
 
     @pytest.mark.parametrize("eps", [0.1, -0.1])
     def test_accel_scalar_path_is_its_array_path(self, eps):
-        # The solves call accel_fn with floats, and outside (s1, s2) it
-        # multiplies by 0.0 in place of calling the bump; scalar_curvature
-        # calls it with arrays. Both must give the very same doubles.
+        # The solves call accel_fn with floats, and outside (s1, s2) it is
+        # the vacuum phi'' alone in place of calling the bump;
+        # scalar_curvature calls it with arrays. Both must give the very same doubles.
         s1, s2 = 2.0, 6.0
         warp = family_bumped(1.0, eps, s1, s2)
         knots = [s1 + k * (s2 - s1) / 4.0 for k in range(5)]
@@ -189,8 +189,8 @@ class TestBumpedFamily:
     def test_accel_paths_agree_on_many_points(self, build):
         # The solves run accel_fn's scalar text, scalar_curvature and
         # level_flow its array path: over 10^5 seeded states, the support's
-        # ends, the knots and their neighbours included, both give the same
-        # doubles. A square written phi'**2 failed here: libm's pow and
+        # ends, the knots and their neighbours, nan and +-inf included, both
+        # give the same doubles. A square written phi'**2 failed here: libm's pow and
         # numpy's square differ in the last bit on about 0.1 % of doubles.
         warp = build()
         s1, s2 = warp.params.get("s1", 2.0), warp.params.get("s2", 6.0)
@@ -201,6 +201,8 @@ class TestBumpedFamily:
         s[:15] = knots + [math.nextafter(x, d) for x in knots for d in (-math.inf, math.inf)]
         phi = rng.uniform(0.05, 60.0, size)
         dphi = rng.uniform(-1.0, 1.0, size)
+        for x in (s, phi, dphi):  # no phi = 0, where the scalar text raises
+            x[rng.choice(size, 30, replace=False)] = np.repeat([math.nan, math.inf, -math.inf], 10)
         from_array = warp.accel_fn(s, phi, dphi)
         from_float = np.array(
             [warp.accel_fn(*args) for args in zip(s.tolist(), phi.tolist(), dphi.tolist())]
