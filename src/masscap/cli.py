@@ -52,7 +52,7 @@ from .coefficients import (
     solve_growing,
 )
 from . import warped
-from .numerics import Tolerances, _check_p
+from .numerics import Tolerances, _check_p, _dop_dense, _dop_kernel
 from .schwarzschild import (
     DEFAULT_N_R,
     DEFAULT_R_MAX,
@@ -345,7 +345,7 @@ class _Pipeline:
 
     @contextlib.contextmanager
     def certifying(self):
-        """Build every family, model and triple pair, then start the cases.
+        """Build every family, model and triple pair, compile the flows, start the cases.
 
         minimal_ps records the exponents whose minimal-boundary cases got
         their triples; a failed build is left to _certify, which gets its
@@ -364,7 +364,13 @@ class _Pipeline:
         order = _case_order(self.cfg)
         for p, tag, params in order:
             with contextlib.suppress(ValueError, RuntimeError):
-                if self.family(tag, params).minimal_boundary:
+                warp = self.family(tag, params)
+                if warp.minimal_boundary:
+                    # A flow's generated code depends on its family only:
+                    # compiled here once, it is not compiled again per worker.
+                    text = warp.accel_fn.flow_rhs(p, 0.0, 0.0).text
+                    _dop_kernel(text)
+                    _dop_dense(text)
                     self.triples(p)
                     self.minimal_ps.add(p)
                 else:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import masscap
+from masscap import numerics
 from masscap.cli import _cell, _write_csv, build_parser, main, make_config
 
 
@@ -390,6 +391,37 @@ class TestWorkerPool:
         refused = [case for case in report["cases"] if case["p"] == 1.03]
         assert [case["checks"][0]["name"] for case in refused] == ["reference_model"] * 3
         assert list(report["reference"]) == ["1.2", "1.5", "1.8"]
+
+    def test_flow_code_is_compiled_before_the_cases(self, tmp_path, monkeypatch):
+        # A flow's generated run and dense-output call depend on its family
+        # only: the pipeline compiles them while it builds, before it forks,
+        # so no case (and no worker) compiles them again.
+        numerics._dop_kernel.cache_clear()
+        numerics._dop_dense.cache_clear()
+        compiled_before = []
+        certify = masscap.cli._Pipeline._certify
+
+        compilers = (numerics._dop_kernel, numerics._dop_dense)
+
+        def spy(pipe, p, tag, params):
+            warp = pipe.family(tag, params)
+            if warp.minimal_boundary:
+                misses = [f.cache_info().misses for f in compilers]
+                text = warp.accel_fn.flow_rhs(p, 1.0, 1.0).text
+                for compile_ in compilers:
+                    compile_(text)
+                compiled_before.append([f.cache_info().misses for f in compilers] == misses)
+            return certify(pipe, p, tag, params)
+
+        monkeypatch.setattr(masscap.cli._Pipeline, "_certify", spy)
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {"p_list": [1.5, 1.8], "families": self.README_FAMILIES,
+             "grids": {"n_s": 256, "n_t": 1024}},
+        )
+        out = tmp_path / "out"
+        assert self._run(monkeypatch, 1, ["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert compiled_before == [True] * 4
 
     def test_a_failing_build_runs_once(self, tmp_path, monkeypatch):
         # The default R_max is refused at p = 1.03. The pipeline keeps that

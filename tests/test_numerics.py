@@ -735,7 +735,8 @@ class TestArrayTwin:
         for x in (0.0, -0.0):
             with pytest.raises(ZeroDivisionError):
                 twin(0.0, np.array([1.0, x]))
-        for text in ("def f(t, x):\n    return (x / 0.0,)\n", "def f(t, x):\n    return (x / 0,)\n"):
+        for zero in ("0.0", "0"):  # a literal zero is checked too
+            text = f"def f(t, x):\n    return (x / {zero},)\n"
             with pytest.raises(ZeroDivisionError):
                 numerics._rhs_function(numerics._twin(text))(0.0, np.array([1.0]))
 
