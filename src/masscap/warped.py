@@ -571,13 +571,15 @@ def level_flow(
     if np.any(np.diff(s_t) <= 0.0):
         raise RuntimeError("level-set reparametrization: s(t) is not strictly increasing")
 
+    # First, while few arrays of n_t points are alive: the array twin of a
+    # bump's phi'' holds all four pieces of the spline at once.
+    ddphi_t = accel(s_t, phi_t, dphi_t)
     du_over_u = -np.exp(ln_C - kappa * np.log(phi_t) + t / (p - 1.0))
     u_t = np.exp(-t / (p - 1.0))
     W = 4.0 * math.pi * (p - 1.0) ** 2 * (phi_t * du_over_u) ** 2
     dWds_over_W = 2.0 * ((1.0 - kappa) * dphi_t / phi_t - du_over_u)
     dtds = (1.0 - p) * du_over_u
     dWdt = W * dWds_over_W / dtds
-    ddphi_t = accel(s_t, phi_t, dphi_t)
     H = 2.0 * dphi_t / phi_t
 
     _, adm = masses(warp)
