@@ -264,8 +264,7 @@ class _Twin(ast.NodeTransformer):
         self.generic_visit(node)
         if isinstance(node.op, ast.Pow):
             return _call("_each", ast.Name("_pow", ast.Load()), node.left, node.right)
-        constant = isinstance(node.right, ast.Constant) and node.right.value
-        if isinstance(node.op, ast.Div) and not constant:  # a nonzero literal needs no check
+        if isinstance(node.op, ast.Div):
             return _call("_div", node.left, node.right)
         return node
 
