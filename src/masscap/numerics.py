@@ -222,7 +222,7 @@ class Rhs:
     statements ending in its one `return`, of a tuple of n values or of one
     expression that unpacks to n values. Besides what it binds,
     the text reads only the math module's names (exp, log, ...) and the
-    builtins.
+    builtins, and its calls pass no keyword arguments (_twin).
 
     Calling rhs(t, y) runs the function the text defines. dop853 pastes the
     text into its generated run in place of that call (_dop_kernel), so the
