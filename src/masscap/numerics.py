@@ -247,7 +247,7 @@ class Rhs:
         return self._call(t, *y)
 
 
-def _call(name: str, *args) -> ast.Call:
+def _ast_call(name: str, *args) -> ast.Call:
     return ast.Call(ast.Name(name, ast.Load()), list(args), [])
 
 
@@ -258,19 +258,19 @@ class _Twin(ast.NodeTransformer):
         self.generic_visit(node)
         if node.keywords:
             raise ValueError(f"no array twin for keyword arguments: {ast.unparse(node)}")
-        return _call("_each", node.func, *node.args)
+        return _ast_call("_each", node.func, *node.args)
 
     def visit_BinOp(self, node):
         self.generic_visit(node)
         if isinstance(node.op, ast.Pow):
-            return _call("_each", ast.Name("_pow", ast.Load()), node.left, node.right)
+            return _ast_call("_each", ast.Name("_pow", ast.Load()), node.left, node.right)
         if isinstance(node.op, ast.Div):
-            return _call("_div", node.left, node.right)
+            return _ast_call("_div", node.left, node.right)
         return node
 
     def visit_IfExp(self, node):
         self.generic_visit(node)
-        return _call("_where", node.test, node.body, node.orelse)
+        return _ast_call("_where", node.test, node.body, node.orelse)
 
     def visit_Compare(self, node):
         self.generic_visit(node)

@@ -675,8 +675,8 @@ class TestArrayTwin:
         rhs = accel.family_rhs() if piece == "family" else accel.flow_rhs(1.5, 4.0, 0.5)
         rng = np.random.default_rng(20261019)
         size = 4000
-        # s covers the bump's support and its knots; phi > 0 but for the
-        # specials, where log raises.
+        # s covers the bump's supports and their knots; phi > 0 but for the
+        # spliced specials (log raises at 0 and -inf, 1/(2 phi) at 0).
         s = _draws(rng, -1.0, 9.0, size)
         s[:7] = [1.5, 2.0, 3.0, 4.0, 5.0, 5.5, 6.0]
         s[7:9] = [math.nextafter(2.0, 0.0), math.nextafter(6.0, 9.0)]
@@ -744,6 +744,7 @@ class TestArrayTwin:
         # Per element a keyword's value would need broadcasting too: refused.
         with pytest.raises(ValueError, match="keyword arguments: round"):
             numerics._twin("def f(t, x):\n    return (round(x, ndigits=2),)\n")
+
 
 class TestPanelsAndTails:
     def test_cumulative_inverse_square(self):
