@@ -174,7 +174,7 @@ def _each(f, *args):
 
 
 def _div(a, b):
-    if not np.all(b):  # float division raises where numpy would give inf or nan
+    if np.count_nonzero(b) < np.size(b):  # float division raises where numpy gives inf or nan
         raise ZeroDivisionError("float division by zero")
     return a / b
 
