@@ -59,7 +59,7 @@ from .schwarzschild import (
     ModelGeometry,
     model_profile,
 )
-from .verify import CaseResult, certify_case, reference_checks
+from .verify import CaseResult, _nodes, certify_case, reference_checks
 from .warped import DEFAULT_N_S, DEFAULT_N_T, DEFAULT_S_MAX, WarpProfile, level_flow
 
 __all__ = ["ConfigError", "RunConfig", "main"]
@@ -313,8 +313,8 @@ class _Pipeline:
     later request raises again. certifying builds them all, then starts
     _certify on each case in forked workers, or leaves it to cases() in this
     process; a flow and its Q curves live only in the process that certifies
-    their case, are written there with write_curves, and never come back:
-    case results are light.
+    their case, are written there with write_curves (the flow at the nodes
+    the gates read), and never come back: case results are light.
     """
 
     def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
@@ -442,20 +442,23 @@ def _certify_in_worker(case: tuple[float, str, dict]) -> CaseResult:
 
 
 def _write_curves(csv_dir: Path, p: float, slug: str, flow, curves: dict) -> None:
+    """Write the flow at _nodes(flow), the samples the gates read, and the Q curves on a prefix."""
+    columns = (
+        flow.s_of_t.y,
+        flow.t_grid,
+        flow.phi.y,
+        flow.u.y,
+        flow.W.y,
+        flow.dWdt.y,
+        flow.H.y,
+        flow.R.y,
+        flow.hawking.y,
+    )
+    nodes = _nodes(flow)
     _write_csv(
         csv_dir / f"warped-p={p!r}-{slug}.csv",
         ["s", "t", "phi", "u", "W", "dWdt", "H", "R", "hawking"],
-        np.column_stack((
-            flow.s_of_t.y,
-            flow.t_grid,
-            flow.phi.y,
-            flow.u.y,
-            flow.W.y,
-            flow.dWdt.y,
-            flow.H.y,
-            flow.R.y,
-            flow.hawking.y,
-        )),
+        np.column_stack([column[nodes] for column in columns]),
     )
     for flavor in ("decaying", "growing"):
         q = curves[flavor]

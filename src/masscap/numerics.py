@@ -534,7 +534,10 @@ def _interpolants(raw: np.ndarray, dense: np.ndarray, n: int) -> np.ndarray:
 
 
 def _rms(values) -> float:
-    return math.sqrt(sum(v * v for v in values) / len(values))
+    total = 0.0  # a left-to-right fold: builtin sum() is compensated from CPython 3.12
+    for v in values:
+        total += v * v
+    return math.sqrt(total / len(values))
 
 
 class DenseSolution:
@@ -642,9 +645,10 @@ def dop853(
     and fun.consts passed in (the step loop, the step control, stages,
     error norm and the packing of the raw row), then one call of
     _dop_dense(fun.text). The order of every sum is fixed in the source,
-    not left to builtin sum(), which CPython 3.12 made compensated. Tested
-    on CPython 3.11 only, bit for bit against an oracle that calls fun and
-    sums each stage with sum().
+    not left to builtin sum(), which CPython 3.12 made compensated; _rms
+    folds left to right too. Tested on CPython 3.11 only, bit for bit
+    against an oracle that calls fun and sums each stage as a left-to-right
+    fold from 0.0.
     """
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):

@@ -16,6 +16,7 @@ import pytest
 import masscap
 from masscap import numerics
 from masscap.cli import _cell, _write_csv, build_parser, main, make_config
+from masscap.verify import _nodes
 
 
 def _write_config(path, payload):
@@ -171,10 +172,11 @@ class TestVerifyCommand:
         assert main(["verify", "--out", str(out)]) == 0
         return out
 
-    def test_vacuum_case_writes_curves_and_passes(self, vacuum_out):
+    def test_vacuum_case_writes_curves_and_passes(self, vacuum_out, lab):
         header, rows = _read_csv(vacuum_out / "warped-p=1.5-schwarzschild-m=2.csv")
         assert header == ["s", "t", "phi", "u", "W", "dWdt", "H", "R", "hawking"]
-        assert len(rows) == 32768
+        # The flow table holds the samples the gates read, not all n_t = 32768.
+        assert len(rows) == len(_nodes(lab.flow(1.5, "schwarzschild", m=2.0))) == 4097
         for flavor in ("decaying", "growing"):
             header, _ = _read_csv(vacuum_out / f"q-{flavor}-p=1.5-schwarzschild-m=2.csv")
             assert header == ["t", "Q"]
@@ -185,10 +187,27 @@ class TestVerifyCommand:
         assert len(checks) == 5 and all(check["passed"] for check in checks)
 
     def test_flow_values_round_trip_exactly(self, vacuum_out, lab):
+        # Every written double is, bit for bit, the flow's own at its node.
         header, rows = _read_csv(vacuum_out / "warped-p=1.5-schwarzschild-m=2.csv")
-        column = header.index("W")
-        W_read = np.array([float(row[column]) for row in rows])
-        assert np.array_equal(W_read, lab.flow(1.5, "schwarzschild", m=2.0).W.y)
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        columns = dict(
+            s=flow.s_of_t.y, t=flow.t_grid, phi=flow.phi.y, u=flow.u.y, W=flow.W.y,
+            dWdt=flow.dWdt.y, H=flow.H.y, R=flow.R.y, hawking=flow.hawking.y,
+        )
+        assert header == list(columns)
+        read = np.array([[float(value) for value in row] for row in rows])
+        for j, name in enumerate(header):
+            written = np.ascontiguousarray(read[:, j]).view(np.int64)
+            assert np.array_equal(written, columns[name][_nodes(flow)].view(np.int64)), name
+
+    def test_flow_table_and_q_tables_share_t(self, vacuum_out, lab):
+        _, rows = _read_csv(vacuum_out / "warped-p=1.5-schwarzschild-m=2.csv")
+        t = [row[1] for row in rows]
+        assert float(t[-1]) == lab.flow(1.5, "schwarzschild", m=2.0).t_max
+        for flavor in ("decaying", "growing"):
+            _, q_rows = _read_csv(vacuum_out / f"q-{flavor}-p=1.5-schwarzschild-m=2.csv")
+            assert len(q_rows) >= 2
+            assert [row[0] for row in q_rows] == t[: len(q_rows)], flavor
 
 
 class TestWriteCsv:

@@ -10,7 +10,8 @@ import sys
 import traceback
 import warnings
 from array import array
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from pathlib import Path
 
 import numpy as np
@@ -183,17 +184,22 @@ def _pendulum(t, y):
     return [y[1], -math.sin(y[0])]
 
 
+def _fold(terms):
+    """terms summed left to right from 0.0: builtin sum() of floats up to CPython 3.11."""
+    return reduce(add, terms, 0.0)
+
+
 def _rms(values):
-    return math.sqrt(sum(v * v for v in values) / len(values))
+    return math.sqrt(_fold(v * v for v in values) / len(values))
 
 
 def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
     """The stage-loop DOP853 that the generated kernel replaced: the oracle.
 
-    Each stage, each weight row and each interpolant row is a builtin sum()
-    of map(mul) over the stage column of one component. On CPython 3.11
-    that sum runs left to right in plain doubles, which is what the
-    generated straight-line step writes out.
+    Each stage, each weight row and each interpolant row is a _fold of
+    map(mul) over the stage column of one component: left to right in
+    plain doubles on every CPython, which is what the generated
+    straight-line step writes out. (Builtin sum() is compensated from 3.12.)
     """
     stages = [(float(_dop.C[s]), _dop.A[s, :s].tolist()) for s in range(1, _dop.N_STAGES)]
     extra = [
@@ -240,10 +246,10 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
             h_abs = abs(h)
             K = [[v] for v in f]
             for c, a in stages:
-                ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
+                ys = [v + _fold(map(mul, col, a)) * h for v, col in zip(y, K)]
                 for col, v in zip(K, fun(t + c * h, ys)):
                     col.append(v)
-            y_new = [v + h * sum(map(mul, col, weights)) for v, col in zip(y, K)]
+            y_new = [v + h * _fold(map(mul, col, weights)) for v, col in zip(y, K)]
             f_new = fun(t + h, y_new)
             for col, v in zip(K, f_new):
                 col.append(v)
@@ -251,8 +257,8 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
             e5 = e3 = 0.0
             for v, w, col in zip(y, y_new, K):
                 sc = atol + max(abs(v), abs(w)) * rtol
-                r5 = sum(map(mul, col, err5)) / sc
-                r3 = sum(map(mul, col, err3)) / sc
+                r5 = _fold(map(mul, col, err5)) / sc
+                r3 = _fold(map(mul, col, err3)) / sc
                 e5 += r5 * r5
                 e3 += r3 * r3
             if e5 == 0.0 and e3 == 0.0:
@@ -268,7 +274,7 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
             h_abs *= max(0.2, 0.9 * error ** (-1.0 / 8.0))
             rejected = True
         for c, a in extra:
-            ys = [v + sum(map(mul, col, a)) * h for v, col in zip(y, K)]
+            ys = [v + _fold(map(mul, col, a)) * h for v, col in zip(y, K)]
             for col, v in zip(K, fun(t + c * h, ys)):
                 col.append(v)
         nfev += len(extra)
@@ -279,7 +285,7 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
             dy = w - v
             f_old, f_end = col[0], col[_dop.N_STAGES]
             records.extend((dy, h * f_old - dy, 2.0 * dy - h * (f_end + f_old)))
-            records.extend([h * sum(map(mul, d, col)) for d in rows])
+            records.extend([h * _fold(map(mul, d, col)) for d in rows])
         t, y, f = t_new, y_new, f_new
     return DenseSolution(records, n, t, nfev, y)
 
@@ -481,6 +487,9 @@ class TestDop853:
             assert not {x for x in names if x.startswith(("k13_", "k14_", "k15_"))}
             assert {"k12_0", "k0_0"} <= names
 
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="dis.get_instructions(adaptive=) is new in 3.11"
+    )
     def test_kernel_is_specialized_before_its_first_run(self):
         # CPython 3.11 specializes a function's bytecode at its 8th call, and
         # a whole run is one call: unwarmed, each kernel's first seven runs
@@ -511,6 +520,38 @@ class TestDop853:
             assert lines, function.__code__.co_filename
             names = {x.id for x in ast.walk(ast.parse("".join(lines))) if isinstance(x, ast.Name)}
             assert "sum" not in names, function.__code__.co_filename
+
+    def test_no_function_dop853_or_its_oracle_runs_calls_sum(self):
+        # The same hazard in the hand-written code: every function that a
+        # dop853 run or _loop_dop853 enters, numerics' _rms and the
+        # generated kernels included, is read for a load of builtin sum.
+        ours = (numerics.__file__, __file__)
+        ran = set()
+
+        def record(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and (
+                code.co_filename in ours or code.co_filename.startswith("<masscap.numerics ")
+            ):
+                ran.add(code)
+
+        previous = sys.getprofile()
+        sys.setprofile(record)
+        try:
+            dop853(_pendulum, (0.0, 3.0), [1.0, 0.0], rtol=1e-8, atol=1e-10)
+            dop853(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
+            _loop_dop853(_pendulum, (0.0, 3.0), [1.0, 0.0], rtol=1e-8, atol=1e-10)
+        finally:
+            sys.setprofile(previous)
+        assert {numerics.dop853.__code__, numerics._rms.__code__, _rms.__code__} <= ran
+        assert _loop_dop853.__code__ in ran and any(c.co_name == "run" for c in ran)
+        for code in ran:
+            names = {
+                x.argval
+                for x in dis.get_instructions(code)
+                if x.opname in ("LOAD_GLOBAL", "LOAD_NAME")
+            }
+            assert "sum" not in names, (code.co_name, code.co_filename)
 
     @pytest.mark.parametrize(
         "build",

@@ -24,7 +24,7 @@ from masscap import (
     solve_decaying,
     solve_growing,
 )
-from masscap.verify import _end_error, _monotonicity, _tail_limit
+from masscap.verify import _end_error, _monotonicity, _nodes, _tail_limit
 from conftest import curvature_term
 
 PI = math.pi
@@ -265,6 +265,22 @@ class TestCertifyCase:
         result = self._certify(lab, "schwarzschild", flow=edited, m=2.0)
         [check] = result.checks
         assert check["name"] == "hypotheses" and "scalar curvature" in check["detail"]
+
+    def test_curvature_is_read_between_the_gated_nodes(self, lab):
+        # The suite writes and the Q gates read the flow at _nodes(flow)
+        # only; the R >= 0 hypothesis still reads every sample.
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        slack = lab.model(1.5).tol.slope_slack
+        i = 3
+        assert i not in _nodes(flow)
+        R = flow.R.y.copy()
+        R[i] = -2.0 * slack / (2.0 * math.pi * 1.5**2 * flow.phi.y[i] ** 2)
+        assert R[i] > -1e-9 * max(1.0, float(np.max(np.abs(R))))
+        edited = dataclasses.replace(flow, R=SampledCurve(flow.t_grid, R))
+        result = self._certify(lab, "schwarzschild", flow=edited, m=2.0)
+        [check] = result.checks
+        assert check["name"] == "hypotheses" and not check["passed"]
+        assert "scalar curvature" in check["detail"]
 
     def test_coarse_grid_passes_every_check(self, lab):
         # No check fits a tail any more: on the coarsest accepted t-grid
