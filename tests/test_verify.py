@@ -251,34 +251,33 @@ class TestCertifyCase:
         assert check["name"] == "hypotheses" and not check["passed"]
         assert "curvature" in check["detail"]
 
+    def _residual_violated_at(self, lab, i):
+        """The one check of Schwarzschild m = 2 at p = 1.5, R at sample i edited.
+
+        R[i] makes the residual -2 slope_slack, which -1e-9 max|R| alone passes.
+        """
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        slack = lab.model(1.5).tol.slope_slack
+        R = flow.R.y.copy()
+        R[i] = -2.0 * slack / (2.0 * math.pi * 1.5**2 * flow.phi.y[i] ** 2)
+        assert R[i] > -1e-9 * max(1.0, float(np.max(np.abs(R))))
+        edited = dataclasses.replace(flow, R=SampledCurve(flow.t_grid, R))
+        [check] = self._certify(lab, "schwarzschild", flow=edited, m=2.0).checks
+        return check
+
     def test_residual_slack_bounds_the_curvature_at_every_sample(self, lab):
         # R >= 0 enters only through the W inequality, whose residual is
         # 2 pi (3-p)^2 R phi^2. At the outermost sample a residual of
         # -2 slope_slack is R = -5.7e-17, far above -1e-9 max|R|, yet it
         # must fail the hypothesis.
-        flow = lab.flow(1.5, "schwarzschild", m=2.0)
-        slack = lab.model(1.5).tol.slope_slack
-        R = flow.R.y.copy()
-        R[-1] = -2.0 * slack / (2.0 * math.pi * 1.5**2 * flow.phi.y[-1] ** 2)
-        assert R[-1] > -1e-9 * max(1.0, float(np.max(np.abs(R))))
-        edited = dataclasses.replace(flow, R=SampledCurve(flow.t_grid, R))
-        result = self._certify(lab, "schwarzschild", flow=edited, m=2.0)
-        [check] = result.checks
+        check = self._residual_violated_at(lab, -1)
         assert check["name"] == "hypotheses" and "scalar curvature" in check["detail"]
 
     def test_curvature_is_read_between_the_gated_nodes(self, lab):
         # The suite writes and the Q gates read the flow at _nodes(flow)
         # only; the R >= 0 hypothesis still reads every sample.
-        flow = lab.flow(1.5, "schwarzschild", m=2.0)
-        slack = lab.model(1.5).tol.slope_slack
-        i = 3
-        assert i not in _nodes(flow)
-        R = flow.R.y.copy()
-        R[i] = -2.0 * slack / (2.0 * math.pi * 1.5**2 * flow.phi.y[i] ** 2)
-        assert R[i] > -1e-9 * max(1.0, float(np.max(np.abs(R))))
-        edited = dataclasses.replace(flow, R=SampledCurve(flow.t_grid, R))
-        result = self._certify(lab, "schwarzschild", flow=edited, m=2.0)
-        [check] = result.checks
+        assert 3 not in _nodes(lab.flow(1.5, "schwarzschild", m=2.0))
+        check = self._residual_violated_at(lab, 3)
         assert check["name"] == "hypotheses" and not check["passed"]
         assert "scalar curvature" in check["detail"]
 
