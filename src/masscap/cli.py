@@ -52,7 +52,7 @@ from .coefficients import (
     solve_growing,
 )
 from . import warped
-from .numerics import Tolerances, _check_p, _dop_dense, _dop_kernel
+from .numerics import Tolerances, _check_p
 from .schwarzschild import (
     DEFAULT_N_R,
     DEFAULT_R_MAX,
@@ -345,7 +345,7 @@ class _Pipeline:
 
     @contextlib.contextmanager
     def certifying(self):
-        """Build every family, model and triple pair, compile the flows, start the cases.
+        """Build every family, model and triple pair, then start the cases.
 
         minimal_ps records the exponents whose minimal-boundary cases got
         their triples; a failed build is left to _certify, which gets its
@@ -366,11 +366,6 @@ class _Pipeline:
             with contextlib.suppress(ValueError, RuntimeError):
                 warp = self.family(tag, params)
                 if warp.minimal_boundary:
-                    # A flow's generated code depends on its family only:
-                    # compiled here once, it is not compiled again per worker.
-                    text = warp.accel_fn.flow_rhs(p, 0.0, 0.0).text
-                    _dop_kernel(text)
-                    _dop_dense(text)
                     self.triples(p)
                     self.minimal_ps.add(p)
                 else:

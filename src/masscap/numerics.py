@@ -206,12 +206,6 @@ def _rhs_function(text: str):
     return _exec(text, "rhs", node.name)[node.name]
 
 
-def _call_text(n: int) -> str:
-    """The right-hand-side text of a plain callable fun(t, y0, ..., y{n-1})."""
-    ys = ", ".join(f"y{i}" for i in range(n))
-    return f"def call(t, {ys}, *, fun):\n    return fun(t, {ys})\n"
-
-
 class Rhs:
     """An ODE right-hand side y' = f(t, y), written once as source text.
 
@@ -219,10 +213,9 @@ class Rhs:
     its positional parameters are the time and the n state components, its
     keyword-only ones the constants of a run, which are given here by
     keyword and kept as the tuple consts in the text's order. The body is
-    statements ending in its one `return`, of a tuple of n values or of one
-    expression that unpacks to n values. Besides what it binds,
-    the text reads only the math module's names (exp, log, ...) and the
-    builtins, and its calls pass no keyword arguments (_twin).
+    statements ending in its one `return`, of a tuple of n values. Besides
+    what it binds, the text reads only the math module's names (exp, log,
+    ...) and the builtins, and its calls pass no keyword arguments (_twin).
 
     Calling rhs(t, y) runs the function the text defines. dop853 pastes the
     text into its generated run in place of that call (_dop_kernel), so the
@@ -318,7 +311,7 @@ class _Inlined(NamedTuple):
     params: list  # the time, then the state components; None where never read
     consts: list
     body: list  # the source of each statement before the return
-    returned: str  # the returned expression, which unpacks to n values
+    returned: str  # the returned tuple of n values
 
 
 def _inline(text: str) -> _Inlined:
@@ -607,7 +600,7 @@ class DenseSolution:
 
 
 def dop853(
-    fun: Rhs | Callable[[float, list], Sequence[float]],
+    fun: Rhs,
     t_span: tuple[float, float],
     y0,
     *,
@@ -617,13 +610,11 @@ def dop853(
 ) -> DenseSolution:
     """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
 
-    fun is an Rhs, whose text the step runs inlined, or a plain callable
-    that takes a float and a list of n floats and returns n floats, which
-    is run as the Rhs whose text calls it (one text per n). The
-    method is scipy's `solve_ivp(method="DOP853", dense_output=True)`,
-    stepped in plain floats for small systems, where numpy's per-call cost
-    would dominate: the same tableau, the Hairer II.4 initial step, the
-    error norm |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n) on the scale
+    fun is an Rhs, whose text the step runs inlined. The method is scipy's
+    `solve_ivp(method="DOP853", dense_output=True)`, stepped in plain floats
+    for small systems, where numpy's per-call cost would dominate: the
+    same tableau, the Hairer II.4 initial step, the error norm
+    |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n) on the scale
     atol + rtol max(|y|, |y_new|), safety 0.9, step factors in [0.2, 10],
     no growth right after a rejection, and the 7th-degree interpolant of
     each step. Each accepted step packs its raw row (t_old, h, y_old, y_new
@@ -635,9 +626,9 @@ def dop853(
     the step loop. The buffer is freed when the run returns. The result
     also keeps the last step's y_new as y_end, from which a following run
     can restart (the warping factor is solved this way, one run per piece
-    between the knots of its right-hand side). Raises ValueError for a non-
-    finite t_span or y0, and RuntimeError when the step falls below 10 ulp
-    of t or is not a number (a NaN derivative).
+    between the knots of its right-hand side). Raises TypeError unless fun
+    is an Rhs, ValueError for a non-finite t_span or y0, and RuntimeError
+    when the step falls below 10 ulp of t or is NaN (a NaN derivative).
 
     Here the initial step is chosen, with two calls of fun; everything
     after it is one call of _dop_kernel(fun.text), generated once per
@@ -650,6 +641,8 @@ def dop853(
     against an oracle that calls fun and sums each stage as a left-to-right
     fold from 0.0.
     """
+    if not isinstance(fun, Rhs):
+        raise TypeError(f"dop853 integrates an Rhs, got {type(fun).__name__}")
     t0, t_end = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t_end)):
         raise ValueError(f"t_span must be finite, got ({t0!r}, {t_end!r})")
@@ -662,10 +655,6 @@ def dop853(
     if not all(map(math.isfinite, y)):
         raise ValueError(f"y0 must be finite, got {y!r}")
     n = len(y)
-    if not isinstance(fun, Rhs):
-        call = fun
-        fun = Rhs(_call_text(n), fun=lambda t, *y: call(t, list(y)))
-
     f = fun(t0, y)
     # Initial step (Hairer, Norsett & Wanner, II.4; scipy's select_initial_step).
     interval = abs(t_end - t0)

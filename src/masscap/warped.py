@@ -31,6 +31,8 @@ from .numerics import (
     _check_finite,
     _check_int,
     _check_p,
+    _dop_dense,
+    _dop_kernel,
     _rhs_function,
     _twin,
     dop853,
@@ -98,16 +100,21 @@ class _Accel:
     names of consts. The right-hand sides of the family's solve and of
     level_flow paste it into their own texts, and a call with a float s
     runs it. Any other s runs the text's array twin (numerics._twin), which
-    gives each element the scalar text's double.
+    gives each element the scalar text's double. The flow's text depends on
+    the family only, so its generated run and dense-output call are compiled
+    here, with the family, once per process: before a fork, not per worker.
     """
 
-    __slots__ = ("scalar", "consts", "_names", "_scalar", "_array")
+    __slots__ = ("scalar", "consts", "_names", "_scalar", "_array", "_flow")
 
     def __init__(self, scalar: str, **consts):
         self.scalar, self.consts = scalar, consts
         self._names = "".join(f", {name}" for name in consts)
         text = f"def accel(s, phi, dphi{self._keyword_only()}):\n    return {scalar}\n"
         self._scalar, self._array = _rhs_function(text), _rhs_function(_twin(text))
+        self._flow = _FLOW_TEXT.format(consts=self._names, accel=scalar)
+        _dop_kernel(self._flow)
+        _dop_dense(self._flow)
 
     def _keyword_only(self) -> str:
         return f", *{self._names}" if self._names else ""
@@ -123,8 +130,7 @@ class _Accel:
 
     def flow_rhs(self, p: float, kappa: float, ln_C: float) -> Rhs:
         """The right-hand side d(s, phi, phi')/dt of level_flow."""
-        text = _FLOW_TEXT.format(consts=self._names, accel=self.scalar)
-        return Rhs(text, pm1=p - 1.0, kappa=kappa, ln_C=ln_C, **self.consts)
+        return Rhs(self._flow, pm1=p - 1.0, kappa=kappa, ln_C=ln_C, **self.consts)
 
 
 # The bump for a float s, as an expression in s, s1 and width = (s2 - s1)/4:

@@ -25,7 +25,6 @@ from masscap import numerics, warped
 from masscap.numerics import (
     DenseSolution,
     Rhs,
-    _call_text,
     _dop_kernel,
     _load_tableau,
     dop853,
@@ -167,21 +166,26 @@ class TestIntegrateLinearSystem:
             integrate_linear_system(lambda x: np.array([[0.0]]), [1.0], (1.0, 1.0), [1.0, 2.0])
 
 
+_RELAXATION = "def relaxation(t, y0, *, rate):\n    return (-rate * (y0 - cos(t)),)\n"
+
+
 def _relaxation(sign):
     """y' = -50 (y - cos t) run forward (sign 1), or mirrored in t (sign -1)."""
-
-    def fun(t, y):
-        return [-50.0 * sign * (y[0] - math.cos(t))]
-
-    return fun
+    return Rhs(_RELAXATION, rate=50.0 * sign)
 
 
 def _relaxation_exact(t):
     return (2500.0 * np.cos(t) + 50.0 * np.sin(t) - 2500.0 * np.exp(-50.0 * t)) / 2501.0
 
 
-def _pendulum(t, y):
-    return [y[1], -math.sin(y[0])]
+_pendulum = Rhs("def pendulum(t, x, v):\n    return v, -sin(x)\n")
+
+# Four components: CPython 3.11 unpacks up to 3 returned values without
+# building a tuple; 4 take the other path of the generated stages.
+_FOUR = "def four(t, x, v, z, u, *, rate):\n    return v, -sin(x), -rate * (z - cos(t)), z - u\n"
+
+# y' = y: finite everywhere, for the probes of non-finite input.
+_GROWTH = "def growth(t, y0):\n    return (y0,)\n"
 
 
 def _fold(terms):
@@ -348,8 +352,20 @@ class TestDop853:
 
     def test_too_small_step_raises(self):
         # y' = y^2 from y(0) = 1 blows up at t = 1.
+        square = Rhs("def square(t, y0):\n    return (y0 * y0,)\n")
         with pytest.raises(RuntimeError, match="10 ulp"):
-            dop853(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], rtol=1e-12, atol=1e-12)
+            dop853(square, (0.0, 2.0), [1.0], rtol=1e-12, atol=1e-12)
+
+    def test_a_plain_callable_is_refused_before_it_runs(self):
+        calls = []
+
+        def fun(t, y):
+            calls.append(t)
+            return y
+
+        with pytest.raises(TypeError, match="Rhs"):
+            dop853(fun, (0.0, 1.0), [1.0], rtol=1e-9, atol=1e-9)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "call, error",
@@ -360,18 +376,19 @@ class TestDop853:
             ("masscap.family_bumped(1.0, math.nan)", "ValueError: eps must be finite"),
             ("masscap.family_schwarzschild(2.0, s_max=math.inf)", "ValueError: s_max must be"),
             (
-                "masscap.numerics.dop853(lambda t, y: y, (0.0, math.inf), [1.0], "
-                "rtol=1e-9, atol=1e-9)",
+                f"masscap.numerics.dop853(masscap.numerics.Rhs({_GROWTH!r}), (0.0, math.inf), "
+                "[1.0], rtol=1e-9, atol=1e-9)",
                 "ValueError: t_span must be finite",
             ),
             (
-                "masscap.numerics.dop853(lambda t, y: [math.nan], (0.0, 1.0), [1.0], "
+                "masscap.numerics.dop853(masscap.numerics.Rhs("
+                "'def nan_slope(t, y0):\\n    return (nan,)\\n'), (0.0, 1.0), [1.0], "
                 "rtol=1e-9, atol=1e-9)",
                 "RuntimeError: dop853: step size nan is not a number",
             ),
             (
-                "masscap.numerics.dop853(lambda t, y: y, (0.0, 1.0), [math.inf], "
-                "rtol=1e-9, atol=1e-9)",
+                f"masscap.numerics.dop853(masscap.numerics.Rhs({_GROWTH!r}), (0.0, 1.0), "
+                "[math.inf], rtol=1e-9, atol=1e-9)",
                 "ValueError: y0 must be finite",
             ),
         ],
@@ -415,15 +432,9 @@ class TestDop853:
         ours = self._assert_same_run(_pendulum, (0.0, 50.0), [2.0, 0.0], rtol=1e-12, atol=1e-12)
         assert ours.nfev > 15 * ours.steps + 2
 
-    @pytest.mark.parametrize("plain", [False, True], ids=["rhs", "callable"])
-    def test_four_components_are_bit_identical_to_the_loops(self, plain):
-        # CPython 3.11 unpacks up to 3 returned values without building a
-        # tuple; 4 take the other path of the generated stages.
-        text = "def four(t, x, v, z, u, *, rate):\n    return v, -sin(x), -rate * (z - cos(t)), z - u\n"
+    def test_four_components_are_bit_identical_to_the_loops(self):
         y0, args = [1.0, 0.0, 0.0, 0.5], {"rtol": 1e-12, "atol": 1e-12}
-        slow, fast = Rhs(text, rate=1.0), Rhs(text, rate=50.0)
-        if plain:  # bound methods are no Rhs: dop853 runs the text that calls them
-            slow, fast = slow.__call__, fast.__call__
+        slow, fast = Rhs(_FOUR, rate=1.0), Rhs(_FOUR, rate=50.0)
         capped = self._assert_same_run(slow, (10.0, 0.0), y0, max_step=10.0 / 400, **args)
         assert capped.nfev == 15 * capped.steps + 2
         ours = self._assert_same_run(fast, (0.0, 2.0), y0, **args)
@@ -476,7 +487,7 @@ class TestDop853:
         monkeypatch.setattr(numerics, "_dop_dense", spy_dense)
         rejected = dop853(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
         assert rejected.nfev > 15 * rejected.steps + 2
-        assert rows == [rejected.steps * (2 + 15 * 1)] and dense_calls == [_call_text(1)]
+        assert rows == [rejected.steps * (2 + 15 * 1)] and dense_calls == [_RELAXATION]
         warp = lab.warp("bumped", m0=1.0, eps=0.1)
         flow = level_flow(warp, 1.5)
         assert rows[1] == flow.steps * (2 + 15 * 3) and flow.nfev == 15 * flow.steps + 2
@@ -501,7 +512,7 @@ class TestDop853:
     def test_no_generated_source_calls_sum(self, lab):
         # Bit identity rests on the order written in the source; CPython
         # 3.12's builtin sum() is compensated and would change the doubles.
-        texts = [_call_text(n) for n in (1, 2, 3, 4)]
+        texts = [_RELAXATION, _pendulum.text, _FOUR]  # 1, 2 and 4 components
         for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})):
             accel = lab.warp(tag, **params).accel_fn
             texts += [accel.family_rhs().text, accel.flow_rhs(1.5, 4.0, 0.5).text]
@@ -615,19 +626,18 @@ class TestDop853:
         first, second = schw.flow_rhs(1.5, 4.0, 0.5), schw.flow_rhs(1.2, 10.0, -1.0)
         assert first.text == second.text and first.consts != second.consts
         assert _dop_kernel(first.text) is _dop_kernel(second.text)
-        # A plain callable is the text that calls it: one per state size.
-        assert _dop_kernel(_call_text(3)) is _dop_kernel(_call_text(3))
         texts = [
             first.text,
             bump.flow_rhs(1.5, 4.0, 0.5).text,
             schw.family_rhs().text,
             bump.family_rhs().text,
-            _call_text(1),
-            _call_text(2),
+            _RELAXATION,
+            _pendulum.text,
+            _FOUR,
         ]
         kernels = [_dop_kernel(text) for text in texts]
-        assert len(set(kernels)) == len(set(texts)) == 6
-        assert len({kernel.__code__.co_filename for kernel in kernels}) == 6
+        assert len(set(kernels)) == len(set(texts)) == 7
+        assert len({kernel.__code__.co_filename for kernel in kernels}) == 7
 
     def test_rhs_runs_its_text_with_exactly_its_constants(self):
         text = "def decay(t, y0, y1, *, rate):\n    return -rate * y0, y1\n"
@@ -637,23 +647,6 @@ class TestDop853:
                 Rhs(text, **consts)
 
     def test_traceback_shows_the_generated_line(self):
-        count = 0
-
-        def fun(t, y):
-            nonlocal count
-            count += 1
-            if count == 5:
-                raise ValueError("fifth call")
-            return _pendulum(t, y)
-
-        with pytest.raises(ValueError, match="fifth call") as info:
-            dop853(fun, (0.0, 1.0), [1.0, 0.0], rtol=1e-12, atol=1e-12)
-        frames = traceback.extract_tb(info.tb)
-        step = _dop_kernel(_call_text(2)).__code__.co_filename
-        (kernel,) = [fr for fr in frames if fr.filename == step]
-        assert kernel.line.startswith("k")
-        assert linecache.getline(kernel.filename, kernel.lineno).strip() == kernel.line
-
         # Raised inside an inlined text: y' = sqrt(1 - t) past t = 1, where
         # a stage takes the root of a negative number.
         rhs = Rhs("def root(t, y0, *, t_end):\n    return (sqrt(t_end - t),)\n", t_end=1.0)
@@ -744,12 +737,6 @@ class TestArrayTwin:
         _assert_twin_is_its_text(text, accel.consts, state)
         bump = f"def bump(s, *, s1, width):\n    return {warped._BUMP}\n"
         _assert_twin_is_its_text(bump, {"s1": 2.0, "width": 1.0}, [s])
-
-    def test_twin_of_the_plain_callable_text(self):
-        rng = np.random.default_rng(7)
-        columns = [_draws(rng, -3.0, 3.0, 500) for _ in range(3)]
-        fun = {"fun": lambda t, *y: _pendulum(t, list(y))}
-        _assert_twin_is_its_text(_call_text(2), fun, columns)
 
     @pytest.mark.parametrize(
         "body",
