@@ -6,10 +6,10 @@ for small systems, dense-output integration of linear ODE systems, and
 per-interval Gauss-Legendre panels for cumulative integrals on fixed grids.
 
 dop853 has scipy's method and step control. Each right-hand side is
-written once as source text (Rhs). A run is one call of code generated
-per text, with the text inlined in each stage, then one numpy call that
-evaluates the dense-output stages of all steps with the text's array twin
-(_twin) inlined; numpy assembles the interpolants from both.
+written once as source text (Rhs). A run is one call of the step loop
+generated per text, with the text inlined in each stage; numpy then
+evaluates the dense-output stages of all steps through the text's array
+twin (_twin) and assembles the interpolants.
 
 The least-squares power-law tail fit fit_power_tail has no caller in the
 package (verify fits its limits itself); like frobenius.py it is kept
@@ -220,8 +220,8 @@ class Rhs:
     Calling rhs(t, y) runs the function the text defines. dop853 pastes the
     text into its generated run in place of that call (_dop_kernel), so the
     run and a call evaluate the same expressions on the same doubles. After
-    the run it pastes the text's array twin (_twin) into one call that
-    evaluates the 3 dense-output stages of all steps at once (_dop_dense).
+    the run it calls the text's array twin (_twin) once per dense-output
+    stage, on the values of all steps (_interpolants).
     """
 
     __slots__ = ("text", "consts", "_call")
@@ -352,15 +352,6 @@ def _dop_stage(rhs: _Inlined, s: int, t: str, state: list) -> list:
     return [line for stmt in lines for line in stmt.splitlines()]
 
 
-def _dop_tableau(rhs: _Inlined, stages) -> list:
-    """Lines of the given stages at t + c h, from y plus h times their sums."""
-    n, lines = len(rhs.params) - 1, []
-    for s in stages:
-        state = [f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n)]
-        lines += _dop_stage(rhs, s, f"t + {_dop.C[s].item()!r} * h", state)
-    return lines
-
-
 def _block(depth: int, lines: list) -> str:
     return "\n".join(" " * depth + line for line in lines)
 
@@ -382,18 +373,21 @@ def _dop_kernel(text: str):
     is one expression, max(a, b) written b if b > a else a, builtin max's
     rule. An accepted step appends its raw row t, h, y, y_new, k0 .. k12
     (each stage's n components in order), packed by one struct, to the
-    array("d") that _dop_dense and _interpolants read; the 3 dense-output
-    stages steer nothing here and are only counted in nfev. State and
-    stages stay locals from step to step. Coefficients are scipy's exact
-    reprs, exactly-zero terms are dropped, sums run left to right.
-    linecache holds the source for tracebacks.
+    array("d") that _interpolants reads; the 3 dense-output stages steer
+    nothing here and are only counted in nfev (_interpolants evaluates
+    them). State and stages stay locals from step to step. Coefficients
+    are scipy's exact reprs, exactly-zero terms are dropped, sums run left
+    to right. linecache holds the source for tracebacks.
     """
     rhs = _inline(text)
     n = len(rhs.params) - 1
     last = _dop.N_STAGES  # stage k{last} is f at the new point
     ys, ws = _dop_names("y", n), _dop_names("w", n)
     ks = "".join(_dop_names(f"k{s}_", n) for s in range(last + 1))
-    attempt = _dop_tableau(rhs, range(1, last))
+    attempt = []
+    for s in range(1, last):  # stage s at t + c h, from y plus h times its sum
+        state = [f"y{i} + {_dop_sum(_dop.A[s, :s], i)} * h" for i in range(n)]
+        attempt += _dop_stage(rhs, s, f"t + {_dop.C[s].item()!r} * h", state)
     attempt += [f"w{i} = y{i} + h * {_dop_sum(_dop.B, i)}" for i in range(n)]
     attempt += _dop_stage(rhs, last, "t + h", [f"w{i}" for i in range(n)])
     for i in range(n):
@@ -471,59 +465,44 @@ def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
     return run
 
 
-@functools.cache
-def _dop_dense(text: str):
-    """The 3 dense-output stages of all steps of a _dop_kernel run, one generated call.
+def _interpolants(fun: Rhs, raw: np.ndarray, n: int) -> np.ndarray:
+    """DenseSolution's records from the raw rows of a _dop_kernel run of fun.
 
-    dense(consts, raw, out) names each column of the run's raw rows (a
-    strided view) and writes k13 .. k15 of every step into out, of shape
-    (steps, 3, n). Each stage is the step's own code (_dop_tableau) with
-    the text's array twin (_twin) inlined, so every element is the double
-    the step would have computed. linecache holds the source.
+    The 3 dense-output stages of all steps are evaluated here: each at
+    t + c h and y + h times its sum, through the text's array twin (_twin).
+    Then one row per step: t_old, h, y_old and, per component, the 7 Horner
+    rows dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4
+    rows of D. Every stage and row is the elementwise form of the sum the
+    step would have written out, in the same order with the same zero terms
+    dropped, so the doubles are the same.
     """
-    rhs = _inline(_twin(text))
-    n = len(rhs.params) - 1
-    first = _dop.N_STAGES + 1  # the first dense-output stage
-    columns = "t, h, " + _dop_names("y", n) + _dop_names("w", n)
-    columns += "".join(_dop_names(f"k{s}_", n) for s in range(first))
-    stages = range(first, _dop.N_STAGES_EXTENDED)
-    lines = _dop_tableau(rhs, stages)
-    lines += [f"out[:, {s - first}, {i}] = k{s}_{i}" for s in stages for i in range(n)]
-    source = f"""\
-@_quiet
-def dense(consts, raw, out):
-    ({"".join(f"{x}, " for x in rhs.consts)}) = consts
-    ({columns}) = raw.T
-{_block(4, lines)}
-"""
-    return _exec(source, "dense", rhs.name)["dense"]
-
-
-def _interpolants(raw: np.ndarray, dense: np.ndarray, n: int) -> np.ndarray:
-    """DenseSolution's records from a _dop_kernel run's raw rows and _dop_dense's stages.
-
-    One row per step: t_old, h, y_old and, per component, the 7 Horner rows
-    dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4 rows
-    of D. Every row is the elementwise form of the sum the step would have
-    written out, in the same order with the same zero terms dropped, so the
-    doubles are the same.
-    """
-    h = raw[:, 1:2]
-    dy = raw[:, 2 + n : 2 + 2 * n] - raw[:, 2 : 2 + n]
-    k = raw[:, 2 + 2 * n :].reshape(-1, _dop.N_STAGES + 1, n)
-    k = [*k.swapaxes(0, 1), *dense.swapaxes(0, 1)]  # k[j]: stage j of every step
+    t, h, y = raw[:, 0], raw[:, 1:2], raw[:, 2 : 2 + n]
+    dy = raw[:, 2 + n : 2 + 2 * n] - y
+    k = [*raw[:, 2 + 2 * n :].reshape(-1, _dop.N_STAGES + 1, n).swapaxes(0, 1)]
+    twin = _rhs_function(_twin(fun.text))
+    with np.errstate(all="ignore"):
+        for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
+            state = y + _fold(k, _dop.A[s, :s]) * h
+            k.append(np.empty_like(y))
+            values = twin(t + _dop.C[s] * raw[:, 1], *state.T, **fun._call.keywords)
+            for i, v in enumerate(values):  # a constant component broadcasts
+                k[s][:, i] = v
     f_old, f_new = k[0], k[_dop.N_STAGES]
     rows = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
-    for d in _dop.D.tolist():
-        (j, c), *rest = [(j, c) for j, c in enumerate(d) if c != 0.0]
-        acc = k[j] * c
-        for j, c in rest:
-            acc = acc + k[j] * c
-        rows.append(h * acc)
+    rows += [h * _fold(k, d) for d in _dop.D]
     records = np.empty((raw.shape[0], 2 + (1 + _DOP_ROWS) * n))
     records[:, : 2 + n] = raw[:, : 2 + n]
     records[:, 2 + n :] = np.stack(rows, axis=-1).reshape(raw.shape[0], _DOP_ROWS * n)
     return records
+
+
+def _fold(k: list, coefs) -> np.ndarray:
+    """The sum of k[j] * coefs[j], left to right, zero terms dropped (as _dop_sum)."""
+    (j, c), *rest = [(j, c) for j, c in enumerate(coefs.tolist()) if c != 0.0]
+    acc = k[j] * c
+    for j, c in rest:
+        acc = acc + k[j] * c
+    return acc
 
 
 def _rms(values) -> float:
@@ -619,14 +598,14 @@ def dop853(
     no growth right after a rejection, and the 7th-degree interpolant of
     each step. Each accepted step packs its raw row (t_old, h, y_old, y_new
     and the 13 stages that steer the step) into one flat buffer. After the
-    last step one numpy call evaluates the 3 dense-output stages of all
-    steps, and one numpy pass, _interpolants, turns rows and stages into
-    the 7 x n interpolant rows of each step, the doubles the step would
-    have summed itself; so an error in a dense-output stage surfaces after
-    the step loop. The buffer is freed when the run returns. The result
-    also keeps the last step's y_new as y_end, from which a following run
-    can restart (the warping factor is solved this way, one run per piece
-    between the knots of its right-hand side). Raises TypeError unless fun
+    last step one numpy pass, _interpolants, evaluates the 3 dense-output
+    stages of all steps and turns rows and stages into the 7 x n
+    interpolant rows of each step, the doubles the step would have summed
+    itself; so an error in a dense-output stage surfaces after the step
+    loop. The buffer is freed when the run returns. The result also keeps
+    the last step's y_new as y_end, from which a following run can restart
+    (the warping factor is solved this way, one run per piece between the
+    knots of its right-hand side). Raises TypeError unless fun
     is an Rhs, ValueError for a non-finite t_span or y0, and RuntimeError
     when the step falls below 10 ulp of t or is NaN (a NaN derivative).
 
@@ -634,12 +613,12 @@ def dop853(
     after it is one call of _dop_kernel(fun.text), generated once per
     right-hand-side text with that text inlined in each of its 12 stages
     and fun.consts passed in (the step loop, the step control, stages,
-    error norm and the packing of the raw row), then one call of
-    _dop_dense(fun.text). The order of every sum is fixed in the source,
-    not left to builtin sum(), which CPython 3.12 made compensated; _rms
-    folds left to right too. Tested on CPython 3.11 only, bit for bit
-    against an oracle that calls fun and sums each stage as a left-to-right
-    fold from 0.0.
+    error norm and the packing of the raw row), then _interpolants, which
+    calls the array twin of fun.text. The order of every sum is fixed in
+    the source or by _fold, not left to builtin sum(), which CPython 3.12
+    made compensated; _rms folds left to right too. Tested on CPython 3.11
+    only, bit for bit against an oracle that calls fun and sums each stage
+    as a left-to-right fold from 0.0.
     """
     if not isinstance(fun, Rhs):
         raise TypeError(f"dop853 integrates an Rhs, got {type(fun).__name__}")
@@ -674,10 +653,8 @@ def dop853(
     run = _dop_kernel(fun.text)
     t, nfev, y, raw = run(fun.consts, t0, t_end, direction, h_abs, y, f, rtol, atol, max_step)
     raw = np.frombuffer(raw, dtype=float).reshape(-1, 2 + (3 + _dop.N_STAGES) * n)
-    dense = np.empty((raw.shape[0], _DOP_EXTRA, n))
-    _dop_dense(fun.text)(fun.consts, raw, dense)
     # fun ran twice for the initial step.
-    return DenseSolution(_interpolants(raw, dense, n), n, t, 2 + nfev, y)
+    return DenseSolution(_interpolants(fun, raw, n), n, t, 2 + nfev, y)
 
 
 def integrate_linear_system(

@@ -31,7 +31,6 @@ from .numerics import (
     _check_finite,
     _check_int,
     _check_p,
-    _dop_dense,
     _dop_kernel,
     _rhs_function,
     _twin,
@@ -101,8 +100,9 @@ class _Accel:
     level_flow paste it into their own texts, and a call with a float s
     runs it. Any other s runs the text's array twin (numerics._twin), which
     gives each element the scalar text's double. The flow's text depends on
-    the family only, so its generated run and dense-output call are compiled
-    here, with the family, once per process: before a fork, not per worker.
+    the family only, so its generated run and its array twin, which
+    evaluates the run's dense-output stages, are compiled here, with the
+    family, once per process: before a fork, not per worker.
     """
 
     __slots__ = ("scalar", "consts", "_names", "_scalar", "_array", "_flow")
@@ -114,7 +114,7 @@ class _Accel:
         self._scalar, self._array = _rhs_function(text), _rhs_function(_twin(text))
         self._flow = _FLOW_TEXT.format(consts=self._names, accel=scalar)
         _dop_kernel(self._flow)
-        _dop_dense(self._flow)
+        _rhs_function(_twin(self._flow))
 
     def _keyword_only(self) -> str:
         return f", *{self._names}" if self._names else ""

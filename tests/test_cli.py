@@ -412,23 +412,23 @@ class TestWorkerPool:
         assert list(report["reference"]) == ["1.2", "1.5", "1.8"]
 
     def test_flow_code_is_compiled_before_the_cases(self, tmp_path, monkeypatch):
-        # A flow's generated run and dense-output call depend on its family
-        # only: the pipeline compiles them while it builds, before it forks,
-        # so no case (and no worker) compiles them again.
-        numerics._dop_kernel.cache_clear()
-        numerics._dop_dense.cache_clear()
+        # A flow's generated run and its array twin, which evaluates the
+        # run's dense-output stages, depend on its family only: the pipeline
+        # compiles them while it builds, before it forks, so no case (and no
+        # worker) compiles them again.
+        compilers = (numerics._dop_kernel, numerics._twin, numerics._rhs_function)
+        for compile_ in compilers:
+            compile_.cache_clear()
         compiled_before = []
         certify = masscap.cli._Pipeline._certify
-
-        compilers = (numerics._dop_kernel, numerics._dop_dense)
 
         def spy(pipe, p, tag, params):
             warp = pipe.family(tag, params)
             if warp.minimal_boundary:
-                misses = [f.cache_info().misses for f in compilers]
                 text = warp.accel_fn.flow_rhs(p, 1.0, 1.0).text
-                for compile_ in compilers:
-                    compile_(text)
+                misses = [f.cache_info().misses for f in compilers]
+                numerics._dop_kernel(text)
+                numerics._rhs_function(numerics._twin(text))
                 compiled_before.append([f.cache_info().misses for f in compilers] == misses)
             return certify(pipe, p, tag, params)
 

@@ -187,6 +187,9 @@ _FOUR = "def four(t, x, v, z, u, *, rate):\n    return v, -sin(x), -rate * (z - 
 # y' = y: finite everywhere, for the probes of non-finite input.
 _GROWTH = "def growth(t, y0):\n    return (y0,)\n"
 
+# x' = 1 is a constant, not an array, in the array twin, and v is never read.
+_DRIFT = "def drift(t, x, v):\n    return 1.0, -x\n"
+
 
 def _fold(terms):
     """terms summed left to right from 0.0: builtin sum() of floats up to CPython 3.11."""
@@ -440,6 +443,11 @@ class TestDop853:
         ours = self._assert_same_run(fast, (0.0, 2.0), y0, **args)
         assert ours.nfev > 15 * ours.steps + 2
 
+    @pytest.mark.parametrize("max_step", [10.0 / 400, math.inf], ids=["capped", "uncapped"])
+    def test_a_constant_component_is_bit_identical_to_the_loops(self, max_step):
+        args = {"rtol": 1e-12, "atol": 1e-12, "max_step": max_step}
+        self._assert_same_run(Rhs(_DRIFT), (0.0, 10.0), [0.5, 1.0], **args)
+
     def test_a_run_is_one_generated_call(self, monkeypatch, lab):
         # Step control and raw rows live in the generated code: dop853 calls
         # it once per run, however many steps and rejections the run takes.
@@ -465,9 +473,9 @@ class TestDop853:
     def test_run_leaves_the_dense_stages_to_one_array_call(self, monkeypatch, lab):
         # k13 .. k15 feed only the interpolant: the generated run holds none
         # of them but counts their evaluations, its raw rows are t, h, y,
-        # y_new and k0 .. k12, and dop853 evaluates the dense stages of all
-        # steps in one call of the text's array twin after the run.
-        rows, dense_calls, kernel, dense = [], [], numerics._dop_kernel, numerics._dop_dense
+        # y_new and k0 .. k12, and after the run dop853 evaluates each dense
+        # stage of all steps in one call of the text's array twin.
+        rows, twin_calls, kernel, function = [], [], numerics._dop_kernel, numerics._rhs_function
 
         def spy_kernel(text):
             run = kernel(text)
@@ -479,20 +487,30 @@ class TestDop853:
 
             return recorded
 
-        def spy_dense(text):
-            dense_calls.append(text)
-            return dense(text)
+        def spy_function(text):
+            compiled = function(text)
 
+            def recorded(*args, **consts):
+                twin_calls.append((text, [np.shape(x) for x in args]))
+                return compiled(*args, **consts)
+
+            return recorded if text in twins else compiled
+
+        warp = lab.warp("bumped", m0=1.0, eps=0.1)
+        texts = [_RELAXATION, warp.accel_fn.flow_rhs(1.5, 0.0, 0.0).text]
+        twins = [numerics._twin(text) for text in texts]
         monkeypatch.setattr(numerics, "_dop_kernel", spy_kernel)
-        monkeypatch.setattr(numerics, "_dop_dense", spy_dense)
+        monkeypatch.setattr(numerics, "_rhs_function", spy_function)
         rejected = dop853(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
         assert rejected.nfev > 15 * rejected.steps + 2
-        assert rows == [rejected.steps * (2 + 15 * 1)] and dense_calls == [_RELAXATION]
-        warp = lab.warp("bumped", m0=1.0, eps=0.1)
+        assert rows == [rejected.steps * (2 + 15 * 1)]
         flow = level_flow(warp, 1.5)
         assert rows[1] == flow.steps * (2 + 15 * 3) and flow.nfev == 15 * flow.steps + 2
-        assert dense_calls[1:] == [warp.accel_fn.flow_rhs(1.5, 0.0, 0.0).text]
-        for text in dense_calls:
+        # t and each state component: one array of a value per step.
+        relaxation, flow_twin = twins
+        expected = [(relaxation, [(rejected.steps,)] * 2)] * 3
+        assert twin_calls == expected + [(flow_twin, [(flow.steps,)] * 4)] * 3
+        for text in texts:
             source = "".join(linecache.getlines(kernel(text).__code__.co_filename))
             names = {x.id for x in ast.walk(ast.parse(source)) if isinstance(x, ast.Name)}
             assert not {x for x in names if x.startswith(("k13_", "k14_", "k15_"))}
@@ -522,7 +540,6 @@ class TestDop853:
             for f in (
                 _dop_kernel(text),
                 numerics._rhs_function(text),
-                numerics._dop_dense(text),
                 numerics._rhs_function(numerics._twin(text)),
             )
         ]
