@@ -17,6 +17,9 @@ Outputs are byte-deterministic for a fixed config and package version:
 floats are written with repr (IEEE-754 round-trip), rows are ordered by
 (p, family tag, params), nothing records wall-clock time, and every file
 embeds the version (CSV as a leading '#' comment line, JSON as a key).
+A numeric table is written from its columns, and a column that several
+tables write (the model grid r, each p's t, each flow's t) is formatted
+once per run; the files keep the bytes of a cell-by-cell writer.
 verify, sweep and suite build every family, reference model and triple
 pair once, then certify the (p, family) cases with one function, in forked
 worker processes (one per core) or, with one worker, in this process; the
@@ -262,10 +265,10 @@ def _cell(value) -> str:
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write a version line, the header and rows, iterating rows once.
 
-    A row that is a float ndarray (one row of a stacked numeric table) is
-    joined from repr of its values directly: the same bytes csv.writer
-    writes for its _cell strings, since a float repr needs no quoting, at a
-    fraction of the per-cell cost. Any other row goes through _cell.
+    A row that is a str is one line of a numeric table, already joined
+    (_lines) from the repr of its values: the bytes csv.writer writes for
+    their _cell strings, since a float repr needs no quoting. Any other row
+    goes through csv.writer and _cell.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -273,10 +276,20 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            if isinstance(row, np.ndarray) and row.dtype.kind == "f":
-                fh.write(",".join(map(repr, row.tolist())) + "\n")
+            if isinstance(row, str):
+                fh.write(row + "\n")
             else:
                 writer.writerow([_cell(value) for value in row])
+
+
+def _texts(column: np.ndarray):
+    """The repr of each value of a float column, formatted as they are read."""
+    return map(repr, column.tolist())
+
+
+def _lines(*texts):
+    """The rows of a numeric table, one joined line each, from its columns' texts."""
+    return map(",".join, zip(*texts))
 
 
 def _write_report(path: Path, report: dict) -> None:
@@ -314,7 +327,9 @@ class _Pipeline:
     _certify on each case in forked workers, or leaves it to cases() in this
     process; a flow and its Q curves live only in the process that certifies
     their case, are written there with write_curves (the flow at the nodes
-    the gates read), and never come back: case results are light.
+    the gates read), and never come back: case results are light. The
+    texts of the columns that several model and coeffs tables write are
+    kept too (shared_texts).
     """
 
     def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
@@ -328,6 +343,8 @@ class _Pipeline:
         self._pending: list[tuple[tuple, object]] | None = None  # (case, its result's getter)
         # exponents of the minimal-boundary cases, whose triples the report covers
         self.minimal_ps: set[float] = set()
+        # key -> (a column, its texts); see shared_texts
+        self._shared: dict = {}
 
     def model(self, p: float) -> ModelGeometry:
         cfg = self.cfg
@@ -338,6 +355,19 @@ class _Pipeline:
     def triples(self, p: float) -> tuple[CoefficientSolution, CoefficientSolution]:
         model = self.model(p)
         return _once(self._triples, p, lambda: (solve_decaying(model), solve_growing(model)))
+
+    def shared_texts(self, key, column: np.ndarray) -> list[str]:
+        """The reprs of a column that several tables write, formatted once per run.
+
+        key names the column: "r" for the model grid, which every model of a
+        run shares, or ("t", p) for p's t_of_r. The texts are formatted again
+        should the column under key differ, bit for bit, from the one they
+        were formatted from.
+        """
+        kept = self._shared.get(key)
+        if kept is None or kept[0].tobytes() != column.tobytes():
+            kept = self._shared[key] = (column, list(_texts(column)))
+        return kept[1]
 
     def family(self, tag: str, params: dict) -> WarpProfile:
         key, build = (tag, tuple(sorted(params.items()))), getattr(warped, _FAMILIES[tag][0])
@@ -437,31 +467,25 @@ def _certify_in_worker(case: tuple[float, str, dict]) -> CaseResult:
 
 
 def _write_curves(csv_dir: Path, p: float, slug: str, flow, curves: dict) -> None:
-    """Write the flow at _nodes(flow), the samples the gates read, and the Q curves on a prefix."""
-    columns = (
-        flow.s_of_t.y,
-        flow.t_grid,
-        flow.phi.y,
-        flow.u.y,
-        flow.W.y,
-        flow.dWdt.y,
-        flow.H.y,
-        flow.R.y,
-        flow.hawking.y,
-    )
+    """Write the flow at _nodes(flow), the samples the gates read, and the Q curves on a prefix.
+
+    The flow's t is formatted once: each Q curve's t is a prefix of it
+    (evaluate_Q), which is checked bit for bit before its texts are shared.
+    """
     nodes = _nodes(flow)
+    s, t = flow.s_of_t.y[nodes], flow.t_grid[nodes]
+    t_texts = list(_texts(t))
+    rest = (flow.phi.y, flow.u.y, flow.W.y, flow.dWdt.y, flow.H.y, flow.R.y, flow.hawking.y)
     _write_csv(
         csv_dir / f"warped-p={p!r}-{slug}.csv",
         ["s", "t", "phi", "u", "W", "dWdt", "H", "R", "hawking"],
-        np.column_stack([column[nodes] for column in columns]),
+        _lines(_texts(s), t_texts, *(_texts(column[nodes]) for column in rest)),
     )
     for flavor in ("decaying", "growing"):
         q = curves[flavor]
-        _write_csv(
-            csv_dir / f"q-{flavor}-p={p!r}-{slug}.csv",
-            ["t", "Q"],
-            np.column_stack((q.x, q.y)),
-        )
+        n = q.x.size
+        q_t = t_texts[:n] if q.x.tobytes() == t[:n].tobytes() else _texts(q.x)
+        _write_csv(csv_dir / f"q-{flavor}-p={p!r}-{slug}.csv", ["t", "Q"], _lines(q_t, _texts(q.y)))
 
 
 # ---------------------------------------------------------------------------
@@ -477,14 +501,14 @@ def cmd_model(pipe: _Pipeline) -> int:
             _write_csv(
                 cfg.csv_dir / f"model-p={p!r}.csv",
                 ["r", "u", "du", "t", "W", "dWdt"],
-                np.column_stack((
-                    model.r_grid,
-                    model.u_curve.y,
-                    model.du_curve.y,
-                    model.t_of_r.y,
-                    model.Ws_curve.y,
-                    model.dWs_curve.y,
-                )),
+                _lines(
+                    pipe.shared_texts("r", model.r_grid),
+                    _texts(model.u_curve.y),
+                    _texts(model.du_curve.y),
+                    pipe.shared_texts(("t", p), model.t_of_r.y),
+                    _texts(model.Ws_curve.y),
+                    _texts(model.dWs_curve.y),
+                ),
             )
             W0 = float(model.Ws_curve.y[0])
             const_rows.append(
@@ -511,13 +535,13 @@ def cmd_coeffs(pipe: _Pipeline) -> int:
                 _write_csv(
                     cfg.csv_dir / f"coeffs-{sol.flavor}-p={p!r}.csv",
                     ["r", "t", "f", "g", "h"],
-                    np.column_stack((
-                        sol.g_curve.x,
-                        model.t_of_r.y,
-                        sol.f_curve.y,
-                        sol.g_curve.y,
-                        sol.h_curve.y,
-                    )),
+                    _lines(
+                        pipe.shared_texts("r", sol.g_curve.x),
+                        pipe.shared_texts(("t", p), model.t_of_r.y),
+                        _texts(sol.f_curve.y),
+                        _texts(sol.g_curve.y),
+                        _texts(sol.h_curve.y),
+                    ),
                 )
                 f0, g0, h0 = sol.boundary_values()
                 Q0, dev = model_constancy(sol, model)

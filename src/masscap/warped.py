@@ -100,9 +100,10 @@ class _Accel:
     level_flow paste it into their own texts, and a call with a float s
     runs it. Any other s runs the text's array twin (numerics._twin), which
     gives each element the scalar text's double. The flow's text depends on
-    the family only, so its generated run and its array twin, which
-    evaluates the run's dense-output stages, are compiled here, with the
-    family, once per process: before a fork, not per worker.
+    the family only, so its function (which flow_rhs's Rhs calls), its
+    generated run and its array twin, which evaluates the run's
+    dense-output stages, are compiled here, with the family, once per
+    process: before a fork, not per worker.
     """
 
     __slots__ = ("scalar", "consts", "_names", "_scalar", "_array", "_flow")
@@ -113,6 +114,7 @@ class _Accel:
         text = f"def accel(s, phi, dphi{self._keyword_only()}):\n    return {scalar}\n"
         self._scalar, self._array = _rhs_function(text), _rhs_function(_twin(text))
         self._flow = _FLOW_TEXT.format(consts=self._names, accel=scalar)
+        _rhs_function(self._flow)
         _dop_kernel(self._flow)
         _rhs_function(_twin(self._flow))
 

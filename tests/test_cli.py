@@ -4,18 +4,30 @@ main() is called in-process with argument lists; each invocation builds its
 own pipeline, so these tests lean on small configurations to stay fast.
 """
 
+import builtins
 import csv
 import hashlib
 import json
 import math
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import masscap
 from masscap import numerics
-from masscap.cli import _cell, _write_csv, build_parser, main, make_config
+from masscap.cli import (
+    _Pipeline,
+    _cell,
+    _lines,
+    _texts,
+    _write_csv,
+    _write_curves,
+    build_parser,
+    main,
+    make_config,
+)
 from masscap.verify import _nodes
 
 
@@ -234,11 +246,52 @@ class TestWriteCsv:
         header = ["a", "b", "c", "d"]
         self._reference(tmp_path / "cells.csv", header, self.TABLE.tolist())
         expected = (tmp_path / "cells.csv").read_bytes()
-        _write_csv(tmp_path / "array.csv", header, self.TABLE)
-        assert (tmp_path / "array.csv").read_bytes() == expected
-        # A one-shot iterator of rows, as a wrapper that counts rows passes.
-        _write_csv(tmp_path / "iter.csv", header, iter(self.TABLE))
-        assert (tmp_path / "iter.csv").read_bytes() == expected
+        a, *rest = self.TABLE.T
+        shared = list(_texts(a))
+        longer = list(_texts(np.append(a, [7.0, -8.5])))
+        cases = {
+            "columns": lambda: _lines(*map(_texts, self.TABLE.T)),
+            # a column another table formatted, read twice
+            "shared": lambda: _lines(shared, *map(_texts, rest)),
+            "shared-again": lambda: _lines(shared, *map(_texts, rest)),
+            # the prefix of a longer column's texts, as a Q curve's t
+            "prefix": lambda: _lines(longer[: a.size], *map(_texts, rest)),
+            # a one-shot iterator of lines, as a wrapper that counts rows passes
+            "iter": lambda: iter(list(_lines(shared, *map(_texts, rest)))),
+        }
+        for name, rows in cases.items():
+            _write_csv(tmp_path / f"{name}.csv", header, rows())
+            assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
+
+    def test_shared_texts_follow_the_column_bits(self):
+        pipe = _Pipeline(make_config(build_parser().parse_args(["model"])))
+        r = np.array([0.0, 0.1, 2.0])
+        texts = pipe.shared_texts("r", r)
+        assert texts == ["0.0", "0.1", "2.0"]
+        assert pipe.shared_texts("r", r.copy()) is texts
+        # -0.0 == 0.0, but its repr differs: the texts are formatted again.
+        assert pipe.shared_texts("r", np.array([-0.0, 0.1, 2.0])) == ["-0.0", "0.1", "2.0"]
+
+    def test_q_tables_share_the_flow_t_only_on_equal_bits(self, tmp_path):
+        # The decaying Q's t is a prefix of the flow's; the growing one
+        # differs from it in the sign of a zero only, so it keeps its own texts.
+        t = np.array([0.0, 0.5, 1.0, 1.5])
+        column = SimpleNamespace(y=np.array([1.0, 2.0, 3.0, 4.0]))
+        flow = SimpleNamespace(
+            t_grid=t, s_of_t=column, phi=column, u=column, W=column, dWdt=column,
+            H=column, R=column, hawking=column,
+        )
+        Q = np.array([5e-324, 1e16, 1e-5])
+        curves = {
+            "decaying": SimpleNamespace(x=t[:3].copy(), y=Q),
+            "growing": SimpleNamespace(x=np.array([-0.0, 0.5]), y=Q[:2]),
+        }
+        _write_curves(tmp_path, 1.5, "case", flow, curves)
+        for flavor, q in curves.items():
+            self._reference(tmp_path / "cells.csv", ["t", "Q"], zip(q.x.tolist(), q.y.tolist()))
+            written = (tmp_path / f"q-{flavor}-p=1.5-case.csv").read_bytes()
+            assert written == (tmp_path / "cells.csv").read_bytes(), flavor
+        assert b"\n-0.0,5e-324\n" in (tmp_path / "q-growing-p=1.5-case.csv").read_bytes()
 
 
 class TestSweepCommand:
@@ -364,6 +417,61 @@ class TestSuiteCommand:
         monkeypatch.setattr(masscap.cli.os, "cpu_count", lambda: 1)
         self.test_suite_equals_its_parts(tmp_path, families, reference)
 
+    def test_no_column_is_formatted_twice(self, tmp_path, monkeypatch):
+        # masscap.cli's repr, a module global that shadows the builtin, counts
+        # the floats the run formats: one call per written float cell (and
+        # per report key of the reference checks), except the cells of a
+        # column another table wrote first. Those are the model grid r after
+        # its first table, each p's t in its coeffs tables, and each flow's t
+        # in its q tables.
+        calls = []
+
+        def counting(value):
+            calls.append(value)
+            return builtins.repr(value)
+
+        monkeypatch.setattr(masscap.cli, "repr", counting, raising=False)
+        monkeypatch.setattr(masscap.cli.os, "cpu_count", lambda: 1)
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {
+                "p_list": [1.5, 1.8],
+                "families": [{"tag": "schwarzschild", "params": {"m": 2.0}}],
+                "grids": {"n_points": 256, "n_s": 256, "n_t": 1024},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
+        tables = {path.name: _read_csv(path) for path in out.glob("*.csv")}
+
+        def column(name, label):
+            header, rows = tables[name]
+            return [row[header.index(label)] for row in rows]
+
+        def is_float(cell):
+            try:
+                float(cell)
+            except ValueError:
+                return False
+            return True
+
+        cells = sum(is_float(cell) for _, rows in tables.values() for row in rows for cell in row)
+        r = column("model-p=1.5.csv", "r")
+        assert column("model-p=1.8.csv", "r") == r
+        repeated = len(r)
+        for p in ("1.5", "1.8"):
+            t = column(f"model-p={p}.csv", "t")
+            flow_t = column(f"warped-p={p}-schwarzschild-m=2.csv", "t")
+            for flavor in ("decaying", "growing"):
+                coeffs = f"coeffs-{flavor}-p={p}.csv"
+                assert column(coeffs, "r") == r and column(coeffs, "t") == t
+                q_t = column(f"q-{flavor}-p={p}-schwarzschild-m=2.csv", "t")
+                assert q_t == flow_t[: len(q_t)]
+                repeated += len(r) + len(t) + len(q_t)
+        reference = json.loads((out / "report.json").read_text())["reference"]
+        assert list(reference) == ["1.5", "1.8"]
+        assert len(calls) == cells - repeated + len(reference)
+
 
 class TestWorkerPool:
     """verify, sweep and suite certify their cases in forked workers."""
@@ -412,10 +520,10 @@ class TestWorkerPool:
         assert list(report["reference"]) == ["1.2", "1.5", "1.8"]
 
     def test_flow_code_is_compiled_before_the_cases(self, tmp_path, monkeypatch):
-        # A flow's generated run and its array twin, which evaluates the
-        # run's dense-output stages, depend on its family only: the pipeline
-        # compiles them while it builds, before it forks, so no case (and no
-        # worker) compiles them again.
+        # A flow's function (which its Rhs calls), its generated run and its
+        # array twin, which evaluates the run's dense-output stages, depend
+        # on its family only: the pipeline compiles them while it builds,
+        # before it forks, so no case (and no worker) compiles them again.
         compilers = (numerics._dop_kernel, numerics._twin, numerics._rhs_function)
         for compile_ in compilers:
             compile_.cache_clear()
@@ -425,8 +533,8 @@ class TestWorkerPool:
         def spy(pipe, p, tag, params):
             warp = pipe.family(tag, params)
             if warp.minimal_boundary:
-                text = warp.accel_fn.flow_rhs(p, 1.0, 1.0).text
                 misses = [f.cache_info().misses for f in compilers]
+                text = warp.accel_fn.flow_rhs(p, 1.0, 1.0).text
                 numerics._dop_kernel(text)
                 numerics._rhs_function(numerics._twin(text))
                 compiled_before.append([f.cache_info().misses for f in compilers] == misses)
