@@ -257,7 +257,7 @@ class TestWriteCsv:
             # the prefix of a longer column's texts, as a Q curve's t
             "prefix": lambda: _lines(longer[: a.size], *map(_texts, rest)),
             # a one-shot iterator of lines, as a wrapper that counts rows passes
-            "iter": lambda: iter(list(_lines(shared, *map(_texts, rest)))),
+            "iter": lambda: (line for line in _lines(shared, *map(_texts, rest))),
         }
         for name, rows in cases.items():
             _write_csv(tmp_path / f"{name}.csv", header, rows())
