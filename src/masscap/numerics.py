@@ -7,9 +7,10 @@ per-interval Gauss-Legendre panels for cumulative integrals on fixed grids.
 
 dop853 has scipy's method and step control. Each right-hand side is
 written once as source text (Rhs). A run is one call of the step loop
-generated per text, with the text inlined in each stage; numpy then
-evaluates the dense-output stages of all steps through the text's array
-twin (_twin) and assembles the interpolants.
+generated per text, with the text inlined in each stage, per piece
+between the restart points of its t_span; one numpy pass then evaluates
+the dense-output stages of all steps of all pieces through the text's
+array twin (_twin) and assembles the interpolants, column by column.
 
 The least-squares power-law tail fit fit_power_tail has no caller in the
 package (verify fits its limits itself); like frobenius.py it is kept
@@ -220,7 +221,7 @@ class Rhs:
     Calling rhs(t, y) runs the function the text defines. dop853 pastes the
     text into its generated run in place of that call (_dop_kernel), so the
     run and a call evaluate the same expressions on the same doubles. After
-    the run it calls the text's array twin (_twin) once per dense-output
+    the last run it calls the text's array twin (_twin) once per dense-output
     stage, on the values of all steps (_interpolants).
     """
 
@@ -465,35 +466,42 @@ def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
     return run
 
 
-def _interpolants(fun: Rhs, raw: np.ndarray, n: int) -> np.ndarray:
-    """DenseSolution's records from the raw rows of a _dop_kernel run of fun.
+def _interpolants(fun: Rhs, raws: list, n: int) -> np.ndarray:
+    """DenseSolution's columns from the raw rows of _dop_kernel runs of fun.
 
-    The 3 dense-output stages of all steps are evaluated here: each at
-    t + c h and y + h times its sum, through the text's array twin (_twin).
-    Then one row per step: t_old, h, y_old and, per component, the 7 Horner
-    rows dy, h f_old - dy, 2 dy - h (f_new + f_old) and h (D . k) for the 4
-    rows of D. Every stage and row is the elementwise form of the sum the
-    step would have written out, in the same order with the same zero terms
-    dropped, so the doubles are the same.
+    The raw rows of all runs are joined and transposed in one copy, so each
+    of their columns (t_old, h, each component of y_old, y_new and of the
+    13 stages) is a contiguous array of a value per step. The 3 dense-output
+    stages of all steps are evaluated here: each at t + c h and y + h times
+    its sum, through the text's array twin (_twin). Then the columns: t_old,
+    h, y_old and, per component, the 7 Horner rows dy, h f_old - dy,
+    2 dy - h (f_new + f_old) and h (D . k) for the 4 rows of D. Every stage
+    and row is the elementwise form of the sum the step would have written
+    out, in the same order with the same zero terms dropped, so the doubles
+    are the same.
     """
-    t, h, y = raw[:, 0], raw[:, 1:2], raw[:, 2 : 2 + n]
-    dy = raw[:, 2 + n : 2 + 2 * n] - y
-    k = [*raw[:, 2 + 2 * n :].reshape(-1, _dop.N_STAGES + 1, n).swapaxes(0, 1)]
+    width = 2 + (3 + _dop.N_STAGES) * n
+    cols = np.concatenate([np.frombuffer(raw).reshape(-1, width).T for raw in raws], axis=1)
+    t, h, y = cols[0], cols[1], cols[2 : 2 + n]
+    dy = cols[2 + n : 2 + 2 * n] - y
+    k = [*cols[2 + 2 * n :].reshape(_dop.N_STAGES + 1, n, -1)]
     twin = _rhs_function(_twin(fun.text))
     with np.errstate(all="ignore"):
         for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED):
             state = y + _fold(k, _dop.A[s, :s]) * h
             k.append(np.empty_like(y))
-            values = twin(t + _dop.C[s] * raw[:, 1], *state.T, **fun._call.keywords)
+            values = twin(t + _dop.C[s] * h, *state, **fun._call.keywords)
             for i, v in enumerate(values):  # a constant component broadcasts
-                k[s][:, i] = v
+                k[s][i] = v
     f_old, f_new = k[0], k[_dop.N_STAGES]
     rows = [dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)]
     rows += [h * _fold(k, d) for d in _dop.D]
-    records = np.empty((raw.shape[0], 2 + (1 + _DOP_ROWS) * n))
-    records[:, : 2 + n] = raw[:, : 2 + n]
-    records[:, 2 + n :] = np.stack(rows, axis=-1).reshape(raw.shape[0], _DOP_ROWS * n)
-    return records
+    columns = np.empty((2 + (1 + _DOP_ROWS) * n, cols.shape[1]))
+    columns[: 2 + n] = cols[: 2 + n]
+    horner = columns[2 + n :].reshape(n, _DOP_ROWS, -1)  # a view: component, row, step
+    for r, row in enumerate(rows):
+        horner[:, r] = row
+    return columns
 
 
 def _fold(k: list, coefs) -> np.ndarray:
@@ -513,38 +521,27 @@ def _rms(values) -> float:
 
 
 class DenseSolution:
-    """The continuous solution of one dop853 run, or of runs joined end to end.
+    """The continuous solution of one dop853 call, over all pieces of its t_span.
 
     t holds the step ends in the direction of integration, steps the number
     of accepted steps, nfev the number of right-hand-side evaluations and
     y_end the state the last step reached (its y_new, not an interpolant).
-    records holds one row per step: t_old, h, y_old and the 7 interpolant
-    rows of each component. sol(t) evaluates the interpolants at a scalar
-    or an array of points.
+    columns holds, as contiguous rows of a value per step, t_old, h, y_old
+    and the 7 interpolant rows of each component; _records is its transpose,
+    a view with one row per step. sol(t) evaluates the interpolants at a
+    scalar or an array of points and copies no column to do so.
     """
 
-    __slots__ = ("t", "nfev", "steps", "y_end", "_records", "_n")
+    __slots__ = ("t", "nfev", "steps", "y_end", "_columns", "_records", "_n")
 
-    def __init__(self, records, n: int, t_end: float, nfev: int, y_end: Sequence[float]):
-        width = 2 + (1 + _DOP_ROWS) * n  # t_old, h, y_old, 7 rows per component
-        self._records = np.frombuffer(records, dtype=float).reshape(-1, width)
+    def __init__(self, columns, n: int, t_end: float, nfev: int, y_end: Sequence[float]):
+        self._columns = np.ascontiguousarray(columns, dtype=float)
+        self._records = self._columns.T
         self._n = n
-        self.t = np.append(self._records[:, 0], t_end)
-        self.steps = self._records.shape[0]
+        self.t = np.append(self._columns[0], t_end)
+        self.steps = self._columns.shape[1]
         self.nfev = nfev
         self.y_end = list(y_end)
-
-    @classmethod
-    def join(cls, pieces: Sequence[DenseSolution]) -> DenseSolution:
-        """One solution from runs that each start where the previous one ended.
-
-        The steps, nfev and interpolants are those of the pieces, in order;
-        a point on a joint takes the step that ends there.
-        """
-        last = pieces[-1]
-        records = np.concatenate([piece._records for piece in pieces])
-        nfev = sum(piece.nfev for piece in pieces)
-        return cls(records, last._n, float(last.t[-1]), nfev, last.y_end)
 
     def sol(self, t) -> np.ndarray:
         """State at t: shape (n,) for a scalar, (n, len(t)) for an array.
@@ -554,40 +551,40 @@ class DenseSolution:
         nearest step, as scipy's OdeSolution does. Each component is summed
         in scipy's Horner order, alternating factors x and 1 - x.
         """
+        return self._at(t, range(self._n))
+
+    def _at(self, t, components) -> np.ndarray:
+        """The given components of the state at t, one row each, as sol sums them."""
         tq = np.asarray(t, dtype=float)
         flat = tq.reshape(-1)
-        ends, last = self.t, self.steps - 1
+        ends, cols = self.t, self._columns
         if ends[-1] >= ends[0]:
             seg = np.searchsorted(ends, flat, side="left") - 1
         else:
             seg = self.steps - np.searchsorted(ends[::-1], flat, side="right")
-        seg = np.clip(seg, 0, last)
-        cols = np.ascontiguousarray(self._records.T)  # one contiguous row per column
+        seg = np.clip(seg, 0, self.steps - 1)
         x = (flat - cols[0].take(seg)) / cols[1].take(seg)
         x1 = 1.0 - x
-        n = self._n
-        out = np.empty((n, flat.size))
-        for i in range(n):
-            base = 2 + n + i * _DOP_ROWS
-            y = np.zeros(flat.size)
+        out = np.zeros((len(components), flat.size))
+        for y, i in zip(out, components):
+            base = 2 + self._n + i * _DOP_ROWS
             for j, k in enumerate(reversed(range(_DOP_ROWS))):
                 y += cols[base + k].take(seg)
                 y *= x1 if j % 2 else x
             y += cols[2 + i].take(seg)
-            out[i] = y
-        return out.reshape((n,) + tq.shape)
+        return out.reshape((len(components),) + tq.shape)
 
 
 def dop853(
     fun: Rhs,
-    t_span: tuple[float, float],
+    t_span: Sequence[float],
     y0,
     *,
     rtol: float,
     atol: float,
     max_step: float = math.inf,
 ) -> DenseSolution:
-    """Integrate y' = fun(t, y) from t_span[0] to t_span[1] with DOP853.
+    """Integrate y' = fun(t, y) from t_span[0] to t_span[-1] with DOP853.
 
     fun is an Rhs, whose text the step runs inlined. The method is scipy's
     `solve_ivp(method="DOP853", dense_output=True)`, stepped in plain floats
@@ -596,65 +593,69 @@ def dop853(
     |h| e5^2 / sqrt((e5^2 + 0.01 e3^2) n) on the scale
     atol + rtol max(|y|, |y_new|), safety 0.9, step factors in [0.2, 10],
     no growth right after a rejection, and the 7th-degree interpolant of
-    each step. Each accepted step packs its raw row (t_old, h, y_old, y_new
-    and the 13 stages that steer the step) into one flat buffer. After the
-    last step one numpy pass, _interpolants, evaluates the 3 dense-output
-    stages of all steps and turns rows and stages into the 7 x n
-    interpolant rows of each step, the doubles the step would have summed
-    itself; so an error in a dense-output stage surfaces after the step
-    loop. The buffer is freed when the run returns. The result also keeps
-    the last step's y_new as y_end, from which a following run can restart
-    (the warping factor is solved this way, one run per piece between the
-    knots of its right-hand side). Raises TypeError unless fun
-    is an Rhs, ValueError for a non-finite t_span or y0, and RuntimeError
+    each step. t_span is the start, any restart points and the end,
+    strictly monotone: each piece between two of them is a run of its own,
+    with its own initial step, from the state where the last piece's last
+    step ended (its y_new), so that no step straddles a point where fun is
+    not smooth (Hairer, Norsett & Wanner, Solving ODEs I, II.6). Each
+    accepted step packs its raw row (t_old, h, y_old, y_new and the 13
+    stages that steer the step) into its run's flat buffer. After the last
+    piece one numpy pass, _interpolants, evaluates the 3 dense-output stages
+    of all steps and turns rows and stages into the 7 x n interpolant rows
+    of each step, the doubles the step would have summed itself; so an
+    error in a dense-output stage surfaces after the step loops. The buffers
+    are freed when the call returns. The result keeps the last step's y_new
+    as y_end. Raises TypeError unless fun is an Rhs, ValueError for a
+    non-finite or non-monotone t_span or a non-finite y0, and RuntimeError
     when the step falls below 10 ulp of t or is NaN (a NaN derivative).
 
-    Here the initial step is chosen, with two calls of fun; everything
-    after it is one call of _dop_kernel(fun.text), generated once per
-    right-hand-side text with that text inlined in each of its 12 stages
+    Here each piece's initial step is chosen, with two calls of fun;
+    everything after it is one call of _dop_kernel(fun.text), generated once
+    per right-hand-side text with that text inlined in each of its 12 stages
     and fun.consts passed in (the step loop, the step control, stages,
-    error norm and the packing of the raw row), then _interpolants, which
-    calls the array twin of fun.text. The order of every sum is fixed in
-    the source or by _fold, not left to builtin sum(), which CPython 3.12
-    made compensated; _rms folds left to right too. Tested on CPython 3.11
-    only, bit for bit against an oracle that calls fun and sums each stage
-    as a left-to-right fold from 0.0.
+    error norm and the packing of the raw row). _interpolants then calls the
+    array twin of fun.text. The order of every sum is fixed in the source
+    or by _fold, not left to builtin sum(), which CPython 3.12 made
+    compensated; _rms folds left to right too. Tested on CPython 3.11 only,
+    bit for bit against an oracle that calls fun and sums each stage as a
+    left-to-right fold from 0.0.
     """
     if not isinstance(fun, Rhs):
         raise TypeError(f"dop853 integrates an Rhs, got {type(fun).__name__}")
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if not (math.isfinite(t0) and math.isfinite(t_end)):
-        raise ValueError(f"t_span must be finite, got ({t0!r}, {t_end!r})")
-    if t_end == t0:
-        raise ValueError("t_span must have nonzero length")
+    points = [float(x) for x in t_span]
+    if len(points) < 2 or not all(map(math.isfinite, points)):
+        raise ValueError(f"t_span must be finite, a start and an end at least, got {points!r}")
+    direction = 1.0 if points[-1] > points[0] else -1.0
+    if not all(direction * (b - a) > 0.0 for a, b in zip(points, points[1:])):
+        raise ValueError(f"t_span must be strictly monotone, got {points!r}")
     if not (rtol > 0.0 and atol > 0.0 and max_step > 0.0):
         raise ValueError("rtol, atol and max_step must be positive")
-    direction = 1.0 if t_end > t0 else -1.0
     y = [float(v) for v in y0]
     if not all(map(math.isfinite, y)):
         raise ValueError(f"y0 must be finite, got {y!r}")
     n = len(y)
-    f = fun(t0, y)
-    # Initial step (Hairer, Norsett & Wanner, II.4; scipy's select_initial_step).
-    interval = abs(t_end - t0)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0 = _rms([v / sc for v, sc in zip(y, scale)])
-    d1 = _rms([v / sc for v, sc in zip(f, scale)])
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    f1 = fun(t0 + h0 * direction, [v + h0 * direction * dv for v, dv in zip(y, f)])
-    d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
-    h_abs = min(100.0 * h0, h1, interval, max_step)
-
     run = _dop_kernel(fun.text)
-    t, nfev, y, raw = run(fun.consts, t0, t_end, direction, h_abs, y, f, rtol, atol, max_step)
-    raw = np.frombuffer(raw, dtype=float).reshape(-1, 2 + (3 + _dop.N_STAGES) * n)
-    # fun ran twice for the initial step.
-    return DenseSolution(_interpolants(fun, raw, n), n, t, 2 + nfev, y)
+    raws, nfev = [], 0
+    for t0, t_end in zip(points, points[1:]):
+        f = fun(t0, y)
+        # Initial step (Hairer, Norsett & Wanner, II.4; scipy's select_initial_step).
+        interval = abs(t_end - t0)
+        scale = [atol + abs(v) * rtol for v in y]
+        d0 = _rms([v / sc for v, sc in zip(y, scale)])
+        d1 = _rms([v / sc for v, sc in zip(f, scale)])
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, interval)
+        f1 = fun(t0 + h0 * direction, [v + h0 * direction * dv for v, dv in zip(y, f)])
+        d2 = _rms([(b - a) / sc for a, b, sc in zip(f, f1, scale)]) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
+        h_abs = min(100.0 * h0, h1, interval, max_step)
+        t, evals, y, raw = run(fun.consts, t0, t_end, direction, h_abs, y, f, rtol, atol, max_step)
+        raws.append(raw)
+        nfev += 2 + evals  # fun ran twice for the initial step
+    return DenseSolution(_interpolants(fun, raws, n), n, t, nfev, y)
 
 
 def integrate_linear_system(

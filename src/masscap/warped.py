@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import beta, betainc
 
 from .numerics import (
-    DenseSolution,
     Rhs,
     SampledCurve,
     _check_finite,
@@ -181,17 +180,17 @@ class WarpProfile:
     """A warped-product geometry, sampled and in closed/dense form.
 
     phi_fn evaluates the warping factor anywhere on [0, s_max] to solver
-    accuracy; accel_fn gives phi'' from the state (s, phi, phi'), scalar or
-    array, which is what the level-set reparametrization integrates and
-    scalar_curvature reads. The sampled curves phi and phi' cover a
-    log-like grid for export and the capacity quadrature. vacuum marks
-    the members with R = 0 everywhere, which must meet the equality case
-    of the mass bound. end_s is where the vacuum end begins: beyond it,
-    up to infinity, phi is the Schwarzschild slice of the total mass
+    accuracy: the doubles of the forward solve's sol(x)[0], phi alone,
+    without phi'. accel_fn gives phi'' from the state (s, phi, phi'),
+    scalar or array, which is what the level-set reparametrization
+    integrates and scalar_curvature reads. The sampled curves phi and phi'
+    cover a log-like grid for export and the capacity quadrature. vacuum
+    marks the members with R = 0 everywhere, which must meet the equality
+    case of the mass bound. end_s is where the vacuum end begins: beyond
+    it, up to infinity, phi is the Schwarzschild slice of the total mass
     (s2 <= s_max/2 for a bump, 0 for Schwarzschild and the flat exterior).
-    nfev and steps count the right-hand sides and
-    accepted steps of the forward solve, summed over its pieces (0 for a
-    closed-form family).
+    nfev and steps count the right-hand sides and accepted steps of the
+    forward solve, summed over its pieces (0 for a closed-form family).
     """
 
     family_tag: str
@@ -237,26 +236,18 @@ def _solve_family(
 
     The right-hand side (phi', phi'') is the text _FAMILY_TEXT with accel's
     scalar text pasted in (accel.family_rhs), which dop853's step runs
-    inlined. accel may be non-smooth at the knots: each piece between them
-    gets its own numerics.dop853 run (DOP853 at rtol = atol = 1e-12), so
-    that no step straddles a knot (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.6). Each piece starts from the state the previous one's last step
-    reached, and the pieces join into one DenseSolution, whose sol is
-    phi_fn and whose nfev and steps the profile keeps.
+    inlined. accel may be non-smooth at the knots, so they are restart
+    points of the one numerics.dop853 call (DOP853 at rtol = atol = 1e-12):
+    each piece between them is a run of its own, and no step straddles a
+    knot. The solution's nfev and steps, summed over the pieces, are kept on
+    the profile, and phi_fn evaluates its phi component alone.
     """
-
-    rhs = accel.family_rhs()
-    bounds = [0.0] + [k for k in knots if 0.0 < k < s_max] + [float(s_max)]
-    y0, pieces = [phi0, 0.0], []
-    for a, b in zip(bounds, bounds[1:]):
-        try:
-            piece = dop853(rhs, (a, b), y0, rtol=_GEOM_RTOL, atol=_GEOM_RTOL)
-        except (RuntimeError, ArithmeticError) as exc:
-            # Plain floats raise where numpy's would overflow to inf.
-            raise RuntimeError(f"warping-factor integration failed: {exc}") from exc
-        y0 = piece.y_end
-        pieces.append(piece)
-    dense = DenseSolution.join(pieces)
+    bounds = [0.0, *(k for k in knots if 0.0 < k < s_max), float(s_max)]
+    try:
+        dense = dop853(accel.family_rhs(), bounds, [phi0, 0.0], rtol=_GEOM_RTOL, atol=_GEOM_RTOL)
+    except (RuntimeError, ArithmeticError) as exc:
+        # Plain floats raise where numpy's would overflow to inf.
+        raise RuntimeError(f"warping-factor integration failed: {exc}") from exc
 
     s = _expm1_grid(phi0, s_max, n)
     phi_v, dphi_v = dense.sol(s)
@@ -266,7 +257,7 @@ def _solve_family(
         raise ValueError("phi' reached 1; curvature perturbation too strong for this family")
 
     def phi_fn(x):
-        return dense.sol(x)[0]
+        return dense._at(x, [0])[0]
 
     return WarpProfile(
         family_tag=tag,

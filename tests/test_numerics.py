@@ -7,6 +7,7 @@ import linecache
 import math
 import subprocess
 import sys
+import tracemalloc
 import traceback
 import warnings
 from array import array
@@ -294,7 +295,9 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
             records.extend((dy, h * f_old - dy, 2.0 * dy - h * (f_end + f_old)))
             records.extend([h * _fold(map(mul, d, col)) for d in rows])
         t, y, f = t_new, y_new, f_new
-    return DenseSolution(records, n, t, nfev, y)
+    # DenseSolution keeps the records column by column: their transpose.
+    width = 2 + (1 + _dop.INTERPOLATOR_POWER) * n
+    return DenseSolution(np.frombuffer(records).reshape(-1, width).T, n, t, nfev, y)
 
 
 class TestTableau:
@@ -609,18 +612,28 @@ class TestDop853:
         self._assert_same_run(fun, span, y0, **args)
 
     def test_joined_runs_continue_each_other(self):
+        # A restart point in t_span: the run from 4.0 starts from the state
+        # where the run to 4.0 ended, each with its own initial step.
         args = {"rtol": 1e-12, "atol": 1e-12}
         first = dop853(_pendulum, (0.0, 4.0), [1.0, 0.0], **args)
         second = dop853(_pendulum, (4.0, 10.0), first.y_end, **args)
-        both = DenseSolution.join([first, second])
+        both = dop853(_pendulum, (0.0, 4.0, 10.0), [1.0, 0.0], **args)
         assert both.steps == first.steps + second.steps
         assert both.nfev == first.nfev + second.nfev
         assert both.y_end == second.y_end
         assert np.array_equal(both.t, np.concatenate((first.t, second.t[1:])))
+        assert np.array_equal(both._records, np.concatenate((first._records, second._records)))
         # A point on the joint takes the step that ends there.
         assert np.array_equal(both.sol(4.0), first.sol(4.0))
         t = np.linspace(4.0, 10.0, 101)
         assert np.array_equal(both.sol(t)[:, 1:], second.sol(t)[:, 1:])
+
+    @pytest.mark.parametrize(
+        "span", [(0.0, 1.0, 1.0), (0.0, 2.0, 1.0), (0.0,), (0.0, math.nan, 1.0)]
+    )
+    def test_t_span_must_be_finite_and_strictly_monotone(self, span):
+        with pytest.raises(ValueError, match="t_span must be"):
+            dop853(_pendulum, span, [1.0, 0.0], rtol=1e-12, atol=1e-12)
 
     def test_array_query_is_the_pointwise_query(self):
         # An array query gathers its steps' rows in one pass; it must give
@@ -628,12 +641,34 @@ class TestDop853:
         # points outside the span included.
         args = {"rtol": 1e-12, "atol": 1e-12}
         capped = dop853(_pendulum, (10.0, 0.0), [1.0, 0.0], max_step=10.0 / 400, **args)
-        first = dop853(_pendulum, (0.0, 4.0), [1.0, 0.0], **args)
-        joined = DenseSolution.join([first, dop853(_pendulum, (4.0, 10.0), first.y_end, **args)])
+        joined = dop853(_pendulum, (0.0, 4.0, 10.0), [1.0, 0.0], **args)
         for sol in (capped, joined):
             t = np.concatenate((np.linspace(-1.0, 11.0, 1201), sol.t))
             pointwise = np.stack([sol.sol(float(x)) for x in t], axis=1)
             assert np.array_equal(sol.sol(t).view(np.int64), pointwise.view(np.int64))
+
+    def test_scalar_query_copies_no_records(self, monkeypatch):
+        # The landing query sol(0.0) on a flow's 2500 steps: each query
+        # reads the kept columns, so its peak is a few small arrays, far
+        # below one copy of the 2500 x 26 records.
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(dop853(*args, **kwargs))
+            return calls[-1]
+
+        warp = family_schwarzschild(2.0)
+        monkeypatch.setattr(warped, "dop853", spy)
+        level_flow(warp, 1.5, n_t=64)
+        (sol,) = calls
+        assert sol._records.shape == (2500, 26)
+        tracemalloc.start()
+        try:
+            sol.sol(0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < sol._records.nbytes / 20
 
     def test_kernel_is_built_once_per_right_hand_side(self, lab):
         # The step is generated per right-hand-side text, with the text

@@ -24,9 +24,9 @@ from masscap import (
     scalar_curvature,
     spline_bump,
 )
-from masscap import warped
+from masscap import numerics, warped
 from masscap.coefficients import _level_radii
-from masscap.numerics import dop853
+from masscap.numerics import dop853, panel_integrals
 from conftest import curvature_term, perfect_square_remainder, w_identity
 from test_numerics import _loop_dop853
 
@@ -78,37 +78,109 @@ class TestFamilySolve:
         ids=["schwarzschild", "bumped"],
     )
     def test_pieces_match_scipy(self, monkeypatch, build, pieces):
-        # One dop853 run per piece between the knots: each is the stage
-        # loops' run bit for bit (the step runs the family's right-hand-side
-        # text inlined, the loops call it) and takes scipy's steps and
-        # evaluations, and the joined solution is scipy's up to rounding.
-        runs = []
+        # One dop853 call whose t_span restarts at the knots. Each piece
+        # between them is the stage loops' run from where the last piece
+        # ended (the step runs the family's right-hand-side text inlined,
+        # the loops call it), the solution is those runs joined bit for bit,
+        # each piece takes scipy's steps and evaluations, and the solution
+        # is scipy's up to rounding.
+        calls = []
 
         def spy(fun, span, y0, **args):
-            sol = dop853(fun, span, y0, **args)
-            runs.append((fun, span, list(y0), args, sol))
-            return sol
+            calls.append((fun, span, list(y0), args, dop853(fun, span, y0, **args)))
+            return calls[-1][-1]
 
         monkeypatch.setattr(warped, "dop853", spy)
         warp = build()
-        assert len(runs) == pieces
-        ts, interpolants = [0.0], []
-        for fun, span, y0, args, sol in runs:
-            assert args == {"rtol": 1e-12, "atol": 1e-12}
-            loops = _loop_dop853(fun, span, y0, **args)
-            assert np.array_equal(sol._records, loops._records)
-            assert np.array_equal(sol.t, loops.t)
-            assert (sol.nfev, sol.steps, sol.y_end) == (loops.nfev, loops.steps, loops.y_end)
-            ref = solve_ivp(fun, span, y0, method="DOP853", dense_output=True, **args)
-            assert sol.steps == ref.t.size - 1 and sol.nfev == ref.nfev
-            assert np.max(np.abs(np.asarray(sol.y_end) - ref.y[:, -1])) <= 1e-14 * ref.y[0, -1]
+        ((fun, span, y0, args, sol),) = calls
+        assert args == {"rtol": 1e-12, "atol": 1e-12}
+        assert len(span) == pieces + 1 and span[0] == 0.0 and span[-1] == warp.s_max
+        loops, ts, interpolants = [], [0.0], []
+        for a, b in zip(span, span[1:]):
+            loop = _loop_dop853(fun, (a, b), y0, **args)
+            ref = solve_ivp(fun, (a, b), y0, method="DOP853", dense_output=True, **args)
+            assert loop.steps == ref.t.size - 1 and loop.nfev == ref.nfev
+            assert np.max(np.abs(np.asarray(loop.y_end) - ref.y[:, -1])) <= 1e-14 * ref.y[0, -1]
+            loops.append(loop)
+            y0 = loop.y_end
             ts.extend(ref.sol.ts[1:])
             interpolants.extend(ref.sol.interpolants)
-        assert warp.steps == sum(run[-1].steps for run in runs)
-        assert warp.nfev == sum(run[-1].nfev for run in runs)
+        assert np.array_equal(sol._records, np.concatenate([run._records for run in loops]))
+        joints = [run.t[1:] for run in loops]
+        assert np.array_equal(sol.t, np.concatenate([loops[0].t[:1], *joints]))
+        assert sol.steps == warp.steps == sum(run.steps for run in loops)
+        assert sol.nfev == warp.nfev == sum(run.nfev for run in loops)
+        assert sol.y_end == loops[-1].y_end
         phi, dphi = OdeSolution(ts, interpolants)(warp.s_grid)
         assert np.max(np.abs(warp.phi.y / phi - 1.0)) <= 1e-14
         assert np.max(np.abs(warp.dphi.y - dphi)) <= 2e-15
+
+    @pytest.mark.parametrize(
+        "build, events",
+        [
+            (lambda: family_schwarzschild(2.0), ["dop853", 1]),
+            (lambda: family_bumped(1.0, 0.1, 2.0, 6.0), ["dop853", 6]),
+            # The family's solve, then the flow's.
+            (lambda: level_flow(family_schwarzschild(2.0), 1.5, n_t=64), ["dop853", 1] * 2),
+        ],
+        ids=["schwarzschild", "bumped", "flow"],
+    )
+    def test_each_solve_interpolates_once(self, monkeypatch, build, events):
+        # The knots restart runs, not the dense output: each dop853 call
+        # assembles the interpolants of all its pieces' steps in one pass.
+        seen, interpolants = [], numerics._interpolants
+
+        def spy(fun, span, y0, **args):
+            seen.append("dop853")
+            return dop853(fun, span, y0, **args)
+
+        def counted(fun, raws, n):
+            seen.append(len(raws))
+            return interpolants(fun, raws, n)
+
+        monkeypatch.setattr(warped, "dop853", spy)
+        monkeypatch.setattr(numerics, "_interpolants", counted)
+        build()
+        assert seen == events
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: family_schwarzschild(2.0), lambda: family_bumped(1.0, 0.1, 2.0, 6.0)],
+        ids=["schwarzschild", "bumped"],
+    )
+    def test_phi_fn_is_the_solution_first_component(self, monkeypatch, build):
+        # The capacity quadrature reads phi alone: on the Gauss nodes of
+        # panel_integrals and at a scalar, the doubles of sol(x)[0].
+        sols = []
+
+        def spy(fun, span, y0, **args):
+            sols.append(dop853(fun, span, y0, **args))
+            return sols[-1]
+
+        monkeypatch.setattr(warped, "dop853", spy)
+        warp = build()
+        (sol,) = sols
+        nodes = []
+        panel_integrals(lambda x: nodes.append(x) or x, warp.s_grid)
+        (x,) = nodes
+        assert x.size == 12 * (warp.s_grid.size - 1)
+        assert np.array_equal(warp.phi_fn(x).view(np.int64), sol.sol(x)[0].view(np.int64))
+        scalar = warp.phi_fn(3.7)
+        assert scalar.shape == () and scalar.view(np.int64) == sol.sol(3.7)[0].view(np.int64)
+
+    def test_failing_dense_stage_is_a_failed_integration(self, monkeypatch):
+        # The dense-output stages run after the step loops, in the family
+        # text's array twin; an error there still names the failed solve.
+        real = numerics._twin
+
+        def twin(text):
+            if not text.startswith("def family("):
+                return real(text)
+            return "def family(*args, **consts):\n    raise OverflowError('math range error')\n"
+
+        monkeypatch.setattr(numerics, "_twin", twin)
+        with pytest.raises(RuntimeError, match="warping-factor integration failed: math range"):
+            family_bumped(1.0, 0.1, 2.0, 6.0)
 
 
 class TestSchwarzschildFamily:
