@@ -545,13 +545,13 @@ def cmd_coeffs(pipe: _Pipeline) -> int:
                 )
                 f0, g0, h0 = sol.boundary_values()
                 Q0, dev = model_constancy(sol, model)
-                const_rows.append((p, sol.flavor, sol.c1, sol.q, f0, g0, h0, Q0, dev))
+                const_rows.append((p, sol.flavor, f0, g0, h0, Q0, dev))
                 print(f"coeffs p={p!r} {sol.flavor}: Q0={float(Q0)!r} max_dev={float(dev)!r}")
     except (ValueError, RuntimeError) as exc:
         return _pipeline_failure(exc)
     _write_csv(
         cfg.csv_dir / "coeff-constants.csv",
-        ["p", "flavor", "c1", "q", "f0", "g0", "h0", "Q0", "max_deviation"],
+        ["p", "flavor", "f0", "g0", "h0", "Q0", "max_deviation"],
         const_rows,
     )
     return 0

@@ -20,8 +20,9 @@ dg/dt + h = (p-1)(5-p)/4 h (dW/dt / W)^2. Two solutions matter:
 * the decaying one, which vanishes at infinity like r**(-s/(p-1)); it has a
   closed form in the incomplete beta function (see solve_decaying), and
 * the growing one, which grows linearly; with f = r + 1/r + 2s it is
-  elementary, and the boundary seed g = -1, h = 0.01 adds a multiple of the
-  decaying triple (see solve_growing).
+  elementary (see solve_growing). It is fixed up to adding beta times the
+  decaying triple; solve_growing takes beta = 0, the member whose h
+  vanishes at r = 1.
 
 Both are evaluated in closed form, on the model grid and at any level-set
 parameter t whose radius the profile resolves. On the grid they read the
@@ -76,10 +77,9 @@ class CoefficientSolution:
     """One flavor of the coefficient triple on the reference slice.
 
     Curves are sampled over r on the model grid, whose level-set parameters
-    are model.t_of_r.y. beta is the multiple of the decaying triple in the
-    growing one (0 for the decaying flavor). The module function at_t is
-    the interface the verify module uses to carry triples, and the slice's
-    W, onto a foreign geometry's t-range.
+    are model.t_of_r.y. The module function at_t is the interface the
+    verify module uses to carry triples, and the slice's W, onto a foreign
+    geometry's t-range.
     """
 
     flavor: str
@@ -87,9 +87,6 @@ class CoefficientSolution:
     g_curve: SampledCurve = field(repr=False)
     h_curve: SampledCurve = field(repr=False)
     f_curve: SampledCurve = field(repr=False)
-    beta: float = 0.0
-    c1: float | None = None
-    q: float | None = None
 
     @property
     def p(self) -> float:
@@ -113,8 +110,8 @@ def at_t(t, *sols: CoefficientSolution) -> tuple:
     The triples must share one model (ValueError otherwise), whose radii
     and level data they then share. Closed forms at the exact radius of
     each level set (_level_radii), from one model.level_data call: the
-    decaying triple by _decaying_at_r, the growing one by _growing_at_r plus
-    beta times the decaying one, and the reference slice's W and dW/dt.
+    decaying triple by _decaying_at_r, the growing one by _growing_at_r, and
+    the reference slice's W and dW/dt.
     live marks the t whose radius is live; the arrays hold those t only,
     which for increasing t are a prefix.
     """
@@ -125,10 +122,9 @@ def at_t(t, *sols: CoefficientSolution) -> tuple:
     _same_model(model, *sols)
     r, live = _level_radii(model, t)
     d = model.level_data(r)
-    dec = _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))
     triples = [
-        tuple(x0 + sol.beta * x for x0, x in zip(_growing_at_r(model.p, r, d), dec))
-        if sol.flavor == "growing" else dec
+        _growing_at_r(model.p, r, d) if sol.flavor == "growing"
+        else _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))
         for sol in sols
     ]
     return live, d.W, d.dWdt, triples
@@ -254,37 +250,29 @@ def _growing_at_r(p: float, r, d: LevelData):
 def solve_growing(model: ModelGeometry) -> CoefficientSolution:
     """The coefficient triple that grows linearly at infinity, in closed form.
 
-    It is the solution seeded with (g, h, f) = (-1, 0.01, 0) at the
-    boundary, rescaled by c1 so that h ~ r/(3-p) + 1 and shifted by q so
-    that f - c_tilde e^(t/(3-p)) -> 3-p. That solution is the triple of
-    _growing_at_r, which has this normalization already, plus beta times
-    the decaying one. The former's h vanishes at r = 1, so matching the seed
-    gives
-
-        c1 = -(1 + 0.01 g_dec(0)/h_dec(0)) / g_grow(0),
-        beta = 0.01/(c1 h_dec(0)),
-
-    and q = f(0). Nothing is fitted, and both triples come from the model's
-    grid_data and grid_I1. The sign pattern h > 0, g < 0 is checked on the
-    grid; at_t is exact at any t whose radius is live (see _level_radii).
+    The triple of _growing_at_r on the model grid: f = r + 1/r + 2s with
+    s = 3-p, so h ~ r/s + 1 and f - c_tilde e^(t/s) -> s. The growing
+    solutions are this one plus beta times the decaying one; this is
+    beta = 0, whose h vanishes at r = 1. Q is linear in the triple, so the
+    Q of any member is this Q plus beta times the decaying one, and the two
+    monotonicity gates together certify every beta >= 0, the members with
+    h(1) = beta h_dec(1) >= 0. Nothing is fitted, and nothing beyond the
+    model's grid_data is read. The sign pattern h(1) = 0, h > 0 beyond and
+    g < 0 is checked on the grid; at_t is exact at any t whose radius is
+    live (see _level_radii).
     """
-    r, d = model.r_grid, model.grid_data
-    f0, g0, h0 = _growing_at_r(model.p, r, d)
-    fd, gd, hd = _decaying_at_r(model, r, d, model.grid_I1)
-    c1 = float(-(1.0 + 0.01 * gd[0] / hd[0]) / g0[0])
-    beta = float(0.01 / (c1 * hd[0]))
-    f, g, h = f0 + beta * fd, g0 + beta * gd, h0 + beta * hd
-    if np.any(h <= 0.0) or np.any(g >= 0.0):
-        raise RuntimeError("growing solution lost its sign pattern (h > 0, g < 0)")
+    r = model.r_grid
+    f, g, h = _growing_at_r(model.p, r, model.grid_data)
+    if h[0] != 0.0 or np.any(h[1:] <= 0.0) or np.any(g >= 0.0):
+        raise RuntimeError(
+            "growing solution lost its sign pattern (h(1) = 0, h > 0 beyond, g < 0)"
+        )
     return CoefficientSolution(
         flavor="growing",
         model=model,
         g_curve=SampledCurve(r, g),
         h_curve=SampledCurve(r, h),
         f_curve=SampledCurve(r, f),
-        beta=beta,
-        c1=c1,
-        q=float(f[0]),
     )
 
 

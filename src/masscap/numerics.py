@@ -18,9 +18,10 @@ while the benchmark's tracer names it.
 
 The tableau is read from scipy's dop853_coefficients.py by file path, so
 importing this module never runs scipy.integrate's package __init__ (which
-loads scipy.optimize, scipy.sparse.linalg and scipy.linalg). Only
-integrate_linear_system, which no module of the package calls, imports
-solve_ivp, inside its body.
+loads scipy.optimize, scipy.sparse.linalg and scipy.linalg). solve_ivp
+is imported only on demand: inside the body of integrate_linear_system,
+which no module of the package calls, and by the module __getattr__ hooks
+of this module and of warped when something asks for their solve_ivp.
 
 All functions are pure and the containers are immutable once built, so
 everything here can be shared freely across the cells of a parameter sweep.

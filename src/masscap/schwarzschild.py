@@ -144,9 +144,17 @@ class ModelGeometry:
     dWs_curve: SampledCurve = field(repr=False)
     grid_data: LevelData = field(repr=False)
     grid_I1: np.ndarray = field(repr=False)
-    c_fit: float = 0.0
-    c_tilde: float = 0.0
     tol: Tolerances = field(default_factory=Tolerances, repr=False)
+
+    @property
+    def c_fit(self) -> float:
+        """C/sigma, the leading coefficient of u ~ c_fit r**(-sigma)."""
+        return self.flux_constant / ((3.0 - self.p) / (self.p - 1.0))
+
+    @property
+    def c_tilde(self) -> float:
+        """c_fit**(1/sigma), so that r ~ c_tilde e^(t/(3-p))."""
+        return self.c_fit ** (1.0 / ((3.0 - self.p) / (self.p - 1.0)))
 
     @property
     def R_max(self) -> float:
@@ -169,9 +177,9 @@ def model_profile(
 ) -> ModelGeometry:
     """Build the reference model on a geometric grid of n radii in [1, R_max].
 
-    u, du, C, c_fit, c_tilde, the level data and I1 are the closed forms of
-    the module docstring and of _beta_ratio_I1, evaluated once on the grid;
-    the decaying tail keeps full relative precision because betainc does.
+    u, du, C, the level data and I1 are the closed forms of the module
+    docstring and of _beta_ratio_I1, evaluated once on the grid; the
+    decaying tail keeps full relative precision because betainc does.
     Raises ValueError when R_max**(-kappa) is not a normal double: past that
     radius u' and the level_data built from it underflow. tol (default
     Tolerances()) becomes model.tol, the one error budget of every solve and
@@ -184,7 +192,7 @@ def model_profile(
         raise ValueError("R_max must be at least 1e4 for the tail expansions to hold")
     if n < 64:
         raise ValueError("need at least 64 grid points")
-    s, kappa, _ = _exponents(p)
+    _, kappa, _ = _exponents(p)
     if float(R_max) ** -kappa < sys.float_info.min:
         limit = sys.float_info.min ** (-1.0 / kappa)
         digits = 10.0 ** (math.floor(math.log10(limit)) - 2)
@@ -193,7 +201,6 @@ def model_profile(
             f"at R_max = {R_max:g}; the largest admissible R_max at this p is "
             f"{math.floor(limit / digits) * digits:.3g}"
         )
-    sigma = s / (p - 1.0)
 
     r = np.geomspace(1.0, R_max, n)
     C = flux_constant(p)
@@ -202,7 +209,6 @@ def model_profile(
     t[0] = 0.0  # u[0] is exactly 1, so t[0] is +-0; clear the sign
 
     Kp = 4.0 * math.pi * C ** (p - 1.0)
-    c_fit = C / sigma
 
     model = ModelGeometry(
         p=p,
@@ -216,8 +222,6 @@ def model_profile(
         dWs_curve=SampledCurve(t, d.dWdt),
         grid_data=d,
         grid_I1=_beta_ratio_I1(p, r),
-        c_fit=c_fit,
-        c_tilde=c_fit ** (1.0 / sigma),
         tol=tol or Tolerances(),
     )
     return model

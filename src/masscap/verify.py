@@ -394,7 +394,6 @@ def reference_checks(
     10 accept_rel max(1, |limit|).
     Returns the checks and the measured values (constant_diagnostics).
     """
-    _same_model(model, dec, grow)
     acc = model.tol.accept_rel
     p = model.p
     s = 3.0 - p

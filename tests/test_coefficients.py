@@ -11,6 +11,7 @@ from scipy.special import betainc
 
 from masscap import (
     constant_diagnostics,
+    evaluate_Q,
     model_constancy,
     model_profile,
     reference_checks,
@@ -19,7 +20,7 @@ from masscap import (
 )
 from masscap.coefficients import _level_radii, at_t
 from masscap.frobenius import InfinitySingularODE, series_coefficients
-from masscap.numerics import fit_power_tail
+from masscap.numerics import SampledCurve, fit_power_tail
 
 PI = math.pi
 ORACLE_P = (1.05, 1.2, 1.5, 1.8, 1.95)
@@ -56,11 +57,8 @@ def exact_triple(mp, p, r, flavor="decaying"):
     (r^2-1) u'/sigma] with k = -sigma^2 (sigma+1)/(2C), and h = f' dr/dt with
     f' = k (r+1)/r^2 [u (r-1) + u' r (r+1)/sigma]; g solves Q = 0.
 
-    Growing: f = r + 1/r + 2s and h = (1 - 1/r^2) dr/dt, plus beta times the
-    decaying (f, h), where c1 and beta reproduce the boundary seed
-    (g, h) = (-1, 0.01): c1 = -(1 + 0.01 g_dec(1)/h_dec(1)) / g_0(1) with
-    g_0(1) from Q at r = 1 (where h_0 = 0), beta = 0.01/(c1 h_dec(1)); g
-    solves Q = 8 pi s^3 + 16 pi s^2 - 16 pi s.
+    Growing: the beta = 0 member, f = r + 1/r + 2s and h = (1 - 1/r^2) dr/dt;
+    g solves Q = 8 pi s^3 + 16 pi s^2 - 16 pi s.
 
     The decaying forms cancel to a part in r^2 at large r, so the working
     precision is 50 digits plus two per decade of r. t = (1-p) log u is the
@@ -70,30 +68,34 @@ def exact_triple(mp, p, r, flavor="decaying"):
         p, r = mp.mpf(p), mp.mpf(r)
         s = 3 - p
         sigma = s / (p - 1)
-        k = -(sigma**2) * (sigma + 1) * mp.beta(sigma, sigma) / 4
         u, du, drdt, W, dWdt = exact_profile(mp, p, r)
-        f = k * (u * (r - 1) ** 2 / r + (2 / sigma) * u + (r**2 - 1) * du / sigma)
-        h = k * (r + 1) / r**2 * (u * (r - 1) + du * r * (r + 1) / sigma) * drdt
-        Q = 0
         if flavor == "growing":
-            f_dec, g_dec, h_dec, _ = exact_triple(mp, p, 1)
             Q = 8 * mp.pi * s**3 + 16 * mp.pi * s**2 - 16 * mp.pi * s
-            g0 = (Q - 4 * mp.pi * s**2 * (2 + 2 * s)) / exact_profile(mp, p, mp.mpf(1))[3]
-            c1 = -(1 + g_dec / h_dec / 100) / g0
-            beta = 1 / (100 * c1 * h_dec)
-            f = r + 1 / r + 2 * s + beta * f
-            h = (1 - 1 / r**2) * drdt + beta * h
+            f = r + 1 / r + 2 * s
+            h = (1 - 1 / r**2) * drdt
+        else:
+            Q = 0
+            k = -(sigma**2) * (sigma + 1) * mp.beta(sigma, sigma) / 4
+            f = k * (u * (r - 1) ** 2 / r + (2 / sigma) * u + (r**2 - 1) * du / sigma)
+            h = k * (r + 1) / r**2 * (u * (r - 1) + du * r * (r + 1) / sigma) * drdt
         g = (Q - 4 * mp.pi * s**2 * f - (p - 1) * s * h * dWdt) / W
         return f, g, h, (1 - p) * mp.log(u)
 
 
 def check_grid_oracle(mp, sol, model, tol):
-    """f, g and h of sol against the oracle at 20 grid radii over [1, R_max]."""
+    """f, g and h of sol against the oracle at 20 grid radii over [1, R_max].
+
+    A value that the oracle gives as exactly 0 (the growing h at r = 1)
+    must be exactly 0.
+    """
     index = np.unique(np.linspace(0, model.r_grid.size - 1, 20).astype(int))
     for i in index:
         exact = exact_triple(mp, model.p, model.r_grid[i], sol.flavor)
         for curve, value in zip((sol.f_curve, sol.g_curve, sol.h_curve), exact):
-            assert abs(curve.y[i] / float(value) - 1.0) <= tol, (curve, model.r_grid[i])
+            if value == 0:
+                assert curve.y[i] == 0.0, (curve, model.r_grid[i])
+            else:
+                assert abs(curve.y[i] / float(value) - 1.0) <= tol, (curve, model.r_grid[i])
 
 
 def check_oracle_beyond_the_grid(mp, sol, model, tol, far=()):
@@ -179,7 +181,8 @@ class TestDecayingFlavor:
     def test_coarse_grids_build_both_triples(self, p, R_max, n):
         model = model_profile(p, R_max=R_max, n=n)
         dec, grow = solve_decaying(model), solve_growing(model)
-        assert np.all(dec.h_curve.y > 0.0) and np.all(grow.h_curve.y > 0.0)
+        assert np.all(dec.h_curve.y > 0.0)
+        assert grow.h_curve.y[0] == 0.0 and np.all(grow.h_curve.y[1:] > 0.0)
         W0 = float(model.Ws_curve.y[0])
         assert abs(model_constancy(dec, model)[1]) <= 1e-8 * W0
 
@@ -187,16 +190,17 @@ class TestDecayingFlavor:
 class TestGrowingFlavor:
     def test_sign_pattern(self, lab):
         _, grow = lab.triples(1.5)
-        assert np.all(grow.h_curve.y > 0.0)
+        assert grow.h_curve.y[0] == 0.0
+        assert np.all(grow.h_curve.y[1:] > 0.0)
         assert np.all(grow.g_curve.y < 0.0)
-        assert grow.c1 > 0.0
 
-    def test_boundary_seed_at_three_halves(self, lab):
-        # The seed (g, h) = (-1, 0.01), rescaled by c1 = 0.9956 * 225/1536.
+    def test_boundary_values_exact_at_three_halves(self, lab):
+        # f(1) = 2 + 2s and h(1) = 0 exactly; with W_s(0) = 225 pi/256, g(1)
+        # = (Q0 - 4 pi s^2 f(1)) / W_s(0) = (39 pi - 45 pi) / W_s(0) = -512/75.
         _, grow = lab.triples(1.5)
-        _, g0, h0 = grow.boundary_values()
-        assert h0 / g0 == pytest.approx(-0.01, rel=1e-14, abs=0.0)
-        assert grow.c1 == pytest.approx(0.14583984375, rel=1e-14, abs=0.0)
+        f0, g0, h0 = grow.boundary_values()
+        assert (f0, h0) == (2.0 + 2.0 * 1.5, 0.0)
+        assert g0 == pytest.approx(-512.0 / 75.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_matches_closed_form(self, lab, mp, p):
@@ -204,7 +208,7 @@ class TestGrowingFlavor:
         check_grid_oracle(mp, solve_growing(model), model, 1e-12)
 
     def test_growth_normalization(self, lab):
-        # h ~ r/(3-p) + 1 after the c1 rescale.
+        # h ~ r/(3-p) + 1.
         _, grow = lab.triples(1.5)
         fit = fit_power_tail(grow.h_curve, 1.0)
         assert 1.5 * fit.c0 == pytest.approx(1.0, rel=1e-9)
@@ -224,6 +228,44 @@ class TestGrowingFlavor:
         Q0, dev = model_constancy(grow, model)
         assert dev <= 1e-8 * abs(Q0)
         assert Q0 == pytest.approx(8.0 * PI * s**3 + 16.0 * PI * s**2 - 16.0 * PI * s, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    def test_two_gates_cover_every_admissible_member(self, lab, p):
+        # The growing solutions are grow + beta dec. Q is linear in the
+        # triple and the decaying Q0 is 0, so along any flow Q_beta = Q_grow
+        # + beta Q_dec, and the two monotonicity gates bound the slopes of
+        # Q_beta by -(1 + beta) slope_slack for every beta >= 0. h_beta(1) =
+        # beta h_dec(1) is negative for beta < 0: those members are not
+        # admissible. evaluate_Q reads the closed forms of at_t by flavour,
+        # so the member's Q along the README bump is assembled here from
+        # at_t's triples, as evaluate_Q assembles each flavour's.
+        model = lab.model(p)
+        dec, grow = lab.triples(p)
+        flow = lab.flow(p, "bumped", m0=1.0, eps=0.1)
+        qd, qg = evaluate_Q(flow, dec, grow)
+        assert np.array_equal(qd.x, qg.x)
+        _, Ws, dWs, [(_, gd, hd), (_, gg, hg)] = at_t(qg.x, dec, grow)
+        nodes = np.searchsorted(flow.t_grid, qg.x)
+        W, dWdt = flow.W.y[nodes], flow.dWdt.y[nodes]
+        c = (p - 1.0) * (3.0 - p)
+        slack = model.tol.slope_slack
+        for beta in (-0.5, 0.1, 10.0):
+            member = dataclasses.replace(grow, **{
+                name: SampledCurve(model.r_grid, getattr(grow, name).y + beta * getattr(dec, name).y)
+                for name in ("f_curve", "g_curve", "h_curve")
+            })
+            h1 = member.h_curve.y[0]
+            assert h1 == beta * dec.h_curve.y[0] and (h1 < 0.0) == (beta < 0.0)
+            Q0, dev = model_constancy(member, model)
+            assert Q0 == pytest.approx(grow.Q0, rel=1e-12)
+            assert dev <= 1e-8 * abs(Q0)
+
+            g, h = gg + beta * gd, hg + beta * hd
+            Q = grow.Q0 + g * (W - Ws) + c * h * (dWdt - dWs)
+            rounding = 64.0 * np.finfo(float).eps * (np.abs(g) * W + c * np.abs(h * dWdt))
+            assert np.all(np.abs(Q - (qg.y + beta * qd.y)) <= rounding + 4.0 * np.spacing(Q0))
+            if beta >= 0.0:
+                assert np.min(np.diff(Q)) >= -(1.0 + beta) * slack
 
 
 class TestResiduals:
@@ -380,7 +422,6 @@ class TestGridData:
         for kept, new in ((dec, fresh_dec), (grow, fresh_grow)):
             for name in ("f_curve", "g_curve", "h_curve"):
                 assert np.array_equal(getattr(kept, name).y, getattr(new, name).y)
-            assert (kept.beta, kept.c1, kept.q) == (new.beta, new.c1, new.q)
         assert constant_diagnostics(model, dec, grow) == constant_diagnostics(
             fresh, fresh_dec, fresh_grow
         )
