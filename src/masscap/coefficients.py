@@ -26,7 +26,7 @@ dg/dt + h = (p-1)(5-p)/4 h (dW/dt / W)^2. Two solutions matter:
 
 Both are evaluated in closed form, on the model grid and at any level-set
 parameter t whose radius the profile resolves. On the grid they read the
-level data and the beta ratio I1 that the model keeps, and evaluate no
+level data, with its beta ratio I1, that the model keeps, and evaluate no
 special function.
 
 On the reference slice both combinations are exactly constant (the decaying
@@ -45,7 +45,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc, betaincinv
 
 from .numerics import SampledCurve
-from .schwarzschild import LevelData, ModelGeometry, _beta_ratio_I1
+from .schwarzschild import LevelData, ModelGeometry
 
 __all__ = [
     "CoefficientSolution",
@@ -123,8 +123,7 @@ def at_t(t, *sols: CoefficientSolution) -> tuple:
     r, live = _level_radii(model, t)
     d = model.level_data(r)
     triples = [
-        _growing_at_r(model.p, r, d) if sol.flavor == "growing"
-        else _decaying_at_r(model, r, d, _beta_ratio_I1(model.p, r))
+        _growing_at_r(model.p, r, d) if sol.flavor == "growing" else _decaying_at_r(model, r, d)
         for sol in sols
     ]
     return live, d.W, d.dWdt, triples
@@ -158,7 +157,7 @@ def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.nd
     return 1.0 / x[live] - 1.0, live
 
 
-def _decaying_at_r(model: ModelGeometry, r, d: LevelData, I1):
+def _decaying_at_r(model: ModelGeometry, r, d: LevelData):
     """(f, g, h) of the decaying triple at radii r, in closed form.
 
     With sigma = (3-p)/(p-1), x = 1/(1+r), k = -sigma^2 (sigma+1)/(2C) and
@@ -174,14 +173,15 @@ def _decaying_at_r(model: ModelGeometry, r, d: LevelData, I1):
     A = -k(r+1)/((p-1) r^2); dK/dr = 2 I1 gives dh/dr by the product rule,
     and g = (dh/dr - c h)/b comes from the second equation of the pair
     system.
-    d is the level data at r and I1 its ratio there (_beta_ratio_I1); I0 is
-    taken as d.u/2, bit for bit the quotient above.
+    d is the level data at r, which carries I1; I0 is taken as d.u/2, whose
+    numerator d.u shares its betainc call with I1 (DLMF 8.17.20, see the
+    schwarzschild module).
     """
     p = model.p
     sigma = (3.0 - p) / (p - 1.0)
     k = -(sigma**2) * (sigma + 1.0) / (2.0 * model.flux_constant)
     x = 1.0 / (1.0 + r)
-    I0 = d.u / 2.0
+    I1, I0 = d.I1, d.u / 2.0
     D = I1 - 2.0 * x * I0
     f = 2.0 * k / (x * (1.0 - x)) * ((1.0 - 2.0 * x) * D + (2.0 / sigma) * x * (1.0 - x) * I0)
 
@@ -213,7 +213,7 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     (p-1)(5-p)/4 h (dW/dt / W)^2 by the pair system, is positive too.
     """
     r = model.r_grid
-    f, g, h = _decaying_at_r(model, r, model.grid_data, model.grid_I1)
+    f, g, h = _decaying_at_r(model, r, model.grid_data)
     if np.any(h <= 0.0):
         raise RuntimeError("decaying solution lost positivity of h")
     return CoefficientSolution(

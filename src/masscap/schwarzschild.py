@@ -14,7 +14,10 @@ sigma = (3-p)/(p-1),
 
     u(r) = I_x(sigma, sigma) / I_1/2(sigma, sigma),   C = 2 / B(sigma, sigma),
 
-and u ~ c_fit r**(-sigma) at infinity with c_fit = C/sigma. Along the
+and u ~ c_fit r**(-sigma) at infinity with c_fit = C/sigma. The numerator
+is evaluated as I_x(sigma+1, sigma) + x^sigma (1-x)^sigma / (sigma B(sigma,
+sigma)) (DLMF 8.17.20), so that one betainc call per evaluation gives both
+u and the beta ratio I1 of the decaying coefficient triple. Along the
 level-set parameter t = (1-p) log u this is the exponential map
 r ~ c_tilde e^(t/(3-p)) with c_tilde = c_fit**(1/sigma). Everything this
 module exports - t, the sphere-integrated gradient square W(t), the
@@ -62,23 +65,13 @@ def _exponents(p: float) -> tuple[float, float, float]:
     return s, kappa, beta
 
 
-def _potential(p: float, r):
-    """u(r) = I_x(sigma, sigma) / I_1/2(sigma, sigma) with x = 1/(1+r).
-
-    Dividing by the computed I_1/2 rather than multiplying by 2 makes
-    u(1) == 1 exactly.
-    """
-    sigma = (3.0 - p) / (p - 1.0)
-    return betainc(sigma, sigma, 1.0 / (1.0 + r)) / betainc(sigma, sigma, 0.5)
-
-
 def _du(p: float, C: float, r):
     _, kappa, beta = _exponents(p)
     return -C * r**-kappa * (1.0 + 1.0 / r) ** -beta
 
 
 class LevelData(NamedTuple):
-    """Pointwise model data at radius r, used to assemble coefficient ODEs."""
+    """Pointwise model data at radius r, with the decaying triple's beta ratio I1."""
 
     u: np.ndarray
     du: np.ndarray
@@ -86,23 +79,32 @@ class LevelData(NamedTuple):
     dWdr: np.ndarray
     drdt: np.ndarray
     dWdt: np.ndarray
+    I1: np.ndarray
+
+
+def _beta_numerators(sigma: float, x):
+    """(I_x(sigma+1, sigma), I_x(sigma, sigma)) by DLMF 8.17.20: two positive terms."""
+    B1 = betainc(sigma + 1.0, sigma, x)
+    # np.power rather than **, so that a scalar x takes the array path too.
+    term = np.power(x, sigma) * np.power(1.0 - x, sigma) / (sigma * beta_fn(sigma, sigma))
+    return B1, B1 + term
 
 
 def _level_data(p: float, C: float, r) -> LevelData:
     _, kappa, beta = _exponents(p)
-    u = _potential(p, r)
+    sigma = (3.0 - p) / (p - 1.0)
+    B1, B0 = _beta_numerators(sigma, 1.0 / (1.0 + r))
+    # The same path at x = 1/2 (r = 1), so that u(1) == 1 exactly.
+    half = _beta_numerators(sigma, np.array([0.5]))[1][0]
+    u = B0 / half
     du = _du(p, C, r)
     W = 4.0 * math.pi * (p - 1.0) ** 2 * r**2 * (du / u) ** 2
     dlog_du = -kappa / r + beta / (r**2 + r)
     dWdr = 2.0 * W * (1.0 / r + dlog_du - du / u)
     drdt = -u / ((p - 1.0) * du)
-    return LevelData(u=u, du=du, W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt)
-
-
-def _beta_ratio_I1(p: float, r):
-    """I1 = I_x(sigma+1, sigma) / (2 I_1/2(sigma, sigma)) at x = 1/(1+r)."""
-    sigma = (3.0 - p) / (p - 1.0)
-    return betainc(sigma + 1.0, sigma, 1.0 / (1.0 + r)) / (2.0 * betainc(sigma, sigma, 0.5))
+    return LevelData(
+        u=u, du=du, W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt, I1=B1 / (2.0 * half)
+    )
 
 
 def flux_constant(p: float) -> float:
@@ -123,8 +125,8 @@ class ModelGeometry:
     """The reference slice sampled on a geometric r-grid [1, R_max].
 
     Immutable after construction; compared and hashed by identity. Curves
-    over r: u, du, t; curves over t: W, dW/dt. grid_data (level data) and
-    grid_I1 (_beta_ratio_I1) on r_grid are the one grid evaluation of the
+    over r: u, du, t; curves over t: W, dW/dt. grid_data, the level data on
+    r_grid with the beta ratio I1, is the one grid evaluation of the
     slice's special functions, which the coefficient solves read. The
     closed forms of u and du give pointwise data off the grid via
     level_data(), as accurate as on the grid. The boundary data are
@@ -143,7 +145,6 @@ class ModelGeometry:
     Ws_curve: SampledCurve = field(repr=False)
     dWs_curve: SampledCurve = field(repr=False)
     grid_data: LevelData = field(repr=False)
-    grid_I1: np.ndarray = field(repr=False)
     tol: Tolerances = field(default_factory=Tolerances, repr=False)
 
     @property
@@ -177,9 +178,10 @@ def model_profile(
 ) -> ModelGeometry:
     """Build the reference model on a geometric grid of n radii in [1, R_max].
 
-    u, du, C, the level data and I1 are the closed forms of the module
-    docstring and of _beta_ratio_I1, evaluated once on the grid; the
-    decaying tail keeps full relative precision because betainc does.
+    u, du, C and the level data with I1 are the closed forms of the module
+    docstring, evaluated once on the grid by one betainc call; the decaying
+    tail keeps full relative precision because betainc does and the
+    DLMF 8.17.20 sum adds two positive terms.
     Raises ValueError when R_max**(-kappa) is not a normal double: past that
     radius u' and the level_data built from it underflow. tol (default
     Tolerances()) becomes model.tol, the one error budget of every solve and
@@ -221,7 +223,6 @@ def model_profile(
         Ws_curve=SampledCurve(t, d.W),
         dWs_curve=SampledCurve(t, d.dWdt),
         grid_data=d,
-        grid_I1=_beta_ratio_I1(p, r),
         tol=tol or Tolerances(),
     )
     return model

@@ -187,8 +187,8 @@ def penrose_margin(flow: FlowProfile, model: ModelGeometry) -> VerificationRepor
     )
 
 
-def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> float:
-    """Largest |W - W_s(t + delta)| / W_s(t + delta) over the flow's vacuum end.
+def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> tuple[float, float]:
+    """Largest |W - W_s(t + delta)| / W_s(t + delta) and |hawking - adm| / adm on the vacuum end.
 
     Beyond end_s the geometry is the Schwarzschild slice of mass adm, whose
     own potential u_M has u_M' = -C_M phi^(-kappa), kappa = 2/(p-1), with
@@ -198,7 +198,10 @@ def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> float:
     W(t) = W_s(t + delta) with delta = (p-1) ln(C/C_M) and C^(p-1) =
     C_p/(4 pi). Read at evaluate_Q's t-nodes with s >= end_s whose shifted
     radius is live. A wrong adm or C_p moves delta, so this reads them
-    pointwise; on vacuum ends it is rounding (about 1e-11).
+    pointwise; on vacuum ends it is rounding (about 1e-11). Far out W_s
+    flattens, so an end that begins at large phi reads adm only at order
+    adm/phi there; the Hawking mass of the end's level spheres, which is adm
+    on a vacuum end, reads it at full size (rounding: below 1e-11).
     """
     p = flow.p
     nodes = _nodes(flow)
@@ -210,7 +213,8 @@ def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> float:
     if not np.any(live):
         raise ValueError(f"no flow sample with s >= {end_s:g} has a live shifted radius")
     Ws = model.level_data(r).W
-    return float(np.max(np.abs(flow.W.y[nodes][live] - Ws) / Ws))
+    mass = np.max(np.abs(flow.hawking.y[nodes] - flow.adm)) / flow.adm
+    return float(np.max(np.abs(flow.W.y[nodes][live] - Ws) / Ws)), float(mass)
 
 
 def constant_diagnostics(
@@ -348,9 +352,9 @@ class CaseResult:
 
 
 def _gated_checks(
-    report: VerificationReport, end_error: float, vacuum: bool, model: ModelGeometry
+    report: VerificationReport, end: tuple[float, float], vacuum: bool, model: ModelGeometry
 ) -> tuple[dict, ...]:
-    """The six checks of a minimal-boundary case; end_error is _end_error's."""
+    """The seven checks of a minimal-boundary case; end is _end_error's pair."""
     diag = report.diagnostics
     acc, slack = model.tol.accept_rel, model.tol.slope_slack
     slope_dec, slope_grow = diag["min_slope_decaying"], diag["min_slope_growing"]
@@ -367,7 +371,8 @@ def _gated_checks(
         _check("monotone_growing", slope_grow, slack, slope_grow >= -slack),
         _check("horizon_gradient_bound", horizon_gap, horizon_scale, horizon_gap >= -horizon_scale),
         margin_check,
-        _check("end_is_reference", end_error, acc, end_error <= acc),
+        _check("end_is_reference", end[0], acc, end[0] <= acc),
+        _check("end_mass", end[1], acc, end[1] <= acc),
         _check("equality_flag", equality, None, bool(equality) == vacuum),
     )
 
@@ -436,18 +441,19 @@ def certify_case(
     flow, dec and grow are not needed. One with a minimal boundary needs
     its flow at p and both triples, and gets case_report plus the gated
     checks: both monotonicities, the boundary gradient bound, the margin,
-    the vacuum end and the equality flag (R >= 0 is a hypothesis, checked
-    by penrose_margin). The vacuum members (warp.vacuum: Schwarzschild,
-    bumps with eps = 0) must meet the equality case sharply, every other
-    geometry the strict margin without equality. Every one must have a
-    vacuum end, beyond warp.end_s, that is the reference slice shifted in
-    t to within accept_rel (end_is_reference, _end_error): that pins its
-    adm and C_p, and with them every limit of the case. A failed hypothesis
-    of the mass bound is the failed stage check "hypotheses", any other
-    error of case_report or of the end gate the stage check "case_report",
-    and a failed flat capacity
-    or mass the stage check "capacity". Triples solved on another model
-    than `model` raise ValueError, as in every function that takes both.
+    the vacuum end's shape and mass, and the equality flag (R >= 0 is a
+    hypothesis, checked by penrose_margin). The vacuum members (warp.vacuum:
+    Schwarzschild, bumps with eps = 0) must meet the equality case
+    sharply, every other geometry the strict margin without equality. Every
+    one must have a vacuum end, beyond warp.end_s, that is the reference
+    slice shifted in t to within accept_rel (end_is_reference, _end_error):
+    that pins its adm and C_p, and with them every limit of the case;
+    end_mass reads adm against the Hawking mass along that end. A failed
+    hypothesis of the mass bound is the failed stage check "hypotheses",
+    any other error of case_report or of the end gate the stage check
+    "case_report", and a failed flat capacity or mass the stage check
+    "capacity". Triples solved on another model than `model` raise
+    ValueError, as in every function that takes both.
     Every tolerance derives from model.tol.
     """
     tol = model.tol
@@ -472,10 +478,10 @@ def certify_case(
     _same_model(model, dec, grow)
     try:
         report = case_report(flow, model, dec, grow)
-        end_error = _end_error(flow, model, warp.end_s)
+        end = _end_error(flow, model, warp.end_s)
     except _HypothesisViolation as exc:
         return CaseResult.failed(p, tag, params, "hypotheses", exc)
     except (ValueError, RuntimeError) as exc:
         return CaseResult.failed(p, tag, params, "case_report", exc)
-    checks = _gated_checks(report, end_error, warp.vacuum, model)
+    checks = _gated_checks(report, end, warp.vacuum, model)
     return CaseResult(p, tag, params, report, checks)

@@ -466,8 +466,8 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
     mass is its value at s_max, exact under the vacuum-end assumption that
     _capacity_tail makes too: every family is vacuum beyond
     warp.end_s <= s_max/2, where the Hawking mass is constant.
-    certify_case's end_is_reference gate reads that mass, with C_p,
-    against the reference slice along the whole end.
+    certify_case reads that mass along the whole end: with C_p against the
+    reference slice (end_is_reference), and against the Hawking mass (end_mass).
     """
     hawk = SampledCurve(warp.s_grid, _hawking(warp.phi.y, warp.dphi.y))
     return hawk, float(hawk.y[-1])

@@ -144,7 +144,7 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         [case] = json.loads((out / "report.json").read_text())["cases"]
-        assert [check["name"] for check in case["checks"]][4] == "end_is_reference"
+        assert [check["name"] for check in case["checks"]][4:6] == ["end_is_reference", "end_mass"]
 
     def test_mass_beyond_the_domain_is_a_family_failure(self, tmp_path):
         # m = 1e6 on s_max = 100 is refused by the family itself, by name.

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
 from masscap import (
@@ -388,7 +389,30 @@ class TestEvaluationInterface:
 class TestGridData:
     """The reference slice's special functions run once per model, on its grid."""
 
-    def test_two_grid_sized_betainc_calls_per_model(self, monkeypatch):
+    # Largest relative error of u and of I1 on the model grid against 40-digit
+    # mpmath at the exact double x = 1/(1+r), with 1.1x (u at p = 1.5) to
+    # 1.3x headroom. The route of two betainc calls, I_x(sigma, sigma) /
+    # I_1/2(sigma, sigma), read 1.31e-14, 2.74e-15, 4.74e-16, 8.38e-16 and
+    # 8.77e-16 for u; no bound is above 1.5 times that route's error.
+    GRID_BOUNDS = {
+        1.05: (1.4e-14, 1.6e-14),
+        1.2: (3.5e-15, 4.2e-15),
+        1.5: (5.5e-16, 7.0e-16),
+        1.8: (9.0e-16, 4.0e-15),
+        1.95: (8.0e-16, 4.0e-15),
+    }
+    # Largest |u(r(t)) e^(t/(p-1)) - 1| over t in [0, t_max] and over the
+    # live t beyond, with about 1.5x headroom. betaincinv's inversion and,
+    # past x = 1e-17, the logarithmic branch of _level_radii set them.
+    ROUND_TRIP_BOUNDS = {
+        1.05: (2.0e-12, 2.0e-12),
+        1.2: (1.0e-13, 1.5e-13),
+        1.5: (9.0e-15, 1.2e-13),
+        1.8: (2.0e-15, 6.0e-14),
+        1.95: (2.0e-15, 7.5e-14),
+    }
+
+    def test_one_grid_sized_betainc_call_per_model_and_per_at_t(self, monkeypatch):
         import masscap.coefficients
         import masscap.schwarzschild
 
@@ -407,17 +431,16 @@ class TestGridData:
         dec, grow = solve_decaying(model), solve_growing(model)
         constant_diagnostics(model, dec, grow)
         reference_checks(model, dec, grow)
-        assert len(grid_calls) == 2
+        assert grid_calls == [(4.0, 3.0)]  # I_x(sigma+1, sigma) at sigma = 3
+        live, *_ = at_t(np.linspace(0.0, model.t_max, n), dec, grow)
+        assert np.all(live)
+        assert grid_calls == [(4.0, 3.0)] * 2
 
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_kept_grid_data_matches_a_fresh_evaluation_bit_for_bit(self, lab, p):
         model = lab.model(p)
         dec, grow = lab.triples(p)
-        sigma = (3.0 - p) / (p - 1.0)
-        r = model.r_grid.copy()
-        norm = 2.0 * betainc(sigma, sigma, 0.5)
-        fresh_I1 = betainc(sigma + 1.0, sigma, 1.0 / (1.0 + r)) / norm
-        fresh = dataclasses.replace(model, grid_data=model.level_data(r), grid_I1=fresh_I1)
+        fresh = dataclasses.replace(model, grid_data=model.level_data(model.r_grid.copy()))
         fresh_dec, fresh_grow = solve_decaying(fresh), solve_growing(fresh)
         for kept, new in ((dec, fresh_dec), (grow, fresh_grow)):
             for name in ("f_curve", "g_curve", "h_curve"):
@@ -428,14 +451,59 @@ class TestGridData:
         assert reference_checks(model, dec, grow) == reference_checks(fresh, fresh_dec, fresh_grow)
 
     @pytest.mark.parametrize("p", ORACLE_P)
-    def test_first_beta_ratio_is_half_the_potential_bit_for_bit(self, lab, p):
-        # On the grid and at the level-set radii that at_t evaluates,
-        # out to where r**(-2/(p-1)) leaves the normal doubles.
+    def test_u_and_I1_share_one_betainc_bit_for_bit(self, lab, p):
+        # u = (B1 + x^sigma (1-x)^sigma / (sigma B(sigma, sigma))) / N and
+        # I1 = B1 / (2N) with B1 = I_x(sigma+1, sigma) (DLMF 8.17.20) and N
+        # the numerator at x = 1/2. On the grid and at the level-set radii that
+        # at_t evaluates, out to where r**(-2/(p-1)) leaves the normal doubles.
         model = lab.model(p)
         sigma = (3.0 - p) / (p - 1.0)
+
+        def numerators(x):
+            B1 = betainc(sigma + 1.0, sigma, x)
+            return B1, B1 + x**sigma * (1.0 - x) ** sigma / (sigma * beta_fn(sigma, sigma))
+
         far = sys.float_info.min ** (-(p - 1.0) / 2.0)
         r, live = _level_radii(model, np.linspace(0.0, 1.1 * (3.0 - p) * math.log(far), 4000))
         assert not np.all(live)
+        N = numerators(np.array([0.5]))[1][0]
         for radii in (model.r_grid, r):
-            I0 = betainc(sigma, sigma, 1.0 / (1.0 + radii)) / (2.0 * betainc(sigma, sigma, 0.5))
-            assert np.array_equal(I0, model.level_data(radii).u / 2.0)
+            B1, B0 = numerators(1.0 / (1.0 + radii))
+            d = model.level_data(radii)
+            assert np.array_equal(d.u, B0 / N)
+            assert np.array_equal(d.I1, B1 / (2.0 * N))
+        assert model.level_data(np.array([1.0])).u == 1.0
+        assert model.level_data(1.0).u == 1.0
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_u_and_I1_match_the_oracle_on_the_grid(self, lab, mp, p):
+        model = lab.model(p)
+        x_grid = 1.0 / (1.0 + model.r_grid)
+        err_u = err_I1 = 0.0
+        with mp.workdps(40):
+            sigma = mp.mpf((3.0 - p) / (p - 1.0))
+            weight = 1 / (sigma * mp.beta(sigma, sigma))
+            for x, u, I1 in zip(x_grid, model.grid_data.u, model.grid_data.I1):
+                x = mp.mpf(float(x))
+                # I_x(sigma, sigma) and, by DLMF 8.17.20, I_x(sigma+1, sigma);
+                # the normalization 2 I_1/2(sigma, sigma) is exactly 1.
+                I0 = mp.betainc(sigma, sigma, 0, x, regularized=True)
+                exact_I1 = I0 - x**sigma * (1 - x) ** sigma * weight
+                err_u = max(err_u, float(abs(u / (2 * I0) - 1)))
+                err_I1 = max(err_I1, float(abs(I1 / exact_I1 - 1)))
+        u_bound, I1_bound = self.GRID_BOUNDS[p]
+        assert err_u <= u_bound and err_I1 <= I1_bound, (err_u, err_I1)
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_level_radii_round_trip_through_u(self, lab, p):
+        # u at the radius _level_radii gives level set t is e^(-t/(p-1)), up
+        # to where r**(-2/(p-1)) leaves the normal doubles; from p = 1.11 on
+        # that includes the logarithmic branch (x < 1e-17).
+        model = lab.model(p)
+        far = (3.0 - p) * math.log(sys.float_info.min ** (-(p - 1.0) / 2.0))
+        ranges = (np.linspace(0.0, model.t_max, 4001), np.linspace(model.t_max, far, 4001))
+        for t, bound in zip(ranges, self.ROUND_TRIP_BOUNDS[p]):
+            r, live = _level_radii(model, t)
+            error = np.abs(model.level_data(r).u / np.exp(-t[live] / (p - 1.0)) - 1.0)
+            assert np.max(error) <= bound, (p, float(np.max(error)))
+        assert np.any(r > 1e17) == (p > 1.11)

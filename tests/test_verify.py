@@ -222,7 +222,7 @@ class TestCertifyCase:
         assert all(check["passed"] for check in result.checks)
         assert result.report.equality_flag is True
         assert [check["name"] for check in result.checks] == self.SHARED + [
-            "penrose_sharp", "end_is_reference", "equality_flag"
+            "penrose_sharp", "end_is_reference", "end_mass", "equality_flag"
         ]
         assert (result.p, result.family, result.params) == (1.5, "schwarzschild", {"m": 2.0})
 
@@ -240,7 +240,7 @@ class TestCertifyCase:
         assert result.passed
         assert result.report.penrose_margin > 0.0
         assert [check["name"] for check in result.checks] == self.SHARED + [
-            "penrose_margin", "end_is_reference", "equality_flag"
+            "penrose_margin", "end_is_reference", "end_mass", "equality_flag"
         ]
 
     def test_negative_curvature_is_the_one_failed_check(self, lab, negative_eps_flow):
@@ -313,24 +313,30 @@ class TestCertifyCase:
         assert light == result
 
     def test_mass_limit_is_two_sided(self, lab):
-        # The mass enters the end gate through the shift of the reference
-        # slice, so an adm too large or too small fails it alike. How finely
-        # the gate reads adm depends on where the end begins: 1e-5 moves
-        # the README bump's end (s2 = 6) by 4.5e-6 but the ends beyond
-        # s2 = 500 and 1000 by 3.2e-7 and 3.1e-7, so those get 1e-4. The
-        # bump on [0, 1000] ends at phi(s2) = 0.20 phi_max, where a tail fit
-        # of the mass functional over phi >= phi_max/10 once missed 8 pi adm
-        # by 9 %; pointwise, its end is the slice to rounding.
-        for s1, s2, rel in ((2.0, 6.0, 1e-5), (0.0, 500.0, 1e-4), (0.0, 1000.0, 1e-4)):
+        # An adm too large or too small by 1e-5 fails end_mass on every end:
+        # the Hawking mass of the end's level spheres reads it at full size.
+        # The end gate reads adm through the shift of the reference slice,
+        # which weighs it only at order adm/phi far out: 1e-5 moves the
+        # README bump's end (s2 = 6) by 4.5e-6, but the ends beyond s2 = 500
+        # and 1000 by 3.2e-7 and 3.1e-7, below accept_rel. The bump on
+        # [0, 1000] ends at phi(s2) = 0.20 phi_max, where a tail fit of the
+        # mass functional over phi >= phi_max/10 once missed 8 pi adm by 9 %;
+        # pointwise, its end is the slice to rounding.
+        rel = 1e-5
+        for s1, s2, shape_fails in ((2.0, 6.0, True), (0.0, 500.0, False), (0.0, 1000.0, False)):
             params = {"m0": 1.0, "eps": 0.1, "s1": s1, "s2": s2}
             flow = lab.flow(1.5, "bumped", **params)
             result = self._certify(lab, "bumped", flow=flow, **params)
             assert result.passed, (s2, [c for c in result.checks if not c["passed"]])
+            [mass] = [c["value"] for c in result.checks if c["name"] == "end_mass"]
+            assert mass <= 1e-11, s2
             for scale in (1.0 + rel, 1.0 - rel):
                 wrong = dataclasses.replace(flow, adm=flow.adm * scale)
                 result = self._certify(lab, "bumped", flow=wrong, **params)
                 failed = [c["name"] for c in result.checks if not c["passed"]]
-                assert failed == ["end_is_reference"], (s2, scale)
+                assert failed == ["end_is_reference"] * shape_fails + ["end_mass"], (s2, scale)
+                [mass] = [c["value"] for c in result.checks if c["name"] == "end_mass"]
+                assert mass == pytest.approx(rel, rel=1e-4), (s2, scale)
 
     def test_horizon_gate_reads_the_model_boundary(self, lab):
         # W_s(0) is the model's own sample, so the gap and its tolerance are
@@ -425,7 +431,7 @@ class TestEndIsReference:
                 failed = "end_is_reference" in self._failed(lab, p, tag, wrong, params)
                 assert failed == (rel == 1e-5 or tag == "schwarzschild"), (p, tag, rel)
                 if not failed:
-                    error = _end_error(wrong, lab.model(p), lab.warp(tag, **params).end_s)
+                    error, _ = _end_error(wrong, lab.model(p), lab.warp(tag, **params).end_s)
                     assert 2e-7 < error < 1e-6, (p, tag)
 
     def test_strong_bump_passes(self, lab):
