@@ -23,7 +23,7 @@ def main():
         dec = solve_decaying(model)
         grow = solve_growing(model)
         s = 3.0 - p
-        W0 = float(model.Ws_curve.y[0])
+        W0 = float(model.grid_data.W[0])
         print(f"p = {p}  (W(0) = {W0:.10g})")
         print("-" * 64)
 
@@ -33,7 +33,7 @@ def main():
         resolved = 8.0 * PI * s**3 + 16.0 * PI * s**2 - 16.0 * PI * s
         print(f"  growing constant, closed form 8 pi s^3 + 16 pi s^2 - 16 pi s = {resolved:.12g}")
 
-        f0, g0, h0 = dec.boundary_values()
+        f0, g0, h0 = dec.f[0], dec.g[0], dec.h[0]  # r = 1, that is t = 0
         identity = -4.0 * PI * s**2 * f0 / (g0 + 2.0 * s * h0)
         print(f"  boundary identity -4 pi s^2 f(0) / (g(0) + 2 s h(0)) = {identity:.10g}")
         print(f"    signs: f(0) = {f0:.4g} < 0, g(0) + 2 s h(0) = {g0 + 2 * s * h0:.4g} > 0")

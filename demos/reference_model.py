@@ -17,17 +17,18 @@ def main():
     print("reference slice at p = 1.5")
     print("=" * 60)
     model = model_profile(1.5)
+    d = model.grid_data  # u, du, W, dW/dt, ... on the model's r-grid
     anchors = [
         ("flux constant C", model.flux_constant, 60.0),
-        ("u'(1)", float(model.du_curve.y[0]), -15.0 / 16.0),
+        ("u'(1)", float(d.du[0]), -15.0 / 16.0),
         ("capacity K_p", model.Kp, 4.0 * PI * math.sqrt(60.0)),
-        ("W(0)", float(model.Ws_curve.y[0]), PI * (15.0 / 16.0) ** 2),
+        ("W(0)", float(d.W[0]), PI * (15.0 / 16.0) ** 2),
     ]
     for name, value, exact in anchors:
         rel = abs(value - exact) / abs(exact)
         print(f"  {name:16s} = {value:.15g}   exact {exact:.15g}   rel err {rel:.1e}")
 
-    W0, dW0 = float(model.Ws_curve.y[0]), float(model.dWs_curve.y[0])
+    W0, dW0 = float(d.W[0]), float(d.dWdt[0])
     print(f"\n  minimal boundary forces dW/dt(0) = 2/(p-1) W(0):")
     print(f"  dW/dt(0) = {dW0:.12g}, 4 W(0) = {4.0 * W0:.12g}")
     print(f"  residual dW/dt(0)/(4 W(0)) - 1 = {dW0 / (4.0 * W0) - 1.0:.1e}")
@@ -40,7 +41,7 @@ def main():
         s = 3.0 - p
         print(
             f"  {p:5.2f} {m.flux_constant:12.5f} {m.Kp:12.5f} "
-            f"{float(m.Ws_curve.y[0]):10.6f} {float(m.Ws_curve.y[-1]):10.6f} "
+            f"{float(m.grid_data.W[0]):10.6f} {float(m.grid_data.W[-1]):10.6f} "
             f"{4.0 * PI * s**2:11.6f}"
         )
     print("  W(t) climbs from its boundary value to the plateau 4 pi (3-p)^2.")

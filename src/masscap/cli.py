@@ -360,9 +360,9 @@ class _Pipeline:
         """The reprs of a column that several tables write, formatted once per run.
 
         key names the column: "r" for the model grid, which every model of a
-        run shares, or ("t", p) for p's t_of_r. The texts are formatted again
-        should the column under key differ, bit for bit, from the one they
-        were formatted from.
+        run shares, or ("t", p) for p's model.t_grid. The texts are
+        formatted again should the column under key differ, bit for bit,
+        from the one they were formatted from.
         """
         kept = self._shared.get(key)
         if kept is None or kept[0].tobytes() != column.tobytes():
@@ -498,19 +498,20 @@ def cmd_model(pipe: _Pipeline) -> int:
     try:
         for p in sorted(cfg.p_list):
             model = pipe.model(p)
+            d = model.grid_data
             _write_csv(
                 cfg.csv_dir / f"model-p={p!r}.csv",
                 ["r", "u", "du", "t", "W", "dWdt"],
                 _lines(
                     pipe.shared_texts("r", model.r_grid),
-                    _texts(model.u_curve.y),
-                    _texts(model.du_curve.y),
-                    pipe.shared_texts(("t", p), model.t_of_r.y),
-                    _texts(model.Ws_curve.y),
-                    _texts(model.dWs_curve.y),
+                    _texts(d.u),
+                    _texts(d.du),
+                    pipe.shared_texts(("t", p), model.t_grid),
+                    _texts(d.W),
+                    _texts(d.dWdt),
                 ),
             )
-            W0 = float(model.Ws_curve.y[0])
+            W0 = float(d.W[0])
             const_rows.append(
                 (p, model.flux_constant, model.Kp, model.c_fit, model.c_tilde, W0)
             )
@@ -536,16 +537,15 @@ def cmd_coeffs(pipe: _Pipeline) -> int:
                     cfg.csv_dir / f"coeffs-{sol.flavor}-p={p!r}.csv",
                     ["r", "t", "f", "g", "h"],
                     _lines(
-                        pipe.shared_texts("r", sol.g_curve.x),
-                        pipe.shared_texts(("t", p), model.t_of_r.y),
-                        _texts(sol.f_curve.y),
-                        _texts(sol.g_curve.y),
-                        _texts(sol.h_curve.y),
+                        pipe.shared_texts("r", model.r_grid),
+                        pipe.shared_texts(("t", p), model.t_grid),
+                        _texts(sol.f),
+                        _texts(sol.g),
+                        _texts(sol.h),
                     ),
                 )
-                f0, g0, h0 = sol.boundary_values()
                 Q0, dev = model_constancy(sol, model)
-                const_rows.append((p, sol.flavor, f0, g0, h0, Q0, dev))
+                const_rows.append((p, sol.flavor, sol.f[0], sol.g[0], sol.h[0], Q0, dev))
                 print(f"coeffs p={p!r} {sol.flavor}: Q0={float(Q0)!r} max_dev={float(dev)!r}")
     except (ValueError, RuntimeError) as exc:
         return _pipeline_failure(exc)

@@ -37,14 +37,10 @@ curvature they are monotone, which is what the verify module certifies.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import betainc, betaincinv
 
-from .numerics import SampledCurve
 from .schwarzschild import LevelData, ModelGeometry
 
 __all__ = [
@@ -76,25 +72,26 @@ def _bc(p: float, d: LevelData):
 class CoefficientSolution:
     """One flavor of the coefficient triple on the reference slice.
 
-    Curves are sampled over r on the model grid, whose level-set parameters
-    are model.t_of_r.y. The module function at_t is the interface the
-    verify module uses to carry triples, and the slice's W, onto a foreign
-    geometry's t-range.
+    f, g and h are arrays on model.r_grid, whose level-set parameters are
+    model.t_grid; f[0], g[0] and h[0] are the values at t = 0. Raises
+    ValueError unless all three are finite. The module function at_t is the
+    interface the verify module uses to carry triples, and the slice's W,
+    onto a foreign geometry's t-range.
     """
 
     flavor: str
     model: ModelGeometry = field(repr=False)
-    g_curve: SampledCurve = field(repr=False)
-    h_curve: SampledCurve = field(repr=False)
-    f_curve: SampledCurve = field(repr=False)
+    f: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    h: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if not all(np.all(np.isfinite(column)) for column in (self.f, self.g, self.h)):
+            raise ValueError(f"the {self.flavor} triple is not finite on the model grid")
 
     @property
     def p(self) -> float:
         return self.model.p
-
-    def boundary_values(self) -> tuple[float, float, float]:
-        """(f, g, h) at t = 0."""
-        return float(self.f_curve.y[0]), float(self.g_curve.y[0]), float(self.h_curve.y[0])
 
     @property
     def Q0(self) -> float:
@@ -107,9 +104,10 @@ class CoefficientSolution:
 def at_t(t, *sols: CoefficientSolution) -> tuple:
     """(live, W_s, dW_s/dt, [(f, g, h) per sol]) at the level-set parameters t >= 0.
 
-    The triples must share one model (ValueError otherwise), whose radii
-    and level data they then share. Closed forms at the exact radius of
-    each level set (_level_radii), from one model.level_data call: the
+    At least one triple is needed, and the triples must share one model
+    (ValueError otherwise), whose radii and level data they then share.
+    Closed forms at the exact radius of each level set
+    (model.level_radii), from one model.level_data call: the
     decaying triple by _decaying_at_r, the growing one by _growing_at_r, and
     the reference slice's W and dW/dt.
     live marks the t whose radius is live; the arrays hold those t only,
@@ -118,43 +116,17 @@ def at_t(t, *sols: CoefficientSolution) -> tuple:
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < -1e-12):
         raise ValueError("t below the sampled range")
+    if not sols:
+        raise ValueError("at least one coefficient triple is needed")
     model = sols[0].model
     _same_model(model, *sols)
-    r, live = _level_radii(model, t)
+    r, live = model.level_radii(t)
     d = model.level_data(r)
     triples = [
         _growing_at_r(model.p, r, d) if sol.flavor == "growing" else _decaying_at_r(model, r, d)
         for sol in sols
     ]
     return live, d.W, d.dWdt, triples
-
-
-def _level_radii(model: ModelGeometry, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(r, live): the exact radii of the level sets t >= 0 that are live.
-
-    The radius of a level set is x = betaincinv(sigma, sigma,
-    e^(-t/(p-1)) I_1/2(sigma, sigma)), r = 1/x - 1. Below x = 1e-17, x comes
-    from x^sigma = sigma B(sigma, sigma) e^(-t/(p-1)) I_1/2(sigma, sigma),
-    taken in logarithms: there the O(x) term of I_x(sigma, sigma) (DLMF
-    8.17.8) is below an ulp, while betaincinv returns nan for small
-    arguments at some sigma (p = 1.27 to 1.57 with scipy 1.17). At t = 0,
-    x is 1/2 by construction (u(1) = 1): betaincinv misses it by up to
-    4.9e-8 at some p (p = 1.911 with scipy 1.17), while at t > 0 it is
-    exact to a few ulps.
-    live marks the t whose r**(-2/(p-1)) is a normal double (the bound
-    model_profile puts on R_max); past that radius the profile data
-    underflow. r holds the radii of the live t only. Reads only model.p.
-    """
-    p = model.p
-    sigma = (3.0 - p) / (p - 1.0)
-    half = betainc(sigma, sigma, 0.5)
-    x = betaincinv(sigma, sigma, np.exp(-t / (p - 1.0)) * half)
-    x[t == 0.0] = 0.5
-    log_x = (math.log(sigma * beta_fn(sigma, sigma) * half) - t / (p - 1.0)) / sigma
-    tail = log_x < math.log(1e-17)
-    x[tail] = np.exp(log_x[tail])
-    live = x > 1.0 / (1.0 + sys.float_info.min ** (-(p - 1.0) / 2.0))
-    return 1.0 / x[live] - 1.0, live
 
 
 def _decaying_at_r(model: ModelGeometry, r, d: LevelData):
@@ -173,9 +145,10 @@ def _decaying_at_r(model: ModelGeometry, r, d: LevelData):
     A = -k(r+1)/((p-1) r^2); dK/dr = 2 I1 gives dh/dr by the product rule,
     and g = (dh/dr - c h)/b comes from the second equation of the pair
     system.
-    d is the level data at r, which carries I1; I0 is taken as d.u/2, whose
-    numerator d.u shares its betainc call with I1 (DLMF 8.17.20, see the
-    schwarzschild module).
+    d is the level data at r (model.grid_data on the grid, model.level_data
+    at the level-set radii of at_t), which carries I1; I0 is taken as
+    d.u/2, whose numerator d.u shares its betainc call with I1 (DLMF
+    8.17.20, see the schwarzschild module).
     """
     p = model.p
     sigma = (3.0 - p) / (p - 1.0)
@@ -212,17 +185,10 @@ def solve_decaying(model: ModelGeometry) -> CoefficientSolution:
     checked on the full grid before returning; with it dg/dt + h, which is
     (p-1)(5-p)/4 h (dW/dt / W)^2 by the pair system, is positive too.
     """
-    r = model.r_grid
-    f, g, h = _decaying_at_r(model, r, model.grid_data)
+    f, g, h = _decaying_at_r(model, model.r_grid, model.grid_data)
     if np.any(h <= 0.0):
         raise RuntimeError("decaying solution lost positivity of h")
-    return CoefficientSolution(
-        flavor="decaying",
-        model=model,
-        g_curve=SampledCurve(r, g),
-        h_curve=SampledCurve(r, h),
-        f_curve=SampledCurve(r, f),
-    )
+    return CoefficientSolution(flavor="decaying", model=model, f=f, g=g, h=h)
 
 
 def _growing_at_r(p: float, r, d: LevelData):
@@ -259,21 +225,14 @@ def solve_growing(model: ModelGeometry) -> CoefficientSolution:
     h(1) = beta h_dec(1) >= 0. Nothing is fitted, and nothing beyond the
     model's grid_data is read. The sign pattern h(1) = 0, h > 0 beyond and
     g < 0 is checked on the grid; at_t is exact at any t whose radius is
-    live (see _level_radii).
+    live (see ModelGeometry.level_radii).
     """
-    r = model.r_grid
-    f, g, h = _growing_at_r(model.p, r, model.grid_data)
+    f, g, h = _growing_at_r(model.p, model.r_grid, model.grid_data)
     if h[0] != 0.0 or np.any(h[1:] <= 0.0) or np.any(g >= 0.0):
         raise RuntimeError(
             "growing solution lost its sign pattern (h(1) = 0, h > 0 beyond, g < 0)"
         )
-    return CoefficientSolution(
-        flavor="growing",
-        model=model,
-        g_curve=SampledCurve(r, g),
-        h_curve=SampledCurve(r, h),
-        f_curve=SampledCurve(r, f),
-    )
+    return CoefficientSolution(flavor="growing", model=model, f=f, g=g, h=h)
 
 
 def _same_model(model: ModelGeometry, *sols: CoefficientSolution) -> None:
@@ -304,9 +263,8 @@ def model_constancy(sol: CoefficientSolution, model: ModelGeometry) -> tuple[flo
     of the profile, the coefficient solve, and the normalizations at once.
     """
     _same_model(model, sol)
-    f_term, g_term, h_term = _q_terms(
-        sol.p, sol.f_curve.y, sol.g_curve.y, sol.h_curve.y, model.Ws_curve.y, model.dWs_curve.y
-    )
+    d = model.grid_data
+    f_term, g_term, h_term = _q_terms(sol.p, sol.f, sol.g, sol.h, d.W, d.dWdt)
     Q = f_term + g_term + h_term
     Q0 = float(Q[0])
     return Q0, float(np.max(np.abs(Q - Q0)))

@@ -19,12 +19,14 @@ is evaluated as I_x(sigma+1, sigma) + x^sigma (1-x)^sigma / (sigma B(sigma,
 sigma)) (DLMF 8.17.20), so that one betainc call per evaluation gives both
 u and the beta ratio I1 of the decaying coefficient triple. Along the
 level-set parameter t = (1-p) log u this is the exponential map
-r ~ c_tilde e^(t/(3-p)) with c_tilde = c_fit**(1/sigma). Everything this
+r ~ c_tilde e^(t/(3-p)) with c_tilde = c_fit**(1/sigma), and its exact
+inverse t -> r is betaincinv (ModelGeometry.level_radii). Everything this
 module exports - t, the sphere-integrated gradient square W(t), the
 boundary capacity, and the two tail normalization constants - is derived
-from these formulas. The mass-2 member is singled out because its boundary
-data (W(0), dW/dt(0)) and capacity are the sharp constants against which
-every other geometry is compared.
+from these formulas; the model keeps its samples as plain arrays on its
+r-grid. The mass-2 member is singled out because its boundary data (W(0),
+dW/dt(0)) and capacity are the sharp constants against which every other
+geometry is compared.
 
 The grid keeps r**(-kappa) a normal double, which bounds R_max by
 DBL_MIN**(-1/kappa): about 4.9e7 at p = 1.05, and just below the default
@@ -40,9 +42,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
-from .numerics import SampledCurve, Tolerances, _check_finite, _check_int, _check_p
+from .numerics import Tolerances, _check_finite, _check_int, _check_p
 
 __all__ = [
     "DEFAULT_N_R",
@@ -124,14 +126,15 @@ def flux_constant(p: float) -> float:
 class ModelGeometry:
     """The reference slice sampled on a geometric r-grid [1, R_max].
 
-    Immutable after construction; compared and hashed by identity. Curves
-    over r: u, du, t; curves over t: W, dW/dt. grid_data, the level data on
-    r_grid with the beta ratio I1, is the one grid evaluation of the
-    slice's special functions, which the coefficient solves read. The
-    closed forms of u and du give pointwise data off the grid via
-    level_data(), as accurate as on the grid. The boundary data are
-    Ws_curve.y[0] and dWs_curve.y[0]; since u(1) = 1, the minimal boundary
-    gives dW_s/dt(0) = 2 W_s(0)/(p-1) by construction
+    Immutable after construction; compared and hashed by identity.
+    grid_data holds the level data on r_grid (u, du, W, dW/dr, dr/dt,
+    dW/dt and the beta ratio I1): the one grid evaluation of the slice's
+    special functions, which the coefficient solves read. t_grid holds the
+    level-set parameters of r_grid, strictly increasing from 0. The closed
+    forms of u and du give pointwise data off the grid via level_data(), as
+    accurate as on the grid, and level_radii() inverts t to r. The boundary
+    data are grid_data.W[0] and grid_data.dWdt[0]; since u(1) = 1, the
+    minimal boundary gives dW_s/dt(0) = 2 W_s(0)/(p-1) by construction
     (tests/test_schwarzschild.py::test_minimal_boundary_relation).
     """
 
@@ -139,11 +142,7 @@ class ModelGeometry:
     flux_constant: float
     Kp: float
     r_grid: np.ndarray = field(repr=False)
-    u_curve: SampledCurve = field(repr=False)
-    du_curve: SampledCurve = field(repr=False)
-    t_of_r: SampledCurve = field(repr=False)
-    Ws_curve: SampledCurve = field(repr=False)
-    dWs_curve: SampledCurve = field(repr=False)
+    t_grid: np.ndarray = field(repr=False)
     grid_data: LevelData = field(repr=False)
     tol: Tolerances = field(default_factory=Tolerances, repr=False)
 
@@ -163,11 +162,38 @@ class ModelGeometry:
 
     @property
     def t_max(self) -> float:
-        return float(self.t_of_r.y[-1])
+        return float(self.t_grid[-1])
 
     def level_data(self, r) -> LevelData:
         """u, du, W, dW/dr, dr/dt, dW/dt at arbitrary radii r >= 1."""
         return _level_data(self.p, self.flux_constant, np.asarray(r, dtype=float))
+
+    def level_radii(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(r, live): the exact radii of the level sets t >= 0 that are live.
+
+        The radius of a level set is x = betaincinv(sigma, sigma,
+        e^(-t/(p-1)) I_1/2(sigma, sigma)), r = 1/x - 1. Below x = 1e-17, x comes
+        from x^sigma = sigma B(sigma, sigma) e^(-t/(p-1)) I_1/2(sigma, sigma),
+        taken in logarithms: there the O(x) term of I_x(sigma, sigma) (DLMF
+        8.17.8) is below an ulp, while betaincinv returns nan for small
+        arguments at some sigma (p = 1.27 to 1.57 with scipy 1.17). At t = 0,
+        x is 1/2 by construction (u(1) = 1): betaincinv misses it by up to
+        4.9e-8 at some p (p = 1.911 with scipy 1.17), while at t > 0 it is
+        exact to a few ulps.
+        live marks the t whose r**(-2/(p-1)) is a normal double (the bound
+        model_profile puts on R_max); past that radius the profile data
+        underflow. r holds the radii of the live t only. Reads only self.p.
+        """
+        p = self.p
+        sigma = (3.0 - p) / (p - 1.0)
+        half = betainc(sigma, sigma, 0.5)
+        x = betaincinv(sigma, sigma, np.exp(-t / (p - 1.0)) * half)
+        x[t == 0.0] = 0.5
+        log_x = (math.log(sigma * beta_fn(sigma, sigma) * half) - t / (p - 1.0)) / sigma
+        tail = log_x < math.log(1e-17)
+        x[tail] = np.exp(log_x[tail])
+        live = x > 1.0 / (1.0 + sys.float_info.min ** (-(p - 1.0) / 2.0))
+        return 1.0 / x[live] - 1.0, live
 
 
 def model_profile(
@@ -183,9 +209,10 @@ def model_profile(
     tail keeps full relative precision because betainc does and the
     DLMF 8.17.20 sum adds two positive terms.
     Raises ValueError when R_max**(-kappa) is not a normal double: past that
-    radius u' and the level_data built from it underflow. tol (default
-    Tolerances()) becomes model.tol, the one error budget of every solve and
-    check on this model.
+    radius u' and the level_data built from it underflow; and, naming p,
+    unless every grid_data array is finite and t_grid strictly increases.
+    tol (default Tolerances()) becomes model.tol, the one error budget of
+    every solve and check on this model.
     """
     p = _check_p(p)
     _check_finite(R_max=R_max)
@@ -209,20 +236,18 @@ def model_profile(
     d = _level_data(p, C, r)
     t = (1.0 - p) * np.log(d.u)
     t[0] = 0.0  # u[0] is exactly 1, so t[0] is +-0; clear the sign
+    if not (all(np.all(np.isfinite(column)) for column in (*d, t)) and np.all(np.diff(t) > 0.0)):
+        raise ValueError(
+            f"p = {p:g}: the reference profile is not finite with strictly increasing t "
+            "on the grid"
+        )
 
-    Kp = 4.0 * math.pi * C ** (p - 1.0)
-
-    model = ModelGeometry(
+    return ModelGeometry(
         p=p,
         flux_constant=C,
-        Kp=Kp,
+        Kp=4.0 * math.pi * C ** (p - 1.0),
         r_grid=r,
-        u_curve=SampledCurve(r, d.u),
-        du_curve=SampledCurve(r, d.du),
-        t_of_r=SampledCurve(r, t),
-        Ws_curve=SampledCurve(t, d.W),
-        dWs_curve=SampledCurve(t, d.dWdt),
+        t_grid=t,
         grid_data=d,
         tol=tol or Tolerances(),
     )
-    return model

@@ -30,7 +30,6 @@ from scipy.special import betaln
 
 from .coefficients import (
     CoefficientSolution,
-    _level_radii,
     _q_terms,
     _same_model,
     at_t,
@@ -81,8 +80,9 @@ def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCur
     """Assemble the monotone combinations of triples of one model along a flow.
 
     Returns one Q curve per triple, all from one at_t evaluation at the
-    flow's t. Each triple is carried over by its t-parametrization (the
-    shared level-set normalization makes t comparable across geometries).
+    flow's t; at least one triple is needed (ValueError otherwise). Each
+    triple is carried over by its t-parametrization (the shared level-set
+    normalization makes t comparable across geometries).
     On the reference slice Q is the constant sol.Q0, so along the flow
 
         Q = Q0 + g (W - W_s) + (p-1)(3-p) h (dW/dt - dW_s/dt),
@@ -93,6 +93,8 @@ def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCur
     forward differences read on vacuum flows, stays within slope_slack. The
     t are flow.t_grid decimated to ~4096 points, ending at t_max.
     """
+    if not sols:
+        raise ValueError("at least one coefficient triple is needed")
     if abs(flow.p - sols[0].p) > 1e-12:
         raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sols[0].p}")
     c = (flow.p - 1.0) * (3.0 - flow.p)
@@ -197,8 +199,9 @@ def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> tuple[f
     and W, which depends only on phi and u'/u, is scale-invariant, so
     W(t) = W_s(t + delta) with delta = (p-1) ln(C/C_M) and C^(p-1) =
     C_p/(4 pi). Read at evaluate_Q's t-nodes with s >= end_s whose shifted
-    radius is live. A wrong adm or C_p moves delta, so this reads them
-    pointwise; on vacuum ends it is rounding (about 1e-11). Far out W_s
+    radius, model.level_radii(t + delta), is live. A wrong adm or C_p
+    moves delta, so this reads them pointwise; on vacuum ends it is
+    rounding (about 1e-11). Far out W_s
     flattens, so an end that begins at large phi reads adm only at order
     adm/phi there; the Hawking mass of the end's level spheres, which is adm
     on a vacuum end, reads it at full size (rounding: below 1e-11).
@@ -209,7 +212,7 @@ def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> tuple[f
     kappa = 2.0 / (p - 1.0)
     ln_CM = (kappa - 1.0) * math.log(2.0 * flow.adm) - betaln(kappa - 1.0, 0.5)
     delta = math.log(flow.Cp / (4.0 * math.pi)) - (p - 1.0) * ln_CM
-    r, live = _level_radii(model, flow.t_grid[nodes] + delta)
+    r, live = model.level_radii(flow.t_grid[nodes] + delta)
     if not np.any(live):
         raise ValueError(f"no flow sample with s >= {end_s:g} has a live shifted radius")
     Ws = model.level_data(r).W
@@ -233,7 +236,7 @@ def constant_diagnostics(
     s = 3.0 - model.p
     r = model.r_grid
     stop = int(np.searchsorted(r, min(1.0e5, model.R_max), side="right"))
-    r, g, h = r[:stop], grow.g_curve.y[:stop], grow.h_curve.y[:stop]
+    r, g, h = r[:stop], grow.g[:stop], grow.h[:stop]
     g_const = _tail_limit(r, g + r, (1.0, 2.0), window=100.0)
     g_plus_sh = _tail_limit(r, g + s * h, (1.0, 2.0), window=100.0)
 
@@ -264,7 +267,7 @@ def case_report(
     which Q0_growing meets on vacuum and stays below otherwise), and the
     flow's solver counts (flow_nfev, flow_steps). The bound's
     horizon_W_gap is W_s(0) - W(0),
-    with W_s(0) read from the model: the t = 0 end of the decaying
+    with W_s(0) = model.grid_data.W[0]: the t = 0 end of the decaying
     monotonicity, whose Q vanishes on the slice (reference_checks gates it
     as decaying_zero). Raises ValueError when the scalar curvature dips
     negative, a hypothesis of the mass bound (penrose_margin); that check
@@ -293,7 +296,7 @@ def case_report(
     diagnostics.update({
         "growing_coverage": float(curves["growing"].x[-1]) / flow.t_max,
         "growing_limit_bound_resolved": bound_value,
-        "horizon_W_gap": float(model.Ws_curve.y[0]) - flow.W0,
+        "horizon_W_gap": float(model.grid_data.W[0]) - flow.W0,
         **pm.diagnostics,
         "flow_nfev": flow.nfev,
         "flow_steps": flow.steps,
@@ -359,7 +362,7 @@ def _gated_checks(
     acc, slack = model.tol.accept_rel, model.tol.slope_slack
     slope_dec, slope_grow = diag["min_slope_decaying"], diag["min_slope_growing"]
     horizon_gap = diag["horizon_W_gap"]
-    horizon_scale = acc * float(model.Ws_curve.y[0])
+    horizon_scale = acc * float(model.grid_data.W[0])
     margin, margin_scale = report.penrose_margin, acc * max(diag["adm"], 1.0)
     if vacuum:
         margin_check = _check("penrose_sharp", margin, margin_scale, abs(margin) <= margin_scale)
@@ -407,9 +410,7 @@ def reference_checks(
     q0, q0_form = diag["growing_Q0_measured"], grow.Q0
     q0_tol = acc * abs(q0_form)
     dev, dev_tol = diag["growing_Q0_deviation"], acc * abs(q0)
-    terms = _q_terms(
-        p, dec.f_curve.y, dec.g_curve.y, dec.h_curve.y, model.Ws_curve.y, model.dWs_curve.y
-    )
+    terms = _q_terms(p, dec.f, dec.g, dec.h, model.grid_data.W, model.grid_data.dWdt)
     q_dec = float(np.max(np.abs(terms[0] + terms[1] + terms[2])))
     dec_tol = acc * max(float(np.max(np.abs(term))) for term in terms)
     checks = [
@@ -446,7 +447,8 @@ def certify_case(
     Schwarzschild, bumps with eps = 0) must meet the equality case
     sharply, every other geometry the strict margin without equality. Every
     one must have a vacuum end, beyond warp.end_s, that is the reference
-    slice shifted in t to within accept_rel (end_is_reference, _end_error):
+    slice shifted in t to within accept_rel (end_is_reference, _end_error,
+    which reads the slice at model.level_radii of the shifted t):
     that pins its adm and C_p, and with them every limit of the case;
     end_mass reads adm against the Hawking mass along that end. A failed
     hypothesis of the mass bound is the failed stage check "hypotheses",

@@ -212,6 +212,16 @@ class WarpProfile:
         return float(self.phi.y[0])
 
 
+def _check_grid(s_max: float, n: int) -> None:
+    """Refuse, by name, an s-grid other than n >= 2 points on [0, s_max > 0]."""
+    _check_finite(s_max=s_max)
+    _check_int(n=n)
+    if not s_max > 0.0:
+        raise ValueError(f"s_max must be positive, got {s_max!r}")
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n!r}")
+
+
 def _expm1_grid(scale: float, s_max: float, n: int) -> np.ndarray:
     """n points on [0, s_max], spaced like a geometric grid shifted to 0."""
     theta = np.linspace(0.0, math.log1p(s_max / scale), n)
@@ -287,8 +297,8 @@ def family_schwarzschild(
     curvature vanishes identically and the Hawking mass is exactly m on
     every sphere.
     """
-    _check_finite(m=m, s_max=s_max)
-    _check_int(n=n)
+    _check_finite(m=m)
+    _check_grid(s_max, n)
     if not m > 0.0:
         raise ValueError("mass must be positive")
 
@@ -323,8 +333,8 @@ def family_bumped(
     gives bump's doubles without calling it. accel_fn's array path is the
     text's array twin, which gives the same doubles.
     """
-    _check_finite(m0=m0, eps=eps, s1=s1, s2=s2, s_max=s_max)
-    _check_int(n=n)
+    _check_finite(m0=m0, eps=eps, s1=s1, s2=s2)
+    _check_grid(s_max, n)
     if not m0 > 0.0:
         raise ValueError("base mass must be positive")
     if not 0.0 <= s1 < s2:
@@ -357,8 +367,7 @@ def family_flat_exterior(
     level-set reparametrization refuses it; capacities and masses remain
     available and serve as exact anchors.
     """
-    _check_finite(s_max=s_max)
-    _check_int(n=n)
+    _check_grid(s_max, n)
     s = _expm1_grid(1.0, s_max, n)
     phi_v = 1.0 + s
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from masscap import capacity_Cp, constant_diagnostics, masses, model_constancy
-from masscap.numerics import fit_power_tail
+from masscap.numerics import SampledCurve, fit_power_tail
 from masscap.verify import _end_error
 from conftest import (
     BUMP_EPSILONS,
@@ -39,9 +39,9 @@ def test_criterion_01_model_constants(lab):
     model = lab.model(1.5)
     refs = [
         ("flux constant", model.flux_constant, 60.0),
-        ("boundary slope", float(model.du_curve.y[0]), -15.0 / 16.0),
+        ("boundary slope", float(model.grid_data.du[0]), -15.0 / 16.0),
         ("K_p", model.Kp, 4.0 * PI * math.sqrt(60.0)),
-        ("W(0)", float(model.Ws_curve.y[0]), PI * (15.0 / 16.0) ** 2),
+        ("W(0)", float(model.grid_data.W[0]), PI * (15.0 / 16.0) ** 2),
     ]
     worst = max(_rel(value, ref) for _, value, ref in refs)
     _verdict(1, "model constants at p=1.5", worst <= tol, f"worst rel {worst:.2e}, tol {tol:g}")
@@ -53,7 +53,7 @@ def test_criterion_02_series_coefficient_fit(lab):
     for p in (1.2, 1.5 - 1e-6, 1.5 + 1e-6, 1.8):
         model = lab.model(p)
         s = 3.0 - p
-        fit = fit_power_tail(model.u_curve, -s / (p - 1.0))
+        fit = fit_power_tail(SampledCurve(model.r_grid, model.grid_data.u), -s / (p - 1.0))
         worst = max(worst, _rel(fit.c1, -(s**2) / (p - 1.0)))
     _verdict(2, "fitted 1/r coefficient", worst <= tol, f"worst rel {worst:.2e}, tol {tol:g}")
 
@@ -62,9 +62,9 @@ def _model_Q(sol, model):
     p = model.p
     s = 3.0 - p
     return (
-        4.0 * PI * s**2 * sol.f_curve.y
-        + sol.g_curve.y * model.Ws_curve.y
-        + (p - 1.0) * s * sol.h_curve.y * model.dWs_curve.y
+        4.0 * PI * s**2 * sol.f
+        + sol.g * model.grid_data.W
+        + (p - 1.0) * s * sol.h * model.grid_data.dWdt
     )
 
 
@@ -74,7 +74,7 @@ def test_criterion_03_constancy_on_the_model(lab):
     for p in P_GRID:
         model = lab.model(p)
         dec, grow = lab.triples(p)
-        W0 = float(model.Ws_curve.y[0])
+        W0 = float(model.grid_data.W[0])
         Qd = _model_Q(dec, model)
         Qg = _model_Q(grow, model)
         worst = max(worst, float(np.max(np.abs(Qd))) / W0)
@@ -90,11 +90,11 @@ def test_criterion_04_boundary_identity_and_signs(lab):
         model = lab.model(p)
         dec, grow = lab.triples(p)
         s = 3.0 - p
-        f0, g0, h0 = dec.boundary_values()
+        f0, g0, h0 = dec.f[0], dec.g[0], dec.h[0]
         denom = g0 + 2.0 * s * h0
         certs = certs and f0 < 0.0 and denom > 0.0
-        worst = max(worst, _rel(-4.0 * PI * s**2 * f0 / denom, float(model.Ws_curve.y[0])))
-        _, g0g, h0g = grow.boundary_values()
+        worst = max(worst, _rel(-4.0 * PI * s**2 * f0 / denom, float(model.grid_data.W[0])))
+        g0g, h0g = grow.g[0], grow.h[0]
         certs = certs and (g0g + 2.0 * s * h0g) < 0.0
     ok = worst <= tol and certs
     _verdict(4, "boundary identity and signs", ok, f"worst rel {worst:.2e}, tol {tol:g}, signs {certs}")
@@ -109,7 +109,7 @@ def test_criterion_05_perfect_square_relation(lab):
     worst = 0.0
     for p in P_GRID:
         model = lab.model(p)
-        W0 = float(model.Ws_curve.y[0])
+        W0 = float(model.grid_data.W[0])
         for sol in lab.triples(p):
             Q0, dev = model_constancy(sol, model)
             worst = max(worst, dev / (W0 if sol.flavor == "decaying" else abs(Q0)))

@@ -1,5 +1,6 @@
 """The package's public surface: its names and what importing it loads."""
 
+import ast
 import dataclasses
 import importlib
 import json
@@ -51,6 +52,33 @@ def test_public_names_are_pinned():
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(masscap, name) is not None
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "masscap").glob("*.py")), ids=lambda path: path.name
+)
+def test_every_module_level_import_is_read(path):
+    # No linter ships with the package, so this keeps its one rule: a name
+    # imported at module level that nothing in the module reads, counting
+    # __all__, is a stale import.
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            read |= {element.value for element in node.value.elts}
+    assert sorted(imported - read) == []
 
 
 def test_array_holding_profiles_compare_and_hash_by_identity(lab):

@@ -60,7 +60,7 @@ class TestModelCommand:
         assert main(["model", "--out", str(tmp_path)]) == 0
         _, rows = _read_csv(tmp_path / "model-p=1.5.csv")
         u_read = np.array([float(row[1]) for row in rows])
-        assert np.array_equal(u_read, lab.model(1.5).u_curve.y)
+        assert np.array_equal(u_read, lab.model(1.5).grid_data.u)
 
     def test_output_is_deterministic(self, tmp_path):
         for sub in ("a", "b"):
@@ -176,6 +176,28 @@ class TestVerifyCommand:
         assert check["passed"] is False
         assert "p = 1.03" in check["detail"] and "largest admissible R_max" in check["detail"]
         assert report["reference"] == {}
+
+    def test_non_finite_reference_profile_is_a_failed_check(self, tmp_path, monkeypatch):
+        # One NaN from the grid's betainc call must not reach a model:
+        # model_profile refuses it naming p, and the case reports that at
+        # stage reference_model.
+        original = masscap.schwarzschild.betainc
+
+        def nan_at_one_radius(a, b, x):
+            values = original(a, b, x)
+            if np.size(x) > 1:
+                values[7] = np.nan
+            return values
+
+        monkeypatch.setattr(masscap.schwarzschild, "betainc", nan_at_one_radius)
+        with pytest.raises(ValueError, match="p = 1.5: the reference profile is not finite"):
+            masscap.model_profile(1.5)
+        out = tmp_path / "out"
+        assert main(["verify", "--out", str(out)]) == 1
+        [case] = json.loads((out / "report.json").read_text())["cases"]
+        [check] = case["checks"]
+        assert check["name"] == "reference_model" and not check["passed"]
+        assert check["detail"].startswith("p = 1.5: the reference profile is not finite")
 
     @pytest.fixture(scope="class")
     def vacuum_out(self, tmp_path_factory):

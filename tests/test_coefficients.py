@@ -19,9 +19,10 @@ from masscap import (
     solve_decaying,
     solve_growing,
 )
-from masscap.coefficients import _level_radii, at_t
+from masscap.coefficients import at_t
 from masscap.frobenius import InfinitySingularODE, series_coefficients
 from masscap.numerics import SampledCurve, fit_power_tail
+from masscap.schwarzschild import ModelGeometry
 
 PI = math.pi
 ORACLE_P = (1.05, 1.2, 1.5, 1.8, 1.95)
@@ -92,11 +93,12 @@ def check_grid_oracle(mp, sol, model, tol):
     index = np.unique(np.linspace(0, model.r_grid.size - 1, 20).astype(int))
     for i in index:
         exact = exact_triple(mp, model.p, model.r_grid[i], sol.flavor)
-        for curve, value in zip((sol.f_curve, sol.g_curve, sol.h_curve), exact):
+        for name, value in zip("fgh", exact):
+            column = getattr(sol, name)
             if value == 0:
-                assert curve.y[i] == 0.0, (curve, model.r_grid[i])
+                assert column[i] == 0.0, (name, model.r_grid[i])
             else:
-                assert abs(curve.y[i] / float(value) - 1.0) <= tol, (curve, model.r_grid[i])
+                assert abs(column[i] / float(value) - 1.0) <= tol, (name, model.r_grid[i])
 
 
 def check_oracle_beyond_the_grid(mp, sol, model, tol, far=()):
@@ -127,8 +129,8 @@ def growth_b1(p):
 class TestDecayingFlavor:
     def test_sign_certificates_on_the_grid(self, lab):
         dec, _ = lab.triples(1.5)
-        assert np.all(dec.h_curve.y > 0.0)
-        assert np.all(dec.f_curve.y < 0.0)
+        assert np.all(dec.h > 0.0)
+        assert np.all(dec.f < 0.0)
 
     def test_tail_normalization_is_canonical(self, lab):
         # g ~ r^-sigma (1 + b1/r) and f ~ -r^-sigma (1 + b1/r): R (g R^sigma - 1)
@@ -146,23 +148,23 @@ class TestDecayingFlavor:
         dec, _ = lab.triples(p)
         i = int(np.searchsorted(model.r_grid, 1e5))
         R = model.r_grid[i]
-        assert R * (dec.g_curve.y[i] * R**sigma - 1.0) == pytest.approx(b1, rel=1e-4)
-        assert R * (-dec.f_curve.y[i] * R**sigma - 1.0) == pytest.approx(b1, rel=1e-4)
+        assert R * (dec.g[i] * R**sigma - 1.0) == pytest.approx(b1, rel=1e-4)
+        assert R * (-dec.f[i] * R**sigma - 1.0) == pytest.approx(b1, rel=1e-4)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
     def test_boundary_identity(self, lab, p):
         model = lab.model(p)
         dec, _ = lab.triples(p)
         s = 3.0 - p
-        f0, g0, h0 = dec.boundary_values()
-        W0 = float(model.Ws_curve.y[0])
+        f0, g0, h0 = dec.f[0], dec.g[0], dec.h[0]
+        W0 = float(model.grid_data.W[0])
         assert -4.0 * PI * s**2 * f0 / (g0 + 2.0 * s * h0) == pytest.approx(W0, rel=1e-8)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
     def test_combination_vanishes_identically(self, lab, p):
         model = lab.model(p)
         dec, _ = lab.triples(p)
-        W0 = float(model.Ws_curve.y[0])
+        W0 = float(model.grid_data.W[0])
         Q0, dev = model_constancy(dec, model)
         assert abs(Q0) <= 1e-8 * W0
         assert dev <= 1e-8 * W0
@@ -175,31 +177,31 @@ class TestDecayingFlavor:
     def test_boundary_values_exact_at_three_halves(self, lab):
         dec, _ = lab.triples(1.5)
         exact = (-1.0 / 5.0, -44.0 / 125.0, 4.0 / 5.0)
-        for value, form in zip(dec.boundary_values(), exact):
+        for value, form in zip((dec.f[0], dec.g[0], dec.h[0]), exact):
             assert value == pytest.approx(form, rel=1e-10)
 
     @pytest.mark.parametrize("p, R_max, n", [(1.05, 1e4, 64), (1.04, 1e4, 256)])
     def test_coarse_grids_build_both_triples(self, p, R_max, n):
         model = model_profile(p, R_max=R_max, n=n)
         dec, grow = solve_decaying(model), solve_growing(model)
-        assert np.all(dec.h_curve.y > 0.0)
-        assert grow.h_curve.y[0] == 0.0 and np.all(grow.h_curve.y[1:] > 0.0)
-        W0 = float(model.Ws_curve.y[0])
+        assert np.all(dec.h > 0.0)
+        assert grow.h[0] == 0.0 and np.all(grow.h[1:] > 0.0)
+        W0 = float(model.grid_data.W[0])
         assert abs(model_constancy(dec, model)[1]) <= 1e-8 * W0
 
 
 class TestGrowingFlavor:
     def test_sign_pattern(self, lab):
         _, grow = lab.triples(1.5)
-        assert grow.h_curve.y[0] == 0.0
-        assert np.all(grow.h_curve.y[1:] > 0.0)
-        assert np.all(grow.g_curve.y < 0.0)
+        assert grow.h[0] == 0.0
+        assert np.all(grow.h[1:] > 0.0)
+        assert np.all(grow.g < 0.0)
 
     def test_boundary_values_exact_at_three_halves(self, lab):
         # f(1) = 2 + 2s and h(1) = 0 exactly; with W_s(0) = 225 pi/256, g(1)
         # = (Q0 - 4 pi s^2 f(1)) / W_s(0) = (39 pi - 45 pi) / W_s(0) = -512/75.
         _, grow = lab.triples(1.5)
-        f0, g0, h0 = grow.boundary_values()
+        f0, g0, h0 = grow.f[0], grow.g[0], grow.h[0]
         assert (f0, h0) == (2.0 + 2.0 * 1.5, 0.0)
         assert g0 == pytest.approx(-512.0 / 75.0, rel=1e-14, abs=0.0)
 
@@ -208,17 +210,27 @@ class TestGrowingFlavor:
         model = lab.model(p)
         check_grid_oracle(mp, solve_growing(model), model, 1e-12)
 
+    @pytest.mark.parametrize("name", ["f", "g", "h"])
+    def test_non_finite_triple_refused(self, lab, name):
+        # A NaN h would pass the h <= 0 positivity test of solve_decaying.
+        dec, grow = lab.triples(1.5)
+        for sol in (dec, grow):
+            column = getattr(sol, name).copy()
+            column[7] = np.nan
+            with pytest.raises(ValueError, match=f"the {sol.flavor} triple is not finite"):
+                dataclasses.replace(sol, **{name: column})
+
     def test_growth_normalization(self, lab):
         # h ~ r/(3-p) + 1.
         _, grow = lab.triples(1.5)
-        fit = fit_power_tail(grow.h_curve, 1.0)
+        fit = fit_power_tail(SampledCurve(lab.model(1.5).r_grid, grow.h), 1.0)
         assert 1.5 * fit.c0 == pytest.approx(1.0, rel=1e-9)
         assert fit.c1 == pytest.approx(1.5, rel=1e-6)
 
     def test_f_exponential_map_normalization(self, lab):
         model = lab.model(1.5)
         _, grow = lab.triples(1.5)
-        far = grow.f_curve.y[-1] - model.c_tilde * math.exp(model.t_of_r.y[-1] / 1.5)
+        far = grow.f[-1] - model.c_tilde * math.exp(model.t_grid[-1] / 1.5)
         assert far == pytest.approx(1.5, rel=1e-5)
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
@@ -252,11 +264,10 @@ class TestGrowingFlavor:
         slack = model.tol.slope_slack
         for beta in (-0.5, 0.1, 10.0):
             member = dataclasses.replace(grow, **{
-                name: SampledCurve(model.r_grid, getattr(grow, name).y + beta * getattr(dec, name).y)
-                for name in ("f_curve", "g_curve", "h_curve")
+                name: getattr(grow, name) + beta * getattr(dec, name) for name in "fgh"
             })
-            h1 = member.h_curve.y[0]
-            assert h1 == beta * dec.h_curve.y[0] and (h1 < 0.0) == (beta < 0.0)
+            h1 = member.h[0]
+            assert h1 == beta * dec.h[0] and (h1 < 0.0) == (beta < 0.0)
             Q0, dev = model_constancy(member, model)
             assert Q0 == pytest.approx(grow.Q0, rel=1e-12)
             assert dev <= 1e-8 * abs(Q0)
@@ -325,14 +336,14 @@ class TestEvaluationInterface:
     def test_at_t_reproduces_nodes(self, lab):
         dec, grow = lab.triples(1.5)
         model = lab.model(1.5)
-        live, Ws, dWs, triples = at_t(model.t_of_r.y, dec, grow)
+        live, Ws, dWs, triples = at_t(model.t_grid, dec, grow)
         assert np.all(live)
-        assert np.allclose(Ws, model.Ws_curve.y, rtol=1e-12)
-        assert np.allclose(dWs, model.dWs_curve.y, rtol=1e-12)
+        assert np.allclose(Ws, model.grid_data.W, rtol=1e-12)
+        assert np.allclose(dWs, model.grid_data.dWdt, rtol=1e-12)
         for sol, (f, g, h) in zip((dec, grow), triples, strict=True):
-            assert np.allclose(f, sol.f_curve.y, rtol=1e-12)
-            assert np.allclose(g, sol.g_curve.y, rtol=1e-12)
-            assert np.allclose(h, sol.h_curve.y, rtol=1e-12)
+            assert np.allclose(f, sol.f, rtol=1e-12)
+            assert np.allclose(g, sol.g, rtol=1e-12)
+            assert np.allclose(h, sol.h, rtol=1e-12)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 1.95])
     def test_decaying_matches_oracle_beyond_the_grid(self, lab, mp, p):
@@ -344,7 +355,7 @@ class TestEvaluationInterface:
     def test_growing_matches_oracle_beyond_the_grid(self, lab, mp, p):
         # Up to 0.9 times the radius where r**(-2/(p-1)) leaves the normal
         # doubles; that far out, at p = 1.5, betaincinv returns nan and the
-        # radius comes from the logarithmic branch of _level_radii.
+        # radius comes from the logarithmic branch of ModelGeometry.level_radii.
         model = lab.model(p)
         far = 0.9 * sys.float_info.min ** (-(p - 1.0) / 2.0)
         check_oracle_beyond_the_grid(mp, solve_growing(model), model, 1e-12, far=(far,))
@@ -358,6 +369,10 @@ class TestEvaluationInterface:
         assert live.tolist() == [True, True, True, False, False]
         for value in (Ws, dWs, *triple):
             assert value.shape == (3,) and np.all(np.isfinite(value))
+
+    def test_no_triple_rejected(self):
+        with pytest.raises(ValueError, match="at least one coefficient triple"):
+            at_t(np.array([0.0, 1.0]))
 
     def test_negative_t_rejected(self, lab):
         dec, _ = lab.triples(1.5)
@@ -377,10 +392,11 @@ class TestEvaluationInterface:
     def test_boundary_level_set_is_r_one(self):
         # u(1) = 1, so the level set t = 0 is r = 1 exactly. betaincinv
         # misses it at 494 of these 960 exponents, by more than 1e-13 at 60
-        # and by 4.9e-8 at p = 1.911. _level_radii reads only the model's p.
+        # and by 4.9e-8 at p = 1.911. level_radii reads only the model's p.
         off = []
         for p in np.round(np.arange(1.04, 1.9995, 0.001), 3):
-            r, live = _level_radii(SimpleNamespace(p=float(p)), np.array([0.0, 1.0]))
+            model = SimpleNamespace(p=float(p))
+            r, live = ModelGeometry.level_radii(model, np.array([0.0, 1.0]))
             if not (live.all() and r[0] == 1.0):
                 off.append(float(p))
         assert off == []
@@ -403,7 +419,7 @@ class TestGridData:
     }
     # Largest |u(r(t)) e^(t/(p-1)) - 1| over t in [0, t_max] and over the
     # live t beyond, with about 1.5x headroom. betaincinv's inversion and,
-    # past x = 1e-17, the logarithmic branch of _level_radii set them.
+    # past x = 1e-17, the logarithmic branch of ModelGeometry.level_radii set them.
     ROUND_TRIP_BOUNDS = {
         1.05: (2.0e-12, 2.0e-12),
         1.2: (1.0e-13, 1.5e-13),
@@ -413,20 +429,20 @@ class TestGridData:
     }
 
     def test_one_grid_sized_betainc_call_per_model_and_per_at_t(self, monkeypatch):
-        import masscap.coefficients
+        # schwarzschild is the one module that evaluates betainc: the model's
+        # level data and the level-set radii of at_t both live there.
         import masscap.schwarzschild
 
         n = 512
         grid_calls = []
-        for module in (masscap.schwarzschild, masscap.coefficients):
-            original = module.betainc
+        original = masscap.schwarzschild.betainc
 
-            def spy(a, b, x, _original=original):
-                if np.size(x) == n:
-                    grid_calls.append((a, b))
-                return _original(a, b, x)
+        def spy(a, b, x):
+            if np.size(x) == n:
+                grid_calls.append((a, b))
+            return original(a, b, x)
 
-            monkeypatch.setattr(module, "betainc", spy)
+        monkeypatch.setattr(masscap.schwarzschild, "betainc", spy)
         model = model_profile(1.5, n=n)
         dec, grow = solve_decaying(model), solve_growing(model)
         constant_diagnostics(model, dec, grow)
@@ -443,8 +459,8 @@ class TestGridData:
         fresh = dataclasses.replace(model, grid_data=model.level_data(model.r_grid.copy()))
         fresh_dec, fresh_grow = solve_decaying(fresh), solve_growing(fresh)
         for kept, new in ((dec, fresh_dec), (grow, fresh_grow)):
-            for name in ("f_curve", "g_curve", "h_curve"):
-                assert np.array_equal(getattr(kept, name).y, getattr(new, name).y)
+            for name in "fgh":
+                assert np.array_equal(getattr(kept, name), getattr(new, name))
         assert constant_diagnostics(model, dec, grow) == constant_diagnostics(
             fresh, fresh_dec, fresh_grow
         )
@@ -464,7 +480,7 @@ class TestGridData:
             return B1, B1 + x**sigma * (1.0 - x) ** sigma / (sigma * beta_fn(sigma, sigma))
 
         far = sys.float_info.min ** (-(p - 1.0) / 2.0)
-        r, live = _level_radii(model, np.linspace(0.0, 1.1 * (3.0 - p) * math.log(far), 4000))
+        r, live = model.level_radii(np.linspace(0.0, 1.1 * (3.0 - p) * math.log(far), 4000))
         assert not np.all(live)
         N = numerators(np.array([0.5]))[1][0]
         for radii in (model.r_grid, r):
@@ -496,14 +512,14 @@ class TestGridData:
 
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_level_radii_round_trip_through_u(self, lab, p):
-        # u at the radius _level_radii gives level set t is e^(-t/(p-1)), up
+        # u at the radius level_radii gives level set t is e^(-t/(p-1)), up
         # to where r**(-2/(p-1)) leaves the normal doubles; from p = 1.11 on
         # that includes the logarithmic branch (x < 1e-17).
         model = lab.model(p)
         far = (3.0 - p) * math.log(sys.float_info.min ** (-(p - 1.0) / 2.0))
         ranges = (np.linspace(0.0, model.t_max, 4001), np.linspace(model.t_max, far, 4001))
         for t, bound in zip(ranges, self.ROUND_TRIP_BOUNDS[p]):
-            r, live = _level_radii(model, t)
+            r, live = model.level_radii(t)
             error = np.abs(model.level_data(r).u / np.exp(-t[live] / (p - 1.0)) - 1.0)
             assert np.max(error) <= bound, (p, float(np.max(error)))
         assert np.any(r > 1e17) == (p > 1.11)

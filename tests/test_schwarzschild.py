@@ -27,14 +27,14 @@ class TestClosedFormAnchors:
 
     def test_boundary_derivative(self, lab):
         model = lab.model(1.5)
-        assert float(model.du_curve.y[0]) == pytest.approx(-15.0 / 16.0, rel=1e-12)
+        assert float(model.grid_data.du[0]) == pytest.approx(-15.0 / 16.0, rel=1e-12)
 
     def test_capacity(self, lab):
         assert lab.model(1.5).Kp == pytest.approx(4.0 * PI * math.sqrt(60.0), rel=1e-12)
 
     def test_boundary_W(self, lab):
         model = lab.model(1.5)
-        W0, dW0 = float(model.Ws_curve.y[0]), float(model.dWs_curve.y[0])
+        W0, dW0 = float(model.grid_data.W[0]), float(model.grid_data.dWdt[0])
         assert W0 == pytest.approx(PI * (15.0 / 16.0) ** 2, rel=1e-12)
         assert dW0 == pytest.approx(4.0 * W0, rel=1e-10)
 
@@ -42,36 +42,36 @@ class TestClosedFormAnchors:
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
 class TestProfileShape:
     def test_potential_normalized_and_decreasing(self, lab, p):
-        u = lab.model(p).u_curve.y
+        u = lab.model(p).grid_data.u
         assert u[0] == 1.0
         assert np.all(np.diff(u) < 0.0)
         assert u[-1] > 0.0
 
     def test_level_parameter_starts_at_zero_and_grows(self, lab, p):
-        t = lab.model(p).t_of_r.y
+        t = lab.model(p).t_grid
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0.0)
 
     def test_level_data_potential_matches_grid(self, lab, p):
         model = lab.model(p)
-        assert np.allclose(model.level_data(model.r_grid).u, model.u_curve.y, rtol=1e-12)
+        assert np.allclose(model.level_data(model.r_grid).u, model.grid_data.u, rtol=1e-12)
 
     def test_level_data_matches_sampled_W(self, lab, p):
         model = lab.model(p)
         data = model.level_data(model.r_grid)
-        assert np.allclose(data.W, model.Ws_curve.y, rtol=1e-9)
-        assert np.allclose(data.dWdt, model.dWs_curve.y, rtol=1e-9)
+        assert np.allclose(data.W, model.grid_data.W, rtol=1e-9)
+        assert np.allclose(data.dWdt, model.grid_data.dWdt, rtol=1e-9)
 
     def test_W_approaches_asymptotic_plateau(self, lab, p):
         # W tends to 4 pi (3-p)^2 with O(1/r) corrections; at R_max = 1e6
         # the remaining gap is a few parts in 1e6.
         W_inf = 4.0 * PI * (3.0 - p) ** 2
-        assert float(lab.model(p).Ws_curve.y[-1]) == pytest.approx(W_inf, rel=1e-5)
+        assert float(lab.model(p).grid_data.W[-1]) == pytest.approx(W_inf, rel=1e-5)
 
     def test_minimal_boundary_relation(self, lab, p):
         # Holds by construction (u(1) = 1); model_profile does not re-check it.
         model = lab.model(p)
-        W0, dW0 = float(model.Ws_curve.y[0]), float(model.dWs_curve.y[0])
+        W0, dW0 = float(model.grid_data.W[0]), float(model.grid_data.dWdt[0])
         assert dW0 == pytest.approx(2.0 / (p - 1.0) * W0, rel=1e-9)
 
     def test_flux_integral_radius_independent(self, lab, p):
@@ -90,7 +90,7 @@ class TestProfileShape:
         # limit of the exponential map (r + 3-p) e^(-t/(3-p)) fitted on the grid.
         model = lab.model(p)
         s = 3.0 - p
-        r, t = model.r_grid, model.t_of_r.y
+        r, t = model.r_grid, model.t_grid
         fitted = fit_power_tail(SampledCurve(r, (r + s) * np.exp(-t / s)), 0.0).c0
         assert model.c_tilde == pytest.approx(fitted, rel=1e-12)
 
@@ -166,7 +166,7 @@ def _quadrature_reference(p, r):
 def test_closed_form_matches_quadrature_reference(p):
     model = model_profile(p)
     u_ref, C_ref = _quadrature_reference(p, model.r_grid)
-    assert np.max(np.abs(model.u_curve.y / u_ref - 1.0)) <= 1e-13
+    assert np.max(np.abs(model.grid_data.u / u_ref - 1.0)) <= 1e-13
     assert flux_constant(p) == pytest.approx(C_ref, rel=1e-13)
 
 
@@ -174,4 +174,4 @@ def test_low_edge_profile_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = model_profile(1.05)
-    assert model.u_curve.y[0] == 1.0
+    assert model.grid_data.u[0] == 1.0

@@ -66,6 +66,10 @@ class TestEvaluateQ:
         with pytest.raises(ValueError, match="p ="):
             evaluate_Q(lab.flow(1.2, "schwarzschild", m=2.0), dec)
 
+    def test_no_triple_rejected(self, lab):
+        with pytest.raises(ValueError, match="at least one coefficient triple"):
+            evaluate_Q(lab.flow(1.5, "schwarzschild", m=2.0))
+
 
 class TestMonotonicityReport:
     """The slope and equality flag that case_report reports per flavour."""
@@ -195,8 +199,7 @@ class TestReferenceChecks:
 
     def test_shifted_growing_f_fails_growing_Q0(self, lab):
         dec, grow = lab.triples(1.5)
-        f = grow.f_curve
-        shifted = dataclasses.replace(grow, f_curve=SampledCurve(f.x, f.y + 1e-3))
+        shifted = dataclasses.replace(grow, f=grow.f + 1e-3)
         checks, _ = reference_checks(lab.model(1.5), dec, shifted)
         failed = [check["name"] for check in checks if not check["passed"]]
         assert failed == ["growing_Q0"]
@@ -342,7 +345,7 @@ class TestCertifyCase:
         # W_s(0) is the model's own sample, so the gap and its tolerance are
         # exact; a W_s(0) rebuilt from the decaying triple is off by ~4e-16.
         model = lab.model(1.5)
-        Ws0 = model.Ws_curve.y[0]
+        Ws0 = model.grid_data.W[0]
         for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})):
             flow = lab.flow(1.5, tag, **params)
             result = self._certify(lab, tag, **params)

@@ -25,7 +25,6 @@ from masscap import (
     spline_bump,
 )
 from masscap import numerics, warped
-from masscap.coefficients import _level_radii
 from masscap.numerics import dop853, panel_integrals
 from conftest import curvature_term, perfect_square_remainder, w_identity
 from test_numerics import _loop_dop853
@@ -327,6 +326,31 @@ class TestBumpedFamily:
             family_bumped(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda **grid: family_schwarzschild(1.0, **grid),
+        lambda **grid: family_bumped(1.0, 0.1, **grid),
+        family_flat_exterior,
+    ],
+    ids=["schwarzschild", "bumped", "flat"],
+)
+@pytest.mark.parametrize(
+    "grid, match",
+    [
+        ({"s_max": -10.0}, "s_max must be positive, got -10.0"),
+        ({"s_max": -1.0}, "s_max must be positive, got -1.0"),
+        ({"s_max": 0.0}, "s_max must be positive, got 0.0"),
+        ({"n": 0}, "n must be at least 2, got 0"),
+        ({"n": 1}, "n must be at least 2, got 1"),
+    ],
+)
+def test_family_grid_refused_by_name(build, grid, match):
+    # Refused before the solve, whose own errors name neither argument.
+    with pytest.raises(ValueError, match=match):
+        build(**grid)
+
+
 class TestFlatExterior:
     def test_profile_and_mass(self, lab):
         flat = lab.warp("flat")
@@ -459,7 +483,7 @@ class TestLevelFlow:
     def test_matches_reference_slice_at_mass_two(self, lab):
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
         model = lab.model(1.5)
-        assert flow.W0 == pytest.approx(float(model.Ws_curve.y[0]), rel=1e-9)
+        assert flow.W0 == pytest.approx(float(model.grid_data.W[0]), rel=1e-9)
         assert flow.Cp == pytest.approx(model.Kp, rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
@@ -473,7 +497,7 @@ class TestLevelFlow:
         # p = 1.1, m = 0.5.
         model = lab.model(p)
         flow = level_flow(lab.warp("schwarzschild", m=m), p, n_t=1024)
-        r, live = _level_radii(model, flow.t_grid)
+        r, live = model.level_radii(flow.t_grid)
         assert np.all(live)
         d = model.level_data(r)
         phi = 0.5 * m * r * (1.0 + 1.0 / r) ** 2
