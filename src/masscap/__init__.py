@@ -30,7 +30,6 @@ from .verify import (
     certify_case,
     constant_diagnostics,
     evaluate_Q,
-    penrose_margin,
     reference_checks,
 )
 from .warped import (
@@ -74,7 +73,6 @@ __all__ = [
     "masses",
     "model_constancy",
     "model_profile",
-    "penrose_margin",
     "radial_p_harmonic",
     "reference_checks",
     "scalar_curvature",

@@ -23,8 +23,9 @@ once per run; the files keep the bytes of a cell-by-cell writer.
 verify, sweep and suite build every family, reference model and triple
 pair once, then certify the (p, family) cases with one function, in forked
 worker processes (one per core) or, with one worker, in this process; the
-files are the same bytes either way. suite starts the workers before the
-main process writes the model and coeffs tables, so both run at once.
+files are the same bytes either way. The workers live as long as the
+run's pipeline; suite starts them before the main process writes the
+model and coeffs tables, so both run at once.
 
 Exit codes: 0 when every gating check passes, 1 on check or pipeline
 failure, 2 on malformed configuration or usage.
@@ -323,13 +324,14 @@ class _Pipeline:
 
     Each is built at most once per run, so every subcommand of a suite sees
     the same objects; a build that raised keeps its exception, which every
-    later request raises again. certifying builds them all, then starts
-    _certify on each case in forked workers, or leaves it to cases() in this
-    process; a flow and its Q curves live only in the process that certifies
-    their case, are written there with write_curves (the flow at the nodes
-    the gates read), and never come back: case results are light. The
-    texts of the columns that several model and coeffs tables write are
-    kept too (shared_texts).
+    later request raises again. start builds them all, then starts _certify
+    on each case in forked workers, or leaves it to cases() in this process;
+    a flow and its Q curves live only in the process that certifies their
+    case, are written there with write_curves (the flow at the nodes the
+    gates read), and never come back: case results are light. The texts of
+    the columns that several model and coeffs tables write are kept too
+    (shared_texts). A pipeline is used as a context manager: leaving it
+    stops the workers.
     """
 
     def __init__(self, cfg: RunConfig, write_curves: bool = False) -> None:
@@ -341,6 +343,7 @@ class _Pipeline:
         self._warps: dict[tuple, WarpProfile | Exception] = {}
         self._cases: list[tuple[float, str, dict, CaseResult]] | None = None
         self._pending: list[tuple[tuple, object]] | None = None  # (case, its result's getter)
+        self._pool: ProcessPoolExecutor | None = None
         # exponents of the minimal-boundary cases, whose triples the report covers
         self.minimal_ps: set[float] = set()
         # key -> (a column, its texts); see shared_texts
@@ -373,9 +376,8 @@ class _Pipeline:
         key, build = (tag, tuple(sorted(params.items()))), getattr(warped, _FAMILIES[tag][0])
         return _once(self._warps, key, build, **params, s_max=self.cfg.s_max, n=self.cfg.n_s)
 
-    @contextlib.contextmanager
-    def certifying(self):
-        """Build every family, model and triple pair, then start the cases.
+    def start(self) -> None:
+        """Build every family, model and triple pair, then start the cases; later calls do nothing.
 
         minimal_ps records the exponents whose minimal-boundary cases got
         their triples; a failed build is left to _certify, which gets its
@@ -384,12 +386,10 @@ class _Pipeline:
         pipeline (only cases and light results are pickled; spawn would
         import numpy and scipy again, and the pool forks them all at its
         first submit, before it starts its own thread) and certify while the
-        block runs; otherwise cases() certifies them here. Leaving the block
-        by any path cancels the cases not started and waits for the workers.
-        A nested block is the outer one's.
+        run goes on; otherwise cases() certifies them here. The pool lives
+        as long as the pipeline's with block.
         """
         if self._pending is not None:
-            yield
             return
         order = _case_order(self.cfg)
         for p, tag, params in order:
@@ -403,21 +403,29 @@ class _Pipeline:
         workers = min(os.cpu_count() or 1, len(order))
         if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
             self._pending = [(case, functools.partial(self._certify, *case)) for case in order]
-            yield
             return
         fork = multiprocessing.get_context("fork")
         pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_adopt, initargs=(self,))
-        try:
-            self._pending = [(case, pool.submit(_certify_in_worker, case).result) for case in order]
-            yield
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
+        self._pool = pool
+        self._pending = [(case, pool.submit(_certify_in_worker, case).result) for case in order]
+
+    def __enter__(self) -> _Pipeline:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Cancel the cases not started and wait for the workers, on every path out."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            # The pool holds this pipeline (initargs): a kept pool is a cycle
+            # that holds the run's models and triples until a gc collection.
+            self._pool = None
 
     def cases(self) -> list[tuple[float, str, dict, CaseResult]]:
-        """(p, tag, params, result) per case in _case_order, certified on the first call."""
+        """(p, tag, params, result) per case in _case_order, collected on the first call."""
         if self._cases is None:
-            with self.certifying():
-                self._cases = [(*case, result()) for case, result in self._pending]
+            self.start()
+            self._cases = [(*case, result()) for case, result in self._pending]
+            self._pending = []  # with one worker its getters hold this pipeline: a cycle
         return self._cases
 
     def _certify(self, p: float, tag: str, params: dict) -> CaseResult:
@@ -470,22 +478,20 @@ def _write_curves(csv_dir: Path, p: float, slug: str, flow, curves: dict) -> Non
     """Write the flow at _nodes(flow), the samples the gates read, and the Q curves on a prefix.
 
     The flow's t is formatted once: each Q curve's t is a prefix of it
-    (evaluate_Q), which is checked bit for bit before its texts are shared.
+    (evaluate_Q keeps the first n of the flow's node t), so a q table's t
+    texts are the flow's, cut at the Q's length.
     """
     nodes = _nodes(flow)
-    s, t = flow.s_of_t.y[nodes], flow.t_grid[nodes]
-    t_texts = list(_texts(t))
+    t_texts = list(_texts(flow.t_grid[nodes]))
     rest = (flow.phi.y, flow.u.y, flow.W.y, flow.dWdt.y, flow.H.y, flow.R.y, flow.hawking.y)
     _write_csv(
         csv_dir / f"warped-p={p!r}-{slug}.csv",
         ["s", "t", "phi", "u", "W", "dWdt", "H", "R", "hawking"],
-        _lines(_texts(s), t_texts, *(_texts(column[nodes]) for column in rest)),
+        _lines(_texts(flow.s_of_t.y[nodes]), t_texts, *(_texts(column[nodes]) for column in rest)),
     )
     for flavor in ("decaying", "growing"):
-        q = curves[flavor]
-        n = q.x.size
-        q_t = t_texts[:n] if q.x.tobytes() == t[:n].tobytes() else _texts(q.x)
-        _write_csv(csv_dir / f"q-{flavor}-p={p!r}-{slug}.csv", ["t", "Q"], _lines(q_t, _texts(q.y)))
+        path = csv_dir / f"q-{flavor}-p={p!r}-{slug}.csv"
+        _write_csv(path, ["t", "Q"], _lines(t_texts, _texts(curves[flavor].y)))
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +634,8 @@ def cmd_sweep(pipe: _Pipeline) -> int:
 
 def cmd_suite(pipe: _Pipeline) -> int:
     """The four subcommands; the cases are certified while model and coeffs write."""
-    with pipe.certifying():
-        return max(cmd_model(pipe), cmd_coeffs(pipe), cmd_verify(pipe), cmd_sweep(pipe))
+    pipe.start()
+    return max(cmd_model(pipe), cmd_coeffs(pipe), cmd_verify(pipe), cmd_sweep(pipe))
 
 
 _COMMANDS = {
@@ -674,8 +680,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"masscap: {exc}", file=sys.stderr)
         return 2
     try:
-        pipe = _Pipeline(cfg, write_curves=args.command in ("verify", "suite"))
-        return _COMMANDS[args.command](pipe)
+        with _Pipeline(cfg, write_curves=args.command in ("verify", "suite")) as pipe:
+            return _COMMANDS[args.command](pipe)
     except OSError as exc:
         return _pipeline_failure(exc)
 

@@ -528,16 +528,15 @@ class DenseSolution:
     of accepted steps, nfev the number of right-hand-side evaluations and
     y_end the state the last step reached (its y_new, not an interpolant).
     columns holds, as contiguous rows of a value per step, t_old, h, y_old
-    and the 7 interpolant rows of each component; _records is its transpose,
-    a view with one row per step. sol(t) evaluates the interpolants at a
-    scalar or an array of points and copies no column to do so.
+    and the 7 interpolant rows of each component. sol(t) evaluates the
+    interpolants at a scalar or an array of points and copies no column to
+    do so.
     """
 
-    __slots__ = ("t", "nfev", "steps", "y_end", "_columns", "_records", "_n")
+    __slots__ = ("t", "nfev", "steps", "y_end", "_columns", "_n")
 
     def __init__(self, columns, n: int, t_end: float, nfev: int, y_end: Sequence[float]):
         self._columns = np.ascontiguousarray(columns, dtype=float)
-        self._records = self._columns.T
         self._n = n
         self.t = np.append(self._columns[0], t_end)
         self.steps = self._columns.shape[1]

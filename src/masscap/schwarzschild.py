@@ -168,7 +168,7 @@ class ModelGeometry:
         """u, du, W, dW/dr, dr/dt, dW/dt at arbitrary radii r >= 1."""
         return _level_data(self.p, self.flux_constant, np.asarray(r, dtype=float))
 
-    def level_radii(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def level_radii(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(r, live): the exact radii of the level sets t >= 0 that are live.
 
         The radius of a level set is x = betaincinv(sigma, sigma,
@@ -182,8 +182,10 @@ class ModelGeometry:
         exact to a few ulps.
         live marks the t whose r**(-2/(p-1)) is a normal double (the bound
         model_profile puts on R_max); past that radius the profile data
-        underflow. r holds the radii of the live t only. Reads only self.p.
+        underflow. r holds the radii of the live t only. A scalar t is taken
+        as one level set, and r and live are 1-d. Reads only self.p.
         """
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         p = self.p
         sigma = (3.0 - p) / (p - 1.0)
         half = betainc(sigma, sigma, 0.5)

@@ -46,21 +46,21 @@ __all__ = [
     "certify_case",
     "constant_diagnostics",
     "evaluate_Q",
-    "penrose_margin",
     "reference_checks",
 ]
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one certification step (or a merged case).
+    """The numbers of one case.
 
-    Fields a given step does not produce stay None. diagnostics carries
-    named numbers that are reported but never gate a pass/fail decision;
-    for a case they are its only copy of C_p, the mass and the slopes.
-    curves carries the sampled curves the step evaluated on the way (for
-    case_report: both Q curves, keyed by flavor), so callers reuse them
-    instead of evaluating them again; they are never reported.
+    case_report fills every field for a geometry with a minimal boundary;
+    one without (the flat exterior, certify_case) has diagnostics only, and
+    its other fields stay None. diagnostics carries named numbers that are
+    reported but never gate a pass/fail decision; they are the case's only
+    copy of C_p, the mass and the slopes. curves carries both Q curves,
+    keyed by flavor, which case_report evaluated on the way, so callers
+    reuse them instead of evaluating them again; they are never reported.
     """
 
     min_forward_slope: float | None = None
@@ -150,45 +150,6 @@ class _HypothesisViolation(ValueError):
     """The geometry violates a hypothesis of the mass bound."""
 
 
-def penrose_margin(flow: FlowProfile, model: ModelGeometry) -> VerificationReport:
-    """Sharp capacity-to-mass margin m - 2 (C_p/K_p)**(1/(3-p)).
-
-    Verifies the hypotheses first: the scalar curvature must be nonnegative
-    along the flow (the flow's existence already certifies the minimal
-    boundary). This is the certifier's one check of R >= 0: every sample
-    keeps R >= -min(1e-9 max(1, max|R|), slope_slack / (2 pi (3-p)^2 phi^2)),
-    the tighter of R's rounding and a W-inequality residual 2 pi (3-p)^2
-    R phi^2 of -slope_slack. The margin is nonnegative under those
-    hypotheses, with equality exactly on the reference family; the equality
-    flag fires when the margin is below model.tol.accept_rel relative to
-    the mass scale.
-    """
-    if abs(flow.p - model.p) > 1e-12:
-        raise ValueError("flow and reference model disagree on p")
-    s = 3.0 - model.p
-    R = flow.R.y
-    residual_floor = model.tol.slope_slack / (2.0 * math.pi * s**2 * flow.phi.y**2)
-    floor = np.minimum(1e-9 * max(1.0, float(np.max(np.abs(R)))), residual_floor)
-    if np.any(R < -floor):
-        raise _HypothesisViolation(
-            f"scalar curvature dips to {float(np.min(R)):g}; "
-            "hypotheses of the mass bound are violated"
-        )
-    capacity_radius = 2.0 * (flow.Cp / model.Kp) ** (1.0 / s)
-    margin = flow.adm - capacity_radius
-    scale = max(abs(flow.adm), 1.0)
-    return VerificationReport(
-        penrose_margin=margin,
-        equality_flag=bool(abs(margin) <= model.tol.accept_rel * scale),
-        diagnostics={
-            "Cp": flow.Cp,
-            "Kp": model.Kp,
-            "adm": flow.adm,
-            "capacity_radius": capacity_radius,
-        },
-    )
-
-
 def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> tuple[float, float]:
     """Largest |W - W_s(t + delta)| / W_s(t + delta) and |hawking - adm| / adm on the vacuum end.
 
@@ -230,18 +191,17 @@ def constant_diagnostics(
     The tail limits of g + r and g + (3-p) h for the growing triple, fitted
     over the two decades below min(1e5, R_max), and each flavor's Q(0) with
     the largest deviation of Q from it on the model grid. reference_checks
-    compares them with their closed forms.
+    compares them with their closed forms. Triples of another model raise
+    ValueError (model_constancy) before any fit runs.
     """
-    _same_model(model, dec, grow)
+    Q0_dec, dev_dec = model_constancy(dec, model)
+    Q0_grow, dev_grow = model_constancy(grow, model)
     s = 3.0 - model.p
     r = model.r_grid
     stop = int(np.searchsorted(r, min(1.0e5, model.R_max), side="right"))
     r, g, h = r[:stop], grow.g[:stop], grow.h[:stop]
     g_const = _tail_limit(r, g + r, (1.0, 2.0), window=100.0)
     g_plus_sh = _tail_limit(r, g + s * h, (1.0, 2.0), window=100.0)
-
-    Q0_grow, dev_grow = model_constancy(grow, model)
-    Q0_dec, dev_dec = model_constancy(dec, model)
     return {
         "g_constant_measured": g_const,
         "g_plus_sh_measured": g_plus_sh,
@@ -258,36 +218,59 @@ def case_report(
     dec: CoefficientSolution,
     grow: CoefficientSolution,
 ) -> VerificationReport:
-    """Full certification of one geometry against the reference slice.
+    """The numbers of one geometry against the reference slice.
 
-    Merges both flavors' monotonicity, the boundary gradient bound and the
-    sharp margin into one report; the diagnostics also carry the growing
-    Q's limit in closed form, growing_limit_bound_resolved (the vacuum end
-    makes it L = 8 pi s^2 (K_p/C_p)^(1/s) adm + 8 pi s^3 - 16 pi s, s = 3-p,
-    which Q0_growing meets on vacuum and stays below otherwise), and the
-    flow's solver counts (flow_nfev, flow_steps). The bound's
-    horizon_W_gap is W_s(0) - W(0),
+    Checks the hypotheses of the mass bound first, so that the error they
+    raise is the one reported at any grid: the flow's existence already
+    certifies the minimal boundary, and the scalar curvature must be
+    nonnegative along it. This is the certifier's one check of R >= 0:
+    every sample keeps R >= -min(1e-9 max(1, max|R|), slope_slack /
+    (2 pi (3-p)^2 phi^2)), the tighter of R's rounding and a W-inequality
+    residual 2 pi (3-p)^2 R phi^2 of -slope_slack; a dip below raises
+    _HypothesisViolation, a ValueError.
+
+    Then it measures both flavors' monotonicity, the boundary gradient
+    bound and the sharp capacity-to-mass margin m - 2 (C_p/K_p)**(1/(3-p)),
+    which is nonnegative under the hypotheses, with equality exactly on the
+    reference family. The equality flag fires when the margin is below
+    accept_rel relative to max(adm, 1) and both Q curves stay within
+    accept_rel of their initial values. The diagnostics carry C_p, K_p, adm,
+    the capacity radius, the growing Q's limit in closed form,
+    growing_limit_bound_resolved (the vacuum end makes it L = 8 pi s^2
+    (K_p/C_p)^(1/s) adm + 8 pi s^3 - 16 pi s, s = 3-p, which Q0_growing
+    meets on vacuum and stays below otherwise), and the flow's solver counts
+    (flow_nfev, flow_steps). The bound's horizon_W_gap is W_s(0) - W(0),
     with W_s(0) = model.grid_data.W[0]: the t = 0 end of the decaying
     monotonicity, whose Q vanishes on the slice (reference_checks gates it
-    as decaying_zero). Raises ValueError when the scalar curvature dips
-    negative, a hypothesis of the mass bound (penrose_margin); that check
-    runs first, so it is the error reported at any grid. Numerical
-    check failures surface in the report's slopes and gaps, which
-    certify_case gates. Every budget is model.tol.
+    as decaying_zero). Numerical check failures surface in the report's
+    slopes and gaps, which certify_case gates. Triples of another model
+    and a flow at another p than the model's raise ValueError. Every budget
+    is model.tol.
     """
     _same_model(model, dec, grow)
-    pm = penrose_margin(flow, model)
+    if abs(flow.p - model.p) > 1e-12:
+        raise ValueError("flow and reference model disagree on p")
+    s = 3.0 - model.p
+    R = flow.R.y
+    residual_floor = model.tol.slope_slack / (2.0 * math.pi * s**2 * flow.phi.y**2)
+    floor = np.minimum(1e-9 * max(1.0, float(np.max(np.abs(R)))), residual_floor)
+    if np.any(R < -floor):
+        raise _HypothesisViolation(
+            f"scalar curvature dips to {float(np.min(R)):g}; "
+            "hypotheses of the mass bound are violated"
+        )
+    capacity_radius = 2.0 * (flow.Cp / model.Kp) ** (1.0 / s)
+    margin = flow.adm - capacity_radius
+    equality = abs(margin) <= model.tol.accept_rel * max(abs(flow.adm), 1.0)
     curves = dict(zip(("decaying", "growing"), evaluate_Q(flow, dec, grow)))
 
     diagnostics = {}
-    equality = pm.equality_flag
     for flavor, q in curves.items():
         slope, flat = _monotonicity(q.y, model.tol.accept_rel)
         diagnostics[f"min_slope_{flavor}"] = slope
         diagnostics[f"Q0_{flavor}"] = float(q.y[0])
         equality = equality and flat
 
-    s = 3.0 - flow.p
     bound_value = (
         8.0 * math.pi * s**2 * (model.Kp / flow.Cp) ** (1.0 / s) * flow.adm
         + 8.0 * math.pi * s**3
@@ -297,13 +280,16 @@ def case_report(
         "growing_coverage": float(curves["growing"].x[-1]) / flow.t_max,
         "growing_limit_bound_resolved": bound_value,
         "horizon_W_gap": float(model.grid_data.W[0]) - flow.W0,
-        **pm.diagnostics,
+        "Cp": flow.Cp,
+        "Kp": model.Kp,
+        "adm": flow.adm,
+        "capacity_radius": capacity_radius,
         "flow_nfev": flow.nfev,
         "flow_steps": flow.steps,
     })
     return VerificationReport(
         min_forward_slope=min(diagnostics["min_slope_decaying"], diagnostics["min_slope_growing"]),
-        penrose_margin=pm.penrose_margin,
+        penrose_margin=margin,
         equality_flag=bool(equality),
         diagnostics=diagnostics,
         curves=curves,
@@ -443,7 +429,7 @@ def certify_case(
     its flow at p and both triples, and gets case_report plus the gated
     checks: both monotonicities, the boundary gradient bound, the margin,
     the vacuum end's shape and mass, and the equality flag (R >= 0 is a
-    hypothesis, checked by penrose_margin). The vacuum members (warp.vacuum:
+    hypothesis, which case_report checks first). The vacuum members (warp.vacuum:
     Schwarzschild, bumps with eps = 0) must meet the equality case
     sharply, every other geometry the strict margin without equality. Every
     one must have a vacuum end, beyond warp.end_s, that is the reference

@@ -96,38 +96,36 @@ class _Accel:
 
     scalar is its text for a float s: an expression in s, phi, dphi and the
     names of consts. The right-hand sides of the family's solve and of
-    level_flow paste it into their own texts, and a call with a float s
-    runs it. Any other s runs the text's array twin (numerics._twin), which
-    gives each element the scalar text's double. The flow's text depends on
-    the family only, so its function (which flow_rhs's Rhs calls), its
-    generated run and its array twin, which evaluates the run's
-    dense-output stages, are compiled here, with the family, once per
-    process: before a fork, not per worker.
+    level_flow paste it into their own texts. A call evaluates the family's
+    text, (phi', phi''), and keeps phi'': its function for a float s, its
+    array twin (numerics._twin) for any other s, which gives each element
+    the scalar text's double. The family's solve runs the same two
+    functions. The flow's text depends on the family only, so its function
+    (which flow_rhs's Rhs calls), its generated run and its array twin,
+    which evaluates the run's dense-output stages, are compiled here, with
+    the family, once per process: before a fork, not per worker.
     """
 
-    __slots__ = ("scalar", "consts", "_names", "_scalar", "_array", "_flow")
+    __slots__ = ("consts", "_family", "_scalar", "_array", "_flow")
 
     def __init__(self, scalar: str, **consts):
-        self.scalar, self.consts = scalar, consts
-        self._names = "".join(f", {name}" for name in consts)
-        text = f"def accel(s, phi, dphi{self._keyword_only()}):\n    return {scalar}\n"
-        self._scalar, self._array = _rhs_function(text), _rhs_function(_twin(text))
-        self._flow = _FLOW_TEXT.format(consts=self._names, accel=scalar)
+        self.consts = consts
+        names = "".join(f", {name}" for name in consts)
+        self._family = _FAMILY_TEXT.format(consts=f", *{names}" if names else "", accel=scalar)
+        self._scalar = _rhs_function(self._family)
+        self._array = _rhs_function(_twin(self._family))
+        self._flow = _FLOW_TEXT.format(consts=names, accel=scalar)
         _rhs_function(self._flow)
         _dop_kernel(self._flow)
         _rhs_function(_twin(self._flow))
 
-    def _keyword_only(self) -> str:
-        return f", *{self._names}" if self._names else ""
-
     def __call__(self, s, phi, dphi):
-        accel = self._scalar if isinstance(s, float) else self._array
-        return accel(s, phi, dphi, **self.consts)
+        family = self._scalar if isinstance(s, float) else self._array
+        return family(s, phi, dphi, **self.consts)[1]
 
     def family_rhs(self) -> Rhs:
         """The right-hand side (phi', phi'') of the forward solve in s."""
-        text = _FAMILY_TEXT.format(consts=self._keyword_only(), accel=self.scalar)
-        return Rhs(text, **self.consts)
+        return Rhs(self._family, **self.consts)
 
     def flow_rhs(self, p: float, kappa: float, ln_C: float) -> Rhs:
         """The right-hand side d(s, phi, phi')/dt of level_flow."""

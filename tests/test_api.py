@@ -36,7 +36,6 @@ PUBLIC_NAMES = [
     "masses",
     "model_constancy",
     "model_profile",
-    "penrose_margin",
     "radial_p_harmonic",
     "reference_checks",
     "scalar_curvature",
@@ -47,7 +46,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 28
+    assert len(PUBLIC_NAMES) == 27
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

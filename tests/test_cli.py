@@ -6,14 +6,17 @@ own pipeline, so these tests lean on small configurations to stay fast.
 
 import builtins
 import csv
+import gc
 import hashlib
 import json
 import math
 import multiprocessing
-from types import SimpleNamespace
+import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import masscap
 from masscap import numerics
@@ -23,7 +26,6 @@ from masscap.cli import (
     _lines,
     _texts,
     _write_csv,
-    _write_curves,
     build_parser,
     main,
     make_config,
@@ -276,8 +278,9 @@ class TestWriteCsv:
             # a column another table formatted, read twice
             "shared": lambda: _lines(shared, *map(_texts, rest)),
             "shared-again": lambda: _lines(shared, *map(_texts, rest)),
-            # the prefix of a longer column's texts, as a Q curve's t
-            "prefix": lambda: _lines(longer[: a.size], *map(_texts, rest)),
+            # a longer column's texts, as the flow's t in a Q table: zip
+            # stops at the shorter columns
+            "prefix": lambda: _lines(longer, *map(_texts, rest)),
             # a one-shot iterator of lines, as a wrapper that counts rows passes
             "iter": lambda: (line for line in _lines(shared, *map(_texts, rest))),
         }
@@ -293,27 +296,6 @@ class TestWriteCsv:
         assert pipe.shared_texts("r", r.copy()) is texts
         # -0.0 == 0.0, but its repr differs: the texts are formatted again.
         assert pipe.shared_texts("r", np.array([-0.0, 0.1, 2.0])) == ["-0.0", "0.1", "2.0"]
-
-    def test_q_tables_share_the_flow_t_only_on_equal_bits(self, tmp_path):
-        # The decaying Q's t is a prefix of the flow's; the growing one
-        # differs from it in the sign of a zero only, so it keeps its own texts.
-        t = np.array([0.0, 0.5, 1.0, 1.5])
-        column = SimpleNamespace(y=np.array([1.0, 2.0, 3.0, 4.0]))
-        flow = SimpleNamespace(
-            t_grid=t, s_of_t=column, phi=column, u=column, W=column, dWdt=column,
-            H=column, R=column, hawking=column,
-        )
-        Q = np.array([5e-324, 1e16, 1e-5])
-        curves = {
-            "decaying": SimpleNamespace(x=t[:3].copy(), y=Q),
-            "growing": SimpleNamespace(x=np.array([-0.0, 0.5]), y=Q[:2]),
-        }
-        _write_curves(tmp_path, 1.5, "case", flow, curves)
-        for flavor, q in curves.items():
-            self._reference(tmp_path / "cells.csv", ["t", "Q"], zip(q.x.tolist(), q.y.tolist()))
-            written = (tmp_path / f"q-{flavor}-p=1.5-case.csv").read_bytes()
-            assert written == (tmp_path / "cells.csv").read_bytes(), flavor
-        assert b"\n-0.0,5e-324\n" in (tmp_path / "q-growing-p=1.5-case.csv").read_bytes()
 
 
 class TestSweepCommand:
@@ -541,6 +523,28 @@ class TestWorkerPool:
         assert [case["checks"][0]["name"] for case in refused] == ["reference_model"] * 3
         assert list(report["reference"]) == ["1.2", "1.5", "1.8"]
 
+    @pytest.mark.parametrize("workers", [2, 1])
+    def test_a_run_frees_its_pipeline_without_the_cyclic_collector(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # The pool holds the pipeline as its workers' initializer argument,
+        # and with one worker each case's getter holds it. A pipeline that
+        # kept either after the run would form a cycle, and the run's models
+        # and triples would stay until a gc collection.
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {"p_list": [1.5], "families": self.README_FAMILIES, "grids": {"n_s": 256, "n_t": 1024}},
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            before = sum(isinstance(obj, _Pipeline) for obj in gc.get_objects())
+            self._run(monkeypatch, workers, ["suite", "--config", cfg, "--out", str(tmp_path / "out")])
+            after = sum(isinstance(obj, _Pipeline) for obj in gc.get_objects())
+        finally:
+            gc.enable()
+        assert after == before
+
     def test_flow_code_is_compiled_before_the_cases(self, tmp_path, monkeypatch):
         # A flow's function (which its Rhs calls), its generated run and its
         # array twin, which evaluates the run's dense-output stages, depend
@@ -644,6 +648,35 @@ class TestWorkerPool:
         assert code == 1 and out == ""
         assert err.startswith("masscap: ") and str(blocker) in err
         assert "Traceback" not in err
+
+
+class TestReadmeSuiteBytes:
+    """The README suite writes the bytes of the manifest, file for file.
+
+    The manifest was written by a run of this suite; a change that moves
+    bits on purpose writes it again and says why. Float results can differ
+    in their last bits on another Python, numpy or scipy, so the test runs
+    only on the versions the manifest records.
+    """
+
+    MANIFEST = Path(__file__).with_name("readme_suite_sha256.json")
+
+    def test_suite_writes_the_manifest_bytes(self, tmp_path):
+        manifest = json.loads(self.MANIFEST.read_text())
+        versions = {"python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__}
+        if versions != manifest["versions"]:
+            pytest.skip(f"the manifest holds the bytes of {manifest['versions']}, not {versions}")
+        cfg = _write_config(
+            tmp_path / "cfg.json",
+            {"p_list": [1.2, 1.5, 1.8], "families": TestWorkerPool.README_FAMILIES},
+        )
+        out = tmp_path / "out"
+        assert main(["suite", "--config", cfg, "--out", str(out)]) == 0
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()
+        }
+        assert digests == manifest["sha256"]
 
 
 BAD_CONFIGS = [

@@ -523,3 +523,19 @@ class TestGridData:
             error = np.abs(model.level_data(r).u / np.exp(-t[live] / (p - 1.0)) - 1.0)
             assert np.max(error) <= bound, (p, float(np.max(error)))
         assert np.any(r > 1e17) == (p > 1.11)
+
+    def test_level_radii_take_a_scalar_a_list_and_an_array(self, lab):
+        # As level_data does: each form gives the array's radii bit for bit,
+        # at t = 0, on both branches of the inversion and past the live range.
+        model = lab.model(1.5)
+        t = np.array([0.0, 1.0, 100.0, 1000.0])
+        r, live = model.level_radii(t)
+        assert live.tolist() == [True, True, True, False] and r[2] > 1e17
+        listed = model.level_radii(t.tolist())
+        assert np.array_equal(listed[0].view(np.int64), r.view(np.int64))
+        assert np.array_equal(listed[1], live)
+        for k, x in enumerate(t.tolist()):
+            for scalar in (x, np.float64(x)):
+                r_k, live_k = model.level_radii(scalar)
+                assert live_k.tolist() == [live[k]]
+                assert np.array_equal(r_k.view(np.int64), r[k : k + 1].view(np.int64))

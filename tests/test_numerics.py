@@ -418,7 +418,7 @@ class TestDop853:
     def _assert_same_run(fun, span, y0, **args):
         ours = dop853(fun, span, y0, **args)
         ref = _loop_dop853(fun, span, y0, **args)
-        assert np.array_equal(ours._records, ref._records)
+        assert np.array_equal(ours._columns.T, ref._columns.T)
         assert np.array_equal(ours.t, ref.t)
         assert (ours.nfev, ours.steps) == (ref.nfev, ref.steps)
         assert ours.y_end == ref.y_end
@@ -622,7 +622,7 @@ class TestDop853:
         assert both.nfev == first.nfev + second.nfev
         assert both.y_end == second.y_end
         assert np.array_equal(both.t, np.concatenate((first.t, second.t[1:])))
-        assert np.array_equal(both._records, np.concatenate((first._records, second._records)))
+        assert np.array_equal(both._columns.T, np.concatenate((first._columns.T, second._columns.T)))
         # A point on the joint takes the step that ends there.
         assert np.array_equal(both.sol(4.0), first.sol(4.0))
         t = np.linspace(4.0, 10.0, 101)
@@ -661,14 +661,14 @@ class TestDop853:
         monkeypatch.setattr(warped, "dop853", spy)
         level_flow(warp, 1.5, n_t=64)
         (sol,) = calls
-        assert sol._records.shape == (2500, 26)
+        assert sol._columns.T.shape == (2500, 26)
         tracemalloc.start()
         try:
             sol.sol(0.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < sol._records.nbytes / 20
+        assert peak < sol._columns.T.nbytes / 20
 
     def test_kernel_is_built_once_per_right_hand_side(self, lab):
         # The step is generated per right-hand-side text, with the text

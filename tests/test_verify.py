@@ -19,7 +19,6 @@ from masscap import (
     level_flow,
     model_constancy,
     model_profile,
-    penrose_margin,
     reference_checks,
     solve_decaying,
     solve_growing,
@@ -60,6 +59,18 @@ class TestEvaluateQ:
         for q, sol in zip(both, (dec, grow), strict=True):
             [alone] = evaluate_Q(flow, sol)
             assert np.array_equal(q.x, alone.x) and np.array_equal(q.y, alone.y)
+
+    def test_each_curve_is_on_a_prefix_of_the_flow_nodes(self, lab):
+        # The CLI writes each q table's t as the flow's node texts cut at the
+        # Q's length, so each Q's t must be the first n node t, bit for bit,
+        # also where the growing window stops short of t_max.
+        dec, grow = lab.triples(1.2)
+        flow = lab.flow(1.2, "schwarzschild", m=0.05)
+        t = flow.t_grid[_nodes(flow)]
+        curves = evaluate_Q(flow, dec, grow)
+        assert curves[0].x.size == t.size > curves[1].x.size
+        for q in curves:
+            assert np.array_equal(q.x.view(np.int64), t[: q.x.size].view(np.int64))
 
     def test_p_mismatch_rejected(self, lab):
         dec, _ = lab.triples(1.5)
@@ -138,18 +149,15 @@ class TestTailLimit:
 
 
 class TestHypothesisChecks:
-    def test_negative_curvature_rejected(self, lab, negative_eps_flow):
-        with pytest.raises(ValueError, match="hypotheses"):
-            penrose_margin(negative_eps_flow, lab.model(1.5))
-
     def test_case_report_propagates_the_rejection(self, lab, negative_eps_flow):
         dec, grow = lab.triples(1.5)
         with pytest.raises(ValueError, match="hypotheses"):
             case_report(negative_eps_flow, lab.model(1.5), dec, grow)
 
     def test_p_mismatch_rejected(self, lab):
+        dec, grow = lab.triples(1.5)
         with pytest.raises(ValueError, match="disagree"):
-            penrose_margin(lab.flow(1.2, "schwarzschild", m=2.0), lab.model(1.5))
+            case_report(lab.flow(1.2, "schwarzschild", m=2.0), lab.model(1.5), dec, grow)
 
 
 class TestCaseReport:

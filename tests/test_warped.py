@@ -104,7 +104,7 @@ class TestFamilySolve:
             y0 = loop.y_end
             ts.extend(ref.sol.ts[1:])
             interpolants.extend(ref.sol.interpolants)
-        assert np.array_equal(sol._records, np.concatenate([run._records for run in loops]))
+        assert np.array_equal(sol._columns.T, np.concatenate([run._columns.T for run in loops]))
         joints = [run.t[1:] for run in loops]
         assert np.array_equal(sol.t, np.concatenate([loops[0].t[:1], *joints]))
         assert sol.steps == warp.steps == sum(run.steps for run in loops)
@@ -250,6 +250,16 @@ class TestBumpedFamily:
         )
         assert np.array_equal(from_float.view(np.int64), from_array.view(np.int64))
         assert np.count_nonzero(spline_bump(s1, s2)(s)) == 5  # three knots, two neighbours
+
+    def test_one_build_compiles_each_text_once(self):
+        # accel_fn runs the family's own function and twin, so a build
+        # compiles the family's and the flow's text, each as a function and
+        # an array twin, and generates one run per text.
+        compilers = (numerics._rhs_function, numerics._twin, numerics._dop_kernel)
+        for compile_ in compilers:
+            compile_.cache_clear()
+        family_bumped(1.0, 0.1)
+        assert [f.cache_info().misses for f in compilers] == [4, 2, 2]
 
     @pytest.mark.parametrize(
         "build",
