@@ -142,13 +142,12 @@ def _decaying_at_r(model: ModelGeometry, r, d: LevelData):
     which is k [u (r-1)^2/r + (2/sigma) u + (r^2-1) u'/sigma] rewritten with
     I_x(a, b) - I_x(a+1, b) = x^a (1-x)^b / (a B(a, b)) (DLMF 8.17.20), so
     that no O(r) terms cancel. h = f' dr/dt = A (u/u') K with K = 2D/x and
-    A = -k(r+1)/((p-1) r^2); dK/dr = 2 I1 gives dh/dr by the product rule,
-    and g = (dh/dr - c h)/b comes from the second equation of the pair
-    system.
+    A = -k(r+1)/((p-1) r^2); dK/dr = 2 I1 and d(u/u')/dr = -(p-1)
+    d(dr/dt)/dr give dh/dr by the product rule, and g = (dh/dr - c h)/b
+    comes from the second equation of the pair system.
     d is the level data at r (model.grid_data on the grid, model.level_data
-    at the level-set radii of at_t), which carries I1; I0 is taken as
-    d.u/2, whose numerator d.u shares its betainc call with I1 (DLMF
-    8.17.20, see the schwarzschild module).
+    at the level-set radii of at_t): I1, I0 = d.u/2 and d(dr/dt)/dr are
+    its fields, from one betainc call (see the schwarzschild module).
     """
     p = model.p
     sigma = (3.0 - p) / (p - 1.0)
@@ -163,15 +162,10 @@ def _decaying_at_r(model: ModelGeometry, r, d: LevelData):
     K = 2.0 * D / x
     A = -k * (r + 1.0) / ((p - 1.0) * r**2)
     dA = -A * (r + 2.0) / (r * (r + 1.0))
-    dlog_du = -(sigma + 1.0) / r + 2.0 * sigma / (r**2 + r)
     h = A * u_over_du * K
     # u/u' ~ r multiplies K and I1 first: the products dA K and A I1 alone
     # go subnormal at radii where g is still a normal double.
-    dhdr = (
-        dA * (K * u_over_du)
-        + 2.0 * A * (I1 * u_over_du)
-        + A * (1.0 - u_over_du * dlog_du) * K
-    )
+    dhdr = dA * (K * u_over_du) + 2.0 * A * (I1 * u_over_du) - (p - 1.0) * A * d.d_drdt * K
     g = (dhdr - c * h) / b
     return f, g, h
 
@@ -195,22 +189,17 @@ def _growing_at_r(p: float, r, d: LevelData):
     """(f, g, h) of the growing triple without decaying admixture, at radii r.
 
     f = r + 1/r + 2s with s = 3-p, and h = f' dr/dt with f' = (r-1)(r+1)/r^2
-    written so that nothing cancels near r = 1. With
-    d(dr/dt)/dr = -(1 + (p-1) dr/dt u''/u')/(p-1), the product rule gives
-    dh/dr, and g = (dh/dr - c h)/b comes from the pair system. This is the
-    decaying r-form with u = 1, u' = 0; since dr/dt = r/s + 1 + O(1/r) and
-    c_tilde e^(t/s) = r + s + O(1/r), it already has h ~ r/s + 1 and
-    f - c_tilde e^(t/s) -> s. d is the level data at r.
+    written so that nothing cancels near r = 1. With d(dr/dt)/dr from the
+    level data d at r, the product rule gives dh/dr, and g = (dh/dr - c h)/b
+    comes from the pair system. This is the decaying r-form with u = 1,
+    u' = 0; since dr/dt = r/s + 1 + O(1/r) and c_tilde e^(t/s) = r + s +
+    O(1/r), it already has h ~ r/s + 1 and f - c_tilde e^(t/s) -> s.
     """
-    s = 3.0 - p
-    sigma = s / (p - 1.0)
     b, c, drdt = _bc(p, d)
     df = (r - 1.0) * (r + 1.0) / r**2
-    dlog_du = -(sigma + 1.0) / r + 2.0 * sigma / (r**2 + r)
-    d_drdt = -(1.0 + (p - 1.0) * drdt * dlog_du) / (p - 1.0)
     h = df * drdt
-    dhdr = 2.0 / r**2 * (drdt / r) + df * d_drdt
-    return r + 1.0 / r + 2.0 * s, (dhdr - c * h) / b, h
+    dhdr = 2.0 / r**2 * (drdt / r) + df * d.d_drdt
+    return r + 1.0 / r + 2.0 * (3.0 - p), (dhdr - c * h) / b, h
 
 
 def solve_growing(model: ModelGeometry) -> CoefficientSolution:

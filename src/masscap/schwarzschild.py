@@ -14,11 +14,19 @@ sigma = (3-p)/(p-1),
 
     u(r) = I_x(sigma, sigma) / I_1/2(sigma, sigma),   C = 2 / B(sigma, sigma),
 
-and u ~ c_fit r**(-sigma) at infinity with c_fit = C/sigma. The numerator
-is evaluated as I_x(sigma+1, sigma) + x^sigma (1-x)^sigma / (sigma B(sigma,
-sigma)) (DLMF 8.17.20), so that one betainc call per evaluation gives both
-u and the beta ratio I1 of the decaying coefficient triple. Along the
-level-set parameter t = (1-p) log u this is the exponential map
+and u ~ c_fit r**(-sigma) at infinity with c_fit = C/sigma. One betainc
+call per evaluation gives B1 = I_x(sigma+1, sigma); with T = x^sigma
+(1-x)^sigma / (sigma B(sigma, sigma)) (DLMF 8.17.20), u's numerator is
+B0 = B1 + T, a sum of two positive terms, and N is B0 at x = 1/2. Every
+level datum is then a ratio of these that cancels nothing that grows
+with r (s = 3-p; B0/T = 2F1(2 sigma, 1; sigma+1; x), DLMF 8.17.8):
+
+    u = B0/N,   u' = -sigma T/(r N),   W = 4 pi s^2 (T/B0)^2,
+    dW/dr = 2W (sigma/r) (2/(r+1) - B1/B0),   dr/dt = r B0/(s T),
+    d(dr/dt)/dr = (B0/T + sigma ((B1/T)(r-1) - 2)/(r+1))/s,
+
+and the decaying coefficient triple's beta ratio I1 = B1/(2N). In the
+level-set parameter t = (1-p) log u, u's tail is the exponential map
 r ~ c_tilde e^(t/(3-p)) with c_tilde = c_fit**(1/sigma), and its exact
 inverse t -> r is betaincinv (ModelGeometry.level_radii). Everything this
 module exports - t, the sphere-integrated gradient square W(t), the
@@ -28,9 +36,9 @@ r-grid. The mass-2 member is singled out because its boundary data (W(0),
 dW/dt(0)) and capacity are the sharp constants against which every other
 geometry is compared.
 
-The grid keeps r**(-kappa) a normal double, which bounds R_max by
-DBL_MIN**(-1/kappa): about 4.9e7 at p = 1.05, and just below the default
-1e6 at p = 1.039.
+The grid keeps r**(-kappa), the order of B1 and u', a normal double, which
+bounds R_max by DBL_MIN**(-1/kappa): about 4.9e7 at p = 1.05, and just
+below the default 1e6 at p = 1.039.
 """
 
 from __future__ import annotations
@@ -59,21 +67,10 @@ DEFAULT_R_MAX = 1.0e6
 DEFAULT_N_R = 4096
 
 
-def _exponents(p: float) -> tuple[float, float, float]:
-    """(s, kappa, beta) shorthand for 3-p, 2/(p-1), 2(3-p)/(p-1)."""
-    s = 3.0 - p
-    kappa = 2.0 / (p - 1.0)
-    beta = 2.0 * s / (p - 1.0)
-    return s, kappa, beta
-
-
-def _du(p: float, C: float, r):
-    _, kappa, beta = _exponents(p)
-    return -C * r**-kappa * (1.0 + 1.0 / r) ** -beta
-
-
 class LevelData(NamedTuple):
-    """Pointwise model data at radius r, with the decaying triple's beta ratio I1."""
+    """The reference slice at radii r (module docstring): u, du = u', W, dWdr,
+    drdt, dWdt = dWdr drdt, the decaying triple's beta ratio I1, and d_drdt =
+    d(dr/dt)/dr, the one derivative of the slice that the triples read."""
 
     u: np.ndarray
     du: np.ndarray
@@ -82,30 +79,31 @@ class LevelData(NamedTuple):
     drdt: np.ndarray
     dWdt: np.ndarray
     I1: np.ndarray
+    d_drdt: np.ndarray
 
 
 def _beta_numerators(sigma: float, x):
-    """(I_x(sigma+1, sigma), I_x(sigma, sigma)) by DLMF 8.17.20: two positive terms."""
+    """(B1, T, B0): I_x(sigma+1, sigma), x^sigma (1-x)^sigma / (sigma B(sigma,
+    sigma)) and their sum I_x(sigma, sigma) (DLMF 8.17.20), from one betainc call."""
     B1 = betainc(sigma + 1.0, sigma, x)
     # np.power rather than **, so that a scalar x takes the array path too.
     term = np.power(x, sigma) * np.power(1.0 - x, sigma) / (sigma * beta_fn(sigma, sigma))
-    return B1, B1 + term
+    return B1, term, B1 + term
 
 
-def _level_data(p: float, C: float, r) -> LevelData:
-    _, kappa, beta = _exponents(p)
-    sigma = (3.0 - p) / (p - 1.0)
-    B1, B0 = _beta_numerators(sigma, 1.0 / (1.0 + r))
+def _level_data(p: float, r) -> LevelData:
+    s = 3.0 - p
+    sigma = s / (p - 1.0)
+    B1, T, B0 = _beta_numerators(sigma, 1.0 / (1.0 + r))
     # The same path at x = 1/2 (r = 1), so that u(1) == 1 exactly.
-    half = _beta_numerators(sigma, np.array([0.5]))[1][0]
-    u = B0 / half
-    du = _du(p, C, r)
-    W = 4.0 * math.pi * (p - 1.0) ** 2 * r**2 * (du / u) ** 2
-    dlog_du = -kappa / r + beta / (r**2 + r)
-    dWdr = 2.0 * W * (1.0 / r + dlog_du - du / u)
-    drdt = -u / ((p - 1.0) * du)
+    N = _beta_numerators(sigma, np.array([0.5]))[2][0]
+    W = 4.0 * math.pi * s**2 * (T / B0) ** 2
+    dWdr = 2.0 * W * (sigma / r) * (2.0 / (r + 1.0) - B1 / B0)
+    drdt = r * B0 / (s * T)
+    d_drdt = (B0 / T + sigma * ((B1 / T) * (r - 1.0) - 2.0) / (r + 1.0)) / s
     return LevelData(
-        u=u, du=du, W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt, I1=B1 / (2.0 * half)
+        u=B0 / N, du=-sigma * T / (r * N), W=W, dWdr=dWdr, drdt=drdt, dWdt=dWdr * drdt,
+        I1=B1 / (2.0 * N), d_drdt=d_drdt,
     )
 
 
@@ -128,11 +126,11 @@ class ModelGeometry:
 
     Immutable after construction; compared and hashed by identity.
     grid_data holds the level data on r_grid (u, du, W, dW/dr, dr/dt,
-    dW/dt and the beta ratio I1): the one grid evaluation of the slice's
-    special functions, which the coefficient solves read. t_grid holds the
-    level-set parameters of r_grid, strictly increasing from 0. The closed
-    forms of u and du give pointwise data off the grid via level_data(), as
-    accurate as on the grid, and level_radii() inverts t to r. The boundary
+    dW/dt, the beta ratio I1 and d(dr/dt)/dr): the one grid evaluation of
+    the slice's special functions, which the coefficient solves read. t_grid
+    holds the level-set parameters of r_grid, strictly increasing from 0.
+    The same closed forms give the level data off the grid via level_data(),
+    as accurate as on the grid, and level_radii() inverts t to r. The boundary
     data are grid_data.W[0] and grid_data.dWdt[0]; since u(1) = 1, the
     minimal boundary gives dW_s/dt(0) = 2 W_s(0)/(p-1) by construction
     (tests/test_schwarzschild.py::test_minimal_boundary_relation).
@@ -165,8 +163,8 @@ class ModelGeometry:
         return float(self.t_grid[-1])
 
     def level_data(self, r) -> LevelData:
-        """u, du, W, dW/dr, dr/dt, dW/dt at arbitrary radii r >= 1."""
-        return _level_data(self.p, self.flux_constant, np.asarray(r, dtype=float))
+        """The LevelData, I1 and d(dr/dt)/dr included, at arbitrary radii r >= 1."""
+        return _level_data(self.p, np.asarray(r, dtype=float))
 
     def level_radii(self, t) -> tuple[np.ndarray, np.ndarray]:
         """(r, live): the exact radii of the level sets t >= 0 that are live.
@@ -181,9 +179,10 @@ class ModelGeometry:
         4.9e-8 at some p (p = 1.911 with scipy 1.17), while at t > 0 it is
         exact to a few ulps.
         live marks the t whose r**(-2/(p-1)) is a normal double (the bound
-        model_profile puts on R_max); past that radius the profile data
-        underflow. r holds the radii of the live t only. A scalar t is taken
-        as one level set, and r and live are 1-d. Reads only self.p.
+        model_profile puts on R_max); past that radius at_t's dW_s/dt and
+        decaying triple lose precision (see model_profile). r holds the
+        radii of the live t only. A scalar t is taken as one level set, and
+        r and live are 1-d. Reads only self.p.
         """
         t = np.atleast_1d(np.asarray(t, dtype=float))
         p = self.p
@@ -206,12 +205,14 @@ def model_profile(
 ) -> ModelGeometry:
     """Build the reference model on a geometric grid of n radii in [1, R_max].
 
-    u, du, C and the level data with I1 are the closed forms of the module
-    docstring, evaluated once on the grid by one betainc call; the decaying
-    tail keeps full relative precision because betainc does and the
-    DLMF 8.17.20 sum adds two positive terms.
-    Raises ValueError when R_max**(-kappa) is not a normal double: past that
-    radius u' and the level_data built from it underflow; and, naming p,
+    C and the level data are the closed forms of the module docstring,
+    evaluated once on the grid by one betainc call; the decaying tail keeps
+    full relative precision because betainc does and the DLMF 8.17.20 sum
+    adds two positive terms.
+    Raises ValueError when R_max**(-kappa) is not a normal double: B1 ~
+    r**(-kappa) goes subnormal past that radius, and I1, dW/dr, dW/dt and
+    the decaying triple lose precision within 6x of it (u' within 2e3x; at
+    p = 1.05 x^sigma underflows too, and with it u and t); and, naming p,
     unless every grid_data array is finite and t_grid strictly increases.
     tol (default Tolerances()) becomes model.tol, the one error budget of
     every solve and check on this model.
@@ -223,7 +224,7 @@ def model_profile(
         raise ValueError("R_max must be at least 1e4 for the tail expansions to hold")
     if n < 64:
         raise ValueError("need at least 64 grid points")
-    _, kappa, _ = _exponents(p)
+    kappa = 2.0 / (p - 1.0)
     if float(R_max) ** -kappa < sys.float_info.min:
         limit = sys.float_info.min ** (-1.0 / kappa)
         digits = 10.0 ** (math.floor(math.log10(limit)) - 2)
@@ -235,7 +236,7 @@ def model_profile(
 
     r = np.geomspace(1.0, R_max, n)
     C = flux_constant(p)
-    d = _level_data(p, C, r)
+    d = _level_data(p, r)
     t = (1.0 - p) * np.log(d.u)
     t[0] = 0.0  # u[0] is exactly 1, so t[0] is +-0; clear the sign
     if not (all(np.all(np.isfinite(column)) for column in (*d, t)) and np.all(np.diff(t) > 0.0)):

@@ -510,6 +510,33 @@ class TestGridData:
         u_bound, I1_bound = self.GRID_BOUNDS[p]
         assert err_u <= u_bound and err_I1 <= I1_bound, (err_u, err_I1)
 
+    # Largest relative error of du, W, dW/dr, dr/dt and d(dr/dt)/dr over
+    # r in ORACLE_R against exact_profile at 40 digits, with 1.5x headroom and
+    # a floor of 4e-16. A dW/dr that cancels O(1/r) terms, such as
+    # 2W (1/r + dlog|u'|/dr - u'/u), reads 1.9e-7 at p = 1.05 and r = 1e6.
+    ORACLE_R = (1.5, 1e2, 1e4, 1e6)
+    SLICE_BOUNDS = {
+        1.05: (4.6e-15, 4.9e-15, 3.3e-13, 2.5e-15, 3.4e-14),
+        1.2: (7.4e-15, 4.0e-16, 3.7e-14, 4.0e-16, 2.8e-15),
+        1.5: (4.0e-16, 4.4e-16, 8.9e-16, 4.0e-16, 9.9e-16),
+        1.8: (1.2e-15, 9.6e-16, 4.9e-15, 7.0e-16, 2.1e-15),
+        1.95: (4.9e-16, 1.2e-15, 3.5e-15, 4.8e-16, 6.0e-16),
+    }
+
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_slice_derivatives_match_the_oracle(self, lab, mp, p):
+        d = lab.model(p).level_data(np.array(self.ORACLE_R))
+        errors = np.zeros(5)
+        with mp.workdps(40):
+            for k, r in enumerate(map(mp.mpf, self.ORACLE_R)):
+                _, du, drdt, W, dWdt = exact_profile(mp, mp.mpf(p), r)
+                d_drdt = mp.diff(lambda q: exact_profile(mp, mp.mpf(p), q)[2], r)
+                exact = (du, W, dWdt / drdt, drdt, d_drdt)
+                code = (d.du, d.W, d.dWdr, d.drdt, d.d_drdt)
+                for i, (value, oracle) in enumerate(zip(code, exact)):
+                    errors[i] = max(errors[i], float(abs(value[k] / oracle - 1)))
+        assert np.all(errors <= self.SLICE_BOUNDS[p]), errors.tolist()
+
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_level_radii_round_trip_through_u(self, lab, p):
         # u at the radius level_radii gives level set t is e^(-t/(p-1)), up
