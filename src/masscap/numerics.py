@@ -8,9 +8,13 @@ per-interval Gauss-Legendre panels for cumulative integrals on fixed grids.
 dop853 has scipy's method and step control. Each right-hand side is
 written once as source text (Rhs). A run is one call of the step loop
 generated per text, with the text inlined in each stage, per piece
-between the restart points of its t_span; one numpy pass then evaluates
-the dense-output stages of all steps of all pieces through the text's
-array twin (_twin) and assembles the interpolants, column by column.
+between the restart points of its t_span. Once a step starts at the step
+cap, the run defers the error norm of it and of every later step, and one
+numpy pass after the run recomputes those norms with the loop's
+arithmetic; the loop resumes from the first row it would not have taken
+as it is (_capped_steps). One numpy pass then evaluates the dense-output
+stages of all steps of all pieces through the text's array twin (_twin)
+and assembles the interpolants, column by column.
 
 The least-squares power-law tail fit fit_power_tail has no caller in the
 package (verify fits its limits itself); like frobenius.py it is kept
@@ -362,24 +366,37 @@ def _block(depth: int, lines: list) -> str:
 def _dop_kernel(text: str):
     """A whole DOP853 run of one right-hand-side text (Rhs) as generated code, compiled once.
 
-    run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step)
-    starts from the state y at t, f being the right-hand side there, consts
-    an Rhs's constants and h_abs the initial step, and returns t_end, the
-    number of right-hand sides it evaluated, the last state and the raw
-    rows. It is dop853's step loop with scipy's step control, whose
-    constants are written by repr. Each of the 12 stages of an attempt is
-    the text itself in place of a call (its time and state bound to its
-    parameters, its statements, its return values as the stage's
-    components; _inline renames its names apart from the run's, which are
-    none of the names in _GLOBALS or the builtins). The scaled error norm
-    is one expression, max(a, b) written b if b > a else a, builtin max's
-    rule. An accepted step appends its raw row t, h, y, y_new, k0 .. k12
-    (each stage's n components in order), packed by one struct, to the
-    array("d") that _interpolants reads; the 3 dense-output stages steer
-    nothing here and are only counted in nfev (_interpolants evaluates
-    them). State and stages stay locals from step to step. Coefficients
-    are scipy's exact reprs, exactly-zero terms are dropped, sums run left
-    to right. linecache holds the source for tracebacks.
+    run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step,
+    pending) starts from the state y at t, f being the right-hand side
+    there, consts an Rhs's constants and h_abs the initial step, and
+    returns the t it stopped at (t_end unless a deferred step raised),
+    the number of right-hand sides it evaluated, the last state and its
+    right-hand side, the raw rows, how many trailing rows it deferred
+    and the largest error norm of a step it checked. It is dop853's step
+    loop with scipy's step control, whose constants are written by repr.
+    A step whose h_abs is max_step after the clamp to [min_step,
+    max_step] is capped: unless pending, it and every later step of the
+    run are deferred. A deferred step runs its stages and packs its raw
+    row at max_step, and skips min_step (the first one has checked it)
+    and the whole error block; _capped_steps checks its norm after the
+    run. A run with pending set checks every step until a capped step is
+    accepted at its first attempt, so a resumed run makes progress. A
+    math range or domain error (ArithmeticError or ValueError) in a
+    deferred step ends the run where the step began, for the same check:
+    the loop may never have taken that step. Each of the 12 stages of an
+    attempt is the text itself in place of a call (its time and state
+    bound to its parameters, its statements, its return values as the
+    stage's components; _inline renames its names apart from the run's,
+    which are none of the names in _GLOBALS or the builtins). The scaled
+    error norm, computed after the capped branch, is one expression,
+    max(a, b) written b if b > a else a, builtin max's rule. An accepted
+    step appends its raw row t, h, y, y_new, k0 .. k12 (each stage's n
+    components in order), packed by one struct, to the array("d") that
+    _interpolants reads; the 3 dense-output stages steer nothing here
+    and are only counted in nfev (_interpolants evaluates them). State
+    and stages stay locals from step to step. Coefficients are scipy's
+    exact reprs, exactly-zero terms are dropped, sums run left to right.
+    linecache holds the source for tracebacks.
     """
     rhs = _inline(text)
     n = len(rhs.params) - 1
@@ -392,6 +409,8 @@ def _dop_kernel(text: str):
         attempt += _dop_stage(rhs, s, f"t + {_dop.C[s].item()!r} * h", state)
     attempt += [f"w{i} = y{i} + h * {_dop_sum(_dop.B, i)}" for i in range(n)]
     attempt += _dop_stage(rhs, last, "t + h", [f"w{i}" for i in range(n)])
+    attempt += [f"nfev += {_dop.N_STAGES}", "if deferred is not None:", "    break"]
+    attempt += ["h_abs = abs(h)"]
     for i in range(n):
         attempt += [
             f"a{i} = abs(y{i})",
@@ -405,65 +424,81 @@ def _dop_kernel(text: str):
     e5 = " + ".join(f"r5_{i} * r5_{i}" for i in range(n))
     e3 = " + ".join(f"r3_{i} * r3_{i}" for i in range(n))
     proposed = f"{_DOP_SAFETY!r} * error ** {_DOP_EXPONENT!r}"
+    width = 2 + (3 + last) * n
     source = f"""\
 from array import array
 from struct import Struct
-pack = Struct("{2 + (3 + last) * n}d").pack
-def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step):
+pack = Struct("{width}d").pack
+def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, pending):
     ({"".join(f"{x}, " for x in rhs.consts)}) = consts
     ({ys}) = y
     ({_dop_names("k0_", n)}) = f
     raw = array("d")
     put = raw.frombytes
     nfev = 0
-    while direction * (t - t_end) < 0.0:
-        min_step = 10.0 * abs(nextafter(t, direction * inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        rejected = False
-        while True:
-            if not h_abs >= min_step:
-                raise RuntimeError(
-                    f"dop853: step size {{h_abs!r}} is not a number or below 10 ulp of t = {{t!r}}"
-                )
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_end) > 0.0:
-                t_new = t_end
-            h = t_new - t
-            h_abs = abs(h)
-{_block(12, attempt)}
-            e5 = {e5}
-            e3 = {e3}
-            if e5 == 0.0 and e3 == 0.0:
-                error = 0.0
-            else:
-                error = h_abs * e5 / sqrt((e5 + 0.01 * e3) * {n})
-            nfev += {_dop.N_STAGES}
-            if error < 1.0:
-                if error == 0.0:
-                    factor = {_DOP_MAX_FACTOR!r}
+    peak = 0.0
+    deferred = None
+    try:
+        while direction * (t - t_end) < 0.0:
+            if deferred is None:
+                min_step = 10.0 * abs(nextafter(t, direction * inf) - t)
+                if h_abs > max_step:
+                    h_abs = max_step
+                elif h_abs < min_step:
+                    h_abs = min_step
+                capped = h_abs == max_step
+                if capped and not pending:
+                    deferred = len(raw)
+            rejected = False
+            while True:
+                if not h_abs >= min_step:
+                    raise RuntimeError(
+                        f"dop853: step size {{h_abs!r}} is not a number"
+                        f" or below 10 ulp of t = {{t!r}}"
+                    )
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_end) > 0.0:
+                    t_new = t_end
+                h = t_new - t
+{_block(16, attempt)}
+                e5 = {e5}
+                e3 = {e3}
+                if e5 == 0.0 and e3 == 0.0:
+                    error = 0.0
                 else:
-                    factor = min({_DOP_MAX_FACTOR!r}, {proposed})
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max({_DOP_MIN_FACTOR!r}, {proposed})
-            rejected = True
-        nfev += {_DOP_EXTRA}
-        put(pack(t, h, {ys}{ws}{ks}))
-        t = t_new
-{_block(8, [f"y{i} = w{i}" for i in range(n)] + [f"k0_{i} = k{last}_{i}" for i in range(n)])}
-    return t, nfev, [{ys}], raw
+                    error = h_abs * e5 / sqrt((e5 + 0.01 * e3) * {n})
+                if error < 1.0:
+                    if error > peak:
+                        peak = error
+                    if error == 0.0:
+                        factor = {_DOP_MAX_FACTOR!r}
+                    else:
+                        factor = min({_DOP_MAX_FACTOR!r}, {proposed})
+                    if rejected:
+                        factor = min(1.0, factor)
+                    elif capped:
+                        pending = False
+                    h_abs *= factor
+                    break
+                h_abs *= max({_DOP_MIN_FACTOR!r}, {proposed})
+                rejected = True
+            nfev += {_DOP_EXTRA}
+            put(pack(t, h, {ys}{ws}{ks}))
+            t = t_new
+{_block(12, [f"y{i} = w{i}" for i in range(n)] + [f"k0_{i} = k{last}_{i}" for i in range(n)])}
+    except (ArithmeticError, ValueError):
+        if deferred is None:
+            raise
+    deferred = 0 if deferred is None else (len(raw) - deferred) // {width}
+    return t, nfev, [{ys}], [{_dop_names("k0_", n)}], raw, deferred, peak
 """
     run = _exec(source, "dop853", rhs.name)["run"]
     # CPython 3.11 specializes a function's bytecode at its 8th call; loops
     # do not count, and a whole run is one call. Runs over an empty span
     # (the loop never starts) make the first real run a specialized one.
+    zeros = (0.0,) * n
     for _ in range(8):
-        run((None,) * len(rhs.consts), 0.0, 0.0, 1.0, 0.0, (0.0,) * n, (0.0,) * n, 0.0, 0.0, 0.0)
+        run((None,) * len(rhs.consts), 0.0, 0.0, 1.0, 0.0, zeros, zeros, 0.0, 0.0, 0.0, False)
     return run
 
 
@@ -514,6 +549,42 @@ def _fold(k: list, coefs) -> np.ndarray:
     return acc
 
 
+def _capped_steps(rows: np.ndarray, n: int, rtol, atol, max_step, direction):
+    """How many of a run's deferred rows its step loop would have taken as they are.
+
+    rows are the trailing raw rows of a _dop_kernel run, one per step at
+    max_step whose error norm the run did not compute. Here each row's
+    norm and next step are computed with the loop's own arithmetic: the
+    same sums in the same order (_fold, as _dop_sum), b if b > a else a,
+    sqrt and nextafter, each correctly rounded in numpy as in math, and
+    error ** exponent per element through float pow (_each). The loop
+    takes row j as it is when error < 1, max_step >= 10 ulp of its t and,
+    after row j - 1, |h| factor >= max_step, so that row j began at
+    max_step too. Returns the number of leading rows taken, the h_abs the
+    loop would start the next step with (max_step for the first row, which
+    the run checked against min_step itself) and the largest norm of the
+    rows taken.
+    """
+    cols = rows.T
+    t, h, y, w = cols[0], cols[1], cols[2 : 2 + n], cols[2 + n : 2 + 2 * n]
+    k = [*cols[2 + 2 * n :].reshape(_dop.N_STAGES + 1, n, -1)]
+    a, b = np.abs(y), np.abs(w)
+    sc = atol + np.where(b > a, b, a) * rtol
+    r5, r3 = _fold(k, _dop.E5) / sc, _fold(k, _dop.E3) / sc
+    e5, e3 = functools.reduce(operator.add, r5 * r5), functools.reduce(operator.add, r3 * r3)
+    h_abs = np.abs(h)
+    with np.errstate(all="ignore"):  # 0/0 where e5 == e3 == 0, replaced by 0 as in the loop
+        error = np.where((e5 == 0.0) & (e3 == 0.0), 0.0, h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * n))
+    proposed = _DOP_SAFETY * _each(operator.pow, np.where(error > 0.0, error, 1.0), _DOP_EXPONENT)
+    grown = h_abs * np.where(error == 0.0, _DOP_MAX_FACTOR, np.minimum(_DOP_MAX_FACTOR, proposed))
+    min_step = 10.0 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    taken = (error < 1.0) & (max_step >= min_step)
+    taken[1:] &= grown[:-1] >= max_step
+    kept = len(rows) if taken.all() else int(np.argmin(taken))
+    h_next = float(grown[kept - 1]) if kept else max_step
+    return kept, h_next, float(error[:kept].max(initial=0.0))
+
+
 def _rms(values) -> float:
     total = 0.0  # a left-to-right fold: builtin sum() is compensated from CPython 3.12
     for v in values:
@@ -526,22 +597,26 @@ class DenseSolution:
 
     t holds the step ends in the direction of integration, steps the number
     of accepted steps, nfev the number of right-hand-side evaluations and
-    y_end the state the last step reached (its y_new, not an interpolant).
-    columns holds, as contiguous rows of a value per step, t_old, h, y_old
-    and the 7 interpolant rows of each component. sol(t) evaluates the
-    interpolants at a scalar or an array of points and copies no column to
-    do so.
+    y_end the state the last step reached (its y_new, not an interpolant)
+    and max_error the largest scaled error norm of an accepted step (0.0
+    without steps): how far below 1 the steps stayed. columns holds, as
+    contiguous rows of a value per step, t_old, h, y_old and the 7
+    interpolant rows of each component. sol(t) evaluates the interpolants
+    at a scalar or an array of points and copies no column to do so.
     """
 
-    __slots__ = ("t", "nfev", "steps", "y_end", "_columns", "_n")
+    __slots__ = ("t", "nfev", "steps", "y_end", "max_error", "_columns", "_n")
 
-    def __init__(self, columns, n: int, t_end: float, nfev: int, y_end: Sequence[float]):
+    def __init__(
+        self, columns, n: int, t_end: float, nfev: int, y_end: Sequence[float], max_error: float
+    ):
         self._columns = np.ascontiguousarray(columns, dtype=float)
         self._n = n
         self.t = np.append(self._columns[0], t_end)
         self.steps = self._columns.shape[1]
         self.nfev = nfev
         self.y_end = list(y_end)
+        self.max_error = max_error
 
     def sol(self, t) -> np.ndarray:
         """State at t: shape (n,) for a scalar, (n, len(t)) for an array.
@@ -610,15 +685,26 @@ def dop853(
     when the step falls below 10 ulp of t or is NaN (a NaN derivative).
 
     Here each piece's initial step is chosen, with two calls of fun;
-    everything after it is one call of _dop_kernel(fun.text), generated once
+    everything after it is a call of _dop_kernel(fun.text), generated once
     per right-hand-side text with that text inlined in each of its 12 stages
     and fun.consts passed in (the step loop, the step control, stages,
-    error norm and the packing of the raw row). _interpolants then calls the
-    array twin of fun.text. The order of every sum is fixed in the source
-    or by _fold, not left to builtin sum(), which CPython 3.12 made
-    compensated; _rms folds left to right too. Tested on CPython 3.11 only,
-    bit for bit against an oracle that calls fun and sums each stage as a
-    left-to-right fold from 0.0.
+    error norm and the packing of the raw row). With a finite max_step, the
+    cap usually binds on every step once it is reached, so the norm only
+    has to confirm that it keeps binding: from the first step that starts
+    at max_step the run defers each step's norm, and after the run
+    _capped_steps recomputes the deferred rows' norms in one numpy pass and
+    takes the rows that the loop would have taken as they are. From the
+    first row that fails, that row and every later one are dropped with
+    their nfev, and a further call resumes from its t, y_old and k0, with
+    the h_abs the loop would have started it with, checking every step
+    until a step at the cap passes. So the accepted steps, the raw rows,
+    nfev, steps and every stored double are the loop's; max_error is the
+    largest norm of an accepted step, from the check and from the steps
+    the runs checked. _interpolants then calls the array twin of fun.text.
+    The order of every sum is fixed in the source or by _fold, not left to
+    builtin sum(), which CPython 3.12 made compensated; _rms folds left to
+    right too. Tested on CPython 3.11 only, bit for bit against an oracle
+    that calls fun and sums each stage as a left-to-right fold from 0.0.
     """
     if not isinstance(fun, Rhs):
         raise TypeError(f"dop853 integrates an Rhs, got {type(fun).__name__}")
@@ -634,8 +720,9 @@ def dop853(
     if not all(map(math.isfinite, y)):
         raise ValueError(f"y0 must be finite, got {y!r}")
     n = len(y)
+    width = 2 + (3 + _dop.N_STAGES) * n
     run = _dop_kernel(fun.text)
-    raws, nfev = [], 0
+    raws, nfev, max_error = [], 0, 0.0
     for t0, t_end in zip(points, points[1:]):
         f = fun(t0, y)
         # Initial step (Hairer, Norsett & Wanner, II.4; scipy's select_initial_step).
@@ -652,10 +739,30 @@ def dop853(
         else:
             h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
         h_abs = min(100.0 * h0, h1, interval, max_step)
-        t, evals, y, raw = run(fun.consts, t0, t_end, direction, h_abs, y, f, rtol, atol, max_step)
-        raws.append(raw)
-        nfev += 2 + evals  # fun ran twice for the initial step
-    return DenseSolution(_interpolants(fun, raws, n), n, t, nfev, y)
+        nfev += 2  # fun ran twice for the initial step
+        t, pending = t0, False
+        while True:
+            t, evals, y, f, raw, deferred, peak = run(
+                fun.consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, pending
+            )
+            raws.append(raw)
+            nfev += evals
+            max_error = max(max_error, peak)
+            if t == t_end and not deferred:
+                break
+            rows = np.frombuffer(raw).reshape(-1, width)
+            rows = rows[len(rows) - deferred :]  # none if the first deferred step raised
+            kept, h_abs, peak = _capped_steps(rows, n, rtol, atol, max_step, direction)
+            max_error = max(max_error, peak)
+            if kept == deferred and t == t_end:
+                break
+            if kept < deferred:  # resume from the first row the loop would not have taken
+                row = rows[kept].tolist()
+                t, y, f = row[0], row[2 : 2 + n], row[2 + 2 * n : 2 + 3 * n]
+                raws[-1] = raw[: len(raw) - (deferred - kept) * width]
+                nfev -= (deferred - kept) * (_dop.N_STAGES + _DOP_EXTRA)
+            pending = True
+    return DenseSolution(_interpolants(fun, raws, n), n, t, nfev, y, max_error)
 
 
 def integrate_linear_system(

@@ -66,8 +66,12 @@ _GEOM_RTOL = 1e-12
 # README's flows (Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2, 1.5
 # and 1.8 take 2500 or 2501 steps of 15 right-hand sides each, none
 # rejected), so it, not the 1e-12 tolerance, sets the cost of level_flow.
-# It stays at 2500: every sampled flow value depends on it, and no check yet
-# measures what a coarser cap would cost in accuracy.
+# There the error norm never chooses a step: dop853 defers it from the
+# first step at the cap and checks it for all steps in one numpy pass after
+# the run, which finds the largest norm (FlowProfile.max_error) at most
+# 0.06, below the 0.9**8 where the cap would stop binding. It stays at
+# 2500: every sampled flow value depends on it, and no check yet measures
+# what a coarser cap would cost in accuracy.
 _MIN_FLOW_STEPS = 2500
 
 
@@ -204,6 +208,7 @@ class WarpProfile:
     minimal_boundary: bool = True
     nfev: int = 0
     steps: int = 0
+    max_error: float = 0.0
 
     @property
     def phi0(self) -> float:
@@ -487,7 +492,10 @@ class FlowProfile:
     All curves share the uniform t_grid abscissa. dWdt is the t-derivative
     of W taken from the state (s, phi, phi') in closed form, not by
     differencing samples. nfev and steps count the right-hand sides and
-    accepted steps of the backward integration that produced the flow.
+    accepted steps of the backward integration that produced the flow, and
+    max_error is the largest scaled error norm of those steps
+    (DenseSolution.max_error): below 0.9**8 the step cap, not the error
+    norm, sets every step after the first capped one.
     """
 
     p: float
@@ -504,6 +512,7 @@ class FlowProfile:
     adm: float = 0.0
     nfev: int = 0
     steps: int = 0
+    max_error: float = 0.0
 
     @property
     def t_max(self) -> float:
@@ -604,6 +613,7 @@ def level_flow(
         adm=adm,
         nfev=sol.nfev,
         steps=sol.steps,
+        max_error=sol.max_error,
     )
 
 

@@ -191,6 +191,22 @@ _GROWTH = "def growth(t, y0):\n    return (y0,)\n"
 # x' = 1 is a constant, not an array, in the array twin, and v is never read.
 _DRIFT = "def drift(t, x, v):\n    return 1.0, -x\n"
 
+# y' = 1/(1 + ((t - 5)/width)^2) - y: smooth, but for a spike at t = 5
+# that a step of 10/400 cannot resolve at rtol = atol = 1e-12.
+_SPIKE = (
+    "def spike(t, y0, *, width):\n"
+    "    x = (t - 5.0) / width\n"
+    "    return (1.0 / (1.0 + x * x) - y0,)\n"
+)
+
+# y' = 1, written to raise a math domain error past t = t_end.
+_EDGE = "def edge(t, y0, *, t_end):\n    return (1.0 + 0.0 * log(t_end - t),)\n"
+
+# y' = -k sinh(y), with k jumping from 1 to rate at t = 5: beyond it a step
+# of 10/400 lies outside DOP853's stability region, and steps of that size
+# grow y until sinh overflows.
+_STIFF = "def stiff(t, y0, *, rate):\n    return (-(rate if t > 5.0 else 1.0) * sinh(y0),)\n"
+
 
 def _fold(terms):
     """terms summed left to right from 0.0: builtin sum() of floats up to CPython 3.11."""
@@ -199,6 +215,25 @@ def _fold(terms):
 
 def _rms(values):
     return math.sqrt(_fold(v * v for v in values) / len(values))
+
+
+def _error_norm(y, y_new, K, h_abs, rtol, atol):
+    """The scaled error norm of a step, K holding each component's stages, as the loops sum it."""
+    e5 = e3 = 0.0
+    for v, w, col in zip(y, y_new, K):
+        sc = atol + max(abs(v), abs(w)) * rtol
+        r5 = _fold(map(mul, col, _dop.E5.tolist())) / sc
+        r3 = _fold(map(mul, col, _dop.E3.tolist())) / sc
+        e5 += r5 * r5
+        e3 += r3 * r3
+    if e5 == 0.0 and e3 == 0.0:
+        return 0.0
+    return h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * len(y))
+
+
+def _factor(error):
+    """The loops' step factor after an accepted step."""
+    return 10.0 if error == 0.0 else min(10.0, 0.9 * error ** (-1.0 / 8.0))
 
 
 def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
@@ -214,7 +249,7 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
         (float(_dop.C[s]), _dop.A[s, :s].tolist())
         for s in range(_dop.N_STAGES + 1, _dop.N_STAGES_EXTENDED)
     ]
-    weights, err5, err3, rows = _dop.B.tolist(), _dop.E5.tolist(), _dop.E3.tolist(), _dop.D.tolist()
+    weights, rows = _dop.B.tolist(), _dop.D.tolist()
     t0, t_end = float(t_span[0]), float(t_span[1])
     direction = 1.0 if t_end > t0 else -1.0
     y = [float(v) for v in y0]
@@ -236,7 +271,7 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
     h_abs = min(100.0 * h0, h1, interval, max_step)
 
     records = array("d")
-    t = t0
+    t, max_error = t0, 0.0
     while direction * (t - t_end) < 0.0:
         min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
         if h_abs > max_step:
@@ -262,19 +297,10 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
             for col, v in zip(K, f_new):
                 col.append(v)
             nfev += _dop.N_STAGES
-            e5 = e3 = 0.0
-            for v, w, col in zip(y, y_new, K):
-                sc = atol + max(abs(v), abs(w)) * rtol
-                r5 = _fold(map(mul, col, err5)) / sc
-                r3 = _fold(map(mul, col, err3)) / sc
-                e5 += r5 * r5
-                e3 += r3 * r3
-            if e5 == 0.0 and e3 == 0.0:
-                error = 0.0
-            else:
-                error = h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * n)
+            error = _error_norm(y, y_new, K, h_abs, rtol, atol)
             if error < 1.0:
-                factor = 10.0 if error == 0.0 else min(10.0, 0.9 * error ** (-1.0 / 8.0))
+                max_error = max(max_error, error)
+                factor = _factor(error)
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
@@ -297,7 +323,7 @@ def _loop_dop853(fun, t_span, y0, *, rtol, atol, max_step=math.inf):
         t, y, f = t_new, y_new, f_new
     # DenseSolution keeps the records column by column: their transpose.
     width = 2 + (1 + _dop.INTERPOLATOR_POWER) * n
-    return DenseSolution(np.frombuffer(records).reshape(-1, width).T, n, t, nfev, y)
+    return DenseSolution(np.frombuffer(records).reshape(-1, width).T, n, t, nfev, y, max_error)
 
 
 class TestTableau:
@@ -421,7 +447,7 @@ class TestDop853:
         assert np.array_equal(ours._columns.T, ref._columns.T)
         assert np.array_equal(ours.t, ref.t)
         assert (ours.nfev, ours.steps) == (ref.nfev, ref.steps)
-        assert ours.y_end == ref.y_end
+        assert ours.y_end == ref.y_end and ours.max_error == ref.max_error
         return ours
 
     @pytest.mark.parametrize("span", [(0.0, 10.0), (10.0, 0.0)])
@@ -450,6 +476,158 @@ class TestDop853:
     def test_a_constant_component_is_bit_identical_to_the_loops(self, max_step):
         args = {"rtol": 1e-12, "atol": 1e-12, "max_step": max_step}
         self._assert_same_run(Rhs(_DRIFT), (0.0, 10.0), [0.5, 1.0], **args)
+
+    @staticmethod
+    def _spy_runs(monkeypatch):
+        """Record (arguments, result) per generated run and (rows, rows taken) per check.
+
+        A run returns t, nfev, y, f, raw rows, deferred rows, largest norm.
+        """
+        runs, checks = [], []
+        kernel, check = numerics._dop_kernel, numerics._capped_steps
+
+        def spy_kernel(text):
+            run = kernel(text)
+
+            def recorded(*args):
+                runs.append((args, run(*args)))
+                return runs[-1][1]
+
+            return recorded
+
+        def spy_check(rows, *args):
+            out = check(rows, *args)
+            checks.append((rows, out[0]))
+            return out
+
+        monkeypatch.setattr(numerics, "_dop_kernel", spy_kernel)
+        monkeypatch.setattr(numerics, "_capped_steps", spy_check)
+        return runs, checks
+
+    @pytest.mark.parametrize(
+        "width, span, alone",
+        [(0.02, (0.0, 10.0), 0), (0.02, (10.0, 0.0), 0), (0.3, (10.0, 0.0), 1)],
+        ids=["norm-forward", "norm-backward", "next-step"],
+    )
+    def test_rows_deferred_past_the_cap_are_taken_back(self, monkeypatch, width, span, alone):
+        # The cap binds before the spike and after it, not across it: the
+        # check after the first run rejects the rows from the spike on, the
+        # loop resumes there, and the second run defers again once a step
+        # at the cap has passed in the loop. The result is the loop's. The
+        # first row rejected has a norm >= 1 at the narrow spike (alone, it
+        # is not taken); at the wide one its norm is < 1 (alone, it is
+        # taken), and the row before it proposed a step below the cap.
+        runs, checks = self._spy_runs(monkeypatch)
+        args = {"rtol": 1e-12, "atol": 1e-12, "max_step": 10.0 / 400}
+        ours = self._assert_same_run(Rhs(_SPIKE, width=width), span, [0.0], **args)
+        (rows, taken), (rest, all_taken) = checks
+        assert taken < len(rows) and all_taken == len(rest)
+        direction = math.copysign(1.0, span[1] - span[0])
+        first = rows[taken : taken + 1]
+        assert numerics._capped_steps(first, 1, 1e-12, 1e-12, 10.0 / 400, direction)[0] == alone
+        assert [out[0] for _, out in runs] == [span[1]] * 2
+        assert 0.9**8 < ours.max_error < 1.0
+
+    @pytest.mark.parametrize("case", ["four", "flow"])
+    def test_the_check_recomputes_each_rows_norm_and_next_step(self, monkeypatch, lab, case):
+        # Row by row, on 4 and 3 components, _capped_steps finds the norm
+        # and the next step that the loops compute from the same stages,
+        # bit for bit: a check of one row takes it and returns both.
+        warp = lab.warp("bumped", m0=1.0, eps=0.1)
+        runs, _ = self._spy_runs(monkeypatch)
+        if case == "four":
+            dop853(Rhs(_FOUR, rate=1.0), (10.0, 0.0), [1.0, 0.0, 0.0, 0.5],
+                   rtol=1e-12, atol=1e-12, max_step=10.0 / 400)
+        else:
+            level_flow(warp, 1.5)
+        ((args, out),) = runs
+        n, direction, rtol, atol, max_step = len(out[2]), args[3], args[7], args[8], args[9]
+        rows = np.frombuffer(out[4]).reshape(-1, 2 + 15 * n)
+        assert out[5] > len(rows) - 10
+        for row in rows:
+            y, w, h = row[2 : 2 + n], row[2 + n : 2 + 2 * n], row[1]
+            K = row[2 + 2 * n :].reshape(_dop.N_STAGES + 1, n).T.tolist()
+            error = _error_norm(y.tolist(), w.tolist(), K, abs(h), rtol, atol)
+            check = numerics._capped_steps(row[None], n, rtol, atol, max_step, direction)
+            assert check == (1, abs(h) * _factor(error), error)
+
+    def test_a_deferred_step_that_raises_is_taken_back(self, monkeypatch):
+        # Deferred steps at the cap run past t = 5 until sinh overflows; the
+        # loop would have rejected the first of them and never got there.
+        # The run stops at the error, the check rejects the rows past t = 5,
+        # and the loop resumes there and integrates to the end.
+        runs, checks = self._spy_runs(monkeypatch)
+        args = {"rtol": 1e-12, "atol": 1e-12, "max_step": 10.0 / 400}
+        self._assert_same_run(Rhs(_STIFF, rate=200.0), (0.0, 10.0), [1.0], **args)
+        (_, stopped), (_, ended) = runs
+        assert 5.0 < stopped[0] < 10.0 and ended[0] == 10.0
+        assert len(checks[0][0]) == stopped[5] and checks[0][1] < stopped[5]
+
+    @pytest.mark.parametrize("max_step, deferred", [(0.5, 0), (0.3, 2)])
+    def test_a_deferred_step_that_the_loop_takes_raises_its_error(
+        self, monkeypatch, max_step, deferred
+    ):
+        # The steps grow from 1e-4 to the cap, and a stage of the first
+        # step at the cap (0.5) or of the third (0.3) reaches past t = 1:
+        # the loop raises there, and so does a run that deferred the step,
+        # once the check has taken the rows before it.
+        runs, _ = self._spy_runs(monkeypatch)
+        args = {"rtol": 1e-12, "atol": 1e-12, "max_step": max_step}
+        with pytest.raises(ValueError, match="math domain error"):
+            _loop_dop853(Rhs(_EDGE, t_end=1.0), (0.0, 2.0), [0.0], **args)
+        with pytest.raises(ValueError, match="math domain error"):
+            dop853(Rhs(_EDGE, t_end=1.0), (0.0, 2.0), [0.0], **args)
+        ((_, out),) = runs
+        assert out[0] < 1.0 and out[5] == deferred
+
+    @pytest.mark.parametrize(
+        "span, max_step, checked",
+        [((1e12, 1e12 + 1.0), 1e-4, False), ((2.0**40 - 0.02, 2.0**40 + 0.02), 2e-3, True)],
+        ids=["below-from-the-start", "below-past-a-binade"],
+    )
+    def test_a_cap_below_10_ulp_raises_the_loops_error(self, monkeypatch, span, max_step, checked):
+        # Near 1e12 the cap is below 10 ulp of t from the start: the first
+        # step takes 10 ulp, and the next, clamped to the cap, raises in the
+        # loop. Across 2^40 the ulp doubles: the check after the run rejects
+        # the first deferred row beyond it, and the loop raises there.
+        runs, checks = self._spy_runs(monkeypatch)
+        args = {"rtol": 1e-12, "atol": 1e-12, "max_step": max_step}
+        with pytest.raises(RuntimeError, match="10 ulp") as ref:
+            _loop_dop853(_pendulum, span, [1.0, 0.0], **args)
+        t = str(ref.value).rpartition("t = ")[2]
+        with pytest.raises(RuntimeError) as info:
+            dop853(_pendulum, span, [1.0, 0.0], **args)
+        assert str(info.value) == (
+            f"dop853: step size {max_step!r} is not a number or below 10 ulp of t = {t}"
+        )
+        if checked:
+            ((rows, taken),) = checks
+            assert 0 < taken < len(rows) and float(t) > 2.0**40
+        else:
+            assert checks == []
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    @pytest.mark.parametrize(
+        "tag, params, steps",
+        [("schwarzschild", {"m": 2.0}, {1.2: 2501, 1.5: 2500, 1.8: 2501}),
+         ("bumped", {"m0": 1.0, "eps": 0.1}, {1.2: 2500, 1.5: 2500, 1.8: 2500})],
+        ids=["schwarzschild", "bumped"],
+    )
+    def test_readme_flows_defer_every_step_at_the_cap(
+        self, monkeypatch, lab, tag, params, steps, p
+    ):
+        # The cap binds from the first step of the README's flows: one run
+        # defers every step's error norm and the check after it takes every
+        # row, so a change that fell back to the loop fails here. The
+        # largest norm stays below 0.9**8, where 0.9 error**(-1/8) falls
+        # below 1 and the cap could stop binding.
+        warp = lab.warp(tag, **params)
+        runs, checks = self._spy_runs(monkeypatch)
+        flow = level_flow(warp, p)
+        assert (flow.steps, flow.nfev) == (steps[p], 15 * steps[p] + 2)
+        assert [out[5] for _, out in runs] == [flow.steps]
+        assert [(len(rows), taken) for rows, taken in checks] == [(flow.steps, flow.steps)]
+        assert 0.0 < flow.max_error < 0.9**8
 
     def test_a_run_is_one_generated_call(self, monkeypatch, lab):
         # Step control and raw rows live in the generated code: dop853 calls
@@ -485,7 +663,7 @@ class TestDop853:
 
             def recorded(*args):
                 out = run(*args)
-                rows.append(len(out[3]))
+                rows.append(len(out[4]))  # t, nfev, y, f, raw, deferred rows, largest error
                 return out
 
             return recorded
