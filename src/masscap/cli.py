@@ -226,12 +226,15 @@ def make_config(args: argparse.Namespace) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"bad tolerances: {exc}") from exc
 
-    outputs = raw["outputs"]
-    csv_dir = Path(str(outputs["csv_dir"]))
-    report_path = outputs["report_path"]
-    report_path = (
-        csv_dir / "report.json" if report_path is None else Path(str(report_path))
-    )
+    csv_dir, report_path = raw["outputs"]["csv_dir"], raw["outputs"]["report_path"]
+    if not (isinstance(csv_dir, str) and csv_dir):
+        raise ConfigError(f"outputs.csv_dir must be a non-empty string, got {csv_dir!r}")
+    if not (report_path is None or isinstance(report_path, str) and report_path):
+        raise ConfigError(
+            f"outputs.report_path must be a non-empty string or null, got {report_path!r}"
+        )
+    csv_dir = Path(csv_dir)
+    report_path = csv_dir / "report.json" if report_path is None else Path(report_path)
 
     return RunConfig(
         p_list=tuple(p_clean),
@@ -256,8 +259,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -329,8 +330,8 @@ class _Pipeline:
     a flow and its Q curves live only in the process that certifies their
     case, are written there with write_curves (the flow at the nodes the
     gates read), and never come back: case results are light. The texts of
-    the columns that several model and coeffs tables write are kept too
-    (shared_texts). A pipeline is used as a context manager: leaving it
+    model grids that the model and coeffs tables write are kept too
+    (grid_texts). A pipeline is used as a context manager: leaving it
     stops the workers.
     """
 
@@ -346,8 +347,9 @@ class _Pipeline:
         self._pool: ProcessPoolExecutor | None = None
         # exponents of the minimal-boundary cases, whose triples the report covers
         self.minimal_ps: set[float] = set()
-        # key -> (a column, its texts); see shared_texts
-        self._shared: dict = {}
+        # the texts of the models' r grid and of each p's t grid; see grid_texts
+        self._r_texts: list[str] | None = None
+        self._t_texts: dict[float, list[str]] = {}
 
     def model(self, p: float) -> ModelGeometry:
         cfg = self.cfg
@@ -359,18 +361,19 @@ class _Pipeline:
         model = self.model(p)
         return _once(self._triples, p, lambda: (solve_decaying(model), solve_growing(model)))
 
-    def shared_texts(self, key, column: np.ndarray) -> list[str]:
-        """The reprs of a column that several tables write, formatted once per run.
+    def grid_texts(self, p: float) -> tuple[list[str], list[str]]:
+        """The reprs of p's model.r_grid and model.t_grid, formatted once per run.
 
-        key names the column: "r" for the model grid, which every model of a
-        run shares, or ("t", p) for p's model.t_grid. The texts are
-        formatted again should the column under key differ, bit for bit,
-        from the one they were formatted from.
+        Every model of a run has the same r grid, geomspace(1, R_max,
+        n_points), so its texts are formatted for the first model asked for;
+        the t texts once per p.
         """
-        kept = self._shared.get(key)
-        if kept is None or kept[0].tobytes() != column.tobytes():
-            kept = self._shared[key] = (column, list(_texts(column)))
-        return kept[1]
+        if p not in self._t_texts:
+            model = self.model(p)
+            if self._r_texts is None:
+                self._r_texts = list(_texts(model.r_grid))
+            self._t_texts[p] = list(_texts(model.t_grid))
+        return self._r_texts, self._t_texts[p]
 
     def family(self, tag: str, params: dict) -> WarpProfile:
         key, build = (tag, tuple(sorted(params.items()))), getattr(warped, _FAMILIES[tag][0])
@@ -505,17 +508,11 @@ def cmd_model(pipe: _Pipeline) -> int:
         for p in sorted(cfg.p_list):
             model = pipe.model(p)
             d = model.grid_data
+            r_texts, t_texts = pipe.grid_texts(p)
             _write_csv(
                 cfg.csv_dir / f"model-p={p!r}.csv",
                 ["r", "u", "du", "t", "W", "dWdt"],
-                _lines(
-                    pipe.shared_texts("r", model.r_grid),
-                    _texts(d.u),
-                    _texts(d.du),
-                    pipe.shared_texts(("t", p), model.t_grid),
-                    _texts(d.W),
-                    _texts(d.dWdt),
-                ),
+                _lines(r_texts, _texts(d.u), _texts(d.du), t_texts, _texts(d.W), _texts(d.dWdt)),
             )
             W0 = float(d.W[0])
             const_rows.append(
@@ -542,13 +539,7 @@ def cmd_coeffs(pipe: _Pipeline) -> int:
                 _write_csv(
                     cfg.csv_dir / f"coeffs-{sol.flavor}-p={p!r}.csv",
                     ["r", "t", "f", "g", "h"],
-                    _lines(
-                        pipe.shared_texts("r", model.r_grid),
-                        pipe.shared_texts(("t", p), model.t_grid),
-                        _texts(sol.f),
-                        _texts(sol.g),
-                        _texts(sol.h),
-                    ),
+                    _lines(*pipe.grid_texts(p), _texts(sol.f), _texts(sol.g), _texts(sol.h)),
                 )
                 Q0, dev = model_constancy(sol, model)
                 const_rows.append((p, sol.flavor, sol.f[0], sol.g[0], sol.h[0], Q0, dev))

@@ -7,14 +7,11 @@ per-interval Gauss-Legendre panels for cumulative integrals on fixed grids.
 
 dop853 has scipy's method and step control. Each right-hand side is
 written once as source text (Rhs). A run is one call of the step loop
-generated per text, with the text inlined in each stage, per piece
-between the restart points of its t_span. Once a step starts at the step
-cap, the run defers the error norm of it and of every later step, and one
-numpy pass after the run recomputes those norms with the loop's
-arithmetic; the loop resumes from the first row it would not have taken
-as it is (_capped_steps). One numpy pass then evaluates the dense-output
-stages of all steps of all pieces through the text's array twin (_twin)
-and assembles the interpolants, column by column.
+generated per text, with the text inlined in each stage (_dop_kernel);
+each piece between the restart points of a t_span takes at most two, as
+dop853 describes. One numpy pass then evaluates the dense-output stages
+of all steps of all pieces through the text's array twin (_twin) and
+assembles the interpolants, column by column.
 
 The least-squares power-law tail fit fit_power_tail has no caller in the
 package (verify fits its limits itself); like frobenius.py it is kept
@@ -367,28 +364,25 @@ def _dop_kernel(text: str):
     """A whole DOP853 run of one right-hand-side text (Rhs) as generated code, compiled once.
 
     run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step,
-    pending) starts from the state y at t, f being the right-hand side
+    defer) starts from the state y at t, f being the right-hand side
     there, consts an Rhs's constants and h_abs the initial step, and
     returns the t it stopped at (t_end unless a deferred step raised),
     the number of right-hand sides it evaluated, the last state and its
     right-hand side, the raw rows, how many trailing rows it deferred
     and the largest error norm of a step it checked. It is dop853's step
     loop with scipy's step control, whose constants are written by repr.
-    A step whose h_abs is max_step after the clamp to [min_step,
-    max_step] is capped: unless pending, it and every later step of the
-    run are deferred. A deferred step runs its stages and packs its raw
-    row at max_step, and skips min_step (the first one has checked it)
-    and the whole error block; _capped_steps checks its norm after the
-    run. A run with pending set checks every step until a capped step is
-    accepted at its first attempt, so a resumed run makes progress. A
-    math range or domain error (ArithmeticError or ValueError) in a
-    deferred step ends the run where the step began, for the same check:
-    the loop may never have taken that step. Each of the 12 stages of an
+    With defer set, the first step whose h_abs is max_step after the
+    clamp to [min_step, max_step] and every later step of the run are
+    deferred: each runs its stages and packs its raw row at max_step, and
+    skips min_step (the first one has checked it) and the whole error
+    block. A math range or domain error (ArithmeticError or ValueError) in
+    a deferred step ends the run where the step began. Without defer every
+    step is checked, and such an error raises. Each of the 12 stages of an
     attempt is the text itself in place of a call (its time and state
     bound to its parameters, its statements, its return values as the
     stage's components; _inline renames its names apart from the run's,
     which are none of the names in _GLOBALS or the builtins). The scaled
-    error norm, computed after the capped branch, is one expression,
+    error norm, computed after the deferred branch, is one expression,
     max(a, b) written b if b > a else a, builtin max's rule. An accepted
     step appends its raw row t, h, y, y_new, k0 .. k12 (each stage's n
     components in order), packed by one struct, to the array("d") that
@@ -429,7 +423,7 @@ def _dop_kernel(text: str):
 from array import array
 from struct import Struct
 pack = Struct("{width}d").pack
-def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, pending):
+def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, defer):
     ({"".join(f"{x}, " for x in rhs.consts)}) = consts
     ({ys}) = y
     ({_dop_names("k0_", n)}) = f
@@ -446,8 +440,7 @@ def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, pending)
                     h_abs = max_step
                 elif h_abs < min_step:
                     h_abs = min_step
-                capped = h_abs == max_step
-                if capped and not pending:
+                if defer and h_abs == max_step:
                     deferred = len(raw)
             rejected = False
             while True:
@@ -476,8 +469,6 @@ def run(consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, pending)
                         factor = min({_DOP_MAX_FACTOR!r}, {proposed})
                     if rejected:
                         factor = min(1.0, factor)
-                    elif capped:
-                        pending = False
                     h_abs *= factor
                     break
                 h_abs *= max({_DOP_MIN_FACTOR!r}, {proposed})
@@ -553,7 +544,7 @@ def _capped_steps(rows: np.ndarray, n: int, rtol, atol, max_step, direction):
     """How many of a run's deferred rows its step loop would have taken as they are.
 
     rows are the trailing raw rows of a _dop_kernel run, one per step at
-    max_step whose error norm the run did not compute. Here each row's
+    max_step whose error norm the run deferred. Here each row's
     norm and next step are computed with the loop's own arithmetic: the
     same sums in the same order (_fold, as _dop_sum), b if b > a else a,
     sqrt and nextafter, each correctly rounded in numpy as in math, and
@@ -690,17 +681,22 @@ def dop853(
     and fun.consts passed in (the step loop, the step control, stages,
     error norm and the packing of the raw row). With a finite max_step, the
     cap usually binds on every step once it is reached, so the norm only
-    has to confirm that it keeps binding: from the first step that starts
-    at max_step the run defers each step's norm, and after the run
-    _capped_steps recomputes the deferred rows' norms in one numpy pass and
-    takes the rows that the loop would have taken as they are. From the
-    first row that fails, that row and every later one are dropped with
-    their nfev, and a further call resumes from its t, y_old and k0, with
-    the h_abs the loop would have started it with, checking every step
-    until a step at the cap passes. So the accepted steps, the raw rows,
-    nfev, steps and every stored double are the loop's; max_error is the
-    largest norm of an accepted step, from the check and from the steps
-    the runs checked. _interpolants then calls the array twin of fun.text.
+    has to confirm that it keeps binding. Each piece's first run defers
+    the norm of every step from the first one that starts at max_step, and
+    after the run _capped_steps recomputes the deferred rows' norms in one
+    numpy pass and takes the rows that the loop would have taken as they
+    are. From the first row that fails, that row and every later one are
+    dropped with their nfev, and one checked run resumes from its t, y_old
+    and k0, with the h_abs the loop would have started it with, and checks
+    every step to the end of its piece. A math range or domain error in a
+    deferred step stops the first run where that step began: the loop may
+    never have taken it. Once the check has taken the rows before it, the
+    checked run resumes there, and raises the error if the loop takes that
+    step. So a piece takes at most two runs and one check, and the
+    accepted steps, the raw rows, nfev, steps and every stored double are
+    the loop's; max_error is the largest norm of an accepted step, from
+    the check and from the steps the runs checked. _interpolants then
+    calls the array twin of fun.text.
     The order of every sum is fixed in the source or by _fold, not left to
     builtin sum(), which CPython 3.12 made compensated; _rms folds left to
     right too. Tested on CPython 3.11 only, bit for bit against an oracle
@@ -740,10 +736,10 @@ def dop853(
             h1 = (0.01 / max(d1, d2)) ** -_DOP_EXPONENT
         h_abs = min(100.0 * h0, h1, interval, max_step)
         nfev += 2  # fun ran twice for the initial step
-        t, pending = t0, False
-        while True:
+        t = t0
+        for defer in (True, False):  # the checked run always ends the piece
             t, evals, y, f, raw, deferred, peak = run(
-                fun.consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, pending
+                fun.consts, t, t_end, direction, h_abs, y, f, rtol, atol, max_step, defer
             )
             raws.append(raw)
             nfev += evals
@@ -761,7 +757,6 @@ def dop853(
                 t, y, f = row[0], row[2 : 2 + n], row[2 + 2 * n : 2 + 3 * n]
                 raws[-1] = raw[: len(raw) - (deferred - kept) * width]
                 nfev -= (deferred - kept) * (_dop.N_STAGES + _DOP_EXTRA)
-            pending = True
     return DenseSolution(_interpolants(fun, raws, n), n, t, nfev, y, max_error)
 
 

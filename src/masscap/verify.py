@@ -129,19 +129,17 @@ def _monotonicity(Q: np.ndarray, accept_rel: float) -> tuple[float, bool]:
     return float(np.min(np.diff(Q))), bool(deviation <= accept_rel * scale)
 
 
-def _tail_limit(
-    x: np.ndarray, y: np.ndarray, powers: tuple[float, float], window: float = 10.0
-) -> float:
-    """Constant term of the least-squares fit y ~ c0 + c1 x**-a + c2 x**-b.
+def _tail_limit(x: np.ndarray, y: np.ndarray) -> float:
+    """Constant term of the least-squares fit y ~ c0 + c1/x + c2/x**2.
 
-    The fit runs over the top of the x range, x >= x[-1]/window, with
-    (a, b) = powers, and needs at least 8 samples there.
+    The fit runs over the top two decades of the x range, x >= x[-1]/100,
+    and needs at least 8 samples there.
     """
-    mask = x >= x[-1] / window
+    mask = x >= x[-1] / 100.0
     if np.count_nonzero(mask) < 8:
         raise ValueError("not enough samples in the limit window")
     xs = x[mask]
-    design = np.column_stack([np.ones_like(xs)] + [xs**-k for k in powers])
+    design = np.column_stack([np.ones_like(xs), xs**-1.0, xs**-2.0])
     coef, *_ = np.linalg.lstsq(design, y[mask], rcond=None)
     return float(coef[0])
 
@@ -200,8 +198,8 @@ def constant_diagnostics(
     r = model.r_grid
     stop = int(np.searchsorted(r, min(1.0e5, model.R_max), side="right"))
     r, g, h = r[:stop], grow.g[:stop], grow.h[:stop]
-    g_const = _tail_limit(r, g + r, (1.0, 2.0), window=100.0)
-    g_plus_sh = _tail_limit(r, g + s * h, (1.0, 2.0), window=100.0)
+    g_const = _tail_limit(r, g + r)
+    g_plus_sh = _tail_limit(r, g + s * h)
     return {
         "g_constant_measured": g_const,
         "g_plus_sh_measured": g_plus_sh,

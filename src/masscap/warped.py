@@ -66,10 +66,9 @@ _GEOM_RTOL = 1e-12
 # README's flows (Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2, 1.5
 # and 1.8 take 2500 or 2501 steps of 15 right-hand sides each, none
 # rejected), so it, not the 1e-12 tolerance, sets the cost of level_flow.
-# There the error norm never chooses a step: dop853 defers it from the
-# first step at the cap and checks it for all steps in one numpy pass after
-# the run, which finds the largest norm (FlowProfile.max_error) at most
-# 0.06, below the 0.9**8 where the cap would stop binding. It stays at
+# There the error norm never chooses a step (dop853 checks it after the
+# run): the largest norm, FlowProfile.max_error, is at most 0.06, below
+# the 0.9**8 where the cap would stop binding. It stays at
 # 2500: every sampled flow value depends on it, and no check yet measures
 # what a coarser cap would cost in accuracy.
 _MIN_FLOW_STEPS = 2500
@@ -208,7 +207,6 @@ class WarpProfile:
     minimal_boundary: bool = True
     nfev: int = 0
     steps: int = 0
-    max_error: float = 0.0
 
     @property
     def phi0(self) -> float:
@@ -427,7 +425,10 @@ def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
 
 
 def _flux_integral(warp: WarpProfile, p: float) -> np.ndarray:
-    """integral_s^inf phi**(-2/(p-1)) ds on the s-grid; 1/C at s = 0."""
+    """integral_s^inf phi**(-2/(p-1)) ds on the s-grid; 1/C at s = 0.
+
+    Beyond s_max it is _capacity_tail of the total mass of masses.
+    """
     kappa = 2.0 / (p - 1.0)
 
     def integrand(x):
@@ -435,8 +436,7 @@ def _flux_integral(warp: WarpProfile, p: float) -> np.ndarray:
 
     panels = panel_integrals(integrand, warp.s_grid)
     phi_max = float(warp.phi.y[-1])
-    m_end = float(_hawking(warp.phi.y, warp.dphi.y)[-1])
-    return right_cumulative(panels, _capacity_tail(phi_max, m_end, kappa))
+    return right_cumulative(panels, _capacity_tail(phi_max, masses(warp)[1], kappa))
 
 
 def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]:
@@ -475,9 +475,9 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
     """(Hawking mass curve over s, total mass).
 
     The Hawking mass of the level spheres is (phi/2)(1 - phi'^2). The total
-    mass is its value at s_max, exact under the vacuum-end assumption that
-    _capacity_tail makes too: every family is vacuum beyond
-    warp.end_s <= s_max/2, where the Hawking mass is constant.
+    mass is its value at s_max, exact under the vacuum-end assumption:
+    every family is vacuum beyond warp.end_s <= s_max/2, where the Hawking
+    mass is constant. _flux_integral's tail is that of this mass, and
     certify_case reads that mass along the whole end: with C_p against the
     reference slice (end_is_reference), and against the Hawking mass (end_mass).
     """

@@ -288,14 +288,17 @@ class TestWriteCsv:
             _write_csv(tmp_path / f"{name}.csv", header, rows())
             assert (tmp_path / f"{name}.csv").read_bytes() == expected, name
 
-    def test_shared_texts_follow_the_column_bits(self):
+    def test_grid_texts_are_formatted_once_per_run(self):
+        # Every model of a run has the same r grid: two exponents share one
+        # list of r texts, and each p keeps its own t texts.
         pipe = _Pipeline(make_config(build_parser().parse_args(["model"])))
-        r = np.array([0.0, 0.1, 2.0])
-        texts = pipe.shared_texts("r", r)
-        assert texts == ["0.0", "0.1", "2.0"]
-        assert pipe.shared_texts("r", r.copy()) is texts
-        # -0.0 == 0.0, but its repr differs: the texts are formatted again.
-        assert pipe.shared_texts("r", np.array([-0.0, 0.1, 2.0])) == ["-0.0", "0.1", "2.0"]
+        r_texts, t_texts = pipe.grid_texts(1.2)
+        assert pipe.grid_texts(1.5)[0] is r_texts
+        assert pipe.grid_texts(1.2)[1] is t_texts
+        for p in (1.2, 1.5):
+            model = pipe.model(p)
+            assert r_texts == list(_texts(model.r_grid))
+            assert pipe.grid_texts(p)[1] == list(_texts(model.t_grid))
 
 
 class TestSweepCommand:
@@ -723,6 +726,22 @@ BAD_CONFIGS = [
         "schwarzschild.m must be positive",
     ),
     ({"grids": {"n_t": 8}}, "grids.n_t must be >= 16, got 8"),
+    # An output path is a string: null or a list would name a directory
+    # after its Python repr.
+    ({"outputs": {"csv_dir": None}}, "outputs.csv_dir must be a non-empty string, got None"),
+    (
+        {"outputs": {"csv_dir": ["a", "b"]}},
+        "outputs.csv_dir must be a non-empty string, got ['a', 'b']",
+    ),
+    ({"outputs": {"csv_dir": ""}}, "outputs.csv_dir must be a non-empty string, got ''"),
+    (
+        {"outputs": {"report_path": 3}},
+        "outputs.report_path must be a non-empty string or null, got 3",
+    ),
+    (
+        {"outputs": {"report_path": ["r.json"]}},
+        "outputs.report_path must be a non-empty string or null, got ['r.json']",
+    ),
 ]
 
 
@@ -730,9 +749,13 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "payload, message", BAD_CONFIGS, ids=[f"payload{i}" for i in range(len(BAD_CONFIGS))]
     )
-    def test_bad_configs_exit_two(self, tmp_path, payload, message, capsys):
+    def test_bad_configs_exit_two(self, tmp_path, monkeypatch, payload, message, capsys):
+        # No --out, which would replace the config's outputs.csv_dir; the
+        # default output directory is relative, so it would land in tmp_path.
         cfg = _write_config(tmp_path / "cfg.json", payload)
-        assert main(["model", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        monkeypatch.chdir(tmp_path)
+        assert main(["model", "--config", cfg]) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
         err = capsys.readouterr().err
         assert err.startswith("masscap:")
         assert message in err

@@ -511,21 +511,24 @@ class TestDop853:
     )
     def test_rows_deferred_past_the_cap_are_taken_back(self, monkeypatch, width, span, alone):
         # The cap binds before the spike and after it, not across it: the
-        # check after the first run rejects the rows from the spike on, the
-        # loop resumes there, and the second run defers again once a step
-        # at the cap has passed in the loop. The result is the loop's. The
-        # first row rejected has a norm >= 1 at the narrow spike (alone, it
-        # is not taken); at the wide one its norm is < 1 (alone, it is
-        # taken), and the row before it proposed a step below the cap.
+        # check after the first run rejects the rows from the spike on, and
+        # one checked run resumes there and ends the span, deferring
+        # nothing. The result is the loop's. The first row rejected has a
+        # norm >= 1 at the narrow spike (alone, it is not taken); at the
+        # wide one its norm is < 1 (alone, it is taken), and the row before
+        # it proposed a step below the cap.
         runs, checks = self._spy_runs(monkeypatch)
         args = {"rtol": 1e-12, "atol": 1e-12, "max_step": 10.0 / 400}
         ours = self._assert_same_run(Rhs(_SPIKE, width=width), span, [0.0], **args)
-        (rows, taken), (rest, all_taken) = checks
-        assert taken < len(rows) and all_taken == len(rest)
+        ((rows, taken),) = checks
+        assert taken < len(rows)
         direction = math.copysign(1.0, span[1] - span[0])
         first = rows[taken : taken + 1]
         assert numerics._capped_steps(first, 1, 1e-12, 1e-12, 10.0 / 400, direction)[0] == alone
-        assert [out[0] for _, out in runs] == [span[1]] * 2
+        assert [(called[-1], out[0], out[5]) for called, out in runs] == [
+            (True, span[1], len(rows)),
+            (False, span[1], 0),
+        ]
         assert 0.9**8 < ours.max_error < 1.0
 
     @pytest.mark.parametrize("case", ["four", "flow"])
@@ -787,6 +790,30 @@ class TestDop853:
         level_flow(warp, 1.5)
         ((fun, span, y0, args),) = calls
         assert len(y0) == 3
+        self._assert_same_run(fun, span, y0, **args)
+
+    def test_a_flow_that_falls_back_takes_two_runs_and_one_check(self, monkeypatch):
+        # The cap stops binding in the last 4 % of this flow's steps, and
+        # binds again after some checked steps and stops binding again.
+        # The check after the deferred run rejects a row, and one checked
+        # run ends the flow: two runs and one check.
+        warp = family_bumped(1.0, 0.5, 0.0, 3.0)
+        calls = []
+
+        def spy(fun, span, y0, **args):
+            calls.append((fun, span, y0, args))
+            return dop853(fun, span, y0, **args)
+
+        monkeypatch.setattr(warped, "dop853", spy)
+        runs, checks = self._spy_runs(monkeypatch)
+        flow = level_flow(warp, 1.1)
+        ((fun, span, y0, args),) = calls
+        ((rows, taken),) = checks
+        assert len(rows) == flow.steps and taken < len(rows)
+        assert [(called[-1], out[0], out[5]) for called, out in runs] == [
+            (True, span[1], len(rows)),
+            (False, span[1], 0),
+        ]
         self._assert_same_run(fun, span, y0, **args)
 
     def test_joined_runs_continue_each_other(self):

@@ -133,19 +133,19 @@ class TestLimitsAndBounds:
 class TestTailLimit:
     def test_recovers_the_constant_of_its_basis(self):
         x = np.geomspace(1.0, 1.0e4, 200)
-        y = 3.0 - 2.0 * x**-0.5 + 7.0 * x**-1.5
-        assert _tail_limit(x, y, (0.5, 1.5)) == pytest.approx(3.0, rel=1e-12)
+        y = 3.0 - 2.0 / x + 7.0 / x**2
+        assert _tail_limit(x, y) == pytest.approx(3.0, rel=1e-12)
 
-    @pytest.mark.parametrize("n_window, window", [(7, 10.0), (8, 10.0), (7, 100.0)])
-    def test_needs_eight_samples_in_the_window(self, n_window, window):
-        # n_window samples in [x_max/window, x_max], the rest far below it.
-        x = np.concatenate([np.linspace(1.0, 2.0, 5), np.geomspace(1e4 / window, 1e4, n_window)])
+    @pytest.mark.parametrize("n_window", [7, 8])
+    def test_needs_eight_samples_in_the_window(self, n_window):
+        # n_window samples in [x_max/100, x_max], the rest far below it.
+        x = np.concatenate([np.linspace(1.0, 2.0, 5), np.geomspace(1e2, 1e4, n_window)])
         y = 1.0 + 1.0 / x
         if n_window < 8:
             with pytest.raises(ValueError, match="not enough samples in the limit window"):
-                _tail_limit(x, y, (1.0, 2.0), window=window)
+                _tail_limit(x, y)
         else:
-            assert _tail_limit(x, y, (1.0, 2.0), window=window) == pytest.approx(1.0, rel=1e-12)
+            assert _tail_limit(x, y) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestHypothesisChecks:
