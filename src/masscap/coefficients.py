@@ -105,17 +105,14 @@ def at_t(t, *sols: CoefficientSolution) -> tuple:
     """(live, W_s, dW_s/dt, [(f, g, h) per sol]) at the level-set parameters t >= 0.
 
     At least one triple is needed, and the triples must share one model
-    (ValueError otherwise), whose radii and level data they then share.
-    Closed forms at the exact radius of each level set
-    (model.level_radii), from one model.level_data call: the
-    decaying triple by _decaying_at_r, the growing one by _growing_at_r, and
-    the reference slice's W and dW/dt.
-    live marks the t whose radius is live; the arrays hold those t only,
-    which for increasing t are a prefix.
+    (ValueError otherwise). One model.level_data call at model.level_radii(t)
+    gives the slice's W and dW/dt and each triple in closed form. live marks
+    the t whose radius is live, and the arrays hold those t only (a prefix
+    for increasing t). A t below -1e-12 or not finite raises ValueError.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < -1e-12):
-        raise ValueError("t below the sampled range")
+        raise ValueError(f"t = {float(t[t < -1e-12][0])!r} is below the sampled range")
     if not sols:
         raise ValueError("at least one coefficient triple is needed")
     model = sols[0].model

@@ -27,8 +27,8 @@ with r (s = 3-p; B0/T = 2F1(2 sigma, 1; sigma+1; x), DLMF 8.17.8):
 
 and the decaying coefficient triple's beta ratio I1 = B1/(2N). In the
 level-set parameter t = (1-p) log u, u's tail is the exponential map
-r ~ c_tilde e^(t/(3-p)) with c_tilde = c_fit**(1/sigma), and its exact
-inverse t -> r is betaincinv (ModelGeometry.level_radii). Everything this
+r ~ c_tilde e^(t/(3-p)) with c_tilde = c_fit**(1/sigma); the inverse t -> r
+is Newton's on u = B0/N (ModelGeometry.level_radii). Everything this
 module exports - t, the sphere-integrated gradient square W(t), the
 boundary capacity, and the two tail normalization constants - is derived
 from these formulas; the model keeps its samples as plain arrays on its
@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.special import beta as beta_fn
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc
 
 from .numerics import Tolerances, _check_finite, _check_int, _check_p
 
@@ -167,34 +167,40 @@ class ModelGeometry:
         return _level_data(self.p, np.asarray(r, dtype=float))
 
     def level_radii(self, t) -> tuple[np.ndarray, np.ndarray]:
-        """(r, live): the exact radii of the level sets t >= 0 that are live.
+        """(r, live): the radii of the level sets t, finite and above (1-p) log 2.
 
-        The radius of a level set is x = betaincinv(sigma, sigma,
-        e^(-t/(p-1)) I_1/2(sigma, sigma)), r = 1/x - 1. Below x = 1e-17, x comes
-        from x^sigma = sigma B(sigma, sigma) e^(-t/(p-1)) I_1/2(sigma, sigma),
-        taken in logarithms: there the O(x) term of I_x(sigma, sigma) (DLMF
-        8.17.8) is below an ulp, while betaincinv returns nan for small
-        arguments at some sigma (p = 1.27 to 1.57 with scipy 1.17). At t = 0,
-        x is 1/2 by construction (u(1) = 1): betaincinv misses it by up to
-        4.9e-8 at some p (p = 1.911 with scipy 1.17), while at t > 0 it is
-        exact to a few ulps.
-        live marks the t whose r**(-2/(p-1)) is a normal double (the bound
-        model_profile puts on R_max); past that radius at_t's dW_s/dt and
-        decaying triple lose precision (see model_profile). r holds the
-        radii of the live t only. A scalar t is taken as one level set, and
-        r and live are 1-d. Reads only self.p.
-        """
+        Newton steps on log r zero F = log(B0 / (N e^(-t/(p-1)))), dF/dlog r =
+        -sigma T/B0, from a cubic Hermite guess on t_grid with slope (dr/dt)/r
+        (past it, r = c_tilde e^(t/s) - s, s = 3-p) until each step is below
+        1e-8: one betainc call on the default grid, RuntimeError after 8. t = 0
+        gives r = 1 exactly, as B0 is N by the same path. live marks the t whose
+        r**(-2/(p-1)) is a normal double (model_profile's R_max bound), r holds
+        their radii only, and a scalar t is one level set. Other t: ValueError."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        p = self.p
-        sigma = (3.0 - p) / (p - 1.0)
-        half = betainc(sigma, sigma, 0.5)
-        x = betaincinv(sigma, sigma, np.exp(-t / (p - 1.0)) * half)
-        x[t == 0.0] = 0.5
-        log_x = (math.log(sigma * beta_fn(sigma, sigma) * half) - t / (p - 1.0)) / sigma
-        tail = log_x < math.log(1e-17)
-        x[tail] = np.exp(log_x[tail])
-        live = x > 1.0 / (1.0 + sys.float_info.min ** (-(p - 1.0) / 2.0))
-        return 1.0 / x[live] - 1.0, live
+        p, s, tg = self.p, 3.0 - self.p, self.t_grid
+        bad = ~np.isfinite(t) | (t <= (1.0 - p) * math.log(2.0))
+        if np.any(bad):
+            raise ValueError(f"p = {p:g}: no level set at t = {float(t[bad][0])!r}")
+        log_r, slope = np.log(self.r_grid), self.grid_data.drdt / self.r_grid
+        i = np.clip(np.searchsorted(tg, t) - 1, 0, tg.size - 2)
+        h = tg[i + 1] - tg[i]
+        a = (np.minimum(t, tg[-1]) - tg[i]) / h  # the tail guess replaces rho past t_max
+        rho = (1.0 - a) ** 2 * ((1.0 + 2.0 * a) * log_r[i] + a * h * slope[i])
+        rho += a * a * ((3.0 - 2.0 * a) * log_r[i + 1] + (a - 1.0) * h * slope[i + 1])
+        c, tail = self.c_tilde, t > tg[-1]
+        rho[tail] = t[tail] / s + np.log(c) + np.log1p(-s / c * np.exp(-t[tail] / s))
+        r_live = sys.float_info.min ** (-(p - 1.0) / 2.0)
+        live = rho < math.log(r_live) + 1e-3  # a guess within 1e-3 drops no live t
+        sigma, r = s / (p - 1.0), np.exp(rho[live])
+        target = _beta_numerators(sigma, np.array([0.5]))[2][0] * np.exp(-t[live] / (p - 1.0))
+        for _ in range(8):
+            _, T, B0 = _beta_numerators(sigma, 1.0 / (1.0 + r))
+            step = np.log(B0 / target) * B0 / (sigma * T)
+            r *= np.exp(step)
+            if np.all(np.abs(step) < 1e-8):
+                live[live] = r < r_live
+                return r[r < r_live], live
+        raise RuntimeError(f"p = {p:g}: level_radii's Newton steps did not settle")
 
 
 def model_profile(

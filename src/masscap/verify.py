@@ -80,9 +80,9 @@ def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCur
     """Assemble the monotone combinations of triples of one model along a flow.
 
     Returns one Q curve per triple, all from one at_t evaluation at the
-    flow's t; at least one triple is needed (ValueError otherwise). Each
-    triple is carried over by its t-parametrization (the shared level-set
-    normalization makes t comparable across geometries).
+    flow's _nodes; at least one triple is needed (ValueError otherwise).
+    Each triple is carried over by its t-parametrization (the shared
+    level-set normalization makes t comparable across geometries).
     On the reference slice Q is the constant sol.Q0, so along the flow
 
         Q = Q0 + g (W - W_s) + (p-1)(3-p) h (dW/dt - dW_s/dt),
@@ -90,17 +90,14 @@ def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCur
     with g, h, W_s and dW_s/dt at the flow's t: f drops out, and no O(r)
     terms cancel. Each Q is kept over the longest prefix of live t where
     64 eps (|g| W + (p-1)(3-p) |h dW/dt|), which bounds the rounding that its
-    forward differences read on vacuum flows, stays within slope_slack. The
-    t are flow.t_grid decimated to ~4096 points, ending at t_max.
+    forward differences read on vacuum flows, stays within slope_slack.
     """
-    if not sols:
-        raise ValueError("at least one coefficient triple is needed")
-    if abs(flow.p - sols[0].p) > 1e-12:
-        raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sols[0].p}")
-    c = (flow.p - 1.0) * (3.0 - flow.p)
     nodes = _nodes(flow)
     t = flow.t_grid[nodes]
     live, Ws, dWs, triples = at_t(t, *sols)
+    if abs(flow.p - sols[0].p) > 1e-12:
+        raise ValueError(f"flow is at p = {flow.p}, coefficients at p = {sols[0].p}")
+    c = (flow.p - 1.0) * (3.0 - flow.p)
     W, dWdt = flow.W.y[nodes][live], flow.dWdt.y[nodes][live]
     curves = []
     for sol, (_, g, h) in zip(sols, triples):
@@ -157,13 +154,13 @@ def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> tuple[f
     warped._capacity_tail). Flux conservation makes u = (C/C_M) u_M there,
     and W, which depends only on phi and u'/u, is scale-invariant, so
     W(t) = W_s(t + delta) with delta = (p-1) ln(C/C_M) and C^(p-1) =
-    C_p/(4 pi). Read at evaluate_Q's t-nodes with s >= end_s whose shifted
-    radius, model.level_radii(t + delta), is live. A wrong adm or C_p
-    moves delta, so this reads them pointwise; on vacuum ends it is
-    rounding (about 1e-11). Far out W_s
-    flattens, so an end that begins at large phi reads adm only at order
-    adm/phi there; the Hawking mass of the end's level spheres, which is adm
-    on a vacuum end, reads it at full size (rounding: below 1e-11).
+    C_p/(4 pi). Read at evaluate_Q's t-nodes with s >= end_s whose radius
+    model.level_radii(t + delta) is live (below r = 1 where a vacuum
+    family's t = 0 shifts below 0). A wrong adm or C_p moves delta, so this
+    reads them pointwise; on vacuum ends it is rounding (about 1e-11). Far
+    out W_s flattens, so an end that begins at large phi reads adm only at
+    order adm/phi there; the Hawking mass of the end's level spheres, which
+    is adm on a vacuum end, reads it at full size (rounding: below 1e-11).
     """
     p = flow.p
     nodes = _nodes(flow)
@@ -236,14 +233,14 @@ def case_report(
     the capacity radius, the growing Q's limit in closed form,
     growing_limit_bound_resolved (the vacuum end makes it L = 8 pi s^2
     (K_p/C_p)^(1/s) adm + 8 pi s^3 - 16 pi s, s = 3-p, which Q0_growing
-    meets on vacuum and stays below otherwise), and the flow's solver counts
-    (flow_nfev, flow_steps). The bound's horizon_W_gap is W_s(0) - W(0),
-    with W_s(0) = model.grid_data.W[0]: the t = 0 end of the decaying
-    monotonicity, whose Q vanishes on the slice (reference_checks gates it
-    as decaying_zero). Numerical check failures surface in the report's
-    slopes and gaps, which certify_case gates. Triples of another model
-    and a flow at another p than the model's raise ValueError. Every budget
-    is model.tol.
+    meets on vacuum and stays below otherwise), the flow's solver counts and
+    largest scaled step-error norm (flow_nfev, flow_steps, flow_max_error),
+    and the bound's horizon_W_gap = W_s(0) - W(0), W_s(0) =
+    model.grid_data.W[0]: the t = 0 end of the decaying monotonicity, whose
+    Q vanishes on the slice (reference_checks gates it as decaying_zero).
+    Numerical check failures surface in the report's slopes and gaps, which
+    certify_case gates. Triples of another model and a flow at another p
+    than the model's raise ValueError. Every budget is model.tol.
     """
     _same_model(model, dec, grow)
     if abs(flow.p - model.p) > 1e-12:
@@ -284,6 +281,7 @@ def case_report(
         "capacity_radius": capacity_radius,
         "flow_nfev": flow.nfev,
         "flow_steps": flow.steps,
+        "flow_max_error": flow.max_error,
     })
     return VerificationReport(
         min_forward_slope=min(diagnostics["min_slope_decaying"], diagnostics["min_slope_growing"]),
@@ -431,8 +429,7 @@ def certify_case(
     Schwarzschild, bumps with eps = 0) must meet the equality case
     sharply, every other geometry the strict margin without equality. Every
     one must have a vacuum end, beyond warp.end_s, that is the reference
-    slice shifted in t to within accept_rel (end_is_reference, _end_error,
-    which reads the slice at model.level_radii of the shifted t):
+    slice shifted in t to within accept_rel (end_is_reference, _end_error):
     that pins its adm and C_p, and with them every limit of the case;
     end_mass reads adm against the Hawking mass along that end. A failed
     hypothesis of the mass bound is the failed stage check "hypotheses",

@@ -67,10 +67,10 @@ _GEOM_RTOL = 1e-12
 # and 1.8 take 2500 or 2501 steps of 15 right-hand sides each, none
 # rejected), so it, not the 1e-12 tolerance, sets the cost of level_flow.
 # There the error norm never chooses a step (dop853 checks it after the
-# run): the largest norm, FlowProfile.max_error, is at most 0.06, below
-# the 0.9**8 where the cap would stop binding. It stays at
-# 2500: every sampled flow value depends on it, and no check yet measures
-# what a coarser cap would cost in accuracy.
+# run): its largest value, FlowProfile.max_error (flow_max_error in a
+# report), is at most 0.0603, below the 0.9**8 where the cap would stop
+# binding. Every sampled flow value depends on the cap, and no check yet
+# measures what a coarser one would cost in accuracy.
 _MIN_FLOW_STEPS = 2500
 
 

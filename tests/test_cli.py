@@ -126,7 +126,7 @@ class TestVerifyCommand:
             "Cp", "Kp", "adm", "capacity_radius",
             "min_slope_decaying", "min_slope_growing", "Q0_decaying", "Q0_growing",
             "growing_limit_bound_resolved", "growing_coverage", "horizon_W_gap",
-            "flow_nfev", "flow_steps",
+            "flow_nfev", "flow_steps", "flow_max_error",
         }
         assert by_family["bumped"]["diagnostics"] == {}
         assert all(check["passed"] for check in schw["checks"])

@@ -3,7 +3,6 @@
 import dataclasses
 import math
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from masscap import (
 from masscap.coefficients import at_t
 from masscap.frobenius import InfinitySingularODE, series_coefficients
 from masscap.numerics import SampledCurve, fit_power_tail
-from masscap.schwarzschild import ModelGeometry
+from masscap.verify import _nodes
 
 PI = math.pi
 ORACLE_P = (1.05, 1.2, 1.5, 1.8, 1.95)
@@ -354,8 +353,8 @@ class TestEvaluationInterface:
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_growing_matches_oracle_beyond_the_grid(self, lab, mp, p):
         # Up to 0.9 times the radius where r**(-2/(p-1)) leaves the normal
-        # doubles; that far out, at p = 1.5, betaincinv returns nan and the
-        # radius comes from the logarithmic branch of ModelGeometry.level_radii.
+        # doubles, far past the model grid: there ModelGeometry.level_radii
+        # starts from the tail guess r = c_tilde e^(t/(3-p)) - (3-p).
         model = lab.model(p)
         far = 0.9 * sys.float_info.min ** (-(p - 1.0) / 2.0)
         check_oracle_beyond_the_grid(mp, solve_growing(model), model, 1e-12, far=(far,))
@@ -379,6 +378,23 @@ class TestEvaluationInterface:
         with pytest.raises(ValueError, match="below"):
             at_t(-0.1, dec)
 
+    def test_non_finite_t_rejected_by_name(self, lab):
+        # NaN and inf were once dropped as "not live", which broke the
+        # prefix that live promises for increasing t.
+        dec, grow = lab.triples(1.5)
+        with pytest.raises(ValueError, match="t = nan"):
+            at_t([0.5, math.nan, 1.0, math.inf], dec, grow)
+        with pytest.raises(ValueError, match="t = inf"):
+            at_t([0.5, 1.0, math.inf], dec, grow)
+        model = lab.model(1.5)
+        with pytest.raises(ValueError, match="t = nan"):
+            model.level_radii([math.nan, math.inf, -1.0])
+        # The closed form reaches t = (1-p) log 2 = -0.347 only as r -> 0.
+        with pytest.raises(ValueError, match=r"t = -1\.0$"):
+            model.level_radii([0.5, -1.0])
+        r, live = model.level_radii([-1e-12, -0.3])
+        assert live.all() and 0.0 < r[1] < r[0] < 1.0
+
     def test_live_ends_at_the_normal_double_radius(self, lab):
         # At p = 1.5, r**(-4) leaves the normal doubles at r = 8.2e76, where
         # t = 264.15.
@@ -390,13 +406,15 @@ class TestEvaluationInterface:
 
 
     def test_boundary_level_set_is_r_one(self):
-        # u(1) = 1, so the level set t = 0 is r = 1 exactly. betaincinv
-        # misses it at 494 of these 960 exponents, by more than 1e-13 at 60
-        # and by 4.9e-8 at p = 1.911. level_radii reads only the model's p.
+        # u(1) = 1, so the level set t = 0 is r = 1 exactly: the guess is
+        # log r_grid[0] = 0, and the Newton residual is log(B0/N) = 0 because
+        # B0 at x = 1/2 and N take the same path. scipy's betaincinv misses
+        # it at 494 of these 960 exponents, by 4.9e-8 at p = 1.911. The guess
+        # reads the model grid, so each exponent gets a small model.
         off = []
         for p in np.round(np.arange(1.04, 1.9995, 0.001), 3):
-            model = SimpleNamespace(p=float(p))
-            r, live = ModelGeometry.level_radii(model, np.array([0.0, 1.0]))
+            model = model_profile(float(p), R_max=1e4, n=64)
+            r, live = model.level_radii(np.array([0.0, 1.0]))
             if not (live.all() and r[0] == 1.0):
                 off.append(float(p))
         assert off == []
@@ -418,8 +436,11 @@ class TestGridData:
         1.95: (8.0e-16, 4.0e-15),
     }
     # Largest |u(r(t)) e^(t/(p-1)) - 1| over t in [0, t_max] and over the
-    # live t beyond, with about 1.5x headroom. betaincinv's inversion and,
-    # past x = 1e-17, the logarithmic branch of ModelGeometry.level_radii set them.
+    # live t beyond, with about 1.5x headroom over scipy's betaincinv, which
+    # once did the inversion. ModelGeometry.level_radii's Newton step on log r
+    # reads 1.4e-14/1.1e-14 at p = 1.05, 3.3e-15/3.7e-15 at 1.2,
+    # 1.1e-15/1.1e-15 at 1.5, 7.8e-16/8.9e-16 at 1.8 and 6.7e-16/6.7e-16 at
+    # 1.95.
     ROUND_TRIP_BOUNDS = {
         1.05: (2.0e-12, 2.0e-12),
         1.2: (1.0e-13, 1.5e-13),
@@ -428,29 +449,40 @@ class TestGridData:
         1.95: (2.0e-15, 7.5e-14),
     }
 
-    def test_one_grid_sized_betainc_call_per_model_and_per_at_t(self, monkeypatch):
+    def test_one_grid_sized_betainc_call_per_model_and_two_per_at_t(self, monkeypatch):
         # schwarzschild is the one module that evaluates betainc: the model's
-        # level data and the level-set radii of at_t both live there.
+        # level data and the level-set radii of at_t both live there. On the
+        # default grid one Newton step settles every radius, so at_t makes
+        # two calls: that step and the reading at the radii. scipy's
+        # inverse, betaincinv, is not called, nor imported by any module.
+        import scipy.special
+
         import masscap.schwarzschild
 
-        n = 512
-        grid_calls = []
+        calls = []
         original = masscap.schwarzschild.betainc
 
         def spy(a, b, x):
-            if np.size(x) == n:
-                grid_calls.append((a, b))
+            if np.size(x) > 1:
+                calls.append((a, b, np.size(x)))
             return original(a, b, x)
 
+        def refuse(*args):
+            raise AssertionError("betaincinv was called")
+
         monkeypatch.setattr(masscap.schwarzschild, "betainc", spy)
-        model = model_profile(1.5, n=n)
+        monkeypatch.setattr(scipy.special, "betaincinv", refuse)
+        model = model_profile(1.5)
         dec, grow = solve_decaying(model), solve_growing(model)
         constant_diagnostics(model, dec, grow)
         reference_checks(model, dec, grow)
-        assert grid_calls == [(4.0, 3.0)]  # I_x(sigma+1, sigma) at sigma = 3
+        assert calls == [(4.0, 3.0, model.r_grid.size)]  # I_x(sigma+1, sigma) at sigma = 3
+        n = 512
         live, *_ = at_t(np.linspace(0.0, model.t_max, n), dec, grow)
         assert np.all(live)
-        assert grid_calls == [(4.0, 3.0)] * 2
+        assert calls[1:] == [(4.0, 3.0, n)] * 2
+        assert not [name for name, module in sys.modules.items()
+                    if name.startswith("masscap") and hasattr(module, "betaincinv")]
 
     @pytest.mark.parametrize("p", ORACLE_P)
     def test_kept_grid_data_matches_a_fresh_evaluation_bit_for_bit(self, lab, p):
@@ -541,7 +573,7 @@ class TestGridData:
     def test_level_radii_round_trip_through_u(self, lab, p):
         # u at the radius level_radii gives level set t is e^(-t/(p-1)), up
         # to where r**(-2/(p-1)) leaves the normal doubles; from p = 1.11 on
-        # that includes the logarithmic branch (x < 1e-17).
+        # that reaches past r = 1e17, where betaincinv once returned nan.
         model = lab.model(p)
         far = (3.0 - p) * math.log(sys.float_info.min ** (-(p - 1.0) / 2.0))
         ranges = (np.linspace(0.0, model.t_max, 4001), np.linspace(model.t_max, far, 4001))
@@ -551,9 +583,48 @@ class TestGridData:
             assert np.max(error) <= bound, (p, float(np.max(error)))
         assert np.any(r > 1e17) == (p > 1.11)
 
+    @pytest.mark.parametrize("p", ORACLE_P)
+    def test_level_radii_round_trip_on_a_coarse_grid(self, p):
+        # On the coarsest model (64 radii up to 1e4) the Hermite guess needs
+        # a second Newton step at about 40 % of these t (a third at 13 t at
+        # p = 1.05); past r = 1e4 the tail guess needs one. The bounds are
+        # the default grid's (ROUND_TRIP_BOUNDS): the guess sets the step
+        # count, not the radius.
+        model = model_profile(p, R_max=1e4, n=64)
+        far = (3.0 - p) * math.log(sys.float_info.min ** (-(p - 1.0) / 2.0))
+        ranges = (np.linspace(0.0, model.t_max, 4001), np.linspace(model.t_max, far, 4001))
+        for t, bound in zip(ranges, TestGridData.ROUND_TRIP_BOUNDS[p]):
+            r, live = model.level_radii(t)
+            assert live[0] and np.all(np.diff(live.astype(int)) <= 0)  # a prefix
+            error = np.abs(model.level_data(r).u / np.exp(-t[live] / (p - 1.0)) - 1.0)
+            assert np.max(error) <= bound, (p, float(np.max(error)))
+        assert r[0] == pytest.approx(model.R_max, rel=1e-12) and np.all(r[1:] > model.R_max)
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    def test_level_radii_match_betaincinv_on_the_readme_flows(self, lab, p):
+        # scipy's betaincinv, an independent inversion, as the oracle: on
+        # the gated nodes of the README's two flows the radii agree to 7.1e-15
+        # relative (p = 1.2), and Newton's round trip through u is the tighter
+        # (3.2e-15 against 6.5e-14 at p = 1.2).
+        from scipy.special import betaincinv
+
+        model = lab.model(p)
+        sigma = (3.0 - p) / (p - 1.0)
+        for tag, params in (("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})):
+            flow = lab.flow(p, tag, **params)
+            t = flow.t_grid[_nodes(flow)]
+            r, live = model.level_radii(t)
+            assert live.all() and r[0] == 1.0
+            x = betaincinv(sigma, sigma, np.exp(-t / (p - 1.0)) * betainc(sigma, sigma, 0.5))
+            oracle = 1.0 / x[1:] - 1.0
+            assert np.max(np.abs(r[1:] / oracle - 1.0)) <= 1.5e-14, (p, tag)
+            target = np.exp(-t[1:] / (p - 1.0))
+            ours, theirs = (np.abs(model.level_data(v).u / target - 1.0) for v in (r[1:], oracle))
+            assert np.max(ours) <= np.max(theirs), (p, tag)
+
     def test_level_radii_take_a_scalar_a_list_and_an_array(self, lab):
         # As level_data does: each form gives the array's radii bit for bit,
-        # at t = 0, on both branches of the inversion and past the live range.
+        # at t = 0, on and past the model grid and past the live range.
         model = lab.model(1.5)
         t = np.array([0.0, 1.0, 100.0, 1000.0])
         r, live = model.level_radii(t)
