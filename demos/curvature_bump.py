@@ -38,9 +38,9 @@ def main():
     R = scalar_curvature(warp)
     hawk, adm = masses(warp)
     inside = (warp.s_grid >= 2.0) & (warp.s_grid <= 6.0)
-    print(f"  bump support s in [2, 6]; max R = {np.max(R.y):.6g}, zero outside:")
-    print(f"    max |R| outside support = {np.max(np.abs(R.y[~inside])):.1e}")
-    print(f"  Hawking mass: {hawk.y[0]:.6g} at the horizon -> {adm:.6g} at infinity")
+    print(f"  bump support s in [2, 6]; max R = {np.max(R):.6g}, zero outside:")
+    print(f"    max |R| outside support = {np.max(np.abs(R[~inside])):.1e}")
+    print(f"  Hawking mass: {hawk[0]:.6g} at the horizon -> {adm:.6g} at infinity")
     print()
 
     print("residual of the W-inequality, 2 pi (3-p)^2 R phi^2, along the flow")

@@ -43,7 +43,6 @@ from .warped import (
     masses,
     radial_p_harmonic,
     scalar_curvature,
-    spline_bump,
 )
 
 try:
@@ -78,5 +77,4 @@ __all__ = [
     "scalar_curvature",
     "solve_decaying",
     "solve_growing",
-    "spline_bump",
 ]

@@ -494,7 +494,7 @@ def _write_curves(csv_dir: Path, p: float, slug: str, flow, curves: dict) -> Non
     )
     for flavor in ("decaying", "growing"):
         path = csv_dir / f"q-{flavor}-p={p!r}-{slug}.csv"
-        _write_csv(path, ["t", "Q"], _lines(t_texts, _texts(curves[flavor].y)))
+        _write_csv(path, ["t", "Q"], _lines(t_texts, _texts(curves[flavor])))
 
 
 # ---------------------------------------------------------------------------

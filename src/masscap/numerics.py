@@ -1,8 +1,8 @@
 """Shared numerical primitives.
 
-Small, dependency-light building blocks used by every other module: a
-validated container of curve samples, a DOP853 integrator in plain floats
-for small systems, dense-output integration of linear ODE systems, and
+Small, dependency-light building blocks used by every other module: the
+validated container of a flow's curve samples, a DOP853 integrator in plain
+floats for small systems, dense-output integration of linear ODE systems, and
 per-interval Gauss-Legendre panels for cumulative integrals on fixed grids.
 
 dop853 has scipy's method and step control. Each right-hand side is

@@ -35,7 +35,6 @@ from .coefficients import (
     at_t,
     model_constancy,
 )
-from .numerics import SampledCurve
 from .schwarzschild import ModelGeometry
 from .warped import FlowProfile, WarpProfile, capacity_Cp, masses
 
@@ -58,9 +57,9 @@ class VerificationReport:
     one without (the flat exterior, certify_case) has diagnostics only, and
     its other fields stay None. diagnostics carries named numbers that are
     reported but never gate a pass/fail decision; they are the case's only
-    copy of C_p, the mass and the slopes. curves carries both Q curves,
-    keyed by flavor, which case_report evaluated on the way, so callers
-    reuse them instead of evaluating them again; they are never reported.
+    copy of C_p, the mass and the slopes. curves carries evaluate_Q's two
+    arrays, keyed by flavor, which case_report evaluated on the way, so
+    callers reuse them instead of evaluating them again; never reported.
     """
 
     min_forward_slope: float | None = None
@@ -76,11 +75,12 @@ def _nodes(flow: FlowProfile) -> np.ndarray:
     return np.r_[0 : n_t - 1 : max(1, n_t // 4096), n_t - 1]
 
 
-def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCurve]:
+def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[np.ndarray]:
     """Assemble the monotone combinations of triples of one model along a flow.
 
-    Returns one Q curve per triple, all from one at_t evaluation at the
-    flow's _nodes; at least one triple is needed (ValueError otherwise).
+    Returns one array per triple, all from one at_t evaluation: Q at the
+    first len(Q) t of flow.t_grid[_nodes(flow)]; at least one triple is
+    needed (ValueError otherwise).
     Each triple is carried over by its t-parametrization (the shared
     level-set normalization makes t comparable across geometries).
     On the reference slice Q is the constant sol.Q0, so along the flow
@@ -90,7 +90,8 @@ def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCur
     with g, h, W_s and dW_s/dt at the flow's t: f drops out, and no O(r)
     terms cancel. Each Q is kept over the longest prefix of live t where
     64 eps (|g| W + (p-1)(3-p) |h dW/dt|), which bounds the rounding that its
-    forward differences read on vacuum flows, stays within slope_slack.
+    forward differences read on vacuum flows, stays within slope_slack. A
+    Q that is not finite on that prefix raises ValueError naming its flavor.
     """
     nodes = _nodes(flow)
     t = flow.t_grid[nodes]
@@ -109,8 +110,10 @@ def evaluate_Q(flow: FlowProfile, *sols: CoefficientSolution) -> list[SampledCur
                 f"the gated window of the {sol.flavor} Q holds {n} of {t.size} samples: "
                 f"64 eps of its terms exceeds slope_slack = {slack:g} from t = {t[n]:.6g}"
             )
-        Q = sol.Q0 + g * (W - Ws) + c * h * (dWdt - dWs)
-        curves.append(SampledCurve(t[:n], Q[:n]))
+        Q = (sol.Q0 + g * (W - Ws) + c * h * (dWdt - dWs))[:n]
+        if not np.all(np.isfinite(Q)):
+            raise ValueError(f"the {sol.flavor} Q is not finite in its gated window")
+        curves.append(Q)
     return curves
 
 
@@ -261,9 +264,9 @@ def case_report(
 
     diagnostics = {}
     for flavor, q in curves.items():
-        slope, flat = _monotonicity(q.y, model.tol.accept_rel)
+        slope, flat = _monotonicity(q, model.tol.accept_rel)
         diagnostics[f"min_slope_{flavor}"] = slope
-        diagnostics[f"Q0_{flavor}"] = float(q.y[0])
+        diagnostics[f"Q0_{flavor}"] = float(q[0])
         equality = equality and flat
 
     bound_value = (
@@ -271,8 +274,9 @@ def case_report(
         + 8.0 * math.pi * s**3
         - 16.0 * math.pi * s
     )
+    t_growing = flow.t_grid[_nodes(flow)][curves["growing"].size - 1]
     diagnostics.update({
-        "growing_coverage": float(curves["growing"].x[-1]) / flow.t_max,
+        "growing_coverage": float(t_growing) / flow.t_max,
         "growing_limit_bound_resolved": bound_value,
         "horizon_W_gap": float(model.grid_data.W[0]) - flow.W0,
         "Cp": flow.Cp,
@@ -330,7 +334,7 @@ class CaseResult:
         return cls(p, family, dict(params), checks=(check,))
 
     def light(self) -> CaseResult:
-        """This result without the report's sampled curves, cheap to keep."""
+        """This result without the report's Q arrays, cheap to keep."""
         if self.report is None:
             return self
         return replace(self, report=replace(self.report, curves={}))

@@ -52,7 +52,6 @@ __all__ = [
     "masses",
     "radial_p_harmonic",
     "scalar_curvature",
-    "spline_bump",
 ]
 
 DEFAULT_S_MAX = 5.0e3
@@ -153,10 +152,12 @@ _BUMP = (
 def spline_bump(s1: float, s2: float) -> Callable[[np.ndarray], np.ndarray]:
     """C^2 cubic bump supported on [s1, s2] with peak value 1.
 
-    The uniform cubic B-spline basis function, rescaled. Twice continuous
-    differentiability keeps the curvature (which differentiates phi twice)
-    continuous; the third derivative jumps at the five knots
-    s1 + k (s2 - s1)/4, where family_bumped restarts its solve.
+    Not a public name: nothing in the package calls it, and it is kept
+    while perfbench's tracer names it. The uniform cubic B-spline basis
+    function, rescaled. Twice continuous differentiability keeps the
+    curvature (which differentiates phi twice) continuous; the third
+    derivative jumps at the five knots s1 + k (s2 - s1)/4, where
+    family_bumped restarts its solve.
 
     A scalar argument runs the text _BUMP, which family_bumped's scalar
     phi'' also pastes in, and returns a float; an array runs the text's
@@ -184,8 +185,9 @@ class WarpProfile:
     accuracy: the doubles of the forward solve's sol(x)[0], phi alone,
     without phi'. accel_fn gives phi'' from the state (s, phi, phi'),
     scalar or array, which is what the level-set reparametrization
-    integrates and scalar_curvature reads. The sampled curves phi and phi'
-    cover a log-like grid for export and the capacity quadrature. vacuum
+    integrates and scalar_curvature reads. phi and dphi sample phi and phi'
+    on s_grid, a log-like grid from 0 to s_max, for export and the capacity
+    quadrature. vacuum
     marks the members with R = 0 everywhere, which must meet the equality
     case of the mass bound. end_s is where the vacuum end begins: beyond
     it, up to infinity, phi is the Schwarzschild slice of the total mass
@@ -196,10 +198,9 @@ class WarpProfile:
 
     family_tag: str
     params: dict
-    s_max: float
     s_grid: np.ndarray = field(repr=False)
-    phi: SampledCurve = field(repr=False)
-    dphi: SampledCurve = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    dphi: np.ndarray = field(repr=False)
     phi_fn: Callable = field(repr=False)
     accel_fn: Callable = field(repr=False)
     vacuum: bool
@@ -209,8 +210,12 @@ class WarpProfile:
     steps: int = 0
 
     @property
+    def s_max(self) -> float:
+        return float(self.s_grid[-1])
+
+    @property
     def phi0(self) -> float:
-        return float(self.phi.y[0])
+        return float(self.phi[0])
 
 
 def _check_grid(s_max: float, n: int) -> None:
@@ -262,6 +267,9 @@ def _solve_family(
 
     s = _expm1_grid(phi0, s_max, n)
     phi_v, dphi_v = dense.sol(s)
+    for name, v in (("phi", phi_v), ("phi'", dphi_v)):
+        if not np.all(np.isfinite(v)):
+            raise RuntimeError(f"warping factor: {name} is not finite on the s-grid")
     if np.any(phi_v <= 0.0):
         raise RuntimeError("warping factor lost positivity")
     if np.max(dphi_v) >= 1.0:
@@ -273,10 +281,9 @@ def _solve_family(
     return WarpProfile(
         family_tag=tag,
         params=params,
-        s_max=float(s_max),
         s_grid=s,
-        phi=SampledCurve(s, phi_v),
-        dphi=SampledCurve(s, dphi_v),
+        phi=phi_v,
+        dphi=dphi_v,
         phi_fn=phi_fn,
         accel_fn=accel,
         vacuum=vacuum,
@@ -305,8 +312,8 @@ def family_schwarzschild(
 
     accel = _Accel(_VACUUM)
     warp = _solve_family("schwarzschild", {"m": float(m)}, 2.0 * m, accel, True, s_max, n)
-    first_integral = np.sqrt(1.0 - 2.0 * m / warp.phi.y[1:])
-    if np.max(np.abs(warp.dphi.y[1:] - first_integral)) > 1e-9:
+    first_integral = np.sqrt(1.0 - 2.0 * m / warp.phi[1:])
+    if np.max(np.abs(warp.dphi[1:] - first_integral)) > 1e-9:
         raise RuntimeError("first integral of the vacuum equation violated")
     return warp
 
@@ -381,10 +388,9 @@ def family_flat_exterior(
     return WarpProfile(
         family_tag="flat",
         params={},
-        s_max=float(s_max),
         s_grid=s,
-        phi=SampledCurve(s, phi_v),
-        dphi=SampledCurve(s, np.ones_like(s)),
+        phi=phi_v,
+        dphi=np.ones_like(s),
         phi_fn=phi_fn,
         accel_fn=accel,
         vacuum=True,
@@ -402,10 +408,10 @@ def _curvature(phi: np.ndarray, dphi: np.ndarray, ddphi: np.ndarray) -> np.ndarr
     return 2.0 * (1.0 - dphi**2) / phi**2 - 4.0 * ddphi / phi
 
 
-def scalar_curvature(warp: WarpProfile) -> SampledCurve:
-    """R on the sample grid, with phi'' from the family's accel_fn."""
-    phi, dphi = warp.phi.y, warp.dphi.y
-    return SampledCurve(warp.s_grid, _curvature(phi, dphi, warp.accel_fn(warp.s_grid, phi, dphi)))
+def scalar_curvature(warp: WarpProfile) -> np.ndarray:
+    """R on warp.s_grid, with phi'' from the family's accel_fn."""
+    phi, dphi = warp.phi, warp.dphi
+    return _curvature(phi, dphi, warp.accel_fn(warp.s_grid, phi, dphi))
 
 
 def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
@@ -435,16 +441,15 @@ def _flux_integral(warp: WarpProfile, p: float) -> np.ndarray:
         return np.asarray(warp.phi_fn(x), dtype=float) ** -kappa
 
     panels = panel_integrals(integrand, warp.s_grid)
-    phi_max = float(warp.phi.y[-1])
-    return right_cumulative(panels, _capacity_tail(phi_max, masses(warp)[1], kappa))
+    return right_cumulative(panels, _capacity_tail(float(warp.phi[-1]), masses(warp)[1], kappa))
 
 
-def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]:
+def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[np.ndarray, float]:
     """Radial potential u with u = 1 on the boundary, u -> 0, and its C.
 
     u' = -C phi**(-kappa) with kappa = 2/(p-1); the cumulative integral is
     accumulated from the analytic tail inward so the decaying end keeps
-    full relative precision. Returns (u over the s-grid, C). Raises
+    full relative precision. Returns (u on warp.s_grid, C). Raises
     ValueError when u(s_max) underflows a normal double (p near 1).
     """
     p = _check_p(p)
@@ -453,7 +458,7 @@ def radial_p_harmonic(warp: WarpProfile, p: float) -> tuple[SampledCurve, float]
         raise ValueError(f"p = {p:g}: u(s_max) underflows at s_max = {warp.s_max:g}")
     # x / x is exactly 1; x * (1/x) need not be, so u is not C * integral.
     u = integral / integral[0]
-    return SampledCurve(warp.s_grid, u), 1.0 / integral[0]
+    return u, 1.0 / integral[0]
 
 
 def capacity_Cp(warp: WarpProfile, p: float) -> float:
@@ -471,8 +476,8 @@ def capacity_Cp(warp: WarpProfile, p: float) -> float:
     return 4.0 * math.pi * (1.0 / head) ** (p - 1.0)
 
 
-def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
-    """(Hawking mass curve over s, total mass).
+def masses(warp: WarpProfile) -> tuple[np.ndarray, float]:
+    """(Hawking mass on warp.s_grid, total mass).
 
     The Hawking mass of the level spheres is (phi/2)(1 - phi'^2). The total
     mass is its value at s_max, exact under the vacuum-end assumption:
@@ -481,8 +486,8 @@ def masses(warp: WarpProfile) -> tuple[SampledCurve, float]:
     certify_case reads that mass along the whole end: with C_p against the
     reference slice (end_is_reference), and against the Hawking mass (end_mass).
     """
-    hawk = SampledCurve(warp.s_grid, _hawking(warp.phi.y, warp.dphi.y))
-    return hawk, float(hawk.y[-1])
+    hawk = _hawking(warp.phi, warp.dphi)
+    return hawk, float(hawk[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -553,21 +558,16 @@ def level_flow(
         raise ValueError("need at least 16 time samples")
 
     kappa = 2.0 / (p - 1.0)
-    u_curve, C = radial_p_harmonic(warp, p)
+    u, C = radial_p_harmonic(warp, p)
     ln_C = math.log(C)
-    u_end = float(u_curve.y[-1])
-    t_max = (1.0 - p) * math.log(u_end)
-
-    s_max = warp.s_max
-    phi_max = float(warp.phi.y[-1])
-    dphi_max = float(warp.dphi.y[-1])
+    t_max = (1.0 - p) * math.log(float(u[-1]))
     accel = warp.accel_fn
 
     try:
         sol = dop853(
             accel.flow_rhs(p, kappa, ln_C),
             (t_max, 0.0),
-            [s_max, phi_max, dphi_max],
+            [warp.s_max, float(warp.phi[-1]), float(warp.dphi[-1])],
             rtol=_GEOM_RTOL,
             atol=_GEOM_RTOL,
             max_step=t_max / _MIN_FLOW_STEPS,

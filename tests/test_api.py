@@ -41,12 +41,11 @@ PUBLIC_NAMES = [
     "scalar_curvature",
     "solve_decaying",
     "solve_growing",
-    "spline_bump",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 27
+    assert len(PUBLIC_NAMES) == 26
     assert len(set(masscap.__all__)) == len(masscap.__all__)
     assert sorted(masscap.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:

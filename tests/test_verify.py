@@ -23,6 +23,7 @@ from masscap import (
     solve_decaying,
     solve_growing,
 )
+from masscap import verify
 from masscap.verify import _end_error, _monotonicity, _nodes, _tail_limit
 from conftest import curvature_term
 
@@ -42,13 +43,13 @@ class TestEvaluateQ:
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
         [q] = evaluate_Q(flow, grow)
         # Every 8th node and the last one, t_max.
-        assert q.x.size == 4097
-        assert np.array_equal(q.x, np.append(flow.t_grid[::8], flow.t_max))
+        assert q.size == 4097
+        assert np.array_equal(flow.t_grid[_nodes(flow)], np.append(flow.t_grid[::8], flow.t_max))
 
     def test_decaying_covers_decimated_grid(self, lab):
         dec, _ = lab.triples(1.5)
         [q] = evaluate_Q(lab.flow(1.5, "schwarzschild", m=2.0), dec)
-        assert q.x.size == 4097
+        assert q.size == 4097
 
     def test_one_call_gives_each_triple_its_own_curve(self, lab):
         # Both triples share the radii of one evaluation; each curve is the
@@ -58,19 +59,38 @@ class TestEvaluateQ:
         both = evaluate_Q(flow, dec, grow)
         for q, sol in zip(both, (dec, grow), strict=True):
             [alone] = evaluate_Q(flow, sol)
-            assert np.array_equal(q.x, alone.x) and np.array_equal(q.y, alone.y)
+            assert np.array_equal(q, alone)
 
     def test_each_curve_is_on_a_prefix_of_the_flow_nodes(self, lab):
-        # The CLI writes each q table's t as the flow's node texts cut at the
-        # Q's length, so each Q's t must be the first n node t, bit for bit,
-        # also where the growing window stops short of t_max.
+        # Each Q holds its values at the first len(Q) node t, which the CLI
+        # writes as the flow's node texts cut at the Q's length; here the
+        # growing window stops short of t_max.
         dec, grow = lab.triples(1.2)
         flow = lab.flow(1.2, "schwarzschild", m=0.05)
-        t = flow.t_grid[_nodes(flow)]
         curves = evaluate_Q(flow, dec, grow)
-        assert curves[0].x.size == t.size > curves[1].x.size
-        for q in curves:
-            assert np.array_equal(q.x.view(np.int64), t[: q.x.size].view(np.int64))
+        assert curves[0].size == _nodes(flow).size > curves[1].size
+
+    def test_non_finite_Q_is_named(self, lab, monkeypatch):
+        # A NaN term passes the window test (NaN > slack is False), so the
+        # Q itself is checked; certify_case reports it at case_report.
+        real = verify.at_t
+
+        def nan_g(t, *sols):
+            live, Ws, dWs, triples = real(t, *sols)
+            f, g, h = triples[-1]
+            g = g.copy()
+            g[5] = math.nan
+            return live, Ws, dWs, [*triples[:-1], (f, g, h)]
+
+        monkeypatch.setattr(verify, "at_t", nan_g)
+        dec, grow = lab.triples(1.5)
+        flow = lab.flow(1.5, "schwarzschild", m=2.0)
+        message = "the growing Q is not finite in its gated window"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            evaluate_Q(flow, dec, grow)
+        warp = lab.warp("schwarzschild", m=2.0)
+        [check] = certify_case(warp, lab.model(1.5), flow, dec, grow).checks
+        assert (check["name"], check["detail"]) == ("case_report", message)
 
     def test_p_mismatch_rejected(self, lab):
         dec, _ = lab.triples(1.5)
@@ -299,7 +319,7 @@ class TestCertifyCase:
         flow = level_flow(lab.warp("schwarzschild", m=2.0), 1.5, n_t=16)
         result = self._certify(lab, "schwarzschild", flow=flow, m=2.0)
         assert result.passed, [c for c in result.checks if not c["passed"]]
-        assert result.report.curves["growing"].x.size == 16
+        assert result.report.curves["growing"].size == 16
         [end] = [c for c in result.checks if c["name"] == "end_is_reference"]
         assert end["value"] <= 1e-10
 
@@ -515,7 +535,8 @@ class TestGrowingWindow:
         # Every decimated sample, the last of them t_max itself.
         rep = lab.report(p, tag, **params)
         flow = lab.flow(p, tag, **params)
-        assert np.array_equal(rep.curves["growing"].x, np.append(flow.t_grid[::8], flow.t_max))
+        t = flow.t_grid[_nodes(flow)][: rep.curves["growing"].size]
+        assert np.array_equal(t, np.append(flow.t_grid[::8], flow.t_max))
         assert rep.diagnostics["growing_coverage"] == 1.0
 
     @pytest.mark.parametrize(

@@ -11,7 +11,6 @@ from scipy.integrate import OdeSolution, solve_ivp
 from scipy.special import beta, betaincinv
 
 from masscap import (
-    SampledCurve,
     capacity_Cp,
     certify_case,
     family_bumped,
@@ -22,9 +21,9 @@ from masscap import (
     masses,
     radial_p_harmonic,
     scalar_curvature,
-    spline_bump,
 )
 from masscap import numerics, warped
+from masscap.warped import spline_bump
 from masscap.numerics import dop853, panel_integrals
 from conftest import curvature_term, perfect_square_remainder, w_identity
 from test_numerics import _loop_dop853
@@ -111,8 +110,8 @@ class TestFamilySolve:
         assert sol.nfev == warp.nfev == sum(run.nfev for run in loops)
         assert sol.y_end == loops[-1].y_end
         phi, dphi = OdeSolution(ts, interpolants)(warp.s_grid)
-        assert np.max(np.abs(warp.phi.y / phi - 1.0)) <= 1e-14
-        assert np.max(np.abs(warp.dphi.y - dphi)) <= 2e-15
+        assert np.max(np.abs(warp.phi / phi - 1.0)) <= 1e-14
+        assert np.max(np.abs(warp.dphi - dphi)) <= 2e-15
 
     @pytest.mark.parametrize(
         "build, events",
@@ -167,6 +166,26 @@ class TestFamilySolve:
         scalar = warp.phi_fn(3.7)
         assert scalar.shape == () and scalar.view(np.int64) == sol.sol(3.7)[0].view(np.int64)
 
+    @pytest.mark.parametrize("row, name", [(0, "phi"), (1, "phi'")], ids=["phi", "dphi"])
+    def test_non_finite_sample_is_refused_by_name(self, monkeypatch, row, name):
+        # A NaN passes both the positivity and the phi' < 1 test, so the
+        # samples are checked for finiteness first, each by its name.
+        real = warped.dop853
+
+        def poisoned(*args, **kwargs):
+            dense = real(*args, **kwargs)
+
+            def sample(s):
+                out = dense.sol(s)
+                out[row, 7] = np.nan
+                return out
+
+            return SimpleNamespace(sol=sample, nfev=dense.nfev, steps=dense.steps)
+
+        monkeypatch.setattr(warped, "dop853", poisoned)
+        with pytest.raises(RuntimeError, match=f"^warping factor: {name} is not finite"):
+            family_bumped(1.0, 0.1, 2.0, 6.0)
+
     def test_failing_dense_stage_is_a_failed_integration(self, monkeypatch):
         # The dense-output stages run after the step loops, in the family
         # text's array twin; an error there still names the failed solve.
@@ -186,15 +205,15 @@ class TestSchwarzschildFamily:
     def test_boundary_is_a_minimal_sphere(self, lab):
         warp = lab.warp("schwarzschild", m=2.0)
         assert warp.phi0 == pytest.approx(4.0, rel=1e-14)
-        assert float(warp.dphi.y[0]) == 0.0
+        assert float(warp.dphi[0]) == 0.0
         assert warp.minimal_boundary
 
     def test_hawking_mass_constant_and_flat_curvature(self, lab):
         warp = lab.warp("schwarzschild", m=2.0)
         hawk, adm = masses(warp)
-        assert np.max(np.abs(hawk.y - 2.0)) <= 1e-8
+        assert np.max(np.abs(hawk - 2.0)) <= 1e-8
         assert adm == pytest.approx(2.0, rel=1e-9)
-        assert np.max(np.abs(scalar_curvature(warp).y)) <= 1e-12
+        assert np.max(np.abs(scalar_curvature(warp))) <= 1e-12
 
     def test_capacity_scale_law(self, lab):
         # C_p(m) = K_p (m/2)^(3-p): two masses pin the scaling exponent.
@@ -219,14 +238,14 @@ class TestBumpedFamily:
     def test_curvature_matches_closed_form_exactly(self, lab):
         warp = lab.warp("bumped", m0=1.0, eps=0.1)
         bump = spline_bump(2.0, 6.0)
-        target = 2.0 * 0.1 * bump(warp.s_grid) / warp.phi.y**2
-        assert np.max(np.abs(scalar_curvature(warp).y - target)) <= 1e-12
+        target = 2.0 * 0.1 * bump(warp.s_grid) / warp.phi**2
+        assert np.max(np.abs(scalar_curvature(warp) - target)) <= 1e-12
 
     def test_vacuum_plateaus_of_the_hawking_mass(self, lab):
         warp = lab.warp("bumped", m0=1.0, eps=0.1)
         hawk, adm = masses(warp)
-        inner = hawk.y[warp.s_grid <= 2.0]
-        outer = hawk.y[warp.s_grid >= warp.end_s]
+        inner = hawk[warp.s_grid <= 2.0]
+        outer = hawk[warp.s_grid >= warp.end_s]
         assert (warp.end_s, lab.warp("schwarzschild", m=2.0).end_s) == (6.0, 0.0)
         assert np.max(np.abs(inner - 1.0)) <= 1e-9
         assert np.ptp(outer) <= 1e-8
@@ -234,16 +253,17 @@ class TestBumpedFamily:
 
     @pytest.mark.parametrize("eps", [0.1, -0.1])
     def test_accel_scalar_path_is_its_array_path(self, eps):
-        # The solves call accel_fn with floats, and outside (s1, s2) it is
-        # the vacuum phi'' alone in place of calling the bump;
-        # scalar_curvature calls it with arrays. Both must give the very same doubles.
+        # accel_fn runs the family's scalar text for a float, which the
+        # solves paste inlined and which outside (s1, s2) is the vacuum phi''
+        # alone in place of the bump; scalar_curvature calls it with arrays.
+        # Both must give the very same doubles.
         s1, s2 = 2.0, 6.0
         warp = family_bumped(1.0, eps, s1, s2)
         knots = [s1 + k * (s2 - s1) / 4.0 for k in range(5)]
         around = [math.nextafter(x, d) for x in (s1, s2) for d in (-math.inf, math.inf)]
         s = np.array(sorted([0.0, *knots, *around, warp.s_max]))
-        phi = np.interp(s, warp.s_grid, warp.phi.y)
-        dphi = np.interp(s, warp.s_grid, warp.dphi.y)
+        phi = np.interp(s, warp.s_grid, warp.phi)
+        dphi = np.interp(s, warp.s_grid, warp.dphi)
         from_array = warp.accel_fn(s, phi, dphi)
         from_float = np.array(
             [warp.accel_fn(float(a), float(b), float(c)) for a, b, c in zip(s, phi, dphi)]
@@ -320,7 +340,7 @@ class TestBumpedFamily:
 
     def test_negative_eps_dips_below_zero(self):
         warp = family_bumped(1.0, -0.05)
-        assert float(np.min(scalar_curvature(warp).y)) < -1e-3
+        assert float(np.min(scalar_curvature(warp))) < -1e-3
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -365,7 +385,7 @@ class TestFlatExterior:
     def test_profile_and_mass(self, lab):
         flat = lab.warp("flat")
         assert not flat.minimal_boundary
-        assert np.allclose(flat.phi.y, 1.0 + flat.s_grid, rtol=1e-14)
+        assert np.allclose(flat.phi, 1.0 + flat.s_grid, rtol=1e-14)
         assert masses(flat)[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_level_flow_refuses_nonminimal_boundary(self, lab):
@@ -383,10 +403,10 @@ class TestRadialPotential:
         ]
         for warp, p in cases:
             u, C = radial_p_harmonic(warp, p)
-            assert u.y[0] == 1.0
-            assert np.all(np.diff(u.y) < 0.0)
+            assert u[0] == 1.0
+            assert np.all(np.diff(u) < 0.0)
             assert C > 0.0
-            assert u.y[-1] < 1e-2
+            assert u[-1] < 1e-2
 
     def test_capacity_near_p_one_matches_its_closed_forms(self, lab):
         # At p = 1.02, u(s_max) underflows (see the next test), yet C_p
@@ -484,9 +504,9 @@ class TestLevelFlow:
         # A boundary radius off by one part in a million is not where the
         # backward pass from the outer end lands.
         warp = lab.warp("schwarzschild", m=2.0)
-        phi = warp.phi.y.copy()
+        phi = warp.phi.copy()
         phi[0] *= 1.0 + 1e-6
-        moved = dataclasses.replace(warp, phi=SampledCurve(warp.phi.x, phi))
+        moved = dataclasses.replace(warp, phi=phi)
         with pytest.raises(RuntimeError, match="backward pass missed the boundary"):
             level_flow(moved, 1.5, n_t=64)
 
