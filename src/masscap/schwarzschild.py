@@ -52,7 +52,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .numerics import Tolerances, _check_finite, _check_int, _check_p
+from .numerics import Tolerances, _check_finite, _check_int, _check_p, _hermite
 
 __all__ = [
     "DEFAULT_N_R",
@@ -181,13 +181,8 @@ class ModelGeometry:
         bad = ~np.isfinite(t) | (t <= (1.0 - p) * math.log(2.0))
         if np.any(bad):
             raise ValueError(f"p = {p:g}: no level set at t = {float(t[bad][0])!r}")
-        log_r, slope = np.log(self.r_grid), self.grid_data.drdt / self.r_grid
-        i = np.clip(np.searchsorted(tg, t) - 1, 0, tg.size - 2)
-        h = tg[i + 1] - tg[i]
-        a = (np.minimum(t, tg[-1]) - tg[i]) / h  # the tail guess replaces rho past t_max
-        rho = (1.0 - a) ** 2 * ((1.0 + 2.0 * a) * log_r[i] + a * h * slope[i])
-        rho += a * a * ((3.0 - 2.0 * a) * log_r[i + 1] + (a - 1.0) * h * slope[i + 1])
-        c, tail = self.c_tilde, t > tg[-1]
+        rho = _hermite(t, tg, np.log(self.r_grid), self.grid_data.drdt / self.r_grid)
+        c, tail = self.c_tilde, t > tg[-1]  # the tail guess replaces rho past t_max
         rho[tail] = t[tail] / s + np.log(c) + np.log1p(-s / c * np.exp(-t[tail] / s))
         r_live = sys.float_info.min ** (-(p - 1.0) / 2.0)
         live = rho < math.log(r_live) + 1e-3  # a guess within 1e-3 drops no live t

@@ -159,11 +159,14 @@ def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> tuple[f
     W(t) = W_s(t + delta) with delta = (p-1) ln(C/C_M) and C^(p-1) =
     C_p/(4 pi). Read at evaluate_Q's t-nodes with s >= end_s whose radius
     model.level_radii(t + delta) is live (below r = 1 where a vacuum
-    family's t = 0 shifts below 0). A wrong adm or C_p moves delta, so this
-    reads them pointwise; on vacuum ends it is rounding (about 1e-11). Far
-    out W_s flattens, so an end that begins at large phi reads adm only at
-    order adm/phi there; the Hawking mass of the end's level spheres, which
-    is adm on a vacuum end, reads it at full size (rounding: below 1e-11).
+    family's t = 0 shifts below 0). Past the flow's hand-off t_c (level_flow)
+    it compares closed forms, B(x; kappa-1, 1/2) in x = 2 adm/phi against
+    I_x(sigma+1, sigma) in r. A wrong adm or C_p moves delta, so this reads
+    them pointwise; on vacuum ends it is rounding (below 1e-13 on the
+    README's cases). Far out W_s flattens, so an end that begins at large
+    phi reads adm only at order adm/phi there; the Hawking mass of the end's
+    level spheres, which is adm on a vacuum end, reads it at full size
+    (rounding: below 1e-11).
     """
     p = flow.p
     nodes = _nodes(flow)

@@ -11,7 +11,8 @@ Three families are provided: the static vacuum slices (phi'' =
 the same with a compactly supported curvature bump added (R = 2 eps
 bump(s)/phi^2 exactly), and the flat exterior phi = 1 + s whose boundary
 sphere is not minimal. The level-set reparametrization by t = (1-p) log u
-is solved backward from the outer radius, where it is a contraction.
+is sampled in closed form on the vacuum end and solved backward from
+there to the boundary, the direction in which it is a contraction.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .numerics import (
     _check_int,
     _check_p,
     _dop_kernel,
+    _hermite,
     _rhs_function,
     _twin,
     dop853,
@@ -60,17 +62,19 @@ DEFAULT_N_T = 32768
 
 _GEOM_RTOL = 1e-12
 
-# Minimum number of integrator steps across the level-set flow: the step is
-# capped at t_max / _MIN_FLOW_STEPS. The cap binds on every step of the
-# README's flows (Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2, 1.5
-# and 1.8 take 2500 or 2501 steps of 15 right-hand sides each, none
-# rejected), so it, not the 1e-12 tolerance, sets the cost of level_flow.
-# There the error norm never chooses a step (dop853 checks it after the
-# run): its largest value, FlowProfile.max_error (flow_max_error in a
-# report), is at most 0.0603, below the 0.9**8 where the cap would stop
-# binding. Every sampled flow value depends on the cap, and no check yet
-# measures what a coarser one would cost in accuracy.
+# The level-set flow's integrator step is capped at t_max / _MIN_FLOW_STEPS.
+# It steps [0, t_c] only (level_flow), so about 2500 t_c / t_max steps: on
+# the README's flows (Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2,
+# 1.5 and 1.8) 290 to 415 steps of 15 right-hand sides each, none rejected.
+# The cap binds on every one of them, so it, not the 1e-12 tolerance, sets
+# the stepped cost; the error norm never chooses a step (dop853 checks it
+# after the run): its largest value, FlowProfile.max_error (flow_max_error
+# in a report), is at most 0.0418, below the 0.9**8 where the cap would stop
+# binding. No check yet measures what a coarser cap would cost in accuracy.
 _MIN_FLOW_STEPS = 2500
+
+# level_flow's closed form needs x = 2 adm/phi at most this: Newton fails as x -> 1.
+_END_X = 0.5
 
 
 # phi'' of the vacuum slices as a function of (s, phi, phi'): every family's
@@ -497,8 +501,9 @@ class FlowProfile:
     All curves share the uniform t_grid abscissa. dWdt is the t-derivative
     of W taken from the state (s, phi, phi') in closed form, not by
     differencing samples. nfev and steps count the right-hand sides and
-    accepted steps of the backward integration that produced the flow, and
-    max_error is the largest scaled error norm of those steps
+    accepted steps of the backward integration over [0, t_c], the part of
+    the flow before its closed-form vacuum end (level_flow), and max_error
+    is the largest scaled error norm of those steps
     (DenseSolution.max_error): below 0.9**8 the step cap, not the error
     norm, sets every step after the first capped one.
     """
@@ -536,19 +541,23 @@ def level_flow(
     """Reparametrize a geometry by the level sets of its radial potential.
 
     Requires a minimal boundary sphere (otherwise the boundary data of the
-    monotone combinations do not apply, and the call refuses). The state
-    (s, phi, phi') is integrated BACKWARD in t from the outer end: forward
-    integration is exponentially unstable because neighboring potentials
-    diverge from each other at rate kappa/(3-p) per unit t, while backward
-    the same rate is a contraction. ds/dt is evaluated in log space to
-    survive small p - 1. The integrator is numerics.dop853 (DOP853 at
+    monotone combinations do not apply, and the call refuses). Past end_s
+    the geometry is the Schwarzschild slice of mass adm, whose flow has a
+    closed form (DLMF 8.17) that the nodes t >= t_c solve by Newton's
+    method; the hand-off t_c is at phi(end_s), or 4 adm if larger, but not
+    past s_max. From there the state (s, phi, phi') is integrated BACKWARD
+    to t = 0: forward integration is exponentially unstable because
+    neighboring potentials diverge at rate kappa/(3-p) per unit t, while
+    backward the same rate is a contraction. ds/dt is evaluated in log space
+    to survive small p - 1. The integrator is numerics.dop853 (DOP853 at
     rtol = atol = 1e-12, step at most t_max / 2500), whose interpolants are
-    sampled on the n_t-point t-grid in one pass; its nfev and steps are
-    kept on the FlowProfile. The right-hand side is the text _FLOW_TEXT with
-    the family's scalar phi'' pasted in (accel_fn.flow_rhs), which dop853's
-    step runs inlined; p - 1, kappa, ln C and the family's constants are
-    passed to it per run. The landing point is checked to hit the
-    boundary (s = 0, phi = phi(0)) to tight absolute tolerance.
+    sampled on the nodes t < t_c in one pass; its nfev and steps, over
+    [0, t_c] only, are kept on the FlowProfile. The right-hand side is the
+    text _FLOW_TEXT with the family's scalar phi'' pasted in
+    (accel_fn.flow_rhs), which dop853's step runs inlined; p - 1, kappa,
+    ln C and the family's constants are passed to it per run. The landing
+    point is checked to hit the boundary (s = 0, phi = phi(0)) to tight
+    absolute tolerance.
     """
     p = _check_p(p)
     if not warp.minimal_boundary:
@@ -562,12 +571,49 @@ def level_flow(
     ln_C = math.log(C)
     t_max = (1.0 - p) * math.log(float(u[-1]))
     accel = warp.accel_fn
+    _, adm = masses(warp)
+    t = np.linspace(0.0, t_max, n_t)
 
+    # On the vacuum end, x = 2 adm/phi gives t = (1-p) log(C (2 adm)^(1-kappa)
+    # B(x; sigma, 1/2)) (_capacity_tail), t_of(x) = (t, dt/dlog x), and ds =
+    # dphi/sqrt(1 - x), arc(x) = s up to a constant.
+    sigma, m2 = kappa - 1.0, 2.0 * adm
+
+    def t_of(x):
+        B = beta(sigma, 0.5) * betainc(sigma, 0.5, x)
+        t_x = (1.0 - p) * (ln_C - sigma * math.log(m2) + np.log(B))
+        return t_x, (1.0 - p) * x**sigma / (np.sqrt(1.0 - x) * B)
+
+    def arc(x):
+        return m2 * (np.sqrt(1.0 - x) / x + np.log1p(np.sqrt(1.0 - x)) - 0.5 * np.log(x))
+
+    # The hand-off x_c is x(end_s), at most _END_X, at least x(s_max). x(0) is 1
+    # exactly (phi' = 0 on the minimal boundary): from 2 adm/phi0, adm's rounding
+    # would reach s_c as its square root.
+    x_e = min(m2 / float(warp.phi_fn(warp.end_s)), 1.0) if warp.end_s > 0.0 else 1.0
+    x_max = m2 / float(warp.phi[-1])
+    y = np.linspace(math.log(max(min(x_e, _END_X), x_max)), math.log(x_max), 1025)
+    t_y, dt_dy = t_of(np.exp(y))
+    x_c, t_c = math.exp(y[0]), float(t_y[0])
+    s_c, k = warp.end_s + float(arc(x_c) - arc(x_e)), int(np.searchsorted(t, t_c))
+
+    def vacuum_end():
+        """(s, phi, phi') at t >= t_c: Newton on log x from a cubic Hermite guess."""
+        x = np.exp(_hermite(t[k:], t_y, y, 1.0 / dt_dy))
+        for _ in range(8):
+            t_x, slope = t_of(x)
+            step = (t[k:] - t_x) / slope
+            x *= np.exp(step)
+            if np.all(np.abs(step) < 1e-8):
+                return s_c + arc(x) - arc(x_c), m2 / x, np.sqrt(1.0 - x)
+        raise RuntimeError("level-set reparametrization: Newton on the vacuum end did not settle")
+
+    # Nodes t < t_c: DOP853 backward from the hand-off state to t = 0.
     try:
         sol = dop853(
             accel.flow_rhs(p, kappa, ln_C),
-            (t_max, 0.0),
-            [warp.s_max, float(warp.phi[-1]), float(warp.dphi[-1])],
+            (t_c, 0.0),
+            [s_c, m2 / x_c, math.sqrt(1.0 - x_c)],
             rtol=_GEOM_RTOL,
             atol=_GEOM_RTOL,
             max_step=t_max / _MIN_FLOW_STEPS,
@@ -580,8 +626,7 @@ def level_flow(
             f"backward pass missed the boundary (s(0) = {s0:g}, phi(0) = {phi0:g})"
         )
 
-    t = np.linspace(0.0, t_max, n_t)
-    s_t, phi_t, dphi_t = sol.sol(t)
+    s_t, phi_t, dphi_t = (np.concatenate(pair) for pair in zip(sol.sol(t[:k]), vacuum_end()))
     s_t[0] = 0.0
     if np.any(np.diff(s_t) <= 0.0):
         raise RuntimeError("level-set reparametrization: s(t) is not strictly increasing")
@@ -597,7 +642,6 @@ def level_flow(
     dWdt = W * dWds_over_W / dtds
     H = 2.0 * dphi_t / phi_t
 
-    _, adm = masses(warp)
     return FlowProfile(
         p=p,
         t_grid=t,

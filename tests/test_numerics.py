@@ -612,21 +612,32 @@ class TestDop853:
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
     @pytest.mark.parametrize(
         "tag, params, steps",
-        [("schwarzschild", {"m": 2.0}, {1.2: 2501, 1.5: 2500, 1.8: 2501}),
-         ("bumped", {"m0": 1.0, "eps": 0.1}, {1.2: 2500, 1.5: 2500, 1.8: 2500})],
+        [("schwarzschild", {"m": 2.0}, {1.2: 290, 1.5: 333, 1.8: 370}),
+         ("bumped", {"m0": 1.0, "eps": 0.1}, {1.2: 338, 1.5: 379, 1.8: 415})],
         ids=["schwarzschild", "bumped"],
     )
     def test_readme_flows_defer_every_step_at_the_cap(
         self, monkeypatch, lab, tag, params, steps, p
     ):
-        # The cap binds from the first step of the README's flows: one run
-        # defers every step's error norm and the check after it takes every
-        # row, so a change that fell back to the loop fails here. The
-        # largest norm stays below 0.9**8, where 0.9 error**(-1/8) falls
-        # below 1 and the cap could stop binding.
-        warp = lab.warp(tag, **params)
+        # The README's flows step [0, t_c] only, from the hand-off to their
+        # closed-form vacuum end, and the cap t_max / 2500 binds from the
+        # first step: ceil(t_c / cap) steps, or one more for a sliver, at
+        # most a fifth of 2500. One run defers every step's error norm and
+        # the check after it takes every row, so a change that fell back to
+        # the loop fails here. The largest norm stays below 0.9**8, where
+        # 0.9 error**(-1/8) falls below 1 and the cap could stop binding.
+        warp, spans = lab.warp(tag, **params), []
+
+        def spy(fun, span, y0, **args):
+            spans.append(span)
+            return dop853(fun, span, y0, **args)
+
+        monkeypatch.setattr(warped, "dop853", spy)
         runs, checks = self._spy_runs(monkeypatch)
         flow = level_flow(warp, p)
+        ((t_c, end),) = spans
+        capped = math.ceil(t_c / (flow.t_max / 2500))
+        assert end == 0.0 and steps[p] in (capped, capped + 1) and steps[p] <= 500
         assert (flow.steps, flow.nfev) == (steps[p], 15 * steps[p] + 2)
         assert [out[5] for _, out in runs] == [flow.steps]
         assert [(len(rows), taken) for rows, taken in checks] == [(flow.steps, flow.steps)]
@@ -651,7 +662,7 @@ class TestDop853:
         rejected = dop853(_relaxation(1.0), (0.0, 2.0), [0.0], rtol=1e-12, atol=1e-12)
         assert rejected.nfev > 15 * rejected.steps + 2 and len(calls) == 1
         flow = level_flow(warp, 1.5)
-        assert flow.steps >= 2500 and len(calls) == 2
+        assert flow.steps == 379 and len(calls) == 2
         assert calls[1] == warp.accel_fn.flow_rhs(1.5, 0.0, 0.0).text
 
     def test_run_leaves_the_dense_stages_to_one_array_call(self, monkeypatch, lab):
@@ -793,10 +804,10 @@ class TestDop853:
         self._assert_same_run(fun, span, y0, **args)
 
     def test_a_flow_that_falls_back_takes_two_runs_and_one_check(self, monkeypatch):
-        # The cap stops binding in the last 4 % of this flow's steps, and
-        # binds again after some checked steps and stops binding again.
-        # The check after the deferred run rejects a row, and one checked
-        # run ends the flow: two runs and one check.
+        # The first step of this flow starts below the cap, so the run
+        # defers every later one. The cap stops binding in the last third of
+        # the steps: the check after the deferred run rejects a row, and one
+        # checked run ends the flow: two runs and one check.
         warp = family_bumped(1.0, 0.5, 0.0, 3.0)
         calls = []
 
@@ -809,7 +820,7 @@ class TestDop853:
         flow = level_flow(warp, 1.1)
         ((fun, span, y0, args),) = calls
         ((rows, taken),) = checks
-        assert len(rows) == flow.steps and taken < len(rows)
+        assert len(rows) == flow.steps - 1 and taken < len(rows)
         assert [(called[-1], out[0], out[5]) for called, out in runs] == [
             (True, span[1], len(rows)),
             (False, span[1], 0),
@@ -853,20 +864,20 @@ class TestDop853:
             assert np.array_equal(sol.sol(t).view(np.int64), pointwise.view(np.int64))
 
     def test_scalar_query_copies_no_records(self, monkeypatch):
-        # The landing query sol(0.0) on a flow's 2500 steps: each query
-        # reads the kept columns, so its peak is a few small arrays, far
-        # below one copy of the 2500 x 26 records.
+        # The landing query sol(0.0) on the 2219 steps of a wide bump's
+        # flow: each query reads the kept columns, so its peak is a few
+        # small arrays, far below one copy of the 2219 x 26 records.
         calls = []
 
         def spy(*args, **kwargs):
             calls.append(dop853(*args, **kwargs))
             return calls[-1]
 
-        warp = family_schwarzschild(2.0)
+        warp = family_bumped(1.0, 0.1, 2.0, 2000.0)
         monkeypatch.setattr(warped, "dop853", spy)
         level_flow(warp, 1.5, n_t=64)
         (sol,) = calls
-        assert sol._columns.T.shape == (2500, 26)
+        assert sol._columns.T.shape == (2219, 26)
         tracemalloc.start()
         try:
             sol.sol(0.0)

@@ -483,6 +483,8 @@ class TestLevelFlow:
         assert np.all(np.diff(s) > 0.0)
 
     def test_non_monotone_arclength_is_refused(self, lab, monkeypatch):
+        # The integrator samples the nodes before the hand-off t_c, 9 of the
+        # 64 here; s dips between the last two of them.
         real = warped.dop853
 
         def dipped(*args, **kwargs):
@@ -491,7 +493,8 @@ class TestLevelFlow:
             def sample(t):
                 out = sol.sol(t)
                 if np.ndim(t):
-                    out[0, 40] = out[0, 38]  # s dips between nodes 39 and 40
+                    assert np.size(t) == 9
+                    out[0, -1] = out[0, -3]
                 return out
 
             return SimpleNamespace(sol=sample, nfev=sol.nfev, steps=sol.steps)
@@ -523,17 +526,50 @@ class TestLevelFlow:
         # flow of mass m is the reference slice (isotropic coordinates, mass
         # 2) at the level-set radius r(t): phi = (m/2) r (1 + 1/r)^2, and W
         # and dW/dt are the slice's, the W_s and dW_s/dt that evaluate_Q
-        # subtracts. Worst measured: 6.4e-12, 2.4e-10 and 4.0e-11, all at
-        # p = 1.1, m = 0.5.
+        # subtracts. Worst measured: 6.6e-13, 2.5e-11 and 4.2e-12, all at
+        # p = 1.1, m = 2.
         model = lab.model(p)
         flow = level_flow(lab.warp("schwarzschild", m=m), p, n_t=1024)
         r, live = model.level_radii(flow.t_grid)
         assert np.all(live)
         d = model.level_data(r)
         phi = 0.5 * m * r * (1.0 + 1.0 / r) ** 2
-        assert np.max(np.abs(flow.phi.y / phi - 1.0)) <= 1e-11
-        assert np.max(np.abs(flow.W.y / d.W - 1.0)) <= 1e-9
-        assert np.max(np.abs(flow.dWdt.y - d.dWdt)) <= 1e-10 * np.max(np.abs(d.dWdt))
+        assert np.max(np.abs(flow.phi.y / phi - 1.0)) <= 1e-12
+        assert np.max(np.abs(flow.W.y / d.W - 1.0)) <= 5e-11
+        assert np.max(np.abs(flow.dWdt.y - d.dWdt)) <= 1e-11 * np.max(np.abs(d.dWdt))
+
+    @pytest.mark.parametrize("p", [1.1, 1.5, 1.9])
+    @pytest.mark.parametrize("m", [0.5, 2.0, 10.0])
+    def test_integrator_over_the_whole_vacuum_flow_is_the_reference_slice(self, lab, m, p):
+        # An exact oracle for the integrator that level_flow leaves off the
+        # vacuum end: dop853 on the flow's right-hand side over all of
+        # [0, t_max] from the outer end, at level_flow's step cap and
+        # tolerance, against the reference slice as in the test above.
+        # Worst measured: 6.41e-12, 2.43e-10 and 4.003e-11 at p = 1.1, m = 0.5.
+        model, warp = lab.model(p), lab.warp("schwarzschild", m=m)
+        kappa = 2.0 / (p - 1.0)
+        u, C = radial_p_harmonic(warp, p)
+        t_max = (1.0 - p) * math.log(float(u[-1]))
+        sol = dop853(
+            warp.accel_fn.flow_rhs(p, kappa, math.log(C)),
+            (t_max, 0.0),
+            [warp.s_max, float(warp.phi[-1]), float(warp.dphi[-1])],
+            rtol=1e-12,
+            atol=1e-12,
+            max_step=t_max / 2500,
+        )
+        t = np.linspace(0.0, t_max, 1024)
+        _, phi, dphi = sol.sol(t)
+        du_over_u = -C * phi**-kappa / np.exp(-t / (p - 1.0))
+        W = 4.0 * PI * (p - 1.0) ** 2 * (phi * du_over_u) ** 2
+        dWdt = W * 2.0 * ((1.0 - kappa) * dphi / phi - du_over_u) / ((1.0 - p) * du_over_u)
+        r, live = model.level_radii(t)
+        assert np.all(live)
+        d = model.level_data(r)
+        exact = 0.5 * m * r * (1.0 + 1.0 / r) ** 2
+        assert np.max(np.abs(phi / exact - 1.0)) <= 6.5e-12
+        assert np.max(np.abs(W / d.W - 1.0)) <= 2.5e-10
+        assert np.max(np.abs(dWdt - d.dWdt)) <= 4.1e-11 * np.max(np.abs(d.dWdt))
 
     def test_hawking_mass_constant_along_flow(self, lab):
         flow = lab.flow(1.5, "schwarzschild", m=2.0)
@@ -542,13 +578,24 @@ class TestLevelFlow:
     @pytest.mark.parametrize(
         "tag, params", [("schwarzschild", {"m": 2.0}), ("bumped", {"m0": 1.0, "eps": 0.1})]
     )
-    def test_step_cap_sets_the_cost(self, lab, tag, params):
-        # The cap t_max / 2500 binds on every step, so none is rejected: two
-        # evaluations pick the first step, then each step costs 12 and 3
-        # more for its interpolant. The last step is either the 2500th or
-        # a sliver after it.
-        flow = lab.flow(1.5, tag, **params)
-        assert flow.steps in (2500, 2501)
+    def test_step_cap_sets_the_cost(self, lab, monkeypatch, tag, params):
+        # The integrator steps [0, t_c] only, from the hand-off t_c to the
+        # closed-form vacuum end. The cap t_max / 2500 binds on every step
+        # there, so none is rejected: two evaluations pick the first step,
+        # then each step costs 12 and 3 more for its interpolant. The last
+        # step ends at t = 0 or is a sliver after it.
+        warp, spans, real = lab.warp(tag, **params), [], warped.dop853
+
+        def spy(fun, span, y0, **args):
+            spans.append(span)
+            return real(fun, span, y0, **args)
+
+        monkeypatch.setattr(warped, "dop853", spy)
+        flow = level_flow(warp, 1.5)
+        ((t_c, end),) = spans
+        capped = math.ceil(t_c / (flow.t_max / 2500))
+        assert end == 0.0 and 0.0 < t_c < 0.2 * flow.t_max
+        assert flow.steps in (capped, capped + 1)
         assert flow.nfev == 15 * flow.steps + 2
 
     @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
@@ -570,6 +617,70 @@ class TestLevelFlow:
         assert np.max(np.abs(flow.W.y / W - 1.0)) <= 1e-9
         assert np.max(np.abs(flow.dWdt.y - dWdt)) <= 1e-9 * np.max(np.abs(dWdt))
         assert flow.Cp == pytest.approx(4.0 * PI * C ** (p - 1.0), rel=1e-12)
+
+
+# Where the hand-off t_c falls: the README bump, a bump from the boundary
+# whose phi(end_s) is below 4 adm (so t_c lies past end_s), a strong bump, a
+# wide bump that is mostly stepped, and Schwarzschild, light to heavy.
+HAND_OFF_CASES = {
+    "readme-bump": ("bumped", {"m0": 1.0, "eps": 0.1}),
+    "from-boundary": ("bumped", {"m0": 1.0, "eps": 0.1, "s1": 0.0, "s2": 3.0}),
+    "strong-bump": ("bumped", {"m0": 1.0, "eps": 0.9}),
+    "wide-bump": ("bumped", {"m0": 1.0, "eps": 0.1, "s2": 2000.0}),
+    "m=0.01": ("schwarzschild", {"m": 0.01}),
+    "m=2": ("schwarzschild", {"m": 2.0}),
+    "m=200": ("schwarzschild", {"m": 200.0}),
+}
+
+
+class TestHandOff:
+    """level_flow's stepped part meets its closed-form vacuum end at t_c."""
+
+    @pytest.mark.parametrize("p", [1.04, 1.5, 1.99])
+    @pytest.mark.parametrize(
+        "tag, params", list(HAND_OFF_CASES.values()), ids=list(HAND_OFF_CASES)
+    )
+    def test_the_pieces_join_and_the_case_certifies(self, lab, monkeypatch, tag, params, p):
+        # A jump J in s, phi or phi' at t_c adds 3 J to two of the fourth
+        # differences of the windows across it; measured, those are no
+        # larger than the ones near t_c (rounding, or the curve's own). The
+        # closed form starts on the vacuum end, at x = 2 adm/phi <= 1/2, s
+        # increases across t_c, and every case passes every check, as it
+        # did with the whole flow stepped.
+        warp, spans, real = lab.warp(tag, **params), [], warped.dop853
+
+        def spy(fun, span, y0, **args):
+            spans.append(span)
+            return real(fun, span, y0, **args)
+
+        monkeypatch.setattr(warped, "dop853", spy)
+        flow = level_flow(warp, p)
+        ((t_c, _),) = spans
+        k = int(np.searchsorted(flow.t_grid, t_c))
+        assert 24 <= k <= flow.t_grid.size - 24
+        assert flow.s_of_t.y[k] >= warp.end_s and 2.0 * flow.adm / flow.phi.y[k] <= 0.5
+        if tag == "schwarzschild" or params.get("s1") == 0.0:
+            assert float(warp.phi_fn(warp.end_s)) < 4.0 * flow.adm < flow.phi.y[k]
+        window = slice(k - 24, k + 24)
+        assert np.all(np.diff(flow.s_of_t.y[window]) > 0.0)
+        for y in (flow.s_of_t.y, flow.phi.y, 0.5 * flow.H.y * flow.phi.y):
+            d4 = np.abs(np.diff(y[window], 4))  # d4[j] spans t_c for j = 20 .. 23
+            floor = 16.0 * np.finfo(float).eps * np.max(np.abs(y[window]))
+            assert np.max(d4[20:24]) <= 2.0 * max(np.max(d4[:20]), np.max(d4[24:])) + floor
+        result = certify_case(warp, lab.model(p), flow, *lab.triples(p))
+        assert result.passed, [c["name"] for c in result.checks if not c["passed"]]
+
+    @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+    def test_a_domain_that_ends_before_4_adm_is_stepped_whole(self, lab, p):
+        # Schwarzschild m = 2 on s_max = 5 ends at phi = 5.4 < 4 adm: the
+        # hand-off is at s_max, the integrator steps all of [0, t_max] at
+        # the cap, and the flow is still the reference slice (measured:
+        # 6.2e-14).
+        flow = level_flow(family_schwarzschild(2.0, s_max=5.0), p, n_t=1024)
+        assert flow.steps in (2500, 2501) and flow.s_of_t.y[-1] == pytest.approx(5.0)
+        r, live = lab.model(p).level_radii(flow.t_grid)
+        assert np.all(live)
+        assert np.max(np.abs(flow.phi.y / (r * (1.0 + 1.0 / r) ** 2) - 1.0)) <= 1e-12
 
 
 class TestPerfectSquareIdentity:
