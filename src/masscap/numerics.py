@@ -857,17 +857,24 @@ def right_cumulative(panels: np.ndarray, tail: float = 0.0) -> np.ndarray:
 
 
 def _hermite(t: np.ndarray, tg: np.ndarray, y: np.ndarray, dydt: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant at t of y, with slopes dydt, on nondecreasing nodes tg.
-
-    It gives y[-1] past tg[-1], extends the first piece before tg[0], and
-    gives a piece of length 0 its left value.
-    """
+    """Cubic Hermite interpolant at t of y, with slopes dydt, on nondecreasing nodes tg:
+    y[-1] past tg[-1], the first piece before tg[0], the left value on a piece of length 0."""
     i = np.clip(np.searchsorted(tg, t) - 1, 0, tg.size - 2)
     h = tg[i + 1] - tg[i]
     a = np.divide(np.minimum(t, tg[-1]) - tg[i], h, out=np.zeros(t.shape), where=h > 0.0)
     out = (1.0 - a) ** 2 * ((1.0 + 2.0 * a) * y[i] + a * h * dydt[i])
     out += a * a * ((3.0 - 2.0 * a) * y[i + 1] + (a - 1.0) * h * dydt[i + 1])
     return out
+
+
+def _log_newton(step, x: np.ndarray, what: str) -> np.ndarray:
+    """x after Newton steps x *= exp(step(x)) until each is below 1e-8; RuntimeError after 8."""
+    for _ in range(8):
+        dlog = step(x)
+        x = x * np.exp(dlog)
+        if np.all(np.abs(dlog) < 1e-8):
+            return x
+    raise RuntimeError(f"{what}: Newton steps did not settle")
 
 
 class PowerTailFit(NamedTuple):

@@ -52,7 +52,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
-from .numerics import Tolerances, _check_finite, _check_int, _check_p, _hermite
+from .numerics import Tolerances, _check_finite, _check_int, _check_p, _hermite, _log_newton
 
 __all__ = [
     "DEFAULT_N_R",
@@ -186,16 +186,16 @@ class ModelGeometry:
         rho[tail] = t[tail] / s + np.log(c) + np.log1p(-s / c * np.exp(-t[tail] / s))
         r_live = sys.float_info.min ** (-(p - 1.0) / 2.0)
         live = rho < math.log(r_live) + 1e-3  # a guess within 1e-3 drops no live t
-        sigma, r = s / (p - 1.0), np.exp(rho[live])
+        sigma = s / (p - 1.0)
         target = _beta_numerators(sigma, np.array([0.5]))[2][0] * np.exp(-t[live] / (p - 1.0))
-        for _ in range(8):
+
+        def step(r):
             _, T, B0 = _beta_numerators(sigma, 1.0 / (1.0 + r))
-            step = np.log(B0 / target) * B0 / (sigma * T)
-            r *= np.exp(step)
-            if np.all(np.abs(step) < 1e-8):
-                live[live] = r < r_live
-                return r[r < r_live], live
-        raise RuntimeError(f"p = {p:g}: level_radii's Newton steps did not settle")
+            return np.log(B0 / target) * B0 / (sigma * T)
+
+        r = _log_newton(step, np.exp(rho[live]), f"p = {p:g}: level_radii")
+        live[live] = r < r_live
+        return r[r < r_live], live
 
 
 def model_profile(

@@ -10,9 +10,9 @@ the flow's W and dW/dt differ from the slice's at the same t. It certifies
 their forward differences against the slope slack wherever rounding leaves
 that slack resolvable, checks the boundary inequality W(0) <= W_s(0) with
 W_s(0) read from the reference model, checks pointwise that the flow's
-vacuum end is the reference slice shifted in t (which pins the mass and
-the capacity, and with them every limit of the case in closed form), and
-reports the sharp capacity-to-mass margin with equality detection.
+vacuum end is the reference slice shifted in t and the family solve's own
+end (which pins the mass and the capacity, and with them every limit of
+the case in closed form), and reports the sharp capacity-to-mass margin with equality detection.
 Everything that the underlying inequalities do not
 actually pin down numerically is reported under `diagnostics` and never
 gates. `certify_case` turns all of that into the named pass/fail checks of
@@ -148,38 +148,40 @@ class _HypothesisViolation(ValueError):
     """The geometry violates a hypothesis of the mass bound."""
 
 
-def _end_error(flow: FlowProfile, model: ModelGeometry, end_s: float) -> tuple[float, float]:
-    """Largest |W - W_s(t + delta)| / W_s(t + delta) and |hawking - adm| / adm on the vacuum end.
+def _end_error(flow: FlowProfile, model: ModelGeometry, warp: WarpProfile) -> tuple[float, float]:
+    """(end_is_reference, end_mass) of the vacuum end beyond warp.end_s.
 
-    Beyond end_s the geometry is the Schwarzschild slice of mass adm, whose
-    own potential u_M has u_M' = -C_M phi^(-kappa), kappa = 2/(p-1), with
+    There the geometry is the Schwarzschild slice of mass adm, whose own
+    potential u_M has u_M' = -C_M phi^(-kappa), kappa = 2/(p-1), with
     C_M = (2 adm)^(kappa-1) / B(kappa-1, 1/2) (the beta function of
     warped._capacity_tail). Flux conservation makes u = (C/C_M) u_M there,
     and W, which depends only on phi and u'/u, is scale-invariant, so
     W(t) = W_s(t + delta) with delta = (p-1) ln(C/C_M) and C^(p-1) =
-    C_p/(4 pi). Read at evaluate_Q's t-nodes with s >= end_s whose radius
-    model.level_radii(t + delta) is live (below r = 1 where a vacuum
-    family's t = 0 shifts below 0). Past the flow's hand-off t_c (level_flow)
-    it compares closed forms, B(x; kappa-1, 1/2) in x = 2 adm/phi against
-    I_x(sigma+1, sigma) in r. A wrong adm or C_p moves delta, so this reads
-    them pointwise; on vacuum ends it is rounding (below 1e-13 on the
-    README's cases). Far out W_s flattens, so an end that begins at large
-    phi reads adm only at order adm/phi there; the Hawking mass of the end's
-    level spheres, which is adm on a vacuum end, reads it at full size
-    (rounding: below 1e-11).
+    C_p/(4 pi). end_is_reference is the largest |phi - warp.phi_fn(s)| / phi
+    and |W - W_s(t + delta)| / W_s at evaluate_Q's t-nodes with s >= end_s,
+    W where model.level_radii(t + delta) is live (below r = 1 where a vacuum
+    family's t = 0 shifts below 0). Past level_flow's hand-off the flow is
+    the slice's closed form in adm and C: the phi term reads it against the
+    family solve, the W term (B(x; kappa-1, 1/2) in x = 2 adm/phi against
+    I_x(sigma+1, sigma) in r) against the model and C_p.
+    end_mass is the largest |hawking - adm| / adm at those nodes and at the
+    family's first sample with s >= end_s, which reads adm at full size and
+    is neither the flow nor adm's own sample at s_max.
     """
-    p = flow.p
-    nodes = _nodes(flow)
-    nodes = nodes[flow.s_of_t.y[nodes] >= end_s]
+    p, nodes = flow.p, _nodes(flow)
+    s = flow.s_of_t.y[nodes]
+    nodes, s = nodes[s >= warp.end_s], s[s >= warp.end_s]
     kappa = 2.0 / (p - 1.0)
     ln_CM = (kappa - 1.0) * math.log(2.0 * flow.adm) - betaln(kappa - 1.0, 0.5)
     delta = math.log(flow.Cp / (4.0 * math.pi)) - (p - 1.0) * ln_CM
     r, live = model.level_radii(flow.t_grid[nodes] + delta)
     if not np.any(live):
-        raise ValueError(f"no flow sample with s >= {end_s:g} has a live shifted radius")
-    Ws = model.level_data(r).W
-    mass = np.max(np.abs(flow.hawking.y[nodes] - flow.adm)) / flow.adm
-    return float(np.max(np.abs(flow.W.y[nodes][live] - Ws) / Ws)), float(mass)
+        raise ValueError(f"no flow sample with s >= {warp.end_s:g} has a live shifted radius")
+    Ws, phi = model.level_data(r).W, flow.phi.y[nodes]
+    shape = np.r_[np.abs(warp.phi_fn(s) - phi) / phi, np.abs(flow.W.y[nodes][live] - Ws) / Ws]
+    start = masses(warp)[0][np.searchsorted(warp.s_grid, warp.end_s)]
+    mass = np.abs(np.r_[flow.hawking.y[nodes], start] - flow.adm) / flow.adm
+    return float(np.max(shape)), float(np.max(mass))
 
 
 def constant_diagnostics(
@@ -436,9 +438,10 @@ def certify_case(
     Schwarzschild, bumps with eps = 0) must meet the equality case
     sharply, every other geometry the strict margin without equality. Every
     one must have a vacuum end, beyond warp.end_s, that is the reference
-    slice shifted in t to within accept_rel (end_is_reference, _end_error):
-    that pins its adm and C_p, and with them every limit of the case;
-    end_mass reads adm against the Hawking mass along that end. A failed
+    slice shifted in t and the family solve's own end to within accept_rel
+    (end_is_reference, _end_error): that pins its adm and C_p, and with them
+    every limit of the case; end_mass reads adm against the Hawking mass
+    along that end and at the family's first sample on it. A failed
     hypothesis of the mass bound is the failed stage check "hypotheses",
     any other error of case_report or of the end gate the stage check
     "case_report", and a failed flat capacity or mass the stage check
@@ -468,7 +471,7 @@ def certify_case(
     _same_model(model, dec, grow)
     try:
         report = case_report(flow, model, dec, grow)
-        end = _end_error(flow, model, warp.end_s)
+        end = _end_error(flow, model, warp)
     except _HypothesisViolation as exc:
         return CaseResult.failed(p, tag, params, "hypotheses", exc)
     except (ValueError, RuntimeError) as exc:

@@ -11,8 +11,7 @@ Three families are provided: the static vacuum slices (phi'' =
 the same with a compactly supported curvature bump added (R = 2 eps
 bump(s)/phi^2 exactly), and the flat exterior phi = 1 + s whose boundary
 sphere is not minimal. The level-set reparametrization by t = (1-p) log u
-is sampled in closed form on the vacuum end and solved backward from
-there to the boundary, the direction in which it is a contraction.
+is closed-form on the vacuum end, and solved backward from there: a contraction.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .numerics import (
     _check_p,
     _dop_kernel,
     _hermite,
+    _log_newton,
     _rhs_function,
     _twin,
     dop853,
@@ -63,14 +63,13 @@ DEFAULT_N_T = 32768
 _GEOM_RTOL = 1e-12
 
 # The level-set flow's integrator step is capped at t_max / _MIN_FLOW_STEPS.
-# It steps [0, t_c] only (level_flow), so about 2500 t_c / t_max steps: on
-# the README's flows (Schwarzschild m = 2 and bumped (1, 0.1) at p = 1.2,
-# 1.5 and 1.8) 290 to 415 steps of 15 right-hand sides each, none rejected.
-# The cap binds on every one of them, so it, not the 1e-12 tolerance, sets
-# the stepped cost; the error norm never chooses a step (dop853 checks it
-# after the run): its largest value, FlowProfile.max_error (flow_max_error
-# in a report), is at most 0.0418, below the 0.9**8 where the cap would stop
-# binding. No check yet measures what a coarser cap would cost in accuracy.
+# It steps [0, t_c] only (level_flow): the README's flows (Schwarzschild
+# m = 2 and bumped (1, 0.1) at p = 1.2, 1.5, 1.8) take 290 to 415 steps of
+# 15 right-hand sides, none rejected and all at the cap, so the cap and not
+# the 1e-12 tolerance sets their cost. Their largest scaled error norm,
+# FlowProfile.max_error (flow_max_error in a report), is at most 0.0418,
+# below the 0.9**8 where the cap would stop binding. No check yet measures
+# what a coarser cap would cost in accuracy.
 _MIN_FLOW_STEPS = 2500
 
 # level_flow's closed form needs x = 2 adm/phi at most this: Newton fails as x -> 1.
@@ -422,10 +421,10 @@ def _capacity_tail(phi_max: float, m_end: float, kappa: float) -> float:
     """integral_{s_max}^inf phi^(-kappa) ds, using phi' = sqrt(1 - 2m/phi).
 
     Valid because every family is vacuum beyond warp.end_s <= s_max/2,
-    which certify_case's end_is_reference gate checks pointwise along the
-    flow. ds = dphi / sqrt(1 - 2m/phi)
-    and x = 2m/phi turn the integral into (2m)^(1-kappa) B(x; kappa-1, 1/2)
-    at x = 2m/phi_max; for m = 0 it is phi_max^(1-kappa)/(kappa-1).
+    which certify_case's end gates check against the family solve.
+    ds = dphi / sqrt(1 - 2m/phi) and x = 2m/phi turn the integral into
+    (2m)^(1-kappa) B(x; kappa-1, 1/2) at x = 2m/phi_max; for m = 0 it is
+    phi_max^(1-kappa)/(kappa-1).
     """
     a = kappa - 1.0
     if m_end == 0.0:
@@ -486,9 +485,9 @@ def masses(warp: WarpProfile) -> tuple[np.ndarray, float]:
     The Hawking mass of the level spheres is (phi/2)(1 - phi'^2). The total
     mass is its value at s_max, exact under the vacuum-end assumption:
     every family is vacuum beyond warp.end_s <= s_max/2, where the Hawking
-    mass is constant. _flux_integral's tail is that of this mass, and
-    certify_case reads that mass along the whole end: with C_p against the
-    reference slice (end_is_reference), and against the Hawking mass (end_mass).
+    mass is constant. _flux_integral's tail and level_flow's closed-form end
+    are those of this mass; certify_case's end_mass reads it against the
+    Hawking mass where the end begins, independent of both.
     """
     hawk = _hawking(warp.phi, warp.dphi)
     return hawk, float(hawk[-1])
@@ -501,9 +500,8 @@ class FlowProfile:
     All curves share the uniform t_grid abscissa. dWdt is the t-derivative
     of W taken from the state (s, phi, phi') in closed form, not by
     differencing samples. nfev and steps count the right-hand sides and
-    accepted steps of the backward integration over [0, t_c], the part of
-    the flow before its closed-form vacuum end (level_flow), and max_error
-    is the largest scaled error norm of those steps
+    accepted steps of the backward integration over [0, t_c] (level_flow),
+    and max_error is the largest scaled error norm of those steps
     (DenseSolution.max_error): below 0.9**8 the step cap, not the error
     norm, sets every step after the first capped one.
     """
@@ -542,22 +540,20 @@ def level_flow(
 
     Requires a minimal boundary sphere (otherwise the boundary data of the
     monotone combinations do not apply, and the call refuses). Past end_s
-    the geometry is the Schwarzschild slice of mass adm, whose flow has a
-    closed form (DLMF 8.17) that the nodes t >= t_c solve by Newton's
-    method; the hand-off t_c is at phi(end_s), or 4 adm if larger, but not
-    past s_max. From there the state (s, phi, phi') is integrated BACKWARD
-    to t = 0: forward integration is exponentially unstable because
-    neighboring potentials diverge at rate kappa/(3-p) per unit t, while
-    backward the same rate is a contraction. ds/dt is evaluated in log space
-    to survive small p - 1. The integrator is numerics.dop853 (DOP853 at
-    rtol = atol = 1e-12, step at most t_max / 2500), whose interpolants are
-    sampled on the nodes t < t_c in one pass; its nfev and steps, over
-    [0, t_c] only, are kept on the FlowProfile. The right-hand side is the
-    text _FLOW_TEXT with the family's scalar phi'' pasted in
-    (accel_fn.flow_rhs), which dop853's step runs inlined; p - 1, kappa,
-    ln C and the family's constants are passed to it per run. The landing
-    point is checked to hit the boundary (s = 0, phi = phi(0)) to tight
-    absolute tolerance.
+    the flow is the Schwarzschild slice's closed form (DLMF 8.17), which the
+    nodes t >= t_c solve by Newton's method; t_c is at phi(end_s), or 4 adm
+    if larger, but not past s_max. From there (s, phi, phi') is integrated
+    BACKWARD to t = 0, the direction in which neighboring potentials converge
+    at rate kappa/(3-p) per unit t (forward, they diverge). ds/dt is
+    evaluated in log space to survive small p - 1. The integrator is
+    numerics.dop853 (DOP853 at rtol = atol = 1e-12, step at most t_max /
+    2500), sampled at the nodes t < t_c in one pass; its nfev and steps are
+    kept on the FlowProfile. Its right-hand side is the text _FLOW_TEXT with
+    the family's scalar phi'' pasted in (accel_fn.flow_rhs), which dop853's
+    step runs inlined; p - 1, kappa, ln C and the family's constants are
+    passed to it per run. The landing is checked to hit the boundary (s = 0,
+    phi = phi(0)) to tight absolute tolerance; a hand-off state of another
+    mass than the family's heads for that mass's horizon instead.
     """
     p = _check_p(p)
     if not warp.minimal_boundary:
@@ -587,9 +583,8 @@ def level_flow(
     def arc(x):
         return m2 * (np.sqrt(1.0 - x) / x + np.log1p(np.sqrt(1.0 - x)) - 0.5 * np.log(x))
 
-    # The hand-off x_c is x(end_s), at most _END_X, at least x(s_max). x(0) is 1
-    # exactly (phi' = 0 on the minimal boundary): from 2 adm/phi0, adm's rounding
-    # would reach s_c as its square root.
+    # x_c is x(end_s) within [x(s_max), _END_X]. x(0) is 1 exactly (phi'(0) = 0):
+    # 2 adm/phi0 would carry adm's rounding into s_c as its square root.
     x_e = min(m2 / float(warp.phi_fn(warp.end_s)), 1.0) if warp.end_s > 0.0 else 1.0
     x_max = m2 / float(warp.phi[-1])
     y = np.linspace(math.log(max(min(x_e, _END_X), x_max)), math.log(x_max), 1025)
@@ -597,18 +592,14 @@ def level_flow(
     x_c, t_c = math.exp(y[0]), float(t_y[0])
     s_c, k = warp.end_s + float(arc(x_c) - arc(x_e)), int(np.searchsorted(t, t_c))
 
-    def vacuum_end():
-        """(s, phi, phi') at t >= t_c: Newton on log x from a cubic Hermite guess."""
-        x = np.exp(_hermite(t[k:], t_y, y, 1.0 / dt_dy))
-        for _ in range(8):
-            t_x, slope = t_of(x)
-            step = (t[k:] - t_x) / slope
-            x *= np.exp(step)
-            if np.all(np.abs(step) < 1e-8):
-                return s_c + arc(x) - arc(x_c), m2 / x, np.sqrt(1.0 - x)
-        raise RuntimeError("level-set reparametrization: Newton on the vacuum end did not settle")
+    def step(x):  # Newton on log x at the nodes t >= t_c
+        t_x, slope = t_of(x)
+        return (t[k:] - t_x) / slope
 
-    # Nodes t < t_c: DOP853 backward from the hand-off state to t = 0.
+    def vacuum_end():  # (s, phi, phi') there; its temporaries die before the n_t formulas
+        x = _log_newton(step, np.exp(_hermite(t[k:], t_y, y, 1.0 / dt_dy)), "vacuum end")
+        return s_c + arc(x) - arc(x_c), m2 / x, np.sqrt(1.0 - x)
+
     try:
         sol = dop853(
             accel.flow_rhs(p, kappa, ln_C),

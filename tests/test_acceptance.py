@@ -189,8 +189,8 @@ def test_criterion_10_end_is_reference(lab):
     tol = 1e-9
     worst = worst_mass = 0.0
     for p, tag, params in _nonflat_cases():
-        flow, end_s = lab.flow(p, tag, **params), lab.warp(tag, **params).end_s
-        shape, mass = _end_error(flow, lab.model(p), end_s)
+        flow, warp = lab.flow(p, tag, **params), lab.warp(tag, **params)
+        shape, mass = _end_error(flow, lab.model(p), warp)
         worst, worst_mass = max(worst, shape), max(worst_mass, mass)
     ok = worst <= tol and worst_mass <= tol
     _verdict(10, "vacuum end is the shifted reference slice", ok, f"worst rel {worst:.2e}, mass {worst_mass:.2e}, tol {tol:g}")

@@ -355,9 +355,8 @@ class TestSweepVerdict:
     """sweep's status and exit code are the verdict verify writes."""
 
     def test_sweep_names_the_checks_verify_fails(self, tmp_path):
-        # accept_rel = 1e-13 is below what the vacuum case reaches: its
-        # penrose_sharp margin reads 1.3e-12.
-        args = ["--p", "1.5", "--tol", "1e-13"]
+        # accept_rel = 1e-12 is below what the vacuum case reaches.
+        args = ["--p", "1.5", "--tol", "1e-12"]
         assert main(["verify", *args, "--out", str(tmp_path / "verify")]) == 1
         assert main(["sweep", *args, "--out", str(tmp_path / "sweep")]) == 1
         [case] = json.loads((tmp_path / "verify" / "report.json").read_text())["cases"]

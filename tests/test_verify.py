@@ -23,7 +23,7 @@ from masscap import (
     solve_decaying,
     solve_growing,
 )
-from masscap import verify
+from masscap import verify, warped
 from masscap.verify import _end_error, _monotonicity, _nodes, _tail_limit
 from conftest import curvature_term
 
@@ -462,8 +462,34 @@ class TestEndIsReference:
                 failed = "end_is_reference" in self._failed(lab, p, tag, wrong, params)
                 assert failed == (rel == 1e-5 or tag == "schwarzschild"), (p, tag, rel)
                 if not failed:
-                    error, _ = _end_error(wrong, lab.model(p), lab.warp(tag, **params).end_s)
+                    error, _ = _end_error(wrong, lab.model(p), lab.warp(tag, **params))
                     assert 2e-7 < error < 1e-6, (p, tag)
+
+    def test_a_wrong_mass_from_masses_is_read_against_the_family(self, lab, monkeypatch):
+        # level_flow's closed-form end and hand-off state take adm from
+        # warped.masses, so a wrong adm there must be read against the family
+        # solve, not against itself. From 1e-8 (accept_rel is 1e-6) the
+        # backward pass heads for that mass's horizon and misses phi(0). At
+        # 1e-9 it lands, and end_mass reads the error at full size through
+        # the family's Hawking mass where the end begins; end_is_reference
+        # reads it through the family's phi (0.12 of it on the bump).
+        masses = warped.masses
+        for p, tag, params in self.README:
+            warp, model = lab.warp(tag, **params), lab.model(p)
+            shape, mass = _end_error(lab.flow(p, tag, **params), model, warp)
+            assert shape < 3e-12 and mass < 2e-12, (p, tag)
+            for rel in (1e-9, -1e-9, 1e-8, 1e-6):
+                wrong = (masses(warp)[0], masses(warp)[1] * (1.0 + rel))
+                with monkeypatch.context() as patch:
+                    patch.setattr(warped, "masses", lambda _, wrong=wrong: wrong)
+                    if abs(rel) >= 1e-8:
+                        with pytest.raises(RuntimeError, match="missed the boundary"):
+                            level_flow(warp, p)
+                        continue
+                    flow = level_flow(warp, p)
+                shape, mass = _end_error(flow, model, warp)
+                assert mass == pytest.approx(abs(rel), rel=2e-3), (p, tag, rel)
+                assert shape > 0.1 * abs(rel), (p, tag, rel)
 
     def test_strong_bump_passes(self, lab):
         # adm = 3.6 m0 puts s_max below 125 adm, where a tail fit of the
